@@ -253,6 +253,12 @@ def cmd_flow(args) -> int:
 
 def cmd_rotnum(args) -> int:
     rho_a, rho_b = _parse_mu_pair(args, "rhoA", "rhoB")
+    radicands = {x.d for x in (rho_a, rho_b)
+                 if isinstance(x, QuadraticNumber) and x.d}
+    if len(radicands) > 1:
+        raise UsageError("--rhoA-exact and --rhoB-exact must share one "
+                         "radicand, got "
+                         + " and ".join(f"sqrt({d})" for d in sorted(radicands)))
     tol = args.tol if args.tol is not None else DEFAULT_ROTNUM_TOL
     kwargs = {"tol": tol}
     if args.budget is not None:

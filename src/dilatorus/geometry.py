@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 from .errors import (
     DegenerateDoor,
@@ -28,6 +29,9 @@ from .errors import (
 from .quadratics import QuadraticNumber
 
 EPSILON: float = 1e-12
+# A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
+# for the unit direction u and the side's edge vector e.
+PARALLEL_EPS: float = 1e-14
 TWO_PI: float = 2.0 * math.pi
 
 Scalar = Union[float, int, Fraction, QuadraticNumber]
@@ -305,6 +309,22 @@ class GluedSide:
         return p * self.transport_scale + self.transport_offset
 
 
+class RoomGeometry(NamedTuple):
+    """Derived geometry of a room; `Room.geom` computes it once.
+
+    Each row of `sides` is the float tuple
+    (ax, ay, ex, ey, parallel_floor, is_door, factor, scale, ox, oy):
+    the side runs from (ax, ay) along the edge vector (ex, ey), a ray is
+    parallel to it when |u x e| <= parallel_floor, and its gluing maps z
+    to z*scale + (ox, oy) with derivative `factor`.  Rows are in the
+    order of `Room.sides()`.
+    """
+
+    vertices: tuple[Vec2, ...]
+    diameter: float
+    sides: tuple[tuple, ...]
+
+
 @dataclass(frozen=True)
 class Room:
     """Validated pentagon model of a dilation torus with one boundary."""
@@ -334,28 +354,56 @@ class Room:
 
     # --- derived geometry ---
 
+    @cached_property
+    def geom(self) -> "RoomGeometry":
+        """Vertices, diameter and side table, computed once per instance.
+
+        functools.cached_property stores the value in the instance dict,
+        which a frozen dataclass allows; eq, hash and repr read the
+        fields only, so equal rooms stay equal whether traced or not.
+        """
+        nu1, nu2 = self.nu()
+        e1, e2 = self.e1, self.e2
+        v2 = e1 + e2
+        verts = (Vec2(0.0, 0.0), e1, v2, v2 - e1 * (1.0 / nu1),
+                 e2 * (1.0 / nu2))
+        e1x, e1y = float(e1.x), float(e1.y)
+        v3x, v3y = verts[3].as_floats()
+        # (is_door, factor, scale, offset x, offset y) of each transport
+        transports = (
+            # bottom -> top copy: z maps to z/nu1 + V3
+            (False, 1.0 / nu1, 1.0 / nu1, v3x, v3y),
+            # right -> left copy: z maps to (z - e1)/nu2
+            (False, 1.0 / nu2, 1.0 / nu2, -e1x * (1.0 / nu2),
+             -e1y * (1.0 / nu2)),
+            # top -> bottom copy: z maps to nu1*(z - V3)
+            (False, nu1, nu1, v3x * (-nu1), v3y * (-nu1)),
+            (True, 1.0, 1.0, 0.0, 0.0),
+            # left -> right copy: z maps to nu2*z + e1
+            (False, nu2, nu2, e1x, e1y),
+        )
+        rows = []
+        for k, transport in enumerate(transports):
+            start, end = verts[k], verts[(k + 1) % 5]
+            edge = end - start
+            rows.append((*start.as_floats(), *edge.as_floats(),
+                         PARALLEL_EPS * max(edge.length(), 1.0), *transport))
+        return RoomGeometry(verts, max(v.length() for v in verts),
+                            tuple(rows))
+
     def nu(self) -> tuple[float, float]:
         return self.params.nu()
 
     def vertices(self) -> list[Vec2]:
         """V0..V4 of the pentagon model."""
-        nu1, nu2 = self.nu()
-        e1, e2 = self.e1, self.e2
-        v2 = e1 + e2
-        return [
-            Vec2(0.0, 0.0),
-            e1,
-            v2,
-            v2 - e1 * (1.0 / nu1),
-            e2 * (1.0 / nu2),
-        ]
+        return list(self.geom.vertices)
 
     def door(self) -> tuple[Vec2, Vec2]:
-        v = self.vertices()
+        v = self.geom.vertices
         return (v[3], v[4])
 
     def diameter(self) -> float:
-        return max(v.length() for v in self.vertices())
+        return self.geom.diameter
 
     def is_convex(self) -> bool:
         """No reflex corner (flat corners allowed); affine-invariant."""
@@ -366,28 +414,16 @@ class Room:
 
     def sides(self) -> list[GluedSide]:
         """Boundary sides in order V0V1, V1V2, V2V3, V3V4 (door), V4V0."""
-        nu1, nu2 = self.nu()
-        v = self.vertices()
-        zero = Vec2(0.0, 0.0)
-        neg_e1 = Vec2(-float(self.e1.x), -float(self.e1.y))
-        return [
-            # bottom -> top copy: z maps to z/nu1 + V3
-            GluedSide(0, v[0], v[1], False, 1.0 / nu1, 1.0 / nu1, v[3]),
-            # right -> left copy: z maps to (z - e1)/nu2
-            GluedSide(1, v[1], v[2], False, 1.0 / nu2, 1.0 / nu2,
-                      neg_e1 * (1.0 / nu2)),
-            # top -> bottom copy: z maps to nu1*(z - V3)
-            GluedSide(2, v[2], v[3], False, nu1, nu1, v[3] * (-nu1)),
-            GluedSide(3, v[3], v[4], True, 1.0, 1.0, zero),
-            # left -> right copy: z maps to nu2*z + e1
-            GluedSide(4, v[4], v[0], False, nu2, nu2,
-                      Vec2(float(self.e1.x), float(self.e1.y))),
-        ]
+        v = self.geom.vertices
+        return [GluedSide(k, v[k], v[(k + 1) % 5], is_door, factor, scale,
+                          Vec2(ox, oy))
+                for k, (*_, is_door, factor, scale, ox, oy)
+                in enumerate(self.geom.sides)]
 
     def interior_diagonals(self) -> list[tuple[int, int]]:
         """Vertex index pairs whose chord lies inside the pentagon."""
-        verts = self.vertices()
-        eps = EPSILON * max(self.diameter(), 1.0) ** 2
+        verts, diam, _ = self.geom
+        eps = EPSILON * max(diam, 1.0) ** 2
         out = []
         for i, j in _DIAGONAL_PAIRS:
             p, q = verts[i], verts[j]

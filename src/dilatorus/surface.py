@@ -29,10 +29,10 @@ from .errors import (
 )
 from .geometry import (
     _DIAGONAL_PAIRS,
+    PARALLEL_EPS,
     Room,
     Vec2,
     angle_dist_mod_pi,
-    unit,
     wrap_2pi,
 )
 from .intervalmaps import (
@@ -48,10 +48,15 @@ from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
 
 # Tolerances for the tracer are relative to the room diameter; those for
 # the return map are relative to the section length, so squashed rooms
-# far along the diagonal flow stay tractable.
-PARALLEL_EPS = 1e-14
-VERTEX_TOL = 1e-12
+# far along the diagonal flow stay tractable.  PARALLEL_EPS, the floor
+# below which a ray counts as parallel to a side, lives in geometry with
+# the side table it is baked into.
+VERTEX_TOL = 1e-12          # of the side's length: s within it of 0 or 1
+# Minimum step of a ray before it may cross a side, in units of the room
+# diameter: CLEARANCE for the side it just arrived through (so rounding
+# cannot re-hit it), MIN_STEP for every other side.
 CLEARANCE = 1e-9
+MIN_STEP = 1e-15
 BRANCH_BISECT_TOL = 1e-13
 BRANCH_VERIFY_TOL = 1e-9
 TRANSVERSALITY_FLOOR = 1e-9
@@ -87,7 +92,7 @@ class CrossSection:
             raise ValueError(f"({self.i}, {self.j}) is not a pentagon diagonal")
 
     def endpoints(self, room: Room) -> tuple[Vec2, Vec2]:
-        verts = room.vertices()
+        verts = room.geom.vertices
         return verts[self.i], verts[self.j]
 
     def direction(self, room: Room) -> float:
@@ -138,25 +143,6 @@ class RayTrace:
         return math.prod(self.factors)
 
 
-def _solve_crossing(p: Vec2, u: Vec2, a: Vec2, b: Vec2,
-                    t_floor: float) -> Optional[tuple[float, float]]:
-    """Parameters (t, s) with p + t*u = a + s*(b - a), or None.
-
-    Near-vertex values of s are kept (the caller decides whether they
-    are singular hits); rays parallel to the segment never cross it.
-    """
-    e = b - a
-    denom = u.cross(e)
-    if abs(denom) <= PARALLEL_EPS * max(e.length(), 1.0):
-        return None
-    w = a - p
-    t = w.cross(e) / denom
-    s = w.cross(u) / denom
-    if t <= t_floor or s < -VERTEX_TOL or s > 1.0 + VERTEX_TOL:
-        return None
-    return t, s
-
-
 def trace_ray(room: Room, p: Vec2, theta: float,
               max_crossings: int = 64,
               section: Optional[CrossSection] = None) -> RayTrace:
@@ -166,14 +152,27 @@ def trace_ray(room: Room, p: Vec2, theta: float,
     or after `max_crossings` transports.  A hit within VERTEX_TOL of a
     side endpoint raises VertexHit carrying the partial trace, since the
     flow is undefined through the cone point.
-    """
-    sides = room.sides()
-    diam = room.diameter()
-    u = unit(theta)
-    t_base = 1e-15 * diam
-    t_clear = CLEARANCE * diam
-    sec_pts = section.endpoints(room) if section is not None else None
 
+    The loop runs on plain floats over the side table `room.geom`, which
+    each Room instance computes once; nothing else is cached, so nothing
+    outlives the room (nor, in the CLI, a `cli.main` call).  A crossing
+    of the ray p + t*u with the side a + s*e solves, with w = a - p,
+    t = (w x e)/(u x e) and s = (w x u)/(u x e).
+    """
+    _, diam, rows = room.geom
+    ux, uy = math.cos(theta), math.sin(theta)
+    t_base = MIN_STEP * diam
+    t_clear = CLEARANCE * diam
+    s_lo, s_hi = -VERTEX_TOL, 1.0 + VERTEX_TOL
+    if section is not None:
+        a, b = section.endpoints(room)
+        e = b - a
+        sax, say = float(a.x), float(a.y)
+        sex, sey = float(e.x), float(e.y)
+        sec_par = PARALLEL_EPS * max(e.length(), 1.0)
+
+    start = p
+    px, py = float(p.x), float(p.y)
     segments: list[tuple[Vec2, Vec2]] = []
     factors: list[float] = []
     crossed: list[int] = []
@@ -183,18 +182,29 @@ def trace_ray(room: Room, p: Vec2, theta: float,
         best_t = math.inf
         best_s = 0.0
         best_side: Optional[int] = None
-        for side in sides:
-            floor = t_clear if side.index == arrived else t_base
-            hit = _solve_crossing(p, u, side.start, side.end, floor)
-            if hit is not None and hit[0] < best_t:
-                best_t, best_s = hit
-                best_side = side.index
+        for k, (ax, ay, ex, ey, par, _, _, _, _, _) in enumerate(rows):
+            denom = ux * ey - uy * ex
+            if abs(denom) <= par:
+                continue
+            wx, wy = ax - px, ay - py
+            t = (wx * ey - wy * ex) / denom
+            s = (wx * uy - wy * ux) / denom
+            if (t <= (t_clear if k == arrived else t_base)
+                    or s < s_lo or s > s_hi):
+                continue
+            if t < best_t:
+                best_t, best_s, best_side = t, s, k
         hit_section = False
-        if sec_pts is not None:
-            hit = _solve_crossing(p, u, sec_pts[0], sec_pts[1], t_clear)
-            if hit is not None and hit[0] < best_t - t_base:
-                best_t, best_s = hit
-                hit_section = True
+        if section is not None:
+            denom = ux * sey - uy * sex
+            if abs(denom) > sec_par:
+                wx, wy = sax - px, say - py
+                t = (wx * sey - wy * sex) / denom
+                s = (wx * uy - wy * ux) / denom
+                if (not (t <= t_clear or s < s_lo or s > s_hi)
+                        and t < best_t - t_base):
+                    best_t, best_s = t, s
+                    hit_section = True
         if best_side is None and not hit_section:
             if arrived is None:
                 raise ValueError("ray does not meet the room boundary; the "
@@ -207,29 +217,31 @@ def trace_ray(room: Room, p: Vec2, theta: float,
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
                 trace=RayTrace(tuple(segments), tuple(factors),
-                               tuple(crossed), TraceEnd.VERTEX, p))
-        q = p + u * best_t
-        segments.append((p, q))
-        partial = RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                           TraceEnd.VERTEX, q)
+                               tuple(crossed), TraceEnd.VERTEX, start))
+        qx, qy = px + ux * best_t, py + uy * best_t
+        q = Vec2(qx, qy)
+        segments.append((start, q))
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
-                            trace=partial)
+                            trace=RayTrace(tuple(segments), tuple(factors),
+                                           tuple(crossed), TraceEnd.VERTEX,
+                                           q))
         if hit_section:
             return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
                             TraceEnd.SECTION, q)
-        side = sides[best_side]
-        if side.is_door:
+        *_, is_door, factor, scale, ox, oy = rows[best_side]
+        if is_door:
             return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
                             TraceEnd.DOOR, q)
         if len(factors) >= max_crossings:
             return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
                             TraceEnd.BUDGET, q)
-        factors.append(side.factor)
-        crossed.append(side.index)
-        p = side.transport(q)
-        arrived = _PARTNER[side.index]
+        factors.append(factor)
+        crossed.append(best_side)
+        px, py = qx * scale + ox, qy * scale + oy
+        start = Vec2(px, py)
+        arrived = _PARTNER[best_side]
 
 
 # --- first-return map to a cross-section ---

@@ -7,8 +7,14 @@ point and first returns are observed, not computed in closed form.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Callable
+from typing import Callable, Optional
+
+from dilatorus.errors import VertexHit
+from dilatorus.geometry import Room, Vec2, unit
+from dilatorus.surface import (_PARTNER, CLEARANCE, PARALLEL_EPS, VERTEX_TOL,
+                               CrossSection, RayTrace, TraceEnd)
 
 
 def two_slope_value(ra: float, rb: float, xt: float, x: float) -> float:
@@ -101,3 +107,90 @@ def compare_induction_to_simulation(induce_fn, n_triples: int,
             want = two_slope_value(ca, cb, cxt, u)
             worst = max(worst, abs(got - want))
     return worst
+
+
+# --- ray tracing on Vec2, straight from the room's public sides ---
+
+def _solve_crossing(p: Vec2, u: Vec2, a: Vec2, b: Vec2,
+                    t_floor: float) -> Optional[tuple[float, float]]:
+    """Parameters (t, s) with p + t*u = a + s*(b - a), or None.
+
+    Near-vertex values of s are kept (the caller decides whether they
+    are singular hits); rays parallel to the segment never cross it.
+    """
+    e = b - a
+    denom = u.cross(e)
+    if abs(denom) <= PARALLEL_EPS * max(e.length(), 1.0):
+        return None
+    w = a - p
+    t = w.cross(e) / denom
+    s = w.cross(u) / denom
+    if t <= t_floor or s < -VERTEX_TOL or s > 1.0 + VERTEX_TOL:
+        return None
+    return t, s
+
+
+def trace_ray_oracle(room: Room, p: Vec2, theta: float,
+                     max_crossings: int = 64,
+                     section: Optional[CrossSection] = None) -> RayTrace:
+    """`surface.trace_ray` written over Vec2 and `Room.sides()`, with no
+    cached geometry; it must agree with the fast tracer bit for bit."""
+    sides = room.sides()
+    diam = room.diameter()
+    u = unit(theta)
+    t_base = 1e-15 * diam
+    t_clear = CLEARANCE * diam
+    sec_pts = section.endpoints(room) if section is not None else None
+
+    segments: list[tuple[Vec2, Vec2]] = []
+    factors: list[float] = []
+    crossed: list[int] = []
+    arrived: Optional[int] = None
+
+    while True:
+        best_t = math.inf
+        best_s = 0.0
+        best_side: Optional[int] = None
+        for side in sides:
+            floor = t_clear if side.index == arrived else t_base
+            hit = _solve_crossing(p, u, side.start, side.end, floor)
+            if hit is not None and hit[0] < best_t:
+                best_t, best_s = hit
+                best_side = side.index
+        hit_section = False
+        if sec_pts is not None:
+            hit = _solve_crossing(p, u, sec_pts[0], sec_pts[1], t_clear)
+            if hit is not None and hit[0] < best_t - t_base:
+                best_t, best_s = hit
+                hit_section = True
+        if best_side is None and not hit_section:
+            if arrived is None:
+                raise ValueError("ray does not meet the room boundary; the "
+                                 "start point must lie in the closed "
+                                 "pentagon with the direction entering it")
+            raise VertexHit(
+                "ray passes a cone point closer than float resolution",
+                trace=RayTrace(tuple(segments), tuple(factors),
+                               tuple(crossed), TraceEnd.VERTEX, p))
+        q = p + u * best_t
+        segments.append((p, q))
+        partial = RayTrace(tuple(segments), tuple(factors), tuple(crossed),
+                           TraceEnd.VERTEX, q)
+        if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
+            raise VertexHit("ray hits a pentagon vertex; the flow is "
+                            "undefined through the cone point",
+                            trace=partial)
+        if hit_section:
+            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
+                            TraceEnd.SECTION, q)
+        side = sides[best_side]
+        if side.is_door:
+            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
+                            TraceEnd.DOOR, q)
+        if len(factors) >= max_crossings:
+            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
+                            TraceEnd.BUDGET, q)
+        factors.append(side.factor)
+        crossed.append(side.index)
+        p = side.transport(q)
+        arrived = _PARTNER[side.index]

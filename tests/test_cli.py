@@ -249,3 +249,12 @@ def test_rotnum_nonconvergence_exits_3_with_bracket(capsys):
     assert data["error"] == "NonConvergence"
     lo, hi = data["bracket"]
     assert 0.0 <= lo < hi <= 1.0
+
+
+def test_rotnum_rejects_mixed_radicands(capsys):
+    code, out, err = run(capsys, ["rotnum", "--rhoA-exact=1,1,2",
+                                  "--rhoB-exact=0,1/3,3"])
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "BadInput"
+    assert "radicand" in data["detail"]

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from dilatorus.errors import NonConvergence, VertexHit
-from dilatorus.geometry import (SL2Matrix, Vec2, apply_sl2, projective_action,
+from dilatorus.geometry import (SL2Matrix, Vec2, apply_sl2, build_room,
+                                point_in_polygon, projective_action,
                                 square_room, unit)
 from dilatorus.rauzy import TerminalKind
 from dilatorus.surface import (CrossSection, DirectionKind, TraceEnd,
@@ -66,6 +68,88 @@ def test_trace_max_crossings_budget():
     trace = trace_ray(ROOM, Vec2(0.31, 0.27), 0.1, 5)
     assert trace.terminal is TraceEnd.BUDGET
     assert trace.crossings == 5
+
+
+def _trace_outcome(tracer, room, p, theta, max_crossings, section):
+    """What a tracer did: its trace, the partial trace of a VertexHit,
+    or the message of a ValueError."""
+    try:
+        return ("trace", tracer(room, p, theta, max_crossings, section))
+    except VertexHit as exc:
+        return ("vertex", exc.trace)
+    except ValueError as exc:
+        return ("value", str(exc))
+
+
+def _oracle_cases(rng: random.Random, n: int):
+    """(room, start, theta, max_crossings, section) cases over four rooms:
+    mostly interior starts in random directions, some aimed at a vertex,
+    some starting outside the pentagon."""
+    sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+    rooms = [ROOM, sheared, apply_sl2(random_sl2(rng), ROOM),
+             apply_sl2(random_sl2(rng), sheared)]
+    for k in range(n):
+        room = rooms[k % len(rooms)]
+        verts = room.vertices()
+        xs = [v.x for v in verts]
+        ys = [v.y for v in verts]
+        kind = rng.random()
+        while True:
+            p = Vec2(rng.uniform(min(xs) - 0.5, max(xs) + 0.5),
+                     rng.uniform(min(ys) - 0.5, max(ys) + 0.5))
+            if point_in_polygon(p, verts) != (kind > 0.9):
+                break
+        if kind < 0.1:
+            target = rng.choice(verts)
+            theta = math.atan2(target.y - p.y, target.x - p.x)
+        else:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+        sections = [None] + [CrossSection(i, j)
+                             for i, j in room.interior_diagonals()]
+        yield (room, p, theta, rng.choice((3, 12, 64)),
+               rng.choice(sections))
+
+
+def test_trace_ray_matches_vec2_oracle():
+    # the float tracer must do the oracle's arithmetic in the oracle's
+    # order: traces, partial traces and failures agree exactly
+    kinds = {"trace": 0, "vertex": 0, "value": 0}
+    ends = set()
+    for case in _oracle_cases(random.Random(SEED), 600):
+        fast = _trace_outcome(trace_ray, *case)
+        slow = _trace_outcome(oracles.trace_ray_oracle, *case)
+        assert fast == slow, case
+        kinds[fast[0]] += 1
+        if fast[0] == "trace":
+            ends.add(fast[1].terminal)
+    assert all(count >= 10 for count in kinds.values()), kinds
+    assert ends == {TraceEnd.DOOR, TraceEnd.SECTION, TraceEnd.BUDGET}
+
+
+def test_cached_room_geometry_is_invisible():
+    def fresh():
+        return build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+
+    room, twin = fresh(), fresh()
+    before = (repr(room), hash(room))
+    p, theta = Vec2(0.5, 0.6), 0.7
+    section = CrossSection(0, 2)
+    first = trace_ray(room, p, theta, 64, section)
+    assert room == twin
+    assert (repr(room), hash(room)) == before == (repr(twin), hash(twin))
+    # the lists handed out are copies of the cache
+    verts = room.vertices()
+    verts[1] = Vec2(9.0, 9.0)
+    verts.reverse()
+    sides = room.sides()
+    sides[0] = sides[3]
+    del sides[1:]
+    assert room.vertices() == twin.vertices()
+    assert room.sides() == twin.sides()
+    assert trace_ray(room, p, theta, 64, section) == first
+    # an equal room built separately traces identically
+    assert trace_ray(twin, p, theta, 64, section) == first
+    assert trace_ray(fresh(), p, theta, 64, section) == first
 
 
 # --- classification ---
