@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
 from fractions import Fraction
 from typing import Callable, Optional
@@ -29,10 +27,11 @@ from .geometry import (DilationParams, Room, SL2Matrix, apply_sl2,
                        room_to_json)
 from .quadratics import QuadraticNumber
 from .rauzy import survivor_measure
-from .surface import (DEFAULT_INDUCTION_BUDGET, classify_direction,
-                      find_cylinders, rotation_number)
+from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
+                      classify_direction, find_cylinders, rotation_number)
 from .svgout import direction_wheel_svg, pentagon_svg
-from .teichmuller import divergence_monitor, flow_series_to_csv
+from .teichmuller import (DEFAULT_THETA_TOL, divergence_monitor,
+                          flow_series_to_csv)
 from .twists import (apply_word, holonomy_class, reach_target,
                      word_from_string, word_to_string)
 
@@ -42,9 +41,6 @@ DEFAULT_EPS_ANGLE = 0.05
 DEFAULT_REACH_EPS = 1e-2
 DEFAULT_REACH_BUDGET = 10 ** 5
 DEFAULT_ROTNUM_TOL = 1e-10
-
-_CSV_COMMANDS = {"scan", "flow", "measure", "rotnum"}
-_SVG_COMMANDS = {"room", "act", "twist", "scan"}
 
 
 class UsageError(Exception):
@@ -113,6 +109,16 @@ def _parse_mu_pair(args, name1: str = "mu1", name2: str = "mu2"):
     return (f1, f2)
 
 
+def _require_one_field(x1, x2, flag1: str, flag2: str) -> None:
+    """Reject exact values from two different quadratic fields, which the
+    exact arithmetic cannot combine."""
+    radicands = {x.d for x in (x1, x2)
+                 if isinstance(x, QuadraticNumber) and x.d}
+    if len(radicands) > 1:
+        raise UsageError(f"{flag1} and {flag2} must share one radicand, got "
+                         + " and ".join(f"sqrt({d})" for d in sorted(radicands)))
+
+
 def _room_from_args(args) -> Room:
     mu = _parse_mu_pair(args)
     e1 = _parse_floats(args.e1, 2, "--e1")
@@ -170,6 +176,8 @@ def cmd_act(args) -> int:
 
 def cmd_twist(args) -> int:
     room = _room_from_args(args)
+    _require_one_field(room.params.mu1, room.params.mu2,
+                       "--mu1-exact", "--mu2-exact")
     try:
         word = word_from_string(args.word)
     except ValueError as exc:
@@ -187,9 +195,10 @@ def cmd_twist(args) -> int:
 
 def cmd_reach(args) -> int:
     room = _room_from_args(args)
-    eps = args.tol if args.tol is not None else DEFAULT_REACH_EPS
-    budget = args.budget if args.budget is not None else DEFAULT_REACH_BUDGET
-    report = reach_target(room, (args.target1, args.target2), eps, budget)
+    _require_one_field(room.params.mu1, room.params.mu2,
+                       "--mu1-exact", "--mu2-exact")
+    report = reach_target(room, (args.target1, args.target2), args.tol,
+                          args.budget)
     _emit(canonical_json({
         "word": word_to_string(report.word),
         "mu_trajectory": [[stage, list(mu)]
@@ -201,9 +210,7 @@ def cmd_reach(args) -> int:
 
 def cmd_classify(args) -> int:
     room = _room_from_args(args)
-    budget = (args.budget if args.budget is not None
-              else DEFAULT_INDUCTION_BUDGET)
-    verdict = classify_direction(room, args.theta, budget=budget)
+    verdict = classify_direction(room, args.theta, budget=args.budget)
     _emit(canonical_json({
         "theta": args.theta,
         "kind": verdict.kind.value,
@@ -215,9 +222,7 @@ def cmd_classify(args) -> int:
 
 def cmd_scan(args) -> int:
     room = _room_from_args(args)
-    budget = (args.budget if args.budget is not None
-              else DEFAULT_INDUCTION_BUDGET)
-    scan = find_cylinders(room, args.eps, budget=budget)
+    scan = find_cylinders(room, args.eps, budget=args.budget)
     if args.format == "csv":
         lines = ["theta1,theta2,angle,word,multiplier"]
         for c in scan.cylinders:
@@ -238,12 +243,8 @@ def cmd_scan(args) -> int:
 
 def cmd_flow(args) -> int:
     room = _room_from_args(args)
-    budget = args.budget if args.budget is not None else DEFAULT_FLOW_BUDGET
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["theta_tol"] = args.tol
     report = divergence_monitor(room, args.t_max, args.steps, args.eps,
-                                budget, **kwargs)
+                                args.budget, theta_tol=args.tol)
     if args.format == "csv":
         _emit(flow_series_to_csv(report))
     else:
@@ -253,17 +254,8 @@ def cmd_flow(args) -> int:
 
 def cmd_rotnum(args) -> int:
     rho_a, rho_b = _parse_mu_pair(args, "rhoA", "rhoB")
-    radicands = {x.d for x in (rho_a, rho_b)
-                 if isinstance(x, QuadraticNumber) and x.d}
-    if len(radicands) > 1:
-        raise UsageError("--rhoA-exact and --rhoB-exact must share one "
-                         "radicand, got "
-                         + " and ".join(f"sqrt({d})" for d in sorted(radicands)))
-    tol = args.tol if args.tol is not None else DEFAULT_ROTNUM_TOL
-    kwargs = {"tol": tol}
-    if args.budget is not None:
-        kwargs["max_iter"] = args.budget
-    value = rotation_number(rho_a, rho_b, **kwargs)
+    _require_one_field(rho_a, rho_b, "--rhoA-exact", "--rhoB-exact")
+    value = rotation_number(rho_a, rho_b, tol=args.tol, max_iter=args.budget)
     exact = isinstance(value, Fraction)
     if args.format == "csv":
         _emit("rho_a,rho_b,rotation_number\n"
@@ -343,77 +335,84 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    p = _Parser(add_help=False)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--svg", metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--tol", type=float)
-    return p
-
-
-def _room_flags() -> argparse.ArgumentParser:
-    p = _Parser(add_help=False)
-    p.add_argument("--mu1", type=float)
-    p.add_argument("--mu2", type=float)
-    p.add_argument("--mu1-exact", metavar="a,b,d")
-    p.add_argument("--mu2-exact", metavar="a,b,d")
-    p.add_argument("--e1", default="1,0", metavar="x,y")
-    p.add_argument("--e2", default="0,1", metavar="x,y")
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
-    roomf = _room_flags()
+    """The CLI grammar.  Each command declares exactly the flags it reads,
+    with their defaults, so argparse rejects every other flag."""
+    mu = _Parser(add_help=False)
+    mu.add_argument("--mu1", type=float)
+    mu.add_argument("--mu2", type=float)
+    mu.add_argument("--mu1-exact", metavar="a,b,d")
+    mu.add_argument("--mu2-exact", metavar="a,b,d")
+    room = _Parser(add_help=False, parents=[mu])
+    room.add_argument("--e1", default="1,0", metavar="x,y")
+    room.add_argument("--e2", default="0,1", metavar="x,y")
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    svg = _Parser(add_help=False)
+    svg.add_argument("--svg", metavar="PATH")
     top = _Parser(prog="dilatorus",
                   description="dilation tori with one boundary component")
     sub = top.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("room", parents=[common, roomf],
+    sub.add_parser("room", parents=[room, svg],
                    help="build, validate and canonicalize a room")
 
-    act = sub.add_parser("act", parents=[common, roomf],
+    act = sub.add_parser("act", parents=[room, svg],
                          help="apply a linear map to a room")
     act.add_argument("--matrix", metavar="a,b,c,d")
     act.add_argument("--rotate", type=float, metavar="ALPHA")
     act.add_argument("--t", type=float, metavar="T",
                      help="geodesic flow time")
 
-    tw = sub.add_parser("twist", parents=[common, roomf],
+    tw = sub.add_parser("twist", parents=[room, svg],
                         help="apply a twist word")
     tw.add_argument("--word", required=True,
                     help="string over A,a,B,b")
 
-    rc = sub.add_parser("reach", parents=[common, roomf],
+    rc = sub.add_parser("reach", parents=[room],
                         help="search a word reaching a parameter target")
     rc.add_argument("--target1", type=float, required=True)
     rc.add_argument("--target2", type=float, required=True)
+    rc.add_argument("--budget", type=int, default=DEFAULT_REACH_BUDGET,
+                    help="cap on the word length")
+    rc.add_argument("--tol", type=float, default=DEFAULT_REACH_EPS,
+                    help="distance to the target")
 
-    cl = sub.add_parser("classify", parents=[common, roomf],
+    cl = sub.add_parser("classify", parents=[room],
                         help="classify one flow direction")
     cl.add_argument("--theta", type=float, required=True)
+    cl.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
+                    help="renormalization steps")
 
-    sc = sub.add_parser("scan", parents=[common, roomf],
+    sc = sub.add_parser("scan", parents=[room, fmt, svg],
                         help="scan directions for cylinders")
     sc.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE,
                     help="angle resolution")
+    sc.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
+                    help="renormalization steps per direction")
 
-    fl = sub.add_parser("flow", parents=[common, roomf],
+    fl = sub.add_parser("flow", parents=[room, fmt],
                         help="run the geodesic flow monitor")
     fl.add_argument("--t-max", type=float, required=True)
     fl.add_argument("--steps", type=int, default=DEFAULT_FLOW_STEPS)
     fl.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE)
+    fl.add_argument("--budget", type=int, default=DEFAULT_FLOW_BUDGET,
+                    help="renormalization steps per direction")
+    fl.add_argument("--tol", type=float, default=DEFAULT_THETA_TOL,
+                    help="criterion 1 angle tolerance")
 
-    rn = sub.add_parser("rotnum", parents=[common],
+    rn = sub.add_parser("rotnum", parents=[fmt],
                         help="rotation number of the two-slope circle map")
     rn.add_argument("--rhoA", type=float)
     rn.add_argument("--rhoB", type=float)
     rn.add_argument("--rhoA-exact", metavar="a,b,d")
     rn.add_argument("--rhoB-exact", metavar="a,b,d")
+    rn.add_argument("--budget", type=int, default=ROTATION_MAX_ITER,
+                    help="iteration cap of the float estimate")
+    rn.add_argument("--tol", type=float, default=DEFAULT_ROTNUM_TOL,
+                    help="agreement of successive float estimates")
 
-    ms = sub.add_parser("measure", parents=[common],
+    ms = sub.add_parser("measure", parents=[fmt],
                         help="survivor measure after n subdivision steps")
     ms.add_argument("--rhoA", required=True)
     ms.add_argument("--rhoB", required=True)
@@ -421,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--exact", action="store_true",
                     help="exact rational arithmetic")
 
-    sub.add_parser("orbit-closure", parents=[common, roomf],
+    sub.add_parser("orbit-closure", parents=[mu],
                    help="orbit closure of the parameter point")
     return top
 
@@ -439,11 +438,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     top = build_parser()
     try:
         args = top.parse_args(argv)
-        if args.format == "csv" and args.command not in _CSV_COMMANDS:
-            raise UsageError(f"csv output is not defined for {args.command}")
-        if args.svg is not None and args.command not in _SVG_COMMANDS:
-            raise UsageError(f"svg output is not defined for {args.command}")
-        random.seed(args.seed)
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(_diagnostic("BadInput", str(exc)), file=sys.stderr)

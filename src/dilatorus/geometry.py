@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import (
     DegenerateDoor,
@@ -26,15 +26,13 @@ from .errors import (
     NonSimplePentagon,
     OutsideQ,
 )
-from .quadratics import QuadraticNumber
+from .quadratics import QuadraticNumber, Scalar, is_exact
 
 EPSILON: float = 1e-12
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
 PARALLEL_EPS: float = 1e-14
 TWO_PI: float = 2.0 * math.pi
-
-Scalar = Union[float, int, Fraction, QuadraticNumber]
 
 
 # --- plane primitives ---
@@ -121,10 +119,6 @@ class SL2Matrix:
             raise ValueError(f"determinant {det} is not 1")
 
     @staticmethod
-    def identity() -> "SL2Matrix":
-        return SL2Matrix(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
     def rotation(alpha: float) -> "SL2Matrix":
         c, s = math.cos(alpha), math.sin(alpha)
         return SL2Matrix(c, -s, s, c)
@@ -164,10 +158,6 @@ def projective_action(m: SL2Matrix, theta: float) -> float:
 
 # --- parameters ---
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadraticNumber))
-
-
 @dataclass(frozen=True)
 class DilationParams:
     """Log-dilation parameter pair; float or exact (Fraction / quadratic)."""
@@ -177,7 +167,7 @@ class DilationParams:
 
     @property
     def is_exact(self) -> bool:
-        return _is_exact(self.mu1) and _is_exact(self.mu2)
+        return is_exact(self.mu1) and is_exact(self.mu2)
 
     def as_floats(self) -> tuple[float, float]:
         return (float(self.mu1), float(self.mu2))

@@ -15,24 +15,14 @@ brought to this normal form by restricting to the image interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .errors import AtDiscontinuity, NotInHole, NotReducible
-from .quadratics import QuadraticNumber
-
-Scalar = Union[int, float, Fraction, QuadraticNumber]
+from .quadratics import Scalar, is_exact
 
 INJECTIVITY_SLACK: float = 1e-12
 HIT_TOL: float = 1e-15
 MERGE_TOL: float = 1e-12
-
-_ORACLE_SEEDS = (0.1234567891, 0.9876543211, 0.3141592653,
-                 0.7182818284, 0.5772156649)
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadraticNumber))
 
 
 @dataclass(frozen=True)
@@ -58,28 +48,14 @@ class TwoSlopeMap:
 
     @property
     def is_exact(self) -> bool:
-        return all(_is_exact(v) for v in (self.rho_a, self.rho_b, self.x_t))
+        return all(is_exact(v) for v in (self.rho_a, self.rho_b, self.x_t))
 
     @property
     def intercept_a(self) -> Scalar:
         return 1 - self.rho_a * self.x_t
 
-    def image_a(self) -> tuple[Scalar, Scalar]:
-        """Image of [0, x_t), closed at the left value."""
-        return (self.intercept_a, 1)
-
-    def image_b(self) -> tuple[Scalar, Scalar]:
-        """Image of (x_t, 1], closed at the right value."""
-        return (0, self.rho_b * (1 - self.x_t))
-
     def as_floats(self) -> tuple[float, float, float]:
         return (float(self.rho_a), float(self.rho_b), float(self.x_t))
-
-    def as_piecewise(self) -> "PiecewiseAffineMap":
-        return PiecewiseAffineMap((
-            AffineBranch(0, self.x_t, self.rho_a, self.intercept_a),
-            AffineBranch(self.x_t, 1, self.rho_b, -self.rho_b * self.x_t),
-        ))
 
     def __call__(self, x: Scalar, side: Optional[str] = None) -> Scalar:
         return evaluate(self, x, side)
@@ -154,7 +130,7 @@ def orbit(tsm: TwoSlopeMap, x0: Scalar, n: int) -> OrbitResult:
     pts = [x0]
     labels: list[str] = []
     x = x0
-    exact = tsm.is_exact and _is_exact(x0)
+    exact = tsm.is_exact and is_exact(x0)
     for _ in range(n):
         hit = (x == tsm.x_t) if exact else abs(float(x) - float(tsm.x_t)) <= HIT_TOL
         if hit:
@@ -171,58 +147,6 @@ def orbit_to_csv(result: OrbitResult) -> str:
         label = result.branches[i] if i < len(result.branches) else ""
         lines.append(f"{i},{float(p)!r},{label}")
     return "\n".join(lines) + "\n"
-
-
-def _detect_period(tail: Sequence[float], tol: float) -> Optional[int]:
-    n = len(tail)
-    for p in range(1, min(128, n // 2) + 1):
-        if all(abs(tail[-1 - i] - tail[-1 - i - p]) < tol for i in range(p)):
-            return p
-    return None
-
-
-def find_periodic_oracle(tsm: TwoSlopeMap, max_iter: int = 10 ** 4,
-                         tol: float = 1e-8) -> Optional[PeriodicCycle]:
-    """Brute-force cycle finder: iterate a few fixed seeds and look for a
-    repeating tail.  Independent of the closed-form solvers on purpose."""
-    ra, rb, xt = tsm.as_floats()
-    for seed in _ORACLE_SEEDS:
-        x = seed
-        tail: list[float] = []
-        broke = False
-        for _ in range(max_iter):
-            if abs(x - xt) <= HIT_TOL:
-                broke = True
-                break
-            x = ra * x + (1 - ra * xt) if x < xt else rb * (x - xt)
-            tail.append(x)
-            if len(tail) > 512:
-                del tail[0]
-        if broke or not tail:
-            continue
-        period = _detect_period(tail, tol)
-        if period is None:
-            continue
-        cycle = tail[-period:]
-        start = min(range(period), key=lambda i: cycle[i])
-        pts = tuple(cycle[start:] + cycle[:start])
-        mult = 1.0
-        ok = True
-        for p in pts:
-            if abs(p - xt) <= HIT_TOL:
-                ok = False
-                break
-            mult *= ra if p < xt else rb
-        if not ok:
-            continue
-        # confirm the loop closes on itself
-        y = pts[0]
-        for _ in range(period):
-            y = ra * y + (1 - ra * xt) if y < xt else rb * (y - xt)
-        if abs(y - pts[0]) > 10 * tol:
-            continue
-        return PeriodicCycle(pts, period, mult)
-    return None
 
 
 # --- general piecewise-affine data and reduction to the normal form ---
@@ -333,17 +257,6 @@ class AffineChart:
 
     def invert(self, y: Scalar) -> Scalar:
         return (y - self.offset) / self.scale
-
-    def inverse(self) -> "AffineChart":
-        return AffineChart(1 / self.scale, -self.offset / self.scale)
-
-    def after(self, other: "AffineChart") -> "AffineChart":
-        """Chart equal to applying `other` first, then this one."""
-        return AffineChart(self.scale * other.scale,
-                           self.scale * other.offset + self.offset)
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return abs(float(self.scale - 1)) <= tol and abs(float(self.offset)) <= tol
 
 
 def restrict_to_image(pam: PiecewiseAffineMap,

@@ -212,6 +212,13 @@ def sqrt_int(d: int) -> QuadraticNumber:
 
 
 ExactScalar = Union[int, Fraction, QuadraticNumber]
+# What the rest of the package computes with: the exact track plus floats.
+Scalar = Union[int, Fraction, float, QuadraticNumber]
+
+
+def is_exact(x) -> bool:
+    """Whether x belongs to the exact track (int, Fraction, QuadraticNumber)."""
+    return isinstance(x, (int, Fraction, QuadraticNumber))
 
 
 def exact_floor_div(x: ExactScalar, y: ExactScalar) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import EmptyInterval, NotRenormalizable
 from .intervalmaps import (
@@ -26,8 +26,7 @@ from .intervalmaps import (
     attracting_cycle_in_hole,
     evaluate,
 )
-
-Scalar = Union[int, float, Fraction]
+from .quadratics import Scalar
 
 CYCLE_CLOSE_TOL: float = 1e-9
 RECONSTRUCT_CAP: int = 10 ** 6

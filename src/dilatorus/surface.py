@@ -43,7 +43,7 @@ from .intervalmaps import (
     evaluate as evaluate_two_slope,
     restrict_to_image,
 )
-from .quadratics import QuadraticNumber
+from .quadratics import QuadraticNumber, Scalar, is_exact
 from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
 
 # Tolerances for the tracer are relative to the room diameter; those for
@@ -66,6 +66,12 @@ CYLINDER_EDGE_TOL = 1e-10
 DEFAULT_RETURN_SAMPLES = 48
 DEFAULT_MAX_CROSSINGS = 512
 DEFAULT_INDUCTION_BUDGET = 3000
+
+# What classify_direction raises for a direction it cannot decide; scans
+# and monitors count such a direction as a miss.  Vertex hits and
+# exhausted crossing budgets are absorbed per section, so they never
+# escape, and any other error is a bug that must reach the caller.
+UNDECIDED_ERRORS = (NotTransverse, NotReducible)
 
 # Gluing pattern of the pentagon model: bottom <-> top, right <-> left.
 # Transports always land on the partner side, never on the door (3).
@@ -104,11 +110,19 @@ class CrossSection:
         return (b - a).length()
 
 
-def _coerce_section(section) -> CrossSection:
-    if isinstance(section, CrossSection):
-        return section
-    i, j = section
-    return CrossSection(int(i), int(j))
+def _candidate_sections(room: Room, theta: float) -> list[CrossSection]:
+    """Interior diagonals that theta crosses, most transversal first.
+
+    Vertex indices break ties between equal margins.
+    """
+    scored = []
+    for i, j in room.interior_diagonals():
+        sec = CrossSection(i, j)
+        margin = angle_dist_mod_pi(theta, sec.direction(room))
+        if margin >= TRANSVERSALITY_FLOOR:
+            scored.append((-margin, i, j, sec))
+    scored.sort(key=lambda item: item[:3])
+    return [item[3] for item in scored]
 
 
 # --- ray tracing ---
@@ -258,18 +272,17 @@ def _bisect(lo: float, hi: float, pred: Callable[[float], bool],
     return 0.5 * (lo + hi)
 
 
-def first_return_map(room: Room, theta: float, section,
-                     samples: int = DEFAULT_RETURN_SAMPLES,
-                     max_crossings: int = DEFAULT_MAX_CROSSINGS) -> PiecewiseAffineMap:
+def first_return_map(room: Room, theta: float,
+                     section: CrossSection) -> PiecewiseAffineMap:
     """Return map of the direction-theta flow to a diagonal section.
 
     The section is arc-length parametrized from vertex i to vertex j.
     Branches correspond to itineraries of glued-side crossings; on each
     the map is affine with slope equal to the product of the crossed
     factors.  Branch boundaries (orbits of the cone point) are located
-    by bisection on the itinerary.
+    by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
+    midpoints of equal cells.
     """
-    section = _coerce_section(section)
     a, b = section.endpoints(room)
     length = section.length(room)
     tangent = (b - a) * (1.0 / length)
@@ -282,11 +295,12 @@ def first_return_map(room: Room, theta: float, section,
 
     def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
         start = a + tangent * s
-        tr = trace_ray(room, start, theta, max_crossings=max_crossings,
-                       section=section)
+        tr = trace_ray(room, start, theta,
+                       max_crossings=DEFAULT_MAX_CROSSINGS, section=section)
         if tr.terminal is TraceEnd.BUDGET:
             raise BudgetExhausted("no return to the section within "
-                                  f"{max_crossings} crossings", partial=tr)
+                                  f"{DEFAULT_MAX_CROSSINGS} crossings",
+                                  partial=tr)
         if tr.terminal is TraceEnd.DOOR:
             raise NotTransverse("trajectory off the section reaches the "
                                 "door; no first-return map in this "
@@ -294,7 +308,8 @@ def first_return_map(room: Room, theta: float, section,
         s_back = (tr.end_point - a).dot(tangent)
         return s_back, tr.cumulative_factor, tr.crossed_sides
 
-    grid = [length * (k + 0.5) / samples for k in range(samples)]
+    grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
+            for k in range(DEFAULT_RETURN_SAMPLES)]
     keys: list[Optional[tuple[int, ...]]] = []
     for s in grid:
         try:
@@ -310,7 +325,7 @@ def first_return_map(room: Room, theta: float, section,
 
     tol = BRANCH_BISECT_TOL * length
     cuts: list[float] = []
-    for k in range(samples - 1):
+    for k in range(DEFAULT_RETURN_SAMPLES - 1):
         left, right = keys[k], keys[k + 1]
         if left == right:
             continue
@@ -374,8 +389,7 @@ class SectionReduction:
 
 
 def _verify_reduction(room: Room, theta: float, sec: CrossSection,
-                      tsm: TwoSlopeMap, chart: AffineChart,
-                      max_crossings: int) -> None:
+                      tsm: TwoSlopeMap, chart: AffineChart) -> None:
     """Check the normal form against traces the builder never saw.
 
     Branch boundaries can hide further branches below the sampling
@@ -392,7 +406,7 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
             continue
         try:
             tr = trace_ray(room, a + tangent * s, theta,
-                           max_crossings=max_crossings, section=sec)
+                           max_crossings=DEFAULT_MAX_CROSSINGS, section=sec)
         except VertexHit:
             continue
         if tr.terminal is not TraceEnd.SECTION:
@@ -408,39 +422,21 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
                 f"structure below the sampling resolution")
 
 
-def direction_to_two_slope(room: Room, theta: float,
-                           section=None,
-                           samples: int = DEFAULT_RETURN_SAMPLES,
-                           max_crossings: int = DEFAULT_MAX_CROSSINGS) -> SectionReduction:
+def direction_to_two_slope(room: Room, theta: float) -> SectionReduction:
     """Reduce the direction's return dynamics to a TwoSlopeMap.
 
-    Candidate sections are the interior diagonals ordered by how
-    transversally theta meets them (vertex indices break ties); the
-    first whose return map reduces wins.  Passing `section` pins the
-    choice instead.
+    The first of `_candidate_sections` whose return map reduces wins.
     """
-    if section is not None:
-        candidates = [_coerce_section(section)]
-    else:
-        scored = []
-        for i, j in room.interior_diagonals():
-            sec = CrossSection(i, j)
-            margin = angle_dist_mod_pi(theta, sec.direction(room))
-            if margin < TRANSVERSALITY_FLOOR:
-                continue
-            scored.append((-margin, i, j, sec))
-        scored.sort(key=lambda item: item[:3])
-        candidates = [item[3] for item in scored]
-        if not candidates:
-            raise NotTransverse("direction is parallel to every interior "
-                                "diagonal")
+    candidates = _candidate_sections(room, theta)
+    if not candidates:
+        raise NotTransverse("direction is parallel to every interior "
+                            "diagonal")
     failures = []
     for sec in candidates:
         try:
-            pam = first_return_map(room, theta, sec, samples=samples,
-                                   max_crossings=max_crossings)
+            pam = first_return_map(room, theta, sec)
             tsm, chart = restrict_to_image(pam)
-            _verify_reduction(room, theta, sec, tsm, chart, max_crossings)
+            _verify_reduction(room, theta, sec, tsm, chart)
         except (NotTransverse, NotReducible, VertexHit, BudgetExhausted) as exc:
             failures.append(f"({sec.i},{sec.j}): {exc}")
             continue
@@ -486,31 +482,20 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
     return slope, fixed
 
 
-def _collapsed_direction(room: Room, theta: float, section,
-                         samples: int, max_crossings: int
+def _collapsed_direction(room: Room, theta: float
                          ) -> Optional[tuple[float, float, CrossSection]]:
     """Search the candidate sections for a collapsed return map.
 
-    Returns (slope, fixed point, section) for the first section whose
-    return map has a single attracting branch confirmed by a trace from
-    the fixed point itself, or None.
+    Returns (slope, fixed point, section) for the first of
+    `_candidate_sections` whose return map has a single attracting branch
+    confirmed by a trace from the fixed point itself, or None.
     """
-    if section is not None:
-        candidates = [_coerce_section(section)]
-    else:
-        candidates = []
-        for i, j in room.interior_diagonals():
-            sec = CrossSection(i, j)
-            margin = angle_dist_mod_pi(theta, sec.direction(room))
-            if margin >= TRANSVERSALITY_FLOOR:
-                candidates.append((-margin, i, j, sec))
-        candidates.sort(key=lambda item: item[:3])
-        candidates = [item[3] for item in candidates]
-    for sec in candidates:
+    for sec in _candidate_sections(room, theta):
         try:
-            pam = first_return_map(room, theta, sec, samples=samples,
-                                   max_crossings=max_crossings)
-        except (NotTransverse, VertexHit, BudgetExhausted, ValueError):
+            pam = first_return_map(room, theta, sec)
+        except (NotTransverse, BudgetExhausted):
+            # direction_to_two_slope built this same map first, so only
+            # the errors it absorbed can recur here
             continue
         col = _collapsed_cycle(pam)
         if col is None:
@@ -521,7 +506,7 @@ def _collapsed_direction(room: Room, theta: float, section,
         tangent = (b - a) * (1.0 / length)
         try:
             tr = trace_ray(room, a + tangent * fixed, theta,
-                           max_crossings=max_crossings, section=sec)
+                           max_crossings=DEFAULT_MAX_CROSSINGS, section=sec)
             if tr.terminal is not TraceEnd.SECTION:
                 continue
             s_back = (tr.end_point - a).dot(tangent)
@@ -560,10 +545,7 @@ class DirectionClass:
 
 
 def classify_direction(room: Room, theta: float,
-                       budget: int = DEFAULT_INDUCTION_BUDGET,
-                       section=None,
-                       samples: int = DEFAULT_RETURN_SAMPLES,
-                       max_crossings: int = DEFAULT_MAX_CROSSINGS) -> DirectionClass:
+                       budget: int = DEFAULT_INDUCTION_BUDGET) -> DirectionClass:
     """Trichotomy for the flow in direction theta.
 
     Door-parallel directions are recognized first.  Otherwise theta is
@@ -579,12 +561,9 @@ def classify_direction(room: Room, theta: float,
     if not room.is_inward(th):
         th = wrap_2pi(th + math.pi)
     try:
-        red = direction_to_two_slope(room, th, section=section,
-                                     samples=samples,
-                                     max_crossings=max_crossings)
+        red = direction_to_two_slope(room, th)
     except NotReducible:
-        collapsed = _collapsed_direction(room, th, section, samples,
-                                         max_crossings)
+        collapsed = _collapsed_direction(room, th)
         if collapsed is None:
             raise
         return DirectionClass(DirectionKind.CYLINDER, "",
@@ -633,8 +612,7 @@ class ScanResult:
 
 
 def find_cylinders(room: Room, eps_angle: float,
-                   budget: int = DEFAULT_INDUCTION_BUDGET,
-                   max_crossings: int = DEFAULT_MAX_CROSSINGS) -> ScanResult:
+                   budget: int = DEFAULT_INDUCTION_BUDGET) -> ScanResult:
     """Scan the inward half-circle for cylinder direction intervals.
 
     The grid step eps_angle/2 guarantees at least two samples inside any
@@ -654,10 +632,8 @@ def find_cylinders(room: Room, eps_angle: float,
     def probe(theta: float):
         nonlocal exhausted
         try:
-            verdict = classify_direction(room, theta, budget=budget,
-                                         max_crossings=max_crossings)
-        except (NotTransverse, NotReducible, VertexHit, ValueError,
-                BudgetExhausted):
+            verdict = classify_direction(room, theta, budget=budget)
+        except UNDECIDED_ERRORS:
             return None
         if (verdict.outcome is not None
                 and verdict.outcome.terminal is TerminalKind.BUDGET_EXHAUSTED):
@@ -718,15 +694,9 @@ def theta_sup(room: Room, eps_angle: float,
 
 # --- rotation numbers on the Herman boundary ---
 
-Scalar = Union[int, Fraction, float, QuadraticNumber]
-
 ROTATION_MAX_ITER = 1 << 20
 EXACT_ORBIT_CAP = 4096
 EXACT_DENOMINATOR_CAP = 10**30
-
-
-def _is_exact_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadraticNumber))
 
 
 def _orbit_key(x):
@@ -766,7 +736,7 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    exact = _is_exact_scalar(rho_a) and _is_exact_scalar(rho_b)
+    exact = is_exact(rho_a) and is_exact(rho_b)
     if exact:
         ra, rb = rho_a, rho_b
         if isinstance(ra, int):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import BudgetExhausted, NotReducible, NotTransverse, VertexHit
 from .geometry import (
     Room,
     SL2Matrix,
@@ -27,7 +26,8 @@ from .geometry import (
     wrap_2pi,
 )
 from .rauzy import TerminalKind
-from .surface import DirectionKind, classify_direction, find_cylinders
+from .surface import (UNDECIDED_ERRORS, DirectionKind, classify_direction,
+                      find_cylinders)
 
 DEFAULT_THETA_TOL = 0.05
 DEFAULT_MULTIPLIER_THRESHOLD = 1e6
@@ -157,7 +157,7 @@ def _window_hits(room: Room, t: float, eps_angle: float, budget: int,
         theta = math.atan(emt * math.tan(phi))
         try:
             v = classify_direction(room, theta, budget=budget)
-        except (NotReducible, NotTransverse, VertexHit, ValueError):
+        except UNDECIDED_ERRORS:
             mults.append(None)
             continue
         if (v.outcome is not None
@@ -220,11 +220,8 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
             theta_sup_t = max(theta_sup_t, ang)
             if ang >= eps_angle:
                 max_mult = max(max_mult, tc.multiplier)
-        try:
-            hits, window_exhausted = _window_hits(room, t, eps_angle, budget,
-                                                  window)
-        except BudgetExhausted:
-            hits, window_exhausted = [], True
+        hits, window_exhausted = _window_hits(room, t, eps_angle, budget,
+                                              window)
         exhausted = exhausted or window_exhausted
         for coarse_angle, mult in hits:
             theta_sup_t = max(theta_sup_t, coarse_angle)

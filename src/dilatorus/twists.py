@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BudgetExhausted,
@@ -188,9 +188,7 @@ def _float_block_count(x: float, y: float) -> int:
     return k
 
 def gauss_contraction(params: DilationParams, eps: float,
-                      max_generators: int = 10 ** 6,
-                      cancel: Optional[Callable[[], bool]] = None
-                      ) -> ContractionResult:
+                      max_generators: int = 10 ** 6) -> ContractionResult:
     """Shrink positive parameters below eps by maximal subtractive blocks.
 
     While mu1 > mu2 the move S2inv subtracts mu2 from mu1 (k times, k maximal
@@ -204,9 +202,6 @@ def gauss_contraction(params: DilationParams, eps: float,
     blocks: list[tuple[TwistGenerator, int]] = []
     word: list[TwistGenerator] = []
     while math.hypot(float(m1), float(m2)) >= eps:
-        if cancel is not None and cancel():
-            raise BudgetExhausted("contraction cancelled",
-                                  partial=(tuple(word), blocks))
         if m1 == m2:
             raise RationalRatio("parameters became equal")
         if m1 > m2:
@@ -326,8 +321,8 @@ def _target_convergents(t1: float, t2: float):
             yield p, q
 
 
-def reach_target(room: Room, mu_target, eps: float, budget: int = 10 ** 5,
-                 cancel: Optional[Callable[[], bool]] = None) -> ReachReport:
+def reach_target(room: Room, mu_target, eps: float,
+                 budget: int = 10 ** 5) -> ReachReport:
     """Admissible word moving the parameters within eps of a positive target.
 
     Three phases: contract toward the origin, push the first coordinate out
@@ -356,8 +351,7 @@ def reach_target(room: Room, mu_target, eps: float, budget: int = 10 ** 5,
         eta = eps / (3.0 * (a + b + c + d + 1))
         try:
             contraction = gauss_contraction(params0, eta,
-                                            max_generators=budget,
-                                            cancel=cancel)
+                                            max_generators=budget)
         except BudgetExhausted as exc:
             raise BudgetExhausted("budget exhausted during contraction",
                                   partial=exc.partial) from exc

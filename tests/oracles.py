@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from dilatorus.errors import VertexHit
 from dilatorus.geometry import Room, Vec2, unit
+from dilatorus.intervalmaps import HIT_TOL, PeriodicCycle, TwoSlopeMap
 from dilatorus.surface import (_PARTNER, CLEARANCE, PARALLEL_EPS, VERTEX_TOL,
                                CrossSection, RayTrace, TraceEnd)
 
@@ -194,3 +195,61 @@ def trace_ray_oracle(room: Room, p: Vec2, theta: float,
         crossed.append(side.index)
         p = side.transport(q)
         arrived = _PARTNER[side.index]
+
+
+# --- periodic cycles of two-slope maps ---
+
+_ORACLE_SEEDS = (0.1234567891, 0.9876543211, 0.3141592653,
+                 0.7182818284, 0.5772156649)
+
+
+def _detect_period(tail: Sequence[float], tol: float) -> Optional[int]:
+    n = len(tail)
+    for p in range(1, min(128, n // 2) + 1):
+        if all(abs(tail[-1 - i] - tail[-1 - i - p]) < tol for i in range(p)):
+            return p
+    return None
+
+
+def find_periodic_oracle(tsm: TwoSlopeMap, max_iter: int = 10 ** 4,
+                         tol: float = 1e-8) -> Optional[PeriodicCycle]:
+    """Brute-force cycle finder: iterate a few fixed seeds and look for a
+    repeating tail.  Independent of the closed-form solvers on purpose."""
+    ra, rb, xt = tsm.as_floats()
+    for seed in _ORACLE_SEEDS:
+        x = seed
+        tail: list[float] = []
+        broke = False
+        for _ in range(max_iter):
+            if abs(x - xt) <= HIT_TOL:
+                broke = True
+                break
+            x = ra * x + (1 - ra * xt) if x < xt else rb * (x - xt)
+            tail.append(x)
+            if len(tail) > 512:
+                del tail[0]
+        if broke or not tail:
+            continue
+        period = _detect_period(tail, tol)
+        if period is None:
+            continue
+        cycle = tail[-period:]
+        start = min(range(period), key=lambda i: cycle[i])
+        pts = tuple(cycle[start:] + cycle[:start])
+        mult = 1.0
+        ok = True
+        for p in pts:
+            if abs(p - xt) <= HIT_TOL:
+                ok = False
+                break
+            mult *= ra if p < xt else rb
+        if not ok:
+            continue
+        # confirm the loop closes on itself
+        y = pts[0]
+        for _ in range(period):
+            y = ra * y + (1 - ra * xt) if y < xt else rb * (y - xt)
+        if abs(y - pts[0]) > 10 * tol:
+            continue
+        return PeriodicCycle(pts, period, mult)
+    return None

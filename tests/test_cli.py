@@ -46,6 +46,10 @@ def test_room_accepts_exact_parameters(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["mu"] == pytest.approx([1.0, math.sqrt(2.0)])
+    # two quadratic fields still make a valid room
+    code, _, _ = run(capsys, ["room", "--mu1-exact", "1,1/2,2",
+                              "--mu2-exact", "1,1/3,3"])
+    assert code == 0
 
 
 def test_act_rotation_matches_library(capsys):
@@ -167,6 +171,10 @@ def test_orbit_closure_verdicts(capsys):
                                 "--mu2-exact", "0,1,2"])
     assert code == 0
     assert json.loads(out)["orbit_closure"] == "dense"
+    code, out, _ = run(capsys, ["orbit-closure", "--mu1-exact", "1,1/2,2",
+                                "--mu2-exact", "1,1/3,3"])
+    assert code == 0
+    assert json.loads(out)["orbit_closure"] == "dense"
 
 
 # --- drawings ---
@@ -190,8 +198,8 @@ def test_scan_svg_is_written_and_parses(tmp_path, capsys):
 
 # --- determinism ---
 
-def test_same_flags_and_seed_give_identical_bytes(capsys):
-    argv = ["scan", "--eps", "0.3", "--budget", "600", "--seed", "7"] + MU_FLAGS
+def test_same_flags_give_identical_bytes(capsys):
+    argv = ["scan", "--eps", "0.3", "--budget", "600"] + MU_FLAGS
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
@@ -251,10 +259,37 @@ def test_rotnum_nonconvergence_exits_3_with_bracket(capsys):
     assert 0.0 <= lo < hi <= 1.0
 
 
-def test_rotnum_rejects_mixed_radicands(capsys):
-    code, out, err = run(capsys, ["rotnum", "--rhoA-exact=1,1,2",
-                                  "--rhoB-exact=0,1/3,3"])
+@pytest.mark.parametrize("argv", [
+    ["rotnum", "--rhoA-exact=1,1,2", "--rhoB-exact=0,1/3,3"],
+    ["twist", "--mu1-exact=1,1/2,2", "--mu2-exact=1,1/3,3", "--word=AB"],
+    ["reach", "--mu1-exact=1,1/2,2", "--mu2-exact=1,1/3,3",
+     "--target1=0.5", "--target2=0.5"],
+], ids=lambda argv: argv[0])
+def test_exact_commands_reject_mixed_radicands(capsys, argv):
+    code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     data = json.loads(err)
     assert data["error"] == "BadInput"
     assert "radicand" in data["detail"]
+
+
+ROTNUM_FLAGS = ["--rhoA=2.5", "--rhoB=0.3"]
+MEASURE_FLAGS = ["--rhoA=0.5", "--rhoB=0.5", "--n=1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["room", "--seed=7"] + MU_FLAGS,
+    ["classify", "--theta=1", "--tol=0.1"] + MU_FLAGS,
+    ["twist", "--word=AB", "--budget=5"] + MU_FLAGS,
+    ["act", "--rotate=1", "--format=json"] + MU_FLAGS,
+    ["flow", "--t-max=0", "--svg=x.svg"] + MU_FLAGS,
+    ["orbit-closure", "--e1=1,0"] + MU_FLAGS,
+    ["measure", "--budget=5"] + MEASURE_FLAGS,
+    ["rotnum", "--seed=7"] + ROTNUM_FLAGS,
+], ids=lambda argv: f"{argv[0]}{argv[1].split('=')[0]}")
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "BadInput"
+    assert "unrecognized arguments" in data["detail"]

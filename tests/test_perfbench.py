@@ -1,0 +1,44 @@
+"""The benchmark's tracer still finds and wraps every layer it measures."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+from dilatorus import surface
+from dilatorus.geometry import square_room
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_tracing",
+    Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+
+def test_every_traced_binding_resolves():
+    bindings = tracing._function_bindings()
+    assert bindings
+    for owner, attr, name in bindings:
+        assert callable(vars(owner).get(attr)), name
+        # spans are named after the function itself, so an alias or a
+        # renamed function would silently zero the layer's metrics
+        assert name.rsplit(".", 1)[-1] == attr, name
+
+
+def test_tracer_sees_the_direction_pipeline_and_restores_it():
+    before = [(owner, attr, vars(owner)[attr])
+              for owner, attr, _ in tracing._function_bindings()]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        surface.find_cylinders(square_room(math.log(2.0), math.log(2.0)),
+                               1.0, budget=200)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is fn for owner, attr, fn in before)
+    layers = tracing.Layers(tracer)
+    for layer in ("surface.find_cylinders", "surface.classify_direction",
+                  "surface.direction_to_two_slope",
+                  "surface.first_return_map", "surface._verify_reduction",
+                  "surface.trace_ray", "intervalmaps.restrict_to_image",
+                  "rauzy.iterate_induction"):
+        assert layers.n(layer) > 0, layer

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from dilatorus import surface
 from dilatorus.errors import NonConvergence, VertexHit
 from dilatorus.geometry import (SL2Matrix, Vec2, apply_sl2, build_room,
                                 point_in_polygon, projective_action,
                                 square_room, unit)
 from dilatorus.rauzy import TerminalKind
-from dilatorus.surface import (CrossSection, DirectionKind, TraceEnd,
+from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
+                               DirectionKind, TraceEnd,
                                classify_direction, find_cylinders,
                                first_return_map, rotation_number, theta_sup,
                                trace_ray)
@@ -214,6 +216,22 @@ def test_cylinder_outcome_consistency():
     assert verdict.kind is DirectionKind.CYLINDER
     if verdict.outcome is not None and verdict.word:
         assert verdict.outcome.terminal is TerminalKind.HALT
+
+
+def test_scan_drops_undecided_directions_and_reports_bugs(monkeypatch):
+    def raising(error):
+        def classify(room, theta, budget):
+            raise error("from classify_direction")
+        return classify
+
+    for error in UNDECIDED_ERRORS:
+        monkeypatch.setattr(surface, "classify_direction", raising(error))
+        scan = find_cylinders(ROOM, 0.3, budget=600)
+        assert scan.cylinders == () and not scan.exhausted
+    # a bare ValueError is a bug, not an undecided direction
+    monkeypatch.setattr(surface, "classify_direction", raising(ValueError))
+    with pytest.raises(ValueError, match="from classify_direction"):
+        find_cylinders(ROOM, 0.3, budget=600)
 
 
 def test_first_return_map_is_piecewise_affine_with_glue_slopes():

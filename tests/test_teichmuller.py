@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from dilatorus import teichmuller
 from dilatorus.geometry import (SL2Matrix, apply_sl2, geodesic_matrix,
                                 projective_action, square_room, wrap_2pi)
+from dilatorus.surface import UNDECIDED_ERRORS
 from dilatorus.teichmuller import (MonitorFlag, distortion, divergence_monitor,
                                    flow, flow_series_to_csv,
                                    track_direction_interval)
@@ -159,6 +161,20 @@ def test_monitor_trend_flag_needs_at_least_two_samples():
     assert not report.samples[0].verdict_flags
     assert MonitorFlag.CRITERION1 in report.samples[-1].verdict_flags
     assert report.criterion1
+
+
+def test_window_probes_drop_undecided_directions_and_report_bugs(monkeypatch):
+    def raising(error):
+        def classify(room, theta, budget):
+            raise error("from classify_direction")
+        return classify
+
+    for error in UNDECIDED_ERRORS:
+        monkeypatch.setattr(teichmuller, "classify_direction", raising(error))
+        assert teichmuller._window_hits(ROOM, 1.0, 0.3, 400, 0.4) == ([], False)
+    monkeypatch.setattr(teichmuller, "classify_direction", raising(ValueError))
+    with pytest.raises(ValueError, match="from classify_direction"):
+        teichmuller._window_hits(ROOM, 1.0, 0.3, 400, 0.4)
 
 
 def test_monitor_rejects_bad_arguments():
