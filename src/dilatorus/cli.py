@@ -41,6 +41,9 @@ DEFAULT_EPS_ANGLE = 0.05
 DEFAULT_REACH_EPS = 1e-2
 DEFAULT_REACH_BUDGET = 10 ** 5
 DEFAULT_ROTNUM_TOL = 1e-10
+# depth n lists up to 2^n survivor intervals; at (0.5, 0.5) on floats,
+# depth 20 takes 1.8-2.3 s and 160 MB peak RSS (2-vCPU x86-64 host)
+MAX_MEASURE_DEPTH = 20
 
 
 class UsageError(Exception):
@@ -281,8 +284,8 @@ def _parse_rho(text: str, exact: bool, flag: str):
 def cmd_measure(args) -> int:
     rho_a = _parse_rho(args.rhoA, args.exact, "--rhoA")
     rho_b = _parse_rho(args.rhoB, args.exact, "--rhoB")
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
+    if not 0 <= args.n <= MAX_MEASURE_DEPTH:
+        raise UsageError(f"--n must be in [0, {MAX_MEASURE_DEPTH}]")
     if args.format == "csv":
         lines = ["n,measure"]
         for k in range(args.n + 1):

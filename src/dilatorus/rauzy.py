@@ -9,6 +9,12 @@ the thresholds the image misses x_t entirely and the dynamics falls into an
 attracting 2-cycle.  Pulling the hole back through the inverse parameter
 maps produces the nested word intervals whose intersection is the Cantor set
 of infinitely renormalizable parameters.
+
+Each letter's inverse parameter map is a Moebius factor, so the pull-back
+along a word is their product.  The word intervals are listed top-down:
+every node of the word tree carries its slopes and that composed
+pull-back, extended by one factor per letter, and a leaf's interval is the
+image of [0, 1].  Exact slopes give exact endpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EmptyInterval, NotRenormalizable
+from .errors import EmptyInterval, NonConvergence, NotRenormalizable
 from .intervalmaps import (
     AffineChart,
     PeriodicCycle,
@@ -166,14 +172,17 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
         x = evaluate(tsm, x)
         steps += 1
         if steps > RECONSTRUCT_CAP:
-            raise AssertionError("cycle reconstruction did not close; the "
-                                 "chart pullback must be wrong")
+            raise NonConvergence(
+                f"cycle reconstruction did not close within "
+                f"{RECONSTRUCT_CAP} steps; the chart pullback must be wrong")
     return PeriodicCycle(tuple(pts), len(pts), mult)
 
 
 def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     """Renormalize until the dynamics halts, hits a threshold tie, or the
-    step budget runs out."""
+    step budget runs out.  Budget 0 classifies the first step only."""
+    if budget < 0:
+        raise ValueError("induction budget must be nonnegative")
     current = tsm
     charts: list[AffineChart] = []
     letters: list[str] = []
@@ -204,15 +213,6 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 
 # --- parameter intervals of induction words ---
 
-def _child_slopes(rho_a: Scalar, rho_b: Scalar, letter: str
-                  ) -> tuple[Scalar, Scalar]:
-    if letter == "L":
-        return (rho_a * rho_b, rho_b)
-    if letter == "R":
-        return (rho_a, rho_a * rho_b)
-    raise ValueError(f"invalid word letter {letter!r}")
-
-
 def _letter_feasible(rho_a: Scalar, rho_b: Scalar, letter: str) -> bool:
     """Whether any valid break point takes this letter.
 
@@ -228,12 +228,38 @@ def _letter_feasible(rho_a: Scalar, rho_b: Scalar, letter: str) -> bool:
     return True
 
 
-def _pull_back_endpoint(rho_a: Scalar, rho_b: Scalar, letter: str,
-                        y: Scalar) -> Scalar:
-    """Inverse of the break-parameter Moebius map of one letter."""
+def _identity(rho: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """The identity pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s), in
+    the scalar type of rho."""
+    zero = 0 * rho
+    return (1 + zero, zero, zero, 1 + zero)
+
+
+def _descend(rho_a: Scalar, rho_b: Scalar, letter: str, p: Scalar,
+             q: Scalar, r: Scalar, s: Scalar
+             ) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
+    """The child of one letter: its slopes, then its composed pull-back.
+
+    The pull-back from the child's break parameter to the root's is the
+    parent's, [[p, q], [r, s]], times the letter's Moebius factor on the
+    right: y -> rho_b*y / (1 + rho_b*y) for L, y -> 1 / (1 + rho_a*(1 - y))
+    for R.
+    """
     if letter == "L":
-        return y * rho_b / (1 + y * rho_b)
-    return 1 / (1 + rho_a * (1 - y))
+        # [[p, q], [r, s]] @ [[rho_b, 0], [rho_b, 1]]
+        return (rho_a * rho_b, rho_b, (p + q) * rho_b, q, (r + s) * rho_b, s)
+    if letter == "R":
+        # [[p, q], [r, s]] @ [[0, 1], [-rho_a, 1 + rho_a]]
+        t = 1 + rho_a
+        return (rho_a, rho_a * rho_b, -q * rho_a, p + q * t, -s * rho_a,
+                r + s * t)
+    raise ValueError(f"invalid word letter {letter!r}")
+
+
+def _image_of_unit(p: Scalar, q: Scalar, r: Scalar,
+                   s: Scalar) -> tuple[Scalar, Scalar]:
+    """The pull-back's images of 0 and 1."""
+    return (q / s, (p + q) / (r + s))
 
 
 def interval_for_word(rho_a: Scalar, rho_b: Scalar,
@@ -241,36 +267,39 @@ def interval_for_word(rho_a: Scalar, rho_b: Scalar,
     """Closed parameter interval whose induction word starts with `word`."""
     if not (rho_a > 0 and rho_b > 0):
         raise ValueError("slopes must be positive")
-    if not word:
-        return (0 * rho_a, 1 + 0 * rho_a)
-    letter, rest = word[0], word[1:]
-    if letter not in ("L", "R"):
-        raise ValueError(f"invalid word letter {letter!r}")
-    if not _letter_feasible(rho_a, rho_b, letter):
-        raise EmptyInterval(
-            f"letter {letter} is unreachable at slopes "
-            f"({float(rho_a)}, {float(rho_b)})")
-    ca, cb = _child_slopes(rho_a, rho_b, letter)
-    lo, hi = interval_for_word(ca, cb, rest)
-    return (_pull_back_endpoint(rho_a, rho_b, letter, lo),
-            _pull_back_endpoint(rho_a, rho_b, letter, hi))
+    pull = _identity(rho_a)
+    for letter in word:
+        if not _letter_feasible(rho_a, rho_b, letter):
+            raise EmptyInterval(
+                f"letter {letter} is unreachable at slopes "
+                f"({float(rho_a)}, {float(rho_b)})")
+        rho_a, rho_b, *pull = _descend(rho_a, rho_b, letter, *pull)
+    return _image_of_unit(*pull)
 
 
 def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
                        depth: int) -> list[tuple[Scalar, Scalar]]:
-    """Disjoint closed intervals of n-times renormalizable parameters."""
+    """Disjoint closed intervals of n-times renormalizable parameters.
+
+    One interval per feasible word of length `depth`, words in order with
+    L before R.  The word tree is walked top-down on an explicit stack.
+    Each node carries its slopes and the composed pull-back of its break
+    parameter, one Moebius factor per letter (see `_descend`), and a
+    leaf's interval is the image of [0, 1] under its pull-back.  That is
+    O(2^depth) scalar operations, and exact slopes give exact endpoints.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if depth == 0:
-        return [(0 * rho_a, 1 + 0 * rho_a)]
     out: list[tuple[Scalar, Scalar]] = []
-    for letter in ("L", "R"):
-        if not _letter_feasible(rho_a, rho_b, letter):
+    stack = [(rho_a, rho_b, *_identity(rho_a), depth)]
+    while stack:
+        ra, rb, p, q, r, s, k = stack.pop()
+        if k == 0:
+            out.append(_image_of_unit(p, q, r, s))
             continue
-        ca, cb = _child_slopes(rho_a, rho_b, letter)
-        for lo, hi in survivor_intervals(ca, cb, depth - 1):
-            out.append((_pull_back_endpoint(rho_a, rho_b, letter, lo),
-                        _pull_back_endpoint(rho_a, rho_b, letter, hi)))
+        for letter in ("R", "L"):          # L is popped, and listed, first
+            if _letter_feasible(ra, rb, letter):
+                stack.append((*_descend(ra, rb, letter, p, q, r, s), k - 1))
     return out
 
 

@@ -553,8 +553,11 @@ def classify_direction(room: Room, theta: float,
     the direction mod pi), reduced to a two-slope map, and renormalized
     until it either halts in a hole (a cylinder) or exhausts the budget
     or hits a renormalization boundary (Cantor-like as far as this
-    budget can tell).
+    budget can tell).  A negative budget is refused on every path, not
+    only on those that reach the induction.
     """
+    if budget < 0:
+        raise ValueError("induction budget must be nonnegative")
     if angle_dist_mod_pi(theta, room.door_direction()) <= DOOR_ANGLE_TOL:
         return DirectionClass(DirectionKind.DOOR, "", None, None, None)
     th = wrap_2pi(theta)
@@ -622,6 +625,8 @@ def find_cylinders(room: Room, eps_angle: float,
     renormalization ran out of budget, so absence of further cylinders
     is not certified.
     """
+    if not (eps_angle > 0 and math.isfinite(eps_angle)):
+        raise ValueError("eps_angle must be positive and finite")
     lo, hi = room.inward_directions()
     n = max(4, math.ceil((hi - lo) / (eps_angle / 2.0)))
     step = (hi - lo) / n

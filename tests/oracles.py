@@ -14,6 +14,8 @@ from typing import Callable, Optional, Sequence
 from dilatorus.errors import VertexHit
 from dilatorus.geometry import Room, Vec2, unit
 from dilatorus.intervalmaps import HIT_TOL, PeriodicCycle, TwoSlopeMap
+from dilatorus.quadratics import Scalar
+from dilatorus.rauzy import _letter_feasible
 from dilatorus.surface import (_PARTNER, CLEARANCE, PARALLEL_EPS, VERTEX_TOL,
                                CrossSection, RayTrace, TraceEnd)
 
@@ -253,3 +255,42 @@ def find_periodic_oracle(tsm: TwoSlopeMap, max_iter: int = 10 ** 4,
             continue
         return PeriodicCycle(pts, period, mult)
     return None
+
+
+# --- survivor intervals by bottom-up recursion ---
+
+def _child_slopes(rho_a: Scalar, rho_b: Scalar, letter: str
+                  ) -> tuple[Scalar, Scalar]:
+    if letter == "L":
+        return (rho_a * rho_b, rho_b)
+    if letter == "R":
+        return (rho_a, rho_a * rho_b)
+    raise ValueError(f"invalid word letter {letter!r}")
+
+
+def _pull_back_endpoint(rho_a: Scalar, rho_b: Scalar, letter: str,
+                        y: Scalar) -> Scalar:
+    """Inverse of the break-parameter Moebius map of one letter."""
+    if letter == "L":
+        return y * rho_b / (1 + y * rho_b)
+    return 1 / (1 + rho_a * (1 - y))
+
+
+def survivor_intervals_oracle(rho_a: Scalar, rho_b: Scalar,
+                              depth: int) -> list[tuple[Scalar, Scalar]]:
+    """Each child's intervals pulled back through the parent's letter,
+    one endpoint at a time: n*2^(n+1) Moebius evaluations at depth n.
+    Only the letter-feasibility test is shared with the package."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth == 0:
+        return [(0 * rho_a, 1 + 0 * rho_a)]
+    out: list[tuple[Scalar, Scalar]] = []
+    for letter in ("L", "R"):
+        if not _letter_feasible(rho_a, rho_b, letter):
+            continue
+        ca, cb = _child_slopes(rho_a, rho_b, letter)
+        for lo, hi in survivor_intervals_oracle(ca, cb, depth - 1):
+            out.append((_pull_back_endpoint(rho_a, rho_b, letter, lo),
+                        _pull_back_endpoint(rho_a, rho_b, letter, hi)))
+    return out

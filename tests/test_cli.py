@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dilatorus.cli import canonical_json, main
+from dilatorus.cli import MAX_MEASURE_DEPTH, canonical_json, main
 from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
                                 room_to_json, SL2Matrix)
 from dilatorus.rauzy import survivor_measure
@@ -257,6 +257,44 @@ def test_rotnum_nonconvergence_exits_3_with_bracket(capsys):
     assert data["error"] == "NonConvergence"
     lo, hi = data["bracket"]
     assert 0.0 <= lo < hi <= 1.0
+
+
+def test_measure_depth_is_capped(capsys):
+    # a forced-L chain has one interval at any depth, so the cap is cheap
+    n = MAX_MEASURE_DEPTH
+    code, out, _ = run(capsys, ["measure", "--rhoA=2", "--rhoB=1", f"--n={n}",
+                                "--exact"])
+    assert code == 0
+    assert json.loads(out)["measure"] == f"1/{n + 1}"
+    for argv in (["--rhoA=2", "--rhoB=1", f"--n={n + 1}"],
+                 ["--rhoA=2", "--rhoB=1", "--n=3000"],
+                 ["--rhoA=0.5", "--rhoB=0.5", "--n=1000"]):
+        code, out, err = run(capsys, ["measure"] + argv)
+        assert code == 2 and out == ""
+        data = json.loads(err)
+        assert data["error"] == "BadInput"
+        assert str(MAX_MEASURE_DEPTH) in data["detail"]
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf"])
+def test_scan_rejects_eps_that_is_not_positive_and_finite(capsys, eps):
+    code, out, err = run(capsys, ["scan", f"--eps={eps}"] + MU_FLAGS)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--theta=1", "--budget=-1"] + MU_FLAGS,
+    # a collapsed direction: its cylinder is found without any induction
+    ["classify", "--theta=0.1", "--budget=-1"] + MU_FLAGS,
+    ["scan", "--eps=0.3", "--budget=-1"] + MU_FLAGS,
+], ids=["classify", "classify-collapsed", "scan"])
+def test_negative_budget_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "ValueError"
+    assert "budget" in data["detail"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dilatorus.errors import EmptyInterval, NotRenormalizable
+from dilatorus import rauzy
+from dilatorus.errors import EmptyInterval, NonConvergence, NotRenormalizable
 from dilatorus.intervalmaps import TwoSlopeMap
+from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import (StepClass, Subdivision, TerminalKind, accelerate,
                              classify_step, induce, interval_for_word,
                              iterate_induction, subdivision,
@@ -107,6 +110,26 @@ def test_iterate_induction_budget():
     assert outcome.word == "LRLRLRL"
 
 
+def test_iterate_induction_rejects_negative_budget():
+    tsm = TwoSlopeMap(HALF, HALF, Fraction(1, 4))
+    with pytest.raises(ValueError, match="budget"):
+        iterate_induction(tsm, budget=-1)
+    # budget 0 still classifies the first step
+    assert iterate_induction(tsm, budget=0).terminal \
+        is TerminalKind.BUDGET_EXHAUSTED
+    assert iterate_induction(TwoSlopeMap(HALF, HALF, HALF), budget=0).terminal \
+        is TerminalKind.HALT
+
+
+def test_cycle_reconstruction_cap_raises_nonconvergence(monkeypatch):
+    tsm = TwoSlopeMap(HALF, HALF, Fraction(1, 4))   # halts on a 3-cycle
+    assert iterate_induction(tsm, budget=10).cycle.period == 3
+    monkeypatch.setattr(rauzy, "RECONSTRUCT_CAP", 0)
+    with pytest.raises(NonConvergence) as info:
+        iterate_induction(tsm, budget=10)
+    assert info.value.bracket is None
+
+
 def test_interval_for_word_contains_its_parameters():
     ra, rb = HALF, HALF
     for word in ("L", "R", "LL", "LR", "RL", "RR", "RLR"):
@@ -140,6 +163,63 @@ def test_survivor_intervals_nest():
     inner = survivor_intervals(HALF, HALF, 2)
     for lo, hi in inner:
         assert any(a <= lo and hi <= b for a, b in outer)
+
+
+# (3, 1/2) forces L at the root, (1/3, 5/2) forces R after an L, and
+# (3, 2) admits no letter
+EXACT_SLOPES = [(HALF, HALF), (Fraction(2, 3), Fraction(4, 5)),
+                (Fraction(3), HALF), (Fraction(1, 3), Fraction(5, 2)),
+                (Fraction(3), Fraction(2))]
+
+
+@pytest.mark.parametrize("depth", range(10))
+@pytest.mark.parametrize("ra,rb", EXACT_SLOPES, ids=str)
+def test_survivor_intervals_equal_bottom_up_oracle(ra, rb, depth):
+    got = survivor_intervals(ra, rb, depth)
+    assert got == oracles.survivor_intervals_oracle(ra, rb, depth)
+    assert all(type(x) is Fraction for interval in got for x in interval)
+
+
+@pytest.mark.parametrize("ra,rb", [
+    (QuadraticNumber(HALF, Fraction(1, 5), 2),
+     QuadraticNumber(Fraction(1, 3), Fraction(1, 7), 2)),
+    (QuadraticNumber(Fraction(3, 2), -HALF, 5),
+     QuadraticNumber(Fraction(1, 3), Fraction(1, 9), 5)),
+], ids=["sqrt2", "sqrt5"])
+def test_survivor_intervals_equal_oracle_on_quadratic_slopes(ra, rb):
+    for depth in range(7):
+        assert (survivor_intervals(ra, rb, depth)
+                == oracles.survivor_intervals_oracle(ra, rb, depth))
+
+
+@pytest.mark.parametrize("ra,rb", EXACT_SLOPES, ids=str)
+def test_survivor_intervals_near_oracle_on_floats(ra, rb):
+    ra, rb = float(ra), float(rb)
+    for depth in range(10):
+        got = survivor_intervals(ra, rb, depth)
+        want = oracles.survivor_intervals_oracle(ra, rb, depth)
+        assert len(got) == len(want)
+        for (lo, hi), (want_lo, want_hi) in zip(got, want):
+            assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12
+
+
+def test_survivor_intervals_forced_chain_is_not_recursive():
+    # forced L at every depth: one interval, the pull-back of [0, 1]
+    # through y -> y/(1+y) taken 3000 times
+    assert survivor_intervals(Fraction(2), Fraction(1), 3000) \
+        == [(0, Fraction(1, 3001))]
+
+
+SLOPES = st.fractions(min_value=Fraction(1, 10), max_value=3,
+                      max_denominator=60).filter(lambda x: Fraction(1, 10) < x < 3)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(SLOPES, SLOPES, st.integers(min_value=0, max_value=6))
+def test_float_survivor_measure_agrees_with_exact(ra, rb, depth):
+    exact = survivor_measure(ra, rb, depth)
+    approx = survivor_measure(float(ra), float(rb), depth)
+    assert math.isclose(approx, float(exact), rel_tol=1e-9, abs_tol=0.0)
 
 
 def test_accelerate_collapses_forced_steps():
