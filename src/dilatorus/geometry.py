@@ -307,23 +307,45 @@ class RoomGeometry(NamedTuple):
     the side runs from (ax, ay) along the edge vector (ex, ey), a ray is
     parallel to it when |u x e| <= parallel_floor, and its gluing maps z
     to z*scale + (ox, oy) with derivative `factor`.  Rows are in the
-    order of `Room.sides()`.
+    order of `Room.sides()`.  `diagonals` maps each ordered diagonal
+    (i, j), in both orientations, to the first five entries of such a
+    row for the chord from vertex i to vertex j.
     """
 
     vertices: tuple[Vec2, ...]
     diameter: float
     sides: tuple[tuple, ...]
+    diagonals: dict[tuple[int, int], tuple[float, ...]]
+
+
+def _chord_row(start: Vec2, end: Vec2) -> tuple[float, ...]:
+    """(ax, ay, ex, ey, parallel_floor) of the chord from start to end."""
+    edge = end - start
+    return (*start.as_floats(), *edge.as_floats(),
+            PARALLEL_EPS * max(edge.length(), 1.0))
 
 
 @dataclass(frozen=True)
 class Room:
-    """Validated pentagon model of a dilation torus with one boundary."""
+    """Validated pentagon model of a dilation torus with one boundary.
+
+    Float basis coordinates and parameters must be finite: NaN or an
+    infinite parameter would pass the other checks and put NaN vertices,
+    or V3 on V2, into the model.
+    """
 
     e1: Vec2
     e2: Vec2
     params: DilationParams
 
     def __post_init__(self):
+        scalars = (self.e1.x, self.e1.y, self.e2.x, self.e2.y,
+                   self.params.mu1, self.params.mu2)
+        if not all(math.isfinite(c) for c in scalars if isinstance(c, float)):
+            raise ValueError(
+                "basis coordinates and parameters must be finite, got "
+                f"e1={self.e1.as_floats()}, e2={self.e2.as_floats()}, "
+                f"mu={self.params.as_floats()}")
         det = _basis_det(self.e1, self.e2)
         if det <= 0:
             raise NonOrientedBasis(
@@ -346,7 +368,8 @@ class Room:
 
     @cached_property
     def geom(self) -> "RoomGeometry":
-        """Vertices, diameter and side table, computed once per instance.
+        """Vertices, diameter, side and diagonal tables, computed once
+        per instance.
 
         functools.cached_property stores the value in the instance dict,
         which a frozen dataclass allows; eq, hash and repr read the
@@ -372,14 +395,13 @@ class Room:
             # left -> right copy: z maps to nu2*z + e1
             (False, nu2, nu2, e1x, e1y),
         )
-        rows = []
-        for k, transport in enumerate(transports):
-            start, end = verts[k], verts[(k + 1) % 5]
-            edge = end - start
-            rows.append((*start.as_floats(), *edge.as_floats(),
-                         PARALLEL_EPS * max(edge.length(), 1.0), *transport))
-        return RoomGeometry(verts, max(v.length() for v in verts),
-                            tuple(rows))
+        sides = tuple((*_chord_row(verts[k], verts[(k + 1) % 5]), *transport)
+                      for k, transport in enumerate(transports))
+        diagonals = {(i, j): _chord_row(verts[i], verts[j])
+                     for pair in _DIAGONAL_PAIRS
+                     for i, j in (pair, pair[::-1])}
+        return RoomGeometry(verts, max(v.length() for v in verts), sides,
+                            diagonals)
 
     def nu(self) -> tuple[float, float]:
         return self.params.nu()
@@ -412,7 +434,7 @@ class Room:
 
     def interior_diagonals(self) -> list[tuple[int, int]]:
         """Vertex index pairs whose chord lies inside the pentagon."""
-        verts, diam, _ = self.geom
+        verts, diam, *_ = self.geom
         eps = EPSILON * max(diam, 1.0) ** 2
         out = []
         for i, j in _DIAGONAL_PAIRS:
@@ -455,7 +477,8 @@ class Room:
 
 
 def build_room(e1, e2, mu) -> Room:
-    """Validated constructor from raw basis coordinates and parameters."""
+    """Validated constructor from raw basis coordinates and parameters;
+    non-finite floats among them raise ValueError."""
     if not isinstance(e1, Vec2):
         e1 = Vec2(*e1)
     if not isinstance(e2, Vec2):

@@ -19,6 +19,7 @@ image of [0, 1].  Exact slopes give exact endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -287,9 +288,15 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
     parameter, one Moebius factor per letter (see `_descend`), and a
     leaf's interval is the image of [0, 1] under its pull-back.  That is
     O(2^depth) scalar operations, and exact slopes give exact endpoints.
+    Slopes must be positive, and finite when they are floats.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if not all(math.isfinite(x) for x in (rho_a, rho_b)
+               if isinstance(x, float)):
+        raise ValueError(f"slopes must be finite, got ({rho_a!r}, {rho_b!r})")
+    if not (rho_a > 0 and rho_b > 0):
+        raise ValueError("slopes must be positive")
     out: list[tuple[Scalar, Scalar]] = []
     stack = [(rho_a, rho_b, *_identity(rho_a), depth)]
     while stack:

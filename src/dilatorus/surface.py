@@ -29,7 +29,6 @@ from .errors import (
 )
 from .geometry import (
     _DIAGONAL_PAIRS,
-    PARALLEL_EPS,
     Room,
     Vec2,
     angle_dist_mod_pi,
@@ -102,12 +101,22 @@ class CrossSection:
         return verts[self.i], verts[self.j]
 
     def direction(self, room: Room) -> float:
-        a, b = self.endpoints(room)
-        return (b - a).angle()
+        _, _, ex, ey, _ = room.geom.diagonals[self.i, self.j]
+        return math.atan2(ey, ex)
 
-    def length(self, room: Room) -> float:
-        a, b = self.endpoints(room)
-        return (b - a).length()
+
+def _section_frame(room: Room, section: CrossSection
+                   ) -> tuple[float, float, float, float, float]:
+    """(ax, ay, tx, ty, length) of the section's arc-length coordinate.
+
+    The point at s is (ax + tx*s, ay + ty*s), and a point (x, y) on the
+    section sits at s = (x - ax)*tx + (y - ay)*ty.  These are the float
+    operations of the Vec2 forms a + tangent*s and (q - a).dot(tangent).
+    """
+    ax, ay, ex, ey, _ = room.geom.diagonals[section.i, section.j]
+    length = math.hypot(ex, ey)
+    inv = 1.0 / length
+    return ax, ay, ex * inv, ey * inv, length
 
 
 def _candidate_sections(room: Room, theta: float) -> list[CrossSection]:
@@ -138,15 +147,24 @@ class TraceEnd(Enum):
 class RayTrace:
     """Flight record of one ray: straight legs joined by side transports.
 
-    `factors` holds one dilation factor per applied transport, so the
-    derivative of the flow between the endpoints is their product.
+    `legs` holds plain floats, x0, y0, x1, y1 for each leg in flight
+    order; `segments` gives the same legs as Vec2 pairs.  `factors`
+    holds one dilation factor per applied transport, so the derivative
+    of the flow between the endpoints is their product.
     """
 
-    segments: tuple[tuple[Vec2, Vec2], ...]
+    legs: tuple[float, ...]
     factors: tuple[float, ...]
     crossed_sides: tuple[int, ...]
     terminal: TraceEnd
     end_point: Vec2
+
+    @property
+    def segments(self) -> tuple[tuple[Vec2, Vec2], ...]:
+        legs = self.legs
+        return tuple((Vec2(legs[k], legs[k + 1]),
+                      Vec2(legs[k + 2], legs[k + 3]))
+                     for k in range(0, len(legs), 4))
 
     @property
     def crossings(self) -> int:
@@ -167,27 +185,35 @@ def trace_ray(room: Room, p: Vec2, theta: float,
     side endpoint raises VertexHit carrying the partial trace, since the
     flow is undefined through the cone point.
 
-    The loop runs on plain floats over the side table `room.geom`, which
-    each Room instance computes once; nothing else is cached, so nothing
-    outlives the room (nor, in the CLI, a `cli.main` call).  A crossing
-    of the ray p + t*u with the side a + s*e solves, with w = a - p,
-    t = (w x e)/(u x e) and s = (w x u)/(u x e).
+    The loop runs on plain floats over the side and diagonal tables of
+    `room.geom`, which each Room instance computes once; nothing else is
+    cached, so nothing outlives the room (nor, in the CLI, a `cli.main`
+    call).  A crossing of the ray p + t*u with the side a + s*e solves,
+    with w = a - p, t = (w x e)/(u x e) and s = (w x u)/(u x e).  The
+    denominators u x e depend on the direction only, so they are taken
+    once per trace, and the sides the ray is parallel to drop out there.
+    The legs go into `RayTrace.legs` as floats; the end point is the one
+    Vec2 a trace builds.
     """
-    _, diam, rows = room.geom
+    geom = room.geom
+    rows = geom.sides
     ux, uy = math.cos(theta), math.sin(theta)
-    t_base = MIN_STEP * diam
-    t_clear = CLEARANCE * diam
+    t_base = MIN_STEP * geom.diameter
+    t_clear = CLEARANCE * geom.diameter
     s_lo, s_hi = -VERTEX_TOL, 1.0 + VERTEX_TOL
+    crossable = []
+    for k, (ax, ay, ex, ey, par, *_) in enumerate(rows):
+        denom = ux * ey - uy * ex
+        if abs(denom) > par:
+            crossable.append((k, ax, ay, ex, ey, denom))
+    sec_crossable = False
     if section is not None:
-        a, b = section.endpoints(room)
-        e = b - a
-        sax, say = float(a.x), float(a.y)
-        sex, sey = float(e.x), float(e.y)
-        sec_par = PARALLEL_EPS * max(e.length(), 1.0)
+        sax, say, sex, sey, sec_par = geom.diagonals[section.i, section.j]
+        sec_denom = ux * sey - uy * sex
+        sec_crossable = abs(sec_denom) > sec_par
 
-    start = p
     px, py = float(p.x), float(p.y)
-    segments: list[tuple[Vec2, Vec2]] = []
+    legs: list[float] = []
     factors: list[float] = []
     crossed: list[int] = []
     arrived: Optional[int] = None
@@ -196,29 +222,25 @@ def trace_ray(room: Room, p: Vec2, theta: float,
         best_t = math.inf
         best_s = 0.0
         best_side: Optional[int] = None
-        for k, (ax, ay, ex, ey, par, _, _, _, _, _) in enumerate(rows):
-            denom = ux * ey - uy * ex
-            if abs(denom) <= par:
-                continue
+        for k, ax, ay, ex, ey, denom in crossable:
             wx, wy = ax - px, ay - py
             t = (wx * ey - wy * ex) / denom
-            s = (wx * uy - wy * ux) / denom
-            if (t <= (t_clear if k == arrived else t_base)
-                    or s < s_lo or s > s_hi):
+            # s only matters for a crossing ahead of the best so far
+            if not (t_clear if k == arrived else t_base) < t < best_t:
                 continue
-            if t < best_t:
-                best_t, best_s, best_side = t, s, k
+            s = (wx * uy - wy * ux) / denom
+            if s < s_lo or s > s_hi:
+                continue
+            best_t, best_s, best_side = t, s, k
         hit_section = False
-        if section is not None:
-            denom = ux * sey - uy * sex
-            if abs(denom) > sec_par:
-                wx, wy = sax - px, say - py
-                t = (wx * sey - wy * sex) / denom
-                s = (wx * uy - wy * ux) / denom
-                if (not (t <= t_clear or s < s_lo or s > s_hi)
-                        and t < best_t - t_base):
-                    best_t, best_s = t, s
-                    hit_section = True
+        if sec_crossable:
+            wx, wy = sax - px, say - py
+            t = (wx * sey - wy * sex) / sec_denom
+            s = (wx * uy - wy * ux) / sec_denom
+            if (not (t <= t_clear or s < s_lo or s > s_hi)
+                    and t < best_t - t_base):
+                best_t, best_s = t, s
+                hit_section = True
         if best_side is None and not hit_section:
             if arrived is None:
                 raise ValueError("ray does not meet the room boundary; the "
@@ -230,31 +252,29 @@ def trace_ray(room: Room, p: Vec2, theta: float,
             # float resolution, the same as a direct vertex strike.
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=RayTrace(tuple(segments), tuple(factors),
-                               tuple(crossed), TraceEnd.VERTEX, start))
+                trace=RayTrace(tuple(legs), tuple(factors), tuple(crossed),
+                               TraceEnd.VERTEX, Vec2(px, py)))
         qx, qy = px + ux * best_t, py + uy * best_t
-        q = Vec2(qx, qy)
-        segments.append((start, q))
+        legs += (px, py, qx, qy)
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
-                            trace=RayTrace(tuple(segments), tuple(factors),
+                            trace=RayTrace(tuple(legs), tuple(factors),
                                            tuple(crossed), TraceEnd.VERTEX,
-                                           q))
+                                           Vec2(qx, qy)))
         if hit_section:
-            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                            TraceEnd.SECTION, q)
-        *_, is_door, factor, scale, ox, oy = rows[best_side]
+            return RayTrace(tuple(legs), tuple(factors), tuple(crossed),
+                            TraceEnd.SECTION, Vec2(qx, qy))
+        _, _, _, _, _, is_door, factor, scale, ox, oy = rows[best_side]
         if is_door:
-            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                            TraceEnd.DOOR, q)
+            return RayTrace(tuple(legs), tuple(factors), tuple(crossed),
+                            TraceEnd.DOOR, Vec2(qx, qy))
         if len(factors) >= max_crossings:
-            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                            TraceEnd.BUDGET, q)
+            return RayTrace(tuple(legs), tuple(factors), tuple(crossed),
+                            TraceEnd.BUDGET, Vec2(qx, qy))
         factors.append(factor)
         crossed.append(best_side)
         px, py = qx * scale + ox, qy * scale + oy
-        start = Vec2(px, py)
         arrived = _PARTNER[best_side]
 
 
@@ -283,9 +303,7 @@ def first_return_map(room: Room, theta: float,
     by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
     midpoints of equal cells.
     """
-    a, b = section.endpoints(room)
-    length = section.length(room)
-    tangent = (b - a) * (1.0 / length)
+    ax, ay, tx, ty, length = _section_frame(room, section)
     if angle_dist_mod_pi(theta, section.direction(room)) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")
     # Directions parallel to the door are allowed: their flow is tangent
@@ -294,8 +312,7 @@ def first_return_map(room: Room, theta: float,
         raise ValueError("direction must point into the surface at the door")
 
     def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
-        start = a + tangent * s
-        tr = trace_ray(room, start, theta,
+        tr = trace_ray(room, Vec2(ax + tx * s, ay + ty * s), theta,
                        max_crossings=DEFAULT_MAX_CROSSINGS, section=section)
         if tr.terminal is TraceEnd.BUDGET:
             raise BudgetExhausted("no return to the section within "
@@ -305,7 +322,8 @@ def first_return_map(room: Room, theta: float,
             raise NotTransverse("trajectory off the section reaches the "
                                 "door; no first-return map in this "
                                 "direction")
-        s_back = (tr.end_point - a).dot(tangent)
+        end = tr.end_point
+        s_back = (end.x - ax) * tx + (end.y - ay) * ty
         return s_back, tr.cumulative_factor, tr.crossed_sides
 
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
@@ -396,23 +414,22 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
     resolution; a reduction whose extrapolated laws disagree with an
     independent trace is rejected rather than silently kept.
     """
-    a, b = sec.endpoints(room)
-    length = sec.length(room)
-    tangent = (b - a) * (1.0 / length)
+    ax, ay, tx, ty, length = _section_frame(room, sec)
     for k in range(16):
         s = length * math.modf(0.12345 + k * 0.6180339887498949)[0]
         x = float(chart.apply(s))
         if not 1e-9 < x < 1.0 - 1e-9 or abs(x - float(tsm.x_t)) < 1e-6:
             continue
         try:
-            tr = trace_ray(room, a + tangent * s, theta,
+            tr = trace_ray(room, Vec2(ax + tx * s, ay + ty * s), theta,
                            max_crossings=DEFAULT_MAX_CROSSINGS, section=sec)
         except VertexHit:
             continue
         if tr.terminal is not TraceEnd.SECTION:
             raise NotReducible("verification trace did not return to the "
                                "section")
-        s_back = (tr.end_point - a).dot(tangent)
+        end = tr.end_point
+        s_back = (end.x - ax) * tx + (end.y - ay) * ty
         predicted = float(evaluate_two_slope(tsm, x))
         observed = float(chart.apply(s_back))
         if abs(predicted - observed) > 1e-8:
@@ -501,15 +518,14 @@ def _collapsed_direction(room: Room, theta: float
         if col is None:
             continue
         slope, fixed = col
-        a, b = sec.endpoints(room)
-        length = sec.length(room)
-        tangent = (b - a) * (1.0 / length)
+        ax, ay, tx, ty, length = _section_frame(room, sec)
         try:
-            tr = trace_ray(room, a + tangent * fixed, theta,
+            tr = trace_ray(room, Vec2(ax + tx * fixed, ay + ty * fixed), theta,
                            max_crossings=DEFAULT_MAX_CROSSINGS, section=sec)
             if tr.terminal is not TraceEnd.SECTION:
                 continue
-            s_back = (tr.end_point - a).dot(tangent)
+            end = tr.end_point
+            s_back = (end.x - ax) * tx + (end.y - ay) * ty
             if abs(s_back - fixed) > 1e-6 * length:
                 continue
         except VertexHit:
@@ -553,11 +569,13 @@ def classify_direction(room: Room, theta: float,
     the direction mod pi), reduced to a two-slope map, and renormalized
     until it either halts in a hole (a cylinder) or exhausts the budget
     or hits a renormalization boundary (Cantor-like as far as this
-    budget can tell).  A negative budget is refused on every path, not
-    only on those that reach the induction.
+    budget can tell).  A negative budget and a non-finite theta are
+    refused on every path, not only on those that reach the induction.
     """
     if budget < 0:
         raise ValueError("induction budget must be nonnegative")
+    if not math.isfinite(theta):
+        raise ValueError(f"direction theta must be finite, got {theta!r}")
     if angle_dist_mod_pi(theta, room.door_direction()) <= DOOR_ANGLE_TOL:
         return DirectionClass(DirectionKind.DOOR, "", None, None, None)
     th = wrap_2pi(theta)
@@ -735,9 +753,12 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     failing that, Birkhoff averages with doubling caps run until two
     consecutive estimates agree within tol.  Raises NonConvergence with
     the rigorous bracket (displacement +/- 1)/n if the cap is reached.
+    A negative or NaN tol is refused: no two estimates could meet it.
     """
     if not (float(rho_a) > 1.0 > float(rho_b) > 0.0):
         raise ValueError("need rho_a > 1 > rho_b > 0")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 

@@ -196,7 +196,13 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
     at the sample, the blowup is always witnessed by a cylinder of
     bounded angle.  Per-sample budget exhaustion is flagged, never fatal.
     """
-    if t_max < 0 or steps < 0 or eps_angle <= 0 or budget <= 0:
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError("t_max must be finite and nonnegative, "
+                         f"got {t_max!r}")
+    if not (math.isfinite(theta_tol) and theta_tol >= 0):
+        raise ValueError("theta_tol must be finite and nonnegative, "
+                         f"got {theta_tol!r}")
+    if steps < 0 or eps_angle <= 0 or budget <= 0:
         raise ValueError("monitor arguments must be positive")
     baseline = find_cylinders(room, eps_angle, budget=budget)
     tracked = tuple(TrackedCylinder((c.theta1, c.theta2), c.word, c.multiplier)

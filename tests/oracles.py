@@ -11,13 +11,18 @@ import math
 import random
 from typing import Callable, Optional, Sequence
 
-from dilatorus.errors import VertexHit
-from dilatorus.geometry import Room, Vec2, unit
-from dilatorus.intervalmaps import HIT_TOL, PeriodicCycle, TwoSlopeMap
+from dilatorus.errors import BudgetExhausted, NotTransverse, VertexHit
+from dilatorus.geometry import (PARALLEL_EPS, Room, Vec2, angle_dist_mod_pi,
+                                unit)
+from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
+                                    PiecewiseAffineMap, TwoSlopeMap)
 from dilatorus.quadratics import Scalar
 from dilatorus.rauzy import _letter_feasible
-from dilatorus.surface import (_PARTNER, CLEARANCE, PARALLEL_EPS, VERTEX_TOL,
-                               CrossSection, RayTrace, TraceEnd)
+from dilatorus.surface import (_PARTNER, BRANCH_BISECT_TOL,
+                               BRANCH_VERIFY_TOL, CLEARANCE,
+                               DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
+                               TRANSVERSALITY_FLOOR, VERTEX_TOL, CrossSection,
+                               RayTrace, TraceEnd, _bisect)
 
 
 def two_slope_value(ra: float, rb: float, xt: float, x: float) -> float:
@@ -133,11 +138,19 @@ def _solve_crossing(p: Vec2, u: Vec2, a: Vec2, b: Vec2,
     return t, s
 
 
+def _ray_trace(segments: list[tuple[Vec2, Vec2]], factors: list[float],
+               crossed: list[int], terminal: TraceEnd, end: Vec2) -> RayTrace:
+    """The RayTrace of Vec2 legs, flattened to floats only here."""
+    legs = tuple(float(c) for a, b in segments for c in (a.x, a.y, b.x, b.y))
+    return RayTrace(legs, tuple(factors), tuple(crossed), terminal, end)
+
+
 def trace_ray_oracle(room: Room, p: Vec2, theta: float,
                      max_crossings: int = 64,
                      section: Optional[CrossSection] = None) -> RayTrace:
-    """`surface.trace_ray` written over Vec2 and `Room.sides()`, with no
-    cached geometry; it must agree with the fast tracer bit for bit."""
+    """`surface.trace_ray` written over Vec2, `Room.sides()` and the
+    section's endpoints, with no side or diagonal table; it must agree
+    with the fast tracer bit for bit."""
     sides = room.sides()
     diam = room.diameter()
     u = unit(theta)
@@ -173,30 +186,119 @@ def trace_ray_oracle(room: Room, p: Vec2, theta: float,
                                  "pentagon with the direction entering it")
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=RayTrace(tuple(segments), tuple(factors),
-                               tuple(crossed), TraceEnd.VERTEX, p))
+                trace=_ray_trace(segments, factors, crossed,
+                                 TraceEnd.VERTEX, p))
         q = p + u * best_t
         segments.append((p, q))
-        partial = RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                           TraceEnd.VERTEX, q)
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
-                            trace=partial)
+                            trace=_ray_trace(segments, factors, crossed,
+                                             TraceEnd.VERTEX, q))
         if hit_section:
-            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                            TraceEnd.SECTION, q)
+            return _ray_trace(segments, factors, crossed, TraceEnd.SECTION, q)
         side = sides[best_side]
         if side.is_door:
-            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                            TraceEnd.DOOR, q)
+            return _ray_trace(segments, factors, crossed, TraceEnd.DOOR, q)
         if len(factors) >= max_crossings:
-            return RayTrace(tuple(segments), tuple(factors), tuple(crossed),
-                            TraceEnd.BUDGET, q)
+            return _ray_trace(segments, factors, crossed, TraceEnd.BUDGET, q)
         factors.append(side.factor)
         crossed.append(side.index)
         p = side.transport(q)
         arrived = _PARTNER[side.index]
+
+
+def first_return_map_oracle(room: Room, theta: float,
+                            section: CrossSection) -> PiecewiseAffineMap:
+    """`surface.first_return_map` with its section coordinate in Vec2
+    arithmetic, tracing through `trace_ray_oracle`; it must build the
+    same map, or raise the same error type."""
+    a, b = section.endpoints(room)
+    length = (b - a).length()
+    tangent = (b - a) * (1.0 / length)
+    if angle_dist_mod_pi(theta, (b - a).angle()) < TRANSVERSALITY_FLOOR:
+        raise NotTransverse("direction is parallel to the section")
+    if not room.is_inward(theta, margin=-1e-12):
+        raise ValueError("direction must point into the surface at the door")
+
+    def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
+        start = a + tangent * s
+        tr = trace_ray_oracle(room, start, theta,
+                              max_crossings=DEFAULT_MAX_CROSSINGS,
+                              section=section)
+        if tr.terminal is TraceEnd.BUDGET:
+            raise BudgetExhausted("no return to the section within "
+                                  f"{DEFAULT_MAX_CROSSINGS} crossings",
+                                  partial=tr)
+        if tr.terminal is TraceEnd.DOOR:
+            raise NotTransverse("trajectory off the section reaches the "
+                                "door; no first-return map in this "
+                                "direction")
+        s_back = (tr.end_point - a).dot(tangent)
+        return s_back, tr.cumulative_factor, tr.crossed_sides
+
+    grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
+            for k in range(DEFAULT_RETURN_SAMPLES)]
+    keys: list[Optional[tuple[int, ...]]] = []
+    for s in grid:
+        try:
+            keys.append(flight(s)[2])
+        except VertexHit:
+            keys.append(None)
+
+    def same_key(s: float, key: tuple[int, ...]) -> bool:
+        try:
+            return flight(s)[2] == key
+        except VertexHit:
+            return False
+
+    tol = BRANCH_BISECT_TOL * length
+    cuts: list[float] = []
+    for k in range(DEFAULT_RETURN_SAMPLES - 1):
+        left, right = keys[k], keys[k + 1]
+        if left == right:
+            continue
+        if left is not None:
+            pred = lambda s, key=left: same_key(s, key)
+        else:
+            pred = lambda s, key=right: not same_key(s, key)
+        cuts.append(_bisect(grid[k], grid[k + 1], pred, tol))
+
+    boundaries = [0.0]
+    for c in sorted(cuts):
+        if c - boundaries[-1] > 8.0 * tol:
+            boundaries.append(c)
+    if length - boundaries[-1] > 8.0 * tol:
+        boundaries.append(length)
+    else:
+        boundaries[-1] = length
+
+    branches = []
+    for lo, hi in zip(boundaries, boundaries[1:]):
+        width = hi - lo
+        law = None
+        for frac1, frac2 in ((0.5, 0.8), (0.38, 0.66), (0.29, 0.71)):
+            try:
+                s1 = lo + frac1 * width
+                s2 = lo + frac2 * width
+                back1, factor1, key1 = flight(s1)
+                back2, factor2, key2 = flight(s2)
+            except VertexHit:
+                continue
+            if key1 != key2:
+                continue
+            intercept = back1 - factor1 * s1
+            if abs(back2 - (factor1 * s2 + intercept)) > BRANCH_VERIFY_TOL * length:
+                raise NotTransverse("return map is not affine between "
+                                    "detected branch boundaries; section "
+                                    "sampling too coarse for this direction")
+            law = (factor1, intercept)
+            break
+        if law is None:
+            raise NotTransverse("could not probe a branch away from "
+                                "singular orbits")
+        branches.append(AffineBranch(lo, hi, law[0], law[1]))
+    return PiecewiseAffineMap(tuple(branches)).merged()
 
 
 # --- periodic cycles of two-slope maps ---

@@ -311,6 +311,31 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     assert "radicand" in data["detail"]
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["rotnum", "--rhoA=2.5", "--rhoB=0.3", "--tol=-1"], "tol"),
+    (["rotnum", "--rhoA=2.5", "--rhoB=0.3", "--tol=nan"], "tol"),
+    (["flow", "--mu1=1", "--mu2=1", "--t-max=nan"], "t_max"),
+    (["flow", "--mu1=1", "--mu2=1", "--t-max=1", "--tol=-1"], "theta_tol"),
+    (["room", "--mu1=nan", "--mu2=1"], "finite"),
+    (["room", "--mu1=inf", "--mu2=1"], "finite"),
+    (["room", "--mu1=1", "--mu2=1", "--e1=nan,0"], "finite"),
+    (["classify", "--theta=nan"] + MU_FLAGS, "theta"),
+    (["classify", "--theta=inf"] + MU_FLAGS, "theta"),
+    (["measure", "--rhoA=-1", "--rhoB=0.5", "--n=3"], "positive"),
+    (["measure", "--rhoA=nan", "--rhoB=0.5", "--n=3"], "finite"),
+    (["measure", "--rhoA=inf", "--rhoB=0.5", "--n=3"], "finite"),
+], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
+        "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
+        "classify-theta-nan", "classify-theta-inf", "measure-rhoA-negative",
+        "measure-rhoA-nan", "measure-rhoA-inf"])
+def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "ValueError"
+    assert detail in data["detail"]
+
+
 ROTNUM_FLAGS = ["--rhoA=2.5", "--rhoB=0.3"]
 MEASURE_FLAGS = ["--rhoA=0.5", "--rhoB=0.5", "--n=1"]
 

@@ -88,6 +88,20 @@ def test_room_rejects_bad_input():
         build_room((0.0, 1.0), (1.0, 0.0), (LN2, LN2))
 
 
+@pytest.mark.parametrize("e1, e2, mu", [
+    ((1.0, 0.0), (0.0, 1.0), (math.nan, 1.0)),
+    ((1.0, 0.0), (0.0, 1.0), (math.inf, 1.0)),
+    ((1.0, 0.0), (0.0, 1.0), (1.0, -math.inf)),
+    ((math.nan, 0.0), (0.0, 1.0), (1.0, 1.0)),
+    ((1.0, 0.0), (0.0, math.inf), (1.0, 1.0)),
+], ids=["mu1-nan", "mu1-inf", "mu2-minus-inf", "e1-nan", "e2-inf"])
+def test_room_refuses_non_finite_input(e1, e2, mu):
+    # NaN parameters gave NaN vertices, an infinite one put V3 on V2, and
+    # a NaN coordinate failed only inside the exact determinant
+    with pytest.raises(ValueError, match="must be finite"):
+        build_room(e1, e2, mu)
+
+
 def test_mixed_sign_parameters_allowed():
     # only the (both negative) quadrant is excluded
     room = square_room(-0.4, 0.9)

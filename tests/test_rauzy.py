@@ -147,6 +147,19 @@ def test_interval_for_word_infeasible_letter():
         interval_for_word(Fraction(3), Fraction(2), "R")
 
 
+@pytest.mark.parametrize("ra, rb", [
+    (-1.0, 0.5), (0.0, 0.5), (0.5, -Fraction(1, 2)), (Fraction(0), HALF),
+    (math.nan, 0.5), (math.inf, 0.5), (0.5, math.inf),
+])
+def test_survivor_intervals_refuse_bad_slopes(ra, rb):
+    # a negative slope divided by zero mid-walk; NaN and inf gave a NaN
+    # measure
+    with pytest.raises(ValueError, match="slopes must be"):
+        survivor_intervals(ra, rb, 3)
+    with pytest.raises(ValueError, match="slopes must be"):
+        survivor_measure(ra, rb, 3)
+
+
 def test_survivor_measure_frozen_values():
     assert survivor_measure(HALF, HALF, 0) == 1
     assert survivor_measure(HALF, HALF, 1) == Fraction(2, 3)

@@ -1,5 +1,6 @@
 """Ray tracing, direction classification, and the cylinder scan."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 import oracles
 from dilatorus import surface
 from dilatorus.errors import NonConvergence, VertexHit
-from dilatorus.geometry import (SL2Matrix, Vec2, apply_sl2, build_room,
+from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
+                                Vec2, apply_sl2, build_room,
                                 point_in_polygon, projective_action,
                                 square_room, unit)
 from dilatorus.rauzy import TerminalKind
@@ -148,10 +150,67 @@ def test_cached_room_geometry_is_invisible():
     del sides[1:]
     assert room.vertices() == twin.vertices()
     assert room.sides() == twin.sides()
+    # the section's endpoints are the cached vertices themselves, so
+    # they must refuse every change
+    ends = section.endpoints(room)
+    with pytest.raises(TypeError):
+        ends[0] = Vec2(9.0, 9.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ends[1].x = 9.0
+    assert section.endpoints(room) == section.endpoints(twin)
+    assert room.geom.diagonals == twin.geom.diagonals
     assert trace_ray(room, p, theta, 64, section) == first
     # an equal room built separately traces identically
     assert trace_ray(twin, p, theta, 64, section) == first
     assert trace_ray(fresh(), p, theta, 64, section) == first
+
+
+def test_diagonal_rows_are_endpoint_floats():
+    # each row is built as a side row is: the start vertex, the chord
+    # vector and its parallel floor, all as floats, in both orientations
+    rng = random.Random(SEED + 5)
+    sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+    exact = build_room((Fraction(1), Fraction(1, 5)),
+                       (Fraction(3, 10), Fraction(11, 10)), (0.4, 1.3))
+    for room in (ROOM, sheared, exact, apply_sl2(random_sl2(rng), sheared)):
+        assert len(room.geom.diagonals) == 2 * len(_DIAGONAL_PAIRS)
+        for pair in _DIAGONAL_PAIRS:
+            for i, j in (pair, pair[::-1]):
+                a, b = CrossSection(i, j).endpoints(room)
+                e = b - a
+                assert room.geom.diagonals[i, j] == (
+                    float(a.x), float(a.y), float(e.x), float(e.y),
+                    PARALLEL_EPS * max(e.length(), 1.0))
+
+
+def _return_map_outcome(builder, room, theta, section):
+    try:
+        return ("map", builder(room, theta, section))
+    except Exception as exc:
+        return ("error", type(exc))
+
+
+def test_first_return_map_matches_vec2_oracle():
+    # the float section frame must land every flight where the Vec2
+    # arithmetic did: same maps, or the same error type
+    rng = random.Random(SEED + 6)
+    sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+    rooms = [ROOM, sheared, apply_sl2(random_sl2(rng), ROOM),
+             apply_sl2(random_sl2(rng), sheared)]
+    outcomes = {"map": 0, "error": 0}
+    for room in rooms:
+        lo, hi = room.inward_directions()
+        for k in range(4):
+            theta = lo + (hi - lo) * (k + rng.random()) / 4
+            for i, j in room.interior_diagonals():
+                section = CrossSection(i, j)
+                fast = _return_map_outcome(first_return_map, room, theta,
+                                           section)
+                slow = _return_map_outcome(oracles.first_return_map_oracle,
+                                           room, theta, section)
+                assert fast == slow, (room, theta, section)
+                outcomes[fast[0]] += 1
+    assert outcomes["map"] >= 40, outcomes
 
 
 # --- classification ---

@@ -184,3 +184,15 @@ def test_monitor_rejects_bad_arguments():
         divergence_monitor(ROOM, 1.0, 2, eps_angle=0.0, budget=400)
     with pytest.raises(ValueError):
         divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=0)
+
+
+@pytest.mark.parametrize("t_max, theta_tol", [
+    (math.nan, 0.05), (math.inf, 0.05), (1.0, -1.0), (1.0, math.nan),
+    (1.0, math.inf),
+])
+def test_monitor_refuses_non_finite_time_and_negative_tolerance(t_max,
+                                                                theta_tol):
+    # a NaN t_max used to print "t": NaN samples with criterion 1 set
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        divergence_monitor(ROOM, t_max, 2, eps_angle=0.3, budget=400,
+                           theta_tol=theta_tol)
