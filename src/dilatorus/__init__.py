@@ -10,7 +10,7 @@ from .errors import (AtDiscontinuity, BudgetExhausted, DegenerateDoor,
                      NonConvergence, NonOrientedBasis, NonSimplePentagon,
                      NotInHole, NotInMonoid, NotReducible,
                      NotRenormalizable, NotTransverse, OutsideQ,
-                     RationalRatio, ResultOutsideQ, VertexHit)
+                     RationalRatio, VertexHit)
 from .geometry import (DilationParams, GluedSide, Room, SL2Matrix, Vec2,
                        apply_sl2, build_room, canonicalize, geodesic_matrix,
                        projective_action, room_from_json, room_to_json,
@@ -18,16 +18,16 @@ from .geometry import (DilationParams, GluedSide, Room, SL2Matrix, Vec2,
 from .intervalmaps import (AffineBranch, AffineChart, OrbitResult,
                            PeriodicCycle, PiecewiseAffineMap, TwoSlopeMap,
                            attracting_cycle_in_hole, evaluate, orbit,
-                           orbit_to_csv, restrict_to_image)
+                           restrict_to_image)
 from .quadratics import QuadraticNumber
 from .rauzy import (InductionStep, RauzyOutcome, StepClass, Subdivision,
-                    TerminalKind, accelerate, induce, interval_for_word,
+                    TerminalKind, induce, interval_for_word,
                     iterate_induction, subdivision, survivor_intervals,
                     survivor_measure)
 from .surface import (Cylinder, DirectionClass, DirectionKind, RayTrace,
                       ScanResult, SectionReduction, TraceEnd,
                       classify_direction, find_cylinders, first_return_map,
-                      rotation_number, theta_sup, trace_ray)
+                      rotation_number, trace_ray)
 from .teichmuller import (FlowSample, MonitorFlag, MonitorReport,
                           TrackedCylinder, distortion, divergence_monitor,
                           flow, flow_series_to_csv, track_direction_interval)
@@ -35,8 +35,8 @@ from .twists import (ContractionResult, Holonomy, HolonomyClass,
                      ReachReport, TwistGenerator, WordResult,
                      admissibility_violation, apply_word, decompose_sl2n,
                      gauss_contraction, holonomy_class, reach_target,
-                     sl2n_word_to_twists, twist, twist_mu, twist_room,
-                     word_from_string, word_to_string)
+                     sl2n_word_to_twists, twist_mu, word_from_string,
+                     word_to_string)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

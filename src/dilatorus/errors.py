@@ -31,10 +31,6 @@ class NonSimplePentagon(DilatorusError):
 
 # --- twist moves and words ---
 
-class ResultOutsideQ(DilatorusError):
-    """A twist move produced parameters outside the admissible region."""
-
-
 class InadmissibleAtStep(DilatorusError):
     """A word prefix left the positive parameter quadrant.
 

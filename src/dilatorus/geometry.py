@@ -141,9 +141,6 @@ class SL2Matrix:
     def apply(self, v: Vec2) -> Vec2:
         return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
 
 def geodesic_matrix(t: float) -> SL2Matrix:
     """Teichmuller geodesic flow matrix diag(e^(-t/2), e^(t/2))."""
@@ -173,8 +170,24 @@ class DilationParams:
         return (float(self.mu1), float(self.mu2))
 
     def nu(self) -> tuple[float, float]:
-        m1, m2 = self.as_floats()
-        return (math.exp(m1), math.exp(m2))
+        """The dilation factors (exp(mu1), exp(mu2)).
+
+        Each factor and its inverse must be a finite nonzero float:
+        mu1 = 1000 overflows exp, -800 underflows it to 0, and -745
+        leaves a subnormal whose inverse is infinite.
+        """
+        out = []
+        for k, m in enumerate(self.as_floats(), start=1):
+            try:
+                nu = math.exp(m)
+            except OverflowError:
+                nu = math.inf
+            if not (0.0 < nu < math.inf and 1.0 / nu < math.inf):
+                raise ValueError(
+                    f"dilation factor nu{k} = exp({m!r}) or its inverse "
+                    "leaves the float range")
+            out.append(nu)
+        return (out[0], out[1])
 
     def in_admissible_region(self) -> bool:
         """True outside the open negative quadrant."""
@@ -309,13 +322,15 @@ class RoomGeometry(NamedTuple):
     to z*scale + (ox, oy) with derivative `factor`.  Rows are in the
     order of `Room.sides()`.  `diagonals` maps each ordered diagonal
     (i, j), in both orientations, to the first five entries of such a
-    row for the chord from vertex i to vertex j.
+    row for the chord from vertex i to vertex j.  `interior` lists the
+    pairs of `_DIAGONAL_PAIRS` whose chord lies inside the pentagon.
     """
 
     vertices: tuple[Vec2, ...]
     diameter: float
     sides: tuple[tuple, ...]
     diagonals: dict[tuple[int, int], tuple[float, ...]]
+    interior: tuple[tuple[int, int], ...]
 
 
 def _chord_row(start: Vec2, end: Vec2) -> tuple[float, ...]:
@@ -325,13 +340,40 @@ def _chord_row(start: Vec2, end: Vec2) -> tuple[float, ...]:
             PARALLEL_EPS * max(edge.length(), 1.0))
 
 
+def _interior_diagonals(verts: tuple[Vec2, ...],
+                        diam: float) -> tuple[tuple[int, int], ...]:
+    """Diagonal pairs whose chord lies inside the pentagon `verts`."""
+    eps = EPSILON * max(diam, 1.0) ** 2
+    out = []
+    for i, j in _DIAGONAL_PAIRS:
+        p, q = verts[i], verts[j]
+        mid = (p + q) * 0.5
+        if not point_in_polygon(mid, verts):
+            continue
+        blocked = False
+        for k in range(5):
+            if k in (i, j) or (k + 1) % 5 in (i, j):
+                continue
+            if segments_intersect_properly(p, q, verts[k],
+                                           verts[(k + 1) % 5], eps):
+                blocked = True
+                break
+        if not blocked:
+            out.append((i, j))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Room:
     """Validated pentagon model of a dilation torus with one boundary.
 
     Float basis coordinates and parameters must be finite: NaN or an
     infinite parameter would pass the other checks and put NaN vertices,
-    or V3 on V2, into the model.
+    or V3 on V2, into the model.  So must the dilation factors and their
+    inverses (`DilationParams.nu`), and no two consecutive vertices may
+    coincide in unit-basis coordinates: mu1 = 700 is finite throughout
+    but leaves 1 - 1/nu1 equal to 1, so V3 would sit on V2.  Each of
+    these raises ValueError.
     """
 
     e1: Vec2
@@ -359,6 +401,11 @@ class Room:
         # it stays well conditioned however sheared the actual basis is
         verts = _unit_vertices(*self.nu())
         diam = max(v.length() for v in verts)
+        for k in range(5):
+            if verts[k] == verts[(k + 1) % 5]:
+                raise ValueError(
+                    f"vertices V{k} and V{(k + 1) % 5} coincide in unit-basis "
+                    f"coordinates at parameters {self.params.as_floats()}")
         if not _polygon_is_simple(verts, EPSILON * max(diam, 1.0) ** 2):
             raise NonSimplePentagon(
                 f"vertex chain {[v.as_floats() for v in verts]} "
@@ -400,8 +447,9 @@ class Room:
         diagonals = {(i, j): _chord_row(verts[i], verts[j])
                      for pair in _DIAGONAL_PAIRS
                      for i, j in (pair, pair[::-1])}
-        return RoomGeometry(verts, max(v.length() for v in verts), sides,
-                            diagonals)
+        diam = max(v.length() for v in verts)
+        return RoomGeometry(verts, diam, sides, diagonals,
+                            _interior_diagonals(verts, diam))
 
     def nu(self) -> tuple[float, float]:
         return self.params.nu()
@@ -417,13 +465,6 @@ class Room:
     def diameter(self) -> float:
         return self.geom.diameter
 
-    def is_convex(self) -> bool:
-        """No reflex corner (flat corners allowed); affine-invariant."""
-        v = _unit_vertices(*self.nu())
-        tol = EPSILON * max(max(p.length() for p in v), 1.0) ** 2
-        return all(_orient(v[i], v[(i + 1) % 5], v[(i + 2) % 5]) >= -tol
-                   for i in range(5))
-
     def sides(self) -> list[GluedSide]:
         """Boundary sides in order V0V1, V1V2, V2V3, V3V4 (door), V4V0."""
         v = self.geom.vertices
@@ -434,25 +475,7 @@ class Room:
 
     def interior_diagonals(self) -> list[tuple[int, int]]:
         """Vertex index pairs whose chord lies inside the pentagon."""
-        verts, diam, *_ = self.geom
-        eps = EPSILON * max(diam, 1.0) ** 2
-        out = []
-        for i, j in _DIAGONAL_PAIRS:
-            p, q = verts[i], verts[j]
-            mid = (p + q) * 0.5
-            if not point_in_polygon(mid, verts):
-                continue
-            blocked = False
-            for k in range(5):
-                if k in (i, j) or (k + 1) % 5 in (i, j):
-                    continue
-                if segments_intersect_properly(p, q, verts[k],
-                                               verts[(k + 1) % 5], eps):
-                    blocked = True
-                    break
-            if not blocked:
-                out.append((i, j))
-        return out
+        return list(self.geom.interior)
 
     # --- directions ---
 
@@ -478,7 +501,8 @@ class Room:
 
 def build_room(e1, e2, mu) -> Room:
     """Validated constructor from raw basis coordinates and parameters;
-    non-finite floats among them raise ValueError."""
+    non-finite floats among them, and parameters out of the float range
+    (see `Room`), raise ValueError."""
     if not isinstance(e1, Vec2):
         e1 = Vec2(*e1)
     if not isinstance(e2, Vec2):

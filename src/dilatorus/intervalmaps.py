@@ -23,6 +23,10 @@ from .quadratics import Scalar, is_exact
 INJECTIVITY_SLACK: float = 1e-12
 HIT_TOL: float = 1e-15
 MERGE_TOL: float = 1e-12
+# Slack of restrict_to_image's containment and interior-jump tests: in
+# domain units against the domain ends, and as a fraction of the image
+# width around the jump and the image interval.
+IMAGE_TOL: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,13 +94,6 @@ class PeriodicCycle:
     def is_attracting(self) -> bool:
         return self.multiplier < 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [float(p) for p in self.points],
-            "period": self.period,
-            "multiplier": float(self.multiplier),
-        }
-
 
 def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
     """Closed-form period-2 attractor when the break point misses the image.
@@ -141,14 +138,6 @@ def orbit(tsm: TwoSlopeMap, x0: Scalar, n: int) -> OrbitResult:
     return OrbitResult(tuple(pts), "".join(labels), False)
 
 
-def orbit_to_csv(result: OrbitResult) -> str:
-    lines = ["index,value,branch"]
-    for i, p in enumerate(result.points):
-        label = result.branches[i] if i < len(result.branches) else ""
-        lines.append(f"{i},{float(p)!r},{label}")
-    return "\n".join(lines) + "\n"
-
-
 # --- general piecewise-affine data and reduction to the normal form ---
 
 @dataclass(frozen=True)
@@ -167,9 +156,9 @@ class AffineBranch:
     def value(self, x: Scalar) -> Scalar:
         return self.slope * x + self.intercept
 
-    def same_law(self, other: "AffineBranch", tol: float = MERGE_TOL) -> bool:
-        return (abs(float(self.slope - other.slope)) <= tol
-                and abs(float(self.intercept - other.intercept)) <= tol)
+    def same_law(self, other: "AffineBranch") -> bool:
+        return (abs(float(self.slope - other.slope)) <= MERGE_TOL
+                and abs(float(self.intercept - other.intercept)) <= MERGE_TOL)
 
 
 @dataclass(frozen=True)
@@ -259,8 +248,8 @@ class AffineChart:
         return (y - self.offset) / self.scale
 
 
-def restrict_to_image(pam: PiecewiseAffineMap,
-                      tol: float = 1e-9) -> tuple[TwoSlopeMap, AffineChart]:
+def restrict_to_image(pam: PiecewiseAffineMap
+                      ) -> tuple[TwoSlopeMap, AffineChart]:
     """Normal form of an injective one-jump map on its image interval.
 
     The smallest closed interval containing the image is bounded by the two
@@ -284,16 +273,18 @@ def restrict_to_image(pam: PiecewiseAffineMap,
     j_lo, j_hi = right_limit, left_limit
     width = j_hi - j_lo
     dom_lo, dom_hi = merged.domain
-    if float(j_lo) < float(dom_lo) - tol or float(j_hi) > float(dom_hi) + tol:
+    if (float(j_lo) < float(dom_lo) - IMAGE_TOL
+            or float(j_hi) > float(dom_hi) + IMAGE_TOL):
         raise NotReducible("image interval escapes the domain")
-    if not (j_lo + tol * float(width) < x_d < j_hi - tol * float(width)):
+    scale = float(width)
+    if not (j_lo + IMAGE_TOL * scale < x_d < j_hi - IMAGE_TOL * scale):
         raise NotReducible(
             f"jump point {float(x_d)} is not interior to the image interval "
             f"[{float(j_lo)}, {float(j_hi)}]")
     left, right = merged.branches
-    scale = float(width)
-    if float(left.value(max(left.lo, j_lo))) < float(j_lo) - tol * scale or \
-       float(right.value(min(right.hi, j_hi))) > float(j_hi) + tol * scale:
+    if (float(left.value(max(left.lo, j_lo))) < float(j_lo) - IMAGE_TOL * scale
+            or float(right.value(min(right.hi, j_hi)))
+            > float(j_hi) + IMAGE_TOL * scale):
         raise NotReducible("restriction does not map the image interval "
                            "into itself")
     chart = AffineChart(1 / width, -j_lo / width)

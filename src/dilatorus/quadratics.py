@@ -211,7 +211,6 @@ def sqrt_int(d: int) -> QuadraticNumber:
     return QuadraticNumber(0, 1, d)
 
 
-ExactScalar = Union[int, Fraction, QuadraticNumber]
 # What the rest of the package computes with: the exact track plus floats.
 Scalar = Union[int, Fraction, float, QuadraticNumber]
 
@@ -221,23 +220,10 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QuadraticNumber))
 
 
-def exact_floor_div(x: ExactScalar, y: ExactScalar) -> int:
-    """floor(x / y) computed exactly for positive exact scalars."""
-    qx, qy = QuadraticNumber._coerce(x), QuadraticNumber._coerce(y)
-    return (qx / qy).floor()
-
-
 # --- continued fractions ---
 
-def fraction_cf(x: Fraction, max_terms: int = 64) -> list[int]:
-    """Continued-fraction coefficients of a rational (always terminates)."""
-    terms: list[int] = []
-    p, q = x.numerator, x.denominator
-    while q != 0 and len(terms) < max_terms:
-        a, r = divmod(p, q)
-        terms.append(a)
-        p, q = q, r
-    return terms
+# Cap on the terms float_convergents expands.
+CF_MAX_TERMS = 48
 
 
 def cf_convergents(terms: list[int]):
@@ -248,11 +234,11 @@ def cf_convergents(terms: list[int]):
         yield p0, q0
 
 
-def float_convergents(x: float, max_terms: int = 48):
+def float_convergents(x: float):
     """Convergents of a float's continued fraction, stopping at noise level."""
     terms: list[int] = []
     r = x
-    for _ in range(max_terms):
+    for _ in range(CF_MAX_TERMS):
         a = math.floor(r)
         terms.append(a)
         frac = r - a

@@ -138,12 +138,6 @@ class RauzyOutcome:
     cycle: Optional[PeriodicCycle]
     final_map: TwoSlopeMap
 
-    def to_json_dict(self) -> dict:
-        out = {"word": self.word, "terminal": self.terminal.value}
-        if self.cycle is not None:
-            out["cycle"] = self.cycle.to_json_dict()
-        return out
-
 
 def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
                      charts: list[AffineChart]) -> PeriodicCycle:
@@ -317,22 +311,3 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
         total = total + (hi - lo)
     return total
 
-
-def accelerate(rho_a: Scalar, rho_b: Scalar) -> tuple[Scalar, Scalar, int]:
-    """Collapse the forced-L regime in one shot.
-
-    While rho_a > 1 and rho_a*rho_b >= 1 every valid break point lies in the
-    B-winner region, so induction applies L until the product drops below 1;
-    each step replaces rho_a by rho_a*rho_b.  Pairs with rho_a > 1 and
-    rho_b >= 1 admit no valid break point at all and are rejected.
-    """
-    if not (rho_a > 0 and rho_b > 0):
-        raise ValueError("slopes must be positive")
-    if rho_a > 1 and rho_b >= 1:
-        raise ValueError("no valid break points exist for these slopes; "
-                         "forced steps would not terminate")
-    steps = 0
-    while rho_a > 1 and rho_a * rho_b >= 1:
-        rho_a = rho_a * rho_b
-        steps += 1
-    return (rho_a, rho_b, steps)

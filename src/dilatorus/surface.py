@@ -56,11 +56,28 @@ VERTEX_TOL = 1e-12          # of the side's length: s within it of 0 or 1
 # cannot re-hit it), MIN_STEP for every other side.
 CLEARANCE = 1e-9
 MIN_STEP = 1e-15
-BRANCH_BISECT_TOL = 1e-13
-BRANCH_VERIFY_TOL = 1e-9
-TRANSVERSALITY_FLOOR = 1e-9
-DOOR_ANGLE_TOL = 1e-12
-CYLINDER_EDGE_TOL = 1e-10
+BRANCH_BISECT_TOL = 1e-13   # of the section's length
+BRANCH_MIN_GAP = 8.0        # bisection tolerances; closer cuts merge
+BRANCH_VERIFY_TOL = 1e-9    # of the section's length
+TRANSVERSALITY_FLOOR = 1e-9  # radians between the flow and a section
+DOOR_ANGLE_TOL = 1e-12      # radians between the flow and the door
+INWARD_SLACK = 1e-12        # of the cosine: door-parallel flow is inward
+CYLINDER_EDGE_TOL = 1e-10   # radians
+# _verify_reduction, in the [0, 1] coordinate of the normal form, skips
+# probes within VERIFY_END_MARGIN of 0 or 1 or VERIFY_BREAK_MARGIN of the
+# break point, and rejects a probe that returns off by over VERIFY_TOL.
+VERIFY_END_MARGIN = 1e-9
+VERIFY_BREAK_MARGIN = 1e-6
+VERIFY_TOL = 1e-8
+# A collapsed return map, in units of the section's length: the jump
+# misses the image by more than COLLAPSE_JUMP_MARGIN, the fixed point
+# lies COLLAPSE_FIXED_MARGIN inside the ends, and the trace from it
+# returns within COLLAPSE_CLOSE_TOL.  Its slope stays
+# COLLAPSE_SLOPE_MARGIN (unitless) below 1.
+COLLAPSE_JUMP_MARGIN = 1e-9
+COLLAPSE_FIXED_MARGIN = 1e-6
+COLLAPSE_SLOPE_MARGIN = 1e-9
+COLLAPSE_CLOSE_TOL = 1e-6
 
 DEFAULT_RETURN_SAMPLES = 48
 DEFAULT_MAX_CROSSINGS = 512
@@ -148,9 +165,9 @@ class RayTrace:
     """Flight record of one ray: straight legs joined by side transports.
 
     `legs` holds plain floats, x0, y0, x1, y1 for each leg in flight
-    order; `segments` gives the same legs as Vec2 pairs.  `factors`
-    holds one dilation factor per applied transport, so the derivative
-    of the flow between the endpoints is their product.
+    order.  `factors` holds one dilation factor per applied transport,
+    so the derivative of the flow between the endpoints is their
+    product.
     """
 
     legs: tuple[float, ...]
@@ -158,13 +175,6 @@ class RayTrace:
     crossed_sides: tuple[int, ...]
     terminal: TraceEnd
     end_point: Vec2
-
-    @property
-    def segments(self) -> tuple[tuple[Vec2, Vec2], ...]:
-        legs = self.legs
-        return tuple((Vec2(legs[k], legs[k + 1]),
-                      Vec2(legs[k + 2], legs[k + 3]))
-                     for k in range(0, len(legs), 4))
 
     @property
     def crossings(self) -> int:
@@ -308,7 +318,7 @@ def first_return_map(room: Room, theta: float,
         raise NotTransverse("direction is parallel to the section")
     # Directions parallel to the door are allowed: their flow is tangent
     # to the boundary leaf and never crosses the door transversally.
-    if not room.is_inward(theta, margin=-1e-12):
+    if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
 
     def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
@@ -355,9 +365,9 @@ def first_return_map(room: Room, theta: float,
 
     boundaries = [0.0]
     for c in sorted(cuts):
-        if c - boundaries[-1] > 8.0 * tol:
+        if c - boundaries[-1] > BRANCH_MIN_GAP * tol:
             boundaries.append(c)
-    if length - boundaries[-1] > 8.0 * tol:
+    if length - boundaries[-1] > BRANCH_MIN_GAP * tol:
         boundaries.append(length)
     else:
         boundaries[-1] = length
@@ -418,7 +428,8 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
     for k in range(16):
         s = length * math.modf(0.12345 + k * 0.6180339887498949)[0]
         x = float(chart.apply(s))
-        if not 1e-9 < x < 1.0 - 1e-9 or abs(x - float(tsm.x_t)) < 1e-6:
+        if (not VERIFY_END_MARGIN < x < 1.0 - VERIFY_END_MARGIN
+                or abs(x - float(tsm.x_t)) < VERIFY_BREAK_MARGIN):
             continue
         try:
             tr = trace_ray(room, Vec2(ax + tx * s, ay + ty * s), theta,
@@ -432,7 +443,7 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
         s_back = (end.x - ax) * tx + (end.y - ay) * ty
         predicted = float(evaluate_two_slope(tsm, x))
         observed = float(chart.apply(s_back))
-        if abs(predicted - observed) > 1e-8:
+        if abs(predicted - observed) > VERIFY_TOL:
             raise NotReducible(
                 f"normal form disagrees with an independent trace by "
                 f"{abs(predicted - observed):.2e}; the section has branch "
@@ -485,16 +496,18 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
         if right_limit > left_limit:
             return None
         j_lo, j_hi = float(right_limit), float(left_limit)
-        if j_lo - 1e-9 * scale <= float(x_d) <= j_hi + 1e-9 * scale:
+        if (j_lo - COLLAPSE_JUMP_MARGIN * scale <= float(x_d)
+                <= j_hi + COLLAPSE_JUMP_MARGIN * scale):
             return None
         branch = merged.branches[0] if float(x_d) > j_hi else merged.branches[1]
     else:
         return None
     slope = float(branch.slope)
-    if slope >= 1.0 - 1e-9:
+    if slope >= 1.0 - COLLAPSE_SLOPE_MARGIN:
         return None
     fixed = float(branch.intercept) / (1.0 - slope)
-    if not (float(dom_lo) + 1e-6 * scale < fixed < float(dom_hi) - 1e-6 * scale):
+    if not (float(dom_lo) + COLLAPSE_FIXED_MARGIN * scale < fixed
+            < float(dom_hi) - COLLAPSE_FIXED_MARGIN * scale):
         return None
     return slope, fixed
 
@@ -526,7 +539,7 @@ def _collapsed_direction(room: Room, theta: float
                 continue
             end = tr.end_point
             s_back = (end.x - ax) * tx + (end.y - ay) * ty
-            if abs(s_back - fixed) > 1e-6 * length:
+            if abs(s_back - fixed) > COLLAPSE_CLOSE_TOL * length:
                 continue
         except VertexHit:
             # The branch law was already verified at two probe points;
@@ -706,13 +719,6 @@ def find_cylinders(room: Room, eps_angle: float,
             exhausted = True
         k = k_end + 1
     return ScanResult(tuple(cylinders), exhausted, n)
-
-
-def theta_sup(room: Room, eps_angle: float,
-              budget: int = DEFAULT_INDUCTION_BUDGET) -> float:
-    """Largest cylinder angle found at this resolution (0.0 if none)."""
-    scan = find_cylinders(room, eps_angle, budget=budget)
-    return max((c.angle for c in scan.cylinders), default=0.0)
 
 
 # --- rotation numbers on the Herman boundary ---

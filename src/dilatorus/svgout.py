@@ -8,8 +8,6 @@ direction wheel paints classified angle intervals on a circle.
 from __future__ import annotations
 
 import math
-from typing import Optional
-from xml.sax.saxutils import escape
 
 from .geometry import Room
 from .surface import ScanResult
@@ -20,6 +18,8 @@ COLOR_RIGHT_LEFT = "#1b9e77"
 COLOR_DOOR = "#7570b3"
 COLOR_FILL = "#f4f1ea"
 COLOR_NEUTRAL = "#d9d9d9"
+# width and height of every drawing, in pixels
+SIZE = 480
 
 _SIDE_COLORS = {0: COLOR_BOTTOM_TOP, 1: COLOR_RIGHT_LEFT,
                 2: COLOR_BOTTOM_TOP, 3: COLOR_DOOR, 4: COLOR_RIGHT_LEFT}
@@ -33,8 +33,7 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
-def pentagon_svg(room: Room, size: int = 480,
-                 title: Optional[str] = None) -> str:
+def pentagon_svg(room: Room) -> str:
     """Pentagon of the room with glued-side color coding.
 
     Sides 0/2 (bottom and its dilated top copy) share one color, 1/4
@@ -45,22 +44,20 @@ def pentagon_svg(room: Room, size: int = 480,
     xs = [p[0] for p in verts]
     ys = [p[1] for p in verts]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-30)
-    pad = 0.08 * size
-    scale = (size - 2 * pad) / span
+    pad = 0.08 * SIZE
+    scale = (SIZE - 2 * pad) / span
     x0 = 0.5 * (min(xs) + max(xs))
     y0 = 0.5 * (min(ys) + max(ys))
 
     def to_screen(p: tuple[float, float]) -> tuple[float, float]:
-        return (0.5 * size + (p[0] - x0) * scale,
-                0.5 * size - (p[1] - y0) * scale)
+        return (0.5 * SIZE + (p[0] - x0) * scale,
+                0.5 * SIZE - (p[1] - y0) * scale)
 
     pts = [to_screen(p) for p in verts]
-    if title is None:
-        m1, m2 = room.params.as_floats()
-        title = f"room mu=({m1:.6g}, {m2:.6g})"
+    m1, m2 = room.params.as_floats()
 
-    out = [_HEADER.format(s=size)]
-    out.append(f"  <title>{escape(title)}</title>\n")
+    out = [_HEADER.format(s=SIZE)]
+    out.append(f"  <title>room mu=({m1:.6g}, {m2:.6g})</title>\n")
     poly = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
     out.append(f'  <polygon points="{poly}" fill="{COLOR_FILL}" '
                'stroke="none"/>\n')
@@ -81,8 +78,7 @@ def pentagon_svg(room: Room, size: int = 480,
     return "".join(out)
 
 
-def direction_wheel_svg(room: Room, scan: ScanResult,
-                        size: int = 480) -> str:
+def direction_wheel_svg(room: Room, scan: ScanResult) -> str:
     """Ring of inward directions with found cylinder intervals painted.
 
     The neutral ring spans the inward half-circle; each cylinder
@@ -90,9 +86,9 @@ def direction_wheel_svg(room: Room, scan: ScanResult,
     tick.  Angles follow the plane convention (counterclockwise from
     east), flipped to screen coordinates.
     """
-    c = 0.5 * size
-    r = 0.40 * size
-    stroke = 0.055 * size
+    c = 0.5 * SIZE
+    r = 0.40 * SIZE
+    stroke = 0.055 * SIZE
 
     def point(theta: float, radius: float) -> tuple[float, float]:
         return (c + radius * math.cos(theta), c - radius * math.sin(theta))
@@ -107,7 +103,7 @@ def direction_wheel_svg(room: Room, scan: ScanResult,
                 f'stroke-width="{_fmt(width)}"/>\n')
 
     lo, hi = room.inward_directions()
-    out = [_HEADER.format(s=size)]
+    out = [_HEADER.format(s=SIZE)]
     out.append(f"  <title>direction wheel, {len(scan.cylinders)} "
                "cylinder intervals</title>\n")
     out.append(arc(lo, hi - 1e-9, COLOR_NEUTRAL, stroke))

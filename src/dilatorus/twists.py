@@ -24,7 +24,6 @@ from .errors import (
     InadmissibleAtStep,
     NotInMonoid,
     RationalRatio,
-    ResultOutsideQ,
 )
 from .geometry import DilationParams, Room, Vec2
 from .quadratics import QuadraticNumber, float_convergents
@@ -103,24 +102,6 @@ def twist_basis(g: TwistGenerator, e1: Vec2, e2: Vec2,
     if g is TwistGenerator.T1_INV:
         return (e1 - e2, e2 * (1.0 / nu1))
     return (e1 * (1.0 / nu2), e2 - e1)
-
-
-def twist(g: TwistGenerator, e1: Vec2, e2: Vec2, mu,
-          check_region: bool = True) -> tuple[Vec2, Vec2, DilationParams]:
-    """One move on raw data; raises ResultOutsideQ when the output parameters
-    leave the admissible region (pass check_region=False to get raw values)."""
-    params = mu if isinstance(mu, DilationParams) else DilationParams(*mu)
-    new_params = twist_mu(g, params)
-    if check_region and not new_params.in_admissible_region():
-        raise ResultOutsideQ(
-            f"{g.char} maps parameters to {new_params.as_floats()}")
-    new_e1, new_e2 = twist_basis(g, e1, e2, params)
-    return new_e1, new_e2, new_params
-
-
-def twist_room(g: TwistGenerator, room: Room) -> Room:
-    e1, e2, params = twist(g, room.e1, room.e2, room.params)
-    return Room(e1, e2, params)
 
 
 # --- words ---

@@ -319,6 +319,13 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["room", "--mu1=nan", "--mu2=1"], "finite"),
     (["room", "--mu1=inf", "--mu2=1"], "finite"),
     (["room", "--mu1=1", "--mu2=1", "--e1=nan,0"], "finite"),
+    (["room", "--mu1=1000", "--mu2=1"], "float range"),
+    (["room", "--mu1=-800", "--mu2=1"], "float range"),
+    (["room", "--mu1=1", "--mu2=-745"], "float range"),
+    (["room", "--mu1=700", "--mu2=1"], "coincide"),
+    (["room", "--mu1=1e-17", "--mu2=1e-17"], "coincide"),
+    (["twist", "--mu1-exact=1,0,0", "--mu2-exact=1,0,0",
+      "--word=ABABABABABABABAB"], "float range"),
     (["classify", "--theta=nan"] + MU_FLAGS, "theta"),
     (["classify", "--theta=inf"] + MU_FLAGS, "theta"),
     (["measure", "--rhoA=-1", "--rhoB=0.5", "--n=3"], "positive"),
@@ -326,6 +333,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["measure", "--rhoA=inf", "--rhoB=0.5", "--n=3"], "finite"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
+        "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
+        "room-mu1-v3-on-v2", "room-door-collapses", "twist-word-overflow",
         "classify-theta-nan", "classify-theta-inf", "measure-rhoA-negative",
         "measure-rhoA-nan", "measure-rhoA-inf"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):

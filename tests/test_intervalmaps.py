@@ -10,7 +10,7 @@ from dilatorus.errors import AtDiscontinuity, NotInHole, NotReducible
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap,
                                     attracting_cycle_in_hole, evaluate,
-                                    orbit, orbit_to_csv, restrict_to_image)
+                                    orbit, restrict_to_image)
 import oracles
 
 SEED = 20260817
@@ -78,15 +78,11 @@ def test_cycle_matches_brute_force_oracle():
         hits += 1
 
 
-def test_orbit_and_csv_shape():
+def test_orbit_shape():
     tsm = TwoSlopeMap(0.5, 0.5, 0.5)
     result = orbit(tsm, 0.1, 6)
     assert len(result.points) == 7
     assert result.points[0] == 0.1
-    text = orbit_to_csv(result)
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,value,branch"
-    assert len(lines) == 8
 
 
 def test_orbit_converges_to_hole_cycle():

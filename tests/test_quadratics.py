@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dilatorus.quadratics import (QuadraticNumber, cf_convergents,
-                                  exact_floor_div, float_convergents,
-                                  fraction_cf, sqrt_int)
+                                  float_convergents, sqrt_int)
 
 SEED = 20260817
 
@@ -78,16 +77,15 @@ def test_floor_on_both_signs():
     assert (-r2).floor() == -2
     assert (3 * r2).floor() == 4
     assert QuadraticNumber(Fraction(7, 2), 0, 0).floor() == 3
-    assert exact_floor_div(Fraction(7), Fraction(2)) == 3
-    assert exact_floor_div(1 + r2, r2) == 1
+    assert (QuadraticNumber(7) / 2).floor() == 3
+    assert ((1 + r2) / r2).floor() == 1
 
 
 def test_continued_fraction_roundtrip():
-    x = Fraction(649, 200)
-    terms = fraction_cf(x)
-    convergents = list(cf_convergents(terms))
+    # 649/200 = [3; 4, 12, 4]
+    convergents = list(cf_convergents([3, 4, 12, 4]))
     p, q = convergents[-1]
-    assert Fraction(p, q) == x
+    assert Fraction(p, q) == Fraction(649, 200)
 
 
 def test_float_convergents_approximate():

@@ -11,7 +11,7 @@ from dilatorus import rauzy
 from dilatorus.errors import EmptyInterval, NonConvergence, NotRenormalizable
 from dilatorus.intervalmaps import TwoSlopeMap
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.rauzy import (StepClass, Subdivision, TerminalKind, accelerate,
+from dilatorus.rauzy import (StepClass, Subdivision, TerminalKind,
                              classify_step, induce, interval_for_word,
                              iterate_induction, subdivision,
                              survivor_intervals, survivor_measure, thresholds)
@@ -233,13 +233,3 @@ def test_float_survivor_measure_agrees_with_exact(ra, rb, depth):
     exact = survivor_measure(ra, rb, depth)
     approx = survivor_measure(float(ra), float(rb), depth)
     assert math.isclose(approx, float(exact), rel_tol=1e-9, abs_tol=0.0)
-
-
-def test_accelerate_collapses_forced_steps():
-    # one forced L: the product 8/3 * 1/3 already drops below 1
-    ra, rb, k = accelerate(Fraction(8), Fraction(1, 3))
-    assert (ra, rb, k) == (Fraction(8, 3), Fraction(1, 3), 1)
-    ra, rb, k = accelerate(Fraction(40), Fraction(1, 3))
-    assert (ra, rb, k) == (Fraction(40, 27), Fraction(1, 3), 3)
-    with pytest.raises(ValueError):
-        accelerate(Fraction(2), Fraction(1))

@@ -6,15 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from dilatorus.errors import (InadmissibleAtStep, NotInMonoid, RationalRatio,
-                              ResultOutsideQ)
-from dilatorus.geometry import DilationParams, Vec2, square_room
+from dilatorus.errors import InadmissibleAtStep, NotInMonoid, RationalRatio
+from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.twists import (Holonomy, TwistGenerator, admissibility_violation,
                               apply_word, decompose_sl2n, gauss_contraction,
                               holonomy_class, reach_target, sl2n_word_to_twists,
-                              twist, twist_mu, word_from_string,
-                              word_to_string)
+                              twist_mu, word_from_string, word_to_string)
 
 SEED = 20260817
 GENERATORS = list(TwistGenerator)
@@ -26,8 +24,9 @@ def rational_params(rng: random.Random) -> DilationParams:
 
 
 def test_t1_on_unit_basis_frozen_example():
-    e1, e2, params = twist(TwistGenerator.T1, Vec2(1.0, 0.0), Vec2(0.0, 1.0),
-                           (math.log(2.0), math.log(3.0)))
+    room = apply_word((TwistGenerator.T1,),
+                      square_room(math.log(2.0), math.log(3.0))).room
+    e1, e2, params = room.e1, room.e2, room.params
     assert e1.as_floats() == pytest.approx((1.0, 2.0))
     assert e2.as_floats() == pytest.approx((0.0, 2.0))
     m1, m2 = params.as_floats()
@@ -58,16 +57,6 @@ def test_generator_roundtrips_exact_in_rational_mode():
             there = twist_mu(g, params)
             back = twist_mu(g.inverse, there)
             assert back.mu1 == params.mu1 and back.mu2 == params.mu2
-
-
-def test_result_outside_q_is_flagged():
-    # T1 sends (-2, 1) to (-2, -1), into the excluded quadrant
-    with pytest.raises(ResultOutsideQ):
-        twist(TwistGenerator.T1, Vec2(1.0, 0.0), Vec2(0.0, 1.0),
-              DilationParams(-2.0, 1.0))
-    e1, e2, raw = twist(TwistGenerator.T1, Vec2(1.0, 0.0), Vec2(0.0, 1.0),
-                        DilationParams(-2.0, 1.0), check_region=False)
-    assert raw.as_floats() == (-2.0, -1.0)
 
 
 def test_apply_word_tracks_mu_path():
