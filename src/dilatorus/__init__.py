@@ -9,8 +9,9 @@ from .errors import (AtDiscontinuity, BudgetExhausted, DegenerateDoor,
                      DilatorusError, EmptyInterval, InadmissibleAtStep,
                      NonConvergence, NonOrientedBasis, NonSimplePentagon,
                      NotInHole, NotInMonoid, NotReducible,
-                     NotRenormalizable, NotTransverse, OutsideQ,
-                     RationalRatio, VertexHit)
+                     NotRenormalizable, NotTransverse,
+                     OrientationLostToRounding, OutsideQ, RationalRatio,
+                     VertexHit)
 from .geometry import (DilationParams, GluedSide, Room, SL2Matrix, Vec2,
                        apply_sl2, build_room, canonicalize, geodesic_matrix,
                        projective_action, room_from_json, room_to_json,

@@ -42,7 +42,7 @@ DEFAULT_REACH_EPS = 1e-2
 DEFAULT_REACH_BUDGET = 10 ** 5
 DEFAULT_ROTNUM_TOL = 1e-10
 # depth n lists up to 2^n survivor intervals; at (0.5, 0.5) on floats,
-# depth 20 takes 1.8-2.3 s and 160 MB peak RSS (2-vCPU x86-64 host)
+# depth 20 takes 1.7-2.1 s and 155 MB peak RSS (2-vCPU x86-64 host)
 MAX_MEASURE_DEPTH = 20
 
 
@@ -315,20 +315,6 @@ def cmd_orbit_closure(args) -> int:
     return 0
 
 
-_DISPATCH: dict[str, Callable] = {
-    "room": cmd_room,
-    "act": cmd_act,
-    "twist": cmd_twist,
-    "reach": cmd_reach,
-    "classify": cmd_classify,
-    "scan": cmd_scan,
-    "flow": cmd_flow,
-    "rotnum": cmd_rotnum,
-    "measure": cmd_measure,
-    "orbit-closure": cmd_orbit_closure,
-}
-
-
 # --- parser ---
 
 class _Parser(argparse.ArgumentParser):
@@ -338,93 +324,133 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI grammar.  Each command declares exactly the flags it reads,
-    with their defaults, so argparse rejects every other flag."""
-    mu = _Parser(add_help=False)
-    mu.add_argument("--mu1", type=float)
-    mu.add_argument("--mu2", type=float)
-    mu.add_argument("--mu1-exact", metavar="a,b,d")
-    mu.add_argument("--mu2-exact", metavar="a,b,d")
-    room = _Parser(add_help=False, parents=[mu])
-    room.add_argument("--e1", default="1,0", metavar="x,y")
-    room.add_argument("--e2", default="0,1", metavar="x,y")
-    fmt = _Parser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv"), default="json")
-    svg = _Parser(add_help=False)
-    svg.add_argument("--svg", metavar="PATH")
+def _pair_flags(p, name1: str = "mu1", name2: str = "mu2") -> None:
+    """The float and the exact form of a parameter pair (`_parse_mu_pair`)."""
+    p.add_argument(f"--{name1}", type=float)
+    p.add_argument(f"--{name2}", type=float)
+    p.add_argument(f"--{name1}-exact", metavar="a,b,d")
+    p.add_argument(f"--{name2}-exact", metavar="a,b,d")
+
+
+def _room_flags(p) -> None:
+    _pair_flags(p)
+    p.add_argument("--e1", default="1,0", metavar="x,y")
+    p.add_argument("--e2", default="0,1", metavar="x,y")
+
+
+def _format_flag(p) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _svg_flag(p) -> None:
+    p.add_argument("--svg", metavar="PATH")
+
+
+def _room_grammar(p) -> None:
+    _room_flags(p)
+    _svg_flag(p)
+
+
+def _act_grammar(p) -> None:
+    _room_grammar(p)
+    p.add_argument("--matrix", metavar="a,b,c,d")
+    p.add_argument("--rotate", type=float, metavar="ALPHA")
+    p.add_argument("--t", type=float, metavar="T", help="geodesic flow time")
+
+
+def _twist_grammar(p) -> None:
+    _room_grammar(p)
+    p.add_argument("--word", required=True, help="string over A,a,B,b")
+
+
+def _reach_grammar(p) -> None:
+    _room_flags(p)
+    p.add_argument("--target1", type=float, required=True)
+    p.add_argument("--target2", type=float, required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_REACH_BUDGET,
+                   help="cap on the word length")
+    p.add_argument("--tol", type=float, default=DEFAULT_REACH_EPS,
+                   help="distance to the target")
+
+
+def _classify_grammar(p) -> None:
+    _room_flags(p)
+    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
+                   help="renormalization steps")
+
+
+def _scan_grammar(p) -> None:
+    _room_flags(p)
+    _format_flag(p)
+    _svg_flag(p)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE,
+                   help="angle resolution")
+    p.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
+                   help="renormalization steps per direction")
+
+
+def _flow_grammar(p) -> None:
+    _room_flags(p)
+    _format_flag(p)
+    p.add_argument("--t-max", type=float, required=True)
+    p.add_argument("--steps", type=int, default=DEFAULT_FLOW_STEPS)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE)
+    p.add_argument("--budget", type=int, default=DEFAULT_FLOW_BUDGET,
+                   help="renormalization steps per direction")
+    p.add_argument("--tol", type=float, default=DEFAULT_THETA_TOL,
+                   help="criterion 1 angle tolerance")
+
+
+def _rotnum_grammar(p) -> None:
+    _format_flag(p)
+    _pair_flags(p, "rhoA", "rhoB")
+    p.add_argument("--budget", type=int, default=ROTATION_MAX_ITER,
+                   help="iteration cap of the float estimate")
+    p.add_argument("--tol", type=float, default=DEFAULT_ROTNUM_TOL,
+                   help="agreement of successive float estimates")
+
+
+def _measure_grammar(p) -> None:
+    _format_flag(p)
+    p.add_argument("--rhoA", required=True)
+    p.add_argument("--rhoB", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--exact", action="store_true",
+                   help="exact rational arithmetic")
+
+
+# name -> (handler, help line, declaration of exactly the flags it reads)
+_COMMANDS: dict[str, tuple[Callable, str, Callable]] = {
+    "room": (cmd_room, "build, validate and canonicalize a room",
+             _room_grammar),
+    "act": (cmd_act, "apply a linear map to a room", _act_grammar),
+    "twist": (cmd_twist, "apply a twist word", _twist_grammar),
+    "reach": (cmd_reach, "search a word reaching a parameter target",
+              _reach_grammar),
+    "classify": (cmd_classify, "classify one flow direction",
+                 _classify_grammar),
+    "scan": (cmd_scan, "scan directions for cylinders", _scan_grammar),
+    "flow": (cmd_flow, "run the geodesic flow monitor", _flow_grammar),
+    "rotnum": (cmd_rotnum, "rotation number of the two-slope circle map",
+               _rotnum_grammar),
+    "measure": (cmd_measure, "survivor measure after n subdivision steps",
+                _measure_grammar),
+    "orbit-closure": (cmd_orbit_closure,
+                      "orbit closure of the parameter point", _pair_flags),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI grammar, of every command or of `command` alone.  Each
+    command declares exactly the flags it reads, with their defaults, so
+    argparse rejects every other flag."""
     top = _Parser(prog="dilatorus",
                   description="dilation tori with one boundary component")
     sub = top.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("room", parents=[room, svg],
-                   help="build, validate and canonicalize a room")
-
-    act = sub.add_parser("act", parents=[room, svg],
-                         help="apply a linear map to a room")
-    act.add_argument("--matrix", metavar="a,b,c,d")
-    act.add_argument("--rotate", type=float, metavar="ALPHA")
-    act.add_argument("--t", type=float, metavar="T",
-                     help="geodesic flow time")
-
-    tw = sub.add_parser("twist", parents=[room, svg],
-                        help="apply a twist word")
-    tw.add_argument("--word", required=True,
-                    help="string over A,a,B,b")
-
-    rc = sub.add_parser("reach", parents=[room],
-                        help="search a word reaching a parameter target")
-    rc.add_argument("--target1", type=float, required=True)
-    rc.add_argument("--target2", type=float, required=True)
-    rc.add_argument("--budget", type=int, default=DEFAULT_REACH_BUDGET,
-                    help="cap on the word length")
-    rc.add_argument("--tol", type=float, default=DEFAULT_REACH_EPS,
-                    help="distance to the target")
-
-    cl = sub.add_parser("classify", parents=[room],
-                        help="classify one flow direction")
-    cl.add_argument("--theta", type=float, required=True)
-    cl.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
-                    help="renormalization steps")
-
-    sc = sub.add_parser("scan", parents=[room, fmt, svg],
-                        help="scan directions for cylinders")
-    sc.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE,
-                    help="angle resolution")
-    sc.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
-                    help="renormalization steps per direction")
-
-    fl = sub.add_parser("flow", parents=[room, fmt],
-                        help="run the geodesic flow monitor")
-    fl.add_argument("--t-max", type=float, required=True)
-    fl.add_argument("--steps", type=int, default=DEFAULT_FLOW_STEPS)
-    fl.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE)
-    fl.add_argument("--budget", type=int, default=DEFAULT_FLOW_BUDGET,
-                    help="renormalization steps per direction")
-    fl.add_argument("--tol", type=float, default=DEFAULT_THETA_TOL,
-                    help="criterion 1 angle tolerance")
-
-    rn = sub.add_parser("rotnum", parents=[fmt],
-                        help="rotation number of the two-slope circle map")
-    rn.add_argument("--rhoA", type=float)
-    rn.add_argument("--rhoB", type=float)
-    rn.add_argument("--rhoA-exact", metavar="a,b,d")
-    rn.add_argument("--rhoB-exact", metavar="a,b,d")
-    rn.add_argument("--budget", type=int, default=ROTATION_MAX_ITER,
-                    help="iteration cap of the float estimate")
-    rn.add_argument("--tol", type=float, default=DEFAULT_ROTNUM_TOL,
-                    help="agreement of successive float estimates")
-
-    ms = sub.add_parser("measure", parents=[fmt],
-                        help="survivor measure after n subdivision steps")
-    ms.add_argument("--rhoA", required=True)
-    ms.add_argument("--rhoB", required=True)
-    ms.add_argument("--n", type=int, required=True)
-    ms.add_argument("--exact", action="store_true",
-                    help="exact rational arithmetic")
-
-    sub.add_parser("orbit-closure", parents=[mu],
-                   help="orbit closure of the parameter point")
+    for name, (_, help_line, declare) in _COMMANDS.items():
+        if command in (None, name):
+            declare(sub.add_parser(name, help=help_line))
     return top
 
 
@@ -438,10 +464,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     # deep exact survivor measures print rationals with thousands of digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(10 ** 6)
-    top = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # one command's grammar suffices to parse a call naming it; help,
+    # and the message for a missing or unknown command, need them all
+    top = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = top.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(_diagnostic("BadInput", str(exc)), file=sys.stderr)
         return 2

@@ -46,6 +46,14 @@ class RationalRatio(DilatorusError):
     """Parameter contraction hit a rationally dependent pair and cannot continue."""
 
 
+class OrientationLostToRounding(DilatorusError):
+    """A word's float basis came out with a nonpositive determinant.
+
+    Every move multiplies the true determinant by a positive dilation
+    factor, so only rounding of the ever larger basis entries can flip it.
+    """
+
+
 class NotInMonoid(DilatorusError):
     """Matrix is not a product of the two nonnegative unipotent generators."""
 

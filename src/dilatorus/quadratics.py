@@ -220,6 +220,14 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QuadraticNumber))
 
 
+def as_ratio(x: Scalar) -> tuple[Scalar, Scalar]:
+    """x as (numerator, positive denominator): a Fraction's two ints,
+    (x, 1.0) for a float, and (x, 1) for an int or a QuadraticNumber."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return x, (1.0 if isinstance(x, float) else 1)
+
+
 # --- continued fractions ---
 
 # Cap on the terms float_convergents expands.

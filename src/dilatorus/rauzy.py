@@ -12,9 +12,15 @@ of infinitely renormalizable parameters.
 
 Each letter's inverse parameter map is a Moebius factor, so the pull-back
 along a word is their product.  The word intervals are listed top-down:
-every node of the word tree carries its slopes and that composed
-pull-back, extended by one factor per letter, and a leaf's interval is the
-image of [0, 1].  Exact slopes give exact endpoints.
+every node of the word tree carries its slopes as numerator/denominator
+pairs and that composed pull-back, extended by one factor per letter, and
+a leaf's interval is the image of [0, 1].  A pull-back is projective, so
+each factor is scaled by its slope's denominator without moving any
+point: int and Fraction slopes then keep every matrix entry an int, and
+each endpoint is reduced once, as a Fraction, at its leaf.  Float slopes
+carry denominator 1.0 and run the float operations of the unscaled
+factors.  The exact survivor measure sums the leaf lengths in balanced
+pairs, since a running sum's denominator grows with every term.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .intervalmaps import (
     attracting_cycle_in_hole,
     evaluate,
 )
-from .quadratics import Scalar
+from .quadratics import Scalar, as_ratio, is_exact
 
 CYCLE_CLOSE_TOL: float = 1e-9
 RECONSTRUCT_CAP: int = 10 ** 6
@@ -208,52 +214,59 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 
 # --- parameter intervals of induction words ---
 
-def _letter_feasible(rho_a: Scalar, rho_b: Scalar, letter: str) -> bool:
-    """Whether any valid break point takes this letter.
+def _letters(xn: Scalar, xd: Scalar, yn: Scalar, yd: Scalar) -> str:
+    """The letters some valid break point takes, L first, at slopes
+    rho_a = xn/xd and rho_b = yn/yd (denominators positive).
 
     With rho_a*rho_b >= 1 the injectivity constraint confines valid break
     points to one side: below the B-threshold when rho_a > 1 (forced L),
     above the A-threshold when rho_b > 1 (forced R).
     """
-    if rho_a * rho_b >= 1:
-        if letter == "R" and rho_a > 1:
-            return False
-        if letter == "L" and rho_b > 1:
-            return False
-    return True
+    if xn * yn >= xd * yd:
+        return ("" if yn > yd else "L") + ("" if xn > xd else "R")
+    return "LR"
 
 
-def _identity(rho: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """The identity pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s), in
-    the scalar type of rho."""
-    zero = 0 * rho
-    return (1 + zero, zero, zero, 1 + zero)
-
-
-def _descend(rho_a: Scalar, rho_b: Scalar, letter: str, p: Scalar,
-             q: Scalar, r: Scalar, s: Scalar
-             ) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
-    """The child of one letter: its slopes, then its composed pull-back.
+def _descend(xn: Scalar, xd: Scalar, yn: Scalar, yd: Scalar, letter: str,
+             p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> tuple:
+    """The child of one letter: its slopes (xn, xd, yn, yd), then its
+    composed pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s).
 
     The pull-back from the child's break parameter to the root's is the
     parent's, [[p, q], [r, s]], times the letter's Moebius factor on the
     right: y -> rho_b*y / (1 + rho_b*y) for L, y -> 1 / (1 + rho_a*(1 - y))
-    for R.
+    for R.  The factor is scaled by the slope's denominator, which moves
+    no point, so integer slope pairs keep every entry an integer; at
+    denominator 1.0 the float operations are those of the unscaled factor.
     """
     if letter == "L":
-        # [[p, q], [r, s]] @ [[rho_b, 0], [rho_b, 1]]
-        return (rho_a * rho_b, rho_b, (p + q) * rho_b, q, (r + s) * rho_b, s)
+        # [[p, q], [r, s]] @ [[yn, 0], [yn, yd]]
+        return (xn * yn, xd * yd, yn, yd,
+                (p + q) * yn, q * yd, (r + s) * yn, s * yd)
     if letter == "R":
-        # [[p, q], [r, s]] @ [[0, 1], [-rho_a, 1 + rho_a]]
-        t = 1 + rho_a
-        return (rho_a, rho_a * rho_b, -q * rho_a, p + q * t, -s * rho_a,
-                r + s * t)
+        # [[p, q], [r, s]] @ [[0, xd], [-xn, xd + xn]]
+        t = xd + xn
+        return (xn, xd, xn * yn, xd * yd,
+                -q * xn, p * xd + q * t, -s * xn, r * xd + s * t)
     raise ValueError(f"invalid word letter {letter!r}")
 
 
-def _image_of_unit(p: Scalar, q: Scalar, r: Scalar,
-                   s: Scalar) -> tuple[Scalar, Scalar]:
-    """The pull-back's images of 0 and 1."""
+def _root(rho_a: Scalar, rho_b: Scalar) -> tuple[tuple, bool]:
+    """The root node (xn, xd, yn, yd, p, q, r, s) with the identity
+    pull-back, and whether all its entries are ints."""
+    xn, xd = as_ratio(rho_a)
+    yn, yd = as_ratio(rho_b)
+    zero = 0 * xn * yn
+    return ((xn, xd, yn, yd, 1 + zero, zero, zero, 1 + zero),
+            all(type(v) is int for v in (xn, xd, yn, yd)))
+
+
+def _image_of_unit(p: Scalar, q: Scalar, r: Scalar, s: Scalar,
+                   integral: bool) -> tuple[Scalar, Scalar]:
+    """The pull-back's images of 0 and 1; Fractions when the entries are
+    ints."""
+    if integral:
+        return (Fraction(q, s), Fraction(p + q, r + s))
     return (q / s, (p + q) / (r + s))
 
 
@@ -262,14 +275,15 @@ def interval_for_word(rho_a: Scalar, rho_b: Scalar,
     """Closed parameter interval whose induction word starts with `word`."""
     if not (rho_a > 0 and rho_b > 0):
         raise ValueError("slopes must be positive")
-    pull = _identity(rho_a)
+    node, integral = _root(rho_a, rho_b)
     for letter in word:
-        if not _letter_feasible(rho_a, rho_b, letter):
+        if letter in "LR" and letter not in _letters(*node[:4]):
+            xn, xd, yn, yd = node[:4]
             raise EmptyInterval(
                 f"letter {letter} is unreachable at slopes "
-                f"({float(rho_a)}, {float(rho_b)})")
-        rho_a, rho_b, *pull = _descend(rho_a, rho_b, letter, *pull)
-    return _image_of_unit(*pull)
+                f"({float(xn / xd)}, {float(yn / yd)})")
+        node = _descend(*node[:4], letter, *node[4:])
+    return _image_of_unit(*node[4:], integral)
 
 
 def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
@@ -278,10 +292,14 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
 
     One interval per feasible word of length `depth`, words in order with
     L before R.  The word tree is walked top-down on an explicit stack.
-    Each node carries its slopes and the composed pull-back of its break
-    parameter, one Moebius factor per letter (see `_descend`), and a
+    Each node carries its slopes as numerator/denominator pairs and the
+    composed pull-back of its break parameter, one Moebius factor per
+    letter scaled by the slope's denominator (see `_descend`), and a
     leaf's interval is the image of [0, 1] under its pull-back.  That is
-    O(2^depth) scalar operations, and exact slopes give exact endpoints.
+    O(2^depth) scalar operations.  Int and Fraction slopes keep every
+    entry an int and give Fraction endpoints, normalized once per leaf;
+    QuadraticNumber slopes give exact endpoints too, and float slopes
+    run the float operations of the unscaled factors.
     Slopes must be positive, and finite when they are floats.
     """
     if depth < 0:
@@ -291,23 +309,38 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
         raise ValueError(f"slopes must be finite, got ({rho_a!r}, {rho_b!r})")
     if not (rho_a > 0 and rho_b > 0):
         raise ValueError("slopes must be positive")
+    root, integral = _root(rho_a, rho_b)
     out: list[tuple[Scalar, Scalar]] = []
-    stack = [(rho_a, rho_b, *_identity(rho_a), depth)]
+    stack = [(*root, depth)]
     while stack:
-        ra, rb, p, q, r, s, k = stack.pop()
+        xn, xd, yn, yd, p, q, r, s, k = stack.pop()
         if k == 0:
-            out.append(_image_of_unit(p, q, r, s))
+            out.append(_image_of_unit(p, q, r, s, integral))
             continue
-        for letter in ("R", "L"):          # L is popped, and listed, first
-            if _letter_feasible(ra, rb, letter):
-                stack.append((*_descend(ra, rb, letter, p, q, r, s), k - 1))
+        for letter in reversed(_letters(xn, xd, yn, yd)):  # L is popped first
+            stack.append((*_descend(xn, xd, yn, yd, letter, p, q, r, s),
+                          k - 1))
     return out
 
 
+def _pairwise_sum(terms: list) -> Scalar:
+    """Sum of a nonempty list by balanced pairs, which keeps exact
+    operands of similar size."""
+    while len(terms) > 1:
+        pairs = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0]
+
+
 def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
-    """Lebesgue measure of the n-times renormalizable parameter set."""
+    """Lebesgue measure of the n-times renormalizable parameter set.
+
+    Exact slopes sum the interval lengths in balanced pairs; float slopes
+    sum them left to right."""
+    intervals = survivor_intervals(rho_a, rho_b, depth)
+    if is_exact(rho_a) and is_exact(rho_b):
+        return _pairwise_sum([hi - lo for lo, hi in intervals] or [0 * rho_a])
     total = 0 * rho_a
-    for lo, hi in survivor_intervals(rho_a, rho_b, depth):
+    for lo, hi in intervals:
         total = total + (hi - lo)
     return total
-

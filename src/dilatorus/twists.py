@@ -22,7 +22,9 @@ from typing import Optional, Sequence
 from .errors import (
     BudgetExhausted,
     InadmissibleAtStep,
+    NonOrientedBasis,
     NotInMonoid,
+    OrientationLostToRounding,
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
@@ -127,7 +129,11 @@ class WordResult:
 
 
 def apply_word(word: Sequence[TwistGenerator], room: Room) -> WordResult:
-    """Apply a word move by move, requiring every prefix to stay admissible."""
+    """Apply a word move by move, requiring every prefix to stay admissible.
+
+    The moves keep the basis oriented, but its float entries can grow
+    until the rounded determinant turns over; that raises
+    OrientationLostToRounding."""
     params = room.params
     if word and not params.in_positive_quadrant():
         raise InadmissibleAtStep(0, "start parameters are not in the "
@@ -140,7 +146,15 @@ def apply_word(word: Sequence[TwistGenerator], room: Room) -> WordResult:
         if not params.in_positive_quadrant():
             raise InadmissibleAtStep(k)
         path.append(params.as_floats())
-    return WordResult(Room(e1, e2, params), tuple(path))
+    try:
+        final = Room(e1, e2, params)
+    except NonOrientedBasis as exc:
+        big = max(abs(c) for c in (*e1.as_floats(), *e2.as_floats()))
+        raise OrientationLostToRounding(
+            f"rounding flipped the float basis after {len(word)} moves "
+            f"(entries up to {big:.3g}; {exc}), though every move multiplies "
+            "the true determinant by a positive dilation factor") from None
+    return WordResult(final, tuple(path))
 
 
 # --- subtractive contraction ---

@@ -17,7 +17,6 @@ from dilatorus.geometry import (PARALLEL_EPS, Room, Vec2, angle_dist_mod_pi,
 from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
                                     PiecewiseAffineMap, TwoSlopeMap)
 from dilatorus.quadratics import Scalar
-from dilatorus.rauzy import _letter_feasible
 from dilatorus.surface import (_PARTNER, BRANCH_BISECT_TOL,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
@@ -359,6 +358,85 @@ def find_periodic_oracle(tsm: TwoSlopeMap, max_iter: int = 10 ** 4,
     return None
 
 
+# --- survivor intervals: the letter-feasibility test, and the top-down walk
+# on unscaled Moebius factors in the slopes' own scalar type ---
+
+def _letter_feasible(rho_a: Scalar, rho_b: Scalar, letter: str) -> bool:
+    """Whether any valid break point takes this letter.
+
+    With rho_a*rho_b >= 1 the injectivity constraint confines valid break
+    points to one side: below the B-threshold when rho_a > 1 (forced L),
+    above the A-threshold when rho_b > 1 (forced R).
+    """
+    if rho_a * rho_b >= 1:
+        if letter == "R" and rho_a > 1:
+            return False
+        if letter == "L" and rho_b > 1:
+            return False
+    return True
+
+
+def _identity(rho: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """The identity pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s), in
+    the scalar type of rho."""
+    zero = 0 * rho
+    return (1 + zero, zero, zero, 1 + zero)
+
+
+def _descend(rho_a: Scalar, rho_b: Scalar, letter: str, p: Scalar,
+             q: Scalar, r: Scalar, s: Scalar
+             ) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
+    """The child of one letter: its slopes, then its composed pull-back.
+
+    The pull-back from the child's break parameter to the root's is the
+    parent's, [[p, q], [r, s]], times the letter's Moebius factor on the
+    right: y -> rho_b*y / (1 + rho_b*y) for L, y -> 1 / (1 + rho_a*(1 - y))
+    for R.
+    """
+    if letter == "L":
+        # [[p, q], [r, s]] @ [[rho_b, 0], [rho_b, 1]]
+        return (rho_a * rho_b, rho_b, (p + q) * rho_b, q, (r + s) * rho_b, s)
+    if letter == "R":
+        # [[p, q], [r, s]] @ [[0, 1], [-rho_a, 1 + rho_a]]
+        t = 1 + rho_a
+        return (rho_a, rho_a * rho_b, -q * rho_a, p + q * t, -s * rho_a,
+                r + s * t)
+    raise ValueError(f"invalid word letter {letter!r}")
+
+
+def _image_of_unit(p: Scalar, q: Scalar, r: Scalar,
+                   s: Scalar) -> tuple[Scalar, Scalar]:
+    """The pull-back's images of 0 and 1."""
+    return (q / s, (p + q) / (r + s))
+
+
+def survivor_intervals_topdown_oracle(rho_a: Scalar, rho_b: Scalar,
+                                      depth: int
+                                      ) -> list[tuple[Scalar, Scalar]]:
+    """The word tree walked top-down on an explicit stack, each node
+    carrying its slopes and its composed pull-back in the slopes' own
+    scalar type: one division per endpoint, so Fraction slopes reduce at
+    every product."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if not all(math.isfinite(x) for x in (rho_a, rho_b)
+               if isinstance(x, float)):
+        raise ValueError(f"slopes must be finite, got ({rho_a!r}, {rho_b!r})")
+    if not (rho_a > 0 and rho_b > 0):
+        raise ValueError("slopes must be positive")
+    out: list[tuple[Scalar, Scalar]] = []
+    stack = [(rho_a, rho_b, *_identity(rho_a), depth)]
+    while stack:
+        ra, rb, p, q, r, s, k = stack.pop()
+        if k == 0:
+            out.append(_image_of_unit(p, q, r, s))
+            continue
+        for letter in ("R", "L"):          # L is popped, and listed, first
+            if _letter_feasible(ra, rb, letter):
+                stack.append((*_descend(ra, rb, letter, p, q, r, s), k - 1))
+    return out
+
+
 # --- survivor intervals by bottom-up recursion ---
 
 def _child_slopes(rho_a: Scalar, rho_b: Scalar, letter: str
@@ -382,7 +460,7 @@ def survivor_intervals_oracle(rho_a: Scalar, rho_b: Scalar,
                               depth: int) -> list[tuple[Scalar, Scalar]]:
     """Each child's intervals pulled back through the parent's letter,
     one endpoint at a time: n*2^(n+1) Moebius evaluations at depth n.
-    Only the letter-feasibility test is shared with the package."""
+    Only the letter-feasibility test is shared with the top-down oracle."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth == 0:

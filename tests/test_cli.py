@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dilatorus import cli
 from dilatorus.cli import MAX_MEASURE_DEPTH, canonical_json, main
 from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
                                 room_to_json, SL2Matrix)
@@ -365,3 +366,98 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     data = json.loads(err)
     assert data["error"] == "BadInput"
     assert "unrecognized arguments" in data["detail"]
+
+
+def test_twist_whose_float_basis_loses_orientation_names_rounding(capsys):
+    # every move multiplies the true determinant by a positive factor; the
+    # float basis entries reach about 7e37 and their rounded determinant
+    # comes out negative
+    code, out, err = run(capsys, ["twist", "--mu1-exact=1,0,0",
+                                  "--mu2-exact=1,0,0", "--word=ABABABAB"])
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "OrientationLostToRounding"
+    assert "rounding" in data["detail"]
+    # the shorter prefix still keeps its orientation
+    code, _, _ = run(capsys, ["twist", "--mu1-exact=1,0,0",
+                              "--mu2-exact=1,0,0", "--word=ABAB"])
+    assert code == 0
+
+
+# --- one command's grammar per call ---
+
+ROOM_FLAGS = ["--mu1=0.7", "--mu2=0.6"]
+# per command: a valid call, then calls with a missing required flag, a
+# flag the command does not read, a bad choice and a bad type, as far as
+# the command has such flags
+GRAMMAR_CASES = {
+    "room": [ROOM_FLAGS, ["--theta=1"], ["--mu1=x"],
+             ["--e1=2,0", "--svg=r.svg", "--mu1-exact=1,0,2"]],
+    "act": [["--rotate=0.5"] + ROOM_FLAGS, ["--budget=3"], ["--t=slow"]],
+    "twist": [["--word=AB"] + ROOM_FLAGS, ROOM_FLAGS,
+              ["--word=AB", "--tol=1"], ["--word=AB", "--mu2=?"]],
+    "reach": [["--target1=1", "--target2=2", "--budget=9"] + ROOM_FLAGS,
+              ["--budget=9"], ["--target1=1", "--target2=2", "--svg=x"],
+              ["--target1=1", "--target2=two"]],
+    "classify": [["--theta=1.5"] + ROOM_FLAGS, ROOM_FLAGS,
+                 ["--theta=1", "--format=json"], ["--theta=1", "--budget=1.5"]],
+    "scan": [["--eps=0.2", "--format=csv"] + ROOM_FLAGS, ["--theta=1"],
+             ["--format=xml"], ["--eps=wide"]],
+    "flow": [["--t-max=3", "--steps=4", "--tol=0.1"] + ROOM_FLAGS, ROOM_FLAGS,
+             ["--t-max=3", "--svg=f.svg"], ["--t-max=3", "--format=svg"],
+             ["--t-max=3", "--steps=2.5"]],
+    "rotnum": [["--rhoA=2.5", "--rhoB=0.3", "--format=csv"],
+               ["--rhoA-exact=5/2,0,0", "--rhoB-exact=1/3,0,0"],
+               ["--rhoA=2.5", "--n=3"], ["--format=tsv"], ["--rhoA=big"]],
+    "measure": [["--rhoA=1/2", "--rhoB=1/3", "--n=3", "--exact"],
+                ["--n=3"], MEASURE_FLAGS + ["--theta=1"],
+                MEASURE_FLAGS + ["--format=yaml"],
+                ["--rhoA=0.5", "--rhoB=0.5", "--n=three"]],
+    "orbit-closure": [["--mu1-exact=1,1,2", "--mu2-exact=1,0,0"],
+                      ["--format=json"], ["--mu1=one"]],
+}
+
+
+def test_grammar_cases_cover_every_command():
+    assert set(GRAMMAR_CASES) == set(cli._COMMANDS)
+
+
+def _through_full_grammar(argv):
+    """(Namespace, None) from the every-command grammar, or (None, the
+    stderr main prints for its rejection)."""
+    try:
+        return cli.build_parser().parse_args(argv), None
+    except cli.UsageError as exc:
+        return None, canonical_json({"error": "BadInput",
+                                     "detail": str(exc)}) + "\n"
+
+
+@pytest.mark.parametrize("command", list(GRAMMAR_CASES))
+def test_main_parses_like_the_full_grammar(monkeypatch, capsys, command):
+    seen = []
+    handler, help_line, declare = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (lambda args: seen.append(args) or 0,
+                         help_line, declare))
+    for flags in GRAMMAR_CASES[command]:
+        argv = [command] + flags
+        want, want_err = _through_full_grammar(argv)
+        code, out, err = run(capsys, argv)
+        assert out == ""
+        if want is None:
+            assert (code, err) == (2, want_err)
+            assert not seen
+        else:
+            assert (code, err) == (0, "")
+            assert seen.pop() == want
+
+
+@pytest.mark.parametrize("argv", [[], ["orbit"], ["--mu1=1", "room"]],
+                         ids=["empty", "unknown", "flag-first"])
+def test_missing_or_unknown_command_uses_full_grammar(capsys, argv):
+    _, want_err = _through_full_grammar(argv)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", want_err)
+    if argv == ["orbit"]:
+        detail = json.loads(err)["detail"]
+        assert all(repr(name) in detail for name in cli._COMMANDS)

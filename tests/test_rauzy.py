@@ -216,6 +216,71 @@ def test_survivor_intervals_near_oracle_on_floats(ra, rb):
             assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12
 
 
+# the benchmark's measure slopes: every p/q in [0.3, 0.9] with q in {5, 6, 7}
+MEASURE_SLOPES = sorted({Fraction(p, q) for q in (5, 6, 7)
+                         for p in range(1, q) if 0.3 <= p / q <= 0.9})
+SAME_FIELD_PAIRS = [
+    (QuadraticNumber(Fraction(2, 5), Fraction(1, 7), 3),
+     QuadraticNumber(Fraction(5, 6), -Fraction(1, 4), 3)),
+    (QuadraticNumber(Fraction(1, 3), Fraction(1, 4), 7),
+     QuadraticNumber(Fraction(3, 2), -Fraction(1, 3), 7)),
+]
+
+
+@pytest.mark.parametrize("ra", MEASURE_SLOPES, ids=str)
+def test_scaled_walk_equals_unscaled_walk_on_fractions(ra):
+    for rb in MEASURE_SLOPES:
+        got = survivor_intervals(ra, rb, 8)
+        assert got == oracles.survivor_intervals_topdown_oracle(ra, rb, 8)
+        assert all(type(x) is Fraction for interval in got for x in interval)
+
+
+@pytest.mark.parametrize("ra", MEASURE_SLOPES, ids=str)
+def test_scaled_walk_is_bit_identical_on_floats(ra):
+    for rb in MEASURE_SLOPES:
+        for depth in (8, 11):
+            got = survivor_intervals(float(ra), float(rb), depth)
+            want = oracles.survivor_intervals_topdown_oracle(
+                float(ra), float(rb), depth)
+            assert [(lo.hex(), hi.hex()) for lo, hi in got] \
+                == [(lo.hex(), hi.hex()) for lo, hi in want]
+
+
+@pytest.mark.parametrize("ra,rb", SAME_FIELD_PAIRS, ids=["sqrt3", "sqrt7"])
+def test_scaled_walk_equals_unscaled_walk_on_quadratic_slopes(ra, rb):
+    for depth in range(7):
+        assert (survivor_intervals(ra, rb, depth)
+                == oracles.survivor_intervals_topdown_oracle(ra, rb, depth))
+    want = 0
+    for lo, hi in oracles.survivor_intervals_topdown_oracle(ra, rb, 6):
+        want = want + (hi - lo)
+    assert survivor_measure(ra, rb, 6) == want
+
+
+@pytest.mark.parametrize("ra,rb", [(Fraction(3, 5), Fraction(5, 7)),
+                                   (HALF, Fraction(4, 5))], ids=str)
+def test_pairwise_exact_measure_equals_running_sum(ra, rb):
+    for depth in (0, 1, 5, 9):
+        want = Fraction(0)
+        for lo, hi in oracles.survivor_intervals_topdown_oracle(ra, rb, depth):
+            want += hi - lo
+        assert survivor_measure(ra, rb, depth) == want
+    # no feasible word: the measure is an exact zero
+    assert survivor_measure(Fraction(3), Fraction(2), 1) == 0
+
+
+def test_int_slopes_give_fraction_endpoints():
+    assert survivor_intervals(2, 1, 3) == [(0, Fraction(1, 4))]
+    assert interval_for_word(2, 1, "LL") == (0, Fraction(1, 3))
+    assert interval_for_word(1, 1, "LR") == (Fraction(1, 3), HALF)
+    for interval in (*survivor_intervals(1, 1, 4),
+                     interval_for_word(2, 1, "LL")):
+        assert all(type(x) is Fraction for x in interval)
+    assert survivor_measure(1, 1, 4) == survivor_measure(Fraction(1),
+                                                         Fraction(1), 4)
+    assert type(survivor_measure(1, 1, 4)) is Fraction
+
+
 def test_survivor_intervals_forced_chain_is_not_recursive():
     # forced L at every depth: one interval, the pull-back of [0, 1]
     # through y -> y/(1+y) taken 3000 times

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dilatorus import surface
@@ -340,6 +341,59 @@ def test_rotation_number_nonconvergence_carries_bracket():
     else:
         # locking onto a cycle is legitimate too
         assert 0 < float(value) < 1
+
+
+ROTATION_TOL = 1e-6
+ROTATION_CAP = 1 << 16
+
+
+def _float_rotation(ra, rb):
+    """The float estimate at float(ra), float(rb), or its NonConvergence
+    bracket."""
+    try:
+        return rotation_number(float(ra), float(rb), tol=ROTATION_TOL,
+                               max_iter=ROTATION_CAP)
+    except NonConvergence as exc:
+        return exc.bracket
+
+
+def _agrees(exact, approx) -> bool:
+    if isinstance(approx, tuple):
+        return approx[0] <= exact <= approx[1]
+    return abs(float(exact) - float(approx)) <= 1e-4
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.fractions(min_value=Fraction(10, 9), max_value=5,
+                    max_denominator=9),
+       st.integers(min_value=1, max_value=4))
+def test_exact_rotation_number_on_closed_break_orbit_matches_float(ra, k):
+    # at rho_a^k * rho_b = 1 the break point's orbit closes after k + 1
+    # steps, one of them on the upper branch
+    rb = 1 / ra ** k
+    exact = rotation_number(ra, rb, tol=ROTATION_TOL, max_iter=ROTATION_CAP)
+    assert exact == Fraction(1, k + 1)
+    assert _agrees(exact, _float_rotation(ra, rb))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.fractions(min_value=Fraction(10, 9), max_value=8,
+                    max_denominator=9),
+       st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10),
+                    max_denominator=10))
+def test_exact_rotation_number_agrees_with_float(ra, rb):
+    approx = _float_rotation(ra, rb)
+    try:
+        exact = rotation_number(ra, rb, tol=ROTATION_TOL,
+                                max_iter=ROTATION_CAP)
+    except NonConvergence as exc:
+        # no exact cycle: the float fallback ran on the same floats
+        assert exc.bracket == approx
+        return
+    if isinstance(exact, float):
+        assert exact == approx
+    else:
+        assert _agrees(exact, approx)
 
 
 def test_rotation_number_rejects_bad_slopes():

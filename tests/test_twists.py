@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dilatorus.errors import InadmissibleAtStep, NotInMonoid, RationalRatio
 from dilatorus.geometry import DilationParams, square_room
@@ -57,6 +58,42 @@ def test_generator_roundtrips_exact_in_rational_mode():
             there = twist_mu(g, params)
             back = twist_mu(g.inverse, there)
             assert back.mu1 == params.mu1 and back.mu2 == params.mu2
+
+
+@st.composite
+def exact_params(draw) -> DilationParams:
+    """Two positive rationals, or two positive values of one real
+    quadratic field."""
+    d = draw(st.sampled_from((0, 2, 3, 5)))
+
+    def one():
+        a = draw(st.fractions(min_value=Fraction(1, 9), max_value=1,
+                              max_denominator=9))
+        b = draw(st.fractions(min_value=0, max_value=Fraction(1, 3),
+                              max_denominator=9))
+        return QuadraticNumber(a, b, d) if d else a
+
+    return DilationParams(one(), one())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(exact_params(), st.text(alphabet="AaBb", min_size=1, max_size=6))
+def test_word_then_inverse_word_round_trips_exactly(params, letters):
+    word = word_from_string(letters)
+    assume(admissibility_violation(word, params) is None)
+    there = apply_word(word, square_room(params.mu1, params.mu2))
+    inverse = tuple(g.inverse for g in reversed(word))
+    back = apply_word(inverse, there.room)
+    assert back.room.params.mu1 == params.mu1
+    assert back.room.params.mu2 == params.mu2
+    assert back.mu_path == there.mu_path[::-1]
+    # the basis comes back up to rounding, which scales with the largest
+    # entry the word reached
+    big = max(abs(c) for v in (there.room.e1, there.room.e2)
+              for c in v.as_floats())
+    got = (*back.room.e1.as_floats(), *back.room.e2.as_floats())
+    assert all(abs(a - b) <= 1e-9 * big
+               for a, b in zip(got, (1.0, 0.0, 0.0, 1.0)))
 
 
 def test_apply_word_tracks_mu_path():
