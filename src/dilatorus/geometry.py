@@ -32,6 +32,9 @@ EPSILON: float = 1e-12
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
 PARALLEL_EPS: float = 1e-14
+# SL2Matrix accepts |det - 1| up to SL2_DET_TOL * scale**2, where scale
+# is the larger row 1-norm of the matrix (at least 1).
+SL2_DET_TOL: float = 1e-9
 TWO_PI: float = 2.0 * math.pi
 
 
@@ -115,7 +118,7 @@ class SL2Matrix:
         det = self.a * self.d - self.b * self.c
         scale = max(1.0, abs(float(self.a)) + abs(float(self.b)),
                     abs(float(self.c)) + abs(float(self.d)))
-        if abs(float(det) - 1.0) > 1e-9 * scale * scale:
+        if abs(float(det) - 1.0) > SL2_DET_TOL * scale * scale:
             raise ValueError(f"determinant {det} is not 1")
 
     @staticmethod
@@ -537,13 +540,6 @@ def _scalar_to_json(x: Scalar):
     return float(x)
 
 
-def _scalar_from_json(v) -> Scalar:
-    if isinstance(v, list):
-        a, b, d = v
-        return QuadraticNumber(Fraction(str(a)), Fraction(str(b)), int(d))
-    return float(v)
-
-
 def room_to_json(room: Room) -> dict:
     out: dict = {
         "e1": list(room.e1.as_floats()),
@@ -552,18 +548,5 @@ def room_to_json(room: Room) -> dict:
     if room.params.is_exact:
         out["mu_exact"] = [_scalar_to_json(room.params.mu1),
                           _scalar_to_json(room.params.mu2)]
-        out["mu"] = list(room.params.as_floats())
-    else:
-        out["mu"] = list(room.params.as_floats())
+    out["mu"] = list(room.params.as_floats())
     return out
-
-
-def room_from_json(data: dict) -> Room:
-    e1 = Vec2(*[float(c) for c in data["e1"]])
-    e2 = Vec2(*[float(c) for c in data["e2"]])
-    if "mu_exact" in data:
-        m1 = _scalar_from_json(data["mu_exact"][0])
-        m2 = _scalar_from_json(data["mu_exact"][1])
-    else:
-        m1, m2 = (float(c) for c in data["mu"])
-    return Room(e1, e2, DilationParams(m1, m2))

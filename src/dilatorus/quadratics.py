@@ -15,6 +15,11 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
+# float_convergents expands at most CF_MAX_TERMS terms, and stops once
+# the fractional part left (unitless) falls below CF_NOISE_FLOOR.
+CF_MAX_TERMS = 48
+CF_NOISE_FLOOR = 1e-14
+
 
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Return (s, f) with d == s*s*f and f square-free."""
@@ -230,9 +235,6 @@ def as_ratio(x: Scalar) -> tuple[Scalar, Scalar]:
 
 # --- continued fractions ---
 
-# Cap on the terms float_convergents expands.
-CF_MAX_TERMS = 48
-
 
 def cf_convergents(terms: list[int]):
     """Yield convergents (p, q) of a continued fraction."""
@@ -250,7 +252,7 @@ def float_convergents(x: float):
         a = math.floor(r)
         terms.append(a)
         frac = r - a
-        if frac < 1e-14:
+        if frac < CF_NOISE_FLOOR:
             break
         r = 1.0 / frac
     return list(cf_convergents(terms))

@@ -43,6 +43,10 @@ from .quadratics import Scalar, as_ratio, is_exact
 
 CYCLE_CLOSE_TOL: float = 1e-9
 RECONSTRUCT_CAP: int = 10 ** 6
+# Induction on float slopes stops once a slope (unitless) leaves
+# (FLOAT_SLOPE_MIN, FLOAT_SLOPE_MAX).
+FLOAT_SLOPE_MIN: float = 1e-150
+FLOAT_SLOPE_MAX: float = 1e150
 
 
 class StepClass(Enum):
@@ -142,7 +146,6 @@ class RauzyOutcome:
     word: str
     terminal: TerminalKind
     cycle: Optional[PeriodicCycle]
-    final_map: TwoSlopeMap
 
 
 def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
@@ -191,16 +194,14 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
         verdict = classify_step(current)
         if verdict is StepClass.HALT:
             cycle = _pull_back_cycle(tsm, current, charts)
-            return RauzyOutcome("".join(letters), TerminalKind.HALT,
-                                cycle, current)
+            return RauzyOutcome("".join(letters), TerminalKind.HALT, cycle)
         if verdict is StepClass.BOUNDARY:
-            return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY,
-                                None, current)
+            return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY, None)
         if len(letters) == budget:
             break
         if not current.is_exact and not (
-                1e-150 < float(current.rho_a) < 1e150
-                and 1e-150 < float(current.rho_b) < 1e150):
+                FLOAT_SLOPE_MIN < float(current.rho_a) < FLOAT_SLOPE_MAX
+                and FLOAT_SLOPE_MIN < float(current.rho_b) < FLOAT_SLOPE_MAX):
             # Float slopes grow without bound along non-halting words;
             # past this range the induced data is no longer meaningful.
             break
@@ -208,8 +209,7 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
         letters.append("L" if verdict is StepClass.WINNER_B else "R")
         charts.append(step.chart)
         current = step.induced
-    return RauzyOutcome("".join(letters), TerminalKind.BUDGET_EXHAUSTED,
-                        None, current)
+    return RauzyOutcome("".join(letters), TerminalKind.BUDGET_EXHAUSTED, None)
 
 
 # --- parameter intervals of induction words ---

@@ -15,6 +15,7 @@ boundary between the expanding and contracting regimes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -63,6 +64,12 @@ TRANSVERSALITY_FLOOR = 1e-9  # radians between the flow and a section
 DOOR_ANGLE_TOL = 1e-12      # radians between the flow and the door
 INWARD_SLACK = 1e-12        # of the cosine: door-parallel flow is inward
 CYLINDER_EDGE_TOL = 1e-10   # radians
+# rotation_number's float orbit, in the [0, 1) coordinate of the circle:
+# a return within ROTATION_ANCHOR_RADIUS of an anchor point proposes a
+# cycle, and one more loop that closes within ROTATION_CYCLE_TOL (with
+# the same gain) confirms it.
+ROTATION_ANCHOR_RADIUS = 1e-12
+ROTATION_CYCLE_TOL = 1e-11
 # _verify_reduction, in the [0, 1] coordinate of the normal form, skips
 # probes within VERIFY_END_MARGIN of 0 or 1 or VERIFY_BREAK_MARGIN of the
 # break point, and rejects a probe that returns off by over VERIFY_TOL.
@@ -290,16 +297,43 @@ def trace_ray(room: Room, p: Vec2, theta: float,
 
 # --- first-return map to a cross-section ---
 
-def _bisect(lo: float, hi: float, pred: Callable[[float], bool],
+def _bisect(inside: float, outside: float, pred: Callable[[float], bool],
             tol: float) -> float:
-    """Boundary of {pred} in [lo, hi], assuming pred(lo) and not pred(hi)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    """Edge of {pred} between inside, where pred holds, and outside, where
+    it does not; the bracket may run either way along the line."""
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
         if pred(mid):
-            lo = mid
+            inside = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
+def _flight(room: Room, theta: float, section: CrossSection,
+            frame: tuple[float, float, float, float, float], s: float
+            ) -> tuple[float, float, tuple[int, ...]]:
+    """(s_back, factor, crossed sides) of the flight from s back to the
+    section, where `frame` is the section's `_section_frame`.
+
+    Raises BudgetExhausted when the flight takes more than
+    DEFAULT_MAX_CROSSINGS transports, NotTransverse when it reaches the
+    door, and VertexHit from the tracer.
+    """
+    ax, ay, tx, ty, _ = frame
+    tr = trace_ray(room, Vec2(ax + tx * s, ay + ty * s), theta,
+                   max_crossings=DEFAULT_MAX_CROSSINGS, section=section)
+    if tr.terminal is TraceEnd.BUDGET:
+        raise BudgetExhausted("no return to the section within "
+                              f"{DEFAULT_MAX_CROSSINGS} crossings",
+                              partial=tr)
+    if tr.terminal is TraceEnd.DOOR:
+        raise NotTransverse("trajectory off the section reaches the "
+                            "door; no first-return map in this "
+                            "direction")
+    end = tr.end_point
+    s_back = (end.x - ax) * tx + (end.y - ay) * ty
+    return s_back, tr.cumulative_factor, tr.crossed_sides
 
 
 def first_return_map(room: Room, theta: float,
@@ -313,7 +347,8 @@ def first_return_map(room: Room, theta: float,
     by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
     midpoints of equal cells.
     """
-    ax, ay, tx, ty, length = _section_frame(room, section)
+    frame = _section_frame(room, section)
+    length = frame[4]
     if angle_dist_mod_pi(theta, section.direction(room)) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")
     # Directions parallel to the door are allowed: their flow is tangent
@@ -321,33 +356,18 @@ def first_return_map(room: Room, theta: float,
     if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
 
-    def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
-        tr = trace_ray(room, Vec2(ax + tx * s, ay + ty * s), theta,
-                       max_crossings=DEFAULT_MAX_CROSSINGS, section=section)
-        if tr.terminal is TraceEnd.BUDGET:
-            raise BudgetExhausted("no return to the section within "
-                                  f"{DEFAULT_MAX_CROSSINGS} crossings",
-                                  partial=tr)
-        if tr.terminal is TraceEnd.DOOR:
-            raise NotTransverse("trajectory off the section reaches the "
-                                "door; no first-return map in this "
-                                "direction")
-        end = tr.end_point
-        s_back = (end.x - ax) * tx + (end.y - ay) * ty
-        return s_back, tr.cumulative_factor, tr.crossed_sides
-
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
             for k in range(DEFAULT_RETURN_SAMPLES)]
     keys: list[Optional[tuple[int, ...]]] = []
     for s in grid:
         try:
-            keys.append(flight(s)[2])
+            keys.append(_flight(room, theta, section, frame, s)[2])
         except VertexHit:
             keys.append(None)
 
     def same_key(s: float, key: tuple[int, ...]) -> bool:
         try:
-            return flight(s)[2] == key
+            return _flight(room, theta, section, frame, s)[2] == key
         except VertexHit:
             return False
 
@@ -357,11 +377,13 @@ def first_return_map(room: Room, theta: float,
         left, right = keys[k], keys[k + 1]
         if left == right:
             continue
+        # bisect from the grid point whose flight has a key
         if left is not None:
-            pred = lambda s, key=left: same_key(s, key)
+            inside, outside, key = grid[k], grid[k + 1], left
         else:
-            pred = lambda s, key=right: not same_key(s, key)
-        cuts.append(_bisect(grid[k], grid[k + 1], pred, tol))
+            inside, outside, key = grid[k + 1], grid[k], right
+        cuts.append(_bisect(inside, outside,
+                            lambda s: same_key(s, key), tol))
 
     boundaries = [0.0]
     for c in sorted(cuts):
@@ -380,8 +402,8 @@ def first_return_map(room: Room, theta: float,
             try:
                 s1 = lo + frac1 * width
                 s2 = lo + frac2 * width
-                back1, factor1, key1 = flight(s1)
-                back2, factor2, key2 = flight(s2)
+                back1, factor1, key1 = _flight(room, theta, section, frame, s1)
+                back2, factor2, key2 = _flight(room, theta, section, frame, s2)
             except VertexHit:
                 continue
             if key1 != key2:
@@ -407,13 +429,12 @@ class SectionReduction:
     """Two-slope normal form of a direction's return dynamics.
 
     `chart` maps the section's arc-length coordinate to the [0, 1]
-    coordinate of `two_slope`; `return_map` is the unreduced map.
+    coordinate of `two_slope`.
     """
 
     two_slope: TwoSlopeMap
     chart: AffineChart
     section: CrossSection
-    return_map: PiecewiseAffineMap
 
 
 def _verify_reduction(room: Room, theta: float, sec: CrossSection,
@@ -424,7 +445,8 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
     resolution; a reduction whose extrapolated laws disagree with an
     independent trace is rejected rather than silently kept.
     """
-    ax, ay, tx, ty, length = _section_frame(room, sec)
+    frame = _section_frame(room, sec)
+    length = frame[4]
     for k in range(16):
         s = length * math.modf(0.12345 + k * 0.6180339887498949)[0]
         x = float(chart.apply(s))
@@ -432,15 +454,12 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
                 or abs(x - float(tsm.x_t)) < VERIFY_BREAK_MARGIN):
             continue
         try:
-            tr = trace_ray(room, Vec2(ax + tx * s, ay + ty * s), theta,
-                           max_crossings=DEFAULT_MAX_CROSSINGS, section=sec)
+            s_back = _flight(room, theta, sec, frame, s)[0]
         except VertexHit:
             continue
-        if tr.terminal is not TraceEnd.SECTION:
+        except (BudgetExhausted, NotTransverse):
             raise NotReducible("verification trace did not return to the "
-                               "section")
-        end = tr.end_point
-        s_back = (end.x - ax) * tx + (end.y - ay) * ty
+                               "section") from None
         predicted = float(evaluate_two_slope(tsm, x))
         observed = float(chart.apply(s_back))
         if abs(predicted - observed) > VERIFY_TOL:
@@ -468,7 +487,7 @@ def direction_to_two_slope(room: Room, theta: float) -> SectionReduction:
         except (NotTransverse, NotReducible, VertexHit, BudgetExhausted) as exc:
             failures.append(f"({sec.i},{sec.j}): {exc}")
             continue
-        return SectionReduction(tsm, chart, sec, pam)
+        return SectionReduction(tsm, chart, sec)
     raise NotReducible("no section yields a two-slope normal form: "
                        + "; ".join(failures))
 
@@ -483,15 +502,15 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
     direction carries a period-1 attracting leaf that the two-slope
     normal form cannot express.  The fixed point must be interior to
     the section: a fixed point at an endpoint is a saddle loop through
-    the cone point, not a cylinder.
+    the cone point, not a cylinder.  `pam` is merged, as
+    `first_return_map` returns it.
     """
-    merged = pam.merged()
-    jumps = merged.jumps()
-    dom_lo, dom_hi = merged.domain
+    jumps = pam.jumps()
+    dom_lo, dom_hi = pam.domain
     scale = float(dom_hi - dom_lo)
-    if len(jumps) == 0 and len(merged.branches) == 1:
-        branch = merged.branches[0]
-    elif len(jumps) == 1 and len(merged.branches) == 2:
+    if len(jumps) == 0 and len(pam.branches) == 1:
+        branch = pam.branches[0]
+    elif len(jumps) == 1 and len(pam.branches) == 2:
         x_d, left_limit, right_limit = jumps[0]
         if right_limit > left_limit:
             return None
@@ -499,7 +518,7 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
         if (j_lo - COLLAPSE_JUMP_MARGIN * scale <= float(x_d)
                 <= j_hi + COLLAPSE_JUMP_MARGIN * scale):
             return None
-        branch = merged.branches[0] if float(x_d) > j_hi else merged.branches[1]
+        branch = pam.branches[0] if float(x_d) > j_hi else pam.branches[1]
     else:
         return None
     slope = float(branch.slope)
@@ -531,20 +550,18 @@ def _collapsed_direction(room: Room, theta: float
         if col is None:
             continue
         slope, fixed = col
-        ax, ay, tx, ty, length = _section_frame(room, sec)
+        frame = _section_frame(room, sec)
         try:
-            tr = trace_ray(room, Vec2(ax + tx * fixed, ay + ty * fixed), theta,
-                           max_crossings=DEFAULT_MAX_CROSSINGS, section=sec)
-            if tr.terminal is not TraceEnd.SECTION:
-                continue
-            end = tr.end_point
-            s_back = (end.x - ax) * tx + (end.y - ay) * ty
-            if abs(s_back - fixed) > COLLAPSE_CLOSE_TOL * length:
-                continue
+            s_back = _flight(room, theta, sec, frame, fixed)[0]
+        except (NotTransverse, BudgetExhausted):
+            continue
         except VertexHit:
             # The branch law was already verified at two probe points;
             # a singular hit exactly at the fixed point does not refute it.
             pass
+        else:
+            if abs(s_back - fixed) > COLLAPSE_CLOSE_TOL * frame[4]:
+                continue
         return slope, fixed, sec
     return None
 
@@ -571,6 +588,12 @@ class DirectionClass:
     multiplier: Optional[float]
     reduction: Optional[SectionReduction]
     outcome: Optional[RauzyOutcome]
+
+    @property
+    def exhausted(self) -> bool:
+        """The induction budget ran out before a verdict was reached."""
+        return (self.outcome is not None
+                and self.outcome.terminal is TerminalKind.BUDGET_EXHAUSTED)
 
 
 def classify_direction(room: Room, theta: float,
@@ -638,6 +661,25 @@ class Cylinder:
         }
 
 
+def _runs(keys: list, same: Callable[[object, object], bool]
+          ) -> list[tuple[int, int]]:
+    """(first, last) index of each maximal run of keys other than None
+    that match the run's first key under `same`."""
+    runs = []
+    k = 0
+    while k < len(keys):
+        if keys[k] is None:
+            k += 1
+            continue
+        k_end = k
+        while (k_end + 1 < len(keys) and keys[k_end + 1] is not None
+               and same(keys[k], keys[k_end + 1])):
+            k_end += 1
+        runs.append((k, k_end))
+        k = k_end + 1
+    return runs
+
+
 @dataclass(frozen=True)
 class ScanResult:
     cylinders: tuple[Cylinder, ...]
@@ -665,59 +707,35 @@ def find_cylinders(room: Room, eps_angle: float,
 
     exhausted = False
 
-    def probe(theta: float):
+    def cylinder_at(theta: float) -> Optional[DirectionClass]:
         nonlocal exhausted
         try:
             verdict = classify_direction(room, theta, budget=budget)
         except UNDECIDED_ERRORS:
             return None
-        if (verdict.outcome is not None
-                and verdict.outcome.terminal is TerminalKind.BUDGET_EXHAUSTED):
-            exhausted = True
-        return verdict
+        exhausted = exhausted or verdict.exhausted
+        return verdict if verdict.kind is DirectionKind.CYLINDER else None
 
-    verdicts = [probe(t) for t in thetas]
-    keys = [(v.word if v is not None and v.kind is DirectionKind.CYLINDER
-             else None) for v in verdicts]
-
-    def is_word(theta: float, word: str) -> bool:
-        v = probe(theta)
-        return (v is not None and v.kind is DirectionKind.CYLINDER
-                and v.word == word)
-
-    def edge(inside: float, outside: float, word: str) -> float:
-        # Bisect toward the last direction still classifying as `word`,
-        # regardless of which side of the run the edge lies on.
-        while abs(outside - inside) > CYLINDER_EDGE_TOL:
-            mid = 0.5 * (inside + outside)
-            if is_word(mid, word):
-                inside = mid
-            else:
-                outside = mid
-        return 0.5 * (inside + outside)
-
+    words = [None if v is None else v.word
+             for v in map(cylinder_at, thetas)]
     cylinders = []
-    k = 0
-    while k < n:
-        if keys[k] is None:
-            k += 1
-            continue
-        word = keys[k]
-        k_end = k
-        while k_end + 1 < n and keys[k_end + 1] == word:
-            k_end += 1
+    for k, k_end in _runs(words, operator.eq):
+        word = words[k]
+
+        def in_run(theta: float) -> bool:
+            v = cylinder_at(theta)
+            return v is not None and v.word == word
+
         left_out = thetas[k - 1] if k > 0 else lo
         right_out = thetas[k_end + 1] if k_end + 1 < n else hi
-        t1 = edge(thetas[k], left_out, word)
-        t2 = edge(thetas[k_end], right_out, word)
+        t1 = _bisect(thetas[k], left_out, in_run, CYLINDER_EDGE_TOL)
+        t2 = _bisect(thetas[k_end], right_out, in_run, CYLINDER_EDGE_TOL)
         t1, t2 = min(t1, t2), max(t1, t2)
-        mid = probe(0.5 * (t1 + t2))
-        if (mid is not None and mid.kind is DirectionKind.CYLINDER
-                and mid.word == word):
+        mid = cylinder_at(0.5 * (t1 + t2))
+        if mid is not None and mid.word == word:
             cylinders.append(Cylinder(t1, t2, word, mid.multiplier))
         else:
             exhausted = True
-        k = k_end + 1
     return ScanResult(tuple(cylinders), exhausted, n)
 
 
@@ -816,17 +834,17 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
             gain += g
             n += 1
             # Mode locking makes most float orbits converge to a cycle;
-            # a return to the anchor's 1e-12 neighbourhood after q steps
-            # means q is (a multiple of) the period, and the Fraction
-            # reduces the multiple away.
-            if abs(x - anchor_x) < 1e-12:
+            # a return to the anchor's ROTATION_ANCHOR_RADIUS
+            # neighbourhood after q steps means q is (a multiple of) the
+            # period, and the Fraction reduces the multiple away.
+            if abs(x - anchor_x) < ROTATION_ANCHOR_RADIUS:
                 q = n - anchor_n
                 p = gain - anchor_gain
                 xv, gv = x, 0
                 for _ in range(q):
                     xv, g2 = advance(xv)
                     gv += g2
-                if abs(xv - x) < 1e-11 and gv == p:
+                if abs(xv - x) < ROTATION_CYCLE_TOL and gv == p:
                     return Fraction(p, q)
             if n == next_anchor:
                 anchor_x, anchor_gain, anchor_n = x, gain, n

@@ -25,14 +25,16 @@ from .geometry import (
     projective_action,
     wrap_2pi,
 )
-from .rauzy import TerminalKind
-from .surface import (UNDECIDED_ERRORS, DirectionKind, classify_direction,
-                      find_cylinders)
+from .surface import (UNDECIDED_ERRORS, Cylinder, DirectionKind, _runs,
+                      classify_direction, find_cylinders)
 
 DEFAULT_THETA_TOL = 0.05
 DEFAULT_MULTIPLIER_THRESHOLD = 1e6
 DEFAULT_WINDOW = 1.2
 TREND_SLACK = 1e-9
+# Window probes join one run while their multipliers agree within this
+# fraction (unitless) of the run's first multiplier.
+MULTIPLIER_RUN_TOL = 1e-9
 
 
 def flow(room: Room, t: float) -> Room:
@@ -80,15 +82,6 @@ class MonitorFlag(Enum):
 
 
 @dataclass(frozen=True)
-class TrackedCylinder:
-    """A time-0 cylinder followed through the flow by its interval image."""
-
-    interval: tuple[float, float]
-    word: str
-    multiplier: float
-
-
-@dataclass(frozen=True)
 class FlowSample:
     t: float
     theta_sup: float
@@ -100,7 +93,8 @@ class FlowSample:
 @dataclass(frozen=True)
 class MonitorReport:
     samples: tuple[FlowSample, ...]
-    tracked: tuple[TrackedCylinder, ...]
+    # the time-0 cylinders, followed through the flow by interval images
+    tracked: tuple[Cylinder, ...]
     criterion1: bool
     criterion2: bool
     theta_tol: float
@@ -113,8 +107,8 @@ class MonitorReport:
             "theta_tol": self.theta_tol,
             "multiplier_threshold": self.multiplier_threshold,
             "tracked": [
-                {"interval": list(tc.interval), "word": tc.word,
-                 "multiplier": tc.multiplier} for tc in self.tracked
+                {"interval": [c.theta1, c.theta2], "word": c.word,
+                 "multiplier": c.multiplier} for c in self.tracked
             ],
             "samples": [
                 {"t": s.t, "theta_sup": s.theta_sup,
@@ -160,25 +154,12 @@ def _window_hits(room: Room, t: float, eps_angle: float, budget: int,
         except UNDECIDED_ERRORS:
             mults.append(None)
             continue
-        if (v.outcome is not None
-                and v.outcome.terminal is TerminalKind.BUDGET_EXHAUSTED):
-            exhausted = True
+        exhausted = exhausted or v.exhausted
         mults.append(v.multiplier if v.kind is DirectionKind.CYLINDER
                      else None)
-    hits = []
-    k = 0
-    while k < n:
-        if mults[k] is None:
-            k += 1
-            continue
-        m = mults[k]
-        k_end = k
-        while (k_end + 1 < n and mults[k_end + 1] is not None
-               and abs(mults[k_end + 1] - m) <= 1e-9 * m):
-            k_end += 1
-        coarse = (k_end - k + 1) * (2.0 * half / n)
-        hits.append((coarse, m))
-        k = k_end + 1
+    runs = _runs(mults, lambda m, x: abs(x - m) <= MULTIPLIER_RUN_TOL * m)
+    hits = [((k_end - k + 1) * (2.0 * half / n), mults[k])
+            for k, k_end in runs]
     return hits, exhausted
 
 
@@ -205,8 +186,6 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
     if steps < 0 or eps_angle <= 0 or budget <= 0:
         raise ValueError("monitor arguments must be positive")
     baseline = find_cylinders(room, eps_angle, budget=budget)
-    tracked = tuple(TrackedCylinder((c.theta1, c.theta2), c.word, c.multiplier)
-                    for c in baseline.cylinders)
     if t_max == 0 or steps == 0:
         times = [0.0]
     else:
@@ -220,12 +199,12 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
         exhausted = baseline.exhausted
         max_mult = 1.0
         theta_sup_t = 0.0
-        for tc in tracked:
-            d1, d2 = track_direction_interval(g, tc.interval)
+        for c in baseline.cylinders:
+            d1, d2 = track_direction_interval(g, (c.theta1, c.theta2))
             ang = d2 - d1
             theta_sup_t = max(theta_sup_t, ang)
             if ang >= eps_angle:
-                max_mult = max(max_mult, tc.multiplier)
+                max_mult = max(max_mult, c.multiplier)
         hits, window_exhausted = _window_hits(room, t, eps_angle, budget,
                                               window)
         exhausted = exhausted or window_exhausted
@@ -252,5 +231,5 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
         fired2 = fired2 or MonitorFlag.CRITERION2 in flags
         samples.append(FlowSample(t, theta_sup_t, max_mult,
                                   frozenset(flags), exhausted))
-    return MonitorReport(tuple(samples), tracked, fired1, fired2,
+    return MonitorReport(tuple(samples), baseline.cylinders, fired1, fired2,
                          theta_tol, multiplier_threshold)

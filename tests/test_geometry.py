@@ -11,9 +11,8 @@ from dilatorus.errors import (DegenerateDoor, NonOrientedBasis,
 from dilatorus.geometry import (DilationParams, Room, SL2Matrix, Vec2,
                                 apply_sl2, build_room, canonicalize,
                                 geodesic_matrix, point_in_polygon,
-                                projective_action, room_from_json,
-                                room_to_json, square_room, unit, wrap_2pi,
-                                wrap_pi)
+                                projective_action, room_to_json,
+                                square_room, unit, wrap_2pi, wrap_pi)
 from dilatorus.quadratics import QuadraticNumber
 
 SEED = 20260817
@@ -181,17 +180,17 @@ def test_point_in_polygon_on_pentagon():
 
 def test_json_roundtrip_float_and_exact():
     room = build_room((1.0, 0.25), (-0.5, 2.0), (0.4, 0.8))
-    back = room_from_json(room_to_json(room))
-    assert (back.e1 - room.e1).length() == 0.0
-    assert back.params.as_floats() == room.params.as_floats()
+    assert room_to_json(room) == {"e1": list(room.e1.as_floats()),
+                                  "e2": list(room.e2.as_floats()),
+                                  "mu": [0.4, 0.8]}
 
     exact = square_room(QuadraticNumber(0, 1, 2), Fraction(1, 2))
     data = room_to_json(exact)
-    assert "mu_exact" in data
-    back = room_from_json(data)
-    assert back.params.is_exact
-    assert back.params.mu1 == exact.params.mu1
-    assert back.params.mu2 == exact.params.mu2
+    # the exact parameters come first, each as (a, b, d) of a + b*sqrt(d)
+    assert list(data) == ["e1", "e2", "mu_exact", "mu"]
+    assert data["e1"] == [1.0, 0.0] and data["e2"] == [0.0, 1.0]
+    assert data["mu_exact"] == [["0", "1", 2], ["1/2", "0", 0]]
+    assert data["mu"] == [math.sqrt(2.0), 0.5]
 
 
 def test_interior_diagonals_symmetric_room():

@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds and wraps every layer it measures."""
 
+import ast
 import importlib.util
 import math
 from pathlib import Path
@@ -7,9 +8,9 @@ from pathlib import Path
 from dilatorus import surface
 from dilatorus.geometry import square_room
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _SPEC = importlib.util.spec_from_file_location(
-    "perfbench_tracing",
-    Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+    "perfbench_tracing", PERFBENCH / "tracing.py")
 tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
 
@@ -42,3 +43,28 @@ def test_tracer_sees_the_direction_pipeline_and_restores_it():
                   "surface.trace_ray", "intervalmaps.restrict_to_image",
                   "rauzy.iterate_induction"):
         assert layers.n(layer) > 0, layer
+
+
+def _anchor_calls() -> dict:
+    """ANCHOR_CALLS as perfbench/run.py pins it, read without running it."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "ANCHOR_CALLS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no ANCHOR_CALLS")
+
+
+def test_anchor_scan_call_counts_match_the_benchmark():
+    anchor = _anchor_calls()
+    assert anchor
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        surface.find_cylinders(square_room(math.log(2.0), math.log(2.0)),
+                               0.3, budget=600)
+    finally:
+        tracer.uninstall()
+    layers = tracing.Layers(tracer)
+    assert {layer: layers.n(layer) for layer in anchor} == anchor

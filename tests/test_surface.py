@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -217,6 +218,29 @@ def test_first_return_map_matches_vec2_oracle():
                 assert fast == slow, (room, theta, section)
                 outcomes[fast[0]] += 1
     assert outcomes["map"] >= 40, outcomes
+
+
+def test_bisect_is_the_same_float_either_way_round():
+    # first_return_map bisects from whichever grid point has a key, so
+    # swapping the bracket and negating the predicate must not move a bit
+    rng = random.Random(SEED + 7)
+    for _ in range(200):
+        a, b = sorted(rng.uniform(-3.0, 3.0) for _ in range(2))
+        edge = rng.uniform(a, b)
+        tol = 10.0 ** rng.uniform(-14, -2) * (b - a)
+        forward = surface._bisect(a, b, lambda x: x < edge, tol)
+        backward = surface._bisect(b, a, lambda x: not x < edge, tol)
+        assert forward == backward
+        assert abs(forward - edge) <= tol
+
+
+def test_runs_group_neighbours_matching_the_first_key():
+    keys = [None, 1.0, 1.0 + 1e-12, 2.0, None, 2.0, 2.0, 3.0]
+    close = lambda m, x: abs(x - m) <= 1e-9 * m
+    assert surface._runs(keys, close) == [(1, 2), (3, 3), (5, 6), (7, 7)]
+    assert surface._runs(["", "", "L", None, "L"], operator.eq) == [
+        (0, 1), (2, 2), (4, 4)]
+    assert surface._runs([None, None], operator.eq) == []
 
 
 # --- classification ---

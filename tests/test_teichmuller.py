@@ -8,7 +8,7 @@ import pytest
 from dilatorus import teichmuller
 from dilatorus.geometry import (SL2Matrix, apply_sl2, geodesic_matrix,
                                 projective_action, square_room, wrap_2pi)
-from dilatorus.surface import UNDECIDED_ERRORS
+from dilatorus.surface import UNDECIDED_ERRORS, find_cylinders
 from dilatorus.teichmuller import (MonitorFlag, distortion, divergence_monitor,
                                    flow, flow_series_to_csv,
                                    track_direction_interval)
@@ -131,6 +131,16 @@ def test_monitor_sample_grid_and_report_shape():
                             "budget_exhausted"}
     for row in payload["tracked"]:
         assert set(row) == {"interval", "word", "multiplier"}
+
+
+def test_monitor_tracks_the_baseline_scan_cylinders():
+    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400,
+                                window=0.4)
+    scan = find_cylinders(ROOM, 0.3, budget=400)
+    assert scan.cylinders
+    assert report.to_json_dict()["tracked"] == [
+        {"interval": [c.theta1, c.theta2], "word": c.word,
+         "multiplier": c.multiplier} for c in scan.cylinders]
 
 
 def test_monitor_csv_round_trips_floats():
