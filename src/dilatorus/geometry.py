@@ -146,8 +146,16 @@ class SL2Matrix:
 
 
 def geodesic_matrix(t: float) -> SL2Matrix:
-    """Teichmuller geodesic flow matrix diag(e^(-t/2), e^(t/2))."""
-    return SL2Matrix(math.exp(-t / 2.0), 0.0, 0.0, math.exp(t / 2.0))
+    """Teichmuller geodesic flow matrix diag(e^(-t/2), e^(t/2)).
+
+    Past |t| = 1419.5 or so e^(|t|/2) leaves the float range, and this
+    raises ValueError.
+    """
+    try:
+        return SL2Matrix(math.exp(-t / 2.0), 0.0, 0.0, math.exp(t / 2.0))
+    except OverflowError:
+        raise ValueError(f"geodesic flow time {t!r} takes e^(|t|/2) out of "
+                         "the float range") from None
 
 
 def projective_action(m: SL2Matrix, theta: float) -> float:
@@ -376,7 +384,8 @@ class Room:
     inverses (`DilationParams.nu`), and no two consecutive vertices may
     coincide in unit-basis coordinates: mu1 = 700 is finite throughout
     but leaves 1 - 1/nu1 equal to 1, so V3 would sit on V2.  Each of
-    these raises ValueError.
+    these raises ValueError.  So does, once `geom` is first read, a basis
+    so long that the square of the room's diameter overflows.
     """
 
     e1: Vec2
@@ -451,6 +460,10 @@ class Room:
                      for pair in _DIAGONAL_PAIRS
                      for i, j in (pair, pair[::-1])}
         diam = max(v.length() for v in verts)
+        # the interior-diagonal test scales its tolerance with diam**2
+        if diam * diam == math.inf:
+            raise ValueError(f"room diameter {diam!r} is too large: its "
+                             "square leaves the float range")
         return RoomGeometry(verts, diam, sides, diagonals,
                             _interior_diagonals(verts, diam))
 

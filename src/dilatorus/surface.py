@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
     BudgetExhausted,
@@ -89,6 +89,9 @@ COLLAPSE_CLOSE_TOL = 1e-6
 DEFAULT_RETURN_SAMPLES = 48
 DEFAULT_MAX_CROSSINGS = 512
 DEFAULT_INDUCTION_BUDGET = 3000
+# find_cylinders refuses an eps_angle whose grid on the inward
+# half-circle would hold more samples: eps_angle below about 6.3e-5
+MAX_SCAN_SAMPLES = 10 ** 5
 
 # What classify_direction raises for a direction it cannot decide; scans
 # and monitors count such a direction as a miss.  Vertex hits and
@@ -129,20 +132,6 @@ class CrossSection:
         return math.atan2(ey, ex)
 
 
-def _section_frame(room: Room, section: CrossSection
-                   ) -> tuple[float, float, float, float, float]:
-    """(ax, ay, tx, ty, length) of the section's arc-length coordinate.
-
-    The point at s is (ax + tx*s, ay + ty*s), and a point (x, y) on the
-    section sits at s = (x - ax)*tx + (y - ay)*ty.  These are the float
-    operations of the Vec2 forms a + tangent*s and (q - a).dot(tangent).
-    """
-    ax, ay, ex, ey, _ = room.geom.diagonals[section.i, section.j]
-    length = math.hypot(ex, ey)
-    inv = 1.0 / length
-    return ax, ay, ex * inv, ey * inv, length
-
-
 def _candidate_sections(room: Room, theta: float) -> list[CrossSection]:
     """Interior diagonals that theta crosses, most transversal first.
 
@@ -167,14 +156,70 @@ class TraceEnd(Enum):
     VERTEX = "vertex"
 
 
-@dataclass(frozen=True)
-class RayTrace:
+class Heading(NamedTuple):
+    """Direction-only set-up of the rays of one (room, theta, section).
+
+    A crossing of the ray p + t*u with the side a + s*e solves, with
+    w = a - p, t = (w x e)/(u x e) and s = (w x u)/(u x e).  The
+    denominators u x e depend on the direction only, so `Heading.of`
+    takes them once per heading, and every flight of a return map
+    shares them; `trace_ray` does the per-flight work.
+    `crossable` holds (k, ax, ay, ex, ey, u x e) for each side k the ray
+    is not parallel to, in the order of `sides`, the room's side table
+    (`Room.geom`), which the transports read.  (ux, uy) is the unit
+    direction.  `t_base` and `t_clear` are MIN_STEP and CLEARANCE in
+    units of the room diameter.  `section_row` is (ax, ay, ex, ey, u x e)
+    of the section when the ray can cross it, else None.  `frame` is the
+    section's arc-length frame (ax, ay, tx, ty, length), or None without
+    a section: the point at s is (ax + tx*s, ay + ty*s), and a point
+    (x, y) on the section sits at s = (x - ax)*tx + (y - ay)*ty, the
+    float operations of the Vec2 forms a + tangent*s and
+    (q - a).dot(tangent).
+    """
+
+    crossable: tuple[tuple, ...]
+    sides: tuple[tuple, ...]
+    ux: float
+    uy: float
+    t_base: float
+    t_clear: float
+    section_row: Optional[tuple[float, float, float, float, float]]
+    frame: Optional[tuple[float, float, float, float, float]]
+
+    @classmethod
+    def of(cls, room: Room, theta: float,
+           section: Optional[CrossSection] = None) -> Heading:
+        """The heading of direction theta in `room`, stopping at
+        `section` if one is given."""
+        geom = room.geom
+        ux, uy = math.cos(theta), math.sin(theta)
+        crossable = []
+        for k, (ax, ay, ex, ey, par, *_) in enumerate(geom.sides):
+            denom = ux * ey - uy * ex
+            if abs(denom) > par:
+                crossable.append((k, ax, ay, ex, ey, denom))
+        section_row = frame = None
+        if section is not None:
+            ax, ay, ex, ey, par = geom.diagonals[section.i, section.j]
+            denom = ux * ey - uy * ex
+            if abs(denom) > par:
+                section_row = (ax, ay, ex, ey, denom)
+            length = math.hypot(ex, ey)
+            inv = 1.0 / length
+            frame = (ax, ay, ex * inv, ey * inv, length)
+        return cls(tuple(crossable), geom.sides, ux, uy,
+                   MIN_STEP * geom.diameter, CLEARANCE * geom.diameter,
+                   section_row, frame)
+
+
+class RayTrace(NamedTuple):
     """Flight record of one ray: straight legs joined by side transports.
 
     `legs` holds plain floats, x0, y0, x1, y1 for each leg in flight
     order.  `factors` holds one dilation factor per applied transport,
     so the derivative of the flow between the endpoints is their
-    product.
+    product.  `trace_ray` builds one per flight; as a NamedTuple it
+    costs no per-field `__setattr__`, and its fields stay read-only.
     """
 
     legs: tuple[float, ...]
@@ -192,42 +237,26 @@ class RayTrace:
         return math.prod(self.factors)
 
 
-def trace_ray(room: Room, p: Vec2, theta: float,
-              max_crossings: int = 64,
-              section: Optional[CrossSection] = None) -> RayTrace:
-    """Trace the ray from p in direction theta through the glued sides.
+def trace_ray(heading: Heading, p: Vec2, max_crossings: int = 64) -> RayTrace:
+    """Trace the ray from p along `heading` through the glued sides.
 
-    Stops at the door, at a transverse crossing of `section` (if given),
-    or after `max_crossings` transports.  A hit within VERTEX_TOL of a
-    side endpoint raises VertexHit carrying the partial trace, since the
-    flow is undefined through the cone point.
+    Stops at the door, at a transverse crossing of the heading's section
+    (if it has one), or after `max_crossings` transports.  A hit within
+    VERTEX_TOL of a side endpoint raises VertexHit carrying the partial
+    trace, since the flow is undefined through the cone point.
 
-    The loop runs on plain floats over the side and diagonal tables of
-    `room.geom`, which each Room instance computes once; nothing else is
-    cached, so nothing outlives the room (nor, in the CLI, a `cli.main`
-    call).  A crossing of the ray p + t*u with the side a + s*e solves,
-    with w = a - p, t = (w x e)/(u x e) and s = (w x u)/(u x e).  The
-    denominators u x e depend on the direction only, so they are taken
-    once per trace, and the sides the ray is parallel to drop out there.
-    The legs go into `RayTrace.legs` as floats; the end point is the one
-    Vec2 a trace builds.
+    Everything that depends on the direction alone (u, the denominators
+    u x e, the step floors, the section row) comes from `heading`, built
+    once per (room, theta, section); per flight this takes the start
+    point, the crossing parameters t and s of each leg, the transports,
+    and the RayTrace with its end point, the one Vec2 a trace builds.
+    Nothing is cached beyond the heading and the room's own tables, so
+    nothing outlives them (nor, in the CLI, a `cli.main` call).
     """
-    geom = room.geom
-    rows = geom.sides
-    ux, uy = math.cos(theta), math.sin(theta)
-    t_base = MIN_STEP * geom.diameter
-    t_clear = CLEARANCE * geom.diameter
+    crossable, rows, ux, uy, t_base, t_clear, sec, _ = heading
+    if sec is not None:
+        sax, say, sex, sey, sec_denom = sec
     s_lo, s_hi = -VERTEX_TOL, 1.0 + VERTEX_TOL
-    crossable = []
-    for k, (ax, ay, ex, ey, par, *_) in enumerate(rows):
-        denom = ux * ey - uy * ex
-        if abs(denom) > par:
-            crossable.append((k, ax, ay, ex, ey, denom))
-    sec_crossable = False
-    if section is not None:
-        sax, say, sex, sey, sec_par = geom.diagonals[section.i, section.j]
-        sec_denom = ux * sey - uy * sex
-        sec_crossable = abs(sec_denom) > sec_par
 
     px, py = float(p.x), float(p.y)
     legs: list[float] = []
@@ -250,7 +279,7 @@ def trace_ray(room: Room, p: Vec2, theta: float,
                 continue
             best_t, best_s, best_side = t, s, k
         hit_section = False
-        if sec_crossable:
+        if sec is not None:
             wx, wy = sax - px, say - py
             t = (wx * sey - wy * sex) / sec_denom
             s = (wx * uy - wy * ux) / sec_denom
@@ -310,19 +339,20 @@ def _bisect(inside: float, outside: float, pred: Callable[[float], bool],
     return 0.5 * (inside + outside)
 
 
-def _flight(room: Room, theta: float, section: CrossSection,
-            frame: tuple[float, float, float, float, float], s: float
+def _flight(heading: Heading, s: float
             ) -> tuple[float, float, tuple[int, ...]]:
     """(s_back, factor, crossed sides) of the flight from s back to the
-    section, where `frame` is the section's `_section_frame`.
+    section of `heading`, in the section's arc-length coordinate.
 
+    The frame and every direction-only quantity come from the heading;
+    per flight this builds the start point and runs one `trace_ray`.
     Raises BudgetExhausted when the flight takes more than
     DEFAULT_MAX_CROSSINGS transports, NotTransverse when it reaches the
     door, and VertexHit from the tracer.
     """
-    ax, ay, tx, ty, _ = frame
-    tr = trace_ray(room, Vec2(ax + tx * s, ay + ty * s), theta,
-                   max_crossings=DEFAULT_MAX_CROSSINGS, section=section)
+    ax, ay, tx, ty, _ = heading.frame
+    tr = trace_ray(heading, Vec2(ax + tx * s, ay + ty * s),
+                   DEFAULT_MAX_CROSSINGS)
     if tr.terminal is TraceEnd.BUDGET:
         raise BudgetExhausted("no return to the section within "
                               f"{DEFAULT_MAX_CROSSINGS} crossings",
@@ -347,27 +377,27 @@ def first_return_map(room: Room, theta: float,
     by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
     midpoints of equal cells.
     """
-    frame = _section_frame(room, section)
-    length = frame[4]
     if angle_dist_mod_pi(theta, section.direction(room)) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")
     # Directions parallel to the door are allowed: their flow is tangent
     # to the boundary leaf and never crosses the door transversally.
     if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
+    heading = Heading.of(room, theta, section)
+    length = heading.frame[4]
 
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
             for k in range(DEFAULT_RETURN_SAMPLES)]
     keys: list[Optional[tuple[int, ...]]] = []
     for s in grid:
         try:
-            keys.append(_flight(room, theta, section, frame, s)[2])
+            keys.append(_flight(heading, s)[2])
         except VertexHit:
             keys.append(None)
 
     def same_key(s: float, key: tuple[int, ...]) -> bool:
         try:
-            return _flight(room, theta, section, frame, s)[2] == key
+            return _flight(heading, s)[2] == key
         except VertexHit:
             return False
 
@@ -402,8 +432,8 @@ def first_return_map(room: Room, theta: float,
             try:
                 s1 = lo + frac1 * width
                 s2 = lo + frac2 * width
-                back1, factor1, key1 = _flight(room, theta, section, frame, s1)
-                back2, factor2, key2 = _flight(room, theta, section, frame, s2)
+                back1, factor1, key1 = _flight(heading, s1)
+                back2, factor2, key2 = _flight(heading, s2)
             except VertexHit:
                 continue
             if key1 != key2:
@@ -445,8 +475,8 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
     resolution; a reduction whose extrapolated laws disagree with an
     independent trace is rejected rather than silently kept.
     """
-    frame = _section_frame(room, sec)
-    length = frame[4]
+    heading = Heading.of(room, theta, sec)
+    length = heading.frame[4]
     for k in range(16):
         s = length * math.modf(0.12345 + k * 0.6180339887498949)[0]
         x = float(chart.apply(s))
@@ -454,7 +484,7 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
                 or abs(x - float(tsm.x_t)) < VERIFY_BREAK_MARGIN):
             continue
         try:
-            s_back = _flight(room, theta, sec, frame, s)[0]
+            s_back = _flight(heading, s)[0]
         except VertexHit:
             continue
         except (BudgetExhausted, NotTransverse):
@@ -550,9 +580,9 @@ def _collapsed_direction(room: Room, theta: float
         if col is None:
             continue
         slope, fixed = col
-        frame = _section_frame(room, sec)
+        heading = Heading.of(room, theta, sec)
         try:
-            s_back = _flight(room, theta, sec, frame, fixed)[0]
+            s_back = _flight(heading, fixed)[0]
         except (NotTransverse, BudgetExhausted):
             continue
         except VertexHit:
@@ -560,7 +590,7 @@ def _collapsed_direction(room: Room, theta: float
             # a singular hit exactly at the fixed point does not refute it.
             pass
         else:
-            if abs(s_back - fixed) > COLLAPSE_CLOSE_TOL * frame[4]:
+            if abs(s_back - fixed) > COLLAPSE_CLOSE_TOL * heading.frame[4]:
                 continue
         return slope, fixed, sec
     return None
@@ -696,11 +726,15 @@ def find_cylinders(room: Room, eps_angle: float,
     sample happens to land in them.  Interval edges are bisected to
     CYLINDER_EDGE_TOL.  `exhausted` records that some sample's
     renormalization ran out of budget, so absence of further cylinders
-    is not certified.
+    is not certified.  An eps_angle whose grid would exceed
+    MAX_SCAN_SAMPLES is refused before any sample is taken.
     """
     if not (eps_angle > 0 and math.isfinite(eps_angle)):
         raise ValueError("eps_angle must be positive and finite")
     lo, hi = room.inward_directions()
+    if hi - lo > MAX_SCAN_SAMPLES * (eps_angle / 2.0):
+        raise ValueError(f"eps_angle {eps_angle!r} needs a grid of over "
+                         f"{MAX_SCAN_SAMPLES} samples")
     n = max(4, math.ceil((hi - lo) / (eps_angle / 2.0)))
     step = (hi - lo) / n
     thetas = [lo + (k + 0.5) * step for k in range(n)]
@@ -778,9 +812,13 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     consecutive estimates agree within tol.  Raises NonConvergence with
     the rigorous bracket (displacement +/- 1)/n if the cap is reached.
     A negative or NaN tol is refused: no two estimates could meet it.
+    So is an infinite rho_a, whose map sends every point below x* to
+    infinity.
     """
     if not (float(rho_a) > 1.0 > float(rho_b) > 0.0):
         raise ValueError("need rho_a > 1 > rho_b > 0")
+    if float(rho_a) == math.inf:
+        raise ValueError("rho_a must be finite")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if max_iter < 1:

@@ -325,7 +325,13 @@ def reach_target(room: Room, mu_target, eps: float,
     unimodular word whose leading column approximates the target direction.
     The word's parameter action is re-folded move by move, verifying both
     admissibility and the final error before the report is returned.
+    A negative or NaN eps, which no word could meet, and a negative
+    budget are refused.
     """
+    if not eps >= 0:
+        raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget!r}")
     params0 = room.params
     if not params0.in_positive_quadrant():
         raise ValueError("search starts from the open positive quadrant")

@@ -21,7 +21,7 @@ from dilatorus.surface import (_PARTNER, BRANCH_BISECT_TOL,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
                                TRANSVERSALITY_FLOOR, VERTEX_TOL, CrossSection,
-                               RayTrace, TraceEnd, _bisect)
+                               RayTrace, TraceEnd)
 
 
 def two_slope_value(ra: float, rb: float, xt: float, x: float) -> float:
@@ -257,11 +257,17 @@ def first_return_map_oracle(room: Room, theta: float,
         left, right = keys[k], keys[k + 1]
         if left == right:
             continue
-        if left is not None:
-            pred = lambda s, key=left: same_key(s, key)
-        else:
-            pred = lambda s, key=right: not same_key(s, key)
-        cuts.append(_bisect(grid[k], grid[k + 1], pred, tol))
+        # halve [lo, hi] keeping the key change inside it: lo is on the
+        # left key's side, or off the right key's when the left is None
+        lo, hi = grid[k], grid[k + 1]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if (same_key(mid, left) if left is not None
+                    else not same_key(mid, right)):
+                lo = mid
+            else:
+                hi = mid
+        cuts.append(0.5 * (lo + hi))
 
     boundaries = [0.0]
     for c in sorted(cuts):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import oracles
 from dilatorus.errors import VertexHit
 from dilatorus.geometry import (DilationParams, SL2Matrix, apply_sl2,
-                                build_room, projective_action, square_room)
+                                projective_action, square_room)
 from dilatorus.intervalmaps import (TwoSlopeMap, attracting_cycle_in_hole,
                                     evaluate)
 from dilatorus.quadratics import QuadraticNumber

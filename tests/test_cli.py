@@ -3,7 +3,6 @@
 import json
 import math
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 
 import pytest
 
@@ -332,12 +331,27 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["measure", "--rhoA=-1", "--rhoB=0.5", "--n=3"], "positive"),
     (["measure", "--rhoA=nan", "--rhoB=0.5", "--n=3"], "finite"),
     (["measure", "--rhoA=inf", "--rhoB=0.5", "--n=3"], "finite"),
+    (["act", "--mu1=1", "--mu2=1", "--t=800"], "float range"),
+    (["act", "--mu1=1", "--mu2=1", "--t=-800"], "float range"),
+    (["act", "--mu1=1", "--mu2=1", "--t=1500"], "float range"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=0.5", "--target2=0.5",
+      "--tol=-1"], "tol"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=0.5", "--target2=0.5",
+      "--tol=nan"], "tol"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=0.5", "--target2=0.5",
+      "--budget=-1"], "budget"),
+    (["rotnum", "--rhoA=inf", "--rhoB=0.5"], "finite"),
+    (["scan", "--mu1=1", "--mu2=1", "--eps=1e-300"], "samples"),
+    (["flow", "--mu1=1", "--mu2=1", "--t-max=1", "--eps=1e-300"], "samples"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
         "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
         "room-mu1-v3-on-v2", "room-door-collapses", "twist-word-overflow",
         "classify-theta-nan", "classify-theta-inf", "measure-rhoA-negative",
-        "measure-rhoA-nan", "measure-rhoA-inf"])
+        "measure-rhoA-nan", "measure-rhoA-inf", "act-t-800", "act-t-minus-800",
+        "act-t-1500", "reach-tol-negative", "reach-tol-nan",
+        "reach-budget-negative", "rotnum-rhoA-inf", "scan-eps-1e-300",
+        "flow-eps-1e-300"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""

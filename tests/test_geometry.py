@@ -8,11 +8,11 @@ import pytest
 
 from dilatorus.errors import (DegenerateDoor, NonOrientedBasis,
                               NonSimplePentagon, OutsideQ)
-from dilatorus.geometry import (DilationParams, Room, SL2Matrix, Vec2,
-                                apply_sl2, build_room, canonicalize,
-                                geodesic_matrix, point_in_polygon,
-                                projective_action, room_to_json,
-                                square_room, unit, wrap_2pi, wrap_pi)
+from dilatorus.geometry import (SL2Matrix, Vec2, apply_sl2, build_room,
+                                canonicalize, geodesic_matrix,
+                                point_in_polygon, projective_action,
+                                room_to_json, square_room, unit, wrap_2pi,
+                                wrap_pi)
 from dilatorus.quadratics import QuadraticNumber
 
 SEED = 20260817

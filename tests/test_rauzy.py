@@ -11,7 +11,7 @@ from dilatorus import rauzy
 from dilatorus.errors import EmptyInterval, NonConvergence, NotRenormalizable
 from dilatorus.intervalmaps import TwoSlopeMap
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.rauzy import (StepClass, Subdivision, TerminalKind,
+from dilatorus.rauzy import (StepClass, TerminalKind,
                              classify_step, induce, interval_for_word,
                              iterate_induction, subdivision,
                              survivor_intervals, survivor_measure, thresholds)

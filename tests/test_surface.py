@@ -15,10 +15,10 @@ from dilatorus.errors import NonConvergence, VertexHit
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 Vec2, apply_sl2, build_room,
                                 point_in_polygon, projective_action,
-                                square_room, unit)
+                                square_room)
 from dilatorus.rauzy import TerminalKind
 from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
-                               DirectionKind, TraceEnd,
+                               DirectionKind, Heading, TraceEnd,
                                classify_direction, find_cylinders,
                                first_return_map, rotation_number, trace_ray)
 
@@ -38,7 +38,8 @@ def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
 
 def test_trace_reaches_door():
     # straight shot toward the door from inside
-    trace = trace_ray(ROOM, Vec2(0.3, 0.3), math.atan2(1.0, -0.3) , 64)
+    trace = trace_ray(Heading.of(ROOM, math.atan2(1.0, -0.3)), Vec2(0.3, 0.3),
+                      64)
     assert trace.terminal is TraceEnd.DOOR
     assert trace.crossings == len(trace.factors)
 
@@ -48,7 +49,7 @@ def test_trace_transport_factors_are_glue_factors():
     for _ in range(40):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         try:
-            trace = trace_ray(ROOM, Vec2(0.31, 0.27), theta, 12)
+            trace = trace_ray(Heading.of(ROOM, theta), Vec2(0.31, 0.27), 12)
         except VertexHit:
             continue
         sides = ROOM.sides()
@@ -66,47 +67,59 @@ def test_trace_transport_factors_are_glue_factors():
 def test_trace_vertex_hit():
     # aim exactly at V2 = (1, 1)
     with pytest.raises(VertexHit) as info:
-        trace_ray(ROOM, Vec2(0.5, 0.5), math.pi / 4.0, 64)
+        trace_ray(Heading.of(ROOM, math.pi / 4.0), Vec2(0.5, 0.5), 64)
     assert info.value.trace.terminal is TraceEnd.VERTEX
 
 
 def test_trace_max_crossings_budget():
-    trace = trace_ray(ROOM, Vec2(0.31, 0.27), 0.1, 5)
+    trace = trace_ray(Heading.of(ROOM, 0.1), Vec2(0.31, 0.27), 5)
     assert trace.terminal is TraceEnd.BUDGET
     assert trace.crossings == 5
 
 
-def _trace_outcome(tracer, room, p, theta, max_crossings, section):
+def _trace_outcome(tracer, *args):
     """What a tracer did: its trace, the partial trace of a VertexHit,
     or the message of a ValueError."""
     try:
-        return ("trace", tracer(room, p, theta, max_crossings, section))
+        return ("trace", tracer(*args))
     except VertexHit as exc:
         return ("vertex", exc.trace)
     except ValueError as exc:
         return ("value", str(exc))
 
 
+def _oracle_rooms(rng: random.Random) -> list:
+    """The square ln 2 room, the sheared room, and a random SL(2, R)
+    image of each."""
+    sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+    return [ROOM, sheared, apply_sl2(random_sl2(rng), ROOM),
+            apply_sl2(random_sl2(rng), sheared)]
+
+
+def _start(rng: random.Random, room, outside: bool) -> Vec2:
+    """A random point of the room's bounding box, widened by 0.5, inside
+    the pentagon or outside it."""
+    verts = room.vertices()
+    xs = [v.x for v in verts]
+    ys = [v.y for v in verts]
+    while True:
+        p = Vec2(rng.uniform(min(xs) - 0.5, max(xs) + 0.5),
+                 rng.uniform(min(ys) - 0.5, max(ys) + 0.5))
+        if point_in_polygon(p, verts) != outside:
+            return p
+
+
 def _oracle_cases(rng: random.Random, n: int):
     """(room, start, theta, max_crossings, section) cases over four rooms:
     mostly interior starts in random directions, some aimed at a vertex,
     some starting outside the pentagon."""
-    sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
-    rooms = [ROOM, sheared, apply_sl2(random_sl2(rng), ROOM),
-             apply_sl2(random_sl2(rng), sheared)]
+    rooms = _oracle_rooms(rng)
     for k in range(n):
         room = rooms[k % len(rooms)]
-        verts = room.vertices()
-        xs = [v.x for v in verts]
-        ys = [v.y for v in verts]
         kind = rng.random()
-        while True:
-            p = Vec2(rng.uniform(min(xs) - 0.5, max(xs) + 0.5),
-                     rng.uniform(min(ys) - 0.5, max(ys) + 0.5))
-            if point_in_polygon(p, verts) != (kind > 0.9):
-                break
+        p = _start(rng, room, kind > 0.9)
         if kind < 0.1:
-            target = rng.choice(verts)
+            target = rng.choice(room.vertices())
             theta = math.atan2(target.y - p.y, target.x - p.x)
         else:
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -122,7 +135,9 @@ def test_trace_ray_matches_vec2_oracle():
     kinds = {"trace": 0, "vertex": 0, "value": 0}
     ends = set()
     for case in _oracle_cases(random.Random(SEED), 600):
-        fast = _trace_outcome(trace_ray, *case)
+        room, p, theta, max_crossings, section = case
+        fast = _trace_outcome(trace_ray, Heading.of(room, theta, section), p,
+                              max_crossings)
         slow = _trace_outcome(oracles.trace_ray_oracle, *case)
         assert fast == slow, case
         kinds[fast[0]] += 1
@@ -130,6 +145,46 @@ def test_trace_ray_matches_vec2_oracle():
             ends.add(fast[1].terminal)
     assert all(count >= 10 for count in kinds.values()), kinds
     assert ends == {TraceEnd.DOOR, TraceEnd.SECTION, TraceEnd.BUDGET}
+
+
+def test_a_shared_heading_leaks_nothing_between_flights():
+    # a return map flies all its rays on one Heading: in whichever order
+    # the flights come, each must trace as the oracle does from scratch
+    rng = random.Random(SEED + 8)
+    kinds = {"trace": 0, "vertex": 0, "value": 0}
+    for room in _oracle_rooms(rng):
+        verts = room.vertices()
+        sections = [None] + [CrossSection(i, j)
+                             for i, j in room.interior_diagonals()]
+        for _ in range(2):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            u = Vec2(math.cos(theta), math.sin(theta))
+            flights = []
+            for k in range(60):
+                if k % 6 == 0:      # a start aimed along u at a vertex
+                    p = rng.choice(verts) - u * rng.uniform(0.05, 1.0)
+                else:
+                    p = _start(rng, room, rng.random() > 0.9)
+                flights.append((p, rng.choice((3, 12, 64))))
+            for section in sections:
+                want = [_trace_outcome(oracles.trace_ray_oracle, room, p,
+                                       theta, n, section)
+                        for p, n in flights]
+                heading = Heading.of(room, theta, section)
+                forward = [_trace_outcome(trace_ray, heading, p, n)
+                           for p, n in flights]
+                backward = [_trace_outcome(trace_ray, heading, p, n)
+                            for p, n in reversed(flights)]
+                assert forward == want, (room, theta, section)
+                assert backward[::-1] == want, (room, theta, section)
+                for kind, _ in want:
+                    kinds[kind] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
+    trace = trace_ray(Heading.of(ROOM, 0.1), Vec2(0.31, 0.27), 5)
+    with pytest.raises(AttributeError):
+        trace.legs = ()
+    with pytest.raises(AttributeError):
+        trace.terminal = TraceEnd.DOOR
 
 
 def test_cached_room_geometry_is_invisible():
@@ -140,7 +195,7 @@ def test_cached_room_geometry_is_invisible():
     before = (repr(room), hash(room))
     p, theta = Vec2(0.5, 0.6), 0.7
     section = CrossSection(0, 2)
-    first = trace_ray(room, p, theta, 64, section)
+    first = trace_ray(Heading.of(room, theta, section), p, 64)
     assert room == twin
     assert (repr(room), hash(room)) == before == (repr(twin), hash(twin))
     # the lists handed out are copies of the cache
@@ -166,10 +221,11 @@ def test_cached_room_geometry_is_invisible():
         ends[1].x = 9.0
     assert section.endpoints(room) == section.endpoints(twin)
     assert room.geom.diagonals == twin.geom.diagonals
-    assert trace_ray(room, p, theta, 64, section) == first
+    assert trace_ray(Heading.of(room, theta, section), p, 64) == first
     # an equal room built separately traces identically
-    assert trace_ray(twin, p, theta, 64, section) == first
-    assert trace_ray(fresh(), p, theta, 64, section) == first
+    assert trace_ray(Heading.of(twin, theta, section), p, 64) == first
+    assert trace_ray(Heading.of(fresh(), theta, section), p,
+                     64) == first
 
 
 def test_diagonal_rows_are_endpoint_floats():
@@ -232,6 +288,16 @@ def test_bisect_is_the_same_float_either_way_round():
         backward = surface._bisect(b, a, lambda x: not x < edge, tol)
         assert forward == backward
         assert abs(forward - edge) <= tol
+
+
+def test_scan_refuses_a_grid_over_the_cap():
+    # refused before the grid is built: 1e-300 would ask for 6e300
+    # samples, and 5e-324 halves to 0.0
+    lo, hi = ROOM.inward_directions()
+    just_over = 2.0 * (hi - lo) / (surface.MAX_SCAN_SAMPLES + 1)
+    for eps in (1e-300, 5e-324, just_over):
+        with pytest.raises(ValueError, match="samples"):
+            find_cylinders(ROOM, eps)
 
 
 def test_runs_group_neighbours_matching_the_first_key():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dilatorus import teichmuller
-from dilatorus.geometry import (SL2Matrix, apply_sl2, geodesic_matrix,
+from dilatorus.geometry import (SL2Matrix, geodesic_matrix,
                                 projective_action, square_room, wrap_2pi)
 from dilatorus.surface import UNDECIDED_ERRORS, find_cylinders
 from dilatorus.teichmuller import (MonitorFlag, distortion, divergence_monitor,
