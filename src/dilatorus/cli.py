@@ -25,29 +25,29 @@ from .errors import BudgetExhausted, DilatorusError, NonConvergence
 from .geometry import (DilationParams, Room, SL2Matrix, apply_sl2,
                        build_room, canonicalize, geodesic_matrix,
                        room_to_json)
-from .quadratics import QuadraticNumber
+from .quadratics import QuadraticNumber, as_float
 from .rauzy import survivor_measure
 from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
-                      classify_direction, find_cylinders, rotation_number)
+                      ROTATION_TOL, classify_direction, find_cylinders,
+                      rotation_number)
 from .svgout import direction_wheel_svg, pentagon_svg
 from .teichmuller import (DEFAULT_THETA_TOL, divergence_monitor,
                           flow_series_to_csv)
-from .twists import (apply_word, holonomy_class, reach_target,
-                     word_from_string, word_to_string)
+from .twists import (DEFAULT_REACH_BUDGET, apply_word, holonomy_class,
+                     reach_target, word_from_string, word_to_string)
 
 DEFAULT_FLOW_STEPS = 12
 DEFAULT_FLOW_BUDGET = 2000
 DEFAULT_EPS_ANGLE = 0.05
 DEFAULT_REACH_EPS = 1e-2
-DEFAULT_REACH_BUDGET = 10 ** 5
-DEFAULT_ROTNUM_TOL = 1e-10
 # depth n lists up to 2^n survivor intervals; at (0.5, 0.5) on floats,
 # depth 20 takes 1.7-2.1 s and 155 MB peak RSS (2-vCPU x86-64 host)
 MAX_MEASURE_DEPTH = 20
 
 
 class UsageError(Exception):
-    """Flag-level rejection, reported before any computation runs."""
+    """Flag-level rejection: a malformed flag, reported before any
+    computation runs, or an --svg path that cannot be written."""
 
 
 def canonical_json(obj) -> str:
@@ -137,8 +137,13 @@ def _room_payload(room: Room) -> dict:
 
 
 def _write_svg(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write the drawing; callers do so before printing the document, so
+    an unwritable path leaves stdout empty."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--svg: cannot write the drawing: {exc}") from None
 
 
 def _emit(text: str) -> None:
@@ -149,9 +154,9 @@ def _emit(text: str) -> None:
 
 def cmd_room(args) -> int:
     room = canonicalize(_room_from_args(args))
-    _emit(canonical_json(_room_payload(room)))
     if args.svg:
         _write_svg(args.svg, pentagon_svg(room))
+    _emit(canonical_json(_room_payload(room)))
     return 0
 
 
@@ -171,9 +176,9 @@ def cmd_act(args) -> int:
     else:
         m = geodesic_matrix(args.t)
     moved = apply_sl2(m, room)
-    _emit(canonical_json(_room_payload(moved)))
     if args.svg:
         _write_svg(args.svg, pentagon_svg(moved))
+    _emit(canonical_json(_room_payload(moved)))
     return 0
 
 
@@ -186,13 +191,13 @@ def cmd_twist(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     result = apply_word(word, room)
+    if args.svg:
+        _write_svg(args.svg, pentagon_svg(result.room))
     _emit(canonical_json({
         "word": args.word,
         "mu_path": [list(p) for p in result.mu_path],
         "room": _room_payload(result.room),
     }))
-    if args.svg:
-        _write_svg(args.svg, pentagon_svg(result.room))
     return 0
 
 
@@ -226,6 +231,8 @@ def cmd_classify(args) -> int:
 def cmd_scan(args) -> int:
     room = _room_from_args(args)
     scan = find_cylinders(room, args.eps, budget=args.budget)
+    if args.svg:
+        _write_svg(args.svg, direction_wheel_svg(room, scan))
     if args.format == "csv":
         lines = ["theta1,theta2,angle,word,multiplier"]
         for c in scan.cylinders:
@@ -239,8 +246,6 @@ def cmd_scan(args) -> int:
             "exhausted": scan.exhausted,
             "cylinders": [c.to_json_dict() for c in scan.cylinders],
         }))
-    if args.svg:
-        _write_svg(args.svg, direction_wheel_svg(room, scan))
     return 0
 
 
@@ -293,10 +298,12 @@ def cmd_measure(args) -> int:
             lines.append(f"{k},{m}" if args.exact else f"{k},{m!r}")
         _emit("\n".join(lines) + "\n")
     else:
+        # the payload's floats are refused before the measure is computed
+        ra_f, rb_f = as_float(rho_a, "--rhoA"), as_float(rho_b, "--rhoB")
         m = survivor_measure(rho_a, rho_b, args.n)
         _emit(canonical_json({
-            "rho_a": float(rho_a),
-            "rho_b": float(rho_b),
+            "rho_a": ra_f,
+            "rho_b": rb_f,
             "n": args.n,
             "measure": str(m) if args.exact else m,
             "measure_float": float(m),
@@ -407,7 +414,7 @@ def _rotnum_grammar(p) -> None:
     _pair_flags(p, "rhoA", "rhoB")
     p.add_argument("--budget", type=int, default=ROTATION_MAX_ITER,
                    help="iteration cap of the float estimate")
-    p.add_argument("--tol", type=float, default=DEFAULT_ROTNUM_TOL,
+    p.add_argument("--tol", type=float, default=ROTATION_TOL,
                    help="agreement of successive float estimates")
 
 

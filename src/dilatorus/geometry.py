@@ -26,8 +26,12 @@ from .errors import (
     NonSimplePentagon,
     OutsideQ,
 )
-from .quadratics import QuadraticNumber, Scalar, is_exact
+from .quadratics import QuadraticNumber, Scalar, as_float, is_exact
 
+# The simplicity and interior-diagonal tests treat a cross or dot
+# product of edge vectors (an area) as zero up to
+# EPSILON * max(diameter, 1)**2: EPSILON is a fraction of the squared
+# diameter of the pentagon under test.
 EPSILON: float = 1e-12
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
@@ -178,7 +182,10 @@ class DilationParams:
         return is_exact(self.mu1) and is_exact(self.mu2)
 
     def as_floats(self) -> tuple[float, float]:
-        return (float(self.mu1), float(self.mu2))
+        """(mu1, mu2) as floats; ValueError for an exact one past the
+        float range."""
+        return (as_float(self.mu1, "parameter mu1"),
+                as_float(self.mu2, "parameter mu2"))
 
     def nu(self) -> tuple[float, float]:
         """The dilation factors (exp(mu1), exp(mu2)).
@@ -279,14 +286,11 @@ def _polygon_is_simple(vertices: list[Vec2], eps: float) -> bool:
 
 # --- rooms ---
 
-def _unit_vertices(nu1: float, nu2: float) -> list[Vec2]:
-    return [
-        Vec2(0.0, 0.0),
-        Vec2(1.0, 0.0),
-        Vec2(1.0, 1.0),
-        Vec2(1.0 - 1.0 / nu1, 1.0),
-        Vec2(0.0, 1.0 / nu2),
-    ]
+def _pentagon_vertices(e1: Vec2, e2: Vec2, nu1: float,
+                       nu2: float) -> tuple[Vec2, ...]:
+    """V0..V4 of the pentagon model over the basis (e1, e2)."""
+    v2 = e1 + e2
+    return (Vec2(0.0, 0.0), e1, v2, v2 - e1 * (1.0 / nu1), e2 * (1.0 / nu2))
 
 
 _DIAGONAL_PAIRS: tuple[tuple[int, int], ...] = ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
@@ -411,7 +415,7 @@ class Room:
             raise DegenerateDoor("both parameters vanish; the door has length 0")
         # simplicity is affine-invariant, so test the unit-basis pentagon:
         # it stays well conditioned however sheared the actual basis is
-        verts = _unit_vertices(*self.nu())
+        verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), *self.nu())
         diam = max(v.length() for v in verts)
         for k in range(5):
             if verts[k] == verts[(k + 1) % 5]:
@@ -435,11 +439,8 @@ class Room:
         fields only, so equal rooms stay equal whether traced or not.
         """
         nu1, nu2 = self.nu()
-        e1, e2 = self.e1, self.e2
-        v2 = e1 + e2
-        verts = (Vec2(0.0, 0.0), e1, v2, v2 - e1 * (1.0 / nu1),
-                 e2 * (1.0 / nu2))
-        e1x, e1y = float(e1.x), float(e1.y)
+        verts = _pentagon_vertices(self.e1, self.e2, nu1, nu2)
+        e1x, e1y = self.e1.as_floats()
         v3x, v3y = verts[3].as_floats()
         # (is_door, factor, scale, offset x, offset y) of each transport
         transports = (

@@ -20,8 +20,15 @@ from typing import Optional
 from .errors import AtDiscontinuity, NotInHole, NotReducible
 from .quadratics import Scalar, is_exact
 
+# In the [0, 1] coordinate of a float TwoSlopeMap: how far
+# rho_b*(1 - x_t) may exceed 1 - rho_a*x_t, and how close to x_t an orbit
+# point counts as a break-point hit.
 INJECTIVITY_SLACK: float = 1e-12
 HIT_TOL: float = 1e-15
+# Agreement of two affine laws or two one-sided limits.  AffineBranch.same_law
+# applies it absolutely, to the slope (unitless) and to the intercept
+# (domain units); PiecewiseAffineMap scales it by max(1, |domain ends|)
+# in its contiguity, overlap, jump and evaluation tests.
 MERGE_TOL: float = 1e-12
 # Slack of restrict_to_image's containment and interior-jump tests: in
 # domain units against the domain ends, and as a fraction of the image
@@ -95,18 +102,24 @@ class PeriodicCycle:
         return self.multiplier < 1
 
 
+def thresholds(rho_a: Scalar, rho_b: Scalar) -> tuple[Scalar, Scalar]:
+    """The hole's ends: B wins below the first, A above the second."""
+    return (rho_b / (1 + rho_b), 1 / (1 + rho_a))
+
+
 def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
     """Closed-form period-2 attractor when the break point misses the image.
 
-    With x_t strictly between rho_b/(1+rho_b) and 1/(1+rho_a) the image of
-    [0,1] avoids x_t, both branches map across the break, and T^2 contracts
+    With x_t strictly inside the hole (`thresholds`) the image of [0,1]
+    avoids x_t, both branches map across the break, and T^2 contracts
     with factor rho_a*rho_b < 1 toward a unique 2-cycle.
     """
     ra, rb, xt = tsm.rho_a, tsm.rho_b, tsm.x_t
-    if not (rb / (1 + rb) < xt < 1 / (1 + ra)):
+    lo, hi = thresholds(ra, rb)
+    if not (lo < xt < hi):
         raise NotInHole(
             f"x_t={float(xt)} is not strictly inside the hole "
-            f"({float(rb / (1 + rb))}, {float(1 / (1 + ra))})")
+            f"({float(lo)}, {float(hi)})")
     mult = ra * rb
     x_star = rb * (tsm.intercept_a - xt) / (1 - mult)
     y_star = ra * x_star + tsm.intercept_a
@@ -248,6 +261,23 @@ class AffineChart:
         return (y - self.offset) / self.scale
 
 
+def downward_jump(merged: PiecewiseAffineMap
+                  ) -> tuple[Scalar, Scalar, Scalar]:
+    """(jump point, image start, image end) of a merged two-branch map
+    that jumps down between its branches; NotReducible for any other."""
+    jumps = merged.jumps()
+    if len(merged.branches) != 2 or len(jumps) != 1:
+        raise NotReducible(
+            f"need exactly one jump between two affine branches, found "
+            f"{len(merged.branches)} branches and {len(jumps)} jumps")
+    x_d, left_limit, right_limit = jumps[0]
+    if right_limit > left_limit:
+        raise NotReducible(
+            "the jump goes upward; the image has an interior gap and the "
+            "map is not conjugate to a two-slope normal form")
+    return x_d, right_limit, left_limit
+
+
 def restrict_to_image(pam: PiecewiseAffineMap
                       ) -> tuple[TwoSlopeMap, AffineChart]:
     """Normal form of an injective one-jump map on its image interval.
@@ -260,17 +290,7 @@ def restrict_to_image(pam: PiecewiseAffineMap
     whose break spans the whole interval from below.
     """
     merged = pam.merged()
-    jumps = merged.jumps()
-    if len(merged.branches) != 2 or len(jumps) != 1:
-        raise NotReducible(
-            f"need exactly one jump between two affine branches, found "
-            f"{len(merged.branches)} branches and {len(jumps)} jumps")
-    x_d, left_limit, right_limit = jumps[0]
-    if right_limit > left_limit:
-        raise NotReducible(
-            "the jump goes upward; the image has an interior gap and the "
-            "map is not conjugate to a two-slope normal form")
-    j_lo, j_hi = right_limit, left_limit
+    x_d, j_lo, j_hi = downward_jump(merged)
     width = j_hi - j_lo
     dom_lo, dom_hi = merged.domain
     if (float(j_lo) < float(dom_lo) - IMAGE_TOL

@@ -225,6 +225,16 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QuadraticNumber))
 
 
+def as_float(x: Scalar, name: str) -> float:
+    """float(x), refusing with ValueError an exact x past the float range,
+    for which float() raises OverflowError; `name` names x in the
+    message."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} lies outside the float range") from None
+
+
 def as_ratio(x: Scalar) -> tuple[Scalar, Scalar]:
     """x as (numerator, positive denominator): a Fraction's two ints,
     (x, 1.0) for a float, and (x, 1) for an int or a QuadraticNumber."""

@@ -38,9 +38,13 @@ from .intervalmaps import (
     TwoSlopeMap,
     attracting_cycle_in_hole,
     evaluate,
+    thresholds,
 )
 from .quadratics import Scalar, as_ratio, is_exact
 
+# A float cycle lifted back to the original map closes when an iterate
+# returns within CYCLE_CLOSE_TOL of its first point, in the map's [0, 1]
+# coordinate.
 CYCLE_CLOSE_TOL: float = 1e-9
 RECONSTRUCT_CAP: int = 10 ** 6
 # Induction on float slopes stops once a slope (unitless) leaves
@@ -60,11 +64,6 @@ class TerminalKind(Enum):
     HALT = "halt"
     BUDGET_EXHAUSTED = "budget_exhausted"
     BOUNDARY = "boundary"
-
-
-def thresholds(rho_a: Scalar, rho_b: Scalar) -> tuple[Scalar, Scalar]:
-    """Upper end of the B-winner region and lower end of the A-winner region."""
-    return (rho_b / (1 + rho_b), 1 / (1 + rho_a))
 
 
 def classify_step(tsm: TwoSlopeMap) -> StepClass:
@@ -129,10 +128,9 @@ class Subdivision:
         return (thresholds(self.rho_a, self.rho_b)[1], 1)
 
     def lengths(self) -> tuple[Scalar, Scalar, Scalar]:
-        ra, rb = self.rho_a, self.rho_b
         hole = self.hole
         hole_len = hole[1] - hole[0] if hole else 0
-        return (rb / (1 + rb), hole_len, ra / (1 + ra))
+        return (self.left[1], hole_len, self.rho_a / (1 + self.rho_a))
 
 
 def subdivision(rho_a: Scalar, rho_b: Scalar) -> Subdivision:
@@ -160,7 +158,7 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
     seed = attracting_cycle_in_hole(final).points[0]
     for chart in reversed(charts):
         seed = chart.invert(seed)
-    exact = tsm.is_exact and isinstance(seed, (int, Fraction))
+    exact = tsm.is_exact and is_exact(seed)
     pts = [seed]
     mult = tsm.rho_a if seed < tsm.x_t else tsm.rho_b
     x = evaluate(tsm, seed)

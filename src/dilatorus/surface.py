@@ -40,10 +40,11 @@ from .intervalmaps import (
     AffineChart,
     PiecewiseAffineMap,
     TwoSlopeMap,
+    downward_jump,
     evaluate as evaluate_two_slope,
     restrict_to_image,
 )
-from .quadratics import QuadraticNumber, Scalar, is_exact
+from .quadratics import QuadraticNumber, Scalar, as_float, is_exact
 from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
 
 # Tolerances for the tracer are relative to the room diameter; those for
@@ -237,7 +238,8 @@ class RayTrace(NamedTuple):
         return math.prod(self.factors)
 
 
-def trace_ray(heading: Heading, p: Vec2, max_crossings: int = 64) -> RayTrace:
+def trace_ray(heading: Heading, p: Vec2,
+              max_crossings: int = DEFAULT_MAX_CROSSINGS) -> RayTrace:
     """Trace the ray from p along `heading` through the glued sides.
 
     Stops at the door, at a transverse crossing of the heading's section
@@ -351,8 +353,7 @@ def _flight(heading: Heading, s: float
     door, and VertexHit from the tracer.
     """
     ax, ay, tx, ty, _ = heading.frame
-    tr = trace_ray(heading, Vec2(ax + tx * s, ay + ty * s),
-                   DEFAULT_MAX_CROSSINGS)
+    tr = trace_ray(heading, Vec2(ax + tx * s, ay + ty * s))
     if tr.terminal is TraceEnd.BUDGET:
         raise BudgetExhausted("no return to the section within "
                               f"{DEFAULT_MAX_CROSSINGS} crossings",
@@ -535,22 +536,19 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
     the cone point, not a cylinder.  `pam` is merged, as
     `first_return_map` returns it.
     """
-    jumps = pam.jumps()
     dom_lo, dom_hi = pam.domain
     scale = float(dom_hi - dom_lo)
-    if len(jumps) == 0 and len(pam.branches) == 1:
+    if len(pam.branches) == 1:
         branch = pam.branches[0]
-    elif len(jumps) == 1 and len(pam.branches) == 2:
-        x_d, left_limit, right_limit = jumps[0]
-        if right_limit > left_limit:
+    else:
+        try:
+            x_d, j_lo, j_hi = map(float, downward_jump(pam))
+        except NotReducible:
             return None
-        j_lo, j_hi = float(right_limit), float(left_limit)
-        if (j_lo - COLLAPSE_JUMP_MARGIN * scale <= float(x_d)
+        if (j_lo - COLLAPSE_JUMP_MARGIN * scale <= x_d
                 <= j_hi + COLLAPSE_JUMP_MARGIN * scale):
             return None
-        branch = pam.branches[0] if float(x_d) > j_hi else pam.branches[1]
-    else:
-        return None
+        branch = pam.branches[0] if x_d > j_hi else pam.branches[1]
     slope = float(branch.slope)
     if slope >= 1.0 - COLLAPSE_SLOPE_MARGIN:
         return None
@@ -776,6 +774,9 @@ def find_cylinders(room: Room, eps_angle: float,
 # --- rotation numbers on the Herman boundary ---
 
 ROTATION_MAX_ITER = 1 << 20
+# the float estimate stops when two successive estimates of the rotation
+# number (turns per iterate) agree within this
+ROTATION_TOL = 1e-10
 EXACT_ORBIT_CAP = 4096
 EXACT_DENOMINATOR_CAP = 10**30
 
@@ -796,7 +797,7 @@ def _too_big(x) -> bool:
 
 
 def rotation_number(rho_a: Scalar, rho_b: Scalar,
-                    tol: float = 1e-10,
+                    tol: float = ROTATION_TOL,
                     max_iter: int = ROTATION_MAX_ITER) -> Union[Fraction, float]:
     """Rotation number of the continuous two-slope circle map.
 
@@ -813,11 +814,12 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     the rigorous bracket (displacement +/- 1)/n if the cap is reached.
     A negative or NaN tol is refused: no two estimates could meet it.
     So is an infinite rho_a, whose map sends every point below x* to
-    infinity.
+    infinity, and an exact slope past the float range.
     """
-    if not (float(rho_a) > 1.0 > float(rho_b) > 0.0):
+    ra_f, rb_f = as_float(rho_a, "rho_a"), as_float(rho_b, "rho_b")
+    if not (ra_f > 1.0 > rb_f > 0.0):
         raise ValueError("need rho_a > 1 > rho_b > 0")
-    if float(rho_a) == math.inf:
+    if ra_f == math.inf:
         raise ValueError("rho_a must be finite")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
@@ -827,10 +829,6 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     exact = is_exact(rho_a) and is_exact(rho_b)
     if exact:
         ra, rb = rho_a, rho_b
-        if isinstance(ra, int):
-            ra = Fraction(ra)
-        if isinstance(rb, int):
-            rb = Fraction(rb)
         x_star = (1 - rb) / (ra - rb)
         seen = {}
         x = x_star
@@ -850,7 +848,6 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
                 break
         # fall through to the float estimate
 
-    ra_f, rb_f = float(rho_a), float(rho_b)
     x_star_f = (1.0 - rb_f) / (ra_f - rb_f)
     b_a = rb_f * (1.0 - x_star_f)
 

@@ -28,6 +28,10 @@ from .geometry import (
 from .surface import (UNDECIDED_ERRORS, Cylinder, DirectionKind, _runs,
                       classify_direction, find_cylinders)
 
+# Criterion 1 fires within DEFAULT_THETA_TOL radians of 0 or pi, and a
+# step of the theta_sup series counts as monotone up to TREND_SLACK
+# radians against the trend.  The window probes cover flowed angles
+# within DEFAULT_WINDOW radians of horizontal on either side.
 DEFAULT_THETA_TOL = 0.05
 DEFAULT_MULTIPLIER_THRESHOLD = 1e6
 DEFAULT_WINDOW = 1.2
@@ -196,21 +200,18 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
     fired1 = fired2 = False
     for t in times:
         g = geodesic_matrix(t)
-        exhausted = baseline.exhausted
-        max_mult = 1.0
-        theta_sup_t = 0.0
+        spans = []
         for c in baseline.cylinders:
             d1, d2 = track_direction_interval(g, (c.theta1, c.theta2))
-            ang = d2 - d1
-            theta_sup_t = max(theta_sup_t, ang)
-            if ang >= eps_angle:
-                max_mult = max(max_mult, c.multiplier)
+            spans.append((d2 - d1, c.multiplier))
         hits, window_exhausted = _window_hits(room, t, eps_angle, budget,
                                               window)
-        exhausted = exhausted or window_exhausted
-        for coarse_angle, mult in hits:
-            theta_sup_t = max(theta_sup_t, coarse_angle)
-            if coarse_angle >= eps_angle:
+        exhausted = baseline.exhausted or window_exhausted
+        max_mult = 1.0
+        theta_sup_t = 0.0
+        for angle, mult in spans + hits:
+            theta_sup_t = max(theta_sup_t, angle)
+            if angle >= eps_angle:
                 max_mult = max(max_mult, mult)
         sup_series.append(theta_sup_t)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExhausted,
@@ -30,8 +30,15 @@ from .errors import (
 from .geometry import DilationParams, Room, Vec2
 from .quadratics import QuadraticNumber, float_convergents
 
+# A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
+# moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
+# unitless, once on the ratio and once relative to the larger parameter.
 FLOAT_MARGIN: float = 1e-12
 DENOMINATOR_CAP: int = 10 ** 6
+# reach_target's default cap on the word length
+DEFAULT_REACH_BUDGET: int = 10 ** 5
+# A float convergent p/q witnesses a rational ratio mu1/mu2 (unitless)
+# only when it lies within RATIO_TOL of it, absolutely.
 RATIO_TOL: float = 1e-9
 # a convergent only counts as a rational witness when it beats the generic
 # 1/q^2 approximation quality by this factor; otherwise every irrational
@@ -48,20 +55,9 @@ class TwistGenerator(Enum):
     T2_INV = "b"
 
     @property
-    def char(self) -> str:
-        return self.value
-
-    @property
     def inverse(self) -> "TwistGenerator":
-        return _INVERSES[self]
+        return TwistGenerator(self.value.swapcase())
 
-
-_INVERSES = {
-    TwistGenerator.T1: TwistGenerator.T1_INV,
-    TwistGenerator.T1_INV: TwistGenerator.T1,
-    TwistGenerator.T2: TwistGenerator.T2_INV,
-    TwistGenerator.T2_INV: TwistGenerator.T2,
-}
 
 # action on (mu1, mu2) as integer row pairs
 MU_ACTION: dict[TwistGenerator, tuple[tuple[int, int], tuple[int, int]]] = {
@@ -82,7 +78,7 @@ def word_from_string(s: str) -> Word:
 
 
 def word_to_string(word: Sequence[TwistGenerator]) -> str:
-    return "".join(g.char for g in word)
+    return "".join(g.value for g in word)
 
 
 # --- single moves ---
@@ -108,17 +104,32 @@ def twist_basis(g: TwistGenerator, e1: Vec2, e2: Vec2,
 
 # --- words ---
 
+def mu_path(word: Sequence[TwistGenerator],
+            params: DilationParams) -> Iterator[DilationParams]:
+    """The parameters before `word` and after each move, lazily: the one
+    fold of `twist_mu` along a word.  Raises InadmissibleAtStep at the
+    first result outside the open positive quadrant, or at step 0 when a
+    nonempty word starts outside it."""
+    if word and not params.in_positive_quadrant():
+        raise InadmissibleAtStep(0, "start parameters are not in the "
+                                    "positive quadrant")
+    yield params
+    for k, g in enumerate(word):
+        params = twist_mu(g, params)
+        if not params.in_positive_quadrant():
+            raise InadmissibleAtStep(k)
+        yield params
+
+
 def admissibility_violation(word: Sequence[TwistGenerator],
                             params: DilationParams) -> Optional[int]:
     """First 0-based step whose result leaves the open positive quadrant,
     or None if the whole word is admissible.  The start must be admissible."""
-    if not params.in_positive_quadrant():
-        return 0 if word else None
-    cur = params
-    for k, g in enumerate(word):
-        cur = twist_mu(g, cur)
-        if not cur.in_positive_quadrant():
-            return k
+    try:
+        for _ in mu_path(word, params):
+            pass
+    except InadmissibleAtStep as exc:
+        return exc.step
     return None
 
 
@@ -134,17 +145,15 @@ def apply_word(word: Sequence[TwistGenerator], room: Room) -> WordResult:
     The moves keep the basis oriented, but its float entries can grow
     until the rounded determinant turns over; that raises
     OrientationLostToRounding."""
-    params = room.params
-    if word and not params.in_positive_quadrant():
-        raise InadmissibleAtStep(0, "start parameters are not in the "
-                                    "positive quadrant")
+    fold = mu_path(word, room.params)
+    params = next(fold)
     e1, e2 = room.e1, room.e2
     path = [params.as_floats()]
-    for k, g in enumerate(word):
+    for g in word:
+        # the basis first: a factor past the float range is refused
+        # before a later move leaves the quadrant
         e1, e2 = twist_basis(g, e1, e2, params)
-        params = twist_mu(g, params)
-        if not params.in_positive_quadrant():
-            raise InadmissibleAtStep(k)
+        params = next(fold)
         path.append(params.as_floats())
     try:
         final = Room(e1, e2, params)
@@ -228,6 +237,8 @@ def gauss_contraction(params: DilationParams, eps: float,
 # --- nonnegative unimodular decomposition ---
 
 R_LETTER, L_LETTER = "R", "L"
+# the move whose parameter action is each monoid letter
+_MONOID_MOVES = {R_LETTER: TwistGenerator.T2, L_LETTER: TwistGenerator.T1}
 
 
 def decompose_sl2n(matrix: Sequence[Sequence[int]]) -> str:
@@ -260,15 +271,10 @@ def sl2n_word_to_twists(word: str) -> Word:
 
     The parameter action of S2 is R and of S1 is L; matrices in a product
     act right-to-left, so the letter order is reversed."""
-    out: list[TwistGenerator] = []
-    for ch in reversed(word):
-        if ch == R_LETTER:
-            out.append(TwistGenerator.T2)
-        elif ch == L_LETTER:
-            out.append(TwistGenerator.T1)
-        else:
-            raise ValueError(f"invalid monoid letter {ch!r}")
-    return tuple(out)
+    try:
+        return tuple(_MONOID_MOVES[ch] for ch in reversed(word))
+    except KeyError as exc:
+        raise ValueError(f"invalid monoid letter {exc.args[0]!r}") from None
 
 
 # --- density search in the positive quadrant ---
@@ -317,7 +323,7 @@ def _target_convergents(t1: float, t2: float):
 
 
 def reach_target(room: Room, mu_target, eps: float,
-                 budget: int = 10 ** 5) -> ReachReport:
+                 budget: int = DEFAULT_REACH_BUDGET) -> ReachReport:
     """Admissible word moving the parameters within eps of a positive target.
 
     Three phases: contract toward the origin, push the first coordinate out
@@ -325,8 +331,8 @@ def reach_target(room: Room, mu_target, eps: float,
     unimodular word whose leading column approximates the target direction.
     The word's parameter action is re-folded move by move, verifying both
     admissibility and the final error before the report is returned.
-    A negative or NaN eps, which no word could meet, and a negative
-    budget are refused.
+    A negative or NaN eps, which no word could meet, a negative budget,
+    and a NaN or infinite target or target ratio are refused.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
@@ -338,6 +344,9 @@ def reach_target(room: Room, mu_target, eps: float,
     t1, t2 = float(mu_target[0]), float(mu_target[1])
     if t1 <= 0 or t2 <= 0:
         raise ValueError("target must lie in the open positive quadrant")
+    if not (t1 < math.inf and t2 < math.inf and t1 / t2 < math.inf):
+        raise ValueError(f"target ({t1!r}, {t2!r}) and its ratio must be "
+                         "finite floats")
     m1, m2 = params0.as_floats()
     if math.hypot(m1 - t1, m2 - t2) <= eps:
         return ReachReport((), (("start", (m1, m2)),),
@@ -370,14 +379,10 @@ def reach_target(room: Room, mu_target, eps: float,
         err = math.hypot(final[0] - t1, final[1] - t2)
         last_error = min(last_error, err)
         if err <= eps:
-            cur = params0
-            inadmissible = False
-            for g in word:
-                cur = twist_mu(g, cur)
-                if not cur.in_positive_quadrant():
-                    inadmissible = True
-                    break
-            if inadmissible:
+            try:
+                for cur in mu_path(word, params0):
+                    pass
+            except InadmissibleAtStep:
                 continue
             got = cur.as_floats()
             true_err = math.hypot(got[0] - t1, got[1] - t2)

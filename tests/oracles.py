@@ -12,8 +12,8 @@ import random
 from typing import Callable, Optional, Sequence
 
 from dilatorus.errors import BudgetExhausted, NotTransverse, VertexHit
-from dilatorus.geometry import (PARALLEL_EPS, Room, Vec2, angle_dist_mod_pi,
-                                unit)
+from dilatorus.geometry import (PARALLEL_EPS, Room, SL2Matrix, Vec2,
+                                angle_dist_mod_pi, unit)
 from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
                                     PiecewiseAffineMap, TwoSlopeMap)
 from dilatorus.quadratics import Scalar
@@ -22,6 +22,15 @@ from dilatorus.surface import (_PARTNER, BRANCH_BISECT_TOL,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
                                TRANSVERSALITY_FLOOR, VERTEX_TOL, CrossSection,
                                RayTrace, TraceEnd)
+
+
+def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
+    """rot @ diag(e^s, e^-s) @ rot with uniform rotation angles and the
+    log-stretch s uniform in [-spread, spread]."""
+    rot1 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
+    rot2 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
+    stretch = SL2Matrix.diagonal(math.exp(rng.uniform(-spread, spread)))
+    return rot1 @ stretch @ rot2
 
 
 def two_slope_value(ra: float, rb: float, xt: float, x: float) -> float:

@@ -34,13 +34,6 @@ def report(label: str, detail: str) -> None:
     print(f"PASS {label}: {detail}")
 
 
-def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
-    rot1 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    rot2 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    stretch = SL2Matrix.diagonal(math.exp(rng.uniform(-spread, spread)))
-    return rot1 @ stretch @ rot2
-
-
 def region_lengths(sub):
     left = sub.left[1] - sub.left[0]
     hole = sub.hole[1] - sub.hole[0] if sub.hole is not None else 0
@@ -139,7 +132,7 @@ def test_criterion_05_classification_equivariance():
         room = square_room(rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
         lo, hi = room.inward_directions()
         theta = rng.uniform(lo + 0.05, hi - 0.05)
-        m = random_sl2(rng)
+        m = oracles.random_sl2(rng)
         try:
             base = classify_direction(room, theta, budget=budget)
             moved = classify_direction(apply_sl2(m, room),

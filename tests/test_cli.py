@@ -1,5 +1,6 @@
 """Command-line surface: schemas, wrapper fidelity, exit codes."""
 
+import inspect
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -12,7 +13,8 @@ from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
                                 room_to_json, SL2Matrix)
 from dilatorus.rauzy import survivor_measure
 from dilatorus.surface import classify_direction, find_cylinders, rotation_number
-from dilatorus.twists import apply_word, word_from_string
+from dilatorus.teichmuller import divergence_monitor
+from dilatorus.twists import apply_word, reach_target, word_from_string
 
 LN2 = math.log(2.0)
 MU_FLAGS = ["--mu1", str(LN2), "--mu2", str(LN2)]
@@ -343,6 +345,21 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["rotnum", "--rhoA=inf", "--rhoB=0.5"], "finite"),
     (["scan", "--mu1=1", "--mu2=1", "--eps=1e-300"], "samples"),
     (["flow", "--mu1=1", "--mu2=1", "--t-max=1", "--eps=1e-300"], "samples"),
+    (["rotnum", "--rhoA-exact=1e400,0,0", "--rhoB-exact=1/2,0,0"],
+     "float range"),
+    (["rotnum", "--rhoA-exact=1e400,0,0", "--rhoB-exact=1/2,0,0",
+      "--format=csv"], "float range"),
+    (["measure", "--rhoA=1e400", "--rhoB=0.5", "--n=2", "--exact"],
+     "float range"),
+    (["room", "--mu1-exact=1e400,0,0", "--mu2-exact=1,0,0"], "float range"),
+    (["twist", "--mu1-exact=1e400,0,0", "--mu2-exact=1,0,0", "--word=A"],
+     "float range"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=inf", "--target2=0.5"],
+     "finite"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=1e300",
+      "--target2=1e-300"], "ratio must be finite"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=nan", "--target2=0.5"],
+     "finite"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
         "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
@@ -351,13 +368,73 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "measure-rhoA-nan", "measure-rhoA-inf", "act-t-800", "act-t-minus-800",
         "act-t-1500", "reach-tol-negative", "reach-tol-nan",
         "reach-budget-negative", "rotnum-rhoA-inf", "scan-eps-1e-300",
-        "flow-eps-1e-300"])
+        "flow-eps-1e-300", "rotnum-exact-rhoA-overflow",
+        "rotnum-exact-rhoA-overflow-csv", "measure-exact-rhoA-overflow",
+        "room-exact-mu1-overflow", "twist-exact-mu1-overflow",
+        "reach-target1-inf", "reach-target-ratio-overflow",
+        "reach-target1-nan"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     data = json.loads(err)
     assert data["error"] == "ValueError"
     assert detail in data["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit-closure", "--mu1-exact=1e400,0,0", "--mu2-exact=1,0,0"],
+    ["measure", "--rhoA=1e400", "--rhoB=0.5", "--n=2", "--exact",
+     "--format=csv"],
+], ids=["orbit-closure", "measure-csv"])
+def test_huge_exact_values_pass_where_no_float_is_read(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["room"] + MU_FLAGS,
+    ["act", "--rotate=1"] + MU_FLAGS,
+    ["twist", "--word=AB"] + MU_FLAGS,
+    ["scan", "--eps=0.5", "--budget=200"] + MU_FLAGS,
+], ids=lambda argv: argv[0])
+def test_unwritable_svg_path_exits_2_and_prints_nothing(tmp_path, capsys,
+                                                        argv):
+    path = tmp_path / "missing" / "x.svg"
+    code, out, err = run(capsys, argv + [f"--svg={path}"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    data = json.loads(err)
+    assert data["error"] == "BadInput"
+    assert "--svg" in data["detail"]
+    assert not path.parent.exists()
+
+
+def _parsed_defaults(command: str, required: list[str]) -> dict:
+    args = cli.build_parser(command).parse_args([command] + required)
+    return vars(args)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    classify = _parsed_defaults("classify", ["--theta=1"])
+    assert classify["budget"] == default(classify_direction, "budget")
+    scan = _parsed_defaults("scan", [])
+    assert scan["budget"] == default(find_cylinders, "budget")
+    flow = _parsed_defaults("flow", ["--t-max=1"])
+    assert flow["tol"] == default(divergence_monitor, "theta_tol")
+    rotnum = _parsed_defaults("rotnum", [])
+    assert rotnum["tol"] == default(rotation_number, "tol")
+    assert rotnum["budget"] == default(rotation_number, "max_iter")
+    reach = _parsed_defaults("reach", ["--target1=1", "--target2=1"])
+    assert reach["budget"] == default(reach_target, "budget")
+    # the defaults the library leaves to its callers are the CLI's own
+    assert scan["eps"] == flow["eps"] == cli.DEFAULT_EPS_ANGLE
+    assert flow["budget"] == cli.DEFAULT_FLOW_BUDGET
+    assert flow["steps"] == cli.DEFAULT_FLOW_STEPS
+    assert reach["tol"] == cli.DEFAULT_REACH_EPS
 
 
 ROTNUM_FLAGS = ["--rhoA=2.5", "--rhoB=0.3"]

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from dilatorus.errors import (DegenerateDoor, NonOrientedBasis,
                               NonSimplePentagon, OutsideQ)
-from dilatorus.geometry import (SL2Matrix, Vec2, apply_sl2, build_room,
+from dilatorus.geometry import (SL2Matrix, Vec2, _pentagon_vertices,
+                                apply_sl2, build_room,
                                 canonicalize, geodesic_matrix,
                                 point_in_polygon, projective_action,
                                 room_to_json, square_room, unit, wrap_2pi,
@@ -17,13 +19,6 @@ from dilatorus.quadratics import QuadraticNumber
 
 SEED = 20260817
 LN2 = math.log(2.0)
-
-
-def random_sl2(rng: random.Random, spread: float = 0.8) -> SL2Matrix:
-    rot1 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    rot2 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    stretch = SL2Matrix.diagonal(math.exp(rng.uniform(-spread, spread)))
-    return rot1 @ stretch @ rot2
 
 
 # --- matrices ---
@@ -36,7 +31,7 @@ def test_sl2_requires_unit_determinant():
 def test_sl2_inverse_and_product():
     rng = random.Random(SEED)
     for _ in range(100):
-        m = random_sl2(rng)
+        m = oracles.random_sl2(rng, 0.8)
         ident = m @ m.inverse()
         assert abs(ident.a - 1.0) < 1e-9 and abs(ident.d - 1.0) < 1e-9
         assert abs(ident.b) < 1e-9 and abs(ident.c) < 1e-9
@@ -52,7 +47,7 @@ def test_geodesic_matrix_shape():
 def test_projective_action_matches_vector_action():
     rng = random.Random(SEED + 1)
     for _ in range(200):
-        m = random_sl2(rng)
+        m = oracles.random_sl2(rng, 0.8)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         image = m.apply(unit(theta))
         assert projective_action(m, theta) == pytest.approx(
@@ -74,6 +69,16 @@ def test_symmetric_room_vertices():
     assert v[2] == pytest.approx((1.0, 1.0))
     assert v[3] == pytest.approx((0.5, 1.0))
     assert v[4] == pytest.approx((0.0, 0.5))
+
+
+def test_vertex_formula_on_the_unit_basis_is_exact():
+    # the simplicity test reads these floats: V3 = (1 - 1/nu1, 1) and
+    # V4 = (0, 1/nu2) with no rounding from the basis arithmetic
+    for nu1, nu2 in ((2.0, 3.0), (math.e, 1.1), (7.3, 0.6)):
+        verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), nu1, nu2)
+        assert [v.as_floats() for v in verts] == [
+            (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0 - 1.0 / nu1, 1.0),
+            (0.0, 1.0 / nu2)]
 
 
 def test_room_rejects_bad_input():
@@ -120,7 +125,8 @@ def test_gluing_transports_endpoints_to_partner():
         mu2 = rng.uniform(-0.5, 1.5)
         if mu1 <= 0 and mu2 <= 0:
             continue
-        room = apply_sl2(random_sl2(rng, 0.5), square_room(mu1, mu2))
+        room = apply_sl2(oracles.random_sl2(rng, 0.5),
+                         square_room(mu1, mu2))
         sides = room.sides()
         partner = {0: 2, 1: 4, 2: 0, 4: 1}
         for side in sides:
@@ -156,7 +162,7 @@ def test_apply_sl2_commutes_with_vertices():
     rng = random.Random(SEED + 3)
     for _ in range(50):
         room = square_room(rng.uniform(0.1, 1.2), rng.uniform(0.1, 1.2))
-        m = random_sl2(rng)
+        m = oracles.random_sl2(rng, 0.8)
         moved = apply_sl2(m, room)
         for v, w in zip(room.vertices(), moved.vertices()):
             assert (m.apply(v) - w).length() < 1e-9

@@ -9,8 +9,10 @@ import pytest
 from dilatorus.errors import AtDiscontinuity, NotInHole, NotReducible
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap,
-                                    attracting_cycle_in_hole, evaluate,
-                                    orbit, restrict_to_image)
+                                    attracting_cycle_in_hole, downward_jump,
+                                    evaluate, orbit, restrict_to_image,
+                                    thresholds)
+from dilatorus import rauzy
 import oracles
 
 SEED = 20260817
@@ -121,3 +123,34 @@ def test_restrict_to_image_rejects_upward_jump():
     ))
     with pytest.raises(NotReducible):
         restrict_to_image(pam)
+
+
+def test_downward_jump_decodes_the_one_jump_of_two_branches():
+    down = PiecewiseAffineMap((
+        AffineBranch(0.0, 0.5, 0.5, 0.5),     # image [0.5, 0.75]
+        AffineBranch(0.5, 1.0, 0.5, -0.25),   # image [0, 0.25]
+    ))
+    assert downward_jump(down) == (0.5, 0.0, 0.75)
+    up = PiecewiseAffineMap((
+        AffineBranch(0.0, 0.5, 0.2, 0.0),
+        AffineBranch(0.5, 1.0, 0.2, 0.8),
+    ))
+    with pytest.raises(NotReducible, match="the jump goes upward"):
+        downward_jump(up)
+    single = PiecewiseAffineMap((AffineBranch(0.0, 1.0, 0.5, 0.25),))
+    with pytest.raises(NotReducible,
+                       match="found 1 branches and 0 jumps"):
+        downward_jump(single)
+    # restrict_to_image reports the decoder's refusal unchanged
+    with pytest.raises(NotReducible, match="the jump goes upward"):
+        restrict_to_image(up)
+
+
+def test_thresholds_are_the_hole_of_the_cycle_and_of_rauzy():
+    assert rauzy.thresholds is thresholds
+    lo, hi = thresholds(HALF, HALF)
+    assert (lo, hi) == (Fraction(1, 3), Fraction(2, 3))
+    attracting_cycle_in_hole(TwoSlopeMap(HALF, HALF, HALF))
+    for x_t in (lo, hi):
+        with pytest.raises(NotInHole, match="not strictly inside"):
+            attracting_cycle_in_hole(TwoSlopeMap(HALF, HALF, x_t))

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import oracles
 from dilatorus import surface
@@ -25,13 +25,6 @@ from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
 SEED = 20260817
 LN2 = math.log(2.0)
 ROOM = square_room(LN2, LN2)
-
-
-def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
-    rot1 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    rot2 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    stretch = SL2Matrix.diagonal(math.exp(rng.uniform(-spread, spread)))
-    return rot1 @ stretch @ rot2
 
 
 # --- ray tracing ---
@@ -92,8 +85,8 @@ def _oracle_rooms(rng: random.Random) -> list:
     """The square ln 2 room, the sheared room, and a random SL(2, R)
     image of each."""
     sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
-    return [ROOM, sheared, apply_sl2(random_sl2(rng), ROOM),
-            apply_sl2(random_sl2(rng), sheared)]
+    return [ROOM, sheared, apply_sl2(oracles.random_sl2(rng), ROOM),
+            apply_sl2(oracles.random_sl2(rng), sheared)]
 
 
 def _start(rng: random.Random, room, outside: bool) -> Vec2:
@@ -235,7 +228,8 @@ def test_diagonal_rows_are_endpoint_floats():
     sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
     exact = build_room((Fraction(1), Fraction(1, 5)),
                        (Fraction(3, 10), Fraction(11, 10)), (0.4, 1.3))
-    for room in (ROOM, sheared, exact, apply_sl2(random_sl2(rng), sheared)):
+    for room in (ROOM, sheared, exact,
+                 apply_sl2(oracles.random_sl2(rng), sheared)):
         assert len(room.geom.diagonals) == 2 * len(_DIAGONAL_PAIRS)
         for pair in _DIAGONAL_PAIRS:
             for i, j in (pair, pair[::-1]):
@@ -258,8 +252,8 @@ def test_first_return_map_matches_vec2_oracle():
     # arithmetic did: same maps, or the same error type
     rng = random.Random(SEED + 6)
     sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
-    rooms = [ROOM, sheared, apply_sl2(random_sl2(rng), ROOM),
-             apply_sl2(random_sl2(rng), sheared)]
+    rooms = [ROOM, sheared, apply_sl2(oracles.random_sl2(rng), ROOM),
+             apply_sl2(oracles.random_sl2(rng), sheared)]
     outcomes = {"map": 0, "error": 0}
     for room in rooms:
         lo, hi = room.inward_directions()
@@ -336,30 +330,34 @@ def test_cylinder_multipliers_are_holonomy_powers():
         assert abs(power - round(power)) < 1e-6
 
 
-def test_classification_is_sl2_equivariant():
-    rng = random.Random(SEED + 2)
-    checked = 0
-    while checked < 40:
-        room = square_room(rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
-        lo, hi = room.inward_directions()
-        theta = rng.uniform(lo + 0.05, hi - 0.05)
-        m = random_sl2(rng)
-        try:
-            base = classify_direction(room, theta, budget=700)
-            moved = classify_direction(apply_sl2(m, room),
-                                       projective_action(m, theta),
-                                       budget=700)
-        except VertexHit:
-            continue
-        if DirectionKind.CANTOR_LIKE in (base.kind, moved.kind):
-            # budget-limited verdicts depend on the iteration count only
-            checked += 1
-            continue
-        assert base.kind is moved.kind
-        if base.kind is DirectionKind.CYLINDER:
-            assert moved.multiplier == pytest.approx(base.multiplier,
-                                                     rel=1e-9)
-        checked += 1
+@st.composite
+def sl2_matrices(draw) -> SL2Matrix:
+    """rot @ diag(e^s, e^-s) @ rot, the log-stretch s within +-0.6."""
+    angles = st.floats(0.0, 2.0 * math.pi)
+    rot1 = SL2Matrix.rotation(draw(angles))
+    stretch = SL2Matrix.diagonal(math.exp(draw(st.floats(-0.6, 0.6))))
+    return rot1 @ stretch @ SL2Matrix.rotation(draw(angles))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.floats(0.3, 1.2), st.floats(0.3, 1.2),
+       st.floats(0.05, math.pi - 0.05), sl2_matrices())
+def test_classification_is_sl2_equivariant(mu1, mu2, inset, m):
+    # theta lies at least 0.05 inside the inward half-circle (lo, lo + pi)
+    room = square_room(mu1, mu2)
+    theta = room.inward_directions()[0] + inset
+    try:
+        base = classify_direction(room, theta, budget=700)
+        moved = classify_direction(apply_sl2(m, room),
+                                   projective_action(m, theta), budget=700)
+    except VertexHit:
+        reject()
+    if DirectionKind.CANTOR_LIKE in (base.kind, moved.kind):
+        # budget-limited verdicts depend on the iteration count only
+        return
+    assert base.kind is moved.kind
+    if base.kind is DirectionKind.CYLINDER:
+        assert moved.multiplier == pytest.approx(base.multiplier, rel=1e-9)
 
 
 def test_cylinder_outcome_consistency():

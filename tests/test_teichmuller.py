@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+import oracles
 from dilatorus import teichmuller
-from dilatorus.geometry import (SL2Matrix, geodesic_matrix,
-                                projective_action, square_room, wrap_2pi)
+from dilatorus.geometry import (geodesic_matrix, projective_action,
+                                square_room, wrap_2pi)
 from dilatorus.surface import UNDECIDED_ERRORS, find_cylinders
 from dilatorus.teichmuller import (MonitorFlag, distortion, divergence_monitor,
                                    flow, flow_series_to_csv,
@@ -16,13 +17,6 @@ from dilatorus.teichmuller import (MonitorFlag, distortion, divergence_monitor,
 SEED = 20260817
 LN2 = math.log(2.0)
 ROOM = square_room(LN2, LN2)
-
-
-def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
-    rot1 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    rot2 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    stretch = SL2Matrix.diagonal(math.exp(rng.uniform(-spread, spread)))
-    return rot1 @ stretch @ rot2
 
 
 # --- flow and distortion ---
@@ -64,7 +58,7 @@ def test_distortion_monotone_and_bounded():
 def test_tracked_interval_matches_endpoint_action():
     rng = random.Random(SEED)
     for _ in range(200):
-        m = random_sl2(rng)
+        m = oracles.random_sl2(rng)
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         t2 = t1 + rng.uniform(0.05, 2.5)
         d1, d2 = track_direction_interval(m, (t1, t2))
@@ -79,7 +73,7 @@ def test_tracked_interval_matches_endpoint_action():
 def test_tracked_interval_contains_interior_images():
     rng = random.Random(SEED + 1)
     for _ in range(100):
-        m = random_sl2(rng)
+        m = oracles.random_sl2(rng)
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         t2 = t1 + rng.uniform(0.1, 2.0)
         d1, d2 = track_direction_interval(m, (t1, t2))

@@ -12,8 +12,9 @@ from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.twists import (Holonomy, TwistGenerator, admissibility_violation,
                               apply_word, decompose_sl2n, gauss_contraction,
-                              holonomy_class, reach_target, sl2n_word_to_twists,
-                              twist_mu, word_from_string, word_to_string)
+                              holonomy_class, mu_path, reach_target,
+                              sl2n_word_to_twists, twist_mu, word_from_string,
+                              word_to_string)
 
 SEED = 20260817
 GENERATORS = list(TwistGenerator)
@@ -116,6 +117,41 @@ def test_apply_word_rejects_inadmissible_prefix():
                                    room.params) == 1
     assert admissibility_violation(word_from_string("AB"),
                                    room.params) is None
+
+
+def test_mu_path_folds_twist_mu_and_stops_at_the_exit():
+    params = DilationParams(Fraction(1), Fraction(3))
+    word = word_from_string("AAaB")
+    path = list(mu_path(word, params))
+    assert path[0] == params and len(path) == len(word) + 1
+    for g, before, after in zip(word, path, path[1:]):
+        assert after == twist_mu(g, before)
+    assert path[-1] == apply_word(word, square_room(1, 3)).room.params
+    # the start is checked only for a nonempty word
+    outside = DilationParams(Fraction(-1), Fraction(3))
+    assert list(mu_path((), outside)) == [outside]
+    with pytest.raises(InadmissibleAtStep) as exc:
+        list(mu_path(word_from_string("Ab"), outside))
+    assert exc.value.step == 0
+    with pytest.raises(InadmissibleAtStep) as exc:
+        list(mu_path(word_from_string("Bbb"), params))
+    assert exc.value.step == 2
+
+
+def test_a_basis_past_the_float_range_is_refused_before_a_later_exit():
+    # T1 adds mu1 to mu2, so nu2 = exp(1 + k) overflows at move 709, and
+    # the first b leaves the quadrant only at move 720
+    word = word_from_string("A" * 720 + "b")
+    room = square_room(1, 1)
+    assert admissibility_violation(word, room.params) == 720
+    with pytest.raises(ValueError, match="float range"):
+        apply_word(word, room)
+
+
+def test_monoid_letters_become_moves_in_reverse_order():
+    assert sl2n_word_to_twists("RLL") == word_from_string("AAB")
+    with pytest.raises(ValueError, match="'x'"):
+        sl2n_word_to_twists("RxL")
 
 
 def test_word_string_roundtrip():
