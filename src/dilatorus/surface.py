@@ -214,28 +214,24 @@ class Heading(NamedTuple):
 
 
 class RayTrace(NamedTuple):
-    """Flight record of one ray: straight legs joined by side transports.
+    """Itinerary of one ray: the glued sides it crossed, in flight order,
+    and where and how it stopped.
 
-    `legs` holds plain floats, x0, y0, x1, y1 for each leg in flight
-    order.  `factors` holds one dilation factor per applied transport,
-    so the derivative of the flow between the endpoints is their
-    product.  `trace_ray` builds one per flight; as a NamedTuple it
-    costs no per-field `__setattr__`, and its fields stay read-only.
+    `cumulative_factor` is the product of the crossed sides' dilation
+    factors, taken in crossing order: the derivative of the flow between
+    the start and `end_point`.  `trace_ray` builds one per flight; as a
+    NamedTuple it costs no per-field `__setattr__`, and its fields stay
+    read-only.
     """
 
-    legs: tuple[float, ...]
-    factors: tuple[float, ...]
     crossed_sides: tuple[int, ...]
+    cumulative_factor: float
     terminal: TraceEnd
     end_point: Vec2
 
     @property
     def crossings(self) -> int:
-        return len(self.factors)
-
-    @property
-    def cumulative_factor(self) -> float:
-        return math.prod(self.factors)
+        return len(self.crossed_sides)
 
 
 def trace_ray(heading: Heading, p: Vec2,
@@ -244,16 +240,19 @@ def trace_ray(heading: Heading, p: Vec2,
 
     Stops at the door, at a transverse crossing of the heading's section
     (if it has one), or after `max_crossings` transports.  A hit within
-    VERTEX_TOL of a side endpoint raises VertexHit carrying the partial
-    trace, since the flow is undefined through the cone point.
+    VERTEX_TOL of a side endpoint raises VertexHit carrying the
+    itinerary up to the hit, since the flow is undefined through the
+    cone point.
 
     Everything that depends on the direction alone (u, the denominators
     u x e, the step floors, the section row) comes from `heading`, built
     once per (room, theta, section); per flight this takes the start
     point, the crossing parameters t and s of each leg, the transports,
     and the RayTrace with its end point, the one Vec2 a trace builds.
-    Nothing is cached beyond the heading and the room's own tables, so
-    nothing outlives them (nor, in the CLI, a `cli.main` call).
+    A flight keeps only its crossed sides and the running product of
+    their factors.  Nothing is cached beyond
+    the heading and the room's own tables, so nothing outlives them
+    (nor, in the CLI, a `cli.main` call).
     """
     crossable, rows, ux, uy, t_base, t_clear, sec, _ = heading
     if sec is not None:
@@ -261,9 +260,8 @@ def trace_ray(heading: Heading, p: Vec2,
     s_lo, s_hi = -VERTEX_TOL, 1.0 + VERTEX_TOL
 
     px, py = float(p.x), float(p.y)
-    legs: list[float] = []
-    factors: list[float] = []
     crossed: list[int] = []
+    gain = 1.0
     arrived: Optional[int] = None
 
     while True:
@@ -300,28 +298,26 @@ def trace_ray(heading: Heading, p: Vec2,
             # float resolution, the same as a direct vertex strike.
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=RayTrace(tuple(legs), tuple(factors), tuple(crossed),
-                               TraceEnd.VERTEX, Vec2(px, py)))
+                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX,
+                               Vec2(px, py)))
         qx, qy = px + ux * best_t, py + uy * best_t
-        legs += (px, py, qx, qy)
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
-                            trace=RayTrace(tuple(legs), tuple(factors),
-                                           tuple(crossed), TraceEnd.VERTEX,
-                                           Vec2(qx, qy)))
+                            trace=RayTrace(tuple(crossed), gain,
+                                           TraceEnd.VERTEX, Vec2(qx, qy)))
         if hit_section:
-            return RayTrace(tuple(legs), tuple(factors), tuple(crossed),
-                            TraceEnd.SECTION, Vec2(qx, qy))
+            return RayTrace(tuple(crossed), gain, TraceEnd.SECTION,
+                            Vec2(qx, qy))
         _, _, _, _, _, is_door, factor, scale, ox, oy = rows[best_side]
         if is_door:
-            return RayTrace(tuple(legs), tuple(factors), tuple(crossed),
-                            TraceEnd.DOOR, Vec2(qx, qy))
-        if len(factors) >= max_crossings:
-            return RayTrace(tuple(legs), tuple(factors), tuple(crossed),
-                            TraceEnd.BUDGET, Vec2(qx, qy))
-        factors.append(factor)
+            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR,
+                            Vec2(qx, qy))
+        if len(crossed) >= max_crossings:
+            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET,
+                            Vec2(qx, qy))
         crossed.append(best_side)
+        gain *= factor
         px, py = qx * scale + ox, qy * scale + oy
         arrived = _PARTNER[best_side]
 

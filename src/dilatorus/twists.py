@@ -28,7 +28,7 @@ from .errors import (
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import QuadraticNumber, float_convergents
+from .quadratics import CF_NOISE_FLOOR, QuadraticNumber, float_convergents
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -332,7 +332,10 @@ def reach_target(room: Room, mu_target, eps: float,
     The word's parameter action is re-folded move by move, verifying both
     admissibility and the final error before the report is returned.
     A negative or NaN eps, which no word could meet, a negative budget,
-    and a NaN or infinite target or target ratio are refused.
+    and a NaN or infinite target or target ratio are refused.  So is,
+    unless the start already lies within eps, a target ratio below
+    CF_NOISE_FLOOR: its continued fraction ends at the term 0, so no
+    convergent could aim a search at it.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
@@ -351,6 +354,10 @@ def reach_target(room: Room, mu_target, eps: float,
     if math.hypot(m1 - t1, m2 - t2) <= eps:
         return ReachReport((), (("start", (m1, m2)),),
                            math.hypot(m1 - t1, m2 - t2), params0)
+    if t1 / t2 < CF_NOISE_FLOOR:
+        raise ValueError(f"target ratio {t1 / t2!r} lies below the "
+                         f"continued-fraction noise floor {CF_NOISE_FLOOR!r}; "
+                         "no convergent resolves its direction")
 
     last_error = math.inf
     for a, c in _target_convergents(t1, t2):

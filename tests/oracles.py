@@ -146,13 +146,6 @@ def _solve_crossing(p: Vec2, u: Vec2, a: Vec2, b: Vec2,
     return t, s
 
 
-def _ray_trace(segments: list[tuple[Vec2, Vec2]], factors: list[float],
-               crossed: list[int], terminal: TraceEnd, end: Vec2) -> RayTrace:
-    """The RayTrace of Vec2 legs, flattened to floats only here."""
-    legs = tuple(float(c) for a, b in segments for c in (a.x, a.y, b.x, b.y))
-    return RayTrace(legs, tuple(factors), tuple(crossed), terminal, end)
-
-
 def trace_ray_oracle(room: Room, p: Vec2, theta: float,
                      max_crossings: int = 64,
                      section: Optional[CrossSection] = None) -> RayTrace:
@@ -166,9 +159,8 @@ def trace_ray_oracle(room: Room, p: Vec2, theta: float,
     t_clear = CLEARANCE * diam
     sec_pts = section.endpoints(room) if section is not None else None
 
-    segments: list[tuple[Vec2, Vec2]] = []
-    factors: list[float] = []
     crossed: list[int] = []
+    gain = 1.0
     arrived: Optional[int] = None
 
     while True:
@@ -194,24 +186,22 @@ def trace_ray_oracle(room: Room, p: Vec2, theta: float,
                                  "pentagon with the direction entering it")
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=_ray_trace(segments, factors, crossed,
-                                 TraceEnd.VERTEX, p))
+                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX, p))
         q = p + u * best_t
-        segments.append((p, q))
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
-                            trace=_ray_trace(segments, factors, crossed,
-                                             TraceEnd.VERTEX, q))
+                            trace=RayTrace(tuple(crossed), gain,
+                                           TraceEnd.VERTEX, q))
         if hit_section:
-            return _ray_trace(segments, factors, crossed, TraceEnd.SECTION, q)
+            return RayTrace(tuple(crossed), gain, TraceEnd.SECTION, q)
         side = sides[best_side]
         if side.is_door:
-            return _ray_trace(segments, factors, crossed, TraceEnd.DOOR, q)
-        if len(factors) >= max_crossings:
-            return _ray_trace(segments, factors, crossed, TraceEnd.BUDGET, q)
-        factors.append(side.factor)
+            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR, q)
+        if len(crossed) >= max_crossings:
+            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET, q)
         crossed.append(side.index)
+        gain *= side.factor
         p = side.transport(q)
         arrived = _PARTNER[side.index]
 

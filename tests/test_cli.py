@@ -360,6 +360,10 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
       "--target2=1e-300"], "ratio must be finite"),
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=nan", "--target2=0.5"],
      "finite"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=1e-15", "--target2=1"],
+     "noise floor"),
+    (["reach", "--mu1=1", "--mu2=0.7", "--target1=1e-300",
+      "--target2=1e300"], "noise floor"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
         "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
@@ -372,7 +376,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "rotnum-exact-rhoA-overflow-csv", "measure-exact-rhoA-overflow",
         "room-exact-mu1-overflow", "twist-exact-mu1-overflow",
         "reach-target1-inf", "reach-target-ratio-overflow",
-        "reach-target1-nan"])
+        "reach-target1-nan", "reach-target-ratio-below-floor",
+        "reach-target-ratio-underflow"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""

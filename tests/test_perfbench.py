@@ -2,13 +2,16 @@
 
 import ast
 import importlib.util
+import json
 import math
+import re
 from pathlib import Path
 
 from dilatorus import surface
 from dilatorus.geometry import square_room
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_tracing", PERFBENCH / "tracing.py")
 tracing = importlib.util.module_from_spec(_SPEC)
@@ -68,3 +71,20 @@ def test_anchor_scan_call_counts_match_the_benchmark():
         tracer.uninstall()
     layers = tracing.Layers(tracer)
     assert {layer: layers.n(layer) for layer in anchor} == anchor
+
+
+def test_bench_records_share_the_results_layout():
+    # every committed BENCH_*.json is the dict `perfbench/run.py` writes
+    # to perfbench/out/results.json, so one reader takes the whole series
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        assert isinstance(doc, dict) and doc, path.name
+        for key, run in doc.items():
+            assert re.fullmatch(r"(classify|scan|flow|exact)/trace[01]",
+                                key), (path.name, key)
+            assert set(run) == {"attempted", "correct", "failed",
+                                "metrics"}, (path.name, key)
+            for name, metric in run["metrics"].items():
+                assert set(metric) == {"unit", "value"}, (path.name, name)

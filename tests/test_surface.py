@@ -11,11 +11,13 @@ from hypothesis import given, reject, settings, strategies as st
 
 import oracles
 from dilatorus import surface
-from dilatorus.errors import NonConvergence, VertexHit
+from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
+                              VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 Vec2, apply_sl2, build_room,
                                 point_in_polygon, projective_action,
                                 square_room)
+from dilatorus.intervalmaps import AffineBranch, PiecewiseAffineMap
 from dilatorus.rauzy import TerminalKind
 from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
                                DirectionKind, Heading, TraceEnd,
@@ -34,7 +36,7 @@ def test_trace_reaches_door():
     trace = trace_ray(Heading.of(ROOM, math.atan2(1.0, -0.3)), Vec2(0.3, 0.3),
                       64)
     assert trace.terminal is TraceEnd.DOOR
-    assert trace.crossings == len(trace.factors)
+    assert trace.crossings == len(trace.crossed_sides)
 
 
 def test_trace_transport_factors_are_glue_factors():
@@ -46,15 +48,8 @@ def test_trace_transport_factors_are_glue_factors():
         except VertexHit:
             continue
         sides = ROOM.sides()
-        for idx, factor in zip(trace.crossed_sides, trace.factors):
-            assert factor == pytest.approx(sides[idx].factor)
-        # legs are joined by the corresponding transports
-        legs = trace.legs
-        for k, idx in enumerate(trace.crossed_sides):
-            leg_end = Vec2(legs[4 * k + 2], legs[4 * k + 3])
-            next_start = Vec2(legs[4 * k + 4], legs[4 * k + 5])
-            moved = sides[idx].transport(leg_end)
-            assert (moved - next_start).length() < 1e-9
+        assert trace.cumulative_factor == math.prod(
+            sides[idx].factor for idx in trace.crossed_sides)
 
 
 def test_trace_vertex_hit():
@@ -175,7 +170,7 @@ def test_a_shared_heading_leaks_nothing_between_flights():
     assert all(count >= 10 for count in kinds.values()), kinds
     trace = trace_ray(Heading.of(ROOM, 0.1), Vec2(0.31, 0.27), 5)
     with pytest.raises(AttributeError):
-        trace.legs = ()
+        trace.crossed_sides = ()
     with pytest.raises(AttributeError):
         trace.terminal = TraceEnd.DOOR
 
@@ -384,6 +379,85 @@ def test_scan_drops_undecided_directions_and_reports_bugs(monkeypatch):
     monkeypatch.setattr(surface, "classify_direction", raising(ValueError))
     with pytest.raises(ValueError, match="from classify_direction"):
         find_cylinders(ROOM, 0.3, budget=600)
+
+
+def test_scan_drops_a_run_whose_midpoint_probe_fails(monkeypatch):
+    # a run whose bisected edges hold but whose midpoint is undecided is
+    # dropped, and the scan no longer certifies that nothing was missed
+    lo, hi = ROOM.inward_directions()
+    a, b = lo + 0.2 * (hi - lo), lo + 0.6 * (hi - lo)
+    middle = 0.5 * (a + b)
+
+    def fake(hole):
+        def classify(room, theta, budget):
+            if a < theta < b and abs(theta - middle) > hole:
+                return surface.DirectionClass(DirectionKind.CYLINDER, "R",
+                                              2.0, None, None)
+            raise NotReducible("outside the fake cylinder")
+        return classify
+
+    monkeypatch.setattr(surface, "classify_direction", fake(0.0))
+    scan = find_cylinders(ROOM, 0.3, budget=600)
+    assert not scan.exhausted and len(scan.cylinders) == 1
+    cyl = scan.cylinders[0]
+    assert abs(cyl.theta1 - a) < 1e-9 and abs(cyl.theta2 - b) < 1e-9
+    monkeypatch.setattr(surface, "classify_direction", fake(1e-6))
+    scan = find_cylinders(ROOM, 0.3, budget=600)
+    assert scan.cylinders == () and scan.exhausted
+
+
+def test_verify_reduction_refuses_a_moved_break_point():
+    theta = 4.0055
+    red = surface.direction_to_two_slope(ROOM, theta)
+    tsm = red.two_slope
+    surface._verify_reduction(ROOM, theta, red.section, tsm, red.chart)
+    moved = dataclasses.replace(tsm, x_t=tsm.x_t + 1e-3)
+    with pytest.raises(NotReducible, match="disagrees with an independent"):
+        surface._verify_reduction(ROOM, theta, red.section, moved, red.chart)
+
+
+def test_collapsed_cycle_needs_a_decodable_contracting_branch():
+    def pam(*branches):
+        return PiecewiseAffineMap(tuple(AffineBranch(*b) for b in branches))
+
+    assert surface._collapsed_cycle(pam((0.0, 1.0, 0.5, 0.25))) == (0.5, 0.5)
+    # an upward jump: downward_jump refuses to decode it
+    assert surface._collapsed_cycle(
+        pam((0.0, 0.5, 0.5, 0.0), (0.5, 1.0, 0.5, 0.5))) is None
+    # the one branch does not contract
+    assert surface._collapsed_cycle(pam((0.0, 1.0, 1.0, 0.0))) is None
+
+
+def test_collapsed_direction_needs_the_cycle_to_close(monkeypatch):
+    theta = 5.4192
+    found = surface._collapsed_direction(ROOM, theta)
+    assert found is not None and found[0] == pytest.approx(0.25)
+    real = surface._collapsed_cycle
+
+    def shifted(pam):
+        col = real(pam)
+        if col is None:
+            return None
+        lo, hi = pam.domain
+        return col[0], col[1] + 1e-4 * (hi - lo)
+
+    # a fixed point off the true one returns elsewhere: every section's
+    # confirmation fails
+    monkeypatch.setattr(surface, "_collapsed_cycle", shifted)
+    assert surface._collapsed_direction(ROOM, theta) is None
+
+
+def test_first_return_map_refuses_a_bent_branch(monkeypatch):
+    # the two probes of a branch share its itinerary but not its line
+    real = surface._flight
+
+    def bent(heading, s):
+        s_back, factor, crossed = real(heading, s)
+        return s_back + 1e-3 * s * s, factor, crossed
+
+    monkeypatch.setattr(surface, "_flight", bent)
+    with pytest.raises(NotTransverse, match="not affine"):
+        first_return_map(ROOM, 5.5, CrossSection(0, 2))
 
 
 def test_first_return_map_is_piecewise_affine_with_glue_slopes():

@@ -206,6 +206,13 @@ def test_reach_target_simple():
     assert math.hypot(end[0] - 0.5, end[1] - 0.5) < 1e-2
 
 
+def test_reach_target_reports_a_start_within_eps_below_the_noise_floor():
+    # a target ratio below CF_NOISE_FLOOR is refused before a search
+    # (tests/test_cli.py), but a start already within eps needs none
+    report = reach_target(square_room(1e-3, 1.0), (1e-15, 1.0), 1e-2)
+    assert report.word == () and report.final_error < 1e-2
+
+
 def test_holonomy_exact_dichotomy():
     discrete = holonomy_class(DilationParams(Fraction(1), Fraction(2)))
     assert discrete.verdict is Holonomy.DISCRETE
