@@ -53,9 +53,11 @@ from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
 # below which a ray counts as parallel to a side, lives in geometry with
 # the side table it is baked into.
 VERTEX_TOL = 1e-12          # of the side's length: s within it of 0 or 1
-# Minimum step of a ray before it may cross a side, in units of the room
-# diameter: CLEARANCE for the side it just arrived through (so rounding
-# cannot re-hit it), MIN_STEP for every other side.
+# Minimum step of a ray before it may cross, in units of the room
+# diameter: MIN_STEP for a side, CLEARANCE for the heading's section (so
+# rounding cannot re-hit the section a flight starts on).  A transport
+# lands on a side the ray enters through, which is never scanned again,
+# so no side needs more than MIN_STEP.
 CLEARANCE = 1e-9
 MIN_STEP = 1e-15
 BRANCH_BISECT_TOL = 1e-13   # of the section's length
@@ -99,10 +101,6 @@ MAX_SCAN_SAMPLES = 10 ** 5
 # exhausted crossing budgets are absorbed per section, so they never
 # escape, and any other error is a bug that must reach the caller.
 UNDECIDED_ERRORS = (NotTransverse, NotReducible)
-
-# Gluing pattern of the pentagon model: bottom <-> top, right <-> left.
-# Transports always land on the partner side, never on the door (3).
-_PARTNER = {0: 2, 1: 4, 2: 0, 4: 1}
 
 
 # --- cross-sections ---
@@ -157,6 +155,12 @@ class TraceEnd(Enum):
     VERTEX = "vertex"
 
 
+def _require_finite(theta: float) -> None:
+    """Refuse a NaN or infinite direction before any other work."""
+    if not math.isfinite(theta):
+        raise ValueError(f"direction theta must be finite, got {theta!r}")
+
+
 class Heading(NamedTuple):
     """Direction-only set-up of the rays of one (room, theta, section).
 
@@ -165,12 +169,16 @@ class Heading(NamedTuple):
     denominators u x e depend on the direction only, so `Heading.of`
     takes them once per heading, and every flight of a return map
     shares them; `trace_ray` does the per-flight work.
-    `crossable` holds (k, ax, ay, ex, ey, u x e) for each side k the ray
-    is not parallel to, in the order of `sides`, the room's side table
-    (`Room.geom`), which the transports read.  (ux, uy) is the unit
-    direction.  `t_base` and `t_clear` are MIN_STEP and CLEARANCE in
-    units of the room diameter.  `section_row` is (ax, ay, ex, ey, u x e)
-    of the section when the ray can cross it, else None.  `frame` is the
+    The sign of u x e sorts the sides: on the counter-clockwise
+    pentagon the ray leaves through a side whose u x e exceeds the
+    side's parallel floor and enters through one whose u x e lies below
+    minus that floor.  `exits` and `entries` hold (k, ax, ay, ex, ey,
+    u x e) for those sides k, each in the order of `sides`, the room's
+    side table (`Room.geom`), which the transports read; a side the ray
+    is parallel to is in neither.  (ux, uy) is the unit direction.
+    `t_base` and `t_clear` are MIN_STEP and CLEARANCE in units of the
+    room diameter.  `section_row` is (ax, ay, ex, ey, u x e) of the
+    section when the ray can cross it, else None.  `frame` is the
     section's arc-length frame (ax, ay, tx, ty, length), or None without
     a section: the point at s is (ax + tx*s, ay + ty*s), and a point
     (x, y) on the section sits at s = (x - ax)*tx + (y - ay)*ty, the
@@ -178,7 +186,8 @@ class Heading(NamedTuple):
     (q - a).dot(tangent).
     """
 
-    crossable: tuple[tuple, ...]
+    exits: tuple[tuple, ...]
+    entries: tuple[tuple, ...]
     sides: tuple[tuple, ...]
     ux: float
     uy: float
@@ -191,14 +200,18 @@ class Heading(NamedTuple):
     def of(cls, room: Room, theta: float,
            section: Optional[CrossSection] = None) -> Heading:
         """The heading of direction theta in `room`, stopping at
-        `section` if one is given."""
+        `section` if one is given.  A non-finite theta raises
+        ValueError."""
+        _require_finite(theta)
         geom = room.geom
         ux, uy = math.cos(theta), math.sin(theta)
-        crossable = []
+        exits, entries = [], []
         for k, (ax, ay, ex, ey, par, *_) in enumerate(geom.sides):
             denom = ux * ey - uy * ex
-            if abs(denom) > par:
-                crossable.append((k, ax, ay, ex, ey, denom))
+            if denom > par:
+                exits.append((k, ax, ay, ex, ey, denom))
+            elif denom < -par:
+                entries.append((k, ax, ay, ex, ey, denom))
         section_row = frame = None
         if section is not None:
             ax, ay, ex, ey, par = geom.diagonals[section.i, section.j]
@@ -208,7 +221,7 @@ class Heading(NamedTuple):
             length = math.hypot(ex, ey)
             inv = 1.0 / length
             frame = (ax, ay, ex * inv, ey * inv, length)
-        return cls(tuple(crossable), geom.sides, ux, uy,
+        return cls(tuple(exits), tuple(entries), geom.sides, ux, uy,
                    MIN_STEP * geom.diameter, CLEARANCE * geom.diameter,
                    section_row, frame)
 
@@ -219,24 +232,53 @@ class RayTrace(NamedTuple):
 
     `cumulative_factor` is the product of the crossed sides' dilation
     factors, taken in crossing order: the derivative of the flow between
-    the start and `end_point`.  `trace_ray` builds one per flight; as a
-    NamedTuple it costs no per-field `__setattr__`, and its fields stay
-    read-only.
+    the start and `end_point`, an (x, y) pair of floats.  `trace_ray`
+    builds one per flight; as a NamedTuple it costs no per-field
+    `__setattr__`, and its fields stay read-only.
     """
 
     crossed_sides: tuple[int, ...]
     cumulative_factor: float
     terminal: TraceEnd
-    end_point: Vec2
+    end_point: tuple[float, float]
 
     @property
     def crossings(self) -> int:
         return len(self.crossed_sides)
 
 
-def trace_ray(heading: Heading, p: Vec2,
+_OUTSIDE_START = "the start point must lie in the closed pentagon"
+
+
+def _outside(rows: tuple[tuple, ...], px: float, py: float, ux: float,
+             uy: float) -> bool:
+    """Whether (px, py) lies outside the pentagon of the side table
+    `rows`: the ray along u from it crosses the boundary an even number
+    of times.  Each vertex counts on the side of the ray's line that
+    its sign puts it on, so a ray through a vertex crosses there once or
+    not at all, as it would if moved off it.  `trace_ray` asks this only
+    when its first leg meets the boundary near a vertex, where the side
+    met first cannot tell inside from outside."""
+    side = [(ax - px) * uy - (ay - py) * ux for ax, ay, *_ in rows]
+    crossings = 0
+    for k, (ax, ay, *_) in enumerate(rows):
+        nxt = (k + 1) % len(rows)
+        ca, cb = side[k], side[nxt]
+        if (ca > 0.0) == (cb > 0.0):
+            continue
+        bx, by = rows[nxt][:2]
+        ta = (ax - px) * ux + (ay - py) * uy
+        tb = (bx - px) * ux + (by - py) * uy
+        # where the side meets the ray's line, along u from the start
+        if ta + (tb - ta) * (ca / (ca - cb)) > 0.0:
+            crossings += 1
+    return crossings % 2 == 0
+
+
+def trace_ray(heading: Heading, start: tuple[float, float],
               max_crossings: int = DEFAULT_MAX_CROSSINGS) -> RayTrace:
-    """Trace the ray from p along `heading` through the glued sides.
+    """Trace the ray from `start`, an (x, y) pair of floats, along
+    `heading` through the glued sides.
 
     Stops at the door, at a transverse crossing of the heading's section
     (if it has one), or after `max_crossings` transports.  A hit within
@@ -244,82 +286,100 @@ def trace_ray(heading: Heading, p: Vec2,
     itinerary up to the hit, since the flow is undefined through the
     cone point.
 
-    Everything that depends on the direction alone (u, the denominators
-    u x e, the step floors, the section row) comes from `heading`, built
-    once per (room, theta, section); per flight this takes the start
-    point, the crossing parameters t and s of each leg, the transports,
-    and the RayTrace with its end point, the one Vec2 a trace builds.
-    A flight keeps only its crossed sides and the running product of
-    their factors.  Nothing is cached beyond
+    From a point of the closed pentagon, the first side a ray reaches
+    is one it leaves through, so every leg scans the heading's exits
+    only; a transport lands on an entry, which no later leg scans.  The
+    first leg also scans the entries: one crossed between VERTEX_TOL and
+    1 - VERTEX_TOL of its length before the exit shows that the start
+    lies outside the pentagon, and raises ValueError, as does a start
+    from which the ray meets no exit.  When the first leg meets the
+    boundary within VERTEX_TOL of a vertex first, by an entry or by the
+    exit, that contact cannot tell inside from outside, and a crossing
+    count along the ray decides.
+
+    Everything that depends on the direction alone (u, the exit and
+    entry rows, the step floors, the section row) comes from `heading`,
+    built once per (room, theta, section); per flight this takes the
+    crossing parameters t and s of each leg, the transports, and the
+    RayTrace.  Its end point is a float pair, as the start is, so a
+    flight builds no Vec2.  A flight keeps only its crossed sides and
+    the running product of their factors.  Nothing is cached beyond
     the heading and the room's own tables, so nothing outlives them
     (nor, in the CLI, a `cli.main` call).
     """
-    crossable, rows, ux, uy, t_base, t_clear, sec, _ = heading
+    exits, entries, rows, ux, uy, t_base, t_clear, sec, _ = heading
     if sec is not None:
         sax, say, sex, sey, sec_denom = sec
     s_lo, s_hi = -VERTEX_TOL, 1.0 + VERTEX_TOL
 
-    px, py = float(p.x), float(p.y)
+    px, py = start
     crossed: list[int] = []
     gain = 1.0
-    arrived: Optional[int] = None
 
     while True:
         best_t = math.inf
         best_s = 0.0
         best_side: Optional[int] = None
-        for k, ax, ay, ex, ey, denom in crossable:
+        for k, ax, ay, ex, ey, denom in exits:
             wx, wy = ax - px, ay - py
             t = (wx * ey - wy * ex) / denom
             # s only matters for a crossing ahead of the best so far
-            if not (t_clear if k == arrived else t_base) < t < best_t:
+            if not t_base < t < best_t:
                 continue
             s = (wx * uy - wy * ux) / denom
             if s < s_lo or s > s_hi:
                 continue
             best_t, best_s, best_side = t, s, k
+        if not crossed:
+            for _, ax, ay, ex, ey, denom in entries:
+                wx, wy = ax - px, ay - py
+                t = (wx * ey - wy * ex) / denom
+                if not t_base < t < best_t:
+                    continue
+                s = (wx * uy - wy * ux) / denom
+                if (VERTEX_TOL <= s <= 1.0 - VERTEX_TOL
+                        or s_lo <= s <= s_hi
+                        and _outside(rows, px, py, ux, uy)):
+                    raise ValueError(_OUTSIDE_START)
         hit_section = False
         if sec is not None:
             wx, wy = sax - px, say - py
             t = (wx * sey - wy * sex) / sec_denom
-            s = (wx * uy - wy * ux) / sec_denom
-            if (not (t <= t_clear or s < s_lo or s > s_hi)
-                    and t < best_t - t_base):
-                best_t, best_s = t, s
-                hit_section = True
+            if t_clear < t < best_t - t_base:
+                s = (wx * uy - wy * ux) / sec_denom
+                if s_lo <= s <= s_hi:
+                    best_t, best_s = t, s
+                    hit_section = True
         if best_side is None and not hit_section:
-            if arrived is None:
-                raise ValueError("ray does not meet the room boundary; the "
-                                 "start point must lie in the closed "
-                                 "pentagon with the direction entering it")
+            if not crossed:
+                raise ValueError(_OUTSIDE_START)
             # Mid-flight this only happens when a transport lands within
-            # rounding distance of a cone point, pinching the next leg
-            # below the anti-rehit floor.  The passage is singular at
-            # float resolution, the same as a direct vertex strike.
+            # rounding distance of a cone point, so that the next leg
+            # meets no exit: the passage is singular at float
+            # resolution, the same as a direct vertex strike.
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
                 trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX,
-                               Vec2(px, py)))
+                               (px, py)))
         qx, qy = px + ux * best_t, py + uy * best_t
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
+            if not crossed and _outside(rows, px, py, ux, uy):
+                raise ValueError(_OUTSIDE_START)
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
                             trace=RayTrace(tuple(crossed), gain,
-                                           TraceEnd.VERTEX, Vec2(qx, qy)))
+                                           TraceEnd.VERTEX, (qx, qy)))
         if hit_section:
             return RayTrace(tuple(crossed), gain, TraceEnd.SECTION,
-                            Vec2(qx, qy))
+                            (qx, qy))
         _, _, _, _, _, is_door, factor, scale, ox, oy = rows[best_side]
         if is_door:
-            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR,
-                            Vec2(qx, qy))
+            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR, (qx, qy))
         if len(crossed) >= max_crossings:
-            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET,
-                            Vec2(qx, qy))
+            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET, (qx, qy))
         crossed.append(best_side)
         gain *= factor
         px, py = qx * scale + ox, qy * scale + oy
-        arrived = _PARTNER[best_side]
 
 
 # --- first-return map to a cross-section ---
@@ -343,13 +403,14 @@ def _flight(heading: Heading, s: float
     section of `heading`, in the section's arc-length coordinate.
 
     The frame and every direction-only quantity come from the heading;
-    per flight this builds the start point and runs one `trace_ray`.
+    per flight this takes the start point's floats and runs one
+    `trace_ray`.
     Raises BudgetExhausted when the flight takes more than
     DEFAULT_MAX_CROSSINGS transports, NotTransverse when it reaches the
     door, and VertexHit from the tracer.
     """
     ax, ay, tx, ty, _ = heading.frame
-    tr = trace_ray(heading, Vec2(ax + tx * s, ay + ty * s))
+    tr = trace_ray(heading, (ax + tx * s, ay + ty * s))
     if tr.terminal is TraceEnd.BUDGET:
         raise BudgetExhausted("no return to the section within "
                               f"{DEFAULT_MAX_CROSSINGS} crossings",
@@ -358,8 +419,8 @@ def _flight(heading: Heading, s: float
         raise NotTransverse("trajectory off the section reaches the "
                             "door; no first-return map in this "
                             "direction")
-    end = tr.end_point
-    s_back = (end.x - ax) * tx + (end.y - ay) * ty
+    x, y = tr.end_point
+    s_back = (x - ax) * tx + (y - ay) * ty
     return s_back, tr.cumulative_factor, tr.crossed_sides
 
 
@@ -372,8 +433,10 @@ def first_return_map(room: Room, theta: float,
     the map is affine with slope equal to the product of the crossed
     factors.  Branch boundaries (orbits of the cone point) are located
     by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
-    midpoints of equal cells.
+    midpoints of equal cells.  A non-finite theta raises ValueError
+    before any other check.
     """
+    _require_finite(theta)
     if angle_dist_mod_pi(theta, section.direction(room)) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")
     # Directions parallel to the door are allowed: their flow is tangent
@@ -634,8 +697,7 @@ def classify_direction(room: Room, theta: float,
     """
     if budget < 0:
         raise ValueError("induction budget must be nonnegative")
-    if not math.isfinite(theta):
-        raise ValueError(f"direction theta must be finite, got {theta!r}")
+    _require_finite(theta)
     if angle_dist_mod_pi(theta, room.door_direction()) <= DOOR_ANGLE_TOL:
         return DirectionClass(DirectionKind.DOOR, "", None, None, None)
     th = wrap_2pi(theta)

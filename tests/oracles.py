@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from dilatorus.errors import BudgetExhausted, NotTransverse, VertexHit
 from dilatorus.geometry import (PARALLEL_EPS, Room, SL2Matrix, Vec2,
-                                angle_dist_mod_pi, unit)
+                                angle_dist_mod_pi, point_in_polygon, unit)
 from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
                                     PiecewiseAffineMap, TwoSlopeMap)
 from dilatorus.quadratics import Scalar
-from dilatorus.surface import (_PARTNER, BRANCH_BISECT_TOL,
+from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
-                               TRANSVERSALITY_FLOOR, VERTEX_TOL, CrossSection,
-                               RayTrace, TraceEnd)
+                               INWARD_SLACK, MIN_STEP, TRANSVERSALITY_FLOOR,
+                               VERTEX_TOL, CrossSection, RayTrace, TraceEnd)
 
 
 def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
@@ -146,30 +147,45 @@ def _solve_crossing(p: Vec2, u: Vec2, a: Vec2, b: Vec2,
     return t, s
 
 
+def _leaves_through(u: Vec2, a: Vec2, b: Vec2) -> bool:
+    """Whether a ray along u leaves the counter-clockwise pentagon
+    through its side from a to b: u x (b - a) exceeds the side's
+    parallel floor."""
+    e = b - a
+    return u.cross(e) > PARALLEL_EPS * max(e.length(), 1.0)
+
+
 def trace_ray_oracle(room: Room, p: Vec2, theta: float,
                      max_crossings: int = 64,
                      section: Optional[CrossSection] = None) -> RayTrace:
     """`surface.trace_ray` written over Vec2, `Room.sides()` and the
     section's endpoints, with no side or diagonal table; it must agree
-    with the fast tracer bit for bit."""
+    with the fast tracer bit for bit.
+
+    A ray from a point of the pentagon first reaches a side it leaves
+    through, so only such sides are crossed.  A start outside the
+    pentagon, by `point_in_polygon`, raises ValueError.  The end point
+    is an (x, y) pair of floats."""
+    if not point_in_polygon(p, room.vertices()):
+        raise ValueError("the start point must lie in the closed pentagon")
     sides = room.sides()
     diam = room.diameter()
     u = unit(theta)
-    t_base = 1e-15 * diam
+    t_base = MIN_STEP * diam
     t_clear = CLEARANCE * diam
     sec_pts = section.endpoints(room) if section is not None else None
 
     crossed: list[int] = []
     gain = 1.0
-    arrived: Optional[int] = None
 
     while True:
         best_t = math.inf
         best_s = 0.0
         best_side: Optional[int] = None
         for side in sides:
-            floor = t_clear if side.index == arrived else t_base
-            hit = _solve_crossing(p, u, side.start, side.end, floor)
+            if not _leaves_through(u, side.start, side.end):
+                continue
+            hit = _solve_crossing(p, u, side.start, side.end, t_base)
             if hit is not None and hit[0] < best_t:
                 best_t, best_s = hit
                 best_side = side.index
@@ -180,30 +196,32 @@ def trace_ray_oracle(room: Room, p: Vec2, theta: float,
                 best_t, best_s = hit
                 hit_section = True
         if best_side is None and not hit_section:
-            if arrived is None:
-                raise ValueError("ray does not meet the room boundary; the "
-                                 "start point must lie in the closed "
-                                 "pentagon with the direction entering it")
+            if not crossed:
+                raise ValueError("the start point must lie in the closed "
+                                 "pentagon")
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX, p))
+                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX,
+                               p.as_floats()))
         q = p + u * best_t
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
                             trace=RayTrace(tuple(crossed), gain,
-                                           TraceEnd.VERTEX, q))
+                                           TraceEnd.VERTEX, q.as_floats()))
         if hit_section:
-            return RayTrace(tuple(crossed), gain, TraceEnd.SECTION, q)
+            return RayTrace(tuple(crossed), gain, TraceEnd.SECTION,
+                            q.as_floats())
         side = sides[best_side]
         if side.is_door:
-            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR, q)
+            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR,
+                            q.as_floats())
         if len(crossed) >= max_crossings:
-            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET, q)
+            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET,
+                            q.as_floats())
         crossed.append(side.index)
         gain *= side.factor
         p = side.transport(q)
-        arrived = _PARTNER[side.index]
 
 
 def first_return_map_oracle(room: Room, theta: float,
@@ -216,7 +234,7 @@ def first_return_map_oracle(room: Room, theta: float,
     tangent = (b - a) * (1.0 / length)
     if angle_dist_mod_pi(theta, (b - a).angle()) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")
-    if not room.is_inward(theta, margin=-1e-12):
+    if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
 
     def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
@@ -232,7 +250,7 @@ def first_return_map_oracle(room: Room, theta: float,
             raise NotTransverse("trajectory off the section reaches the "
                                 "door; no first-return map in this "
                                 "direction")
-        s_back = (tr.end_point - a).dot(tangent)
+        s_back = (Vec2(*tr.end_point) - a).dot(tangent)
         return s_back, tr.cumulative_factor, tr.crossed_sides
 
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
@@ -270,9 +288,9 @@ def first_return_map_oracle(room: Room, theta: float,
 
     boundaries = [0.0]
     for c in sorted(cuts):
-        if c - boundaries[-1] > 8.0 * tol:
+        if c - boundaries[-1] > BRANCH_MIN_GAP * tol:
             boundaries.append(c)
-    if length - boundaries[-1] > 8.0 * tol:
+    if length - boundaries[-1] > BRANCH_MIN_GAP * tol:
         boundaries.append(length)
     else:
         boundaries[-1] = length
@@ -303,6 +321,110 @@ def first_return_map_oracle(room: Room, theta: float,
                                 "singular orbits")
         branches.append(AffineBranch(lo, hi, law[0], law[1]))
     return PiecewiseAffineMap(tuple(branches)).merged()
+
+
+# --- exact ray tracing in Fractions, the arbiter of float traces ---
+
+ExactPoint = tuple[Fraction, Fraction]
+
+# Gluing of the pentagon model: bottom <-> top, right <-> left; side 3,
+# from V3 to V4, is the door.
+_GLUED = {0: 2, 1: 4, 2: 0, 4: 1}
+
+
+def exact_twin(room: Room) -> list[tuple]:
+    """Sides of the room's exact twin, in the order V0V1, V1V2, V2V3,
+    V3V4 (the door), V4V0: (start, end, scale, offset) with Fraction
+    points, the gluing being z -> scale*z + offset (None for the door).
+
+    Every float is a rational number.  The twin takes the Fractions of
+    the basis coordinates and of the dilation factors nu, builds
+    V0 = 0, V1 = e1, V2 = e1 + e2, V3 = V2 - e1/nu1 and V4 = e2/nu2
+    exactly, and glues each side onto its partner by the dilation with
+    a positive factor that maps the side's start to the partner's end
+    and its end to the partner's start.  The twin of
+    `square_room(ln 2, ln 2)` is that room itself: its floats are
+    dyadic, and exp(log 2.0) == 2.0.
+    """
+    e1 = (Fraction(room.e1.x), Fraction(room.e1.y))
+    e2 = (Fraction(room.e2.x), Fraction(room.e2.y))
+    nu1, nu2 = (Fraction(nu) for nu in room.nu())
+    v2 = (e1[0] + e2[0], e1[1] + e2[1])
+    verts = [(Fraction(0), Fraction(0)), e1, v2,
+             (v2[0] - e1[0] / nu1, v2[1] - e1[1] / nu1),
+             (e2[0] / nu2, e2[1] / nu2)]
+    sides = []
+    for k in range(5):
+        a, b = verts[k], verts[(k + 1) % 5]
+        if k not in _GLUED:
+            sides.append((a, b, None, None))
+            continue
+        pa, pb = verts[_GLUED[k]], verts[(_GLUED[k] + 1) % 5]
+        # scale * (b - a) = pa - pb: the partner, run backwards
+        if b[0] != a[0]:
+            scale = (pa[0] - pb[0]) / (b[0] - a[0])
+        else:
+            scale = (pa[1] - pb[1]) / (b[1] - a[1])
+        sides.append((a, b, scale, (pb[0] - scale * a[0],
+                                    pb[1] - scale * a[1])))
+    return sides
+
+
+def trace_ray_exact(sides: list[tuple], start: ExactPoint, u: ExactPoint,
+                    section: tuple[ExactPoint, ExactPoint],
+                    max_crossings: int
+                    ) -> tuple[tuple[int, ...], TraceEnd, ExactPoint,
+                               Fraction]:
+    """`surface.trace_ray` on an exact twin, in Fractions and with no
+    tolerance, from `start` on `section` along the direction u.
+
+    The ray leaves through a side whose edge e has u x e > 0; the side
+    so crossed first at t > 0 wins, unless the section is crossed at
+    t > 0 no later (the start sits on it at t = 0).  A crossing at s = 0
+    or s = 1 of its segment is a vertex hit.  Returns (crossed sides,
+    terminal, end point, margin): the margin is the least min(s, 1 - s)
+    over the flight's crossings, its last one included, so 0 after a
+    vertex hit, whose terminal is VERTEX.
+    """
+    px, py = start
+    ux, uy = u
+    (sax, say), (sbx, sby) = section
+    sex, sey = sbx - sax, sby - say
+    sec_denom = ux * sey - uy * sex
+    crossed: list[int] = []
+    margin = Fraction(1, 2)
+    while True:
+        best = None
+        for k, ((ax, ay), (bx, by), _, _) in enumerate(sides):
+            ex, ey = bx - ax, by - ay
+            denom = ux * ey - uy * ex
+            if denom <= 0:
+                continue
+            wx, wy = ax - px, ay - py
+            t = (wx * ey - wy * ex) / denom
+            s = (wx * uy - wy * ux) / denom
+            if t > 0 and 0 <= s <= 1 and (best is None or t < best[0]):
+                best = (t, s, k)
+        if sec_denom:
+            wx, wy = sax - px, say - py
+            t = (wx * sey - wy * sex) / sec_denom
+            s = (wx * uy - wy * ux) / sec_denom
+            if t > 0 and 0 <= s <= 1 and (best is None or t <= best[0]):
+                best = (t, s, None)
+        t, s, k = best      # a ray from inside the pentagon leaves it
+        q = (px + ux * t, py + uy * t)
+        margin = min(margin, s, 1 - s)
+        if margin == 0:
+            return tuple(crossed), TraceEnd.VERTEX, q, margin
+        if k is None:
+            return tuple(crossed), TraceEnd.SECTION, q, margin
+        _, _, scale, offset = sides[k]
+        if scale is None:
+            return tuple(crossed), TraceEnd.DOOR, q, margin
+        if len(crossed) >= max_crossings:
+            return tuple(crossed), TraceEnd.BUDGET, q, margin
+        crossed.append(k)
+        px, py = scale * q[0] + offset[0], scale * q[1] + offset[1]
 
 
 # --- periodic cycles of two-slope maps ---

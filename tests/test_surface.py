@@ -27,14 +27,15 @@ from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
 SEED = 20260817
 LN2 = math.log(2.0)
 ROOM = square_room(LN2, LN2)
+# mu1 < 0 puts V3 past V2, so V4 is a reflex vertex
+REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 
 
 # --- ray tracing ---
 
 def test_trace_reaches_door():
     # straight shot toward the door from inside
-    trace = trace_ray(Heading.of(ROOM, math.atan2(1.0, -0.3)), Vec2(0.3, 0.3),
-                      64)
+    trace = trace_ray(Heading.of(ROOM, math.atan2(1.0, -0.3)), (0.3, 0.3), 64)
     assert trace.terminal is TraceEnd.DOOR
     assert trace.crossings == len(trace.crossed_sides)
 
@@ -44,7 +45,7 @@ def test_trace_transport_factors_are_glue_factors():
     for _ in range(40):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         try:
-            trace = trace_ray(Heading.of(ROOM, theta), Vec2(0.31, 0.27), 12)
+            trace = trace_ray(Heading.of(ROOM, theta), (0.31, 0.27), 12)
         except VertexHit:
             continue
         sides = ROOM.sides()
@@ -55,14 +56,54 @@ def test_trace_transport_factors_are_glue_factors():
 def test_trace_vertex_hit():
     # aim exactly at V2 = (1, 1)
     with pytest.raises(VertexHit) as info:
-        trace_ray(Heading.of(ROOM, math.pi / 4.0), Vec2(0.5, 0.5), 64)
+        trace_ray(Heading.of(ROOM, math.pi / 4.0), (0.5, 0.5), 64)
     assert info.value.trace.terminal is TraceEnd.VERTEX
 
 
 def test_trace_max_crossings_budget():
-    trace = trace_ray(Heading.of(ROOM, 0.1), Vec2(0.31, 0.27), 5)
+    trace = trace_ray(Heading.of(ROOM, 0.1), (0.31, 0.27), 5)
     assert trace.terminal is TraceEnd.BUDGET
     assert trace.crossings == 5
+
+
+def test_an_outside_start_is_refused():
+    # from left of the pentagon the ray meets the door, an entry, away
+    # from the door's ends and before any exit
+    with pytest.raises(ValueError, match="closed pentagon"):
+        trace_ray(Heading.of(ROOM, 0.5), (-0.5, 0.3), 64)
+    # when the first contact is a vertex, a crossing count decides: in
+    # through V0 and past V2 from outside, past the reflex V4 from inside
+    with pytest.raises(ValueError, match="closed pentagon"):
+        trace_ray(Heading.of(ROOM, math.atan2(0.1, 0.3)), (-0.3, -0.1), 64)
+    with pytest.raises(ValueError, match="closed pentagon"):
+        trace_ray(Heading.of(ROOM, -math.pi / 4.0), (0.5, 1.5), 64)
+    x4, y4 = REFLEX.vertices()[4].as_floats()
+    with pytest.raises(VertexHit):
+        trace_ray(Heading.of(REFLEX, math.pi / 2.0), (x4, y4 - 0.2), 64)
+
+
+def test_a_section_start_next_to_a_vertex_traces():
+    # a start on a section 1e-12 or 1e-9 of its length from an end lies
+    # in the closed pentagon: it is never refused, and traces as the
+    # oracle does
+    kinds = {"trace": 0, "vertex": 0}
+    for room in (ROOM, REFLEX):
+        for i, j in room.interior_diagonals():
+            for section in (CrossSection(i, j), CrossSection(j, i)):
+                for k in range(24):
+                    theta = 2.0 * math.pi * (k + 0.37) / 24
+                    heading = Heading.of(room, theta, section)
+                    ax, ay, tx, ty, length = heading.frame
+                    for s in (1e-12 * length, 1e-9 * length):
+                        start = (ax + tx * s, ay + ty * s)
+                        fast = _trace_outcome(trace_ray, heading, start, 64)
+                        slow = _trace_outcome(oracles.trace_ray_oracle,
+                                              room, Vec2(*start), theta, 64,
+                                              section)
+                        assert fast[0] != "value", (room, theta, section)
+                        assert fast == slow, (room, theta, section, s)
+                        kinds[fast[0]] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
 
 
 def _trace_outcome(tracer, *args):
@@ -77,11 +118,12 @@ def _trace_outcome(tracer, *args):
 
 
 def _oracle_rooms(rng: random.Random) -> list:
-    """The square ln 2 room, the sheared room, and a random SL(2, R)
-    image of each."""
+    """The square ln 2 room, the sheared room, a non-convex room, and a
+    random SL(2, R) image of each."""
     sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
-    return [ROOM, sheared, apply_sl2(oracles.random_sl2(rng), ROOM),
-            apply_sl2(oracles.random_sl2(rng), sheared)]
+    rooms = [ROOM, sheared, REFLEX]
+    return rooms + [apply_sl2(oracles.random_sl2(rng), room)
+                    for room in rooms]
 
 
 def _start(rng: random.Random, room, outside: bool) -> Vec2:
@@ -98,7 +140,7 @@ def _start(rng: random.Random, room, outside: bool) -> Vec2:
 
 
 def _oracle_cases(rng: random.Random, n: int):
-    """(room, start, theta, max_crossings, section) cases over four rooms:
+    """(room, start, theta, max_crossings, section) cases over six rooms:
     mostly interior starts in random directions, some aimed at a vertex,
     some starting outside the pentagon."""
     rooms = _oracle_rooms(rng)
@@ -124,8 +166,8 @@ def test_trace_ray_matches_vec2_oracle():
     ends = set()
     for case in _oracle_cases(random.Random(SEED), 600):
         room, p, theta, max_crossings, section = case
-        fast = _trace_outcome(trace_ray, Heading.of(room, theta, section), p,
-                              max_crossings)
+        fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
+                              p.as_floats(), max_crossings)
         slow = _trace_outcome(oracles.trace_ray_oracle, *case)
         assert fast == slow, case
         kinds[fast[0]] += 1
@@ -159,20 +201,55 @@ def test_a_shared_heading_leaks_nothing_between_flights():
                                        theta, n, section)
                         for p, n in flights]
                 heading = Heading.of(room, theta, section)
-                forward = [_trace_outcome(trace_ray, heading, p, n)
+                forward = [_trace_outcome(trace_ray, heading,
+                                          p.as_floats(), n)
                            for p, n in flights]
-                backward = [_trace_outcome(trace_ray, heading, p, n)
+                backward = [_trace_outcome(trace_ray, heading,
+                                           p.as_floats(), n)
                             for p, n in reversed(flights)]
                 assert forward == want, (room, theta, section)
                 assert backward[::-1] == want, (room, theta, section)
                 for kind, _ in want:
                     kinds[kind] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
-    trace = trace_ray(Heading.of(ROOM, 0.1), Vec2(0.31, 0.27), 5)
+    trace = trace_ray(Heading.of(ROOM, 0.1), (0.31, 0.27), 5)
     with pytest.raises(AttributeError):
         trace.crossed_sides = ()
     with pytest.raises(AttributeError):
         trace.terminal = TraceEnd.DOOR
+
+
+def test_float_traces_agree_with_exact_traces():
+    # the exact twin of the dyadic square room is the room itself.  On
+    # every flight from a section whose exact crossings all keep 1e-6 of
+    # a side's length from its ends, the float tracer crosses the exact
+    # sides, stops the same way, and ends within 1e-12 of the exact end
+    sides = oracles.exact_twin(ROOM)
+    assert ([(float(x), float(y)) for (x, y), *_ in sides]
+            == [v.as_floats() for v in ROOM.vertices()])
+    rng = random.Random(SEED + 12)
+    compared = 0
+    ends = set()
+    for _ in range(200):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        i, j = rng.choice(ROOM.interior_diagonals())
+        (ax, ay), (bx, by) = sides[i][0], sides[j][0]
+        frac = Fraction(rng.random())
+        start = (ax + frac * (bx - ax), ay + frac * (by - ay))
+        u = (Fraction(math.cos(theta)), Fraction(math.sin(theta)))
+        crossed, terminal, end, margin = oracles.trace_ray_exact(
+            sides, start, u, ((ax, ay), (bx, by)), 64)
+        if margin < Fraction(1, 10 ** 6):
+            continue
+        trace = trace_ray(Heading.of(ROOM, theta, CrossSection(i, j)),
+                          (float(start[0]), float(start[1])), 64)
+        assert (trace.crossed_sides, trace.terminal) == (crossed, terminal)
+        assert math.dist(trace.end_point,
+                         (float(end[0]), float(end[1]))) <= 1e-12
+        compared += 1
+        ends.add(terminal)
+    assert compared >= 190, compared
+    assert ends == {TraceEnd.DOOR, TraceEnd.SECTION, TraceEnd.BUDGET}, ends
 
 
 def test_cached_room_geometry_is_invisible():
@@ -181,7 +258,7 @@ def test_cached_room_geometry_is_invisible():
 
     room, twin = fresh(), fresh()
     before = (repr(room), hash(room))
-    p, theta = Vec2(0.5, 0.6), 0.7
+    p, theta = (0.5, 0.6), 0.7
     section = CrossSection(0, 2)
     first = trace_ray(Heading.of(room, theta, section), p, 64)
     assert room == twin
@@ -240,6 +317,18 @@ def _return_map_outcome(builder, room, theta, section):
         return ("map", builder(room, theta, section))
     except Exception as exc:
         return ("error", type(exc))
+
+
+def test_a_heading_refuses_a_non_finite_direction():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            Heading.of(ROOM, theta, CrossSection(0, 2))
+
+
+def test_first_return_map_refuses_a_non_finite_direction():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            first_return_map(ROOM, theta, CrossSection(0, 2))
 
 
 def test_first_return_map_matches_vec2_oracle():
