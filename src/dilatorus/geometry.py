@@ -28,11 +28,6 @@ from .errors import (
 )
 from .quadratics import QuadraticNumber, Scalar, as_float, is_exact
 
-# The simplicity and interior-diagonal tests treat a cross or dot
-# product of edge vectors (an area) as zero up to
-# EPSILON * max(diameter, 1)**2: EPSILON is a fraction of the squared
-# diameter of the pentagon under test.
-EPSILON: float = 1e-12
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
 PARALLEL_EPS: float = 1e-14
@@ -111,7 +106,7 @@ def angle_dist_mod_pi(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class SL2Matrix:
-    """2x2 real matrix with determinant 1 (checked to tolerance)."""
+    """2x2 real matrix, finite, with determinant 1 (checked to tolerance)."""
 
     a: float
     b: float
@@ -119,14 +114,19 @@ class SL2Matrix:
     d: float
 
     def __post_init__(self):
+        entries = (self.a, self.b, self.c, self.d)
+        if not all(math.isfinite(x) for x in entries):
+            raise ValueError(f"matrix entries {entries} must be finite")
         det = self.a * self.d - self.b * self.c
         scale = max(1.0, abs(float(self.a)) + abs(float(self.b)),
                     abs(float(self.c)) + abs(float(self.d)))
-        if abs(float(det) - 1.0) > SL2_DET_TOL * scale * scale:
+        if not abs(float(det) - 1.0) <= SL2_DET_TOL * scale * scale:
             raise ValueError(f"determinant {det} is not 1")
 
     @staticmethod
     def rotation(alpha: float) -> "SL2Matrix":
+        if not math.isfinite(alpha):
+            raise ValueError(f"rotation angle {alpha!r} must be finite")
         c, s = math.cos(alpha), math.sin(alpha)
         return SL2Matrix(c, -s, s, c)
 
@@ -225,65 +225,6 @@ def _coerce_params(mu) -> DilationParams:
     return DilationParams(m1, m2)
 
 
-# --- geometric predicates ---
-
-def _orient(p: Vec2, q: Vec2, r: Vec2) -> float:
-    return (q - p).cross(r - p)
-
-
-def segments_intersect_properly(p: Vec2, q: Vec2, r: Vec2, s: Vec2,
-                                eps: float) -> bool:
-    """True if the closed segments share a point other than a common endpoint."""
-    d1 = _orient(r, s, p)
-    d2 = _orient(r, s, q)
-    d3 = _orient(p, q, r)
-    d4 = _orient(p, q, s)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and \
-       ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)):
-        return True
-    # collinear overlap check
-    if abs(d1) <= eps and abs(d2) <= eps:
-        u = q - p
-        lo1, hi1 = sorted((0.0, u.dot(u)))
-        tr, ts = u.dot(r - p), u.dot(s - p)
-        lo2, hi2 = sorted((tr, ts))
-        return min(hi1, hi2) - max(lo1, lo2) > eps
-    return False
-
-
-def point_in_polygon(pt: Vec2, polygon: list[Vec2]) -> bool:
-    """Strict interior test by crossing number (float coordinates)."""
-    n = len(polygon)
-    inside = False
-    x, y = float(pt.x), float(pt.y)
-    for i in range(n):
-        p0, p1 = polygon[i], polygon[(i + 1) % n]
-        x0, y0 = p0.as_floats()
-        x1, y1 = p1.as_floats()
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < xc:
-                inside = not inside
-    return inside
-
-
-def _polygon_is_simple(vertices: list[Vec2], eps: float) -> bool:
-    n = len(vertices)
-    for i in range(n):
-        p, q = vertices[i], vertices[(i + 1) % n]
-        # adjacent edge folding back onto this one
-        r = vertices[(i + 2) % n]
-        if abs(_orient(p, q, r)) <= eps and (r - q).dot(q - p) < -eps:
-            return False
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if segments_intersect_properly(p, q, vertices[j],
-                                           vertices[(j + 1) % n], eps):
-                return False
-    return True
-
-
 # --- rooms ---
 
 def _pentagon_vertices(e1: Vec2, e2: Vec2, nu1: float,
@@ -294,6 +235,22 @@ def _pentagon_vertices(e1: Vec2, e2: Vec2, nu1: float,
 
 
 _DIAGONAL_PAIRS: tuple[tuple[int, int], ...] = ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
+
+
+def _interior_pairs(nu1: float, nu2: float) -> tuple[tuple[int, int], ...]:
+    """Pairs of `_DIAGONAL_PAIRS` whose chord lies inside the pentagon.
+
+    A linear map of positive determinant keeps the answer, so the
+    unit-basis pentagon (0, 0), (1, 0), (1, 1), (1 - 1/nu1, 1),
+    (0, 1/nu2) decides it: V3 lies right of the line x = 0 iff nu1 > 1,
+    V4 below y = 1 iff nu2 > 1, and the chord from V1 toward V3 (or V4)
+    passes above V4 (right of V3) iff nu1*nu2 > 1, a product taken
+    exactly so that the rule is the exact geometry of the float room.
+    """
+    wide = Fraction(nu1) * Fraction(nu2) > 1
+    inside = {(0, 2): True, (0, 3): nu1 > 1.0, (1, 3): nu1 > 1.0 or wide,
+              (1, 4): nu2 > 1.0 or wide, (2, 4): nu2 > 1.0}
+    return tuple(pair for pair in _DIAGONAL_PAIRS if inside[pair])
 
 
 def _basis_det(e1: Vec2, e2: Vec2):
@@ -355,29 +312,6 @@ def _chord_row(start: Vec2, end: Vec2) -> tuple[float, ...]:
             PARALLEL_EPS * max(edge.length(), 1.0))
 
 
-def _interior_diagonals(verts: tuple[Vec2, ...],
-                        diam: float) -> tuple[tuple[int, int], ...]:
-    """Diagonal pairs whose chord lies inside the pentagon `verts`."""
-    eps = EPSILON * max(diam, 1.0) ** 2
-    out = []
-    for i, j in _DIAGONAL_PAIRS:
-        p, q = verts[i], verts[j]
-        mid = (p + q) * 0.5
-        if not point_in_polygon(mid, verts):
-            continue
-        blocked = False
-        for k in range(5):
-            if k in (i, j) or (k + 1) % 5 in (i, j):
-                continue
-            if segments_intersect_properly(p, q, verts[k],
-                                           verts[(k + 1) % 5], eps):
-                blocked = True
-                break
-        if not blocked:
-            out.append((i, j))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Room:
     """Validated pentagon model of a dilation torus with one boundary.
@@ -413,19 +347,19 @@ class Room:
                            "excluded negative quadrant")
         if self.params.is_zero():
             raise DegenerateDoor("both parameters vanish; the door has length 0")
-        # simplicity is affine-invariant, so test the unit-basis pentagon:
-        # it stays well conditioned however sheared the actual basis is
-        verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), *self.nu())
-        diam = max(v.length() for v in verts)
+        nu1, nu2 = self.nu()
+        verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), nu1, nu2)
         for k in range(5):
             if verts[k] == verts[(k + 1) % 5]:
                 raise ValueError(
                     f"vertices V{k} and V{(k + 1) % 5} coincide in unit-basis "
                     f"coordinates at parameters {self.params.as_floats()}")
-        if not _polygon_is_simple(verts, EPSILON * max(diam, 1.0) ** 2):
+        # with nu1, nu2 <= 1 the door meets the left or the top side
+        if not (nu1 > 1.0 or nu2 > 1.0):
             raise NonSimplePentagon(
                 f"vertex chain {[v.as_floats() for v in verts]} "
-                "self-intersects in unit-basis coordinates")
+                "self-intersects in unit-basis coordinates: neither "
+                f"dilation factor in nu = {(nu1, nu2)} exceeds 1")
 
     # --- derived geometry ---
 
@@ -461,12 +395,13 @@ class Room:
                      for pair in _DIAGONAL_PAIRS
                      for i, j in (pair, pair[::-1])}
         diam = max(v.length() for v in verts)
-        # the interior-diagonal test scales its tolerance with diam**2
+        # the tracer multiplies two coordinates (cross products of points
+        # and edge vectors), which must stay in the float range
         if diam * diam == math.inf:
             raise ValueError(f"room diameter {diam!r} is too large: its "
                              "square leaves the float range")
         return RoomGeometry(verts, diam, sides, diagonals,
-                            _interior_diagonals(verts, diam))
+                            _interior_pairs(nu1, nu2))
 
     def nu(self) -> tuple[float, float]:
         return self.params.nu()

@@ -53,6 +53,10 @@ def track_direction_interval(m: SL2Matrix,
     The action commutes with the antipodal map, so an interval shorter
     than pi (one projective chart) maps to an interval shorter than pi;
     the result keeps the endpoint order and the length interpretation.
+    An image length of pi or more is therefore rounding: of an arc
+    within an ulp of pi, as for an interval straddling the horizontal
+    late in the flow, which is clamped to pi, or of an arc within an ulp
+    of 0 whose endpoints swapped, which is clamped to 0.
     """
     t1, t2 = interval
     if not 0.0 < t2 - t1 < math.pi:
@@ -61,7 +65,7 @@ def track_direction_interval(m: SL2Matrix,
     d2 = projective_action(m, t2)
     length = wrap_2pi(d2 - d1)
     if length >= math.pi:
-        raise ValueError("interval does not fit one projective chart")
+        length = math.pi if length < 1.5 * math.pi else 0.0
     return (d1, d1 + length)
 
 

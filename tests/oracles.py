@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from dilatorus.errors import BudgetExhausted, NotTransverse, VertexHit
 from dilatorus.geometry import (PARALLEL_EPS, Room, SL2Matrix, Vec2,
-                                angle_dist_mod_pi, point_in_polygon, unit)
+                                angle_dist_mod_pi, unit)
 from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
                                     PiecewiseAffineMap, TwoSlopeMap)
 from dilatorus.quadratics import Scalar
@@ -127,6 +127,22 @@ def compare_induction_to_simulation(induce_fn, n_triples: int,
 
 
 # --- ray tracing on Vec2, straight from the room's public sides ---
+
+def point_in_polygon(pt: Vec2, polygon: list[Vec2]) -> bool:
+    """Strict interior test by crossing number (float coordinates)."""
+    n = len(polygon)
+    inside = False
+    x, y = float(pt.x), float(pt.y)
+    for i in range(n):
+        p0, p1 = polygon[i], polygon[(i + 1) % n]
+        x0, y0 = p0.as_floats()
+        x1, y1 = p1.as_floats()
+        if (y0 > y) != (y1 > y):
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if x < xc:
+                inside = not inside
+    return inside
+
 
 def _solve_crossing(p: Vec2, u: Vec2, a: Vec2, b: Vec2,
                     t_floor: float) -> Optional[tuple[float, float]]:
@@ -332,27 +348,35 @@ ExactPoint = tuple[Fraction, Fraction]
 _GLUED = {0: 2, 1: 4, 2: 0, 4: 1}
 
 
+def twin_vertices(e1: Vec2, e2: Vec2,
+                  nu: tuple[float, float]) -> list[ExactPoint]:
+    """V0..V4 of the exact twin of the room over the float basis
+    (e1, e2) with the float dilation factors nu.
+
+    Every float is a rational number.  The twin takes the Fractions of
+    the basis coordinates and of nu1, nu2, and builds V0 = 0, V1 = e1,
+    V2 = e1 + e2, V3 = V2 - e1/nu1 and V4 = e2/nu2 exactly.  It needs no
+    `Room`, so it also describes a room the library refuses.
+    """
+    e1x, e1y, e2x, e2y = (Fraction(c) for c in (e1.x, e1.y, e2.x, e2.y))
+    nu1, nu2 = (Fraction(n) for n in nu)
+    v2 = (e1x + e2x, e1y + e2y)
+    return [(Fraction(0), Fraction(0)), (e1x, e1y), v2,
+            (v2[0] - e1x / nu1, v2[1] - e1y / nu1), (e2x / nu2, e2y / nu2)]
+
+
 def exact_twin(room: Room) -> list[tuple]:
     """Sides of the room's exact twin, in the order V0V1, V1V2, V2V3,
     V3V4 (the door), V4V0: (start, end, scale, offset) with Fraction
     points, the gluing being z -> scale*z + offset (None for the door).
 
-    Every float is a rational number.  The twin takes the Fractions of
-    the basis coordinates and of the dilation factors nu, builds
-    V0 = 0, V1 = e1, V2 = e1 + e2, V3 = V2 - e1/nu1 and V4 = e2/nu2
-    exactly, and glues each side onto its partner by the dilation with
-    a positive factor that maps the side's start to the partner's end
-    and its end to the partner's start.  The twin of
-    `square_room(ln 2, ln 2)` is that room itself: its floats are
-    dyadic, and exp(log 2.0) == 2.0.
+    The vertices are `twin_vertices`; each side is glued onto its
+    partner by the dilation with a positive factor that maps the side's
+    start to the partner's end and its end to the partner's start.  The
+    twin of `square_room(ln 2, ln 2)` is that room itself: its floats
+    are dyadic, and exp(log 2.0) == 2.0.
     """
-    e1 = (Fraction(room.e1.x), Fraction(room.e1.y))
-    e2 = (Fraction(room.e2.x), Fraction(room.e2.y))
-    nu1, nu2 = (Fraction(nu) for nu in room.nu())
-    v2 = (e1[0] + e2[0], e1[1] + e2[1])
-    verts = [(Fraction(0), Fraction(0)), e1, v2,
-             (v2[0] - e1[0] / nu1, v2[1] - e1[1] / nu1),
-             (e2[0] / nu2, e2[1] / nu2)]
+    verts = twin_vertices(room.e1, room.e2, room.nu())
     sides = []
     for k in range(5):
         a, b = verts[k], verts[(k + 1) % 5]
@@ -368,6 +392,90 @@ def exact_twin(room: Room) -> list[tuple]:
         sides.append((a, b, scale, (pb[0] - scale * a[0],
                                     pb[1] - scale * a[1])))
     return sides
+
+
+IntPoint = tuple[int, int]
+
+
+def _open_chord_meets(p: IntPoint, q: IntPoint, a: IntPoint,
+                      b: IntPoint) -> bool:
+    """Whether the open segment from p to q meets the closed segment
+    from a to b; integer points, so exact."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    wx, wy = a[0] - p[0], a[1] - p[1]
+    denom = dx * ey - dy * ex
+    # p + (t/denom)*(q - p) = a + (s/denom)*(b - a)
+    t, s = wx * ey - wy * ex, wx * dy - wy * dx
+    if denom < 0:
+        denom, t, s = -denom, -t, -s
+    if denom:
+        return 0 < t < denom and 0 <= s <= denom
+    if s:
+        return False            # parallel, on distinct lines
+    # collinear: a and b sit at p + (t/norm)*(q - p) for these t
+    norm = dx * dx + dy * dy
+    ta = wx * dx + wy * dy
+    tb = (b[0] - p[0]) * dx + (b[1] - p[1]) * dy
+    return max(ta, tb) > 0 and min(ta, tb) < norm
+
+
+def _strictly_inside(pt: IntPoint, verts: list[IntPoint]) -> bool:
+    """Crossing number of an integer point off the boundary."""
+    x, y = pt
+    inside = False
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        if (y0 > y) != (y1 > y):
+            # x < x0 + (y - y0)*(x1 - x0)/(y1 - y0), times y1 - y0
+            lhs, rhs = (x - x0) * (y1 - y0), (y - y0) * (x1 - x0)
+            if (lhs < rhs) if y1 > y0 else (lhs > rhs):
+                inside = not inside
+    return inside
+
+
+def exact_shape(verts: list[ExactPoint]
+                ) -> Optional[tuple[tuple[int, int], ...]]:
+    """The diagonal pairs (i, j), i < j, whose open chord lies inside
+    the pentagon `verts` (say `twin_vertices`), or None when the vertex
+    chain is not simple; exact, with no tolerance.
+
+    The chain is simple when its vertices are distinct, non-adjacent
+    closed sides meet nowhere and no side folds back onto the one
+    before it.  A chord is interior when the open chord meets no closed
+    side, so it passes no vertex, and its midpoint is inside by crossing
+    number; an open chord off the boundary lies wholly inside or
+    wholly outside.  The Fractions are put over twice their common
+    denominator first, so that every test, chord midpoints included,
+    runs on integers.
+    """
+    n = len(verts)
+    den = 2 * math.lcm(*(c.denominator for v in verts for c in v))
+    pts = [(int(x * den), int(y * den)) for x, y in verts]
+    if len(set(pts)) < n:
+        return None
+    for k in range(n):
+        p, q, r = pts[k], pts[(k + 1) % n], pts[(k + 2) % n]
+        ux, uy = q[0] - p[0], q[1] - p[1]
+        vx, vy = r[0] - q[0], r[1] - q[1]
+        if ux * vy - uy * vx == 0 and ux * vx + uy * vy < 0:
+            return None
+        # side k against side k + 2 covers each non-adjacent pair of a
+        # pentagon once; with distinct vertices, two closed sides meet
+        # only where the open part of one meets the other
+        a, b = pts[(k + 2) % n], pts[(k + 3) % n]
+        if _open_chord_meets(p, q, a, b) or _open_chord_meets(a, b, p, q):
+            return None
+    out = []
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            p, q = pts[i], pts[j]
+            if any(_open_chord_meets(p, q, pts[k], pts[(k + 1) % n])
+                   for k in range(n)):
+                continue
+            mid = ((p[0] + q[0]) // 2, (p[1] + q[1]) // 2)
+            if _strictly_inside(mid, pts):
+                out.append((i, j))
+    return tuple(out)
 
 
 def trace_ray_exact(sides: list[tuple], start: ExactPoint, u: ExactPoint,

@@ -232,6 +232,22 @@ def test_act_requires_exactly_one_mode(capsys):
     assert code == 2
 
 
+def test_long_room_is_accepted(capsys):
+    # V4 = (0, 1/nu2) lies 1e13 above V0; the room is simple
+    code, out, err = run(capsys, ["room", "--mu1=0.1", "--mu2=-30"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["vertices"][4][1] > 1e13
+
+
+def test_flow_runs_past_the_time_where_image_lengths_round_to_pi(capsys):
+    # the tracked '' cylinder's image length rounds to pi from t of
+    # about 40 on; this exited 2 after the whole baseline scan
+    code, out, err = run(capsys, ["flow", "--t-max=50", "--eps=0.8"]
+                         + MU_FLAGS)
+    assert code == 0 and err == ""
+    assert json.loads(out)["criterion1"]
+
+
 def test_act_rejects_non_unimodular_matrix(capsys):
     code, _, err = run(capsys, ["act", "--matrix", "2,0,0,2"] + MU_FLAGS)
     assert code == 2
@@ -364,6 +380,9 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
      "noise floor"),
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=1e-300",
       "--target2=1e300"], "noise floor"),
+    (["room", "--mu1=0.3", "--mu2=-400"], "diameter"),
+    (["room", "--mu1=-400", "--mu2=0.3"], "diameter"),
+    (["act", "--rotate=inf"] + MU_FLAGS, "rotation angle inf must be finite"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
         "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
@@ -377,7 +396,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "room-exact-mu1-overflow", "twist-exact-mu1-overflow",
         "reach-target1-inf", "reach-target-ratio-overflow",
         "reach-target1-nan", "reach-target-ratio-below-floor",
-        "reach-target-ratio-underflow"])
+        "reach-target-ratio-underflow", "room-long-mu2", "room-long-mu1",
+        "act-rotate-inf"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""

@@ -9,13 +9,15 @@ import pytest
 import oracles
 from dilatorus.errors import (DegenerateDoor, NonOrientedBasis,
                               NonSimplePentagon, OutsideQ)
-from dilatorus.geometry import (SL2Matrix, Vec2, _pentagon_vertices,
+from dilatorus.geometry import (DilationParams, SL2Matrix, Vec2,
+                                _pentagon_vertices,
                                 apply_sl2, build_room,
                                 canonicalize, geodesic_matrix,
-                                point_in_polygon, projective_action,
+                                projective_action,
                                 room_to_json, square_room, unit, wrap_2pi,
                                 wrap_pi)
 from dilatorus.quadratics import QuadraticNumber
+from dilatorus.teichmuller import flow
 
 SEED = 20260817
 LN2 = math.log(2.0)
@@ -26,6 +28,22 @@ LN2 = math.log(2.0)
 def test_sl2_requires_unit_determinant():
     with pytest.raises(ValueError):
         SL2Matrix(1.0, 0.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("entries", [
+    (math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 0.0),
+    (1.0, math.nan, 0.0, 1.0), (1.0, 0.0, -math.inf, 1.0),
+], ids=["a-nan", "a-inf", "b-nan", "c-minus-inf"])
+def test_sl2_refuses_non_finite_entries(entries):
+    # a NaN determinant passed the old |det - 1| > tol test
+    with pytest.raises(ValueError, match="must be finite"):
+        SL2Matrix(*entries)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_rotation_refuses_non_finite_angle(alpha):
+    with pytest.raises(ValueError, match="rotation angle .* must be finite"):
+        SL2Matrix.rotation(alpha)
 
 
 def test_sl2_inverse_and_product():
@@ -72,8 +90,8 @@ def test_symmetric_room_vertices():
 
 
 def test_vertex_formula_on_the_unit_basis_is_exact():
-    # the simplicity test reads these floats: V3 = (1 - 1/nu1, 1) and
-    # V4 = (0, 1/nu2) with no rounding from the basis arithmetic
+    # the coincident-vertex test reads these floats: V3 = (1 - 1/nu1, 1)
+    # and V4 = (0, 1/nu2) with no rounding from the basis arithmetic
     for nu1, nu2 in ((2.0, 3.0), (math.e, 1.1), (7.3, 0.6)):
         verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), nu1, nu2)
         assert [v.as_floats() for v in verts] == [
@@ -179,9 +197,9 @@ def test_canonicalize_keeps_shape():
 def test_point_in_polygon_on_pentagon():
     room = square_room(LN2, LN2)
     poly = room.vertices()
-    assert point_in_polygon(Vec2(0.4, 0.4), poly)
-    assert not point_in_polygon(Vec2(-0.1, 0.5), poly)
-    assert not point_in_polygon(Vec2(0.2, 0.9), poly)  # beyond the door
+    assert oracles.point_in_polygon(Vec2(0.4, 0.4), poly)
+    assert not oracles.point_in_polygon(Vec2(-0.1, 0.5), poly)
+    assert not oracles.point_in_polygon(Vec2(0.2, 0.9), poly)  # beyond the door
 
 
 def test_json_roundtrip_float_and_exact():
@@ -205,3 +223,81 @@ def test_interior_diagonals_symmetric_room():
     for i, j in pairs:
         assert (j - i) % 5 not in (0, 1, 4)  # chords, not sides
     assert pairs  # the convex pentagon has interior chords
+
+
+# --- room shape from the dilation factors ---
+
+# 0, +-10^-k for k = 1..17 and a few sizes up to 300: the parameters
+# within rounding of an axis, and long rooms
+LADDER = (0.0, *(s * 10.0 ** -k for k in range(1, 18) for s in (1, -1)),
+          *(s * v for v in (0.3, 1.0, 2.5, 30.0, 300.0) for s in (1, -1)))
+
+
+def _shape_inputs() -> list[tuple[float, float]]:
+    rng = random.Random(SEED + 4)
+    grid = [(a, b) for a in LADDER for b in LADDER]
+    scattered = [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0))
+                 for _ in range(500)]
+    # mu1 + mu2 = d: nu1*nu2 = 1 up to rounding at d = 0
+    anti = [(-m + d, m) for m in (-30.0, -2.5, -1.0, -0.3, 0.3, 1.0, 2.5,
+                                  30.0, *(rng.uniform(-6.0, 6.0)
+                                          for _ in range(12)))
+            for d in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)]
+    return [mu for mu in grid + scattered + anti
+            if (mu[0] >= 0 or mu[1] >= 0) and mu != (0.0, 0.0)]
+
+
+def test_room_shape_matches_exact_oracle():
+    # the shape rule against an exact simplicity and interior-chord test
+    # on the twin's Fraction vertices, at the unit basis and under one
+    # random SL(2,R) image each
+    rng = random.Random(SEED + 5)
+    compared = refused_coincident = 0
+    for mu in _shape_inputs():
+        m = oracles.random_sl2(rng)
+        for e1, e2 in ((Vec2(1.0, 0.0), Vec2(0.0, 1.0)),
+                       (m.apply(Vec2(1.0, 0.0)), m.apply(Vec2(0.0, 1.0)))):
+            try:
+                got = tuple(build_room(e1, e2, mu).interior_diagonals())
+            except NonSimplePentagon:
+                got = None
+            except ValueError as exc:
+                # V3 on V2 (mu1 = 300) or V3 on V4 (nu1 = nu2 = 1.0) at
+                # float resolution: refused before any shape is read
+                assert "coincide" in str(exc), (mu, exc)
+                refused_coincident += 1
+                continue
+            want = oracles.exact_shape(oracles.twin_vertices(
+                e1, e2, DilationParams(*mu).nu()))
+            assert got == want, (mu, e1, e2)
+            compared += 1
+    assert compared >= 4000 and refused_coincident < 150
+
+
+@pytest.mark.parametrize("mu", [(LN2, LN2), (-0.3, 0.8), (0.5, -0.2)],
+                         ids=["square-ln2", "reflex-V4", "reflex-V3"])
+def test_interior_diagonals_are_sl2_invariant(mu):
+    # the float predicates lost chords of these rooms from shear 1e6 and
+    # flow time 28 on
+    room = square_room(*mu)
+    want = room.interior_diagonals()
+    for k in (1e2, 1e4, 1e6, 1e8):
+        sheared = apply_sl2(SL2Matrix(1.0, k, 0.0, 1.0), room)
+        assert sheared.interior_diagonals() == want, k
+    for t in (10.0, 20.0, 28.0, 34.0):
+        assert flow(room, t).interior_diagonals() == want, t
+
+
+@pytest.mark.parametrize("mu, pairs", [
+    ((LN2, LN2), [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]),
+    ((0.0, 0.5), [(0, 2), (1, 3), (1, 4), (2, 4)]),
+    ((-0.3, 0.8), [(0, 2), (1, 3), (1, 4), (2, 4)]),
+    ((-0.8, 0.3), [(0, 2), (1, 4), (2, 4)]),
+    ((0.1, -30.0), [(0, 2), (0, 3), (1, 3)]),
+    ((30.0, 30.0), [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]),
+], ids=["square-ln2", "mu1-zero", "mu1-negative", "mu1-plus-mu2-negative",
+        "long", "thin"])
+def test_interior_diagonals_follow_the_dilation_factors(mu, pairs):
+    # (0, 3) needs nu1 > 1, (2, 4) needs nu2 > 1, and (1, 3), (1, 4)
+    # need that or nu1*nu2 > 1
+    assert square_room(*mu).interior_diagonals() == pairs

@@ -15,8 +15,7 @@ from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
                               VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 Vec2, apply_sl2, build_room,
-                                point_in_polygon, projective_action,
-                                square_room)
+                                projective_action, square_room)
 from dilatorus.intervalmaps import AffineBranch, PiecewiseAffineMap
 from dilatorus.rauzy import TerminalKind
 from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
@@ -135,7 +134,7 @@ def _start(rng: random.Random, room, outside: bool) -> Vec2:
     while True:
         p = Vec2(rng.uniform(min(xs) - 0.5, max(xs) + 0.5),
                  rng.uniform(min(ys) - 0.5, max(ys) + 0.5))
-        if point_in_polygon(p, verts) != outside:
+        if oracles.point_in_polygon(p, verts) != outside:
             return p
 
 

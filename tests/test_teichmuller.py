@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from dilatorus import teichmuller
-from dilatorus.geometry import (geodesic_matrix, projective_action,
-                                square_room, wrap_2pi)
+from dilatorus.geometry import (SL2Matrix, geodesic_matrix,
+                                projective_action, square_room, wrap_2pi)
 from dilatorus.surface import UNDECIDED_ERRORS, find_cylinders
 from dilatorus.teichmuller import (MonitorFlag, distortion, divergence_monitor,
                                    flow, flow_series_to_csv,
@@ -88,6 +88,22 @@ def test_tracked_interval_rejects_degenerate_input():
         track_direction_interval(m, (1.0, 1.0))
     with pytest.raises(ValueError):
         track_direction_interval(m, (0.0, math.pi))
+
+
+def test_tracked_interval_image_length_rounded_to_pi_is_clamped():
+    # at t = 80 an interval straddling the horizontal maps onto the
+    # vertical semi-lines up to 1e-35, and its image length rounds to pi
+    d1, d2 = track_direction_interval(geodesic_matrix(80.0), (-0.2, 0.2))
+    assert d2 - d1 == pytest.approx(math.pi)
+
+
+def test_tracked_interval_with_swapped_endpoint_images_is_clamped_to_0():
+    # the images of an interval one ulp long cross by an ulp, and their
+    # difference wraps to a length near 2*pi; it is an arc of length 0
+    m = SL2Matrix.rotation(1.0) @ geodesic_matrix(20.0)
+    t1 = 1.00038
+    d1, d2 = track_direction_interval(m, (t1, math.nextafter(t1, 2.0)))
+    assert d1 == d2 == projective_action(m, t1)
 
 
 def test_flow_expands_angles_away_from_horizontal():
@@ -179,6 +195,15 @@ def test_window_probes_drop_undecided_directions_and_report_bugs(monkeypatch):
     monkeypatch.setattr(teichmuller, "classify_direction", raising(ValueError))
     with pytest.raises(ValueError, match="from classify_direction"):
         teichmuller._window_hits(ROOM, 1.0, 0.3, 400, 0.4)
+
+
+def test_monitor_runs_past_the_time_where_image_lengths_round_to_pi():
+    # the tracked '' cylinder straddles the horizontal; from t of about
+    # 40 on, its image length rounds to pi
+    report = divergence_monitor(ROOM, 120.0, 4, 0.8, 600)
+    assert [s.t for s in report.samples] == [0.0, 30.0, 60.0, 90.0, 120.0]
+    assert all(s.theta_sup <= math.pi for s in report.samples)
+    assert report.criterion1
 
 
 def test_monitor_rejects_bad_arguments():
