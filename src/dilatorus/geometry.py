@@ -31,8 +31,10 @@ from .quadratics import QuadraticNumber, Scalar, as_float, is_exact
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
 PARALLEL_EPS: float = 1e-14
-# SL2Matrix accepts |det - 1| up to SL2_DET_TOL * scale**2, where scale
-# is the larger row 1-norm of the matrix (at least 1).
+# SL2Matrix accepts |det - 1| up to SL2_DET_TOL * scale, where scale is
+# |a*d| + |b*c| (at least 1): the size of the two products whose
+# difference is the determinant, so the slack follows their rounding, not
+# the size of the entries.
 SL2_DET_TOL: float = 1e-9
 TWO_PI: float = 2.0 * math.pi
 
@@ -84,16 +86,26 @@ def unit(theta: float) -> Vec2:
     return Vec2(math.cos(theta), math.sin(theta))
 
 
+def _wrap(theta: float, period: float) -> float:
+    """theta reduced into [0, period).  fmod is exact, but adding the
+    period to a negative remainder tinier than half an ulp of the period
+    rounds to the period itself, which is read as 0.0."""
+    t = math.fmod(theta, period)
+    if t < 0:
+        t += period
+        if t == period:
+            return 0.0
+    return t
+
+
 def wrap_2pi(theta: float) -> float:
     """Reduce an angle into [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI)
-    return t + TWO_PI if t < 0 else t
+    return _wrap(theta, TWO_PI)
 
 
 def wrap_pi(theta: float) -> float:
     """Reduce a direction into [0, pi) (unoriented line angle)."""
-    t = math.fmod(theta, math.pi)
-    return t + math.pi if t < 0 else t
+    return _wrap(theta, math.pi)
 
 
 def angle_dist_mod_pi(a: float, b: float) -> float:
@@ -117,10 +129,13 @@ class SL2Matrix:
         entries = (self.a, self.b, self.c, self.d)
         if not all(math.isfinite(x) for x in entries):
             raise ValueError(f"matrix entries {entries} must be finite")
-        det = self.a * self.d - self.b * self.c
-        scale = max(1.0, abs(float(self.a)) + abs(float(self.b)),
-                    abs(float(self.c)) + abs(float(self.d)))
-        if not abs(float(det) - 1.0) <= SL2_DET_TOL * scale * scale:
+        ad, bc = self.a * self.d, self.b * self.c
+        scale = max(1.0, abs(float(ad)) + abs(float(bc)))
+        if not math.isfinite(scale):
+            raise ValueError(f"matrix entries {entries} overflow the float "
+                             "range in the determinant")
+        det = ad - bc
+        if not abs(float(det) - 1.0) <= SL2_DET_TOL * scale:
             raise ValueError(f"determinant {det} is not 1")
 
     @staticmethod

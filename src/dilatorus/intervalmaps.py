@@ -59,7 +59,8 @@ class TwoSlopeMap:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact(v) for v in (self.rho_a, self.rho_b, self.x_t))
+        return (is_exact(self.rho_a) and is_exact(self.rho_b)
+                and is_exact(self.x_t))
 
     @property
     def intercept_a(self) -> Scalar:

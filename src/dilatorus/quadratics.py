@@ -221,7 +221,13 @@ Scalar = Union[int, Fraction, float, QuadraticNumber]
 
 
 def is_exact(x) -> bool:
-    """Whether x belongs to the exact track (int, Fraction, QuadraticNumber)."""
+    """Whether x belongs to the exact track (int, Fraction, QuadraticNumber).
+
+    A float, the common case on the float track, is answered by its type
+    alone, before the isinstance test that Fraction's abstract base class
+    makes slow."""
+    if type(x) is float:
+        return False
     return isinstance(x, (int, Fraction, QuadraticNumber))
 
 

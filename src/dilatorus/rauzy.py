@@ -66,16 +66,24 @@ class TerminalKind(Enum):
     BOUNDARY = "boundary"
 
 
+# The members as module constants: an enum member looked up on its class
+# costs several times a global, and the induction loop reads them on
+# every step.
+_WINNER_A, _WINNER_B = StepClass.WINNER_A, StepClass.WINNER_B
+_HALT, _BOUNDARY = StepClass.HALT, StepClass.BOUNDARY
+
+
 def classify_step(tsm: TwoSlopeMap) -> StepClass:
     """Which branch image captures the break point, if any."""
     thr_b, thr_a = thresholds(tsm.rho_a, tsm.rho_b)
-    if tsm.x_t == thr_b or tsm.x_t == thr_a:
-        return StepClass.BOUNDARY
-    if tsm.x_t < thr_b:
-        return StepClass.WINNER_B
-    if tsm.x_t > thr_a:
-        return StepClass.WINNER_A
-    return StepClass.HALT
+    x_t = tsm.x_t
+    if x_t == thr_b or x_t == thr_a:
+        return _BOUNDARY
+    if x_t < thr_b:
+        return _WINNER_B
+    if x_t > thr_a:
+        return _WINNER_A
+    return _HALT
 
 
 @dataclass(frozen=True)
@@ -93,17 +101,24 @@ def induce(tsm: TwoSlopeMap) -> InductionStep:
     the unit interval.  Rational inputs stay rational.
     """
     verdict = classify_step(tsm)
+    induced, chart = _induce(tsm, verdict)
+    return InductionStep(induced, verdict, chart)
+
+
+def _induce(tsm: TwoSlopeMap, verdict: StepClass
+            ) -> tuple[TwoSlopeMap, AffineChart]:
+    """(induced map, chart) of the step of `tsm` whose class is
+    `verdict`, as `classify_step` gives it; NotRenormalizable without a
+    winner."""
     ra, rb, xt = tsm.rho_a, tsm.rho_b, tsm.x_t
-    if verdict is StepClass.WINNER_A:
+    if verdict is _WINNER_A:
         new_xt = ((1 + ra) * xt - 1) / (ra * xt)
-        induced = TwoSlopeMap(ra, ra * rb, new_xt)
-        chart = AffineChart(1 / xt, 0 * xt)
-        return InductionStep(induced, verdict, chart)
-    if verdict is StepClass.WINNER_B:
+        return (TwoSlopeMap(ra, ra * rb, new_xt),
+                AffineChart(1 / xt, 0 * xt))
+    if verdict is _WINNER_B:
         new_xt = xt / (rb * (1 - xt))
-        induced = TwoSlopeMap(ra * rb, rb, new_xt)
-        chart = AffineChart(1 / (1 - xt), -xt / (1 - xt))
-        return InductionStep(induced, verdict, chart)
+        return (TwoSlopeMap(ra * rb, rb, new_xt),
+                AffineChart(1 / (1 - xt), -xt / (1 - xt)))
     raise NotRenormalizable(f"step class is {verdict.value}; no winner")
 
 
@@ -182,7 +197,9 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
 
 def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     """Renormalize until the dynamics halts, hits a threshold tie, or the
-    step budget runs out.  Budget 0 classifies the first step only."""
+    step budget runs out.  Budget 0 classifies the first step only.
+    Each step is classified once, and every induced map is built and
+    validated as a TwoSlopeMap."""
     if budget < 0:
         raise ValueError("induction budget must be nonnegative")
     current = tsm
@@ -190,10 +207,10 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     letters: list[str] = []
     for _ in range(budget + 1):
         verdict = classify_step(current)
-        if verdict is StepClass.HALT:
+        if verdict is _HALT:
             cycle = _pull_back_cycle(tsm, current, charts)
             return RauzyOutcome("".join(letters), TerminalKind.HALT, cycle)
-        if verdict is StepClass.BOUNDARY:
+        if verdict is _BOUNDARY:
             return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY, None)
         if len(letters) == budget:
             break
@@ -203,10 +220,9 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             # Float slopes grow without bound along non-halting words;
             # past this range the induced data is no longer meaningful.
             break
-        step = induce(current)
-        letters.append("L" if verdict is StepClass.WINNER_B else "R")
-        charts.append(step.chart)
-        current = step.induced
+        current, chart = _induce(current, verdict)
+        letters.append("L" if verdict is _WINNER_B else "R")
+        charts.append(chart)
     return RauzyOutcome("".join(letters), TerminalKind.BUDGET_EXHAUSTED, None)
 
 

@@ -248,6 +248,15 @@ class RayTrace(NamedTuple):
 
 
 _OUTSIDE_START = "the start point must lie in the closed pentagon"
+# Bound once, not per flight: a side's s counts as crossed within
+# [_S_LO, _S_HI] and as a vertex outside [_S_IN_LO, _S_IN_HI], and an
+# enum member read on its class costs several global reads.
+_S_LO, _S_HI = -VERTEX_TOL, 1.0 + VERTEX_TOL
+_S_IN_LO, _S_IN_HI = VERTEX_TOL, 1.0 - VERTEX_TOL
+_DOOR, _SECTION = TraceEnd.DOOR, TraceEnd.SECTION
+_BUDGET, _VERTEX = TraceEnd.BUDGET, TraceEnd.VERTEX
+# builds a RayTrace from its fields, skipping the NamedTuple's Python __new__
+_new_trace = tuple.__new__
 
 
 def _outside(rows: tuple[tuple, ...], px: float, py: float, ux: float,
@@ -310,11 +319,12 @@ def trace_ray(heading: Heading, start: tuple[float, float],
     exits, entries, rows, ux, uy, t_base, t_clear, sec, _ = heading
     if sec is not None:
         sax, say, sex, sey, sec_denom = sec
-    s_lo, s_hi = -VERTEX_TOL, 1.0 + VERTEX_TOL
+    s_lo, s_hi = _S_LO, _S_HI
 
     px, py = start
     crossed: list[int] = []
     gain = 1.0
+    transports_left = max_crossings
 
     while True:
         best_t = math.inf
@@ -337,7 +347,7 @@ def trace_ray(heading: Heading, start: tuple[float, float],
                 if not t_base < t < best_t:
                     continue
                 s = (wx * uy - wy * ux) / denom
-                if (VERTEX_TOL <= s <= 1.0 - VERTEX_TOL
+                if (_S_IN_LO <= s <= _S_IN_HI
                         or s_lo <= s <= s_hi
                         and _outside(rows, px, py, ux, uy)):
                     raise ValueError(_OUTSIDE_START)
@@ -359,24 +369,27 @@ def trace_ray(heading: Heading, start: tuple[float, float],
             # resolution, the same as a direct vertex strike.
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX,
-                               (px, py)))
+                trace=_new_trace(RayTrace, (tuple(crossed), gain, _VERTEX,
+                                            (px, py))))
         qx, qy = px + ux * best_t, py + uy * best_t
-        if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
+        if best_s < _S_IN_LO or best_s > _S_IN_HI:
             if not crossed and _outside(rows, px, py, ux, uy):
                 raise ValueError(_OUTSIDE_START)
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
-                            trace=RayTrace(tuple(crossed), gain,
-                                           TraceEnd.VERTEX, (qx, qy)))
+                            trace=_new_trace(RayTrace, (tuple(crossed), gain,
+                                                        _VERTEX, (qx, qy))))
         if hit_section:
-            return RayTrace(tuple(crossed), gain, TraceEnd.SECTION,
-                            (qx, qy))
+            return _new_trace(RayTrace, (tuple(crossed), gain, _SECTION,
+                                         (qx, qy)))
         _, _, _, _, _, is_door, factor, scale, ox, oy = rows[best_side]
         if is_door:
-            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR, (qx, qy))
-        if len(crossed) >= max_crossings:
-            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET, (qx, qy))
+            return _new_trace(RayTrace, (tuple(crossed), gain, _DOOR,
+                                         (qx, qy)))
+        if transports_left <= 0:
+            return _new_trace(RayTrace, (tuple(crossed), gain, _BUDGET,
+                                         (qx, qy)))
+        transports_left -= 1
         crossed.append(best_side)
         gain *= factor
         px, py = qx * scale + ox, qy * scale + oy
@@ -397,31 +410,38 @@ def _bisect(inside: float, outside: float, pred: Callable[[float], bool],
     return 0.5 * (inside + outside)
 
 
-def _flight(heading: Heading, s: float
-            ) -> tuple[float, float, tuple[int, ...]]:
-    """(s_back, factor, crossed sides) of the flight from s back to the
-    section of `heading`, in the section's arc-length coordinate.
+def _flight(heading: Heading, s: float) -> RayTrace:
+    """The flight from s back to the section of `heading`, s in the
+    section's arc-length coordinate.
 
     The frame and every direction-only quantity come from the heading;
     per flight this takes the start point's floats and runs one
-    `trace_ray`.
+    `trace_ray`, whose RayTrace it returns once the flight is known to
+    end on the section.  `_back` reads where it did.
     Raises BudgetExhausted when the flight takes more than
     DEFAULT_MAX_CROSSINGS transports, NotTransverse when it reaches the
     door, and VertexHit from the tracer.
     """
     ax, ay, tx, ty, _ = heading.frame
     tr = trace_ray(heading, (ax + tx * s, ay + ty * s))
-    if tr.terminal is TraceEnd.BUDGET:
+    terminal = tr.terminal
+    if terminal is _BUDGET:
         raise BudgetExhausted("no return to the section within "
                               f"{DEFAULT_MAX_CROSSINGS} crossings",
                               partial=tr)
-    if tr.terminal is TraceEnd.DOOR:
+    if terminal is _DOOR:
         raise NotTransverse("trajectory off the section reaches the "
                             "door; no first-return map in this "
                             "direction")
+    return tr
+
+
+def _back(heading: Heading, tr: RayTrace) -> float:
+    """Section coordinate of the end point of `tr`, a `_flight` of
+    `heading`."""
+    ax, ay, tx, ty, _ = heading.frame
     x, y = tr.end_point
-    s_back = (x - ax) * tx + (y - ay) * ty
-    return s_back, tr.cumulative_factor, tr.crossed_sides
+    return (x - ax) * tx + (y - ay) * ty
 
 
 def first_return_map(room: Room, theta: float,
@@ -451,13 +471,14 @@ def first_return_map(room: Room, theta: float,
     keys: list[Optional[tuple[int, ...]]] = []
     for s in grid:
         try:
-            keys.append(_flight(heading, s)[2])
+            keys.append(_flight(heading, s).crossed_sides)
         except VertexHit:
             keys.append(None)
 
-    def same_key(s: float, key: tuple[int, ...]) -> bool:
+    def on_key(s: float) -> bool:
+        # `key`, set in the loop below, is the itinerary being bisected
         try:
-            return _flight(heading, s)[2] == key
+            return _flight(heading, s).crossed_sides == key
         except VertexHit:
             return False
 
@@ -472,8 +493,7 @@ def first_return_map(room: Room, theta: float,
             inside, outside, key = grid[k], grid[k + 1], left
         else:
             inside, outside, key = grid[k + 1], grid[k], right
-        cuts.append(_bisect(inside, outside,
-                            lambda s: same_key(s, key), tol))
+        cuts.append(_bisect(inside, outside, on_key, tol))
 
     boundaries = [0.0]
     for c in sorted(cuts):
@@ -492,14 +512,16 @@ def first_return_map(room: Room, theta: float,
             try:
                 s1 = lo + frac1 * width
                 s2 = lo + frac2 * width
-                back1, factor1, key1 = _flight(heading, s1)
-                back2, factor2, key2 = _flight(heading, s2)
+                tr1 = _flight(heading, s1)
+                tr2 = _flight(heading, s2)
             except VertexHit:
                 continue
-            if key1 != key2:
+            if tr1.crossed_sides != tr2.crossed_sides:
                 continue
-            intercept = back1 - factor1 * s1
-            if abs(back2 - (factor1 * s2 + intercept)) > BRANCH_VERIFY_TOL * length:
+            factor1 = tr1.cumulative_factor
+            intercept = _back(heading, tr1) - factor1 * s1
+            if (abs(_back(heading, tr2) - (factor1 * s2 + intercept))
+                    > BRANCH_VERIFY_TOL * length):
                 raise NotTransverse("return map is not affine between "
                                     "detected branch boundaries; section "
                                     "sampling too coarse for this direction")
@@ -544,7 +566,7 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
                 or abs(x - float(tsm.x_t)) < VERIFY_BREAK_MARGIN):
             continue
         try:
-            s_back = _flight(heading, s)[0]
+            s_back = _back(heading, _flight(heading, s))
         except VertexHit:
             continue
         except (BudgetExhausted, NotTransverse):
@@ -639,7 +661,7 @@ def _collapsed_direction(room: Room, theta: float
         slope, fixed = col
         heading = Heading.of(room, theta, sec)
         try:
-            s_back = _flight(heading, fixed)[0]
+            s_back = _back(heading, _flight(heading, fixed))
         except (NotTransverse, BudgetExhausted):
             continue
         except VertexHit:

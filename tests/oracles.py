@@ -18,6 +18,9 @@ from dilatorus.geometry import (PARALLEL_EPS, Room, SL2Matrix, Vec2,
 from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
                                     PiecewiseAffineMap, TwoSlopeMap)
 from dilatorus.quadratics import Scalar
+from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
+                             StepClass, TerminalKind, _pull_back_cycle,
+                             classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
@@ -124,6 +127,34 @@ def compare_induction_to_simulation(induce_fn, n_triples: int,
             want = two_slope_value(ca, cb, cxt, u)
             worst = max(worst, abs(got - want))
     return worst
+
+
+def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
+    """`rauzy.iterate_induction` as a plain loop over the public
+    `classify_step` and `induce`, which classifies each step a second
+    time.  A halt is lifted to the original map by `rauzy._pull_back_cycle`,
+    the one piece shared with the library."""
+    current = tsm
+    charts = []
+    word = ""
+    while True:
+        verdict = classify_step(current)
+        if verdict is StepClass.HALT:
+            return RauzyOutcome(word, TerminalKind.HALT,
+                                _pull_back_cycle(tsm, current, charts))
+        if verdict is StepClass.BOUNDARY:
+            return RauzyOutcome(word, TerminalKind.BOUNDARY, None)
+        if len(word) == budget:
+            break
+        if not current.is_exact and not all(
+                FLOAT_SLOPE_MIN < float(rho) < FLOAT_SLOPE_MAX
+                for rho in (current.rho_a, current.rho_b)):
+            break
+        step = induce(current)
+        word += "L" if step.winner is StepClass.WINNER_B else "R"
+        charts.append(step.chart)
+        current = step.induced
+    return RauzyOutcome(word, TerminalKind.BUDGET_EXHAUSTED, None)
 
 
 # --- ray tracing on Vec2, straight from the room's public sides ---

@@ -254,6 +254,13 @@ def test_act_rejects_non_unimodular_matrix(capsys):
     assert json.loads(err)["error"] == "BadInput"
 
 
+def test_act_rejects_a_large_matrix_of_determinant_5(capsys):
+    code, out, err = run(capsys, ["act", "--mu1=1", "--mu2=1",
+                                  "--matrix=1e5,0,0,5e-5"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadInput"
+
+
 def test_csv_rejected_where_schema_is_json_only(capsys):
     code, _, err = run(capsys, ["room", "--format", "csv"] + MU_FLAGS)
     assert code == 2

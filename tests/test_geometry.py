@@ -40,6 +40,22 @@ def test_sl2_refuses_non_finite_entries(entries):
         SL2Matrix(*entries)
 
 
+@pytest.mark.parametrize("entries", [
+    (1e5, 0.0, 0.0, 5e-5), (1e200, 0.0, 0.0, 1e-300), (1e200, 0.0, 0.0, 1e200),
+], ids=["det-5", "det-1e-100", "det-overflows"])
+def test_sl2_refuses_large_entries_far_from_unit_determinant(entries):
+    # the slack once grew with the squared entries, and overflowed to inf
+    with pytest.raises(ValueError, match="is not 1|overflow"):
+        SL2Matrix(*entries)
+
+
+def test_sl2_keeps_large_unimodular_entries():
+    g = geodesic_matrix(1400.0)
+    assert g.a * g.d == pytest.approx(1.0)
+    SL2Matrix(1e150, 1e150, 0.0, 1e-150)
+    SL2Matrix(1.0, 1e12, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
 def test_rotation_refuses_non_finite_angle(alpha):
     with pytest.raises(ValueError, match="rotation angle .* must be finite"):
@@ -75,6 +91,18 @@ def test_projective_action_matches_vector_action():
 def test_wrap_functions():
     assert wrap_2pi(-0.5) == pytest.approx(2.0 * math.pi - 0.5)
     assert wrap_pi(math.pi + 0.25) == pytest.approx(0.25)
+
+
+def test_wrap_keeps_tiny_negative_angles_below_the_period():
+    # t + period rounded up to the excluded end for t above about -2e-16
+    assert wrap_2pi(-2.2e-16) == 0.0 and wrap_pi(-1e-17) == 0.0
+    rng = random.Random(SEED + 2)
+    for _ in range(2000):
+        theta = -math.ldexp(rng.random(), rng.randint(-1100, -40))
+        assert 0.0 <= wrap_2pi(theta) < 2.0 * math.pi
+        assert 0.0 <= wrap_pi(theta) < math.pi
+        # whole turns below zero land on the same side of the period
+        assert 0.0 <= wrap_2pi(theta - 2.0 * math.pi) < 2.0 * math.pi
 
 
 # --- rooms ---

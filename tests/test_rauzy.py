@@ -121,6 +121,73 @@ def test_iterate_induction_rejects_negative_budget():
         is TerminalKind.HALT
 
 
+def _outcome_bits(outcome):
+    """An outcome with every float as its hex string, so that equal means
+    bit-equal."""
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+    cycle = outcome.cycle
+    return (outcome.word, outcome.terminal,
+            None if cycle is None else (tuple(map(bits, cycle.points)),
+                                        cycle.period, bits(cycle.multiplier)))
+
+
+def _exact_maps(rng: random.Random, count: int) -> list:
+    """Fraction maps: seeded winner triples made rational, break points
+    inside deep word intervals, which outlast short budgets, and the
+    word intervals' inner ends, where a later step ties a threshold."""
+    maps = []
+    while len(maps) < count:
+        ra, rb, xt, _ = oracles.random_winner_triple(rng)
+        try:
+            maps.append(TwoSlopeMap(*(Fraction(v).limit_denominator(10 ** 4)
+                                      for v in (ra, rb, xt))))
+        except ValueError:
+            continue
+    for word in ("LR" * 6, "LLR" * 3, "RRL" * 3):
+        lo, hi = interval_for_word(HALF, Fraction(2, 3), word)
+        maps.append(TwoSlopeMap(HALF, Fraction(2, 3), (lo + hi) / 2))
+    for word in ("LLR", "RRL", "LRL"):
+        for end in interval_for_word(HALF, Fraction(2, 3), word):
+            maps.append(TwoSlopeMap(HALF, Fraction(2, 3), end))
+    return maps
+
+
+def test_iterate_induction_matches_the_plain_loop_oracle():
+    rng = random.Random(SEED + 14)
+    floats = []
+    for _ in range(500):
+        ra, rb, xt, _ = oracles.random_winner_triple(rng)
+        floats.append(TwoSlopeMap(ra, rb, xt))
+    # a slope past FLOAT_SLOPE_MIN stops the induction on its guard
+    floats.append(TwoSlopeMap(0.5, 1e-151, 1e-152))
+    terminals = set()
+    for tsm in floats + _exact_maps(rng, 60):
+        budget = rng.randint(0, 600)
+        got = iterate_induction(tsm, budget)
+        want = oracles.iterate_induction_oracle(tsm, budget)
+        assert _outcome_bits(got) == _outcome_bits(want), (tsm, budget)
+        terminals.add(got.terminal)
+    assert terminals == set(TerminalKind)
+
+
+def test_iterate_induction_classifies_each_step_once(monkeypatch):
+    calls = []
+    real = rauzy.classify_step
+
+    def counted(tsm):
+        calls.append(tsm)
+        return real(tsm)
+
+    monkeypatch.setattr(rauzy, "classify_step", counted)
+    rng = random.Random(SEED + 15)
+    for tsm in _exact_maps(rng, 20):
+        for budget in (0, 3, 40):
+            calls.clear()
+            outcome = iterate_induction(tsm, budget)
+            assert len(calls) == len(outcome.word) + 1, (tsm, budget)
+
+
 def test_cycle_reconstruction_cap_raises_nonconvergence(monkeypatch):
     tsm = TwoSlopeMap(HALF, HALF, Fraction(1, 4))   # halts on a 3-cycle
     assert iterate_induction(tsm, budget=10).cycle.period == 3

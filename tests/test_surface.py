@@ -1,10 +1,12 @@
 """Ray tracing, direction classification, and the cylinder scan."""
 
+import ast
 import dataclasses
 import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -537,15 +539,49 @@ def test_collapsed_direction_needs_the_cycle_to_close(monkeypatch):
 
 def test_first_return_map_refuses_a_bent_branch(monkeypatch):
     # the two probes of a branch share its itinerary but not its line
-    real = surface._flight
+    real = surface._back
 
-    def bent(heading, s):
-        s_back, factor, crossed = real(heading, s)
-        return s_back + 1e-3 * s * s, factor, crossed
+    def bent(heading, tr):
+        s_back = real(heading, tr)
+        return s_back + 1e-3 * s_back * s_back
 
-    monkeypatch.setattr(surface, "_flight", bent)
+    monkeypatch.setattr(surface, "_back", bent)
     with pytest.raises(NotTransverse, match="not affine"):
         first_return_map(ROOM, 5.5, CrossSection(0, 2))
+
+
+class _TraceRayReads(ast.NodeVisitor):
+    """(module, enclosing function) of every read of the name trace_ray."""
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id == "trace_ray":
+            self.found.append((self.module, ".".join(self.scope)))
+
+    def visit_Attribute(self, node):
+        if node.attr == "trace_ray":
+            self.found.append((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_only_flight_calls_the_tracer():
+    # every flight of the package goes through _flight's terminal checks
+    package = Path(surface.__file__).resolve().parent
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        visitor = _TraceRayReads(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        reads += visitor.found
+    assert reads == [("surface", "_flight")]
 
 
 def test_first_return_map_is_piecewise_affine_with_glue_slopes():
