@@ -25,7 +25,7 @@ from .errors import BudgetExhausted, DilatorusError, NonConvergence
 from .geometry import (DilationParams, Room, SL2Matrix, apply_sl2,
                        build_room, canonicalize, geodesic_matrix,
                        room_to_json)
-from .quadratics import QuadraticNumber, as_float
+from .quadratics import QuadraticNumber, as_float, is_exact, quadratic
 from .rauzy import survivor_measure
 from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
                       ROTATION_TOL, classify_direction, find_cylinders,
@@ -115,8 +115,7 @@ def _parse_mu_pair(args, name1: str = "mu1", name2: str = "mu2"):
 def _require_one_field(x1, x2, flag1: str, flag2: str) -> None:
     """Reject exact values from two different quadratic fields, which the
     exact arithmetic cannot combine."""
-    radicands = {x.d for x in (x1, x2)
-                 if isinstance(x, QuadraticNumber) and x.d}
+    radicands = {quadratic(x).d for x in (x1, x2) if is_exact(x)} - {0}
     if len(radicands) > 1:
         raise UsageError(f"{flag1} and {flag2} must share one radicand, got "
                          + " and ".join(f"sqrt({d})" for d in sorted(radicands)))
@@ -264,7 +263,7 @@ def cmd_rotnum(args) -> int:
     rho_a, rho_b = _parse_mu_pair(args, "rhoA", "rhoB")
     _require_one_field(rho_a, rho_b, "--rhoA-exact", "--rhoB-exact")
     value = rotation_number(rho_a, rho_b, tol=args.tol, max_iter=args.budget)
-    exact = isinstance(value, Fraction)
+    exact = is_exact(value)
     if args.format == "csv":
         _emit("rho_a,rho_b,rotation_number\n"
               f"{float(rho_a)!r},{float(rho_b)!r},{float(value)!r}\n")

@@ -26,7 +26,7 @@ from .errors import (
     NonSimplePentagon,
     OutsideQ,
 )
-from .quadratics import QuadraticNumber, Scalar, as_float, is_exact
+from .quadratics import Scalar, as_float, is_exact, quadratic
 
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
@@ -496,12 +496,10 @@ def canonicalize(room: Room) -> Room:
 
 # --- serialization ---
 
-def _scalar_to_json(x: Scalar):
-    if isinstance(x, QuadraticNumber):
-        return [str(x.a), str(x.b), x.d]
-    if isinstance(x, Fraction):
-        return [str(x), "0", 0]
-    return float(x)
+def _scalar_to_json(x: Scalar) -> list:
+    """An exact scalar as its [a, b, d] triple, a + b*sqrt(d)."""
+    q = quadratic(x)
+    return [str(q.a), str(q.b), q.d]
 
 
 def room_to_json(room: Room) -> dict:

@@ -14,12 +14,14 @@ brought to this normal form by restricting to the image interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import AtDiscontinuity, NotInHole, NotReducible
-from .quadratics import Scalar, is_exact
+from .quadratics import Scalar, is_exact, slack
 
+# Every tolerance below applies to float data only: through
+# quadratics.slack, data whose numbers are all exact compares exactly.
 # In the [0, 1] coordinate of a float TwoSlopeMap: how far
 # rho_b*(1 - x_t) may exceed 1 - rho_a*x_t, and how close to x_t an orbit
 # point counts as a break-point hit.
@@ -51,8 +53,8 @@ class TwoSlopeMap:
             raise ValueError(f"break point {self.x_t} must lie in (0, 1)")
         lhs = self.rho_b * (1 - self.x_t)
         rhs = 1 - self.rho_a * self.x_t
-        slack = 0 if self.is_exact else INJECTIVITY_SLACK
-        if lhs > rhs + slack:
+        if lhs > rhs + slack(INJECTIVITY_SLACK, self.rho_a, self.rho_b,
+                             self.x_t):
             raise ValueError(
                 f"branch images overlap: rho_b*(1-x_t)={float(lhs)} exceeds "
                 f"1-rho_a*x_t={float(rhs)}")
@@ -141,10 +143,9 @@ def orbit(tsm: TwoSlopeMap, x0: Scalar, n: int) -> OrbitResult:
     pts = [x0]
     labels: list[str] = []
     x = x0
-    exact = tsm.is_exact and is_exact(x0)
+    tol = slack(HIT_TOL, tsm.rho_a, tsm.rho_b, tsm.x_t, x0)
     for _ in range(n):
-        hit = (x == tsm.x_t) if exact else abs(float(x) - float(tsm.x_t)) <= HIT_TOL
-        if hit:
+        if abs(x - tsm.x_t) <= tol:
             return OrbitResult(tuple(pts), "".join(labels), True)
         labels.append("A" if x < tsm.x_t else "B")
         x = evaluate(tsm, x)
@@ -171,8 +172,18 @@ class AffineBranch:
         return self.slope * x + self.intercept
 
     def same_law(self, other: "AffineBranch") -> bool:
-        return (abs(float(self.slope - other.slope)) <= MERGE_TOL
-                and abs(float(self.intercept - other.intercept)) <= MERGE_TOL)
+        tol = slack(MERGE_TOL, self.slope, self.intercept, other.slope,
+                    other.intercept)
+        return (abs(self.slope - other.slope) <= tol
+                and abs(self.intercept - other.intercept) <= tol)
+
+
+def _branches_slack(tol: float, branches: tuple[AffineBranch, ...]) -> float:
+    """`slack(tol, ...)` over the numbers of `branches`, branch by branch."""
+    for b in branches:
+        if slack(tol, b.lo, b.hi, b.slope, b.intercept):
+            return tol
+    return 0
 
 
 @dataclass(frozen=True)
@@ -180,24 +191,25 @@ class PiecewiseAffineMap:
     """Finitely many increasing affine branches on contiguous intervals."""
 
     branches: tuple[AffineBranch, ...]
+    # the one allowance of every test below, decided at construction
+    _tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.branches:
             raise ValueError("need at least one branch")
+        tol = _branches_slack(MERGE_TOL, self.branches)
+        if tol:     # float data: scaled by the domain ends
+            lo, hi = self.domain
+            tol *= max(1.0, abs(float(lo)), abs(float(hi)))
+        object.__setattr__(self, "_tol", tol)
         for left, right in zip(self.branches, self.branches[1:]):
-            if abs(float(left.hi - right.lo)) > MERGE_TOL * self._scale():
+            if abs(left.hi - right.lo) > tol:
                 raise ValueError("branch intervals must be contiguous")
-        images = [(float(b.value(b.lo)), float(b.value(b.hi)))
-                  for b in self.branches]
-        tol = MERGE_TOL * self._scale()
+        images = [(b.value(b.lo), b.value(b.hi)) for b in self.branches]
         for i, (lo_i, hi_i) in enumerate(images):
             for lo_j, hi_j in images[i + 1:]:
                 if min(hi_i, hi_j) - max(lo_i, lo_j) > tol:
                     raise ValueError("branch images overlap; map is not injective")
-
-    def _scale(self) -> float:
-        return max(1.0, abs(float(self.branches[0].lo)),
-                   abs(float(self.branches[-1].hi)))
 
     @property
     def domain(self) -> tuple[Scalar, Scalar]:
@@ -220,7 +232,7 @@ class PiecewiseAffineMap:
         out = []
         for left, right in zip(self.branches, self.branches[1:]):
             a, b = left.value(left.hi), right.value(right.lo)
-            if abs(float(a - b)) > MERGE_TOL * self._scale():
+            if abs(a - b) > self._tol:
                 out.append((left.hi, a, b))
         return out
 
@@ -233,7 +245,7 @@ class PiecewiseAffineMap:
                 if x == b.lo and i > 0:
                     prev = self.branches[i - 1]
                     left_v, right_v = prev.value(x), b.value(x)
-                    if abs(float(left_v - right_v)) <= MERGE_TOL * self._scale():
+                    if abs(left_v - right_v) <= self._tol:
                         return right_v
                     if side == "left":
                         return left_v
@@ -294,18 +306,17 @@ def restrict_to_image(pam: PiecewiseAffineMap
     x_d, j_lo, j_hi = downward_jump(merged)
     width = j_hi - j_lo
     dom_lo, dom_hi = merged.domain
-    if (float(j_lo) < float(dom_lo) - IMAGE_TOL
-            or float(j_hi) > float(dom_hi) + IMAGE_TOL):
+    tol = slack(IMAGE_TOL, j_lo, j_hi, x_d, dom_lo, dom_hi)
+    if j_lo < dom_lo - tol or j_hi > dom_hi + tol:
         raise NotReducible("image interval escapes the domain")
-    scale = float(width)
-    if not (j_lo + IMAGE_TOL * scale < x_d < j_hi - IMAGE_TOL * scale):
+    margin = tol * width
+    if not (j_lo + margin < x_d < j_hi - margin):
         raise NotReducible(
             f"jump point {float(x_d)} is not interior to the image interval "
             f"[{float(j_lo)}, {float(j_hi)}]")
     left, right = merged.branches
-    if (float(left.value(max(left.lo, j_lo))) < float(j_lo) - IMAGE_TOL * scale
-            or float(right.value(min(right.hi, j_hi)))
-            > float(j_hi) + IMAGE_TOL * scale):
+    if (left.value(max(left.lo, j_lo)) < j_lo - margin
+            or right.value(min(right.hi, j_hi)) > j_hi + margin):
         raise NotReducible("restriction does not map the image interval "
                            "into itself")
     chart = AffineChart(1 / width, -j_lo / width)

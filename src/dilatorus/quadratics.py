@@ -5,6 +5,9 @@ integer, normalized so that d is square-free and d == 0 whenever the value
 is rational.  Supports exact comparison, floor, and field arithmetic, which
 is all the parameter-contraction and holonomy code needs.  Floats are
 deliberately rejected: this module is the exact track.
+
+It also decides exactness for the whole package, through `is_exact`,
+the tolerance rule `slack`, the coercion `quadratic` and `max_denominator`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ CF_NOISE_FLOOR = 1e-14
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, f) with d == s*s*f and f square-free."""
-    if d < 0:
-        raise ValueError("negative radicand")
+    """Return (s, f) with d == s*s*f and f square-free, for d >= 0."""
     s, f, p = 1, d, 2
     while p * p <= f:
         while f % (p * p) == 0:
@@ -42,6 +43,8 @@ class QuadraticNumber:
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 0):
         a, b = Fraction(a), Fraction(b)
         d = int(d)
+        if d < 0:
+            raise ValueError(f"negative radicand {d}")
         if b != 0 and d > 0:
             s, f = _squarefree_split(d)
             if f <= 1:
@@ -68,15 +71,7 @@ class QuadraticNumber:
             raise ValueError("value is irrational")
         return self.a
 
-    # --- coercion ---
-
-    @classmethod
-    def _coerce(cls, x) -> "QuadraticNumber":
-        if isinstance(x, QuadraticNumber):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"exact arithmetic does not accept {type(x).__name__}")
+    # --- arithmetic ---
 
     def _same_field(self, other: "QuadraticNumber") -> int:
         """Common radicand for a binary op, or raise."""
@@ -86,11 +81,9 @@ class QuadraticNumber:
             return self.d
         raise TypeError("mixed radicands are not supported")
 
-    # --- arithmetic ---
-
     def __add__(self, other):
         try:
-            o = self._coerce(other)
+            o = quadratic(other)
         except TypeError:
             return NotImplemented
         d = self._same_field(o)
@@ -103,7 +96,7 @@ class QuadraticNumber:
 
     def __sub__(self, other):
         try:
-            o = self._coerce(other)
+            o = quadratic(other)
         except TypeError:
             return NotImplemented
         return self + (-o)
@@ -113,7 +106,7 @@ class QuadraticNumber:
 
     def __mul__(self, other):
         try:
-            o = self._coerce(other)
+            o = quadratic(other)
         except TypeError:
             return NotImplemented
         d = self._same_field(o)
@@ -125,7 +118,7 @@ class QuadraticNumber:
 
     def __truediv__(self, other):
         try:
-            o = self._coerce(other)
+            o = quadratic(other)
         except TypeError:
             return NotImplemented
         d = self._same_field(o)
@@ -138,7 +131,7 @@ class QuadraticNumber:
         return QuadraticNumber(num.a / norm, num.b / norm, d)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return quadratic(other) / self
 
     def __abs__(self):
         return -self if self < 0 else self
@@ -163,7 +156,7 @@ class QuadraticNumber:
 
     def __eq__(self, other):
         try:
-            o = self._coerce(other)
+            o = quadratic(other)
         except TypeError:
             return NotImplemented
         try:
@@ -172,16 +165,16 @@ class QuadraticNumber:
             return False
 
     def __lt__(self, other):
-        return (self - self._coerce(other))._sign() < 0
+        return (self - quadratic(other))._sign() < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other))._sign() <= 0
+        return (self - quadratic(other))._sign() <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other))._sign() > 0
+        return (self - quadratic(other))._sign() > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other))._sign() >= 0
+        return (self - quadratic(other))._sign() >= 0
 
     def __hash__(self):
         if self.is_rational:
@@ -211,6 +204,16 @@ class QuadraticNumber:
         return f"QuadraticNumber({self.a}, {self.b}, {self.d})"
 
 
+def quadratic(x) -> QuadraticNumber:
+    """x as a QuadraticNumber: itself, or an int or a Fraction lifted.
+    Anything else, a float included, raises TypeError."""
+    if isinstance(x, QuadraticNumber):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return QuadraticNumber(x)
+    raise TypeError(f"exact arithmetic does not accept {type(x).__name__}")
+
+
 def sqrt_int(d: int) -> QuadraticNumber:
     """Exact square root of a nonnegative integer."""
     return QuadraticNumber(0, 1, d)
@@ -229,6 +232,24 @@ def is_exact(x) -> bool:
     if type(x) is float:
         return False
     return isinstance(x, (int, Fraction, QuadraticNumber))
+
+
+def slack(tol: float, *values: Scalar) -> float:
+    """The tolerance a comparison of `values` gets: `tol` from the first
+    float on, and 0 when every one is exact, so exact data compares
+    exactly."""
+    for x in values:
+        if type(x) is float or not is_exact(x):
+            return tol
+    return 0
+
+
+def max_denominator(x: Scalar) -> int:
+    """The largest denominator of an exact x: its own for an int or a
+    Fraction, the larger of a's and b's for a + b*sqrt(d)."""
+    if isinstance(x, QuadraticNumber):
+        return max(x.a.denominator, x.b.denominator)
+    return x.denominator
 
 
 def as_float(x: Scalar, name: str) -> float:

@@ -40,7 +40,7 @@ from .intervalmaps import (
     evaluate,
     thresholds,
 )
-from .quadratics import Scalar, as_ratio, is_exact
+from .quadratics import Scalar, as_ratio, is_exact, slack
 
 # A float cycle lifted back to the original map closes when an iterate
 # returns within CYCLE_CLOSE_TOL of its first point, in the map's [0, 1]
@@ -173,17 +173,12 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
     seed = attracting_cycle_in_hole(final).points[0]
     for chart in reversed(charts):
         seed = chart.invert(seed)
-    exact = tsm.is_exact and is_exact(seed)
+    tol = slack(CYCLE_CLOSE_TOL, tsm.rho_a, tsm.rho_b, tsm.x_t, seed)
     pts = [seed]
     mult = tsm.rho_a if seed < tsm.x_t else tsm.rho_b
     x = evaluate(tsm, seed)
     steps = 0
-    while True:
-        if exact:
-            if x == seed:
-                break
-        elif abs(float(x) - float(seed)) <= CYCLE_CLOSE_TOL:
-            break
+    while not abs(x - seed) <= tol:     # a NaN never closes
         pts.append(x)
         mult = mult * (tsm.rho_a if x < tsm.x_t else tsm.rho_b)
         x = evaluate(tsm, x)

@@ -44,7 +44,7 @@ from .intervalmaps import (
     evaluate as evaluate_two_slope,
     restrict_to_image,
 )
-from .quadratics import QuadraticNumber, Scalar, as_float, is_exact
+from .quadratics import Scalar, as_float, is_exact, max_denominator
 from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
 
 # Tolerances for the tracer are relative to the room diameter; those for
@@ -861,19 +861,19 @@ EXACT_ORBIT_CAP = 4096
 EXACT_DENOMINATOR_CAP = 10**30
 
 
-def _orbit_key(x):
-    if isinstance(x, QuadraticNumber):
-        return (x.a, x.b, x.d)
-    return x
+def _lift(ra: Scalar, rb: Scalar) -> tuple[Scalar, Callable]:
+    """The break x* = (1 - rb) / (ra - rb) that makes the two-slope circle
+    map continuous, and the step x -> (F(x) mod 1, turns) of its lift F
+    (see rotation_number), exact on exact slopes."""
+    x_star = (1 - rb) / (ra - rb)
+    b_a = rb * (1 - x_star)
 
+    def step(x: Scalar) -> tuple[Scalar, int]:
+        if x < x_star:
+            return ra * x + b_a, 0
+        return rb * (x - x_star), 1
 
-def _too_big(x) -> bool:
-    if isinstance(x, Fraction):
-        return x.denominator > EXACT_DENOMINATOR_CAP
-    if isinstance(x, QuadraticNumber):
-        return (x.a.denominator > EXACT_DENOMINATOR_CAP
-                or x.b.denominator > EXACT_DENOMINATOR_CAP)
-    return False
+    return x_star, step
 
 
 def rotation_number(rho_a: Scalar, rho_b: Scalar,
@@ -906,39 +906,23 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    exact = is_exact(rho_a) and is_exact(rho_b)
-    if exact:
-        ra, rb = rho_a, rho_b
-        x_star = (1 - rb) / (ra - rb)
-        seen = {}
-        x = x_star
-        gain = 0
-        for step in range(EXACT_ORBIT_CAP):
-            key = _orbit_key(x)
-            if key in seen:
-                n0, g0 = seen[key]
-                return Fraction(gain - g0, step - n0)
-            seen[key] = (step, gain)
-            if x < x_star:
-                x = ra * x + rb * (1 - x_star)
-            else:
-                x = rb * (x - x_star)
-                gain += 1
-            if _too_big(x):
+    if is_exact(rho_a) and is_exact(rho_b):
+        x_star, step = _lift(rho_a, rho_b)
+        seen: dict = {}     # exact values hash by value
+        x, gain = x_star, 0
+        for n in range(EXACT_ORBIT_CAP):
+            if x in seen:
+                n0, g0 = seen[x]
+                return Fraction(gain - g0, n - n0)
+            seen[x] = (n, gain)
+            x, g = step(x)
+            gain += g
+            if max_denominator(x) > EXACT_DENOMINATOR_CAP:
                 break
         # fall through to the float estimate
 
-    x_star_f = (1.0 - rb_f) / (ra_f - rb_f)
-    b_a = rb_f * (1.0 - x_star_f)
-
-    def advance(x: float) -> tuple[float, int]:
-        if x < x_star_f:
-            return ra_f * x + b_a, 0
-        return rb_f * (x - x_star_f), 1
-
-    x = x_star_f
-    gain = 0
-    n = 0
+    x_star_f, advance = _lift(ra_f, rb_f)
+    x, gain, n = x_star_f, 0, 0
     anchor_x, anchor_gain, anchor_n = x, 0, 0
     next_anchor = 64
     estimates: list[float] = []

@@ -28,7 +28,7 @@ from .errors import (
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import CF_NOISE_FLOOR, QuadraticNumber, float_convergents
+from .quadratics import CF_NOISE_FLOOR, float_convergents, quadratic
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -176,11 +176,9 @@ class ContractionResult:
 
 
 def _exact_block_count(x, y) -> int:
-    """Largest k with x - k*y > 0, for exact positive scalars x > y."""
-    q = QuadraticNumber._coerce(x) / QuadraticNumber._coerce(y)
-    if q.is_rational and q.as_fraction().denominator == 1:
-        return int(q.as_fraction()) - 1
-    return q.floor()
+    """Largest k with x - k*y > 0, for exact positive scalars x > y:
+    ceil(x/y) - 1, which is at least 1."""
+    return -(-quadratic(x) / quadratic(y)).floor() - 1
 
 
 def _float_block_count(x: float, y: float) -> int:
@@ -191,13 +189,15 @@ def _float_block_count(x: float, y: float) -> int:
             f"cannot certify a positive remainder for ({x}, {y})")
     return k
 
+
 def gauss_contraction(params: DilationParams, eps: float,
                       max_generators: int = 10 ** 6) -> ContractionResult:
     """Shrink positive parameters below eps by maximal subtractive blocks.
 
     While mu1 > mu2 the move S2inv subtracts mu2 from mu1 (k times, k maximal
     with a positive remainder); symmetrically S1inv subtracts mu1 from mu2.
-    Rationally dependent pairs run into a tie or an exact zero: RationalRatio.
+    Rationally dependent pairs run into a tie, or on floats into a
+    remainder too small to certify: RationalRatio.
     """
     if not params.in_positive_quadrant():
         raise ValueError("contraction needs strictly positive parameters")
@@ -212,16 +212,8 @@ def gauss_contraction(params: DilationParams, eps: float,
             x, y, gen = m1, m2, TwistGenerator.T2_INV
         else:
             x, y, gen = m2, m1, TwistGenerator.T1_INV
-        if exact:
-            k = _exact_block_count(x, y)
-            if k < 1:
-                raise RationalRatio("no block keeps the remainder positive")
-            rem = x - k * y
-            if rem == 0:
-                raise RationalRatio("exact zero remainder")
-        else:
-            k = _float_block_count(x, y)
-            rem = x - k * y
+        k = _exact_block_count(x, y) if exact else _float_block_count(x, y)
+        rem = x - k * y
         if m1 > m2:
             m1 = rem
         else:
@@ -311,8 +303,6 @@ def _complete_to_unimodular(a: int, c: int) -> tuple[int, int]:
     shift = 0
     while d0 + shift * c < 0 or b0 + shift * a < 0:
         shift += 1
-    while d0 + (shift - 1) * c >= 0 and b0 + (shift - 1) * a >= 0 and shift > 0:
-        shift -= 1
     return b0 + shift * a, d0 + shift * c
 
 
@@ -430,7 +420,7 @@ class HolonomyClass:
 
 
 def _exact_ratio_witness(m1, m2) -> Optional[tuple[int, int]]:
-    q1, q2 = QuadraticNumber._coerce(m1), QuadraticNumber._coerce(m2)
+    q1, q2 = quadratic(m1), quadratic(m2)
     if q2 == 0:
         return (1, 0) if q1 != 0 else None
     if q1 == 0:

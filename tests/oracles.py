@@ -157,6 +157,56 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     return RauzyOutcome(word, TerminalKind.BUDGET_EXHAUSTED, None)
 
 
+def induction_step_oracle(ra: Fraction, rb: Fraction, xt: Fraction
+                          ) -> Optional[tuple[str, tuple, tuple]]:
+    """One renormalization step of the exact map TwoSlopeMap(ra, rb, xt),
+    read off its first return without `rauzy`: (letter, (rho_a, rho_b,
+    x_t) of the induced map, (scale, offset) of the chart), or None
+    without a winner.
+
+    B wins (letter L) when x_t lies inside the right branch's image,
+    x_t < T(1) = rb*(1 - xt), and the step induces on J = (x_t, 1]; A
+    wins (letter R) when x_t > T(0) = 1 - ra*xt, inducing on J = [0, x_t).
+    The chart is the increasing affine map of J onto [0, 1].  The first
+    return to J is evaluated exactly at the two rescaled points eps and
+    1 - eps, one on each branch of the normal form: its slope there is
+    the product of the slopes along the orbit, and its intercept follows
+    from the value.  The left law reaches 1 and the right law leaves 0
+    at the same break point, which checks the normal form.
+    """
+    eps = Fraction(1, 10 ** 40)
+
+    def step(x):
+        if x < xt:
+            return ra * x + 1 - ra * xt, ra
+        return rb * (x - xt), rb
+
+    if xt < rb * (1 - xt):
+        letter, lo, hi = "L", xt, Fraction(1)
+    elif xt > 1 - ra * xt:
+        letter, lo, hi = "R", Fraction(0), xt
+    else:
+        return None
+    scale, offset = 1 / (hi - lo), -lo / (hi - lo)
+    laws = []
+    for u in (eps, 1 - eps):
+        x, slope = step(lo + u * (hi - lo))
+        for _ in range(100):
+            if lo < x < hi:
+                break
+            assert x != xt, "a first return hit the break point"
+            x, factor = step(x)
+            slope *= factor
+        else:
+            raise AssertionError("no first return within 100 steps")
+        laws.append((slope, scale * x + offset - slope * u))
+    (rho_a, c_a), (rho_b, c_b) = laws
+    x_new = (1 - c_a) / rho_a
+    assert x_new == -c_b / rho_b, "the return is not in normal form"
+    assert eps < x_new < 1 - eps
+    return letter, (rho_a, rho_b, x_new), (scale, offset)
+
+
 # --- ray tracing on Vec2, straight from the room's public sides ---
 
 def point_in_polygon(pt: Vec2, polygon: list[Vec2]) -> bool:

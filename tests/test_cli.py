@@ -217,6 +217,59 @@ def test_bad_parameters_exit_2_with_json_diagnostic(capsys):
     assert "detail" in data
 
 
+ROT_EXACT = ["--rhoB-exact=1/2,0,0"]
+
+
+# argv -> (exit code, error name or None, the stream the output goes to,
+# and a fragment of that output)
+REFUSALS_AND_EDGES = {
+    "e1-count": (["room", "--mu1=1", "--mu2=1", "--e1=1,0,0"],
+                 2, "BadInput", "err", "--e1 expects 2 comma-separated"),
+    "e1-non-numeric": (["room", "--mu1=1", "--mu2=1", "--e1=1,x"],
+                       2, "BadInput", "err", "--e1: non-numeric entry"),
+    "triple-arity": (["rotnum", "--rhoA-exact=2,0"] + ROT_EXACT,
+                     2, "BadInput", "err", "expects an a,b,d triple"),
+    "triple-unparsable": (["rotnum", "--rhoA-exact=two,0,0"] + ROT_EXACT,
+                          2, "BadInput", "err", "cannot parse triple"),
+    "triple-b-without-d": (["rotnum", "--rhoA-exact=2,1,0"] + ROT_EXACT,
+                           2, "BadInput", "err",
+                           "nonzero irrational part needs d > 0"),
+    "triple-negative-d": (["rotnum", "--rhoA-exact=2,1,-2"] + ROT_EXACT,
+                          2, "BadInput", "err",
+                          "--rhoA-exact: negative radicand -2"),
+    "pair-missing": (["rotnum"], 2, "BadInput", "err",
+                     "parameters required: --rhoA/--rhoB"),
+    "pair-partial-float": (["rotnum", "--rhoA=2.0"], 2, "BadInput", "err",
+                           "both --rhoA and --rhoB are required"),
+    "pair-partial-exact": (["rotnum"] + ROT_EXACT, 2, "BadInput", "err",
+                           "both --rhoA-exact and --rhoB-exact"),
+    "word-letter": (["twist", "--mu1=0.5", "--mu2=0.5", "--word=AXB"],
+                    2, "BadInput", "err", "invalid word letter"),
+    "measure-rho": (["measure", "--rhoA=half", "--rhoB=0.5", "--n=2"],
+                    2, "BadInput", "err", "--rhoA: cannot parse 'half'"),
+    "rotnum-csv": (["rotnum", "--rhoA-exact=2,0,0", "--format=csv"]
+                   + ROT_EXACT, 0, None, "out",
+                   "rho_a,rho_b,rotation_number\n2.0,0.5,0.5\n"),
+    "reach-budget": (["reach", "--mu1=0.7", "--mu2=0.4", "--target1=1.3",
+                      "--target2=0.9", "--budget=3"], 3, "BudgetExhausted",
+                     "out", "budget exhausted during contraction"),
+}
+
+
+@pytest.mark.parametrize("argv, code, error, stream, fragment",
+                         list(REFUSALS_AND_EDGES.values()),
+                         ids=list(REFUSALS_AND_EDGES))
+def test_refusals_and_edge_outputs(capsys, argv, code, error, stream,
+                                   fragment):
+    got, out, err = run(capsys, argv)
+    text, other = (out, err) if stream == "out" else (err, out)
+    assert (got, other) == (code, "")
+    assert fragment in text and text.endswith("\n")
+    if error is not None:
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"] == error
+
+
 def test_mixed_exact_and_float_parameters_exit_2(capsys):
     code, _, err = run(capsys, ["room", "--mu1", "1",
                                 "--mu2-exact", "0,1,2"])

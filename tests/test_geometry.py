@@ -245,6 +245,14 @@ def test_json_roundtrip_float_and_exact():
     assert data["mu"] == [math.sqrt(2.0), 0.5]
 
 
+def test_int_parameters_are_written_as_exact_triples():
+    # an int is on the exact track, so it is written like its Fraction
+    assert room_to_json(square_room(1, 2))["mu_exact"] == \
+        [["1", "0", 0], ["2", "0", 0]]
+    assert room_to_json(square_room(1, 2)) == \
+        room_to_json(square_room(Fraction(1), Fraction(2)))
+
+
 def test_interior_diagonals_symmetric_room():
     room = square_room(LN2, LN2)
     pairs = set(room.interior_diagonals())

@@ -13,6 +13,7 @@ from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     evaluate, orbit, restrict_to_image,
                                     thresholds)
 from dilatorus import rauzy
+from dilatorus.quadratics import QuadraticNumber, sqrt_int
 import oracles
 
 SEED = 20260817
@@ -114,6 +115,71 @@ def test_restrict_to_image_recovers_conjugated_map():
     for y in (Fraction(11, 10), Fraction(7, 5), Fraction(2), Fraction(14, 5)):
         assert chart.apply(pam.evaluate(y)) == evaluate(reduced,
                                                         chart.apply(y))
+
+
+def test_an_exact_jump_below_the_float_tolerance_is_kept():
+    tiny = Fraction(1, 10 ** 15)
+    pam = PiecewiseAffineMap((
+        AffineBranch(Fraction(0), HALF, HALF, HALF),
+        AffineBranch(HALF, Fraction(1), HALF, HALF + tiny),
+    ))
+    assert len(pam.merged().branches) == 2
+    assert pam.jumps() == [(HALF, Fraction(3, 4), Fraction(3, 4) + tiny)]
+    with pytest.raises(AtDiscontinuity):
+        pam.evaluate(HALF)
+    # the same jump in floats lies inside MERGE_TOL and merges away
+    floats = PiecewiseAffineMap(tuple(
+        AffineBranch(*map(float, (b.lo, b.hi, b.slope, b.intercept)))
+        for b in pam.branches))
+    assert len(floats.merged().branches) == 1 and floats.jumps() == []
+
+
+def test_exact_branches_must_meet_exactly():
+    with pytest.raises(ValueError, match="contiguous"):
+        PiecewiseAffineMap((
+            AffineBranch(Fraction(0), HALF, HALF, Fraction(0)),
+            AffineBranch(HALF + Fraction(1, 10 ** 15), Fraction(1), HALF,
+                         HALF),
+        ))
+
+
+def test_an_exact_map_past_the_float_range_is_read_exactly():
+    # its allowance is 0 without reading the domain ends as floats
+    big = Fraction(10 ** 400)
+    pam = PiecewiseAffineMap((
+        AffineBranch(Fraction(0), big, HALF, big),
+        AffineBranch(big, 2 * big, HALF, Fraction(0)),
+    ))
+    assert pam.jumps() == [(big, HALF * big + big, HALF * big)]
+    assert restrict_to_image(pam)[0] == TwoSlopeMap(HALF, HALF, HALF)
+
+
+def test_restrict_to_image_keeps_quadratic_data_exact():
+    r2 = sqrt_int(2)
+    pam = PiecewiseAffineMap((
+        AffineBranch(QuadraticNumber(0), QuadraticNumber(HALF), r2 / 4,
+                     QuadraticNumber(HALF)),
+        AffineBranch(QuadraticNumber(HALF), QuadraticNumber(1), r2 / 4,
+                     -r2 / 8),
+    ))
+    reduced, chart = restrict_to_image(pam)
+    width = HALF + r2 / 8          # the image interval is [0, 1/2 + sqrt2/8]
+    assert reduced == TwoSlopeMap(r2 / 4, r2 / 4, HALF / width)
+    assert (chart.scale, chart.offset) == (1 / width, 0)
+    for y in (Fraction(1, 10), Fraction(2, 5), Fraction(3, 5)):
+        assert chart.apply(pam.evaluate(y)) == evaluate(reduced,
+                                                        chart.apply(y))
+
+
+def test_exact_orbit_hits_the_break_point_exactly():
+    tsm = TwoSlopeMap(HALF, HALF, Fraction(1, 4))
+    # T(3/4) = (3/4 - 1/4)/2 is the break point itself
+    hit = orbit(tsm, Fraction(3, 4), 5)
+    assert hit.hit_discontinuity and hit.points == (Fraction(3, 4),
+                                                    Fraction(1, 4))
+    # a start 10^-20 away misses it: exact data gets no HIT_TOL
+    near = orbit(tsm, Fraction(3, 4) + Fraction(1, 10 ** 20), 5)
+    assert not near.hit_discontinuity and len(near.points) == 6
 
 
 def test_restrict_to_image_rejects_upward_jump():

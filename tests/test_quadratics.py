@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from dilatorus.quadratics import (QuadraticNumber, cf_convergents,
-                                  float_convergents, sqrt_int)
+                                  float_convergents, max_denominator,
+                                  quadratic, slack, sqrt_int)
 
 SEED = 20260817
 
@@ -99,3 +100,68 @@ def test_float_convergents_approximate():
         if q > 1000:
             break
     assert best < 1e-6
+
+
+# --- the package's exactness rule ---
+
+def test_slack_is_the_tolerance_for_floats_and_zero_for_exact_data():
+    exact = (3, Fraction(1, 3), sqrt_int(2), True)
+    assert slack(1e-9, *exact) == 0
+    assert slack(1e-9) == 0
+    for at in range(len(exact) + 1):
+        mixed = exact[:at] + (0.5,) + exact[at:]
+        assert slack(1e-9, *mixed) == 1e-9
+
+
+def test_quadratic_lifts_exact_scalars_and_refuses_floats():
+    r2 = sqrt_int(2)
+    assert quadratic(r2) is r2
+    assert quadratic(3) == QuadraticNumber(3)
+    assert quadratic(Fraction(-2, 7)).a == Fraction(-2, 7)
+    with pytest.raises(TypeError, match="does not accept float"):
+        quadratic(0.5)
+
+
+def test_max_denominator_reads_every_rational_coordinate():
+    assert max_denominator(7) == 1
+    assert max_denominator(Fraction(3, 8)) == 8
+    assert max_denominator(QuadraticNumber(Fraction(1, 3), Fraction(1, 5),
+                                           2)) == 5
+    assert max_denominator(QuadraticNumber(Fraction(1, 9), 1, 3)) == 9
+
+
+def test_a_rational_quadratic_number_is_its_fraction_as_a_key():
+    half = QuadraticNumber(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert hash(half) == hash(Fraction(1, 2))
+    assert hash(QuadraticNumber(3)) == hash(3)
+    assert {Fraction(1, 2): "f"}[half] == "f"
+    assert {half: "q"}[Fraction(1, 2)] == "q"
+    # irrational values hash by their normalized coordinates
+    assert hash(sqrt_int(8)) == hash(2 * sqrt_int(2))
+    assert len({sqrt_int(8), 2 * sqrt_int(2), sqrt_int(2)}) == 2
+
+
+def test_truth_order_absolute_value_and_repr():
+    r2 = sqrt_int(2)
+    assert not QuadraticNumber(1, 1, 1) - 2 and bool(r2 - 1)
+    assert r2 <= r2 and r2 <= Fraction(3, 2) and not r2 <= Fraction(7, 5)
+    assert abs(1 - r2) == r2 - 1 and abs(r2) == r2
+    assert repr(QuadraticNumber(Fraction(1, 2))) == "QuadraticNumber(1/2)"
+    assert repr(QuadraticNumber(1, Fraction(-1, 3), 2)) == \
+        "QuadraticNumber(1, -1/3, 2)"
+
+
+def test_mixed_radicands_raise_type_error():
+    with pytest.raises(TypeError, match="mixed radicands"):
+        sqrt_int(2) + sqrt_int(3)
+    # equality of two fields is decided, not raised
+    assert sqrt_int(2) != sqrt_int(3)
+
+
+def test_a_negative_radicand_is_refused():
+    # it was once dropped with its b, so that 2 + sqrt(-2) read as 2
+    with pytest.raises(ValueError, match="negative radicand -2"):
+        QuadraticNumber(2, 1, -2)
+    with pytest.raises(ValueError, match="negative radicand"):
+        QuadraticNumber(2, 0, -1)

@@ -171,6 +171,59 @@ def test_iterate_induction_matches_the_plain_loop_oracle():
     assert terminals == set(TerminalKind)
 
 
+def _winner_maps(rng: random.Random, count: int, exact: bool) -> list:
+    """Seeded maps whose step has a winner by `oracles.induction_step_oracle`:
+    Fraction maps when `exact`, else float maps whose x_t is a multiple
+    of 2^-30, so that 1 - x_t is a float too."""
+    maps = []
+    while len(maps) < count:
+        ra, rb, xt, _ = oracles.random_winner_triple(rng)
+        if exact:
+            ra, rb, xt = (Fraction(v).limit_denominator(10 ** 4)
+                          for v in (ra, rb, xt))
+        else:
+            xt = round(xt * 2.0 ** 30) / 2.0 ** 30
+        try:
+            tsm = TwoSlopeMap(ra, rb, xt)
+        except ValueError:
+            continue
+        if oracles.induction_step_oracle(*map(Fraction, (ra, rb, xt))):
+            maps.append(tsm)
+    return maps
+
+
+def _step_of(tsm):
+    step = induce(tsm)
+    letter = "L" if step.winner is StepClass.WINNER_B else "R"
+    induced = step.induced
+    return (letter, (induced.rho_a, induced.rho_b, induced.x_t),
+            (step.chart.scale, step.chart.offset))
+
+
+def test_induce_equals_the_exact_first_return_oracle():
+    maps = _winner_maps(random.Random(SEED + 16), 240, exact=True)
+    for tsm in maps:
+        want = oracles.induction_step_oracle(tsm.rho_a, tsm.rho_b, tsm.x_t)
+        assert _step_of(tsm) == want, tsm
+    assert {_step_of(tsm)[0] for tsm in maps} == {"L", "R"}
+
+
+def test_induce_rounds_once_where_its_formulas_round_once():
+    # With 1 - x_t a float, the induced slope product and the chart's
+    # scale and offset are each one rounding of exact operands, so the
+    # float step gives the exact step correctly rounded.  An
+    # algebraically equal but longer formula rounds twice.
+    for tsm in _winner_maps(random.Random(SEED + 17), 400, exact=False):
+        letter, (ra, rb, _), (scale, offset) = _step_of(tsm)
+        want_letter, (wa, wb, _), (w_scale, w_offset) = \
+            oracles.induction_step_oracle(*map(Fraction, (tsm.rho_a,
+                                                          tsm.rho_b,
+                                                          tsm.x_t)))
+        assert letter == want_letter, tsm
+        assert (ra, rb, scale, offset) == tuple(
+            map(float, (wa, wb, w_scale, w_offset))), tsm
+
+
 def test_iterate_induction_classifies_each_step_once(monkeypatch):
     calls = []
     real = rauzy.classify_step

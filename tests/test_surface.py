@@ -19,6 +19,7 @@ from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 Vec2, apply_sl2, build_room,
                                 projective_action, square_room)
 from dilatorus.intervalmaps import AffineBranch, PiecewiseAffineMap
+from dilatorus.quadratics import QuadraticNumber, sqrt_int
 from dilatorus.rauzy import TerminalKind
 from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
                                DirectionKind, Heading, TraceEnd,
@@ -608,6 +609,20 @@ def test_rotation_number_exact_cycle_detection():
     # an attracting cycle locks the float estimator
     value = rotation_number(2.5, 0.3, tol=1e-8)
     assert 0.0 < value < 1.0
+
+
+def test_rotation_number_on_quadratic_slopes():
+    # a cap of one float iteration, which could only raise
+    # NonConvergence, shows that the exact search found the value
+    value = rotation_number(QuadraticNumber(2), QuadraticNumber(Fraction(1, 2)),
+                            max_iter=1)
+    assert value == Fraction(1, 2) and isinstance(value, Fraction)
+    # an irrational pair: the exact break orbit passes
+    # EXACT_DENOMINATOR_CAP (at its 56th point) without repeating, and
+    # the float estimate answers
+    r2 = sqrt_int(2)
+    value = rotation_number(1 + r2 / 2, Fraction(1, 2) - r2 / 9, tol=1e-5)
+    assert value == 0.3331795579118434
 
 
 def test_rotation_number_monotone_in_rho_a():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dilatorus import twists
 from dilatorus.errors import InadmissibleAtStep, NotInMonoid, RationalRatio
 from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
@@ -175,6 +176,26 @@ def test_gauss_contraction_golden_pair():
 def test_gauss_contraction_rational_pair_fails():
     with pytest.raises(RationalRatio):
         gauss_contraction(DilationParams(Fraction(2), Fraction(3)), 1e-6)
+
+
+def test_exact_block_count_is_the_largest_positive_remainder():
+    r2 = QuadraticNumber(0, 1, 2)
+    for x, y in ((Fraction(3), Fraction(1)), (Fraction(7, 2), Fraction(1)),
+                 (Fraction(5), Fraction(2)), (3 * r2, Fraction(1)),
+                 (Fraction(3), r2), (1 + r2, r2), (4, 2 * r2)):
+        k = twists._exact_block_count(x, y)
+        assert k >= 1 and x - k * y > 0 and not x - (k + 1) * y > 0, (x, y)
+
+
+def test_complete_to_unimodular_gives_the_least_nonnegative_completion():
+    pairs = [(a, c) for a in range(1, 61) for c in range(1, 61)
+             if math.gcd(a, c) == 1]
+    assert len(pairs) == 2203
+    for a, c in pairs:
+        b, d = twists._complete_to_unimodular(a, c)
+        assert a * d - c * b == 1 and b >= 0 and d >= 0, (a, c)
+        # one step back along (a, c) leaves the nonnegative quadrant
+        assert b - a < 0 or d - c < 0, (a, c)
 
 
 def test_decompose_sl2n_examples():
