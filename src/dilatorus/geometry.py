@@ -59,9 +59,6 @@ class Vec2:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
 
@@ -73,10 +70,6 @@ class Vec2:
 
     def angle(self) -> float:
         return math.atan2(float(self.y), float(self.x))
-
-    def rot90(self) -> "Vec2":
-        """Rotate by +pi/2."""
-        return Vec2(-self.y, self.x)
 
     def as_floats(self) -> tuple[float, float]:
         return (float(self.x), float(self.y))
@@ -425,10 +418,6 @@ class Room:
         """V0..V4 of the pentagon model."""
         return list(self.geom.vertices)
 
-    def door(self) -> tuple[Vec2, Vec2]:
-        v = self.geom.vertices
-        return (v[3], v[4])
-
     def diameter(self) -> float:
         return self.geom.diameter
 
@@ -447,23 +436,27 @@ class Room:
     # --- directions ---
 
     def door_direction(self) -> float:
-        """Direction of the door segment, reduced mod pi into [0, pi)."""
-        v3, v4 = self.door()
-        return wrap_pi((v4 - v3).angle())
+        """Direction of the door segment, reduced mod pi into [0, pi).
+        The door is the side V3V4, row 3 of `geom.sides`."""
+        _, _, ex, ey, *_ = self.geom.sides[3]
+        return wrap_pi(math.atan2(ey, ex))
 
-    def inward_normal(self) -> Vec2:
-        """Unit normal of the door pointing into the pentagon."""
-        v3, v4 = self.door()
-        n = (v4 - v3).rot90()
-        return n * (1.0 / n.length())
+    def _inward_normal(self) -> tuple[float, float]:
+        """Unit normal of the door pointing into the pentagon: its edge
+        vector (ex, ey) turned by +pi/2."""
+        _, _, ex, ey, *_ = self.geom.sides[3]
+        inv = 1.0 / math.hypot(-ey, ex)
+        return (-ey * inv, ex * inv)
 
     def inward_directions(self) -> tuple[float, float]:
         """Open half-circle (lo, lo + pi) of directions entering at the door."""
-        lo = wrap_2pi(self.inward_normal().angle() - math.pi / 2.0)
+        nx, ny = self._inward_normal()
+        lo = wrap_2pi(math.atan2(ny, nx) - math.pi / 2.0)
         return (lo, lo + math.pi)
 
     def is_inward(self, theta: float, margin: float = 0.0) -> bool:
-        return unit(theta).dot(self.inward_normal()) > margin
+        nx, ny = self._inward_normal()
+        return math.cos(theta) * nx + math.sin(theta) * ny > margin
 
 
 def build_room(e1, e2, mu) -> Room:

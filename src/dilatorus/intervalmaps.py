@@ -56,8 +56,8 @@ class TwoSlopeMap:
         if lhs > rhs + slack(INJECTIVITY_SLACK, self.rho_a, self.rho_b,
                              self.x_t):
             raise ValueError(
-                f"branch images overlap: rho_b*(1-x_t)={float(lhs)} exceeds "
-                f"1-rho_a*x_t={float(rhs)}")
+                f"branch images overlap: rho_b*(1-x_t)={lhs} exceeds "
+                f"1-rho_a*x_t={rhs}")
 
     @property
     def is_exact(self) -> bool:
@@ -121,8 +121,7 @@ def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
     lo, hi = thresholds(ra, rb)
     if not (lo < xt < hi):
         raise NotInHole(
-            f"x_t={float(xt)} is not strictly inside the hole "
-            f"({float(lo)}, {float(hi)})")
+            f"x_t={xt} is not strictly inside the hole ({lo}, {hi})")
     mult = ra * rb
     x_star = rb * (tsm.intercept_a - xt) / (1 - mult)
     y_star = ra * x_star + tsm.intercept_a
@@ -188,7 +187,8 @@ def _branches_slack(tol: float, branches: tuple[AffineBranch, ...]) -> float:
 
 @dataclass(frozen=True)
 class PiecewiseAffineMap:
-    """Finitely many increasing affine branches on contiguous intervals."""
+    """Finitely many increasing affine branches on contiguous intervals,
+    stored merged: no two neighbours continue the same affine law."""
 
     branches: tuple[AffineBranch, ...]
     # the one allowance of every test below, decided at construction
@@ -210,21 +210,21 @@ class PiecewiseAffineMap:
             for lo_j, hi_j in images[i + 1:]:
                 if min(hi_i, hi_j) - max(lo_i, lo_j) > tol:
                     raise ValueError("branch images overlap; map is not injective")
+        # validated as given, stored merged: a neighbour that continues the
+        # same affine law is fused into the first branch's law, so one
+        # pass leaves no such pair and a second would change nothing
+        fused = [self.branches[0]]
+        for b in self.branches[1:]:
+            if fused[-1].same_law(b):
+                fused[-1] = AffineBranch(fused[-1].lo, b.hi, fused[-1].slope,
+                                         fused[-1].intercept)
+            else:
+                fused.append(b)
+        object.__setattr__(self, "branches", tuple(fused))
 
     @property
     def domain(self) -> tuple[Scalar, Scalar]:
         return (self.branches[0].lo, self.branches[-1].hi)
-
-    def merged(self) -> "PiecewiseAffineMap":
-        """Fuse neighbours that continue the same affine law."""
-        out = [self.branches[0]]
-        for b in self.branches[1:]:
-            if out[-1].same_law(b):
-                out[-1] = AffineBranch(out[-1].lo, b.hi, out[-1].slope,
-                                       out[-1].intercept)
-            else:
-                out.append(b)
-        return PiecewiseAffineMap(tuple(out))
 
     def jumps(self) -> list[tuple[Scalar, Scalar, Scalar]]:
         """(point, left limit, right limit) at each interior breakpoint
@@ -274,15 +274,14 @@ class AffineChart:
         return (y - self.offset) / self.scale
 
 
-def downward_jump(merged: PiecewiseAffineMap
-                  ) -> tuple[Scalar, Scalar, Scalar]:
-    """(jump point, image start, image end) of a merged two-branch map
-    that jumps down between its branches; NotReducible for any other."""
-    jumps = merged.jumps()
-    if len(merged.branches) != 2 or len(jumps) != 1:
+def downward_jump(pam: PiecewiseAffineMap) -> tuple[Scalar, Scalar, Scalar]:
+    """(jump point, image start, image end) of a two-branch map that
+    jumps down between its branches; NotReducible for any other."""
+    jumps = pam.jumps()
+    if len(pam.branches) != 2 or len(jumps) != 1:
         raise NotReducible(
             f"need exactly one jump between two affine branches, found "
-            f"{len(merged.branches)} branches and {len(jumps)} jumps")
+            f"{len(pam.branches)} branches and {len(jumps)} jumps")
     x_d, left_limit, right_limit = jumps[0]
     if right_limit > left_limit:
         raise NotReducible(
@@ -302,19 +301,18 @@ def restrict_to_image(pam: PiecewiseAffineMap
     the jump direction, so an upward jump can never reach the normal form
     whose break spans the whole interval from below.
     """
-    merged = pam.merged()
-    x_d, j_lo, j_hi = downward_jump(merged)
+    x_d, j_lo, j_hi = downward_jump(pam)
     width = j_hi - j_lo
-    dom_lo, dom_hi = merged.domain
+    dom_lo, dom_hi = pam.domain
     tol = slack(IMAGE_TOL, j_lo, j_hi, x_d, dom_lo, dom_hi)
     if j_lo < dom_lo - tol or j_hi > dom_hi + tol:
         raise NotReducible("image interval escapes the domain")
     margin = tol * width
     if not (j_lo + margin < x_d < j_hi - margin):
         raise NotReducible(
-            f"jump point {float(x_d)} is not interior to the image interval "
-            f"[{float(j_lo)}, {float(j_hi)}]")
-    left, right = merged.branches
+            f"jump point {x_d} is not interior to the image interval "
+            f"[{j_lo}, {j_hi}]")
+    left, right = pam.branches
     if (left.value(max(left.lo, j_lo)) < j_lo - margin
             or right.value(min(right.hi, j_hi)) > j_hi + margin):
         raise NotReducible("restriction does not map the image interval "

@@ -155,14 +155,12 @@ class QuadraticNumber:
         return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
     def __eq__(self, other):
+        # the normal form is unique: equal values have equal (a, b, d)
         try:
             o = quadratic(other)
         except TypeError:
             return NotImplemented
-        try:
-            return (self - o)._sign() == 0
-        except TypeError:
-            return False
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __lt__(self, other):
         return (self - quadratic(other))._sign() < 0
@@ -182,7 +180,7 @@ class QuadraticNumber:
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self._sign() != 0
+        return self.a != 0 or self.b != 0
 
     # --- conversions ---
 

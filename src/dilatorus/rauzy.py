@@ -42,9 +42,10 @@ from .intervalmaps import (
 )
 from .quadratics import Scalar, as_ratio, is_exact, slack
 
-# A float cycle lifted back to the original map closes when an iterate
-# returns within CYCLE_CLOSE_TOL of its first point, in the map's [0, 1]
-# coordinate.
+# A cycle lifted back to the original map runs for its period, which the
+# induction counts; a float lift must then be back within CYCLE_CLOSE_TOL
+# of its first point, in the map's [0, 1] coordinate.  A period above
+# RECONSTRUCT_CAP is refused before any step.
 CYCLE_CLOSE_TOL: float = 1e-9
 RECONSTRUCT_CAP: int = 10 ** 6
 # Induction on float slopes stops once a slope (unitless) leaves
@@ -109,17 +110,22 @@ def _induce(tsm: TwoSlopeMap, verdict: StepClass
             ) -> tuple[TwoSlopeMap, AffineChart]:
     """(induced map, chart) of the step of `tsm` whose class is
     `verdict`, as `classify_step` gives it; NotRenormalizable without a
-    winner."""
+    winner, or when rounding leaves the induced map invalid."""
     ra, rb, xt = tsm.rho_a, tsm.rho_b, tsm.x_t
     if verdict is _WINNER_A:
-        new_xt = ((1 + ra) * xt - 1) / (ra * xt)
-        return (TwoSlopeMap(ra, ra * rb, new_xt),
-                AffineChart(1 / xt, 0 * xt))
-    if verdict is _WINNER_B:
-        new_xt = xt / (rb * (1 - xt))
-        return (TwoSlopeMap(ra * rb, rb, new_xt),
-                AffineChart(1 / (1 - xt), -xt / (1 - xt)))
-    raise NotRenormalizable(f"step class is {verdict.value}; no winner")
+        slopes, new_xt = (ra, ra * rb), ((1 + ra) * xt - 1) / (ra * xt)
+        chart = AffineChart(1 / xt, 0 * xt)
+    elif verdict is _WINNER_B:
+        slopes, new_xt = (ra * rb, rb), xt / (rb * (1 - xt))
+        chart = AffineChart(1 / (1 - xt), -xt / (1 - xt))
+    else:
+        raise NotRenormalizable(f"step class is {verdict.value}; no winner")
+    try:
+        return TwoSlopeMap(*slopes, new_xt), chart
+    except ValueError as exc:
+        # float rounding can push the induced map past the injectivity slack
+        raise NotRenormalizable(f"induced map is not a valid two-slope map: "
+                                f"{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -162,48 +168,55 @@ class RauzyOutcome:
 
 
 def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
-                     charts: list[AffineChart]) -> PeriodicCycle:
+                     charts: list[AffineChart], period: int) -> PeriodicCycle:
     """Lift the final map's 2-cycle to the full cycle of the original map.
 
     Inverse charts send one cycle point back to original coordinates; the
     remaining points are recovered by iterating, since the induced maps are
-    first returns.  The multiplier is the slope product along the loop,
-    which equals the final map's rho_a*rho_b.
+    first returns.  The cycle has `period` points, the two branch return
+    times of `final` summed, so the lift takes exactly that many steps: a
+    contracting cycle may pass closer to its first point before it closes.
+    The multiplier is the slope product along the loop, which equals the
+    final map's rho_a*rho_b.
     """
+    if period > RECONSTRUCT_CAP:
+        raise NonConvergence(f"cycle period {period} exceeds the "
+                             f"reconstruction cap {RECONSTRUCT_CAP}")
     seed = attracting_cycle_in_hole(final).points[0]
     for chart in reversed(charts):
         seed = chart.invert(seed)
-    tol = slack(CYCLE_CLOSE_TOL, tsm.rho_a, tsm.rho_b, tsm.x_t, seed)
     pts = [seed]
     mult = tsm.rho_a if seed < tsm.x_t else tsm.rho_b
     x = evaluate(tsm, seed)
-    steps = 0
-    while not abs(x - seed) <= tol:     # a NaN never closes
+    for _ in range(period - 1):
         pts.append(x)
         mult = mult * (tsm.rho_a if x < tsm.x_t else tsm.rho_b)
         x = evaluate(tsm, x)
-        steps += 1
-        if steps > RECONSTRUCT_CAP:
-            raise NonConvergence(
-                f"cycle reconstruction did not close within "
-                f"{RECONSTRUCT_CAP} steps; the chart pullback must be wrong")
-    return PeriodicCycle(tuple(pts), len(pts), mult)
+    tol = slack(CYCLE_CLOSE_TOL, tsm.rho_a, tsm.rho_b, tsm.x_t, seed)
+    if not abs(x - seed) <= tol:        # a NaN never closes
+        raise NonConvergence(
+            f"cycle lift does not return to its first point after its period "
+            f"of {period} steps; the chart pullback must be wrong")
+    return PeriodicCycle(tuple(pts), period, mult)
 
 
 def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     """Renormalize until the dynamics halts, hits a threshold tie, or the
     step budget runs out.  Budget 0 classifies the first step only.
     Each step is classified once, and every induced map is built and
-    validated as a TwoSlopeMap."""
+    validated as a TwoSlopeMap.  The return times (t_a, t_b) of the
+    current map's branches to the original map start at (1, 1); letter L
+    adds t_b to t_a and letter R adds t_a to t_b."""
     if budget < 0:
         raise ValueError("induction budget must be nonnegative")
     current = tsm
     charts: list[AffineChart] = []
     letters: list[str] = []
+    t_a = t_b = 1
     for _ in range(budget + 1):
         verdict = classify_step(current)
         if verdict is _HALT:
-            cycle = _pull_back_cycle(tsm, current, charts)
+            cycle = _pull_back_cycle(tsm, current, charts, t_a + t_b)
             return RauzyOutcome("".join(letters), TerminalKind.HALT, cycle)
         if verdict is _BOUNDARY:
             return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY, None)
@@ -216,7 +229,12 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             # past this range the induced data is no longer meaningful.
             break
         current, chart = _induce(current, verdict)
-        letters.append("L" if verdict is _WINNER_B else "R")
+        if verdict is _WINNER_B:
+            letters.append("L")
+            t_a += t_b
+        else:
+            letters.append("R")
+            t_b += t_a
         charts.append(chart)
     return RauzyOutcome("".join(letters), TerminalKind.BUDGET_EXHAUSTED, None)
 

@@ -531,7 +531,7 @@ def first_return_map(room: Room, theta: float,
             raise NotTransverse("could not probe a branch away from "
                                 "singular orbits")
         branches.append(AffineBranch(lo, hi, law[0], law[1]))
-    return PiecewiseAffineMap(tuple(branches)).merged()
+    return PiecewiseAffineMap(tuple(branches))
 
 
 # --- reduction of a direction to the two-slope normal form ---
@@ -614,8 +614,7 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
     direction carries a period-1 attracting leaf that the two-slope
     normal form cannot express.  The fixed point must be interior to
     the section: a fixed point at an endpoint is a saddle loop through
-    the cone point, not a cylinder.  `pam` is merged, as
-    `first_return_map` returns it.
+    the cone point, not a cylinder.
     """
     dom_lo, dom_hi = pam.domain
     scale = float(dom_hi - dom_lo)
@@ -803,9 +802,10 @@ def find_cylinders(room: Room, eps_angle: float,
     cylinder of angle >= eps_angle; smaller ones are reported when a
     sample happens to land in them.  Interval edges are bisected to
     CYLINDER_EDGE_TOL.  `exhausted` records that some sample's
-    renormalization ran out of budget, so absence of further cylinders
-    is not certified.  An eps_angle whose grid would exceed
-    MAX_SCAN_SAMPLES is refused before any sample is taken.
+    renormalization ran out of budget, or that a run's bisected
+    midpoint gave another verdict and the run was dropped, so absence
+    of further cylinders is not certified.  An eps_angle whose grid
+    would exceed MAX_SCAN_SAMPLES is refused before any sample is taken.
     """
     if not (eps_angle > 0 and math.isfinite(eps_angle)):
         raise ValueError("eps_angle must be positive and finite")

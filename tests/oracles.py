@@ -133,15 +133,20 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     """`rauzy.iterate_induction` as a plain loop over the public
     `classify_step` and `induce`, which classifies each step a second
     time.  A halt is lifted to the original map by `rauzy._pull_back_cycle`,
-    the one piece shared with the library."""
+    the one piece shared with the library, for the period that the loop
+    counts: the current map's branches return to the original map after
+    `times` = (t_a, t_b) steps, and each induced branch is one old branch
+    followed by the other or by itself alone."""
     current = tsm
     charts = []
     word = ""
+    times = (1, 1)
     while True:
         verdict = classify_step(current)
         if verdict is StepClass.HALT:
             return RauzyOutcome(word, TerminalKind.HALT,
-                                _pull_back_cycle(tsm, current, charts))
+                                _pull_back_cycle(tsm, current, charts,
+                                                 sum(times)))
         if verdict is StepClass.BOUNDARY:
             return RauzyOutcome(word, TerminalKind.BOUNDARY, None)
         if len(word) == budget:
@@ -151,7 +156,13 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
                 for rho in (current.rho_a, current.rho_b)):
             break
         step = induce(current)
-        word += "L" if step.winner is StepClass.WINNER_B else "R"
+        t_a, t_b = times
+        if step.winner is StepClass.WINNER_B:   # induced on the B branch
+            word += "L"
+            times = (t_b + t_a, t_b)
+        else:                                   # induced on the A branch
+            word += "R"
+            times = (t_a, t_a + t_b)
         charts.append(step.chart)
         current = step.induced
     return RauzyOutcome(word, TerminalKind.BUDGET_EXHAUSTED, None)
@@ -417,7 +428,7 @@ def first_return_map_oracle(room: Room, theta: float,
             raise NotTransverse("could not probe a branch away from "
                                 "singular orbits")
         branches.append(AffineBranch(lo, hi, law[0], law[1]))
-    return PiecewiseAffineMap(tuple(branches)).merged()
+    return PiecewiseAffineMap(tuple(branches))
 
 
 # --- exact ray tracing in Fractions, the arbiter of float traces ---

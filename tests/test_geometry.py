@@ -204,6 +204,38 @@ def test_door_direction_and_inward_cone():
     assert not room.is_inward(0.5 * (lo + hi) + math.pi)
 
 
+def _door_forms_by_vectors(room):
+    """door_direction, inward_directions and is_inward computed through
+    Vec2 from the door's vertices, as the Room methods once did."""
+    v3, v4 = room.vertices()[3:5]
+    door = v4 - v3
+    n = Vec2(-door.y, door.x)           # turned by +pi/2
+    n = n * (1.0 / n.length())
+    lo = wrap_2pi(n.angle() - math.pi / 2.0)
+    return (wrap_pi(door.angle()), (lo, lo + math.pi),
+            lambda theta, margin: unit(theta).dot(n) > margin)
+
+
+def test_door_forms_read_off_the_side_table_match_the_vector_forms():
+    rng = random.Random(SEED + 11)
+    rooms = [build_room((Fraction(1), Fraction(0)),
+                        (Fraction(1, 3), Fraction(1)),
+                        (Fraction(1, 2), QuadraticNumber(0, 1, 2)))]
+    for _ in range(40):
+        room = square_room(rng.uniform(-0.8, 1.5), rng.uniform(0.05, 1.5))
+        rooms += [room, apply_sl2(oracles.random_sl2(rng, 0.8), room)]
+    for room in rooms:
+        door, half_circle, inward = _door_forms_by_vectors(room)
+        assert room.door_direction() == door
+        assert room.inward_directions() == half_circle
+        lo = half_circle[0]
+        thetas = [lo, lo + math.pi, lo - 1e-13, lo + math.pi + 1e-13]
+        thetas += [rng.uniform(-7.0, 7.0) for _ in range(20)]
+        for theta in thetas:
+            for margin in (0.0, -1e-12, 1e-12, 0.3):
+                assert room.is_inward(theta, margin) == inward(theta, margin)
+
+
 def test_apply_sl2_commutes_with_vertices():
     rng = random.Random(SEED + 3)
     for _ in range(50):

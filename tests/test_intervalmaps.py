@@ -123,7 +123,7 @@ def test_an_exact_jump_below_the_float_tolerance_is_kept():
         AffineBranch(Fraction(0), HALF, HALF, HALF),
         AffineBranch(HALF, Fraction(1), HALF, HALF + tiny),
     ))
-    assert len(pam.merged().branches) == 2
+    assert len(pam.branches) == 2
     assert pam.jumps() == [(HALF, Fraction(3, 4), Fraction(3, 4) + tiny)]
     with pytest.raises(AtDiscontinuity):
         pam.evaluate(HALF)
@@ -131,7 +131,61 @@ def test_an_exact_jump_below_the_float_tolerance_is_kept():
     floats = PiecewiseAffineMap(tuple(
         AffineBranch(*map(float, (b.lo, b.hi, b.slope, b.intercept)))
         for b in pam.branches))
-    assert len(floats.merged().branches) == 1 and floats.jumps() == []
+    assert len(floats.branches) == 1 and floats.jumps() == []
+
+
+def _split(cuts, law_of):
+    """Branches between consecutive `cuts`, each with the law
+    `law_of(lo)` gives as (slope, intercept)."""
+    return tuple(AffineBranch(lo, hi, *law_of(lo))
+                 for lo, hi in zip(cuts, cuts[1:]))
+
+
+def test_a_map_is_stored_merged_whatever_its_split():
+    # law (1/2, 1/2) on [0, 1/2) and (1/2, -1/4) on [1/2, 1]
+    def law(lo):
+        return (HALF, HALF) if lo < HALF else (HALF, -Fraction(1, 4))
+
+    fine_left = PiecewiseAffineMap(_split(
+        (0, Fraction(1, 8), Fraction(3, 8), HALF, 1), law))
+    fine_right = PiecewiseAffineMap(_split(
+        (0, HALF, Fraction(5, 8), Fraction(7, 8), 1), law))
+    coarse = PiecewiseAffineMap(_split((0, HALF, 1), law))
+    assert fine_left == fine_right == coarse
+    assert fine_left.branches == fine_right.branches == coarse.branches
+    assert len(coarse.branches) == 2
+    # building from stored branches fuses nothing more
+    assert PiecewiseAffineMap(coarse.branches).branches == coarse.branches
+
+
+def test_a_same_law_pair_must_still_be_contiguous():
+    for gap in (Fraction(1, 4), Fraction(1, 10 ** 15)):
+        with pytest.raises(ValueError, match="contiguous"):
+            PiecewiseAffineMap((AffineBranch(Fraction(0), HALF, HALF, HALF),
+                                AffineBranch(HALF + gap, Fraction(1), HALF,
+                                             HALF)))
+    with pytest.raises(ValueError, match="contiguous"):
+        PiecewiseAffineMap((AffineBranch(0.0, 0.5, 0.5, 0.5),
+                            AffineBranch(0.5 + 1e-6, 1.0, 0.5, 0.5)))
+
+
+def test_refusals_print_exact_values_past_the_float_range():
+    # float() of these values overflowed before the refusal was raised
+    big = Fraction(10 ** 400)
+    with pytest.raises(ValueError, match="branch images overlap"):
+        TwoSlopeMap(HALF, big, HALF)
+    pam = PiecewiseAffineMap((
+        AffineBranch(Fraction(0), big / 2, Fraction(1, 4), big / 4),
+        AffineBranch(big / 2, big, Fraction(1, 4), -big / 8),
+    ))                                  # image [0, 3*big/8] misses big/2
+    with pytest.raises(NotReducible, match="not interior"):
+        restrict_to_image(pam)
+    # float values print as they did through float()
+    with pytest.raises(ValueError) as info:
+        TwoSlopeMap(0.5, 1.5, 0.1)
+    assert str(info.value) == (f"branch images overlap: rho_b*(1-x_t)="
+                               f"{1.5 * (1 - 0.1)!r} exceeds 1-rho_a*x_t="
+                               f"{1 - 0.5 * 0.1!r}")
 
 
 def test_exact_branches_must_meet_exactly():

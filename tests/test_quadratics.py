@@ -142,6 +142,33 @@ def test_a_rational_quadratic_number_is_its_fraction_as_a_key():
     assert len({sqrt_int(8), 2 * sqrt_int(2), sqrt_int(2)}) == 2
 
 
+def test_equality_and_truth_read_the_normal_form():
+    # the normal form (a, b, d) is unique, so == and bool agree with the
+    # exact sign of the difference and of the value; small coordinates
+    # and radicands 8 and 12 (2*sqrt2, 2*sqrt3) make equal pairs common
+    rng = random.Random(SEED + 7)
+    values = [0, 1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]
+    for _ in range(120):
+        values.append(QuadraticNumber(
+            Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+            Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+            rng.choice([0, 1, 2, 3, 4, 8, 12])))
+    equal_pairs = 0
+    for x in values:
+        assert bool(quadratic(x)) == (quadratic(x)._sign() != 0)
+        for y in values:
+            try:
+                want = (quadratic(x) - quadratic(y))._sign() == 0
+            except TypeError:               # mixed radicands
+                want = False
+            assert (quadratic(x) == y) is want and (y == quadratic(x)) is want
+            if want:
+                assert hash(quadratic(x)) == hash(y)
+                equal_pairs += x is not y
+    assert equal_pairs > 100
+    assert QuadraticNumber(1).__eq__(1.0) is NotImplemented
+
+
 def test_truth_order_absolute_value_and_repr():
     r2 = sqrt_int(2)
     assert not QuadraticNumber(1, 1, 1) - 2 and bool(r2 - 1)

@@ -8,17 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dilatorus import rauzy
-from dilatorus.errors import EmptyInterval, NonConvergence, NotRenormalizable
-from dilatorus.intervalmaps import TwoSlopeMap
+from dilatorus.errors import (DilatorusError, EmptyInterval, NonConvergence,
+                              NotRenormalizable)
+from dilatorus.geometry import square_room
+from dilatorus.intervalmaps import TwoSlopeMap, evaluate
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import (StepClass, TerminalKind,
                              classify_step, induce, interval_for_word,
                              iterate_induction, subdivision,
                              survivor_intervals, survivor_measure, thresholds)
+from dilatorus.surface import classify_direction
 import oracles
 
 SEED = 20260817
 HALF = Fraction(1, 2)
+LN2 = math.log(2.0)
 
 
 def test_subdivision_exact_thirds():
@@ -248,6 +252,79 @@ def test_cycle_reconstruction_cap_raises_nonconvergence(monkeypatch):
     with pytest.raises(NonConvergence) as info:
         iterate_induction(tsm, budget=10)
     assert info.value.bracket is None
+
+
+def test_counted_period_is_the_least_return_of_the_exact_cycle():
+    # the lift runs t_a + t_b steps; on exact data the cycle's first
+    # point comes back exactly then and at no earlier step
+    halts = 0
+    for tsm in _exact_maps(random.Random(SEED + 21), 60):
+        outcome = iterate_induction(tsm, budget=40)
+        if outcome.terminal is not TerminalKind.HALT:
+            continue
+        first = outcome.cycle.points[0]
+        x, k = evaluate(tsm, first), 1
+        while x != first and k <= outcome.cycle.period:
+            x, k = evaluate(tsm, x), k + 1
+        assert k == outcome.cycle.period, tsm
+        halts += 1
+    assert halts >= 50
+
+
+# Directions on square_room(ln 2, ln 2) whose contracting cycle passes
+# within CYCLE_CLOSE_TOL of its first point before it closes; a lift
+# that stopped at the first near-return reported 2^27 and 2^31.
+@pytest.mark.parametrize("theta, period, multiplier", [
+    (3.9935589807256697, 198, 2.0 ** 28),
+    (4.877537657733258, 23, 2.0 ** 34),
+])
+def test_cycle_lift_does_not_stop_at_a_near_return(theta, period, multiplier):
+    verdict = classify_direction(square_room(LN2, LN2), theta, budget=600)
+    cycle = verdict.outcome.cycle
+    assert (cycle.period, verdict.multiplier) == (period, multiplier)
+    first = cycle.points[0]
+    assert min(abs(x - first) for x in cycle.points[1:]) \
+        < rauzy.CYCLE_CLOSE_TOL
+    # the reduced map's exact twin has the same cycle
+    twin = TwoSlopeMap(*map(Fraction, verdict.reduction.two_slope.as_floats()))
+    exact = iterate_induction(twin, budget=600).cycle
+    assert (exact.period, 1 / exact.multiplier) == (period, multiplier)
+
+
+def _boundary_maps():
+    """60 float maps on the injectivity boundary x_t = x*, where
+    rounding leaves induction either an invalid induced map or a hole
+    whose cycle is far too long to lift."""
+    rng = random.Random(5)
+    maps = []
+    for _ in range(60):
+        ra, rb = rng.uniform(1.05, 4.0), rng.uniform(0.05, 0.95)
+        maps.append(TwoSlopeMap(ra, rb, (1.0 - rb) / (ra - rb)))
+    return maps
+
+
+def test_boundary_maps_raise_only_domain_errors():
+    # an induced map that rounding made invalid once escaped as ValueError
+    for tsm in _boundary_maps():
+        try:
+            iterate_induction(tsm, budget=3000)
+        except DilatorusError:
+            pass
+
+
+def test_an_overlong_cycle_is_refused_before_it_is_lifted(monkeypatch):
+    calls = []
+    real = rauzy.evaluate
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(rauzy, "evaluate", counted)
+    for tsm in _boundary_maps():
+        with pytest.raises((NotRenormalizable, NonConvergence)):
+            iterate_induction(tsm, budget=3000)
+    assert len(calls) < 10 ** 6
 
 
 def test_interval_for_word_contains_its_parameters():
