@@ -41,7 +41,7 @@ DEFAULT_FLOW_BUDGET = 2000
 DEFAULT_EPS_ANGLE = 0.05
 DEFAULT_REACH_EPS = 1e-2
 # depth n lists up to 2^n survivor intervals; at (0.5, 0.5) on floats,
-# depth 20 takes 1.7-2.1 s and 155 MB peak RSS (2-vCPU x86-64 host)
+# depth 20 takes 1.2-2.0 s and 154 MB peak RSS (2-vCPU x86-64 host)
 MAX_MEASURE_DEPTH = 20
 
 
@@ -448,15 +448,19 @@ _COMMANDS: dict[str, tuple[Callable, str, Callable]] = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI grammar, of every command or of `command` alone.  Each
-    command declares exactly the flags it reads, with their defaults, so
-    argparse rejects every other flag."""
+    """The CLI grammar: of `command` alone, which parses the flags after
+    the command's name as `main` does, or of every command under one
+    top-level parser.  Each command declares exactly the flags it reads,
+    with their defaults, so argparse rejects every other flag."""
+    if command is not None:
+        parser = _Parser(prog=f"dilatorus {command}")
+        _COMMANDS[command][2](parser)
+        return parser
     top = _Parser(prog="dilatorus",
                   description="dilation tori with one boundary component")
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, help_line, declare) in _COMMANDS.items():
-        if command in (None, name):
-            declare(sub.add_parser(name, help=help_line))
+        declare(sub.add_parser(name, help=help_line))
     return top
 
 
@@ -471,11 +475,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(10 ** 6)
     argv = sys.argv[1:] if argv is None else argv
-    # one command's grammar suffices to parse a call naming it; help,
-    # and the message for a missing or unknown command, need them all
-    top = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = top.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            # one command's parser suffices for a call naming it
+            args = build_parser(argv[0]).parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            # help, and the message for a missing or unknown command,
+            # need the grammar of every command
+            args = build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(_diagnostic("BadInput", str(exc)), file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import AtDiscontinuity, NotInHole, NotReducible
-from .quadratics import Scalar, is_exact, slack
+from .quadratics import Scalar, as_float, is_exact, slack
 
 # Every tolerance below applies to float data only: through
 # quadratics.slack, data whose numbers are all exact compares exactly.
@@ -200,7 +200,8 @@ class PiecewiseAffineMap:
         tol = _branches_slack(MERGE_TOL, self.branches)
         if tol:     # float data: scaled by the domain ends
             lo, hi = self.domain
-            tol *= max(1.0, abs(float(lo)), abs(float(hi)))
+            tol *= max(1.0, abs(as_float(lo, "the domain's low end")),
+                       abs(as_float(hi, "the domain's high end")))
         object.__setattr__(self, "_tol", tol)
         for left, right in zip(self.branches, self.branches[1:]):
             if abs(left.hi - right.lo) > tol:

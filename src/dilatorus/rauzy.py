@@ -11,16 +11,22 @@ maps produces the nested word intervals whose intersection is the Cantor set
 of infinitely renormalizable parameters.
 
 Each letter's inverse parameter map is a Moebius factor, so the pull-back
-along a word is their product.  The word intervals are listed top-down:
-every node of the word tree carries its slopes as numerator/denominator
-pairs and that composed pull-back, extended by one factor per letter, and
-a leaf's interval is the image of [0, 1].  A pull-back is projective, so
-each factor is scaled by its slope's denominator without moving any
-point: int and Fraction slopes then keep every matrix entry an int, and
-each endpoint is reduced once, as a Fraction, at its leaf.  Float slopes
-carry denominator 1.0 and run the float operations of the unscaled
-factors.  The exact survivor measure sums the leaf lengths in balanced
-pairs, since a running sum's denominator grows with every term.
+along a word is their product.  One top-down walk of the word tree serves
+the word intervals, the survivor measure and the interval of a single
+word: every node carries its slopes as numerator/denominator pairs and
+that composed pull-back, extended by one factor per letter, and a leaf's
+interval is the image of [0, 1].  A pull-back is projective, so each
+factor is scaled by its slope's denominator without moving any point: int
+and Fraction slopes then keep every matrix entry an int, and each endpoint
+is reduced once, as a Fraction, at its leaf.  Float slopes carry
+denominator 1.0 and run the float operations of the unscaled factors.
+
+On int entries the survivor measure builds no endpoint: a leaf's length
+is read off its pull-back [[p, q], [r, s]] as (p*s - q*r) / (s*(r + s)),
+which is exactly hi - lo.  The lengths are summed in balanced pairs,
+since a running sum's denominator grows with every term; the lowest two
+levels add unreduced int (numerator, denominator) pairs, and Fraction
+normalizes only above them.
 """
 
 from __future__ import annotations
@@ -241,43 +247,6 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 
 # --- parameter intervals of induction words ---
 
-def _letters(xn: Scalar, xd: Scalar, yn: Scalar, yd: Scalar) -> str:
-    """The letters some valid break point takes, L first, at slopes
-    rho_a = xn/xd and rho_b = yn/yd (denominators positive).
-
-    With rho_a*rho_b >= 1 the injectivity constraint confines valid break
-    points to one side: below the B-threshold when rho_a > 1 (forced L),
-    above the A-threshold when rho_b > 1 (forced R).
-    """
-    if xn * yn >= xd * yd:
-        return ("" if yn > yd else "L") + ("" if xn > xd else "R")
-    return "LR"
-
-
-def _descend(xn: Scalar, xd: Scalar, yn: Scalar, yd: Scalar, letter: str,
-             p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> tuple:
-    """The child of one letter: its slopes (xn, xd, yn, yd), then its
-    composed pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s).
-
-    The pull-back from the child's break parameter to the root's is the
-    parent's, [[p, q], [r, s]], times the letter's Moebius factor on the
-    right: y -> rho_b*y / (1 + rho_b*y) for L, y -> 1 / (1 + rho_a*(1 - y))
-    for R.  The factor is scaled by the slope's denominator, which moves
-    no point, so integer slope pairs keep every entry an integer; at
-    denominator 1.0 the float operations are those of the unscaled factor.
-    """
-    if letter == "L":
-        # [[p, q], [r, s]] @ [[yn, 0], [yn, yd]]
-        return (xn * yn, xd * yd, yn, yd,
-                (p + q) * yn, q * yd, (r + s) * yn, s * yd)
-    if letter == "R":
-        # [[p, q], [r, s]] @ [[0, xd], [-xn, xd + xn]]
-        t = xd + xn
-        return (xn, xd, xn * yn, xd * yd,
-                -q * xn, p * xd + q * t, -s * xn, r * xd + s * t)
-    raise ValueError(f"invalid word letter {letter!r}")
-
-
 def _root(rho_a: Scalar, rho_b: Scalar) -> tuple[tuple, bool]:
     """The root node (xn, xd, yn, yd, p, q, r, s) with the identity
     pull-back, and whether all its entries are ints."""
@@ -288,13 +257,62 @@ def _root(rho_a: Scalar, rho_b: Scalar) -> tuple[tuple, bool]:
             all(type(v) is int for v in (xn, xd, yn, yd)))
 
 
-def _image_of_unit(p: Scalar, q: Scalar, r: Scalar, s: Scalar,
-                   integral: bool) -> tuple[Scalar, Scalar]:
-    """The pull-back's images of 0 and 1; Fractions when the entries are
+def _walk(root: tuple, depth: int, word: str = ""):
+    """Yield the composed pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s),
+    of every feasible word of length `depth`, L before R; with a `word`
+    (of length `depth`), of that word alone.
+
+    The tree is walked top-down on an explicit stack of nodes
+    (xn, xd, yn, yd, p, q, r, s, k): slopes rho_a = xn/xd and
+    rho_b = yn/yd (denominators positive), the pull-back from the node's
+    break parameter to the root's, and the letters still to take.  A
+    child's pull-back is its parent's times the letter's Moebius factor on
+    the right: y -> rho_b*y / (1 + rho_b*y) for L, y -> 1 / (1 + rho_a*(1 - y))
+    for R.  The factor is scaled by the slope's denominator, which moves
+    no point, so integer slope pairs keep every entry an integer; at
+    denominator 1.0 the float operations are those of the unscaled factor.
+
+    With rho_a*rho_b >= 1 the injectivity constraint confines valid break
+    points to one side: below the B-threshold when rho_a > 1 (forced L),
+    above the A-threshold when rho_b > 1 (forced R).
+    """
+    stack = [(*root, depth)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        xn, xd, yn, yd, p, q, r, s, k = pop()
+        if not k:
+            yield p, q, r, s
+            continue
+        k -= 1
+        free = xn * yn < xd * yd
+        go_l, go_r = free or yn <= yd, free or xn <= xd
+        if word:
+            letter = word[~k]
+            if letter not in ("L", "R"):
+                raise ValueError(f"invalid word letter {letter!r}")
+            if not (go_l if letter == "L" else go_r):
+                raise EmptyInterval(
+                    f"letter {letter} is unreachable at slopes "
+                    f"({float(xn / xd)}, {float(yn / yd)})")
+            go_l, go_r = letter == "L", letter == "R"
+        if go_r:                        # pushed first, so L is popped first
+            # [[p, q], [r, s]] @ [[0, xd], [-xn, xd + xn]]
+            t = xd + xn
+            push((xn, xd, xn * yn, xd * yd,
+                  -q * xn, p * xd + q * t, -s * xn, r * xd + s * t, k))
+        if go_l:
+            # [[p, q], [r, s]] @ [[yn, 0], [yn, yd]]
+            push((xn * yn, xd * yd, yn, yd,
+                  (p + q) * yn, q * yd, (r + s) * yn, s * yd, k))
+
+
+def _images_of_unit(leaves, integral: bool) -> list[tuple[Scalar, Scalar]]:
+    """Each pull-back's images of 0 and 1; Fractions when the entries are
     ints."""
     if integral:
-        return (Fraction(q, s), Fraction(p + q, r + s))
-    return (q / s, (p + q) / (r + s))
+        return [(Fraction(q, s), Fraction(p + q, r + s))
+                for p, q, r, s in leaves]
+    return [(q / s, (p + q) / (r + s)) for p, q, r, s in leaves]
 
 
 def interval_for_word(rho_a: Scalar, rho_b: Scalar,
@@ -302,33 +320,15 @@ def interval_for_word(rho_a: Scalar, rho_b: Scalar,
     """Closed parameter interval whose induction word starts with `word`."""
     if not (rho_a > 0 and rho_b > 0):
         raise ValueError("slopes must be positive")
-    node, integral = _root(rho_a, rho_b)
-    for letter in word:
-        if letter in "LR" and letter not in _letters(*node[:4]):
-            xn, xd, yn, yd = node[:4]
-            raise EmptyInterval(
-                f"letter {letter} is unreachable at slopes "
-                f"({float(xn / xd)}, {float(yn / yd)})")
-        node = _descend(*node[:4], letter, *node[4:])
-    return _image_of_unit(*node[4:], integral)
+    root, integral = _root(rho_a, rho_b)
+    (interval,) = _images_of_unit(_walk(root, len(word), word), integral)
+    return interval
 
 
-def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
-                       depth: int) -> list[tuple[Scalar, Scalar]]:
-    """Disjoint closed intervals of n-times renormalizable parameters.
-
-    One interval per feasible word of length `depth`, words in order with
-    L before R.  The word tree is walked top-down on an explicit stack.
-    Each node carries its slopes as numerator/denominator pairs and the
-    composed pull-back of its break parameter, one Moebius factor per
-    letter scaled by the slope's denominator (see `_descend`), and a
-    leaf's interval is the image of [0, 1] under its pull-back.  That is
-    O(2^depth) scalar operations.  Int and Fraction slopes keep every
-    entry an int and give Fraction endpoints, normalized once per leaf;
-    QuadraticNumber slopes give exact endpoints too, and float slopes
-    run the float operations of the unscaled factors.
-    Slopes must be positive, and finite when they are floats.
-    """
+def _checked_root(rho_a: Scalar, rho_b: Scalar,
+                  depth: int) -> tuple[tuple, bool]:
+    """`_root`, once the depth is nonnegative and the slopes are
+    positive, and finite when they are floats."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not all(math.isfinite(x) for x in (rho_a, rho_b)
@@ -336,18 +336,24 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
         raise ValueError(f"slopes must be finite, got ({rho_a!r}, {rho_b!r})")
     if not (rho_a > 0 and rho_b > 0):
         raise ValueError("slopes must be positive")
-    root, integral = _root(rho_a, rho_b)
-    out: list[tuple[Scalar, Scalar]] = []
-    stack = [(*root, depth)]
-    while stack:
-        xn, xd, yn, yd, p, q, r, s, k = stack.pop()
-        if k == 0:
-            out.append(_image_of_unit(p, q, r, s, integral))
-            continue
-        for letter in reversed(_letters(xn, xd, yn, yd)):  # L is popped first
-            stack.append((*_descend(xn, xd, yn, yd, letter, p, q, r, s),
-                          k - 1))
-    return out
+    return _root(rho_a, rho_b)
+
+
+def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
+                       depth: int) -> list[tuple[Scalar, Scalar]]:
+    """Disjoint closed intervals of n-times renormalizable parameters.
+
+    One interval per feasible word of length `depth`, words in order with
+    L before R: the image of [0, 1] under the word's composed pull-back,
+    one Moebius factor per letter scaled by the slope's denominator (see
+    `_walk`).  That is O(2^depth) scalar operations.  Int and Fraction
+    slopes keep every entry an int and give Fraction endpoints, normalized
+    once per leaf; QuadraticNumber slopes give exact endpoints too, and
+    float slopes run the float operations of the unscaled factors.
+    Slopes must be positive, and finite when they are floats.
+    """
+    root, integral = _checked_root(rho_a, rho_b, depth)
+    return _images_of_unit(_walk(root, depth), integral)
 
 
 def _pairwise_sum(terms: list) -> Scalar:
@@ -362,8 +368,22 @@ def _pairwise_sum(terms: list) -> Scalar:
 def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     """Lebesgue measure of the n-times renormalizable parameter set.
 
-    Exact slopes sum the interval lengths in balanced pairs; float slopes
-    sum them left to right."""
+    Int and Fraction slopes read each leaf's length off its integer
+    pull-back [[p, q], [r, s]] as (p*s - q*r) / (s*(r + s)), which is
+    exactly hi - lo, and sum the lengths in balanced pairs: the lowest two
+    levels as unreduced int (numerator, denominator) pairs, Fractions
+    above them.  QuadraticNumber slopes sum the interval lengths in
+    balanced pairs; float slopes sum them left to right."""
+    root, integral = _checked_root(rho_a, rho_b, depth)
+    if integral:
+        terms = [(p * s - q * r, s * (r + s))
+                 for p, q, r, s in _walk(root, depth)]
+        if not terms:
+            return 0 * rho_a
+        for _ in range(2):          # the lowest two levels, unreduced
+            terms = [(a * d + c * b, b * d) for (a, b), (c, d)
+                     in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+        return _pairwise_sum([Fraction(n, d) for n, d in terms])
     intervals = survivor_intervals(rho_a, rho_b, depth)
     if is_exact(rho_a) and is_exact(rho_b):
         return _pairwise_sum([hi - lo for lo, hi in intervals] or [0 * rho_a])

@@ -496,7 +496,7 @@ def test_unwritable_svg_path_exits_2_and_prints_nothing(tmp_path, capsys,
 
 
 def _parsed_defaults(command: str, required: list[str]) -> dict:
-    args = cli.build_parser(command).parse_args([command] + required)
+    args = cli.build_parser(command).parse_args(required)
     return vars(args)
 
 

@@ -188,6 +188,14 @@ def test_refusals_print_exact_values_past_the_float_range():
                                f"{1 - 0.5 * 0.1!r}")
 
 
+def test_mixed_data_with_an_exact_domain_past_the_float_range_is_refused():
+    # the float slope makes the allowance a float, scaled by the domain
+    # ends; float() of the exact end overflowed before the refusal
+    with pytest.raises(ValueError, match="high end lies outside the float"):
+        PiecewiseAffineMap((AffineBranch(Fraction(0), Fraction(10 ** 400),
+                                         0.5, 0.0),))
+
+
 def test_exact_branches_must_meet_exactly():
     with pytest.raises(ValueError, match="contiguous"):
         PiecewiseAffineMap((

@@ -1,5 +1,6 @@
 """Renormalization of two-slope maps and the survivor-set bookkeeping."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -428,8 +429,13 @@ SAME_FIELD_PAIRS = [
 def test_scaled_walk_equals_unscaled_walk_on_fractions(ra):
     for rb in MEASURE_SLOPES:
         got = survivor_intervals(ra, rb, 8)
-        assert got == oracles.survivor_intervals_topdown_oracle(ra, rb, 8)
+        want = oracles.survivor_intervals_topdown_oracle(ra, rb, 8)
+        assert got == want
         assert all(type(x) is Fraction for interval in got for x in interval)
+        # the measure from leaf lengths is the oracle's running sum
+        measure = survivor_measure(ra, rb, 8)
+        assert type(measure) is Fraction
+        assert measure == sum((hi - lo for lo, hi in want), Fraction(0))
 
 
 @pytest.mark.parametrize("ra", MEASURE_SLOPES, ids=str)
@@ -464,6 +470,46 @@ def test_pairwise_exact_measure_equals_running_sum(ra, rb):
         assert survivor_measure(ra, rb, depth) == want
     # no feasible word: the measure is an exact zero
     assert survivor_measure(Fraction(3), Fraction(2), 1) == 0
+
+
+def _running_sum_of_oracle(ra, rb, depth) -> Fraction:
+    intervals = oracles.survivor_intervals_topdown_oracle(
+        Fraction(ra), Fraction(rb), depth)
+    return sum((hi - lo for lo, hi in intervals), Fraction(0))
+
+
+@pytest.mark.parametrize("ra,rb", [
+    (1, 1), (2, 1), (1, 3), (3, 1), (3, 2),     # int slopes
+    (Fraction(3), HALF), (Fraction(1, 3), Fraction(5, 2)),  # forced chains
+    (Fraction(3), Fraction(2)),                 # no letter at all
+], ids=str)
+def test_leaf_length_measure_equals_running_sum(ra, rb):
+    assert survivor_measure(ra, rb, 0) == 1
+    for depth in range(10):
+        got = survivor_measure(ra, rb, depth)
+        assert got == _running_sum_of_oracle(ra, rb, depth)
+        # an exact zero, with no leaf, keeps the slopes' type
+        assert type(got) is (Fraction if got else type(ra))
+
+
+@pytest.mark.parametrize("twin", [Fraction, float], ids=["exact", "float"])
+@pytest.mark.parametrize("ra,rb", EXACT_SLOPES, ids=str)
+def test_interval_for_word_is_the_walks_leaf(ra, rb, twin):
+    ra, rb = twin(ra), twin(rb)
+
+    def bits(interval):
+        return tuple(x.hex() if type(x) is float else x for x in interval)
+
+    for length in range(7):
+        feasible = []
+        # every word over L, R of this length, L before R
+        for word in map("".join, itertools.product("LR", repeat=length)):
+            try:
+                feasible.append(bits(interval_for_word(ra, rb, word)))
+            except EmptyInterval:
+                pass
+        assert feasible == [bits(i) for i in survivor_intervals(ra, rb,
+                                                                length)]
 
 
 def test_int_slopes_give_fraction_endpoints():
