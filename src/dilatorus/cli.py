@@ -30,7 +30,6 @@ from .rauzy import survivor_measure
 from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
                       ROTATION_TOL, classify_direction, find_cylinders,
                       rotation_number)
-from .svgout import direction_wheel_svg, pentagon_svg
 from .teichmuller import (DEFAULT_THETA_TOL, divergence_monitor,
                           flow_series_to_csv)
 from .twists import (DEFAULT_REACH_BUDGET, apply_word, holonomy_class,
@@ -154,6 +153,7 @@ def _emit(text: str) -> None:
 def cmd_room(args) -> int:
     room = canonicalize(_room_from_args(args))
     if args.svg:
+        from .svgout import pentagon_svg
         _write_svg(args.svg, pentagon_svg(room))
     _emit(canonical_json(_room_payload(room)))
     return 0
@@ -176,6 +176,7 @@ def cmd_act(args) -> int:
         m = geodesic_matrix(args.t)
     moved = apply_sl2(m, room)
     if args.svg:
+        from .svgout import pentagon_svg
         _write_svg(args.svg, pentagon_svg(moved))
     _emit(canonical_json(_room_payload(moved)))
     return 0
@@ -191,6 +192,7 @@ def cmd_twist(args) -> int:
         raise UsageError(str(exc)) from None
     result = apply_word(word, room)
     if args.svg:
+        from .svgout import pentagon_svg
         _write_svg(args.svg, pentagon_svg(result.room))
     _emit(canonical_json({
         "word": args.word,
@@ -231,6 +233,7 @@ def cmd_scan(args) -> int:
     room = _room_from_args(args)
     scan = find_cylinders(room, args.eps, budget=args.budget)
     if args.svg:
+        from .svgout import direction_wheel_svg
         _write_svg(args.svg, direction_wheel_svg(room, scan))
     if args.format == "csv":
         lines = ["theta1,theta2,angle,word,multiplier"]

@@ -15,7 +15,6 @@ the parameters untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -41,8 +40,7 @@ TWO_PI: float = 2.0 * math.pi
 
 # --- plane primitives ---
 
-@dataclass(frozen=True)
-class Vec2:
+class Vec2(NamedTuple):
     """Plane vector; coordinates may be floats or exact rationals."""
 
     x: float
@@ -109,20 +107,23 @@ def angle_dist_mod_pi(a: float, b: float) -> float:
 
 # --- SL(2, R) ---
 
-@dataclass(frozen=True)
-class SL2Matrix:
-    """2x2 real matrix, finite, with determinant 1 (checked to tolerance)."""
-
+class _SL2Fields(NamedTuple):
     a: float
     b: float
     c: float
     d: float
 
-    def __post_init__(self):
-        entries = (self.a, self.b, self.c, self.d)
+
+class SL2Matrix(_SL2Fields):
+    """2x2 real matrix, finite, with determinant 1 (checked to tolerance)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float, c: float, d: float) -> SL2Matrix:
+        entries = (a, b, c, d)
         if not all(math.isfinite(x) for x in entries):
             raise ValueError(f"matrix entries {entries} must be finite")
-        ad, bc = self.a * self.d, self.b * self.c
+        ad, bc = a * d, b * c
         scale = max(1.0, abs(float(ad)) + abs(float(bc)))
         if not math.isfinite(scale):
             raise ValueError(f"matrix entries {entries} overflow the float "
@@ -130,6 +131,7 @@ class SL2Matrix:
         det = ad - bc
         if not abs(float(det) - 1.0) <= SL2_DET_TOL * scale:
             raise ValueError(f"determinant {det} is not 1")
+        return tuple.__new__(cls, entries)
 
     @staticmethod
     def rotation(alpha: float) -> "SL2Matrix":
@@ -178,8 +180,7 @@ def projective_action(m: SL2Matrix, theta: float) -> float:
 
 # --- parameters ---
 
-@dataclass(frozen=True)
-class DilationParams:
+class DilationParams(NamedTuple):
     """Log-dilation parameter pair; float or exact (Fraction / quadratic)."""
 
     mu1: Scalar
@@ -276,8 +277,7 @@ def _basis_det(e1: Vec2, e2: Vec2):
     return e1.cross(e2)
 
 
-@dataclass(frozen=True)
-class GluedSide:
+class GluedSide(NamedTuple):
     """One pentagon side: geometry plus the transport across its gluing."""
 
     index: int
@@ -320,8 +320,13 @@ def _chord_row(start: Vec2, end: Vec2) -> tuple[float, ...]:
             PARALLEL_EPS * max(edge.length(), 1.0))
 
 
-@dataclass(frozen=True)
-class Room:
+class _RoomFields(NamedTuple):
+    e1: Vec2
+    e2: Vec2
+    params: DilationParams
+
+
+class Room(_RoomFields):
     """Validated pentagon model of a dilation torus with one boundary.
 
     Float basis coordinates and parameters must be finite: NaN or an
@@ -334,40 +339,42 @@ class Room:
     so long that the square of the room's diameter overflows.
     """
 
-    e1: Vec2
-    e2: Vec2
-    params: DilationParams
-
-    def __post_init__(self):
-        scalars = (self.e1.x, self.e1.y, self.e2.x, self.e2.y,
-                   self.params.mu1, self.params.mu2)
-        if not all(math.isfinite(c) for c in scalars if isinstance(c, float)):
+    def __new__(cls, e1: Vec2, e2: Vec2, params: DilationParams) -> Room:
+        if not all(math.isfinite(c) for c in (*e1, *e2, *params)
+                   if isinstance(c, float)):
             raise ValueError(
                 "basis coordinates and parameters must be finite, got "
-                f"e1={self.e1.as_floats()}, e2={self.e2.as_floats()}, "
-                f"mu={self.params.as_floats()}")
-        det = _basis_det(self.e1, self.e2)
+                f"e1={e1.as_floats()}, e2={e2.as_floats()}, "
+                f"mu={params.as_floats()}")
+        det = _basis_det(e1, e2)
         if det <= 0:
             raise NonOrientedBasis(
                 f"basis determinant {float(det)} must be positive")
-        if not self.params.in_admissible_region():
-            raise OutsideQ(f"parameters {self.params.as_floats()} are in the "
+        if not params.in_admissible_region():
+            raise OutsideQ(f"parameters {params.as_floats()} are in the "
                            "excluded negative quadrant")
-        if self.params.is_zero():
+        if params.is_zero():
             raise DegenerateDoor("both parameters vanish; the door has length 0")
-        nu1, nu2 = self.nu()
+        nu1, nu2 = params.nu()
         verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), nu1, nu2)
         for k in range(5):
             if verts[k] == verts[(k + 1) % 5]:
                 raise ValueError(
                     f"vertices V{k} and V{(k + 1) % 5} coincide in unit-basis "
-                    f"coordinates at parameters {self.params.as_floats()}")
+                    f"coordinates at parameters {params.as_floats()}")
         # with nu1, nu2 <= 1 the door meets the left or the top side
         if not (nu1 > 1.0 or nu2 > 1.0):
             raise NonSimplePentagon(
                 f"vertex chain {[v.as_floats() for v in verts]} "
                 "self-intersects in unit-basis coordinates: neither "
                 f"dilation factor in nu = {(nu1, nu2)} exceeds 1")
+        return tuple.__new__(cls, (e1, e2, params))
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: "
+                             f"cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     # --- derived geometry ---
 
@@ -377,8 +384,9 @@ class Room:
         per instance.
 
         functools.cached_property stores the value in the instance dict,
-        which a frozen dataclass allows; eq, hash and repr read the
-        fields only, so equal rooms stay equal whether traced or not.
+        which `__setattr__` leaves alone; eq, hash and repr are the
+        tuple's, over the fields only, so equal rooms stay equal whether
+        traced or not.
         """
         nu1, nu2 = self.nu()
         verts = _pentagon_vertices(self.e1, self.e2, nu1, nu2)

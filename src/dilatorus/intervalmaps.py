@@ -14,8 +14,7 @@ brought to this normal form by restricting to the image interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import AtDiscontinuity, NotInHole, NotReducible
 from .quadratics import Scalar, as_float, is_exact, slack
@@ -38,38 +37,42 @@ MERGE_TOL: float = 1e-12
 IMAGE_TOL: float = 1e-9
 
 
-@dataclass(frozen=True)
-class TwoSlopeMap:
+class _TwoSlopeFields(NamedTuple):
     rho_a: Scalar
     rho_b: Scalar
     x_t: Scalar
 
-    def __post_init__(self):
-        if not (self.rho_a > 0 and self.rho_b > 0):
+
+class TwoSlopeMap(_TwoSlopeFields):
+    __slots__ = ()
+
+    def __new__(cls, rho_a: Scalar, rho_b: Scalar, x_t: Scalar) -> TwoSlopeMap:
+        if not (rho_a > 0 and rho_b > 0):
             raise ValueError("slopes must be positive")
-        if self.rho_a > 1 and self.rho_b > 1:
+        if rho_a > 1 and rho_b > 1:
             raise ValueError("slopes may not both exceed 1")
-        if not (0 < self.x_t < 1):
-            raise ValueError(f"break point {self.x_t} must lie in (0, 1)")
-        lhs = self.rho_b * (1 - self.x_t)
-        rhs = 1 - self.rho_a * self.x_t
-        if lhs > rhs + slack(INJECTIVITY_SLACK, self.rho_a, self.rho_b,
-                             self.x_t):
+        if not (0 < x_t < 1):
+            raise ValueError(f"break point {x_t} must lie in (0, 1)")
+        lhs = rho_b * (1 - x_t)
+        rhs = 1 - rho_a * x_t
+        if lhs > rhs + slack(INJECTIVITY_SLACK, rho_a, rho_b, x_t):
             raise ValueError(
                 f"branch images overlap: rho_b*(1-x_t)={lhs} exceeds "
                 f"1-rho_a*x_t={rhs}")
+        return tuple.__new__(cls, (rho_a, rho_b, x_t))
 
     @property
     def is_exact(self) -> bool:
-        return (is_exact(self.rho_a) and is_exact(self.rho_b)
-                and is_exact(self.x_t))
+        ra, rb, xt = self
+        return is_exact(ra) and is_exact(rb) and is_exact(xt)
 
     @property
     def intercept_a(self) -> Scalar:
         return 1 - self.rho_a * self.x_t
 
     def as_floats(self) -> tuple[float, float, float]:
-        return (float(self.rho_a), float(self.rho_b), float(self.x_t))
+        ra, rb, xt = self
+        return (float(ra), float(rb), float(xt))
 
     def __call__(self, x: Scalar, side: Optional[str] = None) -> Scalar:
         return evaluate(self, x, side)
@@ -77,28 +80,34 @@ class TwoSlopeMap:
 
 def evaluate(tsm: TwoSlopeMap, x: Scalar, side: Optional[str] = None) -> Scalar:
     """Branch value at x; the break point needs an explicit side."""
+    ra, rb, xt = tsm
     if not (0 <= x <= 1):
         raise ValueError(f"{x} is outside [0, 1]")
-    if x == tsm.x_t:
+    if x == xt:
         if side == "left":
-            return tsm.rho_a * x + tsm.intercept_a
+            return ra * x + (1 - ra * xt)
         if side == "right":
-            return tsm.rho_b * (x - tsm.x_t)
+            return rb * (x - xt)
         raise AtDiscontinuity(f"map is undefined at its break point {x}")
-    if x < tsm.x_t:
-        return tsm.rho_a * x + tsm.intercept_a
-    return tsm.rho_b * (x - tsm.x_t)
+    if x < xt:
+        return ra * x + (1 - ra * xt)
+    return rb * (x - xt)
 
 
-@dataclass(frozen=True)
-class PeriodicCycle:
+class _CycleFields(NamedTuple):
     points: tuple[Scalar, ...]
     period: int
     multiplier: Scalar
 
-    def __post_init__(self):
-        if len(self.points) != self.period:
+
+class PeriodicCycle(_CycleFields):
+    __slots__ = ()
+
+    def __new__(cls, points: tuple[Scalar, ...], period: int,
+                multiplier: Scalar) -> PeriodicCycle:
+        if len(points) != period:
             raise ValueError("point count must equal the period")
+        return tuple.__new__(cls, (points, period, multiplier))
 
     @property
     def is_attracting(self) -> bool:
@@ -117,7 +126,7 @@ def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
     avoids x_t, both branches map across the break, and T^2 contracts
     with factor rho_a*rho_b < 1 toward a unique 2-cycle.
     """
-    ra, rb, xt = tsm.rho_a, tsm.rho_b, tsm.x_t
+    ra, rb, xt = tsm
     lo, hi = thresholds(ra, rb)
     if not (lo < xt < hi):
         raise NotInHole(
@@ -128,8 +137,7 @@ def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
     return PeriodicCycle((x_star, y_star), 2, mult)
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     points: tuple[Scalar, ...]
     branches: str                  # 'A'/'B' per applied step
     hit_discontinuity: bool
@@ -154,18 +162,23 @@ def orbit(tsm: TwoSlopeMap, x0: Scalar, n: int) -> OrbitResult:
 
 # --- general piecewise-affine data and reduction to the normal form ---
 
-@dataclass(frozen=True)
-class AffineBranch:
+class _BranchFields(NamedTuple):
     lo: Scalar
     hi: Scalar
     slope: Scalar
     intercept: Scalar
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+
+class AffineBranch(_BranchFields):
+    __slots__ = ()
+
+    def __new__(cls, lo: Scalar, hi: Scalar, slope: Scalar,
+                intercept: Scalar) -> AffineBranch:
+        if not lo < hi:
             raise ValueError("branch interval is empty")
-        if not self.slope > 0:
+        if not slope > 0:
             raise ValueError("branches must be orientation-preserving")
+        return tuple.__new__(cls, (lo, hi, slope, intercept))
 
     def value(self, x: Scalar) -> Scalar:
         return self.slope * x + self.intercept
@@ -185,28 +198,31 @@ def _branches_slack(tol: float, branches: tuple[AffineBranch, ...]) -> float:
     return 0
 
 
-@dataclass(frozen=True)
-class PiecewiseAffineMap:
-    """Finitely many increasing affine branches on contiguous intervals,
-    stored merged: no two neighbours continue the same affine law."""
-
+class _PiecewiseFields(NamedTuple):
     branches: tuple[AffineBranch, ...]
-    # the one allowance of every test below, decided at construction
-    _tol: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.branches:
+
+class PiecewiseAffineMap(_PiecewiseFields):
+    """Finitely many increasing affine branches on contiguous intervals,
+    stored merged: no two neighbours continue the same affine law.
+
+    `_tol`, the one allowance of every test below, is decided at
+    construction and kept in the instance dict, out of eq and repr.
+    """
+
+    def __new__(cls, branches: tuple[AffineBranch, ...]
+                ) -> PiecewiseAffineMap:
+        if not branches:
             raise ValueError("need at least one branch")
-        tol = _branches_slack(MERGE_TOL, self.branches)
+        tol = _branches_slack(MERGE_TOL, branches)
         if tol:     # float data: scaled by the domain ends
-            lo, hi = self.domain
+            lo, hi = branches[0].lo, branches[-1].hi
             tol *= max(1.0, abs(as_float(lo, "the domain's low end")),
                        abs(as_float(hi, "the domain's high end")))
-        object.__setattr__(self, "_tol", tol)
-        for left, right in zip(self.branches, self.branches[1:]):
+        for left, right in zip(branches, branches[1:]):
             if abs(left.hi - right.lo) > tol:
                 raise ValueError("branch intervals must be contiguous")
-        images = [(b.value(b.lo), b.value(b.hi)) for b in self.branches]
+        images = [(b.value(b.lo), b.value(b.hi)) for b in branches]
         for i, (lo_i, hi_i) in enumerate(images):
             for lo_j, hi_j in images[i + 1:]:
                 if min(hi_i, hi_j) - max(lo_i, lo_j) > tol:
@@ -214,14 +230,22 @@ class PiecewiseAffineMap:
         # validated as given, stored merged: a neighbour that continues the
         # same affine law is fused into the first branch's law, so one
         # pass leaves no such pair and a second would change nothing
-        fused = [self.branches[0]]
-        for b in self.branches[1:]:
+        fused = [branches[0]]
+        for b in branches[1:]:
             if fused[-1].same_law(b):
                 fused[-1] = AffineBranch(fused[-1].lo, b.hi, fused[-1].slope,
                                          fused[-1].intercept)
             else:
                 fused.append(b)
-        object.__setattr__(self, "branches", tuple(fused))
+        self = tuple.__new__(cls, (tuple(fused),))
+        self.__dict__["_tol"] = tol
+        return self
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: "
+                             f"cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def domain(self) -> tuple[Scalar, Scalar]:
@@ -257,16 +281,20 @@ class PiecewiseAffineMap:
         raise AssertionError("unreachable: contiguity was validated")
 
 
-@dataclass(frozen=True)
-class AffineChart:
-    """Invertible affine coordinate change y = scale * x + offset."""
-
+class _ChartFields(NamedTuple):
     scale: Scalar
     offset: Scalar
 
-    def __post_init__(self):
-        if self.scale == 0:
+
+class AffineChart(_ChartFields):
+    """Invertible affine coordinate change y = scale * x + offset."""
+
+    __slots__ = ()
+
+    def __new__(cls, scale: Scalar, offset: Scalar) -> AffineChart:
+        if scale == 0:
             raise ValueError("chart must be invertible")
+        return tuple.__new__(cls, (scale, offset))
 
     def apply(self, x: Scalar) -> Scalar:
         return self.scale * x + self.offset

@@ -32,10 +32,9 @@ normalizes only above them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import EmptyInterval, NonConvergence, NotRenormalizable
 from .intervalmaps import (
@@ -82,8 +81,8 @@ _HALT, _BOUNDARY = StepClass.HALT, StepClass.BOUNDARY
 
 def classify_step(tsm: TwoSlopeMap) -> StepClass:
     """Which branch image captures the break point, if any."""
-    thr_b, thr_a = thresholds(tsm.rho_a, tsm.rho_b)
-    x_t = tsm.x_t
+    rho_a, rho_b, x_t = tsm
+    thr_b, thr_a = thresholds(rho_a, rho_b)
     if x_t == thr_b or x_t == thr_a:
         return _BOUNDARY
     if x_t < thr_b:
@@ -93,8 +92,7 @@ def classify_step(tsm: TwoSlopeMap) -> StepClass:
     return _HALT
 
 
-@dataclass(frozen=True)
-class InductionStep:
+class InductionStep(NamedTuple):
     induced: TwoSlopeMap
     winner: StepClass
     chart: AffineChart        # induced subinterval -> [0, 1]
@@ -117,7 +115,7 @@ def _induce(tsm: TwoSlopeMap, verdict: StepClass
     """(induced map, chart) of the step of `tsm` whose class is
     `verdict`, as `classify_step` gives it; NotRenormalizable without a
     winner, or when rounding leaves the induced map invalid."""
-    ra, rb, xt = tsm.rho_a, tsm.rho_b, tsm.x_t
+    ra, rb, xt = tsm
     if verdict is _WINNER_A:
         slopes, new_xt = (ra, ra * rb), ((1 + ra) * xt - 1) / (ra * xt)
         chart = AffineChart(1 / xt, 0 * xt)
@@ -134,8 +132,7 @@ def _induce(tsm: TwoSlopeMap, verdict: StepClass
                                 f"{exc}") from exc
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     """The three parameter intervals of one induction step."""
 
     rho_a: Scalar
@@ -166,8 +163,7 @@ def subdivision(rho_a: Scalar, rho_b: Scalar) -> Subdivision:
     return Subdivision(rho_a, rho_b)
 
 
-@dataclass(frozen=True)
-class RauzyOutcome:
+class RauzyOutcome(NamedTuple):
     word: str
     terminal: TerminalKind
     cycle: Optional[PeriodicCycle]
@@ -191,14 +187,15 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
     seed = attracting_cycle_in_hole(final).points[0]
     for chart in reversed(charts):
         seed = chart.invert(seed)
+    ra, rb, xt = tsm
     pts = [seed]
-    mult = tsm.rho_a if seed < tsm.x_t else tsm.rho_b
+    mult = ra if seed < xt else rb
     x = evaluate(tsm, seed)
     for _ in range(period - 1):
         pts.append(x)
-        mult = mult * (tsm.rho_a if x < tsm.x_t else tsm.rho_b)
+        mult = mult * (ra if x < xt else rb)
         x = evaluate(tsm, x)
-    tol = slack(CYCLE_CLOSE_TOL, tsm.rho_a, tsm.rho_b, tsm.x_t, seed)
+    tol = slack(CYCLE_CLOSE_TOL, ra, rb, xt, seed)
     if not abs(x - seed) <= tol:        # a NaN never closes
         raise NonConvergence(
             f"cycle lift does not return to its first point after its period "

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
@@ -105,8 +104,12 @@ UNDECIDED_ERRORS = (NotTransverse, NotReducible)
 
 # --- cross-sections ---
 
-@dataclass(frozen=True)
-class CrossSection:
+class _SectionFields(NamedTuple):
+    i: int
+    j: int
+
+
+class CrossSection(_SectionFields):
     """One of the five pentagon diagonals, oriented from vertex i to j.
 
     All five vertices project to the single cone point of the glued
@@ -114,13 +117,12 @@ class CrossSection:
     map of a transverse direction is a circle map in disguise.
     """
 
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        pair = (min(self.i, self.j), max(self.i, self.j))
-        if pair not in _DIAGONAL_PAIRS:
-            raise ValueError(f"({self.i}, {self.j}) is not a pentagon diagonal")
+    def __new__(cls, i: int, j: int) -> CrossSection:
+        if (min(i, j), max(i, j)) not in _DIAGONAL_PAIRS:
+            raise ValueError(f"({i}, {j}) is not a pentagon diagonal")
+        return tuple.__new__(cls, (i, j))
 
     def endpoints(self, room: Room) -> tuple[Vec2, Vec2]:
         verts = room.geom.vertices
@@ -315,6 +317,15 @@ def trace_ray(heading: Heading, start: tuple[float, float],
     the running product of their factors.  Nothing is cached beyond
     the heading and the room's own tables, so nothing outlives them
     (nor, in the CLI, a `cli.main` call).
+
+    After the first transport every leg depends on its start point
+    alone, so a flight whose post-transport point repeats exactly is
+    trapped in a cycle until its budget runs out.  Brent's method finds
+    the repeat: the point after transport 1, 2, 4, 8, ... is saved, and
+    each later point is compared with the last one saved.  On a repeat
+    the flight skips whole periods at once, appending their sides and
+    multiplying their factors into the gain in crossing order, so the
+    RayTrace is the one the legs would have built.
     """
     exits, entries, rows, ux, uy, t_base, t_clear, sec, _ = heading
     if sec is not None:
@@ -325,6 +336,12 @@ def trace_ray(heading: Heading, start: tuple[float, float],
     crossed: list[int] = []
     gain = 1.0
     transports_left = max_crossings
+    # Brent's saved point, which no point equals before the first save,
+    # the transports left when it was saved, and those left at the next
+    # save
+    seen_x = seen_y = math.nan
+    seen_left = 0
+    save_at = max_crossings - 1
 
     while True:
         best_t = math.inf
@@ -393,6 +410,22 @@ def trace_ray(heading: Heading, start: tuple[float, float],
         crossed.append(best_side)
         gain *= factor
         px, py = qx * scale + ox, qy * scale + oy
+        # a repeat is the same two floats, signed zeros included
+        if (px == seen_x and py == seen_y
+                and math.copysign(1.0, px) == math.copysign(1.0, seen_x)
+                and math.copysign(1.0, py) == math.copysign(1.0, seen_y)):
+            # skip as many whole periods of the cycle just closed as
+            # the budget holds
+            period = seen_left - transports_left
+            skipped = crossed[-period:] * (transports_left // period)
+            for k in skipped:
+                gain *= rows[k][6]
+            crossed += skipped
+            transports_left -= len(skipped)
+        elif transports_left == save_at:
+            seen_x, seen_y, seen_left = px, py, transports_left
+            # the next save comes after twice the transports so far
+            save_at = 2 * transports_left - max_crossings
 
 
 # --- first-return map to a cross-section ---
@@ -536,8 +569,7 @@ def first_return_map(room: Room, theta: float,
 
 # --- reduction of a direction to the two-slope normal form ---
 
-@dataclass(frozen=True)
-class SectionReduction:
+class SectionReduction(NamedTuple):
     """Two-slope normal form of a direction's return dynamics.
 
     `chart` maps the section's arc-length coordinate to the [0, 1]
@@ -680,8 +712,7 @@ class DirectionKind(Enum):
     CANTOR_LIKE = "cantor_like"
 
 
-@dataclass(frozen=True)
-class DirectionClass:
+class DirectionClass(NamedTuple):
     """Verdict for one flow direction.
 
     For cylinders, `multiplier` is the expansion of the return map
@@ -745,8 +776,7 @@ def classify_direction(room: Room, theta: float,
 
 # --- cylinder search over the direction circle ---
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """Maximal found interval of directions sharing one halting word."""
 
     theta1: float
@@ -787,8 +817,7 @@ def _runs(keys: list, same: Callable[[object, object], bool]
     return runs
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     cylinders: tuple[Cylinder, ...]
     exhausted: bool
     n_samples: int

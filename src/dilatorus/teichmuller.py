@@ -13,9 +13,8 @@ cylinders blowing up (criterion 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import (
     Room,
@@ -89,8 +88,7 @@ class MonitorFlag(Enum):
     CRITERION2 = "Criterion2Fired"
 
 
-@dataclass(frozen=True)
-class FlowSample:
+class FlowSample(NamedTuple):
     t: float
     theta_sup: float
     max_multiplier: float
@@ -98,8 +96,7 @@ class FlowSample:
     budget_exhausted: bool
 
 
-@dataclass(frozen=True)
-class MonitorReport:
+class MonitorReport(NamedTuple):
     samples: tuple[FlowSample, ...]
     # the time-0 cylinders, followed through the flow by interval images
     tracked: tuple[Cylinder, ...]

@@ -15,9 +15,8 @@ subtractive contraction algorithm and the density search in parameter space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetExhausted,
@@ -133,8 +132,7 @@ def admissibility_violation(word: Sequence[TwistGenerator],
     return None
 
 
-@dataclass(frozen=True)
-class WordResult:
+class WordResult(NamedTuple):
     room: Room
     mu_path: tuple[tuple[float, float], ...]
 
@@ -168,8 +166,7 @@ def apply_word(word: Sequence[TwistGenerator], room: Room) -> WordResult:
 
 # --- subtractive contraction ---
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(NamedTuple):
     word: Word
     blocks: tuple[tuple[TwistGenerator, int], ...]
     final: DilationParams
@@ -271,8 +268,7 @@ def sl2n_word_to_twists(word: str) -> Word:
 
 # --- density search in the positive quadrant ---
 
-@dataclass(frozen=True)
-class ReachReport:
+class ReachReport(NamedTuple):
     """Search result in parameter space.
 
     No end room is carried: after thousands of moves the sheared basis
@@ -405,8 +401,7 @@ class Holonomy(Enum):
     UNDECIDED_FLOAT = "undecided_float"
 
 
-@dataclass(frozen=True)
-class HolonomyClass:
+class HolonomyClass(NamedTuple):
     verdict: Holonomy
     witness: Optional[tuple[int, int]] = None
 

@@ -1,0 +1,29 @@
+"""The CLI's cold start loads no module it does not need.
+
+Every CLI call is a fresh interpreter, so what `import dilatorus.cli`
+pulls in is paid on every call.  The records are NamedTuples, which
+need neither `dataclasses` nor the `inspect` module it imports, and
+`svgout` is imported by the commands that draw, when they draw.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import dilatorus.cli
+print(sorted({"dataclasses", "inspect", "dilatorus.svgout"} & set(sys.modules)))
+"""
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_svgout():
+    # -I: no user site, no PYTHONPATH, so only the interpreter's own
+    # start-up and the package's imports are seen
+    proc = subprocess.run([sys.executable, "-I", "-c", PROBE, str(SRC)],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
