@@ -26,7 +26,7 @@ from .geometry import (DilationParams, Room, SL2Matrix, apply_sl2,
                        build_room, canonicalize, geodesic_matrix,
                        room_to_json)
 from .quadratics import QuadraticNumber, as_float, is_exact, quadratic
-from .rauzy import survivor_measure
+from .rauzy import check_exact_measures, survivor_measure
 from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
                       ROTATION_TOL, classify_direction, find_cylinders,
                       rotation_number)
@@ -294,6 +294,8 @@ def cmd_measure(args) -> int:
     if not 0 <= args.n <= MAX_MEASURE_DEPTH:
         raise UsageError(f"--n must be in [0, {MAX_MEASURE_DEPTH}]")
     if args.format == "csv":
+        if args.exact:
+            check_exact_measures(rho_a, rho_b, args.n)
         lines = ["n,measure"]
         for k in range(args.n + 1):
             m = survivor_measure(rho_a, rho_b, k)

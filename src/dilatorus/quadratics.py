@@ -36,7 +36,12 @@ def _squarefree_split(d: int) -> tuple[int, int]:
 
 
 class QuadraticNumber:
-    """Immutable exact value a + b*sqrt(d)."""
+    """Immutable exact value a + b*sqrt(d).
+
+    `__init__` normalizes any input; the field operations build their
+    results, whose parts are normal already, through `_normal`.  Their
+    oracle is `tests/oracles.quadratic_op_oracle`, which normalizes
+    every result in full."""
 
     __slots__ = ("a", "b", "d")
 
@@ -87,12 +92,12 @@ class QuadraticNumber:
         except TypeError:
             return NotImplemented
         d = self._same_field(o)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, d)
+        return _normal(self.a + o.a, self.b + o.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
+        return _normal(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         try:
@@ -112,7 +117,7 @@ class QuadraticNumber:
         d = self._same_field(o)
         a = self.a * o.a + self.b * o.b * d
         b = self.a * o.b + self.b * o.a
-        return QuadraticNumber(a, b, d)
+        return _normal(a, b, d)
 
     __rmul__ = __mul__
 
@@ -126,9 +131,9 @@ class QuadraticNumber:
         norm = o.a * o.a - o.b * o.b * d
         if norm == 0:
             raise ZeroDivisionError("division by zero quadratic number")
-        conj = QuadraticNumber(o.a, -o.b, d)
+        conj = _normal(o.a, -o.b, d)
         num = self * conj
-        return QuadraticNumber(num.a / norm, num.b / norm, d)
+        return _normal(num.a / norm, num.b / norm, d)
 
     def __rtruediv__(self, other):
         return quadratic(other) / self
@@ -200,6 +205,23 @@ class QuadraticNumber:
         if self.is_rational:
             return f"QuadraticNumber({self.a})"
         return f"QuadraticNumber({self.a}, {self.b}, {self.d})"
+
+
+_new = object.__new__
+_set_a, _set_b, _set_d = (QuadraticNumber.a.__set__, QuadraticNumber.b.__set__,
+                          QuadraticNumber.d.__set__)
+
+
+def _normal(a: Fraction, b: Fraction, d: int) -> QuadraticNumber:
+    """a + b*sqrt(d) from parts in normal form but for b: Fractions a and
+    b and a square-free d, which becomes 0 when b == 0.  A sum, product or
+    quotient of two values of one field has such parts, so it skips the
+    coercion and the square-free split of `__init__`."""
+    q = _new(QuadraticNumber)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d if b else 0)
+    return q
 
 
 def quadratic(x) -> QuadraticNumber:

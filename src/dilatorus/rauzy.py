@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .errors import EmptyInterval, NonConvergence, NotRenormalizable
@@ -57,6 +58,10 @@ RECONSTRUCT_CAP: int = 10 ** 6
 # (FLOAT_SLOPE_MIN, FLOAT_SLOPE_MAX).
 FLOAT_SLOPE_MIN: float = 1e-150
 FLOAT_SLOPE_MAX: float = 1e150
+# An exact survivor measure of more leaves is refused before its sum,
+# whose gcds run on numbers up to the result's denominator: at slopes
+# (1/2, 1/2), depth 14 (2^14 leaves) takes seconds and depth 16 minutes.
+EXACT_MEASURE_MAX_LEAVES: int = 2 ** 14
 
 
 class StepClass(Enum):
@@ -362,6 +367,29 @@ def _pairwise_sum(terms: list) -> Scalar:
     return terms[0]
 
 
+def _exact_leaves(root: tuple, depth: int) -> list[tuple]:
+    """The pull-backs an exact survivor measure at `depth` sums; ValueError
+    when there are more than EXACT_MEASURE_MAX_LEAVES, found by a walk
+    that stops at the first leaf past the cap."""
+    leaves = list(islice(_walk(root, depth), EXACT_MEASURE_MAX_LEAVES + 1))
+    if len(leaves) > EXACT_MEASURE_MAX_LEAVES:
+        raise ValueError(
+            f"an exact measure at depth {depth} sums more than "
+            f"EXACT_MEASURE_MAX_LEAVES = {EXACT_MEASURE_MAX_LEAVES} "
+            "interval lengths")
+    return leaves
+
+
+def check_exact_measures(rho_a: Scalar, rho_b: Scalar, depth: int) -> None:
+    """Refuse with ValueError, before any sum, a table of exact survivor
+    measures at depths 0 to `depth` if one of them has more than
+    EXACT_MEASURE_MAX_LEAVES leaves: the check survivor_measure makes at
+    each depth, with the first depth past the cap in its message."""
+    root, _ = _checked_root(rho_a, rho_b, depth)
+    for k in range(depth + 1):
+        _exact_leaves(root, k)
+
+
 def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     """Lebesgue measure of the n-times renormalizable parameter set.
 
@@ -370,21 +398,25 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     exactly hi - lo, and sum the lengths in balanced pairs: the lowest two
     levels as unreduced int (numerator, denominator) pairs, Fractions
     above them.  QuadraticNumber slopes sum the interval lengths in
-    balanced pairs; float slopes sum them left to right."""
+    balanced pairs; float slopes sum them left to right.
+
+    Exact slopes with more than EXACT_MEASURE_MAX_LEAVES leaves are
+    refused with ValueError before the sum: the walk stops at the first
+    leaf past the cap, so a refusal costs the same at any depth."""
     root, integral = _checked_root(rho_a, rho_b, depth)
-    if integral:
-        terms = [(p * s - q * r, s * (r + s))
-                 for p, q, r, s in _walk(root, depth)]
-        if not terms:
-            return 0 * rho_a
-        for _ in range(2):          # the lowest two levels, unreduced
-            terms = [(a * d + c * b, b * d) for (a, b), (c, d)
-                     in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
-        return _pairwise_sum([Fraction(n, d) for n, d in terms])
-    intervals = survivor_intervals(rho_a, rho_b, depth)
-    if is_exact(rho_a) and is_exact(rho_b):
-        return _pairwise_sum([hi - lo for lo, hi in intervals] or [0 * rho_a])
-    total = 0 * rho_a
-    for lo, hi in intervals:
-        total = total + (hi - lo)
-    return total
+    if not (is_exact(rho_a) and is_exact(rho_b)):
+        total = 0 * rho_a
+        for lo, hi in survivor_intervals(rho_a, rho_b, depth):
+            total = total + (hi - lo)
+        return total
+    leaves = _exact_leaves(root, depth)
+    if not leaves:
+        return 0 * rho_a
+    if not integral:
+        return _pairwise_sum([hi - lo for lo, hi
+                              in _images_of_unit(leaves, integral)])
+    terms = [(p * s - q * r, s * (r + s)) for p, q, r, s in leaves]
+    for _ in range(2):              # the lowest two levels, unreduced
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d)
+                 in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return _pairwise_sum([Fraction(n, d) for n, d in terms])

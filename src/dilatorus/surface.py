@@ -890,19 +890,13 @@ EXACT_ORBIT_CAP = 4096
 EXACT_DENOMINATOR_CAP = 10**30
 
 
-def _lift(ra: Scalar, rb: Scalar) -> tuple[Scalar, Callable]:
+def _lift(ra: Scalar, rb: Scalar) -> tuple[Scalar, Scalar]:
     """The break x* = (1 - rb) / (ra - rb) that makes the two-slope circle
-    map continuous, and the step x -> (F(x) mod 1, turns) of its lift F
-    (see rotation_number), exact on exact slopes."""
+    map continuous and the offset b_a = rb*(1 - x*) of its lower branch,
+    exact on exact slopes.  The lift F (see rotation_number) steps x to
+    ra*x + b_a below x* and to rb*(x - x*), one turn on, above it."""
     x_star = (1 - rb) / (ra - rb)
-    b_a = rb * (1 - x_star)
-
-    def step(x: Scalar) -> tuple[Scalar, int]:
-        if x < x_star:
-            return ra * x + b_a, 0
-        return rb * (x - x_star), 1
-
-    return x_star, step
+    return x_star, rb * (1 - x_star)
 
 
 def rotation_number(rho_a: Scalar, rho_b: Scalar,
@@ -924,6 +918,10 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     A negative or NaN tol is refused: no two estimates could meet it.
     So is an infinite rho_a, whose map sends every point below x* to
     infinity, and an exact slope past the float range.
+
+    Both orbits take the step of the lift inline; the oracle is
+    `tests/oracles.rotation_number_oracle`, which calls the step once per
+    iterate.
     """
     ra_f, rb_f = as_float(rho_a, "rho_a"), as_float(rho_b, "rho_b")
     if not (ra_f > 1.0 > rb_f > 0.0):
@@ -936,7 +934,7 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
         raise ValueError("max_iter must be at least 1")
 
     if is_exact(rho_a) and is_exact(rho_b):
-        x_star, step = _lift(rho_a, rho_b)
+        x_star, b_a = _lift(rho_a, rho_b)
         seen: dict = {}     # exact values hash by value
         x, gain = x_star, 0
         for n in range(EXACT_ORBIT_CAP):
@@ -944,13 +942,16 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
                 n0, g0 = seen[x]
                 return Fraction(gain - g0, n - n0)
             seen[x] = (n, gain)
-            x, g = step(x)
-            gain += g
+            if x < x_star:
+                x = rho_a * x + b_a
+            else:
+                x = rho_b * (x - x_star)
+                gain += 1
             if max_denominator(x) > EXACT_DENOMINATOR_CAP:
                 break
         # fall through to the float estimate
 
-    x_star_f, advance = _lift(ra_f, rb_f)
+    x_star_f, b_a = _lift(ra_f, rb_f)
     x, gain, n = x_star_f, 0, 0
     anchor_x, anchor_gain, anchor_n = x, 0, 0
     next_anchor = 64
@@ -958,8 +959,11 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     cap = min(1 << 10, max_iter)
     while cap <= max_iter:
         while n < cap:
-            x, g = advance(x)
-            gain += g
+            if x < x_star_f:
+                x = ra_f * x + b_a
+            else:
+                x = rb_f * (x - x_star_f)
+                gain += 1
             n += 1
             # Mode locking makes most float orbits converge to a cycle;
             # a return to the anchor's ROTATION_ANCHOR_RADIUS
@@ -970,8 +974,11 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
                 p = gain - anchor_gain
                 xv, gv = x, 0
                 for _ in range(q):
-                    xv, g2 = advance(xv)
-                    gv += g2
+                    if xv < x_star_f:
+                        xv = ra_f * xv + b_a
+                    else:
+                        xv = rb_f * (xv - x_star_f)
+                        gv += 1
                 if abs(xv - x) < ROTATION_CYCLE_TOL and gv == p:
                     return Fraction(p, q)
             if n == next_anchor:

@@ -58,12 +58,13 @@ class TwistGenerator(Enum):
         return TwistGenerator(self.value.swapcase())
 
 
-# action on (mu1, mu2) as integer row pairs
-MU_ACTION: dict[TwistGenerator, tuple[tuple[int, int], tuple[int, int]]] = {
-    TwistGenerator.T1: ((1, 0), (1, 1)),
-    TwistGenerator.T2: ((1, 1), (0, 1)),
-    TwistGenerator.T1_INV: ((1, 0), (-1, 1)),
-    TwistGenerator.T2_INV: ((1, -1), (0, 1)),
+# action on (mu1, mu2) as the integer rows (r11, r12, r21, r22), keyed by
+# the letter, which a fold reads off each move without hashing the Enum
+MU_ACTION: dict[str, tuple[int, int, int, int]] = {
+    "A": (1, 0, 1, 1),
+    "B": (1, 1, 0, 1),
+    "a": (1, 0, -1, 1),
+    "b": (1, -1, 0, 1),
 }
 
 Word = tuple[TwistGenerator, ...]
@@ -77,14 +78,14 @@ def word_from_string(s: str) -> Word:
 
 
 def word_to_string(word: Sequence[TwistGenerator]) -> str:
-    return "".join(g.value for g in word)
+    return "".join([g._value_ for g in word])
 
 
 # --- single moves ---
 
 def twist_mu(g: TwistGenerator, params: DilationParams) -> DilationParams:
     """Parameter part of a move; exact when the inputs are exact."""
-    (r11, r12), (r21, r22) = MU_ACTION[g]
+    r11, r12, r21, r22 = MU_ACTION[g._value_]
     m1, m2 = params.mu1, params.mu2
     return DilationParams(r11 * m1 + r12 * m2, r21 * m1 + r22 * m2)
 
@@ -108,16 +109,23 @@ def mu_path(word: Sequence[TwistGenerator],
     """The parameters before `word` and after each move, lazily: the one
     fold of `twist_mu` along a word.  Raises InadmissibleAtStep at the
     first result outside the open positive quadrant, or at step 0 when a
-    nonempty word starts outside it."""
+    nonempty word starts outside it.
+
+    Each move is `twist_mu`'s multiply-add and `in_positive_quadrant`'s
+    test, inline, in the same order of operations; its oracle is
+    `tests/oracles.mu_path_oracle`, the plain fold of `twist_mu`."""
     if word and not params.in_positive_quadrant():
         raise InadmissibleAtStep(0, "start parameters are not in the "
                                     "positive quadrant")
     yield params
+    m1, m2 = params
+    rows, new = MU_ACTION, tuple.__new__
     for k, g in enumerate(word):
-        params = twist_mu(g, params)
-        if not params.in_positive_quadrant():
+        r11, r12, r21, r22 = rows[g._value_]
+        m1, m2 = r11 * m1 + r12 * m2, r21 * m1 + r22 * m2
+        if not (m1 > 0 and m2 > 0):
             raise InadmissibleAtStep(k)
-        yield params
+        yield new(DilationParams, (m1, m2))
 
 
 def admissibility_violation(word: Sequence[TwistGenerator],

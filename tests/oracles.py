@@ -12,20 +12,24 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from dilatorus.errors import BudgetExhausted, NotTransverse, VertexHit
-from dilatorus.geometry import (PARALLEL_EPS, Room, SL2Matrix, Vec2,
-                                angle_dist_mod_pi, unit)
+from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
+                              NonConvergence, NotTransverse, VertexHit)
+from dilatorus.geometry import (PARALLEL_EPS, DilationParams, Room, SL2Matrix,
+                                Vec2, angle_dist_mod_pi, unit)
 from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
                                     PiecewiseAffineMap, TwoSlopeMap)
-from dilatorus.quadratics import Scalar
+from dilatorus.quadratics import QuadraticNumber, Scalar, max_denominator
 from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
                              StepClass, TerminalKind, _pull_back_cycle,
                              classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
-                               INWARD_SLACK, MIN_STEP, TRANSVERSALITY_FLOOR,
+                               EXACT_DENOMINATOR_CAP, EXACT_ORBIT_CAP,
+                               INWARD_SLACK, MIN_STEP, ROTATION_ANCHOR_RADIUS,
+                               ROTATION_CYCLE_TOL, TRANSVERSALITY_FLOOR,
                                VERTEX_TOL, CrossSection, RayTrace, TraceEnd)
+from dilatorus.twists import TwistGenerator, twist_mu
 
 
 def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
@@ -801,3 +805,109 @@ def survivor_intervals_oracle(rho_a: Scalar, rho_b: Scalar,
             out.append((_pull_back_endpoint(rho_a, rho_b, letter, lo),
                         _pull_back_endpoint(rho_a, rho_b, letter, hi)))
     return out
+
+
+# --- the exact track's long loops, one call per step ---
+
+def mu_path_oracle(word: Sequence[TwistGenerator],
+                   params: DilationParams):
+    """The parameters before `word` and after each move: `twist_mu` once
+    per move, each result tested by `in_positive_quadrant`.  Raises
+    InadmissibleAtStep where `twists.mu_path` must."""
+    if word and not params.in_positive_quadrant():
+        raise InadmissibleAtStep(0, "start parameters are not in the "
+                                    "positive quadrant")
+    yield params
+    for k, g in enumerate(word):
+        params = twist_mu(g, params)
+        if not params.in_positive_quadrant():
+            raise InadmissibleAtStep(k)
+        yield params
+
+
+def _circle_step(ra: Scalar, rb: Scalar):
+    """The break x* and the step x -> (F(x) mod 1, turns) of the lift F
+    of the continuous two-slope circle map."""
+    x_star = (1 - rb) / (ra - rb)
+    b_a = rb * (1 - x_star)
+
+    def step(x: Scalar) -> tuple[Scalar, int]:
+        if x < x_star:
+            return ra * x + b_a, 0
+        return rb * (x - x_star), 1
+
+    return x_star, step
+
+
+def rotation_number_oracle(rho_a: Scalar, rho_b: Scalar, tol: float,
+                           max_iter: int):
+    """`surface.rotation_number` on valid slopes with one call of the step
+    per iterate: the exact orbit of the break until it repeats, then the
+    float orbit with its anchor returns, verification loops and doubling
+    Birkhoff caps, and the same NonConvergence bracket."""
+    exact = all(isinstance(x, (int, Fraction, QuadraticNumber))
+                for x in (rho_a, rho_b))
+    if exact:
+        x_star, step = _circle_step(rho_a, rho_b)
+        seen: dict = {}
+        x, gain = x_star, 0
+        for n in range(EXACT_ORBIT_CAP):
+            if x in seen:
+                n0, g0 = seen[x]
+                return Fraction(gain - g0, n - n0)
+            seen[x] = (n, gain)
+            x, g = step(x)
+            gain += g
+            if max_denominator(x) > EXACT_DENOMINATOR_CAP:
+                break
+    x_star, step = _circle_step(float(rho_a), float(rho_b))
+    x, gain, n = x_star, 0, 0
+    anchor_x, anchor_gain, anchor_n = x, 0, 0
+    next_anchor = 64
+    estimates: list[float] = []
+    cap = min(1 << 10, max_iter)
+    while cap <= max_iter:
+        while n < cap:
+            x, g = step(x)
+            gain += g
+            n += 1
+            if abs(x - anchor_x) < ROTATION_ANCHOR_RADIUS:
+                q, p = n - anchor_n, gain - anchor_gain
+                xv, gv = x, 0
+                for _ in range(q):
+                    xv, g2 = step(xv)
+                    gv += g2
+                if abs(xv - x) < ROTATION_CYCLE_TOL and gv == p:
+                    return Fraction(p, q)
+            if n == next_anchor:
+                anchor_x, anchor_gain, anchor_n = x, gain, n
+                next_anchor *= 2
+        estimates.append((gain + x - x_star) / n)
+        if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) <= tol:
+            return estimates[-1]
+        cap *= 2
+    disp = gain + x - x_star
+    raise NonConvergence("rotation number did not settle",
+                         bracket=((disp - 1.0) / n, (disp + 1.0) / n))
+
+
+def quadratic_op_oracle(op: str, x: QuadraticNumber,
+                        y: Optional[QuadraticNumber] = None
+                        ) -> QuadraticNumber:
+    """x op y ("+", "-", "*", "/"), or -x for "neg", by the field formulas
+    on (a, b) over the common radicand, normalized in full by
+    QuadraticNumber(a, b, d)."""
+    if op == "neg":
+        return QuadraticNumber(-x.a, -x.b, x.d)
+    d = x.d or y.d
+    if op == "+":
+        a, b = x.a + y.a, x.b + y.b
+    elif op == "-":
+        a, b = x.a - y.a, x.b - y.b
+    elif op == "*":
+        a, b = x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a
+    else:
+        norm = y.a * y.a - y.b * y.b * d
+        a = (x.a * y.a - x.b * y.b * d) / norm
+        b = (x.b * y.a - x.a * y.b) / norm
+    return QuadraticNumber(a, b, d)

@@ -7,11 +7,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dilatorus import cli
+from dilatorus import cli, rauzy
 from dilatorus.cli import MAX_MEASURE_DEPTH, canonical_json, main
 from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
                                 room_to_json, SL2Matrix)
-from dilatorus.rauzy import survivor_measure
+from dilatorus.rauzy import EXACT_MEASURE_MAX_LEAVES, survivor_measure
 from dilatorus.surface import classify_direction, find_cylinders, rotation_number
 from dilatorus.teichmuller import divergence_monitor
 from dilatorus.twists import apply_word, reach_target, word_from_string
@@ -352,6 +352,43 @@ def test_measure_depth_is_capped(capsys):
         data = json.loads(err)
         assert data["error"] == "BadInput"
         assert str(MAX_MEASURE_DEPTH) in data["detail"]
+
+
+def test_exact_measure_is_capped_by_its_leaves(capsys):
+    # (1/2, 1/2) has 2^n leaves: depth 14 sums 2^14 of them, and deeper
+    # exact measures are refused before their sum, at any depth
+    for n in (15, 16, MAX_MEASURE_DEPTH):
+        code, out, err = run(capsys, ["measure", "--rhoA=1/2", "--rhoB=1/2",
+                                      f"--n={n}", "--exact"])
+        assert code == 2 and out == ""
+        detail = json.loads(err)["detail"]
+        assert str(EXACT_MEASURE_MAX_LEAVES) in detail
+    assert EXACT_MEASURE_MAX_LEAVES == 2 ** 14
+    # floats are not capped by leaves
+    code, out, _ = run(capsys, ["measure", "--rhoA=0.5", "--rhoB=0.5",
+                                "--n=15"])
+    assert code == 0 and json.loads(out)["measure"] > 0
+
+
+def test_exact_measure_table_is_refused_before_any_sum(capsys,
+                                                       monkeypatch):
+    sums = []
+    monkeypatch.setattr(cli, "survivor_measure",
+                        lambda *a: sums.append(a) or survivor_measure(*a))
+    args = ["measure", "--rhoA=1/2", "--rhoB=1/2", "--exact",
+            "--format=csv"]
+    code, out, err = run(capsys, args + [f"--n={MAX_MEASURE_DEPTH}"])
+    assert code == 2 and out == "" and sums == []
+    detail = json.loads(err)["detail"]
+    assert "depth 15" in detail and str(EXACT_MEASURE_MAX_LEAVES) in detail
+    # the table below the cap is summed as before
+    monkeypatch.setattr(rauzy, "EXACT_MEASURE_MAX_LEAVES", 4)
+    code, out, _ = run(capsys, args + ["--n=2"])
+    assert code == 0 and out == "n,measure\n0,1\n1,2/3\n2,8/21\n"
+    assert len(sums) == 3
+    code, out, err = run(capsys, args + ["--n=3"])
+    assert code == 2 and out == "" and len(sums) == 3
+    assert "depth 3" in json.loads(err)["detail"]
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf"])

@@ -1,6 +1,7 @@
 """The benchmark's tracer still finds and wraps every layer it measures."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import math
@@ -26,6 +27,43 @@ def test_every_traced_binding_resolves():
         # spans are named after the function itself, so an alias or a
         # renamed function would silently zero the layer's metrics
         assert name.rsplit(".", 1)[-1] == attr, name
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `from module import name` succeeds: an attribute of the
+    module, or a submodule of a package."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_every_benchmark_import_from_the_package_resolves():
+    # a name the benchmark imports from dilatorus that is gone or renamed
+    # would end every run that needs it as run_failed; function-level
+    # imports count too
+    imported = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                if node.module.split(".")[0] != "dilatorus":
+                    continue
+                for alias in node.names:
+                    assert _resolves(node.module, alias.name), (
+                        path.name, node.module, alias.name)
+                    imported.add(f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "dilatorus":
+                        importlib.import_module(alias.name)
+                        imported.add(alias.name)
+    # among them the four names perfbench/checks.py verifies outputs with
+    assert {"dilatorus.twists.twist_mu", "dilatorus.twists.word_from_string",
+            "dilatorus.geometry.DilationParams",
+            "dilatorus.surface.CYLINDER_EDGE_TOL"} <= imported
 
 
 def test_tracer_sees_the_direction_pipeline_and_restores_it():

@@ -1,10 +1,13 @@
 """Exact quadratic arithmetic and continued-fraction helpers."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+
+import oracles
 
 from dilatorus.quadratics import (QuadraticNumber, cf_convergents,
                                   float_convergents, max_denominator,
@@ -192,3 +195,45 @@ def test_a_negative_radicand_is_refused():
         QuadraticNumber(2, 1, -2)
     with pytest.raises(ValueError, match="negative radicand"):
         QuadraticNumber(2, 0, -1)
+
+
+
+def _parts(q: QuadraticNumber) -> tuple:
+    return q.a, q.b, q.d, hash(q)
+
+
+def test_field_results_are_in_normal_form():
+    # the field operations skip __init__'s normalization; each result must
+    # still equal the full normalization of its parts, in its (a, b, d)
+    # triple and its hash, cancellations to a rational included
+    rng = random.Random(SEED)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+    cancelled = 0
+    for _ in range(600):
+        d = rng.choice((0, 2, 3, 5, 7))
+        x = random_quadratic(rng, d)
+        roll = rng.random()
+        if roll < 0.2:
+            y = QuadraticNumber(Fraction(rng.randint(-9, 9), 4), -x.b, d)
+        elif roll < 0.35:
+            y = QuadraticNumber(Fraction(rng.randint(-9, 9), 5))
+        else:
+            y = random_quadratic(rng, d)
+        # int and Fraction operands on either side go through `quadratic`
+        k = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        cases = [(name, left, right) for name in ops
+                 for left, right in ((x, y), (y, x), (x, k), (k, x))]
+        for name, left, right in cases:
+            if name == "/" and right == 0:
+                continue
+            got = ops[name](left, right)
+            want = oracles.quadratic_op_oracle(name, quadratic(left),
+                                               quadratic(right))
+            assert _parts(got) == _parts(want), (name, left, right)
+            assert type(got.a) is Fraction and type(got.b) is Fraction
+            cancelled += got.d == 0 and d != 0
+        for value in (x, y):
+            assert _parts(-value) == _parts(
+                oracles.quadratic_op_oracle("neg", value))
+    assert cancelled > 20

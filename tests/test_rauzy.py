@@ -524,6 +524,20 @@ def test_int_slopes_give_fraction_endpoints():
     assert type(survivor_measure(1, 1, 4)) is Fraction
 
 
+def test_exact_survivor_measure_refuses_more_leaves_than_the_cap(
+        monkeypatch):
+    monkeypatch.setattr(rauzy, "EXACT_MEASURE_MAX_LEAVES", 4)
+    q_half = QuadraticNumber(HALF)
+    # (1/2, 1/2) has 2^n leaves, on Fraction and on QuadraticNumber slopes
+    for ra, rb in ((HALF, HALF), (q_half, q_half)):
+        assert survivor_measure(ra, rb, 2) == Fraction(8, 21)
+        with pytest.raises(ValueError, match="EXACT_MEASURE_MAX_LEAVES = 4"):
+            survivor_measure(ra, rb, 3)
+    # one leaf at any depth, and floats are not capped
+    assert survivor_measure(Fraction(2), Fraction(1), 50) == Fraction(1, 51)
+    assert survivor_measure(0.5, 0.5, 3) > 0
+
+
 def test_survivor_intervals_forced_chain_is_not_recursive():
     # forced L at every depth: one interval, the pull-back of [0, 1]
     # through y -> y/(1+y) taken 3000 times

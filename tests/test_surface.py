@@ -1,6 +1,8 @@
 """Ray tracing, direction classification, and the cylinder scan."""
 
+import argparse
 import ast
+import importlib
 import math
 import operator
 import random
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import oracles
-from dilatorus import surface
+from dilatorus import cli, surface
 from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
                               VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
@@ -731,6 +733,57 @@ def test_exact_rotation_number_agrees_with_float(ra, rb):
         assert exact == approx
     else:
         assert _agrees(exact, approx)
+
+
+def _rotation_outcome(fn, ra, rb, tol, max_iter):
+    """repr of the value, or the NonConvergence bracket."""
+    try:
+        return repr(fn(ra, rb, tol, max_iter))
+    except NonConvergence as exc:
+        return exc.bracket
+
+
+def _exact_pass_rotnums(monkeypatch):
+    """(rho_a, rho_b, tol, max_iter) of the rotnum ops of the benchmark's
+    exact pass 0 at seed 0, parsed as the CLI parses them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    out = []
+    for op in workloads.make_pass("exact", 0, 0):
+        if op.argv[0] == "rotnum":
+            args = cli.build_parser("rotnum").parse_args(
+                op.argv[1:], argparse.Namespace(command="rotnum"))
+            out.append((*cli._parse_mu_pair(args, "rhoA", "rhoB"), args.tol,
+                        args.budget))
+    return out
+
+
+def test_rotation_number_matches_the_one_call_per_step_oracle(monkeypatch):
+    cases = _exact_pass_rotnums(monkeypatch)
+    assert len(cases) == 20
+    rng = random.Random(SEED)
+    cases += [(rng.uniform(1.05, 6.0), rng.uniform(0.05, 0.95), 1e-5,
+               surface.ROTATION_MAX_ITER) for _ in range(60)]
+    # near rho_a^k * rho_b = 1 the float orbit locks onto a cycle, which
+    # the anchor returns find and one more loop verifies
+    cases += [(ra, ra ** -rng.randint(1, 3), 1e-5, surface.ROTATION_MAX_ITER)
+              for ra in (rng.uniform(1.2, 4.0) for _ in range(20))]
+    # caps below 2^20, most of which end in NonConvergence
+    cases += [(ra, rb, tol, max_iter)
+              for ra, rb in ((2.5, 0.3), (1.8, 0.4), (Fraction(7, 3),
+                                                      Fraction(1, 5)))
+              for tol, max_iter in ((0.0, 1), (1e-12, 1000), (1e-14, 5000),
+                                    (1e-12, 1 << 12))]
+    outcomes = []
+    for ra, rb, tol, max_iter in cases:
+        got = _rotation_outcome(rotation_number, ra, rb, tol, max_iter)
+        assert got == _rotation_outcome(oracles.rotation_number_oracle, ra,
+                                        rb, tol, max_iter), (ra, rb)
+        outcomes.append(got)
+    assert sum(isinstance(got, tuple) for got in outcomes) >= 6
+    assert sum(str(got).startswith("Fraction")
+               for got in outcomes[80:100]) >= 15
 
 
 def test_rotation_number_rejects_bad_slopes():

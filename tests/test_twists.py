@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from dilatorus import twists
 from dilatorus.errors import InadmissibleAtStep, NotInMonoid, RationalRatio
 from dilatorus.geometry import DilationParams, square_room
@@ -118,6 +119,49 @@ def test_apply_word_rejects_inadmissible_prefix():
                                    room.params) == 1
     assert admissibility_violation(word_from_string("AB"),
                                    room.params) is None
+
+
+def _fold(path_fn, word, params):
+    """(repr of every yielded value, step of InadmissibleAtStep or None)."""
+    values = []
+    try:
+        for p in path_fn(word, params):
+            assert type(p) is DilationParams
+            values.append(repr(p))
+    except InadmissibleAtStep as exc:
+        return values, exc.step
+    return values, None
+
+
+def test_mu_path_matches_the_twist_mu_fold_oracle():
+    rng = random.Random(SEED)
+    exits = completed = 0
+    for i in range(200):
+        kind = i % 3
+        if kind == 0:
+            params = DilationParams(rng.uniform(-0.2, 2.0), rng.uniform(0.1, 2.0))
+        elif kind == 1:
+            params = rational_params(rng)
+            if rng.random() < 0.5:
+                # j moves b reach mu1 = 0 exactly, on the quadrant's edge
+                params = DilationParams(params.mu2 * rng.randint(1, 3),
+                                        params.mu2)
+        else:
+            d = rng.choice((2, 3, 5))
+            params = DilationParams(*(QuadraticNumber(
+                Fraction(rng.randint(1, 20), rng.randint(1, 9)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 9)), d)
+                for _ in range(2)))
+        # mostly positive moves, so that many words stay admissible
+        letters = rng.choice(("AB", "ABab", "AABBab", "Bb"))
+        word = word_from_string("".join(rng.choice(letters)
+                                        for _ in range(rng.randint(0, 30))))
+        got = _fold(mu_path, word, params)
+        assert got == _fold(oracles.mu_path_oracle, word, params), (params,
+                                                                    word)
+        exits += got[1] is not None
+        completed += got[1] is None and len(word) > 0
+    assert exits > 30 and completed > 30
 
 
 def test_mu_path_folds_twist_mu_and_stops_at_the_exit():
