@@ -14,7 +14,7 @@ from .errors import (AtDiscontinuity, BudgetExhausted, DegenerateDoor,
                      VertexHit)
 from .geometry import (DilationParams, GluedSide, Room, SL2Matrix, Vec2,
                        apply_sl2, build_room, canonicalize, geodesic_matrix,
-                       projective_action, room_to_json, square_room)
+                       projective_action, square_room)
 from .intervalmaps import (AffineBranch, AffineChart, OrbitResult,
                            PeriodicCycle, PiecewiseAffineMap, TwoSlopeMap,
                            attracting_cycle_in_hole, evaluate, orbit,
@@ -29,8 +29,7 @@ from .surface import (Cylinder, DirectionClass, DirectionKind, Heading,
                       classify_direction, find_cylinders, first_return_map,
                       rotation_number, trace_ray)
 from .teichmuller import (FlowSample, MonitorFlag, MonitorReport, distortion,
-                          divergence_monitor, flow, flow_series_to_csv,
-                          track_direction_interval)
+                          divergence_monitor, flow, track_direction_interval)
 from .twists import (ContractionResult, Holonomy, HolonomyClass,
                      ReachReport, TwistGenerator, WordResult,
                      admissibility_violation, apply_word, decompose_sl2n,

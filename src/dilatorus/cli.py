@@ -6,11 +6,13 @@ cylinders, run the flow monitor, and compute rotation numbers,
 survivor measures and orbit closures.  Each command prints one JSON document to stdout
 (canonically serialized, so outputs are byte-stable), or CSV where a
 table is the natural shape; --svg adds a drawing for the commands
-whose schema allows one.
+whose schema allows one.  This module lays out every JSON and CSV
+document: the library returns records, and `svgout` draws.
 
 Failures are machine readable: bad input exits 2 with a one-line JSON
-diagnostic on stderr; an exhausted budget exits 3 with the partial
-result written to stdout.
+diagnostic on stderr; an exhausted budget or iteration cap exits 3 with
+a one-line JSON diagnostic on stdout, which for NonConvergence adds the
+bracket the estimate did establish.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ from typing import Callable, Optional
 
 from .errors import BudgetExhausted, DilatorusError, NonConvergence
 from .geometry import (DilationParams, Room, SL2Matrix, apply_sl2,
-                       build_room, canonicalize, geodesic_matrix,
-                       room_to_json)
+                       build_room, canonicalize, geodesic_matrix)
 from .quadratics import QuadraticNumber, as_float, is_exact, quadratic
 from .rauzy import check_exact_measures, survivor_measure
 from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
                       ROTATION_TOL, classify_direction, find_cylinders,
                       rotation_number)
-from .teichmuller import (DEFAULT_THETA_TOL, divergence_monitor,
-                          flow_series_to_csv)
+from .teichmuller import (DEFAULT_MULTIPLIER_THRESHOLD, DEFAULT_THETA_TOL,
+                          MonitorReport, divergence_monitor)
 from .twists import (DEFAULT_REACH_BUDGET, apply_word, holonomy_class,
                      reach_target, word_from_string, word_to_string)
 
@@ -39,8 +40,9 @@ DEFAULT_FLOW_STEPS = 12
 DEFAULT_FLOW_BUDGET = 2000
 DEFAULT_EPS_ANGLE = 0.05
 DEFAULT_REACH_EPS = 1e-2
-# depth n lists up to 2^n survivor intervals; at (0.5, 0.5) on floats,
-# depth 20 takes 1.2-2.0 s and 154 MB peak RSS (2-vCPU x86-64 host)
+# depth n walks up to 2^n survivor intervals; at (0.5, 0.5) on floats,
+# depth 20 takes 1.2-1.9 s and 17 MB peak RSS (2-vCPU x86-64 host), as
+# the float sum holds no list of them
 MAX_MEASURE_DEPTH = 20
 
 
@@ -128,7 +130,15 @@ def _room_from_args(args) -> Room:
 
 
 def _room_payload(room: Room) -> dict:
-    data = room_to_json(room)
+    data: dict = {
+        "e1": list(room.e1.as_floats()),
+        "e2": list(room.e2.as_floats()),
+    }
+    if room.params.is_exact:
+        # each parameter as its (a, b, d) triple, a + b*sqrt(d)
+        data["mu_exact"] = [[str(q.a), str(q.b), q.d]
+                            for q in map(quadratic, room.params)]
+    data["mu"] = list(room.params.as_floats())
     data["vertices"] = [list(v.as_floats()) for v in room.vertices()]
     data["nu"] = list(room.nu())
     return data
@@ -246,9 +256,44 @@ def cmd_scan(args) -> int:
             "eps_angle": args.eps,
             "n_samples": scan.n_samples,
             "exhausted": scan.exhausted,
-            "cylinders": [c.to_json_dict() for c in scan.cylinders],
+            "cylinders": [
+                {"theta1": c.theta1, "theta2": c.theta2, "angle": c.angle,
+                 "word": c.word, "multiplier": c.multiplier}
+                for c in scan.cylinders
+            ],
         }))
     return 0
+
+
+def _flow_payload(report: MonitorReport, theta_tol: float) -> dict:
+    """The monitor's JSON document, echoing the criterion 1 tolerance it
+    ran with and the criterion 2 threshold."""
+    return {
+        "criterion1": report.criterion1,
+        "criterion2": report.criterion2,
+        "theta_tol": theta_tol,
+        "multiplier_threshold": DEFAULT_MULTIPLIER_THRESHOLD,
+        "tracked": [
+            {"interval": [c.theta1, c.theta2], "word": c.word,
+             "multiplier": c.multiplier} for c in report.tracked
+        ],
+        "samples": [
+            {"t": s.t, "theta_sup": s.theta_sup,
+             "max_multiplier": s.max_multiplier,
+             "flags": sorted(f.value for f in s.verdict_flags),
+             "budget_exhausted": s.budget_exhausted}
+            for s in report.samples
+        ],
+    }
+
+
+def _flow_csv(report: MonitorReport) -> str:
+    lines = ["t,theta_sup,max_multiplier,flags,budget_exhausted"]
+    for s in report.samples:
+        flags = "|".join(sorted(f.value for f in s.verdict_flags))
+        lines.append(f"{s.t!r},{s.theta_sup!r},{s.max_multiplier!r},"
+                     f"{flags},{int(s.budget_exhausted)}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_flow(args) -> int:
@@ -256,9 +301,9 @@ def cmd_flow(args) -> int:
     report = divergence_monitor(room, args.t_max, args.steps, args.eps,
                                 args.budget, theta_tol=args.tol)
     if args.format == "csv":
-        _emit(flow_series_to_csv(report))
+        _emit(_flow_csv(report))
     else:
-        _emit(canonical_json(report.to_json_dict()))
+        _emit(canonical_json(_flow_payload(report, args.tol)))
     return 0
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NonSimplePentagon,
     OutsideQ,
 )
-from .quadratics import Scalar, as_float, is_exact, quadratic
+from .quadratics import Scalar, as_float, is_exact
 
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
@@ -493,23 +493,3 @@ def canonicalize(room: Room) -> Room:
     det = float(_basis_det(room.e1, room.e2))
     s = 1.0 / math.sqrt(det)
     return Room(room.e1 * s, room.e2 * s, room.params)
-
-
-# --- serialization ---
-
-def _scalar_to_json(x: Scalar) -> list:
-    """An exact scalar as its [a, b, d] triple, a + b*sqrt(d)."""
-    q = quadratic(x)
-    return [str(q.a), str(q.b), q.d]
-
-
-def room_to_json(room: Room) -> dict:
-    out: dict = {
-        "e1": list(room.e1.as_floats()),
-        "e2": list(room.e2.as_floats()),
-    }
-    if room.params.is_exact:
-        out["mu_exact"] = [_scalar_to_json(room.params.mu1),
-                          _scalar_to_json(room.params.mu2)]
-    out["mu"] = list(room.params.as_floats())
-    return out

@@ -193,13 +193,18 @@ class QuadraticNumber:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def floor(self) -> int:
-        """Exact floor, verified by integer comparison."""
-        n = math.floor(float(self))
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        """Exact floor at any magnitude, in integer arithmetic alone."""
+        a, b = self.a, self.b
+        if not b:
+            return math.floor(a)
+        # over a common denominator D the value is (m + n*sqrt(d)) / D;
+        # n^2 d is no square, so r < |n|*sqrt(d) < r + 1 and the
+        # numerator lies strictly between consecutive integers
+        D = math.lcm(a.denominator, b.denominator)
+        m = a.numerator * (D // a.denominator)
+        n = b.numerator * (D // b.denominator)
+        r = math.isqrt(n * n * self.d)
+        return (m + r if n > 0 else m - r - 1) // D
 
     def __repr__(self):
         if self.is_rational:

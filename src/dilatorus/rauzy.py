@@ -35,7 +35,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyInterval, NonConvergence, NotRenormalizable
 from .intervalmaps import (
@@ -308,13 +308,13 @@ def _walk(root: tuple, depth: int, word: str = ""):
                   (p + q) * yn, q * yd, (r + s) * yn, s * yd, k))
 
 
-def _images_of_unit(leaves, integral: bool) -> list[tuple[Scalar, Scalar]]:
-    """Each pull-back's images of 0 and 1; Fractions when the entries are
-    ints."""
+def _images_of_unit(leaves, integral: bool) -> Iterator[tuple[Scalar, Scalar]]:
+    """Each pull-back's images of 0 and 1, one at a time; Fractions when
+    the entries are ints."""
     if integral:
-        return [(Fraction(q, s), Fraction(p + q, r + s))
-                for p, q, r, s in leaves]
-    return [(q / s, (p + q) / (r + s)) for p, q, r, s in leaves]
+        return ((Fraction(q, s), Fraction(p + q, r + s))
+                for p, q, r, s in leaves)
+    return ((q / s, (p + q) / (r + s)) for p, q, r, s in leaves)
 
 
 def interval_for_word(rho_a: Scalar, rho_b: Scalar,
@@ -355,7 +355,7 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
     Slopes must be positive, and finite when they are floats.
     """
     root, integral = _checked_root(rho_a, rho_b, depth)
-    return _images_of_unit(_walk(root, depth), integral)
+    return list(_images_of_unit(_walk(root, depth), integral))
 
 
 def _pairwise_sum(terms: list) -> Scalar:
@@ -398,7 +398,8 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     exactly hi - lo, and sum the lengths in balanced pairs: the lowest two
     levels as unreduced int (numerator, denominator) pairs, Fractions
     above them.  QuadraticNumber slopes sum the interval lengths in
-    balanced pairs; float slopes sum them left to right.
+    balanced pairs; float slopes sum them left to right as the walk yields
+    them, holding no list of intervals.
 
     Exact slopes with more than EXACT_MEASURE_MAX_LEAVES leaves are
     refused with ValueError before the sum: the walk stops at the first
@@ -406,7 +407,7 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     root, integral = _checked_root(rho_a, rho_b, depth)
     if not (is_exact(rho_a) and is_exact(rho_b)):
         total = 0 * rho_a
-        for lo, hi in survivor_intervals(rho_a, rho_b, depth):
+        for lo, hi in _images_of_unit(_walk(root, depth), integral):
             total = total + (hi - lo)
         return total
     leaves = _exact_leaves(root, depth)

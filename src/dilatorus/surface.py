@@ -788,15 +788,6 @@ class Cylinder(NamedTuple):
     def angle(self) -> float:
         return self.theta2 - self.theta1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "angle": self.angle,
-            "word": self.word,
-            "multiplier": self.multiplier,
-        }
-
 
 def _runs(keys: list, same: Callable[[object, object], bool]
           ) -> list[tuple[int, int]]:
@@ -992,5 +983,5 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     # so this bracket is rigorous whatever the convergence behaviour.
     disp = gain + x - x_star_f
     raise NonConvergence("rotation number did not settle within "
-                         f"{max_iter} iterations",
+                         f"{n} iterations",
                          bracket=((disp - 1.0) / n, (disp + 1.0) / n))

@@ -102,36 +102,6 @@ class MonitorReport(NamedTuple):
     tracked: tuple[Cylinder, ...]
     criterion1: bool
     criterion2: bool
-    theta_tol: float
-    multiplier_threshold: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "criterion1": self.criterion1,
-            "criterion2": self.criterion2,
-            "theta_tol": self.theta_tol,
-            "multiplier_threshold": self.multiplier_threshold,
-            "tracked": [
-                {"interval": [c.theta1, c.theta2], "word": c.word,
-                 "multiplier": c.multiplier} for c in self.tracked
-            ],
-            "samples": [
-                {"t": s.t, "theta_sup": s.theta_sup,
-                 "max_multiplier": s.max_multiplier,
-                 "flags": sorted(f.value for f in s.verdict_flags),
-                 "budget_exhausted": s.budget_exhausted}
-                for s in self.samples
-            ],
-        }
-
-
-def flow_series_to_csv(report: MonitorReport) -> str:
-    lines = ["t,theta_sup,max_multiplier,flags,budget_exhausted"]
-    for s in report.samples:
-        flags = "|".join(sorted(f.value for f in s.verdict_flags))
-        lines.append(f"{s.t!r},{s.theta_sup!r},{s.max_multiplier!r},"
-                     f"{flags},{int(s.budget_exhausted)}")
-    return "\n".join(lines) + "\n"
 
 
 def _window_hits(room: Room, t: float, eps_angle: float, budget: int,
@@ -233,5 +203,4 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
         fired2 = fired2 or MonitorFlag.CRITERION2 in flags
         samples.append(FlowSample(t, theta_sup_t, max_mult,
                                   frozenset(flags), exhausted))
-    return MonitorReport(tuple(samples), baseline.cylinders, fired1, fired2,
-                         theta_tol, multiplier_threshold)
+    return MonitorReport(tuple(samples), baseline.cylinders, fired1, fired2)

@@ -202,7 +202,9 @@ def gauss_contraction(params: DilationParams, eps: float,
     While mu1 > mu2 the move S2inv subtracts mu2 from mu1 (k times, k maximal
     with a positive remainder); symmetrically S1inv subtracts mu1 from mu2.
     Rationally dependent pairs run into a tie, or on floats into a
-    remainder too small to certify: RationalRatio.
+    remainder too small to certify: RationalRatio.  A block that would
+    take the word past max_generators raises BudgetExhausted before it is
+    built, with the word and blocks before it as the partial result.
     """
     if not params.in_positive_quadrant():
         raise ValueError("contraction needs strictly positive parameters")
@@ -218,6 +220,9 @@ def gauss_contraction(params: DilationParams, eps: float,
         else:
             x, y, gen = m2, m1, TwistGenerator.T1_INV
         k = _exact_block_count(x, y) if exact else _float_block_count(x, y)
+        if len(word) + k > max_generators:
+            raise BudgetExhausted("contraction word exceeded the generator cap",
+                                  partial=(tuple(word), blocks))
         rem = x - k * y
         if m1 > m2:
             m1 = rem
@@ -225,9 +230,6 @@ def gauss_contraction(params: DilationParams, eps: float,
             m2 = rem
         blocks.append((gen, k))
         word.extend([gen] * k)
-        if len(word) > max_generators:
-            raise BudgetExhausted("contraction word exceeded the generator cap",
-                                  partial=(tuple(word), blocks))
     return ContractionResult(tuple(word), tuple(blocks), DilationParams(m1, m2))
 
 
@@ -398,7 +400,7 @@ def reach_target(room: Room, mu_target, eps: float,
             return ReachReport(word, checkpoints, true_err, cur)
     raise BudgetExhausted(
         f"no admissible word within budget reached the target "
-        f"(best verified error {last_error})")
+        f"(best predicted error {last_error})")
 
 
 # --- holonomy ---

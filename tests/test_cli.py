@@ -10,7 +10,7 @@ import pytest
 from dilatorus import cli, rauzy
 from dilatorus.cli import MAX_MEASURE_DEPTH, canonical_json, main
 from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
-                                room_to_json, SL2Matrix)
+                                SL2Matrix)
 from dilatorus.rauzy import EXACT_MEASURE_MAX_LEAVES, survivor_measure
 from dilatorus.surface import classify_direction, find_cylinders, rotation_number
 from dilatorus.teichmuller import divergence_monitor
@@ -27,10 +27,11 @@ def run(capsys, argv):
 
 
 def room_payload(room) -> dict:
-    data = room_to_json(room)
-    data["vertices"] = [list(v.as_floats()) for v in room.vertices()]
-    data["nu"] = list(room.nu())
-    return data
+    """The room document of a float room, built from the library's values."""
+    return {"e1": list(room.e1.as_floats()), "e2": list(room.e2.as_floats()),
+            "mu": list(room.params.as_floats()),
+            "vertices": [list(v.as_floats()) for v in room.vertices()],
+            "nu": list(room.nu())}
 
 
 # --- wrapper fidelity ---
@@ -102,7 +103,9 @@ def test_scan_json_matches_library(capsys):
     data = json.loads(out)
     scan = find_cylinders(build_room((1.0, 0.0), (0.0, 1.0), (LN2, LN2)),
                           0.3, budget=600)
-    assert data["cylinders"] == [c.to_json_dict() for c in scan.cylinders]
+    assert data["cylinders"] == [
+        {"theta1": c.theta1, "theta2": c.theta2, "angle": c.angle,
+         "word": c.word, "multiplier": c.multiplier} for c in scan.cylinders]
     assert data["n_samples"] == scan.n_samples
 
 
@@ -253,6 +256,17 @@ REFUSALS_AND_EDGES = {
     "reach-budget": (["reach", "--mu1=0.7", "--mu2=0.4", "--target1=1.3",
                       "--target2=0.9", "--budget=3"], 3, "BudgetExhausted",
                      "out", "budget exhausted during contraction"),
+    # the first block has 10^400 - 1 letters: refused before its floor
+    # reads a float or its letters are built
+    "reach-exact-block-past-float-range": (
+        ["reach", "--mu1-exact=1,0,0", "--mu2-exact=1e-400,0,0",
+         "--target1=1", "--target2=1"], 3, "BudgetExhausted", "out",
+        "budget exhausted during contraction"),
+    # the doubling caps stop at 1024, the last that fits in 1500
+    "rotnum-names-the-iterations-run": (
+        ["rotnum", "--rhoA=2.887559999924621", "--rhoB=0.7176082903346565",
+         "--budget=1500"], 3, "NonConvergence", "out",
+        "did not settle within 1024 iterations"),
 }
 
 
@@ -547,6 +561,9 @@ def test_cli_defaults_are_the_library_defaults():
     assert scan["budget"] == default(find_cylinders, "budget")
     flow = _parsed_defaults("flow", ["--t-max=1"])
     assert flow["tol"] == default(divergence_monitor, "theta_tol")
+    # the flow document echoes the threshold the monitor runs with
+    assert cli.DEFAULT_MULTIPLIER_THRESHOLD == default(
+        divergence_monitor, "multiplier_threshold")
     rotnum = _parsed_defaults("rotnum", [])
     assert rotnum["tol"] == default(rotation_number, "tol")
     assert rotnum["budget"] == default(rotation_number, "max_iter")

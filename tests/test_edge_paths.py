@@ -15,8 +15,8 @@ ROOM = square_room(math.log(2.0), math.log(2.0))
 JUMP = PiecewiseAffineMap((AffineBranch(0.0, 0.5, 0.5, 0.5),
                            AffineBranch(0.5, 1.0, 0.5, -0.25)))
 # p - q*sqrt(2) for convergents p/q of sqrt(2): the value lies within
-# 1e-16 of 0, while float() cancels to 2.0 and to -4.0, so floor steps
-# down three times, then up four times, from the float's floor
+# 1e-16 of 0, while float() cancels to 2.0 and to -4.0, so a floor
+# read off the float would be 3 too high and 4 too low
 BELOW_ZERO = QuadraticNumber(14398739476117879, -10181446324101389, 2)
 ABOVE_ZERO = QuadraticNumber(34761632124320657, -24580185800219268, 2)
 

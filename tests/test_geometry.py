@@ -1,4 +1,4 @@
-"""Room model, SL(2,R) action, and serialization."""
+"""Room model, SL(2,R) action, and the room document the CLI prints."""
 
 import math
 import random
@@ -13,9 +13,9 @@ from dilatorus.geometry import (DilationParams, SL2Matrix, Vec2,
                                 _pentagon_vertices,
                                 apply_sl2, build_room,
                                 canonicalize, geodesic_matrix,
-                                projective_action,
-                                room_to_json, square_room, unit, wrap_2pi,
-                                wrap_pi)
+                                projective_action, square_room, unit,
+                                wrap_2pi, wrap_pi)
+from dilatorus.cli import _room_payload
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.teichmuller import flow
 
@@ -264,14 +264,16 @@ def test_point_in_polygon_on_pentagon():
 
 def test_json_roundtrip_float_and_exact():
     room = build_room((1.0, 0.25), (-0.5, 2.0), (0.4, 0.8))
-    assert room_to_json(room) == {"e1": list(room.e1.as_floats()),
-                                  "e2": list(room.e2.as_floats()),
-                                  "mu": [0.4, 0.8]}
+    assert _room_payload(room) == {
+        "e1": list(room.e1.as_floats()), "e2": list(room.e2.as_floats()),
+        "mu": [0.4, 0.8],
+        "vertices": [list(v.as_floats()) for v in room.vertices()],
+        "nu": list(room.nu())}
 
     exact = square_room(QuadraticNumber(0, 1, 2), Fraction(1, 2))
-    data = room_to_json(exact)
+    data = _room_payload(exact)
     # the exact parameters come first, each as (a, b, d) of a + b*sqrt(d)
-    assert list(data) == ["e1", "e2", "mu_exact", "mu"]
+    assert list(data) == ["e1", "e2", "mu_exact", "mu", "vertices", "nu"]
     assert data["e1"] == [1.0, 0.0] and data["e2"] == [0.0, 1.0]
     assert data["mu_exact"] == [["0", "1", 2], ["1/2", "0", 0]]
     assert data["mu"] == [math.sqrt(2.0), 0.5]
@@ -279,10 +281,10 @@ def test_json_roundtrip_float_and_exact():
 
 def test_int_parameters_are_written_as_exact_triples():
     # an int is on the exact track, so it is written like its Fraction
-    assert room_to_json(square_room(1, 2))["mu_exact"] == \
+    assert _room_payload(square_room(1, 2))["mu_exact"] == \
         [["1", "0", 0], ["2", "0", 0]]
-    assert room_to_json(square_room(1, 2)) == \
-        room_to_json(square_room(Fraction(1), Fraction(2)))
+    assert _room_payload(square_room(1, 2)) == \
+        _room_payload(square_room(Fraction(1), Fraction(2)))
 
 
 def test_interior_diagonals_symmetric_room():

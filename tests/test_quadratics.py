@@ -85,6 +85,25 @@ def test_floor_on_both_signs():
     assert ((1 + r2) / r2).floor() == 1
 
 
+def test_floor_is_exact_past_the_float_range():
+    big = 10 ** 400
+    assert QuadraticNumber(big).floor() == big
+    assert QuadraticNumber(big, 1, 2).floor() == big + 1
+    assert QuadraticNumber(-big, -1, 2).floor() == -big - 2
+    assert QuadraticNumber(Fraction(1, big), 0, 0).floor() == 0
+    assert QuadraticNumber(Fraction(-1, big), 0, 0).floor() == -1
+    assert QuadraticNumber(0, big, 3).floor() == math.isqrt(3 * big * big)
+
+
+def test_floor_brackets_the_value():
+    rng = random.Random(SEED)
+    for _ in range(300):
+        d = rng.choice([2, 3, 5, 7])
+        x = random_quadratic(rng, d) * Fraction(10) ** rng.randint(-400, 400)
+        n = x.floor()
+        assert n <= x < n + 1, x
+
+
 def test_continued_fraction_roundtrip():
     # 649/200 = [3; 4, 12, 4]
     convergents = list(cf_convergents([3, 4, 12, 4]))

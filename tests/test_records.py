@@ -124,14 +124,12 @@ RECORDS = {
                             "{<MonitorFlag.CRITERION1: 'Criterion1Fired'>"
                             "}), budget_exhausted=False)"),
     "MonitorReport": (
-        lambda: MonitorReport((_sample(),), (_cylinder(),), True, False,
-                              0.05, 1e6),
+        lambda: MonitorReport((_sample(),), (_cylinder(),), True, False),
         "MonitorReport(samples=(FlowSample(t=0.5, theta_sup=1.25, "
         "max_multiplier=2.0, verdict_flags=frozenset({<MonitorFlag."
         "CRITERION1: 'Criterion1Fired'>}), budget_exhausted=False),), "
         "tracked=(Cylinder(theta1=3.75, theta2=4.0, word='RLL', "
-        "multiplier=2.0),), criterion1=True, criterion2=False, "
-        "theta_tol=0.05, multiplier_threshold=1000000.0)"),
+        "multiplier=2.0),), criterion1=True, criterion2=False)"),
     "WordResult": (
         lambda: WordResult(square_room(1.0, 0.5), ((1.0, 0.5), (1.0, 1.5))),
         "WordResult(room=Room(e1=Vec2(x=1.0, y=0.0), e2=Vec2(x=0.0, "

@@ -7,11 +7,12 @@ import pytest
 
 import oracles
 from dilatorus import teichmuller
+from dilatorus.cli import _flow_csv, _flow_payload
 from dilatorus.geometry import (SL2Matrix, geodesic_matrix,
                                 projective_action, square_room, wrap_2pi)
 from dilatorus.surface import UNDECIDED_ERRORS, find_cylinders
-from dilatorus.teichmuller import (MonitorFlag, distortion, divergence_monitor,
-                                   flow, flow_series_to_csv,
+from dilatorus.teichmuller import (DEFAULT_THETA_TOL, MonitorFlag, distortion,
+                                   divergence_monitor, flow,
                                    track_direction_interval)
 
 SEED = 20260817
@@ -130,9 +131,9 @@ def test_monitor_sample_grid_and_report_shape():
     report = divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=400,
                                 window=0.4)
     assert [s.t for s in report.samples] == pytest.approx([0.0, 0.5, 1.0])
-    assert report.theta_tol > 0.0
     assert all(s.theta_sup > 0.0 for s in report.samples)
-    payload = report.to_json_dict()
+    payload = _flow_payload(report, DEFAULT_THETA_TOL)
+    assert payload["theta_tol"] == DEFAULT_THETA_TOL > 0.0
     assert set(payload) == {"criterion1", "criterion2", "theta_tol",
                             "multiplier_threshold", "tracked", "samples"}
     assert len(payload["samples"]) == 3
@@ -148,7 +149,7 @@ def test_monitor_tracks_the_baseline_scan_cylinders():
                                 window=0.4)
     scan = find_cylinders(ROOM, 0.3, budget=400)
     assert scan.cylinders
-    assert report.to_json_dict()["tracked"] == [
+    assert _flow_payload(report, DEFAULT_THETA_TOL)["tracked"] == [
         {"interval": [c.theta1, c.theta2], "word": c.word,
          "multiplier": c.multiplier} for c in scan.cylinders]
 
@@ -156,7 +157,7 @@ def test_monitor_tracks_the_baseline_scan_cylinders():
 def test_monitor_csv_round_trips_floats():
     report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400,
                                 window=0.4)
-    text = flow_series_to_csv(report)
+    text = _flow_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == "t,theta_sup,max_multiplier,flags,budget_exhausted"
     assert len(lines) == 1 + len(report.samples)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from dilatorus import twists
-from dilatorus.errors import InadmissibleAtStep, NotInMonoid, RationalRatio
+from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
+                              NotInMonoid, RationalRatio)
 from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.twists import (Holonomy, TwistGenerator, admissibility_violation,
@@ -222,6 +224,20 @@ def test_gauss_contraction_rational_pair_fails():
         gauss_contraction(DilationParams(Fraction(2), Fraction(3)), 1e-6)
 
 
+def test_contraction_refuses_a_block_past_the_cap_before_building_it():
+    # the first block has about 10^7 letters, which as a list take 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted, match="generator cap") as info:
+            gauss_contraction(DilationParams(1.0, 9.87654321e-8), 1e-3,
+                              max_generators=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert info.value.partial == ((), [])
+
+
 def test_exact_block_count_is_the_largest_positive_remainder():
     r2 = QuadraticNumber(0, 1, 2)
     for x, y in ((Fraction(3), Fraction(1)), (Fraction(7, 2), Fraction(1)),
@@ -269,6 +285,14 @@ def test_reach_target_simple():
     # the report's trajectory ends where the verified room sits
     end = report.final_params.as_floats()
     assert math.hypot(end[0] - 0.5, end[1] - 0.5) < 1e-2
+
+
+def test_reach_target_exhaustion_names_the_predicted_error():
+    # no word within 30 letters: the error is that of the closed-form
+    # trajectory, which mu_path has not verified
+    with pytest.raises(BudgetExhausted, match="best predicted error"):
+        reach_target(square_room(Fraction(1), QuadraticNumber(0, 1, 2)),
+                     (0.5, 0.5), 1e-2, budget=30)
 
 
 def test_reach_target_reports_a_start_within_eps_below_the_noise_floor():
