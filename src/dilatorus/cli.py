@@ -3,11 +3,16 @@
 Thin wrappers over the library: build and act on rooms, apply twist
 words, search for parameter targets, classify directions, scan for
 cylinders, run the flow monitor, and compute rotation numbers,
-survivor measures and orbit closures.  Each command prints one JSON document to stdout
-(canonically serialized, so outputs are byte-stable), or CSV where a
-table is the natural shape; --svg adds a drawing for the commands
-whose schema allows one.  This module lays out every JSON and CSV
-document: the library returns records, and `svgout` draws.
+survivor measures and orbit closures.  Each command prints one JSON
+document to stdout (canonically serialized, so outputs are
+byte-stable), or CSV where a table is the natural shape; --svg adds a
+drawing for the commands whose schema allows one.  This module lays
+out every JSON and CSV document: the library returns records, and
+`svgout` draws.
+
+The grammar is data: each command's row in `_COMMANDS` lists its
+flags as (flag, argparse keywords) pairs, and `_declare` hands them to
+argparse, for one command's parser or for every command's.
 
 Failures are machine readable: bad input exits 2 with a one-line JSON
 diagnostic on stderr; an exhausted budget or iteration cap exits 3 with
@@ -380,121 +385,91 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _pair_flags(p, name1: str = "mu1", name2: str = "mu2") -> None:
+def _pair(name1: str, name2: str) -> tuple:
     """The float and the exact form of a parameter pair (`_parse_mu_pair`)."""
-    p.add_argument(f"--{name1}", type=float)
-    p.add_argument(f"--{name2}", type=float)
-    p.add_argument(f"--{name1}-exact", metavar="a,b,d")
-    p.add_argument(f"--{name2}-exact", metavar="a,b,d")
+    return ((f"--{name1}", {"type": float}),
+            (f"--{name2}", {"type": float}),
+            (f"--{name1}-exact", {"metavar": "a,b,d"}),
+            (f"--{name2}-exact", {"metavar": "a,b,d"}))
 
 
-def _room_flags(p) -> None:
-    _pair_flags(p)
-    p.add_argument("--e1", default="1,0", metavar="x,y")
-    p.add_argument("--e2", default="0,1", metavar="x,y")
+_MU = _pair("mu1", "mu2")
+_ROOM = _MU + (
+    ("--e1", {"default": "1,0", "metavar": "x,y"}),
+    ("--e2", {"default": "0,1", "metavar": "x,y"}),
+)
+_FORMAT = (("--format", {"choices": ("json", "csv"), "default": "json"}),)
+_SVG = (("--svg", {"metavar": "PATH"}),)
 
-
-def _format_flag(p) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _svg_flag(p) -> None:
-    p.add_argument("--svg", metavar="PATH")
-
-
-def _room_grammar(p) -> None:
-    _room_flags(p)
-    _svg_flag(p)
-
-
-def _act_grammar(p) -> None:
-    _room_grammar(p)
-    p.add_argument("--matrix", metavar="a,b,c,d")
-    p.add_argument("--rotate", type=float, metavar="ALPHA")
-    p.add_argument("--t", type=float, metavar="T", help="geodesic flow time")
-
-
-def _twist_grammar(p) -> None:
-    _room_grammar(p)
-    p.add_argument("--word", required=True, help="string over A,a,B,b")
-
-
-def _reach_grammar(p) -> None:
-    _room_flags(p)
-    p.add_argument("--target1", type=float, required=True)
-    p.add_argument("--target2", type=float, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_REACH_BUDGET,
-                   help="cap on the word length")
-    p.add_argument("--tol", type=float, default=DEFAULT_REACH_EPS,
-                   help="distance to the target")
-
-
-def _classify_grammar(p) -> None:
-    _room_flags(p)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
-                   help="renormalization steps")
-
-
-def _scan_grammar(p) -> None:
-    _room_flags(p)
-    _format_flag(p)
-    _svg_flag(p)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE,
-                   help="angle resolution")
-    p.add_argument("--budget", type=int, default=DEFAULT_INDUCTION_BUDGET,
-                   help="renormalization steps per direction")
-
-
-def _flow_grammar(p) -> None:
-    _room_flags(p)
-    _format_flag(p)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=DEFAULT_FLOW_STEPS)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS_ANGLE)
-    p.add_argument("--budget", type=int, default=DEFAULT_FLOW_BUDGET,
-                   help="renormalization steps per direction")
-    p.add_argument("--tol", type=float, default=DEFAULT_THETA_TOL,
-                   help="criterion 1 angle tolerance")
-
-
-def _rotnum_grammar(p) -> None:
-    _format_flag(p)
-    _pair_flags(p, "rhoA", "rhoB")
-    p.add_argument("--budget", type=int, default=ROTATION_MAX_ITER,
-                   help="iteration cap of the float estimate")
-    p.add_argument("--tol", type=float, default=ROTATION_TOL,
-                   help="agreement of successive float estimates")
-
-
-def _measure_grammar(p) -> None:
-    _format_flag(p)
-    p.add_argument("--rhoA", required=True)
-    p.add_argument("--rhoB", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="exact rational arithmetic")
-
-
-# name -> (handler, help line, declaration of exactly the flags it reads)
-_COMMANDS: dict[str, tuple[Callable, str, Callable]] = {
+# name -> (handler, help line, (flag, argparse keywords) of exactly the
+# flags it reads, in the order its --help lists them)
+_COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
     "room": (cmd_room, "build, validate and canonicalize a room",
-             _room_grammar),
-    "act": (cmd_act, "apply a linear map to a room", _act_grammar),
-    "twist": (cmd_twist, "apply a twist word", _twist_grammar),
+             _ROOM + _SVG),
+    "act": (cmd_act, "apply a linear map to a room", _ROOM + _SVG + (
+        ("--matrix", {"metavar": "a,b,c,d"}),
+        ("--rotate", {"type": float, "metavar": "ALPHA"}),
+        ("--t", {"type": float, "metavar": "T", "help": "geodesic flow time"}),
+    )),
+    "twist": (cmd_twist, "apply a twist word", _ROOM + _SVG + (
+        ("--word", {"required": True, "help": "string over A,a,B,b"}),
+    )),
     "reach": (cmd_reach, "search a word reaching a parameter target",
-              _reach_grammar),
-    "classify": (cmd_classify, "classify one flow direction",
-                 _classify_grammar),
-    "scan": (cmd_scan, "scan directions for cylinders", _scan_grammar),
-    "flow": (cmd_flow, "run the geodesic flow monitor", _flow_grammar),
+              _ROOM + (
+        ("--target1", {"type": float, "required": True}),
+        ("--target2", {"type": float, "required": True}),
+        ("--budget", {"type": int, "default": DEFAULT_REACH_BUDGET,
+                      "help": "cap on the word length"}),
+        ("--tol", {"type": float, "default": DEFAULT_REACH_EPS,
+                   "help": "distance to the target"}),
+    )),
+    "classify": (cmd_classify, "classify one flow direction", _ROOM + (
+        ("--theta", {"type": float, "required": True}),
+        ("--budget", {"type": int, "default": DEFAULT_INDUCTION_BUDGET,
+                      "help": "renormalization steps"}),
+    )),
+    "scan": (cmd_scan, "scan directions for cylinders",
+             _ROOM + _FORMAT + _SVG + (
+        ("--eps", {"type": float, "default": DEFAULT_EPS_ANGLE,
+                   "help": "angle resolution"}),
+        ("--budget", {"type": int, "default": DEFAULT_INDUCTION_BUDGET,
+                      "help": "renormalization steps per direction"}),
+    )),
+    "flow": (cmd_flow, "run the geodesic flow monitor", _ROOM + _FORMAT + (
+        ("--t-max", {"type": float, "required": True}),
+        ("--steps", {"type": int, "default": DEFAULT_FLOW_STEPS}),
+        ("--eps", {"type": float, "default": DEFAULT_EPS_ANGLE}),
+        ("--budget", {"type": int, "default": DEFAULT_FLOW_BUDGET,
+                      "help": "renormalization steps per direction"}),
+        ("--tol", {"type": float, "default": DEFAULT_THETA_TOL,
+                   "help": "criterion 1 angle tolerance"}),
+    )),
     "rotnum": (cmd_rotnum, "rotation number of the two-slope circle map",
-               _rotnum_grammar),
+               _FORMAT + _pair("rhoA", "rhoB") + (
+        ("--budget", {"type": int, "default": ROTATION_MAX_ITER,
+                      "help": "iteration cap of the float estimate"}),
+        ("--tol", {"type": float, "default": ROTATION_TOL,
+                   "help": "agreement of successive float estimates"}),
+    )),
     "measure": (cmd_measure, "survivor measure after n subdivision steps",
-                _measure_grammar),
+                _FORMAT + (
+        ("--rhoA", {"required": True}),
+        ("--rhoB", {"required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--exact", {"action": "store_true",
+                     "help": "exact rational arithmetic"}),
+    )),
     "orbit-closure": (cmd_orbit_closure,
-                      "orbit closure of the parameter point", _pair_flags),
+                      "orbit closure of the parameter point", _MU),
 }
+
+
+def _declare(parser: argparse.ArgumentParser,
+             command: str) -> argparse.ArgumentParser:
+    """`parser` with the flags of `command`'s row."""
+    for flag, keywords in _COMMANDS[command][2]:
+        parser.add_argument(flag, **keywords)
+    return parser
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -503,14 +478,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     top-level parser.  Each command declares exactly the flags it reads,
     with their defaults, so argparse rejects every other flag."""
     if command is not None:
-        parser = _Parser(prog=f"dilatorus {command}")
-        _COMMANDS[command][2](parser)
-        return parser
+        return _declare(_Parser(prog=f"dilatorus {command}"), command)
     top = _Parser(prog="dilatorus",
                   description="dilation tori with one boundary component")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, declare) in _COMMANDS.items():
-        declare(sub.add_parser(name, help=help_line))
+    for name, (_, help_line, _) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_line), name)
     return top
 
 

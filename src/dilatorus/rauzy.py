@@ -319,10 +319,9 @@ def _images_of_unit(leaves, integral: bool) -> Iterator[tuple[Scalar, Scalar]]:
 
 def interval_for_word(rho_a: Scalar, rho_b: Scalar,
                       word: str) -> tuple[Scalar, Scalar]:
-    """Closed parameter interval whose induction word starts with `word`."""
-    if not (rho_a > 0 and rho_b > 0):
-        raise ValueError("slopes must be positive")
-    root, integral = _root(rho_a, rho_b)
+    """Closed parameter interval whose induction word starts with `word`.
+    Slopes must be positive, and finite when they are floats."""
+    root, integral = _checked_root(rho_a, rho_b, len(word))
     (interval,) = _images_of_unit(_walk(root, len(word), word), integral)
     return interval
 

@@ -444,7 +444,8 @@ def holonomy_class(params: DilationParams) -> HolonomyClass:
 
     The multiplicative holonomy group is discrete exactly when mu1, mu2 are
     rationally dependent.  Exact inputs are decided; floats are screened by
-    the continued-fraction test and otherwise reported undecided.
+    the continued-fraction test and otherwise reported undecided.  Float
+    parameters that are NaN or infinite, or whose ratio is, are refused.
     """
     if params.is_zero():
         raise ValueError("zero parameters do not define a dilation surface")
@@ -454,6 +455,10 @@ def holonomy_class(params: DilationParams) -> HolonomyClass:
             return HolonomyClass(Holonomy.NON_DISCRETE)
         return HolonomyClass(Holonomy.DISCRETE, witness)
     m1, m2 = params.as_floats()
+    if not (math.isfinite(m1) and math.isfinite(m2)
+            and (m2 == 0.0 or math.isfinite(m1 / m2))):
+        raise ValueError(f"parameters ({m1!r}, {m2!r}) and their ratio must "
+                         "be finite floats")
     if m2 == 0.0:
         return HolonomyClass(Holonomy.DISCRETE, (1, 0))
     if m1 == 0.0:

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -494,6 +495,9 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["room", "--mu1=0.3", "--mu2=-400"], "diameter"),
     (["room", "--mu1=-400", "--mu2=0.3"], "diameter"),
     (["act", "--rotate=inf"] + MU_FLAGS, "rotation angle inf must be finite"),
+    (["orbit-closure", "--mu1=inf", "--mu2=1"], "finite"),
+    (["orbit-closure", "--mu1=1e308", "--mu2=1e-308"], "ratio must be finite"),
+    (["orbit-closure", "--mu1=nan", "--mu2=1"], "finite"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
         "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
@@ -508,13 +512,29 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "reach-target1-inf", "reach-target-ratio-overflow",
         "reach-target1-nan", "reach-target-ratio-below-floor",
         "reach-target-ratio-underflow", "room-long-mu2", "room-long-mu1",
-        "act-rotate-inf"])
+        "act-rotate-inf", "orbit-closure-mu1-inf",
+        "orbit-closure-ratio-overflow", "orbit-closure-mu1-nan"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     data = json.loads(err)
     assert data["error"] == "ValueError"
     assert detail in data["detail"]
+
+
+def test_a_radicand_past_the_cap_exits_2_at_once(capsys):
+    # the square-free split of a 40-digit radicand never finished, and
+    # one of 10^16 took 17 s
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["orbit-closure",
+                                  "--mu1-exact=1,1,100000000000000003",
+                                  "--mu2-exact=1,0,0"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    data = json.loads(err)
+    assert data["error"] == "BadInput"
+    assert data["detail"].startswith("--mu1-exact: radicand")
 
 
 @pytest.mark.parametrize("argv", [

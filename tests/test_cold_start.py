@@ -22,8 +22,11 @@ print(sorted({"dataclasses", "inspect", "dilatorus.svgout"} & set(sys.modules)))
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_svgout():
     # -I: no user site, no PYTHONPATH, so only the interpreter's own
-    # start-up and the package's imports are seen
-    proc = subprocess.run([sys.executable, "-I", "-c", PROBE, str(SRC)],
+    # start-up and the package's imports are seen; -B: -I ignores
+    # PYTHONDONTWRITEBYTECODE, so say it again, and write no bytecode
+    # into the checkout
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE,
+                           str(SRC)],
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert proc.stdout.strip() == "[]"

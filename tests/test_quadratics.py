@@ -9,9 +9,10 @@ import pytest
 
 import oracles
 
-from dilatorus.quadratics import (QuadraticNumber, cf_convergents,
-                                  float_convergents, max_denominator,
-                                  quadratic, slack, sqrt_int)
+from dilatorus.quadratics import (MAX_RADICAND, QuadraticNumber,
+                                  cf_convergents, float_convergents,
+                                  max_denominator, quadratic, slack,
+                                  sqrt_int)
 
 SEED = 20260817
 
@@ -215,6 +216,19 @@ def test_a_negative_radicand_is_refused():
     with pytest.raises(ValueError, match="negative radicand"):
         QuadraticNumber(2, 0, -1)
 
+
+
+def test_a_radicand_past_the_cap_is_refused_at_once():
+    # the square-free split divides by trial up to sqrt(d): a 40-digit d
+    # never finished
+    with pytest.raises(ValueError, match="MAX_RADICAND"):
+        QuadraticNumber(1, 1, MAX_RADICAND + 1)
+    with pytest.raises(ValueError, match="MAX_RADICAND"):
+        QuadraticNumber(1, 1, 10 ** 40 + 1)
+    # a rational value runs no split, whatever its d
+    assert QuadraticNumber(3, 0, 10 ** 40 + 1) == 3
+    # below the cap the split still runs: 999983 is prime
+    assert QuadraticNumber(1, 1, 999983 ** 2) == 999984
 
 
 def _parts(q: QuadraticNumber) -> tuple:

@@ -352,11 +352,13 @@ def test_interval_for_word_infeasible_letter():
 ])
 def test_survivor_intervals_refuse_bad_slopes(ra, rb):
     # a negative slope divided by zero mid-walk; NaN and inf gave a NaN
-    # measure
+    # measure, and an infinite slope the interval (nan, nan)
     with pytest.raises(ValueError, match="slopes must be"):
         survivor_intervals(ra, rb, 3)
     with pytest.raises(ValueError, match="slopes must be"):
         survivor_measure(ra, rb, 3)
+    with pytest.raises(ValueError, match="slopes must be"):
+        interval_for_word(ra, rb, "L")
 
 
 def test_survivor_measure_frozen_values():

@@ -1,0 +1,68 @@
+"""A direction's verdict is invariant under the SL(2, R) action.
+
+`apply_sl2` moves a room and `projective_action` moves its directions.
+The kind of a direction and the multiplier of its cylinder (the
+holonomy of the closed leaf) do not depend on the presentation, so a
+verdict that differs from its image's verdict is wrong on one side.
+Words are not compared: they depend on the cross-section.  Both sides
+must decide; an undecided direction on either side fails the pair.
+"""
+
+import math
+
+import pytest
+
+from dilatorus.geometry import (SL2Matrix, apply_sl2, build_room,
+                                geodesic_matrix, projective_action,
+                                square_room)
+from dilatorus.surface import classify_direction
+from dilatorus.teichmuller import flow
+
+ROOMS = {
+    "square-ln2": square_room(math.log(2.0), math.log(2.0)),
+    "sheared": build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3)),
+}
+MATRICES = (SL2Matrix.rotation(0.7), SL2Matrix(1.0, 0.4, 0.0, 1.0),
+            SL2Matrix.diagonal(1.3))
+FLOW_TIMES = (0.5, 2.0, 4.0, 8.0, 12.0)
+# multipliers agree to this relative tolerance (unitless)
+MULTIPLIER_RTOL = 1e-9
+
+
+def inward_directions(room, count: int) -> list[float]:
+    """`count` evenly spaced directions strictly inside the inward
+    half-circle."""
+    lo, _ = room.inward_directions()
+    return [lo + math.pi * (k + 0.5) / count for k in range(count)]
+
+
+def assert_invariant(room, images, count: int) -> None:
+    """Each of `count` inward directions of `room` has the verdict of its
+    image in each room of `images`, a list of (matrix, moved room)."""
+    for theta in inward_directions(room, count):
+        base = classify_direction(room, theta)
+        for m, image in images:
+            moved = classify_direction(image, projective_action(m, theta))
+            assert moved.kind is base.kind, (theta, m, base, moved)
+            if base.multiplier is None:
+                assert moved.multiplier is None, (theta, m, base, moved)
+            else:
+                assert math.isclose(moved.multiplier, base.multiplier,
+                                    rel_tol=MULTIPLIER_RTOL), \
+                    (theta, m, base, moved)
+
+
+@pytest.mark.parametrize("name", ROOMS)
+def test_verdicts_are_invariant_under_linear_maps(name):
+    room = ROOMS[name]
+    assert_invariant(room, [(m, apply_sl2(m, room))
+                            for m in MATRICES], 100)
+
+
+@pytest.mark.parametrize("name", ROOMS)
+def test_verdicts_are_invariant_under_the_geodesic_flow(name):
+    # `_window_hits` relies on this when it pulls probes back to the
+    # base room
+    room = ROOMS[name]
+    assert_invariant(room, [(geodesic_matrix(t), flow(room, t))
+                            for t in FLOW_TIMES], 60)
