@@ -11,8 +11,8 @@ out every JSON and CSV document: the library returns records, and
 `svgout` draws.
 
 The grammar is data: each command's row in `_COMMANDS` lists its
-flags as (flag, argparse keywords) pairs, and `_declare` hands them to
-argparse, for one command's parser or for every command's.
+flags as (flag, keywords) pairs, from which `_Grammar` parses argv, as
+argparse would without prefixes, and writes --help.
 
 Failures are machine readable: bad input exits 2 with a one-line JSON
 diagnostic on stderr; an exhausted budget or iteration cap exits 3 with
@@ -22,11 +22,11 @@ bracket the estimate did establish.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from .errors import BudgetExhausted, DilatorusError, NonConvergence
 from .geometry import (DilationParams, Room, SL2Matrix, apply_sl2,
@@ -149,9 +149,14 @@ def _room_payload(room: Room) -> dict:
     return data
 
 
-def _write_svg(path: str, text: str) -> None:
-    """Write the drawing; callers do so before printing the document, so
-    an unwritable path leaves stdout empty."""
+def _write_svg(path: Optional[str], draw: Callable) -> None:
+    """Write `draw(svgout)` to the --svg path, if one is given; callers do
+    so before printing the document, so an unwritable path leaves stdout
+    empty.  Only a drawing loads `svgout`."""
+    if not path:
+        return
+    from . import svgout
+    text = draw(svgout)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -167,9 +172,7 @@ def _emit(text: str) -> None:
 
 def cmd_room(args) -> int:
     room = canonicalize(_room_from_args(args))
-    if args.svg:
-        from .svgout import pentagon_svg
-        _write_svg(args.svg, pentagon_svg(room))
+    _write_svg(args.svg, lambda svg: svg.pentagon_svg(room))
     _emit(canonical_json(_room_payload(room)))
     return 0
 
@@ -190,9 +193,7 @@ def cmd_act(args) -> int:
     else:
         m = geodesic_matrix(args.t)
     moved = apply_sl2(m, room)
-    if args.svg:
-        from .svgout import pentagon_svg
-        _write_svg(args.svg, pentagon_svg(moved))
+    _write_svg(args.svg, lambda svg: svg.pentagon_svg(moved))
     _emit(canonical_json(_room_payload(moved)))
     return 0
 
@@ -206,9 +207,7 @@ def cmd_twist(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     result = apply_word(word, room)
-    if args.svg:
-        from .svgout import pentagon_svg
-        _write_svg(args.svg, pentagon_svg(result.room))
+    _write_svg(args.svg, lambda svg: svg.pentagon_svg(result.room))
     _emit(canonical_json({
         "word": args.word,
         "mu_path": [list(p) for p in result.mu_path],
@@ -247,9 +246,7 @@ def cmd_classify(args) -> int:
 def cmd_scan(args) -> int:
     room = _room_from_args(args)
     scan = find_cylinders(room, args.eps, budget=args.budget)
-    if args.svg:
-        from .svgout import direction_wheel_svg
-        _write_svg(args.svg, direction_wheel_svg(room, scan))
+    _write_svg(args.svg, lambda svg: svg.direction_wheel_svg(room, scan))
     if args.format == "csv":
         lines = ["theta1,theta2,angle,word,multiplier"]
         for c in scan.cylinders:
@@ -376,14 +373,7 @@ def cmd_orbit_closure(args) -> int:
     return 0
 
 
-# --- parser ---
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of printing usage and exiting."""
-
-    def error(self, message):
-        raise UsageError(message)
-
+# --- grammar ---
 
 def _pair(name1: str, name2: str) -> tuple:
     """The float and the exact form of a parameter pair (`_parse_mu_pair`)."""
@@ -398,11 +388,12 @@ _ROOM = _MU + (
     ("--e1", {"default": "1,0", "metavar": "x,y"}),
     ("--e2", {"default": "0,1", "metavar": "x,y"}),
 )
-_FORMAT = (("--format", {"choices": ("json", "csv"), "default": "json"}),)
+_FORMAT = (("--format", {"choices": ("json", "csv"), "default": "json",
+                         "help": "json or csv"}),)
 _SVG = (("--svg", {"metavar": "PATH"}),)
 
-# name -> (handler, help line, (flag, argparse keywords) of exactly the
-# flags it reads, in the order its --help lists them)
+# name -> (handler, help line, (flag, keywords) of exactly the flags it
+# reads, in --help order); keywords as argparse's add_argument takes them
 _COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
     "room": (cmd_room, "build, validate and canonicalize a room",
              _ROOM + _SVG),
@@ -456,7 +447,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
         ("--rhoA", {"required": True}),
         ("--rhoB", {"required": True}),
         ("--n", {"type": int, "required": True}),
-        ("--exact", {"action": "store_true",
+        ("--exact", {"action": "store_true", "default": False,
                      "help": "exact rational arithmetic"}),
     )),
     "orbit-closure": (cmd_orbit_closure,
@@ -464,27 +455,89 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
 }
 
 
-def _declare(parser: argparse.ArgumentParser,
-             command: str) -> argparse.ArgumentParser:
-    """`parser` with the flags of `command`'s row."""
-    for flag, keywords in _COMMANDS[command][2]:
-        parser.add_argument(flag, **keywords)
-    return parser
+class _Grammar(NamedTuple):
+    """What `build_parser` returns: the grammar of `command` alone, read
+    from the flags after its name, or (None) of every command."""
+    command: Optional[str] = None
+
+    def parse_args(self, argv: list[str]) -> Optional[SimpleNamespace]:
+        """The command's name and its flag values as attributes (--t-max
+        sets t_max), or None once --help is printed."""
+        command, extras = self.command, []
+        if command is None:
+            # the command's name is the first token that is not a flag
+            k = next((i for i, a in enumerate(argv) if a[:1] != "-"),
+                     len(argv))
+            command, extras, argv = (argv + [None])[k], argv[:k], argv[k + 1:]
+            if {"-h", "--help"} & set(extras):
+                return _emit(self.format_help())
+            if command is None:
+                raise UsageError("the following arguments are required: "
+                                 "command")
+            if command not in _COMMANDS:
+                raise UsageError(f"argument command: invalid choice: "
+                                 f"{command!r} (choose from "
+                                 f"{', '.join(map(repr, _COMMANDS))})")
+        rows = dict(_COMMANDS[command][2])
+        values = {flag: kw.get("default") for flag, kw in rows.items()}
+        tokens = iter(argv)
+        for token in tokens:
+            if token in ("-h", "--help"):
+                return _emit(_Grammar(command).format_help())
+            flag, eq, value = token.partition("=")
+            kw = rows.get(flag)
+            if kw is None:
+                extras.append(token)
+                continue
+            if "action" in kw:      # store_true
+                if eq:
+                    raise UsageError(f"argument {flag}: ignored explicit "
+                                     f"argument {value!r}")
+                values[flag] = True
+                continue
+            if not eq:
+                value = next(tokens, "--")  # "-0.3" is a value, "--x" not
+                if value.startswith("--"):
+                    raise UsageError(f"argument {flag}: expected one argument")
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid "
+                                 f"{kw['type'].__name__} value: {value!r}"
+                                 ) from None
+            if "choices" in kw and value not in kw["choices"]:
+                raise UsageError(f"argument {flag}: invalid choice: "
+                                 f"{value!r} (choose from "
+                                 f"{', '.join(map(repr, kw['choices']))})")
+            values[flag] = value
+        missing = [flag for flag, kw in rows.items()
+                   if kw.get("required") and values[flag] is None]
+        if missing:
+            raise UsageError("the following arguments are required: "
+                             + ", ".join(missing))
+        if extras:
+            raise UsageError("unrecognized arguments: " + " ".join(extras))
+        return SimpleNamespace(command=command, **{
+            flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+    def format_help(self) -> str:
+        """Each command with its help line, or one command's flags with
+        their metavars and help strings, marking the required ones."""
+        rows = [(name, line) for name, (_, line, _) in _COMMANDS.items()]
+        if self.command is not None:
+            rows = [(self.command, _COMMANDS[self.command][1])]
+            for flag, kw in _COMMANDS[self.command][2]:
+                if "action" not in kw:
+                    flag += " " + kw.get("metavar", flag[2:].upper())
+                rows.append((flag, "(required) " * kw.get("required", False)
+                             + kw.get("help", "")))
+        return (f"usage: dilatorus {self.command or 'COMMAND'} [flags]\n\n"
+                + "".join(f"  {a:<22} {b}".rstrip() + "\n" for a, b in rows))
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI grammar: of `command` alone, which parses the flags after
-    the command's name as `main` does, or of every command under one
-    top-level parser.  Each command declares exactly the flags it reads,
-    with their defaults, so argparse rejects every other flag."""
-    if command is not None:
-        return _declare(_Parser(prog=f"dilatorus {command}"), command)
-    top = _Parser(prog="dilatorus",
-                  description="dilation tori with one boundary component")
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, _) in _COMMANDS.items():
-        _declare(sub.add_parser(name, help=help_line), name)
-    return top
+def build_parser(command: Optional[str] = None) -> _Grammar:
+    """The CLI grammar of `command` alone, or of every command (None)."""
+    return _Grammar(command)
 
 
 def _diagnostic(name: str, detail: str, **extra) -> str:
@@ -499,15 +552,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(10 ** 6)
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] in _COMMANDS:
-            # one command's parser suffices for a call naming it
-            args = build_parser(argv[0]).parse_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-        else:
-            # help, and the message for a missing or unknown command,
-            # need the grammar of every command
-            args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command][0](args)
+        args = build_parser().parse_args(argv)
+        return 0 if args is None else _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(_diagnostic("BadInput", str(exc)), file=sys.stderr)
         return 2

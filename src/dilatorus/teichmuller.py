@@ -158,8 +158,12 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
     if not (math.isfinite(theta_tol) and theta_tol >= 0):
         raise ValueError("theta_tol must be finite and nonnegative, "
                          f"got {theta_tol!r}")
-    if steps < 0 or eps_angle <= 0 or budget <= 0:
-        raise ValueError("monitor arguments must be positive")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps!r}")
+    if eps_angle <= 0:
+        raise ValueError(f"eps_angle must be positive, got {eps_angle!r}")
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget!r}")
     baseline = find_cylinders(room, eps_angle, budget=budget)
     if t_max == 0 or steps == 0:
         times = [0.0]

@@ -7,11 +7,13 @@ point and first returns are observed, not computed in closed form.
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from dilatorus import cli
 from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               NonConvergence, NotTransverse, VertexHit)
 from dilatorus.geometry import (PARALLEL_EPS, DilationParams, Room, SL2Matrix,
@@ -30,6 +32,35 @@ from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                ROTATION_CYCLE_TOL, TRANSVERSALITY_FLOOR,
                                VERTEX_TOL, CrossSection, RayTrace, TraceEnd)
 from dilatorus.twists import TwistGenerator, twist_mu
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """argparse that raises `cli.UsageError` instead of printing usage
+    and exiting."""
+
+    def error(self, message):
+        raise cli.UsageError(message)
+
+
+def argparse_grammar(command: Optional[str] = None):
+    """The CLI grammar as argparse reads it, built from the
+    `cli._COMMANDS` rows with prefix matching off: of `command` alone,
+    or of every command under one top-level parser.  The reference the
+    CLI's own parser, `cli._Grammar`, is compared against."""
+    def declare(parser, name):
+        for flag, keywords in cli._COMMANDS[name][2]:
+            parser.add_argument(flag, **keywords)
+        return parser
+
+    if command is not None:
+        return declare(_RaisingParser(prog=f"dilatorus {command}",
+                                      allow_abbrev=False), command)
+    top = _RaisingParser(prog="dilatorus", allow_abbrev=False)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, _) in cli._COMMANDS.items():
+        declare(sub.add_parser(name, help=help_line, allow_abbrev=False),
+                name)
+    return top
 
 
 def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:

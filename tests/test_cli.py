@@ -1,13 +1,17 @@
 """Command-line surface: schemas, wrapper fidelity, exit codes."""
 
+import functools
+import importlib
 import inspect
 import json
 import math
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import oracles
 from dilatorus import cli, rauzy
 from dilatorus.cli import MAX_MEASURE_DEPTH, canonical_json, main
 from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
@@ -498,6 +502,12 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["orbit-closure", "--mu1=inf", "--mu2=1"], "finite"),
     (["orbit-closure", "--mu1=1e308", "--mu2=1e-308"], "ratio must be finite"),
     (["orbit-closure", "--mu1=nan", "--mu2=1"], "finite"),
+    (["flow", "--t-max=1", "--steps=-2"] + MU_FLAGS,
+     "steps must be nonnegative, got -2"),
+    (["flow", "--t-max=1", "--eps=0"] + MU_FLAGS,
+     "eps_angle must be positive, got 0.0"),
+    (["flow", "--t-max=1", "--budget=0"] + MU_FLAGS,
+     "budget must be positive, got 0"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
         "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
@@ -513,7 +523,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "reach-target1-nan", "reach-target-ratio-below-floor",
         "reach-target-ratio-underflow", "room-long-mu2", "room-long-mu1",
         "act-rotate-inf", "orbit-closure-mu1-inf",
-        "orbit-closure-ratio-overflow", "orbit-closure-mu1-nan"])
+        "orbit-closure-ratio-overflow", "orbit-closure-mu1-nan",
+        "flow-steps-negative", "flow-eps-zero", "flow-budget-zero"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -567,8 +578,9 @@ def test_unwritable_svg_path_exits_2_and_prints_nothing(tmp_path, capsys,
 
 
 def _parsed_defaults(command: str, required: list[str]) -> dict:
-    args = cli.build_parser(command).parse_args(required)
-    return vars(args)
+    args = vars(cli.build_parser(command).parse_args(required))
+    assert args == _through_oracle(required, command)
+    return args
 
 
 def test_cli_defaults_are_the_library_defaults():
@@ -673,13 +685,12 @@ def test_grammar_cases_cover_every_command():
 
 
 def _through_full_grammar(argv):
-    """(Namespace, None) from the every-command grammar, or (None, the
-    stderr main prints for its rejection)."""
-    try:
-        return cli.build_parser().parse_args(argv), None
-    except cli.UsageError as exc:
-        return None, canonical_json({"error": "BadInput",
-                                     "detail": str(exc)}) + "\n"
+    """(vars() of the namespace, None) from argparse's every-command
+    grammar, or (None, the stderr main prints for its rejection)."""
+    want = _through_oracle(argv)
+    if isinstance(want, dict):
+        return want, None
+    return None, canonical_json({"error": "BadInput", "detail": want}) + "\n"
 
 
 @pytest.mark.parametrize("command", list(GRAMMAR_CASES))
@@ -699,7 +710,7 @@ def test_main_parses_like_the_full_grammar(monkeypatch, capsys, command):
             assert not seen
         else:
             assert (code, err) == (0, "")
-            assert seen.pop() == want
+            assert vars(seen.pop()) == want
 
 
 @pytest.mark.parametrize("argv", [[], ["orbit"], ["--mu1=1", "room"]],
@@ -711,3 +722,141 @@ def test_missing_or_unknown_command_uses_full_grammar(capsys, argv):
     if argv == ["orbit"]:
         detail = json.loads(err)["detail"]
         assert all(repr(name) in detail for name in cli._COMMANDS)
+
+
+# --- the table parser against argparse ---
+
+@functools.lru_cache(maxsize=None)
+def _oracle_grammar(command=None):
+    return oracles.argparse_grammar(command)
+
+
+def _parsed(grammar, argv):
+    """vars() of the namespace `grammar` reads from argv, or the message
+    of its rejection."""
+    try:
+        return vars(grammar.parse_args(argv))
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+def _through_oracle(argv, command=None):
+    """`_parsed` by argparse; a command's own grammar also names the
+    command, as `cli.build_parser(command)` does."""
+    want = _parsed(_oracle_grammar(command), list(argv))
+    if command is not None and isinstance(want, dict):
+        want["command"] = command
+    return want
+
+
+def _workload_ops(monkeypatch) -> list[list[str]]:
+    """argv of every op of passes 0 and 1 of the benchmark's four
+    workloads at seed 0."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [list(op.argv) for name in ("classify", "scan", "flow", "exact")
+            for k in (0, 1) for op in workloads.make_pass(name, 0, k)]
+
+
+# rejected and odd argv: malformed values, unknown, missing and repeated
+# flags, prefixes, a flag with no value, separate values and the
+# top-level cases
+GRAMMAR_CORPUS = [
+    ["classify", "--theta=x"] + ROOM_FLAGS,
+    ["classify", "--theta="] + ROOM_FLAGS,
+    ["scan", "--budget=1.5"], ["scan", "--budget=0x10"],
+    ["scan", "--format=JSON"], ["flow", "--t-max=1", "--steps=two"],
+    ["measure", "--n=", "--rhoA=1", "--rhoB=1"],
+    ["rotnum", "--tol=1e-3x"] + ROTNUM_FLAGS,
+    ["room", "--seed=7"] + ROOM_FLAGS, ["room", "--seed", "7"] + ROOM_FLAGS,
+    ["room"] + ROOM_FLAGS + ["stray"], ["room", "-x"] + ROOM_FLAGS,
+    ["room", ""] + ROOM_FLAGS,
+    ["classify", "--bogus=1"], ["classify", "--budget=x", "--bogus"],
+    ["classify"], ["reach"], ["reach", "--target2=1"], ["twist"],
+    ["measure", "--n=1"], ["flow"],
+    ["classify", "--theta=1", "--theta=2"] + ROOM_FLAGS,
+    ["room", "--mu1=1", "--mu1=2", "--mu2=1"],
+    ["scan", "--format=csv", "--format=json"],
+    ["measure", "--exact", "--exact"] + MEASURE_FLAGS,
+    ["classify", "--the=1"] + ROOM_FLAGS, ["flow", "--t=3"] + ROOM_FLAGS,
+    ["scan", "--for=csv"] + ROOM_FLAGS, ["act", "--rot=1"] + ROOM_FLAGS,
+    ["measure", "--exact=1"] + MEASURE_FLAGS,
+    ["measure", "--exact="] + MEASURE_FLAGS,
+    ["measure", "--exact", "1"] + MEASURE_FLAGS,
+    ["classify"] + ROOM_FLAGS + ["--theta"], ["room", "--mu1"],
+    ["measure", "--rhoA=1", "--rhoB", "--n=1"],
+    ["classify", "--theta", "1.5", "--mu1", "0.3", "--mu2", "0.2"],
+    ["classify", "--theta", "-1.5", "--mu1", "-0.3", "--mu2", "0.2"],
+    ["act", "--rotate", "-2", "--mu1", "1", "--mu2", "1"],
+    ["rotnum", "--rhoA", "2.5", "--rhoB", ".3", "--budget", "-5"],
+    ["measure", "--rhoA", "1/2", "--rhoB", "1/3", "--n", "2", "--exact",
+     "--format", "csv"],
+    ["room", "--mu1-exact", "1,0,2", "--mu2-exact", "0,1,2", "--e1", "2,0"],
+    [], ["orbit"], ["--mu1=1", "room"], ["--mu1", "1", "room"], ["--mu1=1"],
+    ["--mu1=1", "classify"], ["-x", "scan", "--bogus"], ["", "room"],
+]
+
+# a separate value that begins with "-" but is no plain negative number:
+# argparse takes it for a flag and refuses the call, the CLI reads it
+SEPARATE_DASH_VALUES = [
+    ["room", "--mu1=1", "--mu2=1", "--e2", "-0.37,1.0"],
+    ["classify", "--theta", "-1e-3"] + ROOM_FLAGS,
+    ["classify", "--theta", "-inf"] + ROOM_FLAGS,
+    ["act", "--matrix", "-1,0,0,-1"] + ROOM_FLAGS,
+]
+
+
+def test_the_table_parser_reads_argv_as_argparse_does(monkeypatch):
+    corpus = (_workload_ops(monkeypatch) + GRAMMAR_CORPUS
+              + [[command] + flags for command, cases in GRAMMAR_CASES.items()
+                 for flags in cases])
+    assert len(corpus) > 888
+    for argv in corpus:
+        want = _through_oracle(argv)
+        assert _parsed(cli.build_parser(), argv) == want, argv
+        if argv and argv[0] in cli._COMMANDS:
+            assert (_parsed(cli.build_parser(argv[0]), argv[1:])
+                    == _through_oracle(argv[1:], argv[0])), argv
+
+
+@pytest.mark.parametrize("argv", SEPARATE_DASH_VALUES,
+                         ids=["e2", "theta-exponent", "theta-inf", "matrix"])
+def test_a_separate_value_may_begin_with_a_dash(argv):
+    k = next(i for i, a in enumerate(argv)
+             if a.startswith("-") and not a.startswith("--"))
+    flag = argv[k - 1]
+    assert _through_oracle(argv) == f"argument {flag}: expected one argument"
+    joined = argv[:k - 1] + [f"{flag}={argv[k]}"] + argv[k + 1:]
+    assert _parsed(cli.build_parser(), argv) == _through_oracle(joined)
+
+
+def test_a_double_dash_is_one_unrecognized_argument():
+    # argparse reads every token after "--" as a positional, which no
+    # command takes; the CLI reads on, so the message names "--" alone
+    argv = ["room", "--"] + ROOM_FLAGS
+    assert _parsed(cli.build_parser(), argv) == "unrecognized arguments: --"
+    assert _through_oracle(argv) == ("unrecognized arguments: -- "
+                                     + " ".join(ROOM_FLAGS))
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_names_every_flag_and_help_string(capsys, command):
+    code, out, err = run(capsys, [command, "--help"])
+    assert (code, err) == (0, "")
+    listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+    for flag, keywords in cli._COMMANDS[command][2]:
+        assert flag in listed
+        assert keywords.get("help", "") in out
+    assert cli._COMMANDS[command][1] in out
+    assert run(capsys, [command, "-h"]) == (0, out, "")
+
+
+def test_help_names_every_command_and_its_help_line(capsys):
+    code, out, err = run(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+    for command, (_, help_line, _) in cli._COMMANDS.items():
+        assert command in listed
+        assert help_line in out
+    assert run(capsys, ["-h"]) == (0, out, "")

@@ -1,6 +1,5 @@
 """Ray tracing, direction classification, and the cylinder scan."""
 
-import argparse
 import ast
 import importlib
 import math
@@ -752,8 +751,9 @@ def _exact_pass_rotnums(monkeypatch):
     out = []
     for op in workloads.make_pass("exact", 0, 0):
         if op.argv[0] == "rotnum":
-            args = cli.build_parser("rotnum").parse_args(
-                op.argv[1:], argparse.Namespace(command="rotnum"))
+            args = cli.build_parser().parse_args(op.argv)
+            assert vars(args) == vars(
+                oracles.argparse_grammar().parse_args(op.argv))
             out.append((*cli._parse_mu_pair(args, "rhoA", "rhoB"), args.tol,
                         args.budget))
     return out
