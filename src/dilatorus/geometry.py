@@ -244,6 +244,11 @@ def _pentagon_vertices(e1: Vec2, e2: Vec2, nu1: float,
 
 
 _DIAGONAL_PAIRS: tuple[tuple[int, int], ...] = ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
+# The side that each side's gluing maps it onto, by index in the order of
+# `Room.sides()`: bottom V0V1 <-> top V2V3, right V1V2 <-> left V4V0; the
+# door V3V4 has none.  The gluing maps a side's start to its partner's
+# end, so the point at fraction s of side k lands at 1 - s of its partner.
+_PARTNERS: tuple = (2, 4, 0, None, 1)
 
 
 def _interior_pairs(nu1: float, nu2: float) -> tuple[tuple[int, int], ...]:

@@ -10,14 +10,23 @@ reduces it to the two-slope normal form, and classifies directions as
 door-parallel, cylinder-carrying, or Cantor-like.  It also computes
 rotation numbers for the continuous circle maps that sit on the
 boundary between the expanding and contracting regimes.
+
+For a fixed direction, where a ray entering through a side at
+coordinate sigma next crosses the boundary is affine in sigma, on
+pieces cut where the ray passes a vertex: the flow's return to the
+sides is an affine interval exchange.  A `Heading` tabulates these
+pieces for each side a flight enters and for its section, so every leg
+of a flight is one table lookup and one multiply-add.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -29,6 +38,7 @@ from .errors import (
 )
 from .geometry import (
     _DIAGONAL_PAIRS,
+    _PARTNERS,
     Room,
     Vec2,
     angle_dist_mod_pi,
@@ -53,10 +63,11 @@ from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
 # the side table it is baked into.
 VERTEX_TOL = 1e-12          # of the side's length: s within it of 0 or 1
 # Minimum step of a ray before it may cross, in units of the room
-# diameter: MIN_STEP for a side, CLEARANCE for the heading's section (so
-# rounding cannot re-hit the section a flight starts on).  A transport
-# lands on a side the ray enters through, which is never scanned again,
-# so no side needs more than MIN_STEP.
+# diameter: MIN_STEP for a side, CLEARANCE for the heading's section, on
+# every leg (so rounding cannot re-hit the section a flight from a point
+# on it starts on; a flight from a section coordinate has no such leg).
+# A leg starts on a side the ray enters through, which is never its
+# exit, so no side needs more than MIN_STEP.
 CLEARANCE = 1e-9
 MIN_STEP = 1e-15
 BRANCH_BISECT_TOL = 1e-13   # of the section's length
@@ -163,14 +174,36 @@ def _require_finite(theta: float) -> None:
         raise ValueError(f"direction theta must be finite, got {theta!r}")
 
 
-class Heading(NamedTuple):
+class _HeadingFields(NamedTuple):
+    exits: tuple[tuple, ...]
+    entries: tuple[tuple, ...]
+    sides: tuple[tuple, ...]
+    ux: float
+    uy: float
+    t_base: float
+    t_clear: float
+    section_row: Optional[tuple[float, float, float, float, float]]
+    frame: Optional[tuple[float, float, float, float, float]]
+
+
+# `Heading.legs` slot of the section's leg table; slots 0-4 are the sides'
+SECTION_LEG = 5
+# the exit of a leg table's piece on which a ray meets no side: its t is
+# infinite, and its s NaN, which fails the test for a crossing clear of
+# the vertices, so that a leg there raises VertexHit
+_NO_EXIT = (None, None, 1.0, math.nan, 0.0, math.inf, 0.0)
+# the section law of a leg that cannot cross the section
+_NO_SECTION = (-math.inf, 0.0, 0.0, 0.0)
+
+
+class Heading(_HeadingFields):
     """Direction-only set-up of the rays of one (room, theta, section).
 
     A crossing of the ray p + t*u with the side a + s*e solves, with
     w = a - p, t = (w x e)/(u x e) and s = (w x u)/(u x e).  The
     denominators u x e depend on the direction only, so `Heading.of`
     takes them once per heading, and every flight of a return map
-    shares them; `trace_ray` does the per-flight work.
+    shares them.
     The sign of u x e sorts the sides: on the counter-clockwise
     pentagon the ray leaves through a side whose u x e exceeds the
     side's parallel floor and enters through one whose u x e lies below
@@ -186,17 +219,26 @@ class Heading(NamedTuple):
     (x, y) on the section sits at s = (x - ax)*tx + (y - ay)*ty, the
     float operations of the Vec2 forms a + tangent*s and
     (q - a).dot(tangent).
-    """
 
-    exits: tuple[tuple, ...]
-    entries: tuple[tuple, ...]
-    sides: tuple[tuple, ...]
-    ux: float
-    uy: float
-    t_base: float
-    t_clear: float
-    section_row: Optional[tuple[float, float, float, float, float]]
-    frame: Optional[tuple[float, float, float, float, float]]
+    A leg that starts on side j at sigma, its fraction of the side's
+    edge vector, or on the section at sigma, its arc-length coordinate,
+    starts at b + sigma*f for the side's start b and edge f (the
+    frame's start and unit tangent), so w = (a - b) - sigma*f, and the
+    crossing of every exit and of the section is affine in sigma:
+    s = S0 + S1*sigma and t = T0 + T1*sigma.  `leg_table(j)` tabulates
+    these laws for side j or for the section (j = SECTION_LEG) and cuts
+    the leg's domain, [0, 1] on a side and [0, length] on the section,
+    where the exit changes.  Its cuts are the sigma at which an exit's
+    s reaches -VERTEX_TOL or 1 + VERTEX_TOL, its t reaches t_base, or
+    the t of two exits meet.  Between two cuts the exits a ray may take
+    (t_base < t, s within VERTEX_TOL of [0, 1]) and their order by t
+    stay the same, so each piece's exit is the one of least t among
+    them at the piece's midpoint, and neighbours with the same exit
+    merge.  The section's own table has no section law: a flight
+    crosses a side before it can return.  `legs` holds the tables,
+    each built on its first use; like `Room.geom` it is kept in the
+    instance dict, out of the tuple's eq, hash and repr.
+    """
 
     @classmethod
     def of(cls, room: Room, theta: float,
@@ -226,6 +268,78 @@ class Heading(NamedTuple):
         return cls(tuple(exits), tuple(entries), geom.sides, ux, uy,
                    MIN_STEP * geom.diameter, CLEARANCE * geom.diameter,
                    section_row, frame)
+
+    @cached_property
+    def legs(self) -> list[Optional[tuple]]:
+        """The leg table of each side and of the section, None until
+        `leg_table` builds it."""
+        return [None] * (SECTION_LEG + 1)
+
+    def leg_table(self, j: int) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
+        """(cuts, pieces) of the legs from side j, or from the section
+        for j = SECTION_LEG, built once and kept in `legs`.
+
+        The piece of sigma is pieces[bisect_right(cuts, sigma)], a row
+        (k, partner, factor, S0, S1, T0, T1, C0, C1, D0, D1): the exit
+        side k, the side its transport lands on (None for the door) and
+        its factor, the exit's s and t laws, and the section's
+        t = C0 + C1*sigma and s = D0 + D1*sigma.  A piece where no exit
+        is taken is `_NO_EXIT`'s, and C0 = -inf where the leg cannot
+        cross the section."""
+        exits, _, rows, ux, uy, t_base, _, sec, frame = self
+        if j == SECTION_LEG:
+            bx, by, fx, fy, top = frame
+            sec_law = _NO_SECTION
+        else:
+            bx, by, fx, fy = rows[j][:4]
+            top = 1.0
+            sec_law = _NO_SECTION if sec is None else _laws(bx, by, fx, fy,
+                                                             ux, uy, *sec)
+        laws: list[tuple] = []
+        cuts: list[float] = []
+        for k, ax, ay, ex, ey, denom in exits:
+            t0, t1, s0, s1 = _laws(bx, by, fx, fy, ux, uy, ax, ay, ex, ey,
+                                   denom)
+            if s1:
+                cuts += ((_S_LO - s0) / s1, (_S_HI - s0) / s1)
+            if t1:
+                cuts.append((t_base - t0) / t1)
+            for other in laws:
+                if other[6] != t1:
+                    cuts.append((t0 - other[5]) / (other[6] - t1))
+            laws.append((k, _PARTNERS[k], rows[k][6], s0, s1, t0, t1))
+        cuts = sorted([c for c in cuts if 0.0 < c < top])
+        kept: list[float] = []
+        pieces: list[tuple] = []
+        lo = 0.0
+        for hi in (*cuts, top):
+            mid = 0.5 * (lo + hi)
+            taken, best_t = _NO_EXIT, math.inf
+            for law in laws:
+                t = law[5] + law[6] * mid
+                if t_base < t < best_t:
+                    s = law[3] + law[4] * mid
+                    if _S_LO <= s <= _S_HI:
+                        taken, best_t = law, t
+            if not pieces or pieces[-1][0] != taken[0]:
+                if pieces:
+                    kept.append(lo)
+                pieces.append(taken + sec_law)
+            lo = hi
+        table = (tuple(kept), tuple(pieces))
+        self.legs[j] = table
+        return table
+
+
+def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,
+          ax: float, ay: float, ex: float, ey: float, denom: float
+          ) -> tuple[float, float, float, float]:
+    """(T0, T1, S0, S1): the ray along u from (bx + fx*sigma,
+    by + fy*sigma) crosses the segment from (ax, ay) along (ex, ey),
+    whose u x e is denom, at t = T0 + T1*sigma and s = S0 + S1*sigma."""
+    dx, dy = ax - bx, ay - by
+    return ((dx * ey - dy * ex) / denom, (fy * ex - fx * ey) / denom,
+            (dx * uy - dy * ux) / denom, (fy * ux - fx * uy) / denom)
 
 
 class RayTrace(NamedTuple):
@@ -267,8 +381,8 @@ def _outside(rows: tuple[tuple, ...], px: float, py: float, ux: float,
     `rows`: the ray along u from it crosses the boundary an even number
     of times.  Each vertex counts on the side of the ray's line that
     its sign puts it on, so a ray through a vertex crosses there once or
-    not at all, as it would if moved off it.  `trace_ray` asks this only
-    when its first leg meets the boundary near a vertex, where the side
+    not at all, as it would if moved off it.  `_plane_leg` asks this
+    only when its leg meets the boundary near a vertex, where the side
     met first cannot tell inside from outside."""
     side = [(ax - px) * uy - (ay - py) * ux for ax, ay, *_ in rows]
     crossings = 0
@@ -286,134 +400,178 @@ def _outside(rows: tuple[tuple, ...], px: float, py: float, ux: float,
     return crossings % 2 == 0
 
 
-def trace_ray(heading: Heading, start: tuple[float, float],
+def _plane_leg(heading: Heading, start: tuple[float, float]
+               ) -> tuple[int, Optional[int], float, float]:
+    """(k, partner, factor, s) of the first crossing of the ray from the
+    point `start`: the exit side k at s, with the side its transport
+    lands on and its factor, or the section (k = SECTION_LEG, no
+    partner) at s, its fraction of the diagonal.
+
+    From a point of the closed pentagon, the first side a ray reaches
+    is one it leaves through, so this scans the heading's exits, by the
+    crossing formulas of `Heading`.  It also scans the entries: one
+    crossed between VERTEX_TOL and 1 - VERTEX_TOL of its length before
+    the exit shows that the start lies outside the pentagon, and raises
+    ValueError, as does a start from which the ray meets no exit.  When
+    the leg meets the boundary within VERTEX_TOL of a vertex first, by
+    an entry or by the exit, that contact cannot tell inside from
+    outside, and a crossing count along the ray decides.
+    """
+    exits, entries, rows, ux, uy, t_base, t_clear, sec, _ = heading
+    s_lo, s_hi = _S_LO, _S_HI
+    px, py = start
+    best_t = math.inf
+    best_s = 0.0
+    best_side: Optional[int] = None
+    for k, ax, ay, ex, ey, denom in exits:
+        wx, wy = ax - px, ay - py
+        t = (wx * ey - wy * ex) / denom
+        # s only matters for a crossing ahead of the best so far
+        if not t_base < t < best_t:
+            continue
+        s = (wx * uy - wy * ux) / denom
+        if s < s_lo or s > s_hi:
+            continue
+        best_t, best_s, best_side = t, s, k
+    for _, ax, ay, ex, ey, denom in entries:
+        wx, wy = ax - px, ay - py
+        t = (wx * ey - wy * ex) / denom
+        if not t_base < t < best_t:
+            continue
+        s = (wx * uy - wy * ux) / denom
+        if (_S_IN_LO <= s <= _S_IN_HI
+                or s_lo <= s <= s_hi and _outside(rows, px, py, ux, uy)):
+            raise ValueError(_OUTSIDE_START)
+    if sec is not None:
+        sax, say, sex, sey, sec_denom = sec
+        wx, wy = sax - px, say - py
+        t = (wx * sey - wy * sex) / sec_denom
+        if t_clear < t < best_t - t_base:
+            s = (wx * uy - wy * ux) / sec_denom
+            if s_lo <= s <= s_hi:
+                best_s, best_side = s, SECTION_LEG
+    if best_side is None:
+        raise ValueError(_OUTSIDE_START)
+    if (not _S_IN_LO <= best_s <= _S_IN_HI
+            and _outside(rows, px, py, ux, uy)):
+        raise ValueError(_OUTSIDE_START)
+    if best_side == SECTION_LEG:
+        return SECTION_LEG, None, 1.0, best_s
+    return best_side, _PARTNERS[best_side], rows[best_side][6], best_s
+
+
+def _vertex_hit(heading: Heading, k: Optional[int], s: float,
+                crossed: list[int], gain: float, j: int,
+                sigma: float) -> VertexHit:
+    """The VertexHit of a crossing at s of side k, or of the section,
+    within VERTEX_TOL of its ends, or, for k None, of a leg from sigma
+    on side j or the section that meets no exit."""
+    if k is None:
+        # the leg starts within rounding distance of a cone point, so
+        # that it meets no exit: the passage is singular at float
+        # resolution, the same as a direct vertex strike
+        bx, by, fx, fy, *_ = (heading.frame if j == SECTION_LEG
+                              else heading.sides[j])
+        return VertexHit(
+            "ray passes a cone point closer than float resolution",
+            trace=_new_trace(RayTrace, (tuple(crossed), gain, _VERTEX,
+                                        (bx + fx * sigma, by + fy * sigma))))
+    ax, ay, ex, ey, *_ = (heading.section_row if k == SECTION_LEG
+                          else heading.sides[k])
+    return VertexHit("ray hits a pentagon vertex; the flow is undefined "
+                     "through the cone point",
+                     trace=_new_trace(RayTrace, (tuple(crossed), gain,
+                                                 _VERTEX,
+                                                 (ax + ex * s, ay + ey * s))))
+
+
+def trace_ray(heading: Heading, start: Union[float, tuple[float, float]],
               max_crossings: int = DEFAULT_MAX_CROSSINGS) -> RayTrace:
-    """Trace the ray from `start`, an (x, y) pair of floats, along
-    `heading` through the glued sides.
+    """Trace the ray along `heading` through the glued sides from
+    `start`: the arc-length coordinate of a point on the heading's
+    section, a float in [0, length], or an (x, y) pair of floats.
 
     Stops at the door, at a transverse crossing of the heading's section
     (if it has one), or after `max_crossings` transports.  A hit within
     VERTEX_TOL of a side endpoint raises VertexHit carrying the
     itinerary up to the hit, since the flow is undefined through the
-    cone point.
+    cone point.  A section coordinate on a heading without a section,
+    or one that is not finite or lies outside [0, length], raises
+    ValueError before any leg.
 
-    From a point of the closed pentagon, the first side a ray reaches
-    is one it leaves through, so every leg scans the heading's exits
-    only; a transport lands on an entry, which no later leg scans.  The
-    first leg also scans the entries: one crossed between VERTEX_TOL and
-    1 - VERTEX_TOL of its length before the exit shows that the start
-    lies outside the pentagon, and raises ValueError, as does a start
-    from which the ray meets no exit.  When the first leg meets the
-    boundary within VERTEX_TOL of a vertex first, by an entry or by the
-    exit, that contact cannot tell inside from outside, and a crossing
-    count along the ray decides.
-
-    Everything that depends on the direction alone (u, the exit and
-    entry rows, the step floors, the section row) comes from `heading`,
-    built once per (room, theta, section); per flight this takes the
-    crossing parameters t and s of each leg, the transports, and the
-    RayTrace.  Its end point is a float pair, as the start is, so a
-    flight builds no Vec2.  A flight keeps only its crossed sides and
-    the running product of their factors.  Nothing is cached beyond
+    Every leg starts on a side or on the section, at a coordinate sigma
+    of its leg table (`Heading.leg_table`): it takes the piece of sigma
+    by one bisection of the table's cuts and the exit's s by one
+    multiply-add; on a heading with a section, a second multiply-add
+    gives the section's t, and the exit's t and the section's s follow
+    only when that t passes t_clear.  The section is crossed when
+    t_clear < its t < the exit's t - t_base and its s lies within
+    VERTEX_TOL of [0, 1].  A crossing whose s lies within VERTEX_TOL of
+    0 or 1 raises VertexHit, and so does a piece with no exit, where the
+    leg starts within float resolution of a cone point.  A transport
+    through side k at s lands on its partner side at sigma = 1 - s.
+    Only a start (x, y) takes a first leg in the plane (`_plane_leg`),
+    which also refuses a start outside the pentagon with ValueError.
+    End points are taken on the side or the section crossed, a + s*e of
+    its row, so a flight builds no Vec2 and keeps only its crossed sides
+    and the running product of their factors.  Nothing is cached beyond
     the heading and the room's own tables, so nothing outlives them
     (nor, in the CLI, a `cli.main` call).
 
-    After the first transport every leg depends on its start point
-    alone, so a flight whose post-transport point repeats exactly is
-    trapped in a cycle until its budget runs out.  Brent's method finds
-    the repeat: the point after transport 1, 2, 4, 8, ... is saved, and
-    each later point is compared with the last one saved.  On a repeat
-    the flight skips whole periods at once, appending their sides and
-    multiplying their factors into the gain in crossing order, so the
-    RayTrace is the one the legs would have built.
+    After the first transport every leg depends on its side and sigma
+    alone, so a flight whose post-transport (side, sigma) repeats
+    exactly is trapped in a cycle until its budget runs out.  Brent's
+    method finds the repeat: the (side, sigma) after transport 1, 2, 4,
+    8, ... is saved, and each later one is compared with the last one
+    saved.  On a repeat the flight skips whole periods at once,
+    appending their sides and multiplying their factors into the gain in
+    crossing order, so the RayTrace is the one the legs would have built.
     """
-    exits, entries, rows, ux, uy, t_base, t_clear, sec, _ = heading
-    if sec is not None:
-        sax, say, sex, sey, sec_denom = sec
-    s_lo, s_hi = _S_LO, _S_HI
+    _, _, rows, _, _, t_base, t_clear, sec, frame = heading
+    legs = heading.legs
+    # the leg's start, which only a leg that meets no exit reports
+    j, sigma = SECTION_LEG, start
+    if isinstance(start, tuple):
+        k, partner, factor, s = _plane_leg(heading, start)
+    else:
+        if frame is None:
+            raise ValueError("a section coordinate needs a heading with a "
+                             "section")
+        if not 0.0 <= start <= frame[4]:
+            raise ValueError(f"section coordinate {start!r} is not in "
+                             f"[0, {frame[4]!r}]")
+        cuts, pieces = legs[SECTION_LEG] or heading.leg_table(SECTION_LEG)
+        (k, partner, factor, s0, s1, t0, t1,
+         c0, c1, d0, d1) = pieces[bisect_right(cuts, start)]
+        s = s0 + s1 * start
 
-    px, py = start
     crossed: list[int] = []
     gain = 1.0
     transports_left = max_crossings
-    # Brent's saved point, which no point equals before the first save,
-    # the transports left when it was saved, and those left at the next
-    # save
-    seen_x = seen_y = math.nan
+    # Brent's saved (side, sigma), which none equals before the first
+    # save, the transports left when it was saved, and those left at the
+    # next save
+    seen_side, seen_sigma = -1, math.nan
     seen_left = 0
     save_at = max_crossings - 1
 
     while True:
-        best_t = math.inf
-        best_s = 0.0
-        best_side: Optional[int] = None
-        for k, ax, ay, ex, ey, denom in exits:
-            wx, wy = ax - px, ay - py
-            t = (wx * ey - wy * ex) / denom
-            # s only matters for a crossing ahead of the best so far
-            if not t_base < t < best_t:
-                continue
-            s = (wx * uy - wy * ux) / denom
-            if s < s_lo or s > s_hi:
-                continue
-            best_t, best_s, best_side = t, s, k
-        if not crossed:
-            for _, ax, ay, ex, ey, denom in entries:
-                wx, wy = ax - px, ay - py
-                t = (wx * ey - wy * ex) / denom
-                if not t_base < t < best_t:
-                    continue
-                s = (wx * uy - wy * ux) / denom
-                if (_S_IN_LO <= s <= _S_IN_HI
-                        or s_lo <= s <= s_hi
-                        and _outside(rows, px, py, ux, uy)):
-                    raise ValueError(_OUTSIDE_START)
-        hit_section = False
-        if sec is not None:
-            wx, wy = sax - px, say - py
-            t = (wx * sey - wy * sex) / sec_denom
-            if t_clear < t < best_t - t_base:
-                s = (wx * uy - wy * ux) / sec_denom
-                if s_lo <= s <= s_hi:
-                    best_t, best_s = t, s
-                    hit_section = True
-        if best_side is None and not hit_section:
-            if not crossed:
-                raise ValueError(_OUTSIDE_START)
-            # Mid-flight this only happens when a transport lands within
-            # rounding distance of a cone point, so that the next leg
-            # meets no exit: the passage is singular at float
-            # resolution, the same as a direct vertex strike.
-            raise VertexHit(
-                "ray passes a cone point closer than float resolution",
-                trace=_new_trace(RayTrace, (tuple(crossed), gain, _VERTEX,
-                                            (px, py))))
-        qx, qy = px + ux * best_t, py + uy * best_t
-        if best_s < _S_IN_LO or best_s > _S_IN_HI:
-            if not crossed and _outside(rows, px, py, ux, uy):
-                raise ValueError(_OUTSIDE_START)
-            raise VertexHit("ray hits a pentagon vertex; the flow is "
-                            "undefined through the cone point",
-                            trace=_new_trace(RayTrace, (tuple(crossed), gain,
-                                                        _VERTEX, (qx, qy))))
-        if hit_section:
+        if not _S_IN_LO <= s <= _S_IN_HI:
+            raise _vertex_hit(heading, k, s, crossed, gain, j, sigma)
+        if k == SECTION_LEG:
+            ax, ay, ex, ey, _ = sec
             return _new_trace(RayTrace, (tuple(crossed), gain, _SECTION,
-                                         (qx, qy)))
-        _, _, _, _, _, is_door, factor, scale, ox, oy = rows[best_side]
-        if is_door:
-            return _new_trace(RayTrace, (tuple(crossed), gain, _DOOR,
-                                         (qx, qy)))
-        if transports_left <= 0:
-            return _new_trace(RayTrace, (tuple(crossed), gain, _BUDGET,
-                                         (qx, qy)))
+                                         (ax + ex * s, ay + ey * s)))
+        if partner is None or transports_left <= 0:
+            ax, ay, ex, ey, *_ = rows[k]
+            return _new_trace(RayTrace, (
+                tuple(crossed), gain, _DOOR if partner is None else _BUDGET,
+                (ax + ex * s, ay + ey * s)))
         transports_left -= 1
-        crossed.append(best_side)
+        crossed.append(k)
         gain *= factor
-        px, py = qx * scale + ox, qy * scale + oy
-        # a repeat is the same two floats, signed zeros included
-        if (px == seen_x and py == seen_y
-                and math.copysign(1.0, px) == math.copysign(1.0, seen_x)
-                and math.copysign(1.0, py) == math.copysign(1.0, seen_y)):
+        j, sigma = partner, 1.0 - s
+        if j == seen_side and sigma == seen_sigma:
             # skip as many whole periods of the cycle just closed as
             # the budget holds
             period = seen_left - transports_left
@@ -423,9 +581,18 @@ def trace_ray(heading: Heading, start: tuple[float, float],
             crossed += skipped
             transports_left -= len(skipped)
         elif transports_left == save_at:
-            seen_x, seen_y, seen_left = px, py, transports_left
+            seen_side, seen_sigma, seen_left = j, sigma, transports_left
             # the next save comes after twice the transports so far
             save_at = 2 * transports_left - max_crossings
+
+        cuts, pieces = legs[j] or heading.leg_table(j)
+        (k, partner, factor, s0, s1, t0, t1,
+         c0, c1, d0, d1) = pieces[bisect_right(cuts, sigma)]
+        s = s0 + s1 * sigma
+        if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
+            s_sec = d0 + d1 * sigma
+            if _S_LO <= s_sec <= _S_HI:
+                k, s = SECTION_LEG, s_sec
 
 
 # --- first-return map to a cross-section ---
@@ -447,16 +614,15 @@ def _flight(heading: Heading, s: float) -> RayTrace:
     """The flight from s back to the section of `heading`, s in the
     section's arc-length coordinate.
 
-    The frame and every direction-only quantity come from the heading;
-    per flight this takes the start point's floats and runs one
-    `trace_ray`, whose RayTrace it returns once the flight is known to
-    end on the section.  `_back` reads where it did.
+    It runs one `trace_ray` from s itself, so its first leg is a lookup
+    in the section's leg table, with no leg in the plane, and returns
+    the RayTrace once the flight is known to end on the section.
+    `_back` reads where it did.
     Raises BudgetExhausted when the flight takes more than
     DEFAULT_MAX_CROSSINGS transports, NotTransverse when it reaches the
     door, and VertexHit from the tracer.
     """
-    ax, ay, tx, ty, _ = heading.frame
-    tr = trace_ray(heading, (ax + tx * s, ay + ty * s))
+    tr = trace_ray(heading, s)
     terminal = tr.terminal
     if terminal is _BUDGET:
         raise BudgetExhausted("no return to the section within "

@@ -255,6 +255,11 @@ def induction_step_oracle(ra: Fraction, rb: Fraction, xt: Fraction
 
 # --- ray tracing on Vec2, straight from the room's public sides ---
 
+# Gluing of the pentagon model: bottom <-> top, right <-> left; side 3,
+# from V3 to V4, is the door.
+_GLUED = {0: 2, 1: 4, 2: 0, 4: 1}
+
+
 def point_in_polygon(pt: Vec2, polygon: list[Vec2]) -> bool:
     """Strict interior test by crossing number (float coordinates)."""
     n = len(polygon)
@@ -298,64 +303,140 @@ def _leaves_through(u: Vec2, a: Vec2, b: Vec2) -> bool:
     return u.cross(e) > PARALLEL_EPS * max(e.length(), 1.0)
 
 
-def trace_ray_oracle(room: Room, p: Vec2, theta: float,
+def _leg_law(b: Vec2, f: Vec2, u: Vec2, a: Vec2,
+             e: Vec2) -> tuple[float, float, float, float]:
+    """(S0, S1, T0, T1) of the crossing of the segment a + s*e by the ray
+    along u from b + sigma*f: with d = a - b it sits at
+    s = S0 + S1*sigma and t = T0 + T1*sigma."""
+    denom = u.cross(e)
+    d = a - b
+    return (d.cross(u) / denom, u.cross(f) / denom, d.cross(e) / denom,
+            e.cross(f) / denom)
+
+
+def _least_t_exit(laws: list[tuple], sigma: float, t_base: float
+                  ) -> Optional[tuple]:
+    """The (side, S0, S1, T0, T1) of least t > t_base among those whose
+    s lies within VERTEX_TOL of [0, 1] at sigma, the first on a tie."""
+    best = None
+    for law in laws:
+        t = law[3] + law[4] * sigma
+        s = law[1] + law[2] * sigma
+        if (t_base < t and -VERTEX_TOL <= s <= 1.0 + VERTEX_TOL
+                and (best is None or t < best[3] + best[4] * sigma)):
+            best = law
+    return best
+
+
+def _side_leg(laws: list[tuple], sigma: float, top: float,
+              t_base: float) -> Optional[tuple]:
+    """The exit a leg at sigma takes, by the rule of
+    `surface.Heading.leg_table`, worked out afresh: the laws' cuts in
+    (0, top), where an s reaches -VERTEX_TOL or 1 + VERTEX_TOL, a t
+    reaches t_base or two t meet, bound the piece of sigma, and the
+    exit of least t at the piece's midpoint is taken."""
+    cuts = []
+    for _, s0, s1, t0, t1 in laws:
+        if s1:
+            cuts += [(-VERTEX_TOL - s0) / s1, (1.0 + VERTEX_TOL - s0) / s1]
+        if t1:
+            cuts.append((t_base - t0) / t1)
+    for n, a in enumerate(laws):
+        for b in laws[n + 1:]:
+            if a[4] != b[4]:
+                cuts.append((b[3] - a[3]) / (a[4] - b[4]))
+    cuts = [c for c in cuts if 0.0 < c < top]
+    lo = max([c for c in cuts if c <= sigma], default=0.0)
+    hi = min([c for c in cuts if c > sigma], default=top)
+    return _least_t_exit(laws, 0.5 * (lo + hi), t_base)
+
+
+def trace_ray_oracle(room: Room, p, theta: float,
                      max_crossings: int = 64,
                      section: Optional[CrossSection] = None) -> RayTrace:
     """`surface.trace_ray` written over Vec2, `Room.sides()` and the
-    section's endpoints, with no side or diagonal table; it must agree
-    with the fast tracer bit for bit.
+    section's endpoints, with no side, diagonal or leg table; it must
+    agree with the fast tracer bit for bit.
 
-    A ray from a point of the pentagon first reaches a side it leaves
-    through, so only such sides are crossed.  A start outside the
-    pentagon, by `point_in_polygon`, raises ValueError.  The end point
-    is an (x, y) pair of floats."""
-    if not point_in_polygon(p, room.vertices()):
-        raise ValueError("the start point must lie in the closed pentagon")
+    `p` is a start Vec2 or a float, the arc-length coordinate of a point
+    on `section`.  From a Vec2 the first leg is solved in the plane: a
+    ray from a point of the pentagon first reaches a side it leaves
+    through, so only such sides are crossed, and a start outside the
+    pentagon, by `point_in_polygon`, raises ValueError.  Every other leg
+    starts on a side or on the section at a coordinate sigma, takes the
+    laws of every exit and of the section from scratch (`_leg_law`) and
+    its exit by the rule of the leg tables (`_side_leg`); a transport
+    through a side at s lands on its partner at sigma = 1 - s.  End
+    points, (x, y) pairs of floats, are taken on the side or section
+    crossed."""
     sides = room.sides()
     diam = room.diameter()
     u = unit(theta)
     t_base = MIN_STEP * diam
     t_clear = CLEARANCE * diam
-    sec_pts = section.endpoints(room) if section is not None else None
+    sec_a = sec_e = None
+    if section is not None:
+        sec_a, sec_b = section.endpoints(room)
+        sec_e = sec_b - sec_a
+        if abs(u.cross(sec_e)) <= PARALLEL_EPS * max(sec_e.length(), 1.0):
+            sec_a = None
+    exits = [side for side in sides
+             if _leaves_through(u, side.start, side.end)]
 
     crossed: list[int] = []
     gain = 1.0
 
-    while True:
+    if isinstance(p, Vec2):
+        if not point_in_polygon(p, room.vertices()):
+            raise ValueError("the start point must lie in the closed pentagon")
         best_t = math.inf
         best_s = 0.0
         best_side: Optional[int] = None
-        for side in sides:
-            if not _leaves_through(u, side.start, side.end):
-                continue
+        for side in exits:
             hit = _solve_crossing(p, u, side.start, side.end, t_base)
             if hit is not None and hit[0] < best_t:
                 best_t, best_s = hit
                 best_side = side.index
-        hit_section = False
-        if sec_pts is not None:
-            hit = _solve_crossing(p, u, sec_pts[0], sec_pts[1], t_clear)
+        if sec_a is not None:
+            hit = _solve_crossing(p, u, sec_a, sec_a + sec_e, t_clear)
             if hit is not None and hit[0] < best_t - t_base:
                 best_t, best_s = hit
-                hit_section = True
-        if best_side is None and not hit_section:
-            if not crossed:
-                raise ValueError("the start point must lie in the closed "
-                                 "pentagon")
+                best_side = -1
+        if best_side is None:
+            raise ValueError("the start point must lie in the closed "
+                             "pentagon")
+    else:
+        a, b = section.endpoints(room)
+        length = (b - a).length()
+        if not 0.0 <= p <= length:
+            raise ValueError(f"section coordinate {p!r} is not in "
+                             f"[0, {length!r}]")
+        tangent = (b - a) * (1.0 / length)
+        laws = [(side.index, *_leg_law(a, tangent, u, side.start,
+                                       side.end - side.start))
+                for side in exits]
+        law = _side_leg(laws, p, length, t_base)
+        if law is None:
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX,
-                               p.as_floats()))
-        q = p + u * best_t
+                trace=RayTrace((), gain, TraceEnd.VERTEX,
+                               (a + tangent * p).as_floats()))
+        best_side, best_s = law[0], law[1] + law[2] * p
+
+    while True:
+        if best_side == -1:
+            q = sec_a + sec_e * best_s
+        else:
+            side = sides[best_side]
+            q = side.start + (side.end - side.start) * best_s
         if best_s < VERTEX_TOL or best_s > 1.0 - VERTEX_TOL:
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
                             trace=RayTrace(tuple(crossed), gain,
                                            TraceEnd.VERTEX, q.as_floats()))
-        if hit_section:
+        if best_side == -1:
             return RayTrace(tuple(crossed), gain, TraceEnd.SECTION,
                             q.as_floats())
-        side = sides[best_side]
         if side.is_door:
             return RayTrace(tuple(crossed), gain, TraceEnd.DOOR,
                             q.as_floats())
@@ -364,14 +445,36 @@ def trace_ray_oracle(room: Room, p: Vec2, theta: float,
                             q.as_floats())
         crossed.append(side.index)
         gain *= side.factor
-        p = side.transport(q)
+        entry = sides[_GLUED[side.index]]
+        sigma = 1.0 - best_s
+        f = entry.end - entry.start
+        laws = [(out.index, *_leg_law(entry.start, f, u, out.start,
+                                      out.end - out.start))
+                for out in exits]
+        law = _side_leg(laws, sigma, 1.0, t_base)
+        best_t = math.inf if law is None else law[3] + law[4] * sigma
+        if sec_a is not None:
+            sec_s0, sec_s1, sec_t0, sec_t1 = _leg_law(entry.start, f, u,
+                                                      sec_a, sec_e)
+            if t_clear < sec_t0 + sec_t1 * sigma < best_t - t_base:
+                s = sec_s0 + sec_s1 * sigma
+                if -VERTEX_TOL <= s <= 1.0 + VERTEX_TOL:
+                    best_side, best_s = -1, s
+                    continue
+        if law is None:
+            raise VertexHit(
+                "ray passes a cone point closer than float resolution",
+                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX,
+                               (entry.start + f * sigma).as_floats()))
+        best_side, best_s = law[0], law[1] + law[2] * sigma
 
 
 def first_return_map_oracle(room: Room, theta: float,
                             section: CrossSection) -> PiecewiseAffineMap:
     """`surface.first_return_map` with its section coordinate in Vec2
-    arithmetic, tracing through `trace_ray_oracle`; it must build the
-    same map, or raise the same error type."""
+    arithmetic, flying every flight from its section coordinate through
+    `trace_ray_oracle`; it must build the same map, or raise the same
+    error type."""
     a, b = section.endpoints(room)
     length = (b - a).length()
     tangent = (b - a) * (1.0 / length)
@@ -381,8 +484,7 @@ def first_return_map_oracle(room: Room, theta: float,
         raise ValueError("direction must point into the surface at the door")
 
     def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
-        start = a + tangent * s
-        tr = trace_ray_oracle(room, start, theta,
+        tr = trace_ray_oracle(room, s, theta,
                               max_crossings=DEFAULT_MAX_CROSSINGS,
                               section=section)
         if tr.terminal is TraceEnd.BUDGET:
@@ -469,11 +571,6 @@ def first_return_map_oracle(room: Room, theta: float,
 # --- exact ray tracing in Fractions, the arbiter of float traces ---
 
 ExactPoint = tuple[Fraction, Fraction]
-
-# Gluing of the pentagon model: bottom <-> top, right <-> left; side 3,
-# from V3 to V4, is the door.
-_GLUED = {0: 2, 1: 4, 2: 0, 4: 1}
-
 
 def twin_vertices(e1: Vec2, e2: Vec2,
                   nu: tuple[float, float]) -> list[ExactPoint]:

@@ -88,7 +88,7 @@ def test_an_outside_start_is_refused():
 def test_a_section_start_next_to_a_vertex_traces():
     # a start on a section 1e-12 or 1e-9 of its length from an end lies
     # in the closed pentagon: it is never refused, and traces as the
-    # oracle does
+    # oracle does, from the point and from its section coordinate
     kinds = {"trace": 0, "vertex": 0}
     for room in (ROOM, REFLEX):
         for i, j in room.interior_diagonals():
@@ -98,14 +98,18 @@ def test_a_section_start_next_to_a_vertex_traces():
                     heading = Heading.of(room, theta, section)
                     ax, ay, tx, ty, length = heading.frame
                     for s in (1e-12 * length, 1e-9 * length):
-                        start = (ax + tx * s, ay + ty * s)
-                        fast = _trace_outcome(trace_ray, heading, start, 64)
-                        slow = _trace_outcome(oracles.trace_ray_oracle,
-                                              room, Vec2(*start), theta, 64,
-                                              section)
-                        assert fast[0] != "value", (room, theta, section)
-                        assert fast == slow, (room, theta, section, s)
-                        kinds[fast[0]] += 1
+                        point = (ax + tx * s, ay + ty * s)
+                        for start, oracle_start in ((point, Vec2(*point)),
+                                                    (s, s)):
+                            fast = _trace_outcome(trace_ray, heading, start,
+                                                  64)
+                            slow = _trace_outcome(oracles.trace_ray_oracle,
+                                                  room, oracle_start, theta,
+                                                  64, section)
+                            assert fast[0] != "value", (room, theta, section)
+                            assert fast == slow, (room, theta, section,
+                                                  start)
+                            kinds[fast[0]] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
 
 
@@ -178,6 +182,45 @@ def test_trace_ray_matches_vec2_oracle():
             ends.add(fast[1].terminal)
     assert all(count >= 10 for count in kinds.values()), kinds
     assert ends == {TraceEnd.DOOR, TraceEnd.SECTION, TraceEnd.BUDGET}
+
+
+def test_a_bad_section_coordinate_is_refused_before_any_leg():
+    # a section coordinate needs a section, and must be a finite float
+    # in [0, length]; a refused start leaves the heading's leg tables
+    # unbuilt
+    bare = Heading.of(ROOM, 0.7)
+    with pytest.raises(ValueError, match="needs a heading with a section"):
+        trace_ray(bare, 0.5, 64)
+    heading = Heading.of(ROOM, 0.7, CrossSection(1, 3))
+    length = heading.frame[4]
+    for bad in (math.nan, math.inf, -math.inf, -1e-300, -0.5,
+                math.nextafter(length, math.inf), 2.0 * length):
+        with pytest.raises(ValueError, match="not in"):
+            trace_ray(heading, bad, 64)
+    assert heading.legs == [None] * (surface.SECTION_LEG + 1)
+    assert bare.legs == [None] * (surface.SECTION_LEG + 1)
+    # both ends are starts, each at a vertex
+    for s in (0.0, length):
+        fast = _trace_outcome(trace_ray, heading, s, 64)
+        assert fast[0] == "vertex"
+        assert fast == _trace_outcome(oracles.trace_ray_oracle, ROOM, s,
+                                      0.7, 64, CrossSection(1, 3))
+
+
+def test_leg_tables_are_invisible():
+    # tables built by flights change neither eq, hash nor repr
+    heading = Heading.of(REFLEX, 1.3, CrossSection(0, 2))
+    twin = Heading.of(REFLEX, 1.3, CrossSection(0, 2))
+    before = (repr(heading), hash(heading))
+    for k in range(40):
+        try:
+            trace_ray(heading, heading.frame[4] * (k + 0.5) / 40, 64)
+        except VertexHit:
+            pass
+    assert any(table is not None for table in heading.legs)
+    assert heading == twin
+    assert (repr(heading), hash(heading)) == before == (repr(twin),
+                                                         hash(twin))
 
 
 def test_a_trapped_flight_traces_as_the_oracle_does():
@@ -262,7 +305,8 @@ def test_float_traces_agree_with_exact_traces():
     # the exact twin of the dyadic square room is the room itself.  On
     # every flight from a section whose exact crossings all keep 1e-6 of
     # a side's length from its ends, the float tracer crosses the exact
-    # sides, stops the same way, and ends within 1e-12 of the exact end
+    # sides, stops the same way, and ends within 1e-12 of the exact end,
+    # both from the start point and from its section coordinate
     sides = oracles.exact_twin(ROOM)
     assert ([(float(x), float(y)) for (x, y), *_ in sides]
             == [v.as_floats() for v in ROOM.vertices()])
@@ -280,11 +324,14 @@ def test_float_traces_agree_with_exact_traces():
             sides, start, u, ((ax, ay), (bx, by)), 64)
         if margin < Fraction(1, 10 ** 6):
             continue
-        trace = trace_ray(Heading.of(ROOM, theta, CrossSection(i, j)),
-                          (float(start[0]), float(start[1])), 64)
-        assert (trace.crossed_sides, trace.terminal) == (crossed, terminal)
-        assert math.dist(trace.end_point,
-                         (float(end[0]), float(end[1]))) <= 1e-12
+        heading = Heading.of(ROOM, theta, CrossSection(i, j))
+        for begin in ((float(start[0]), float(start[1])),
+                      float(frac) * heading.frame[4]):
+            trace = trace_ray(heading, begin, 64)
+            assert (trace.crossed_sides, trace.terminal) == (crossed,
+                                                             terminal)
+            assert math.dist(trace.end_point,
+                             (float(end[0]), float(end[1]))) <= 1e-12
         compared += 1
         ends.add(terminal)
     assert compared >= 190, compared
@@ -372,11 +419,14 @@ def test_first_return_map_refuses_a_non_finite_direction():
 
 def test_first_return_map_matches_vec2_oracle():
     # the float section frame must land every flight where the Vec2
-    # arithmetic did: same maps, or the same error type
+    # arithmetic did: same maps, or the same error type.  The non-convex
+    # rooms put a reflex vertex's shadow on the leg tables, where a
+    # table could pick the wrong piece
     rng = random.Random(SEED + 6)
     sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
     rooms = [ROOM, sheared, apply_sl2(oracles.random_sl2(rng), ROOM),
-             apply_sl2(oracles.random_sl2(rng), sheared)]
+             apply_sl2(oracles.random_sl2(rng), sheared), REFLEX,
+             apply_sl2(oracles.random_sl2(rng), REFLEX)]
     outcomes = {"map": 0, "error": 0}
     for room in rooms:
         lo, hi = room.inward_directions()
