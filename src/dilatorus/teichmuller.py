@@ -164,6 +164,9 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
         raise ValueError(f"eps_angle must be positive, got {eps_angle!r}")
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget!r}")
+    # t_max is the largest sample time, and the flow matrix leaves the
+    # float range as |t| grows, so one past it is refused before any scan
+    geodesic_matrix(t_max)
     baseline = find_cylinders(room, eps_angle, budget=budget)
     if t_max == 0 or steps == 0:
         times = [0.0]

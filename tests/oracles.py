@@ -260,41 +260,6 @@ def induction_step_oracle(ra: Fraction, rb: Fraction, xt: Fraction
 _GLUED = {0: 2, 1: 4, 2: 0, 4: 1}
 
 
-def point_in_polygon(pt: Vec2, polygon: list[Vec2]) -> bool:
-    """Strict interior test by crossing number (float coordinates)."""
-    n = len(polygon)
-    inside = False
-    x, y = float(pt.x), float(pt.y)
-    for i in range(n):
-        p0, p1 = polygon[i], polygon[(i + 1) % n]
-        x0, y0 = p0.as_floats()
-        x1, y1 = p1.as_floats()
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < xc:
-                inside = not inside
-    return inside
-
-
-def _solve_crossing(p: Vec2, u: Vec2, a: Vec2, b: Vec2,
-                    t_floor: float) -> Optional[tuple[float, float]]:
-    """Parameters (t, s) with p + t*u = a + s*(b - a), or None.
-
-    Near-vertex values of s are kept (the caller decides whether they
-    are singular hits); rays parallel to the segment never cross it.
-    """
-    e = b - a
-    denom = u.cross(e)
-    if abs(denom) <= PARALLEL_EPS * max(e.length(), 1.0):
-        return None
-    w = a - p
-    t = w.cross(e) / denom
-    s = w.cross(u) / denom
-    if t <= t_floor or s < -VERTEX_TOL or s > 1.0 + VERTEX_TOL:
-        return None
-    return t, s
-
-
 def _leaves_through(u: Vec2, a: Vec2, b: Vec2) -> bool:
     """Whether a ray along u leaves the counter-clockwise pentagon
     through its side from a to b: u x (b - a) exceeds the side's
@@ -351,77 +316,48 @@ def _side_leg(laws: list[tuple], sigma: float, top: float,
     return _least_t_exit(laws, 0.5 * (lo + hi), t_base)
 
 
-def trace_ray_oracle(room: Room, p, theta: float,
-                     max_crossings: int = 64,
-                     section: Optional[CrossSection] = None) -> RayTrace:
+def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
+                     section: CrossSection) -> RayTrace:
     """`surface.trace_ray` written over Vec2, `Room.sides()` and the
     section's endpoints, with no side, diagonal or leg table; it must
     agree with the fast tracer bit for bit.
 
-    `p` is a start Vec2 or a float, the arc-length coordinate of a point
-    on `section`.  From a Vec2 the first leg is solved in the plane: a
-    ray from a point of the pentagon first reaches a side it leaves
-    through, so only such sides are crossed, and a start outside the
-    pentagon, by `point_in_polygon`, raises ValueError.  Every other leg
-    starts on a side or on the section at a coordinate sigma, takes the
-    laws of every exit and of the section from scratch (`_leg_law`) and
-    its exit by the rule of the leg tables (`_side_leg`); a transport
-    through a side at s lands on its partner at sigma = 1 - s.  End
-    points, (x, y) pairs of floats, are taken on the side or section
-    crossed."""
+    `p` is the arc-length coordinate of a point on `section`.  Every
+    leg starts on a side or on the section at a coordinate sigma, takes
+    the laws of every exit and of the section from scratch (`_leg_law`)
+    and its exit by the rule of the leg tables (`_side_leg`); a
+    transport through a side at s lands on its partner at
+    sigma = 1 - s.  End points, (x, y) pairs of floats, are taken on the
+    side or section crossed."""
     sides = room.sides()
     diam = room.diameter()
     u = unit(theta)
     t_base = MIN_STEP * diam
     t_clear = CLEARANCE * diam
-    sec_a = sec_e = None
-    if section is not None:
-        sec_a, sec_b = section.endpoints(room)
-        sec_e = sec_b - sec_a
-        if abs(u.cross(sec_e)) <= PARALLEL_EPS * max(sec_e.length(), 1.0):
-            sec_a = None
+    a, b = section.endpoints(room)
+    sec_a, sec_e = a, b - a
+    if abs(u.cross(sec_e)) <= PARALLEL_EPS * max(sec_e.length(), 1.0):
+        sec_a = None
     exits = [side for side in sides
              if _leaves_through(u, side.start, side.end)]
 
     crossed: list[int] = []
     gain = 1.0
-
-    if isinstance(p, Vec2):
-        if not point_in_polygon(p, room.vertices()):
-            raise ValueError("the start point must lie in the closed pentagon")
-        best_t = math.inf
-        best_s = 0.0
-        best_side: Optional[int] = None
-        for side in exits:
-            hit = _solve_crossing(p, u, side.start, side.end, t_base)
-            if hit is not None and hit[0] < best_t:
-                best_t, best_s = hit
-                best_side = side.index
-        if sec_a is not None:
-            hit = _solve_crossing(p, u, sec_a, sec_a + sec_e, t_clear)
-            if hit is not None and hit[0] < best_t - t_base:
-                best_t, best_s = hit
-                best_side = -1
-        if best_side is None:
-            raise ValueError("the start point must lie in the closed "
-                             "pentagon")
-    else:
-        a, b = section.endpoints(room)
-        length = (b - a).length()
-        if not 0.0 <= p <= length:
-            raise ValueError(f"section coordinate {p!r} is not in "
-                             f"[0, {length!r}]")
-        tangent = (b - a) * (1.0 / length)
-        laws = [(side.index, *_leg_law(a, tangent, u, side.start,
-                                       side.end - side.start))
-                for side in exits]
-        law = _side_leg(laws, p, length, t_base)
-        if law is None:
-            raise VertexHit(
-                "ray passes a cone point closer than float resolution",
-                trace=RayTrace((), gain, TraceEnd.VERTEX,
-                               (a + tangent * p).as_floats()))
-        best_side, best_s = law[0], law[1] + law[2] * p
+    length = sec_e.length()
+    if not 0.0 <= p <= length:
+        raise ValueError(f"section coordinate {p!r} is not in "
+                         f"[0, {length!r}]")
+    tangent = sec_e * (1.0 / length)
+    laws = [(side.index, *_leg_law(a, tangent, u, side.start,
+                                   side.end - side.start))
+            for side in exits]
+    law = _side_leg(laws, p, length, t_base)
+    if law is None:
+        raise VertexHit(
+            "ray passes a cone point closer than float resolution",
+            trace=RayTrace((), gain, TraceEnd.VERTEX,
+                           (a + tangent * p).as_floats()))
+    best_side, best_s = law[0], law[1] + law[2] * p
 
     while True:
         if best_side == -1:

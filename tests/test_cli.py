@@ -508,6 +508,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
      "eps_angle must be positive, got 0.0"),
     (["flow", "--t-max=1", "--budget=0"] + MU_FLAGS,
      "budget must be positive, got 0"),
+    (["flow", "--mu1=0.69", "--mu2=0.69", "--t-max=2000"],
+     "geodesic flow time 2000.0"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
         "flow-tol-negative", "room-mu1-nan", "room-mu1-inf", "room-e1-nan",
         "room-mu1-overflow", "room-mu1-underflow", "room-mu2-subnormal",
@@ -524,9 +526,14 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "reach-target-ratio-underflow", "room-long-mu2", "room-long-mu1",
         "act-rotate-inf", "orbit-closure-mu1-inf",
         "orbit-closure-ratio-overflow", "orbit-closure-mu1-nan",
-        "flow-steps-negative", "flow-eps-zero", "flow-budget-zero"])
+        "flow-steps-negative", "flow-eps-zero", "flow-budget-zero",
+        "flow-t-max-past-float-range"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
+    # each refusal comes before any work: a flow past the float range
+    # used to run its scan and nine samples, 4.9 s, before refusing
+    t0 = time.perf_counter()
     code, out, err = run(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     data = json.loads(err)
     assert data["error"] == "ValueError"

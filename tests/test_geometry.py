@@ -254,14 +254,6 @@ def test_canonicalize_keeps_shape():
     assert canon.params == room.params
 
 
-def test_point_in_polygon_on_pentagon():
-    room = square_room(LN2, LN2)
-    poly = room.vertices()
-    assert oracles.point_in_polygon(Vec2(0.4, 0.4), poly)
-    assert not oracles.point_in_polygon(Vec2(-0.1, 0.5), poly)
-    assert not oracles.point_in_polygon(Vec2(0.2, 0.9), poly)  # beyond the door
-
-
 def test_json_roundtrip_float_and_exact():
     room = build_room((1.0, 0.25), (-0.5, 2.0), (0.4, 0.8))
     assert _room_payload(room) == {

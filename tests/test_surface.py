@@ -17,7 +17,7 @@ from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
                               VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 Vec2, apply_sl2, build_room,
-                                projective_action, square_room)
+                                projective_action, square_room, unit)
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap)
 from dilatorus.quadratics import QuadraticNumber, sqrt_int
@@ -37,8 +37,10 @@ REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 # --- ray tracing ---
 
 def test_trace_reaches_door():
-    # straight shot toward the door from inside
-    trace = trace_ray(Heading.of(ROOM, math.atan2(1.0, -0.3)), (0.3, 0.3), 64)
+    # straight shot toward the door from (0.3, 0.3) on the diagonal
+    trace = trace_ray(Heading.of(ROOM, math.atan2(1.0, -0.3),
+                                 CrossSection(0, 2)), 0.3 * math.sqrt(2.0),
+                      64)
     assert trace.terminal is TraceEnd.DOOR
     assert trace.crossings == len(trace.crossed_sides)
 
@@ -47,8 +49,9 @@ def test_trace_transport_factors_are_glue_factors():
     rng = random.Random(SEED)
     for _ in range(40):
         theta = rng.uniform(0.0, 2.0 * math.pi)
+        heading = Heading.of(ROOM, theta, CrossSection(2, 4))
         try:
-            trace = trace_ray(Heading.of(ROOM, theta), (0.31, 0.27), 12)
+            trace = trace_ray(heading, 0.29 * heading.frame[4], 12)
         except VertexHit:
             continue
         sides = ROOM.sides()
@@ -57,38 +60,23 @@ def test_trace_transport_factors_are_glue_factors():
 
 
 def test_trace_vertex_hit():
-    # aim exactly at V2 = (1, 1)
+    # aim exactly at V2 = (1, 1), along the diagonal from (0.5, 0.5)
+    heading = Heading.of(ROOM, math.pi / 4.0, CrossSection(0, 2))
     with pytest.raises(VertexHit) as info:
-        trace_ray(Heading.of(ROOM, math.pi / 4.0), (0.5, 0.5), 64)
+        trace_ray(heading, 0.5 * heading.frame[4], 64)
     assert info.value.trace.terminal is TraceEnd.VERTEX
 
 
 def test_trace_max_crossings_budget():
-    trace = trace_ray(Heading.of(ROOM, 0.1), (0.31, 0.27), 5)
+    heading = Heading.of(ROOM, 0.1, CrossSection(2, 4))
+    trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
     assert trace.terminal is TraceEnd.BUDGET
     assert trace.crossings == 5
 
 
-def test_an_outside_start_is_refused():
-    # from left of the pentagon the ray meets the door, an entry, away
-    # from the door's ends and before any exit
-    with pytest.raises(ValueError, match="closed pentagon"):
-        trace_ray(Heading.of(ROOM, 0.5), (-0.5, 0.3), 64)
-    # when the first contact is a vertex, a crossing count decides: in
-    # through V0 and past V2 from outside, past the reflex V4 from inside
-    with pytest.raises(ValueError, match="closed pentagon"):
-        trace_ray(Heading.of(ROOM, math.atan2(0.1, 0.3)), (-0.3, -0.1), 64)
-    with pytest.raises(ValueError, match="closed pentagon"):
-        trace_ray(Heading.of(ROOM, -math.pi / 4.0), (0.5, 1.5), 64)
-    x4, y4 = REFLEX.vertices()[4].as_floats()
-    with pytest.raises(VertexHit):
-        trace_ray(Heading.of(REFLEX, math.pi / 2.0), (x4, y4 - 0.2), 64)
-
-
 def test_a_section_start_next_to_a_vertex_traces():
-    # a start on a section 1e-12 or 1e-9 of its length from an end lies
-    # in the closed pentagon: it is never refused, and traces as the
-    # oracle does, from the point and from its section coordinate
+    # a start on a section 1e-12 or 1e-9 of its length from an end is
+    # never refused, and traces as the oracle does
     kinds = {"trace": 0, "vertex": 0}
     for room in (ROOM, REFLEX):
         for i, j in room.interior_diagonals():
@@ -96,20 +84,14 @@ def test_a_section_start_next_to_a_vertex_traces():
                 for k in range(24):
                     theta = 2.0 * math.pi * (k + 0.37) / 24
                     heading = Heading.of(room, theta, section)
-                    ax, ay, tx, ty, length = heading.frame
+                    length = heading.frame[4]
                     for s in (1e-12 * length, 1e-9 * length):
-                        point = (ax + tx * s, ay + ty * s)
-                        for start, oracle_start in ((point, Vec2(*point)),
-                                                    (s, s)):
-                            fast = _trace_outcome(trace_ray, heading, start,
-                                                  64)
-                            slow = _trace_outcome(oracles.trace_ray_oracle,
-                                                  room, oracle_start, theta,
-                                                  64, section)
-                            assert fast[0] != "value", (room, theta, section)
-                            assert fast == slow, (room, theta, section,
-                                                  start)
-                            kinds[fast[0]] += 1
+                        fast = _trace_outcome(trace_ray, heading, s, 64)
+                        slow = _trace_outcome(oracles.trace_ray_oracle,
+                                              room, s, theta, 64, section)
+                        assert fast[0] != "value", (room, theta, section)
+                        assert fast == slow, (room, theta, section, s)
+                        kinds[fast[0]] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
 
 
@@ -133,48 +115,50 @@ def _oracle_rooms(rng: random.Random) -> list:
                     for room in rooms]
 
 
-def _start(rng: random.Random, room, outside: bool) -> Vec2:
-    """A random point of the room's bounding box, widened by 0.5, inside
-    the pentagon or outside it."""
-    verts = room.vertices()
-    xs = [v.x for v in verts]
-    ys = [v.y for v in verts]
-    while True:
-        p = Vec2(rng.uniform(min(xs) - 0.5, max(xs) + 0.5),
-                 rng.uniform(min(ys) - 0.5, max(ys) + 0.5))
-        if oracles.point_in_polygon(p, verts) != outside:
-            return p
+def _start(rng: random.Random, room, section, theta: float,
+           aimed: bool) -> float:
+    """A section coordinate of a flight along theta, uniform on the
+    section; or, when aimed, where the line along theta through a vertex
+    ahead meets the section, for the first vertex in random order that
+    has one."""
+    a, b = section.endpoints(room)
+    e = b - a
+    length = e.length()
+    u = unit(theta)
+    if aimed and e.cross(u):
+        verts = room.vertices()
+        rng.shuffle(verts)
+        for v in verts:
+            # v - a = frac*e + t*u, with the vertex ahead at t > 0
+            w = v - a
+            frac = w.cross(u) / e.cross(u)
+            if 0.0 < frac < 1.0 and w.cross(e) / u.cross(e) > 0.0:
+                return frac * length
+    return length * rng.random()
 
 
 def _oracle_cases(rng: random.Random, n: int):
-    """(room, start, theta, max_crossings, section) cases over six rooms:
-    mostly interior starts in random directions, some aimed at a vertex,
-    some starting outside the pentagon."""
+    """(room, s, theta, max_crossings, section) cases over six rooms:
+    random directions from random section coordinates, one in ten
+    aimed at a vertex."""
     rooms = _oracle_rooms(rng)
     for k in range(n):
         room = rooms[k % len(rooms)]
-        kind = rng.random()
-        p = _start(rng, room, kind > 0.9)
-        if kind < 0.1:
-            target = rng.choice(room.vertices())
-            theta = math.atan2(target.y - p.y, target.x - p.x)
-        else:
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-        sections = [None] + [CrossSection(i, j)
-                             for i, j in room.interior_diagonals()]
-        yield (room, p, theta, rng.choice((3, 12, 64)),
-               rng.choice(sections))
+        section = CrossSection(*rng.choice(room.interior_diagonals()))
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        s = _start(rng, room, section, theta, rng.random() < 0.1)
+        yield (room, s, theta, rng.choice((3, 12, 64)), section)
 
 
 def test_trace_ray_matches_vec2_oracle():
     # the float tracer must do the oracle's arithmetic in the oracle's
-    # order: traces, partial traces and failures agree exactly
-    kinds = {"trace": 0, "vertex": 0, "value": 0}
+    # order: traces and partial traces agree exactly
+    kinds = {"trace": 0, "vertex": 0}
     ends = set()
     for case in _oracle_cases(random.Random(SEED), 600):
-        room, p, theta, max_crossings, section = case
+        room, s, theta, max_crossings, section = case
         fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
-                              p.as_floats(), max_crossings)
+                              s, max_crossings)
         slow = _trace_outcome(oracles.trace_ray_oracle, *case)
         assert fast == slow, case
         kinds[fast[0]] += 1
@@ -185,12 +169,8 @@ def test_trace_ray_matches_vec2_oracle():
 
 
 def test_a_bad_section_coordinate_is_refused_before_any_leg():
-    # a section coordinate needs a section, and must be a finite float
-    # in [0, length]; a refused start leaves the heading's leg tables
-    # unbuilt
-    bare = Heading.of(ROOM, 0.7)
-    with pytest.raises(ValueError, match="needs a heading with a section"):
-        trace_ray(bare, 0.5, 64)
+    # a section coordinate must be a finite float in [0, length]; a
+    # refused start leaves the heading's leg tables unbuilt
     heading = Heading.of(ROOM, 0.7, CrossSection(1, 3))
     length = heading.frame[4]
     for bad in (math.nan, math.inf, -math.inf, -1e-300, -0.5,
@@ -198,7 +178,6 @@ def test_a_bad_section_coordinate_is_refused_before_any_leg():
         with pytest.raises(ValueError, match="not in"):
             trace_ray(heading, bad, 64)
     assert heading.legs == [None] * (surface.SECTION_LEG + 1)
-    assert bare.legs == [None] * (surface.SECTION_LEG + 1)
     # both ends are starts, each at a vertex
     for s in (0.0, length):
         fast = _trace_outcome(trace_ray, heading, s, 64)
@@ -240,11 +219,9 @@ def test_a_trapped_flight_traces_as_the_oracle_does():
                 theta += math.pi
             section = CrossSection(*rng.choice(room.interior_diagonals()))
             heading = Heading.of(room, theta, section)
-            ax, ay, tx, ty, length = heading.frame
-            s = length * rng.random()
-            start = (ax + tx * s, ay + ty * s)
+            s = heading.frame[4] * rng.random()
             try:
-                sides = trace_ray(heading, start, 512).crossed_sides
+                sides = trace_ray(heading, s, 512).crossed_sides
             except VertexHit:
                 continue
             period = next((q for q in range(1, 5)
@@ -252,8 +229,8 @@ def test_a_trapped_flight_traces_as_the_oracle_does():
             if len(sides) < 512 or period is None:
                 continue
             for n in (64, 512):
-                assert trace_ray(heading, start, n) == oracles.trace_ray_oracle(
-                    room, Vec2(*start), theta, n, section), (room, theta, s)
+                assert trace_ray(heading, s, n) == oracles.trace_ray_oracle(
+                    room, s, theta, n, section), (room, theta, s)
             periods.append(period)
             found += 1
     assert len(periods) == 60 and len(set(periods)) >= 2, periods
@@ -263,38 +240,30 @@ def test_a_shared_heading_leaks_nothing_between_flights():
     # a return map flies all its rays on one Heading: in whichever order
     # the flights come, each must trace as the oracle does from scratch
     rng = random.Random(SEED + 8)
-    kinds = {"trace": 0, "vertex": 0, "value": 0}
+    kinds = {"trace": 0, "vertex": 0}
     for room in _oracle_rooms(rng):
-        verts = room.vertices()
-        sections = [None] + [CrossSection(i, j)
-                             for i, j in room.interior_diagonals()]
         for _ in range(2):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            u = Vec2(math.cos(theta), math.sin(theta))
-            flights = []
-            for k in range(60):
-                if k % 6 == 0:      # a start aimed along u at a vertex
-                    p = rng.choice(verts) - u * rng.uniform(0.05, 1.0)
-                else:
-                    p = _start(rng, room, rng.random() > 0.9)
-                flights.append((p, rng.choice((3, 12, 64))))
-            for section in sections:
-                want = [_trace_outcome(oracles.trace_ray_oracle, room, p,
+            for i, j in room.interior_diagonals():
+                section = CrossSection(i, j)
+                # one start in six aimed along theta at a vertex
+                flights = [(_start(rng, room, section, theta, k % 6 == 0),
+                            rng.choice((3, 12, 64))) for k in range(60)]
+                want = [_trace_outcome(oracles.trace_ray_oracle, room, s,
                                        theta, n, section)
-                        for p, n in flights]
+                        for s, n in flights]
                 heading = Heading.of(room, theta, section)
-                forward = [_trace_outcome(trace_ray, heading,
-                                          p.as_floats(), n)
-                           for p, n in flights]
-                backward = [_trace_outcome(trace_ray, heading,
-                                           p.as_floats(), n)
-                            for p, n in reversed(flights)]
+                forward = [_trace_outcome(trace_ray, heading, s, n)
+                           for s, n in flights]
+                backward = [_trace_outcome(trace_ray, heading, s, n)
+                            for s, n in reversed(flights)]
                 assert forward == want, (room, theta, section)
                 assert backward[::-1] == want, (room, theta, section)
                 for kind, _ in want:
                     kinds[kind] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
-    trace = trace_ray(Heading.of(ROOM, 0.1), (0.31, 0.27), 5)
+    heading = Heading.of(ROOM, 0.1, CrossSection(2, 4))
+    trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
     with pytest.raises(AttributeError):
         trace.crossed_sides = ()
     with pytest.raises(AttributeError):
@@ -305,8 +274,7 @@ def test_float_traces_agree_with_exact_traces():
     # the exact twin of the dyadic square room is the room itself.  On
     # every flight from a section whose exact crossings all keep 1e-6 of
     # a side's length from its ends, the float tracer crosses the exact
-    # sides, stops the same way, and ends within 1e-12 of the exact end,
-    # both from the start point and from its section coordinate
+    # sides, stops the same way, and ends within 1e-12 of the exact end
     sides = oracles.exact_twin(ROOM)
     assert ([(float(x), float(y)) for (x, y), *_ in sides]
             == [v.as_floats() for v in ROOM.vertices()])
@@ -325,13 +293,10 @@ def test_float_traces_agree_with_exact_traces():
         if margin < Fraction(1, 10 ** 6):
             continue
         heading = Heading.of(ROOM, theta, CrossSection(i, j))
-        for begin in ((float(start[0]), float(start[1])),
-                      float(frac) * heading.frame[4]):
-            trace = trace_ray(heading, begin, 64)
-            assert (trace.crossed_sides, trace.terminal) == (crossed,
-                                                             terminal)
-            assert math.dist(trace.end_point,
-                             (float(end[0]), float(end[1]))) <= 1e-12
+        trace = trace_ray(heading, float(frac) * heading.frame[4], 64)
+        assert (trace.crossed_sides, trace.terminal) == (crossed, terminal)
+        assert math.dist(trace.end_point,
+                         (float(end[0]), float(end[1]))) <= 1e-12
         compared += 1
         ends.add(terminal)
     assert compared >= 190, compared
@@ -344,9 +309,9 @@ def test_cached_room_geometry_is_invisible():
 
     room, twin = fresh(), fresh()
     before = (repr(room), hash(room))
-    p, theta = (0.5, 0.6), 0.7
+    s, theta = 0.5, 0.7
     section = CrossSection(0, 2)
-    first = trace_ray(Heading.of(room, theta, section), p, 64)
+    first = trace_ray(Heading.of(room, theta, section), s, 64)
     assert room == twin
     assert (repr(room), hash(room)) == before == (repr(twin), hash(twin))
     # the lists handed out are copies of the cache
@@ -372,10 +337,10 @@ def test_cached_room_geometry_is_invisible():
         ends[1].x = 9.0
     assert section.endpoints(room) == section.endpoints(twin)
     assert room.geom.diagonals == twin.geom.diagonals
-    assert trace_ray(Heading.of(room, theta, section), p, 64) == first
+    assert trace_ray(Heading.of(room, theta, section), s, 64) == first
     # an equal room built separately traces identically
-    assert trace_ray(Heading.of(twin, theta, section), p, 64) == first
-    assert trace_ray(Heading.of(fresh(), theta, section), p,
+    assert trace_ray(Heading.of(twin, theta, section), s, 64) == first
+    assert trace_ray(Heading.of(fresh(), theta, section), s,
                      64) == first
 
 
