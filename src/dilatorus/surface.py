@@ -193,7 +193,7 @@ SECTION_LEG = 5
 # infinite, and its s NaN, which fails the test for a crossing clear of
 # the vertices, so that a leg there raises VertexHit
 _NO_EXIT = (None, None, 1.0, math.nan, 0.0, math.inf, 0.0)
-# the section law of a leg that cannot cross the section
+# the section law of the legs from a side that cannot cross the section
 _NO_SECTION = (-math.inf, 0.0, 0.0, 0.0)
 
 
@@ -223,25 +223,32 @@ class Heading(_HeadingFields):
     starts at b + sigma*f for the side's start b and edge f (the
     frame's start and unit tangent), so w = (a - b) - sigma*f, and the
     crossing of every exit and of the section is affine in sigma:
-    s = S0 + S1*sigma and t = T0 + T1*sigma.  `leg_table(j)` tabulates
-    these laws for side j or for the section (j = SECTION_LEG) and cuts
-    the leg's domain, [0, 1] on a side and [0, length] on the section,
-    where the exit changes.  Its cuts are the sigma at which an exit's
-    s reaches -VERTEX_TOL or 1 + VERTEX_TOL, its t reaches t_base, or
-    the t of two exits meet.  Between two cuts the exits a ray may take
-    (t_base < t, s within VERTEX_TOL of [0, 1]) and their order by t
-    stay the same, so each piece's exit is the one of least t among
-    them at the piece's midpoint, and neighbours with the same exit
-    merge.  The section's own table has no section law: a flight
-    crosses a side before it can return.  `legs` holds the tables,
-    each built on its first use; like `Room.geom` it is kept in the
-    instance dict, out of the tuple's eq, hash and repr.
+    s = S0 + S1*sigma and t = T0 + T1*sigma.  `tabulate(j)` cuts the
+    leg's domain, [0, 1] on side j and [0, length] on the section
+    (j = SECTION_LEG), where the exit changes.  Its cuts are the sigma
+    at which an exit's s reaches -VERTEX_TOL or 1 + VERTEX_TOL, its t
+    reaches t_base, or the t of two exits meet.  Between two cuts the
+    exits a ray may take (t_base < t, s within VERTEX_TOL of [0, 1])
+    and their order by t stay the same, so each piece's exit is the one
+    of least t among them at the piece's midpoint, and neighbours with
+    the same exit merge.  A side's pieces depend on the room, theta and
+    the side, not on the section, so `bases` keeps them apart, and
+    `surface._heading` shares that list among the headings of one
+    direction.  The section's crossing from a side is one affine law
+    for all of the side's pieces, which `leg_table(j)` stores once
+    after them; the section's own table has no section law, since a
+    flight crosses a side before it can return.  `legs` and `bases`
+    hold what was built on first use; like `Room.geom` they are kept in
+    the instance dict, out of the tuple's eq, hash and repr.
     """
 
     @classmethod
     def of(cls, room: Room, theta: float, section: CrossSection) -> Heading:
         """The heading of direction theta in `room`, stopping at
-        `section`.  A non-finite theta raises ValueError."""
+        `section`, with tables of its own.  A non-finite theta raises
+        ValueError.  The library takes its headings from
+        `surface._heading`, which builds each one here once per
+        direction."""
         _require_finite(theta)
         geom = room.geom
         ux, uy = math.cos(theta), math.sin(theta)
@@ -265,26 +272,50 @@ class Heading(_HeadingFields):
         `leg_table` builds it."""
         return [None] * (SECTION_LEG + 1)
 
-    def leg_table(self, j: int) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
-        """(cuts, pieces) of the legs from side j, or from the section
-        for j = SECTION_LEG, built once and kept in `legs`.
+    @cached_property
+    def bases(self) -> list[Optional[tuple]]:
+        """The `tabulate` result of each side, None until `leg_table`
+        needs it; one list for all the headings `surface._heading`
+        hands out for a direction."""
+        return [None] * SECTION_LEG
 
-        The piece of sigma is pieces[bisect_right(cuts, sigma)], a row
-        (k, partner, factor, S0, S1, T0, T1, C0, C1, D0, D1): the exit
+    def leg_table(self, j: int) -> tuple:
+        """The table of the legs from side j, (cuts, pieces, C0, C1,
+        D0, D1), or from the section for j = SECTION_LEG, (cuts,
+        pieces); built once and kept in `legs`.
+
+        The piece of sigma is pieces[bisect_right(cuts, sigma)], the
+        row (k, partner, factor, S0, S1, T0, T1) of its exit: the exit
         side k, the side its transport lands on (None for the door) and
-        its factor, the exit's s and t laws, and the section's
-        t = C0 + C1*sigma and s = D0 + D1*sigma.  A piece where no exit
-        is taken is `_NO_EXIT`'s, and C0 = -inf where the leg cannot
-        cross the section."""
-        exits, rows, ux, uy, t_base, _, sec, frame = self
+        its factor, and the exit's s and t laws.  A piece where no exit
+        is taken is `_NO_EXIT`.  On every piece of side j the section is
+        met at t = C0 + C1*sigma and s = D0 + D1*sigma, and C0 = -inf
+        where the leg cannot cross the section.  (cuts, pieces) is the
+        side's `tabulate` result, kept in `bases`."""
+        if j == SECTION_LEG:
+            table = self.tabulate(j)
+        else:
+            base = self.bases[j]
+            if base is None:
+                base = self.bases[j] = self.tabulate(j)
+            sec = self.section_row
+            if sec is None:
+                table = base + _NO_SECTION
+            else:
+                bx, by, fx, fy = self.sides[j][:4]
+                table = base + _laws(bx, by, fx, fy, self.ux, self.uy, *sec)
+        self.legs[j] = table
+        return table
+
+    def tabulate(self, j: int) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
+        """(cuts, pieces) of the legs from side j, or from the section
+        for j = SECTION_LEG, as `leg_table` describes them."""
+        exits, rows, ux, uy, t_base, _, _, frame = self
         if j == SECTION_LEG:
             bx, by, fx, fy, top = frame
-            sec_law = _NO_SECTION
         else:
             bx, by, fx, fy = rows[j][:4]
             top = 1.0
-            sec_law = _NO_SECTION if sec is None else _laws(bx, by, fx, fy,
-                                                             ux, uy, *sec)
         laws: list[tuple] = []
         cuts: list[float] = []
         for k, ax, ay, ex, ey, denom in exits:
@@ -314,11 +345,9 @@ class Heading(_HeadingFields):
             if not pieces or pieces[-1][0] != taken[0]:
                 if pieces:
                     kept.append(lo)
-                pieces.append(taken + sec_law)
+                pieces.append(taken)
             lo = hi
-        table = (tuple(kept), tuple(pieces))
-        self.legs[j] = table
-        return table
+        return tuple(kept), tuple(pieces)
 
 
 def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,
@@ -330,6 +359,56 @@ def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,
     dx, dy = ax - bx, ay - by
     return ((dx * ey - dy * ex) / denom, (fy * ex - fx * ey) / denom,
             (dx * uy - dy * ux) / denom, (fy * ux - fx * uy) / denom)
+
+
+class _Direction:
+    """What a room keeps of the direction it was last asked about: the
+    float theta, its candidate sections (None until first asked for),
+    the heading of each section asked for, and the side pieces
+    (`Heading.bases`) all of those headings share."""
+
+    __slots__ = ("theta", "candidates", "headings", "bases")
+
+    def __init__(self, theta: float):
+        self.theta = theta
+        self.candidates: Optional[list[CrossSection]] = None
+        self.headings: dict[CrossSection, Heading] = {}
+        self.bases: list[Optional[tuple]] = [None] * SECTION_LEG
+
+
+def _direction(room: Room, theta: float) -> _Direction:
+    """The room's `_Direction` of theta, a fresh one that replaces the
+    last unless theta is the same float (0.0 and -0.0 differ).
+
+    It is kept in the room's instance dict, as `Room.geom` is, so it
+    stays out of the room's eq, hash and repr, and lives no longer than
+    the room."""
+    kept = vars(room)
+    rec = kept.get("_direction")
+    if (rec is None or rec.theta != theta
+            or math.copysign(1.0, rec.theta) != math.copysign(1.0, theta)):
+        rec = kept["_direction"] = _Direction(theta)
+    return rec
+
+
+def _heading(room: Room, theta: float, section: CrossSection) -> Heading:
+    """`Heading.of(room, theta, section)`, built once per direction of
+    the room and sharing that direction's side pieces."""
+    rec = _direction(room, theta)
+    heading = rec.headings.get(section)
+    if heading is None:
+        heading = rec.headings[section] = Heading.of(room, theta, section)
+        heading.bases = rec.bases
+    return heading
+
+
+def _candidates(room: Room, theta: float) -> list[CrossSection]:
+    """`_candidate_sections(room, theta)`, worked out once per direction
+    of the room; callers must not change the list."""
+    rec = _direction(room, theta)
+    if rec.candidates is None:
+        rec.candidates = _candidate_sections(room, theta)
+    return rec.candidates
 
 
 class RayTrace(NamedTuple):
@@ -408,17 +487,19 @@ def trace_ray(heading: Heading, start: float,
     multiply-add; a second multiply-add gives the section's t, and the
     exit's t and the section's s follow only when that t passes
     t_clear.  The section is crossed when t_clear < its t < the exit's
-    t - t_base and its s lies within VERTEX_TOL of [0, 1]; the first
-    leg, from the section, cannot cross it.  A crossing whose s lies
-    within VERTEX_TOL of 0 or 1 raises VertexHit, and so does a piece
-    with no exit, where the leg starts within float resolution of a
-    cone point.  A transport through side k at s lands on its partner
-    side at sigma = 1 - s.
+    t - t_base and its s lies within VERTEX_TOL of [0, 1].  The first
+    leg, from the section, cannot cross it, so it and the first
+    transport are taken before the loop over the later legs.  A
+    crossing whose s lies within VERTEX_TOL of 0 or 1 raises VertexHit,
+    and so does a piece with no exit, where the leg starts within float
+    resolution of a cone point.  A transport through side k at s lands
+    on its partner side at sigma = 1 - s.
     End points are taken on the side or the section crossed, a + s*e of
     its row, so a flight builds no Vec2 and keeps only its crossed sides
     and the running product of their factors.  Nothing is cached beyond
-    the heading and the room's own tables, so nothing outlives them
-    (nor, in the CLI, a `cli.main` call).
+    the heading's tables, the room's own tables and the set-up of the
+    direction the room was last asked about (`_direction`), so nothing
+    outlives the room (nor, in the CLI, a `cli.main` call).
 
     After the first transport every leg depends on its side and sigma
     alone, so a flight whose post-transport (side, sigma) repeats
@@ -434,30 +515,43 @@ def trace_ray(heading: Heading, start: float,
         raise ValueError(f"section coordinate {start!r} is not in "
                          f"[0, {frame[4]!r}]")
     legs = heading.legs
-    # the leg's start, which only a leg that meets no exit reports
-    j, sigma = SECTION_LEG, start
+    # the first leg, from the section, which it cannot cross
     cuts, pieces = legs[SECTION_LEG] or heading.leg_table(SECTION_LEG)
-    (k, partner, factor, s0, s1, t0, t1,
-     c0, c1, d0, d1) = pieces[bisect_right(cuts, start)]
+    k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, start)]
     s = s0 + s1 * start
+    if not _S_IN_LO <= s <= _S_IN_HI:
+        raise _vertex_hit(heading, k, s, [], 1.0, SECTION_LEG, start)
+    if partner is None or max_crossings <= 0:
+        ax, ay, ex, ey, *_ = rows[k]
+        return _new_trace(RayTrace, (
+            (), 1.0, _DOOR if partner is None else _BUDGET,
+            (ax + ex * s, ay + ey * s)))
 
-    crossed: list[int] = []
-    gain = 1.0
-    transports_left = max_crossings
-    # Brent's saved (side, sigma), which none equals before the first
-    # save, the transports left when it was saved, and those left at the
-    # next save
-    seen_side, seen_sigma = -1, math.nan
-    seen_left = 0
-    save_at = max_crossings - 1
+    # the first transport, whose (side, sigma) Brent's method saves with
+    # the transports then left; the next save comes after twice the
+    # transports so far
+    crossed = [k]
+    gain = factor
+    transports_left = seen_left = max_crossings - 1
+    j = seen_side = partner
+    sigma = seen_sigma = 1.0 - s
+    save_at = 2 * transports_left - max_crossings
 
     while True:
+        cuts, pieces, c0, c1, d0, d1 = legs[j] or heading.leg_table(j)
+        k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, sigma)]
+        if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
+            s = d0 + d1 * sigma
+            if _S_LO <= s <= _S_HI:
+                if not _S_IN_LO <= s <= _S_IN_HI:
+                    raise _vertex_hit(heading, SECTION_LEG, s, crossed, gain,
+                                      j, sigma)
+                ax, ay, ex, ey, _ = sec
+                return _new_trace(RayTrace, (tuple(crossed), gain, _SECTION,
+                                             (ax + ex * s, ay + ey * s)))
+        s = s0 + s1 * sigma
         if not _S_IN_LO <= s <= _S_IN_HI:
             raise _vertex_hit(heading, k, s, crossed, gain, j, sigma)
-        if k == SECTION_LEG:
-            ax, ay, ex, ey, _ = sec
-            return _new_trace(RayTrace, (tuple(crossed), gain, _SECTION,
-                                         (ax + ex * s, ay + ey * s)))
         if partner is None or transports_left <= 0:
             ax, ay, ex, ey, *_ = rows[k]
             return _new_trace(RayTrace, (
@@ -478,17 +572,7 @@ def trace_ray(heading: Heading, start: float,
             transports_left -= len(skipped)
         elif transports_left == save_at:
             seen_side, seen_sigma, seen_left = j, sigma, transports_left
-            # the next save comes after twice the transports so far
             save_at = 2 * transports_left - max_crossings
-
-        cuts, pieces = legs[j] or heading.leg_table(j)
-        (k, partner, factor, s0, s1, t0, t1,
-         c0, c1, d0, d1) = pieces[bisect_right(cuts, sigma)]
-        s = s0 + s1 * sigma
-        if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
-            s_sec = d0 + d1 * sigma
-            if _S_LO <= s_sec <= _S_HI:
-                k, s = SECTION_LEG, s_sec
 
 
 # --- first-return map to a cross-section ---
@@ -556,7 +640,7 @@ def first_return_map(room: Room, theta: float,
     # to the boundary leaf and never crosses the door transversally.
     if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
-    heading = Heading.of(room, theta, section)
+    heading = _heading(room, theta, section)
     length = heading.frame[4]
 
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
@@ -649,7 +733,7 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
     resolution; a reduction whose extrapolated laws disagree with an
     independent trace is rejected rather than silently kept.
     """
-    heading = Heading.of(room, theta, sec)
+    heading = _heading(room, theta, sec)
     length = heading.frame[4]
     for k in range(16):
         s = length * math.modf(0.12345 + k * 0.6180339887498949)[0]
@@ -678,7 +762,7 @@ def direction_to_two_slope(room: Room, theta: float) -> SectionReduction:
 
     The first of `_candidate_sections` whose return map reduces wins.
     """
-    candidates = _candidate_sections(room, theta)
+    candidates = _candidates(room, theta)
     if not candidates:
         raise NotTransverse("direction is parallel to every interior "
                             "diagonal")
@@ -739,7 +823,7 @@ def _collapsed_direction(room: Room, theta: float
     `_candidate_sections` whose return map has a single attracting branch
     confirmed by a trace from the fixed point itself, or None.
     """
-    for sec in _candidate_sections(room, theta):
+    for sec in _candidates(room, theta):
         try:
             pam = first_return_map(room, theta, sec)
         except (NotTransverse, BudgetExhausted):
@@ -750,7 +834,7 @@ def _collapsed_direction(room: Room, theta: float
         if col is None:
             continue
         slope, fixed = col
-        heading = Heading.of(room, theta, sec)
+        heading = _heading(room, theta, sec)
         try:
             s_back = _back(heading, _flight(heading, fixed))
         except (NotTransverse, BudgetExhausted):

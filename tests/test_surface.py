@@ -168,6 +168,83 @@ def test_trace_ray_matches_vec2_oracle():
     assert ends == {TraceEnd.DOOR, TraceEnd.SECTION, TraceEnd.BUDGET}
 
 
+def _back_from(room, p: Vec2, u: Vec2, section):
+    """(key, s) of the first side, or the section (key None), that the
+    ray from p against u meets past 1e-9 of the room's diameter, s its
+    fraction along the segment; None if it meets none."""
+    d = u * -1.0
+    a, b = section.endpoints(room)
+    segments = [(side.index, side.start, side.end - side.start)
+                for side in room.sides()] + [(None, a, b - a)]
+    best = None
+    for key, start, e in segments:
+        if not d.cross(e):
+            continue
+        w = start - p
+        t = w.cross(e) / d.cross(e)
+        s = w.cross(d) / d.cross(e)
+        if t > 1e-9 * room.diameter() and 0.0 < s < 1.0 and (
+                best is None or t < best[0]):
+            best = (t, key, s)
+    return None if best is None else best[1:]
+
+
+def _aimed_past_transports(rng: random.Random, room, section, theta: float,
+                           transports: int):
+    """A section coordinate from which the ray along theta makes
+    `transports` transports and then heads for a vertex, for the first
+    vertex in random order that has one; or None.  It is found by going
+    back from the vertex: each side met on the way back was entered at
+    s from its partner's exit at 1 - s, and the way back must meet
+    neither the door nor the section before its last step, whose end is
+    on the section."""
+    u = unit(theta)
+    sides = room.sides()
+    a, b = section.endpoints(room)
+    verts = room.vertices()
+    rng.shuffle(verts)
+    for vertex in verts:
+        p = vertex
+        for n in range(transports + 1):
+            back = _back_from(room, p, u, section)
+            if back is None:
+                break
+            key, s = back
+            if n == transports:
+                if key is None:
+                    return s * (b - a).length()
+                break
+            if key is None or sides[key].is_door:
+                break
+            out = sides[oracles._GLUED[key]]
+            p = out.start + (out.end - out.start) * (1.0 - s)
+    return None
+
+
+def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
+    # starts aimed at a vertex one, two or three transports ahead: the
+    # partial trace of each VertexHit (sides, gain, end point) is the
+    # oracle's, which a vertex hit on the first leg cannot show
+    rng = random.Random(SEED + 13)
+    hits = {1: 0, 2: 0, 3: 0}
+    for room in _oracle_rooms(rng):
+        for k in range(450):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            section = CrossSection(*rng.choice(room.interior_diagonals()))
+            transports = 1 + k % 3
+            s = _aimed_past_transports(rng, room, section, theta, transports)
+            if s is None:
+                continue
+            fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
+                                  s, 64)
+            slow = _trace_outcome(oracles.trace_ray_oracle, room, s, theta,
+                                  64, section)
+            assert fast == slow, (room, theta, section, s)
+            if fast[0] == "vertex" and fast[1].crossings == transports:
+                hits[transports] += 1
+    assert all(count >= 20 for count in hits.values()), hits
+
+
 def test_a_bad_section_coordinate_is_refused_before_any_leg():
     # a section coordinate must be a finite float in [0, length]; a
     # refused start leaves the heading's leg tables unbuilt
@@ -200,6 +277,58 @@ def test_leg_tables_are_invisible():
     assert heading == twin
     assert (repr(heading), hash(heading)) == before == (repr(twin),
                                                          hash(twin))
+
+
+def test_shared_headings_build_the_tables_of_a_fresh_heading():
+    # the headings of one direction share their side pieces: whichever
+    # heading builds a side's pieces first, every table equals, element
+    # by element (repr tells -0.0 from 0.0), that of a fresh Heading.of
+    rng = random.Random(SEED + 14)
+    sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+    for room in (ROOM, sheared, REFLEX):
+        for _ in range(12):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            sections = [CrossSection(*pair)
+                        for i, j in room.interior_diagonals()
+                        for pair in ((i, j), (j, i))]
+            slots = [(section, j) for section in sections
+                     for j in range(surface.SECTION_LEG + 1)]
+            rng.shuffle(slots)
+            for section, j in slots:
+                shared = surface._heading(room, theta, section)
+                assert shared is surface._heading(room, theta, section)
+                assert shared == Heading.of(room, theta, section)
+                assert repr(shared.leg_table(j)) == repr(
+                    Heading.of(room, theta, section).leg_table(j)), (
+                        room, theta, section, j)
+            kept = vars(room)["_direction"]
+            assert len(kept.headings) == len(sections)
+            assert repr(kept.bases) == repr([
+                Heading.of(room, theta, sections[0]).tabulate(j)
+                for j in range(surface.SECTION_LEG)])
+
+
+def test_a_room_keeps_the_set_up_of_its_last_direction_only():
+    room = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+    lo, hi = room.inward_directions()
+    first, second = lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo)
+    sections = surface._candidates(room, first)
+    old = [surface._heading(room, first, sec) for sec in sections]
+    assert vars(room)["_direction"].candidates is sections
+    section = surface._candidate_sections(room, second)[0]
+    first_return_map(room, second, section)
+    kept = vars(room)["_direction"]
+    assert kept.theta == second and kept.candidates is None
+    assert list(kept.headings) == [section]
+    assert kept.headings[section] == Heading.of(room, second, section)
+    assert kept.headings[section].bases is kept.bases
+    # back at the first direction, the room builds its set-up afresh
+    assert surface._heading(room, first, sections[0]) is not old[0]
+    # the same float only: -0.0 is not 0.0
+    zero = surface._heading(room, 0.0, section)
+    assert surface._heading(room, 0.0, section) is zero
+    assert surface._heading(room, -0.0, section) is not zero
+    assert math.copysign(1.0, vars(room)["_direction"].theta) == -1.0
 
 
 def test_a_trapped_flight_traces_as_the_oracle_does():
@@ -312,6 +441,10 @@ def test_cached_room_geometry_is_invisible():
     s, theta = 0.5, 0.7
     section = CrossSection(0, 2)
     first = trace_ray(Heading.of(room, theta, section), s, 64)
+    # and so is the set-up of the direction the room was last asked about
+    shared = surface._heading(room, theta, section)
+    assert trace_ray(shared, s, 64) == first
+    assert "_direction" in vars(room) and "_direction" not in vars(twin)
     assert room == twin
     assert (repr(room), hash(room)) == before == (repr(twin), hash(twin))
     # the lists handed out are copies of the cache
@@ -338,8 +471,14 @@ def test_cached_room_geometry_is_invisible():
     assert section.endpoints(room) == section.endpoints(twin)
     assert room.geom.diagonals == twin.geom.diagonals
     assert trace_ray(Heading.of(room, theta, section), s, 64) == first
-    # an equal room built separately traces identically
+    # an equal room built separately traces identically, and shares
+    # none of the set-up
     assert trace_ray(Heading.of(twin, theta, section), s, 64) == first
+    other = surface._heading(twin, theta, section)
+    assert other == shared and other is not shared
+    assert other.bases is not shared.bases
+    assert all(base is None for base in other.bases)
+    assert trace_ray(other, s, 64) == first
     assert trace_ray(Heading.of(fresh(), theta, section), s,
                      64) == first
 
@@ -588,6 +727,45 @@ def test_collapsed_direction_needs_the_cycle_to_close(monkeypatch):
     # confirmation fails
     monkeypatch.setattr(surface, "_collapsed_cycle", shifted)
     assert surface._collapsed_direction(ROOM, theta) is None
+
+
+def test_a_collapsed_classification_sets_each_direction_up_once(monkeypatch):
+    # the collapsed fallback flies again on the sections the reduction
+    # tried, and its flights and the verifications take the headings the
+    # return maps used: one heading per (theta, section), one base
+    # table per (theta, side), one candidate list per theta
+    headings, tables, candidates = [], [], []
+    of, tabulate = Heading.of.__func__, Heading.tabulate
+    candidate_sections = surface._candidate_sections
+
+    def counted_of(cls, room, theta, section):
+        headings.append((theta, section))
+        return of(cls, room, theta, section)
+
+    def counted_tabulate(heading, j):
+        # a section's table is told apart by the section's frame
+        tables.append((heading.ux, heading.uy, j,
+                       heading.frame if j == surface.SECTION_LEG else None))
+        return tabulate(heading, j)
+
+    def counted_candidates(room, theta):
+        candidates.append(theta)
+        return candidate_sections(room, theta)
+
+    monkeypatch.setattr(Heading, "of", classmethod(counted_of))
+    monkeypatch.setattr(Heading, "tabulate", counted_tabulate)
+    monkeypatch.setattr(surface, "_candidate_sections", counted_candidates)
+    theta = 5.4192
+    verdict = classify_direction(square_room(LN2, LN2), theta)
+    assert verdict.kind is DirectionKind.CYLINDER and verdict.word == ""
+    assert verdict.reduction is None
+    assert candidates == [theta]
+    assert len(headings) >= 2 and len(set(headings)) == len(headings)
+    assert len(set(tables)) == len(tables)
+    # the section of each heading is tabulated once, and each side once
+    assert sum(j == surface.SECTION_LEG for _, _, j, _ in tables) == len(
+        headings)
+    assert 0 < sum(j < surface.SECTION_LEG for _, _, j, _ in tables) <= 4
 
 
 def test_first_return_map_refuses_a_bent_branch(monkeypatch):
