@@ -14,9 +14,9 @@ boundary between the expanding and contracting regimes.
 For a fixed direction, where a ray entering through a side at
 coordinate sigma next crosses the boundary is affine in sigma, on
 pieces cut where the ray passes a vertex: the flow's return to the
-sides is an affine interval exchange.  A `Heading` tabulates these
-pieces for each side a flight enters and for its section, so every leg
-of a flight is one table lookup and one multiply-add.
+sides is an affine interval exchange.  A `Heading` holds these pieces
+for each side a flight can enter and for its section, so every leg of a
+flight is one table lookup and one multiply-add.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import operator
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -177,14 +176,12 @@ def _require_finite(theta: float) -> None:
 
 
 class _HeadingFields(NamedTuple):
-    exits: tuple[tuple, ...]
     sides: tuple[tuple, ...]
-    ux: float
-    uy: float
     t_base: float
     t_clear: float
     section_row: Optional[tuple[float, float, float, float, float]]
     frame: tuple[float, float, float, float, float]
+    legs: tuple[Optional[tuple], ...]
 
 
 # `Heading.legs` slot of the section's leg table; slots 0-4 are the sides'
@@ -198,127 +195,150 @@ _NO_SECTION = (-math.inf, 0.0, 0.0, 0.0)
 
 
 class Heading(_HeadingFields):
-    """Direction-only set-up of the rays of one (room, theta, section).
+    """Direction-only set-up of the rays of one (room, theta, section),
+    an immutable value built whole by `Heading.of`.
 
-    A crossing of the ray p + t*u with the side a + s*e solves, with
-    w = a - p, t = (w x e)/(u x e) and s = (w x u)/(u x e).  The
-    denominators u x e depend on the direction only, so `Heading.of`
-    takes them once per heading, and every flight of a return map
-    shares them.
-    On the counter-clockwise pentagon the ray leaves through a side
-    whose u x e exceeds the side's parallel floor.  `exits` holds
-    (k, ax, ay, ex, ey, u x e) for those sides k, in the order of
-    `sides`, the room's side table (`Room.geom`), which the transports
-    read.  (ux, uy) is the unit direction.  `t_base` and `t_clear` are
-    MIN_STEP and CLEARANCE in units of the room diameter.
-    `section_row` is (ax, ay, ex, ey, u x e) of the section when the
-    ray can cross it, else None.  `frame` is the section's arc-length
-    frame (ax, ay, tx, ty, length): the point at s is
-    (ax + tx*s, ay + ty*s), and a point (x, y) on the section sits at
+    `sides` is the room's side table (`Room.geom`), which the transports
+    read.  `t_base` and `t_clear` are MIN_STEP and CLEARANCE in units of
+    the room diameter.  `section_row` is (ax, ay, ex, ey, u x e) of the
+    section when the ray can cross it, else None.  `frame` is the
+    section's arc-length frame (ax, ay, tx, ty, length): the point at s
+    is (ax + tx*s, ay + ty*s), and a point (x, y) on the section sits at
     s = (x - ax)*tx + (y - ay)*ty, the float operations of the Vec2
     forms a + tangent*s and (q - a).dot(tangent).
 
-    A leg that starts on side j at sigma, its fraction of the side's
-    edge vector, or on the section at sigma, its arc-length coordinate,
-    starts at b + sigma*f for the side's start b and edge f (the
-    frame's start and unit tangent), so w = (a - b) - sigma*f, and the
-    crossing of every exit and of the section is affine in sigma:
-    s = S0 + S1*sigma and t = T0 + T1*sigma.  `tabulate(j)` cuts the
-    leg's domain, [0, 1] on side j and [0, length] on the section
-    (j = SECTION_LEG), where the exit changes.  Its cuts are the sigma
-    at which an exit's s reaches -VERTEX_TOL or 1 + VERTEX_TOL, its t
-    reaches t_base, or the t of two exits meet.  Between two cuts the
-    exits a ray may take (t_base < t, s within VERTEX_TOL of [0, 1])
-    and their order by t stay the same, so each piece's exit is the one
-    of least t among them at the piece's midpoint, and neighbours with
-    the same exit merge.  A side's pieces depend on the room, theta and
-    the side, not on the section, so `bases` keeps them apart, and
-    `surface._heading` shares that list among the headings of one
-    direction.  The section's crossing from a side is one affine law
-    for all of the side's pieces, which `leg_table(j)` stores once
-    after them; the section's own table has no section law, since a
-    flight crosses a side before it can return.  `legs` and `bases`
-    hold what was built on first use; like `Room.geom` they are kept in
-    the instance dict, out of the tuple's eq, hash and repr.
+    `legs[j]` is the table of the legs from side j, (cuts, pieces, C0,
+    C1, D0, D1), and None for a side no ray of theta enters;
+    `legs[SECTION_LEG]` is that of the legs from the section, (cuts,
+    pieces).  The piece of sigma is pieces[bisect_right(cuts, sigma)],
+    the row (k, partner, factor, S0, S1, T0, T1) of its exit: the exit
+    side k, the side its transport lands on (None for the door) and its
+    factor, and the exit's s and t laws.  A piece where no exit is taken
+    is `_NO_EXIT`.  On every piece of side j the section is met at
+    t = C0 + C1*sigma and s = D0 + D1*sigma, and C0 = -inf where the leg
+    cannot cross the section.  The section's own table has no section
+    law, since a flight crosses a side before it can return.
+    `_Direction.tabulate` builds each (cuts, pieces).
     """
+
+    __slots__ = ()
 
     @classmethod
     def of(cls, room: Room, theta: float, section: CrossSection) -> Heading:
         """The heading of direction theta in `room`, stopping at
-        `section`, with tables of its own.  A non-finite theta raises
-        ValueError.  The library takes its headings from
-        `surface._heading`, which builds each one here once per
-        direction."""
+        `section`, an interior diagonal of the room in either
+        orientation.  A non-finite theta or any other section raises
+        ValueError.  The room keeps the headings of the direction it was
+        last asked about (`_direction`), so the same float theta and
+        section give the same heading until another theta is asked
+        about."""
         _require_finite(theta)
+        return _direction(room, theta).heading(section)
+
+
+def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,
+          ax: float, ay: float, ex: float, ey: float, denom: float
+          ) -> tuple[float, float, float, float]:
+    """(T0, T1, S0, S1): the ray along u from (bx + fx*sigma,
+    by + fy*sigma) crosses the segment from (ax, ay) along (ex, ey),
+    whose u x e is denom, at t = T0 + T1*sigma and s = S0 + S1*sigma."""
+    dx, dy = ax - bx, ay - by
+    return ((dx * ey - dy * ex) / denom, (fy * ex - fx * ey) / denom,
+            (dx * uy - dy * ux) / denom, (fy * ux - fx * uy) / denom)
+
+
+class _Direction:
+    """What a room keeps of the direction it was last asked about, all
+    built with it but the headings: the float theta, the unit direction
+    (ux, uy), the room's geometry and `t_base`, the exits, the candidate
+    sections (`_candidate_sections`), and `bases`, the (cuts, pieces) of
+    the legs from each side a ray can enter, None for the others.
+    `heading` builds the heading of a section from them once.
+
+    A crossing of the ray p + t*u with the side a + s*e solves, with
+    w = a - p, t = (w x e)/(u x e) and s = (w x u)/(u x e).  The
+    denominators u x e depend on the direction only, so they are taken
+    once per direction.  On the counter-clockwise pentagon the ray
+    leaves through a side whose u x e exceeds the side's parallel floor:
+    `exits` holds (k, ax, ay, ex, ey, u x e) for those sides k, in the
+    order of the side table.  A ray enters only the partners of the
+    exits, so those are the sides that get a table.
+
+    A leg that starts at sigma on the segment from b along f (a side's
+    start and edge vector, sigma its fraction of the edge, or the
+    section's start and unit tangent, sigma its arc length) has
+    w = (a - b) - sigma*f, so the crossing of every exit and of the
+    section is affine in sigma: s = S0 + S1*sigma and t = T0 + T1*sigma.
+    `tabulate` cuts the leg's domain [0, top] where the exit changes:
+    at the sigma at which an exit's s reaches -VERTEX_TOL or
+    1 + VERTEX_TOL, its t reaches t_base, or the t of two exits meet.
+    Between two cuts the exits a ray may take (t_base < t, s within
+    VERTEX_TOL of [0, 1]) and their order by t stay the same, so each
+    piece's exit is the one of least t among them at the piece's
+    midpoint, and neighbours with the same exit merge.  A side's pieces
+    depend on the room, theta and the side, not on the section, so all
+    the direction's headings share them, each followed by the heading's
+    section law.
+    """
+
+    __slots__ = ("theta", "ux", "uy", "geom", "t_base", "exits",
+                 "candidates", "bases", "headings")
+
+    def __init__(self, room: Room, theta: float):
         geom = room.geom
         ux, uy = math.cos(theta), math.sin(theta)
-        exits = []
+        self.theta, self.ux, self.uy, self.geom = theta, ux, uy, geom
+        self.t_base = MIN_STEP * geom.diameter
+        self.exits = exits = []
         for k, (ax, ay, ex, ey, par, *_) in enumerate(geom.sides):
             denom = ux * ey - uy * ex
             if denom > par:
                 exits.append((k, ax, ay, ex, ey, denom))
+        self.candidates = _candidate_sections(room, theta)
+        entered = {_PARTNERS[k] for k, *_ in exits}
+        self.bases = [self.tabulate(*row[:4], 1.0) if j in entered else None
+                      for j, row in enumerate(geom.sides)]
+        self.headings: dict[CrossSection, Heading] = {}
+
+    def heading(self, section: CrossSection) -> Heading:
+        """The heading of `section`, built with its leg tables on first
+        ask.  A section that is not an interior diagonal of the room
+        raises ValueError before any table is built."""
+        found = self.headings.get(section)
+        if found is not None:
+            return found
+        geom, ux, uy = self.geom, self.ux, self.uy
+        if (min(section), max(section)) not in geom.interior:
+            raise ValueError(f"({section.i}, {section.j}) is not an "
+                             "interior diagonal of the room")
         ax, ay, ex, ey, par = geom.diagonals[section.i, section.j]
         denom = ux * ey - uy * ex
-        section_row = (ax, ay, ex, ey, denom) if abs(denom) > par else None
         length = math.hypot(ex, ey)
         inv = 1.0 / length
-        return cls(tuple(exits), geom.sides, ux, uy,
-                   MIN_STEP * geom.diameter, CLEARANCE * geom.diameter,
-                   section_row, (ax, ay, ex * inv, ey * inv, length))
-
-    @cached_property
-    def legs(self) -> list[Optional[tuple]]:
-        """The leg table of each side and of the section, None until
-        `leg_table` builds it."""
-        return [None] * (SECTION_LEG + 1)
-
-    @cached_property
-    def bases(self) -> list[Optional[tuple]]:
-        """The `tabulate` result of each side, None until `leg_table`
-        needs it; one list for all the headings `surface._heading`
-        hands out for a direction."""
-        return [None] * SECTION_LEG
-
-    def leg_table(self, j: int) -> tuple:
-        """The table of the legs from side j, (cuts, pieces, C0, C1,
-        D0, D1), or from the section for j = SECTION_LEG, (cuts,
-        pieces); built once and kept in `legs`.
-
-        The piece of sigma is pieces[bisect_right(cuts, sigma)], the
-        row (k, partner, factor, S0, S1, T0, T1) of its exit: the exit
-        side k, the side its transport lands on (None for the door) and
-        its factor, and the exit's s and t laws.  A piece where no exit
-        is taken is `_NO_EXIT`.  On every piece of side j the section is
-        met at t = C0 + C1*sigma and s = D0 + D1*sigma, and C0 = -inf
-        where the leg cannot cross the section.  (cuts, pieces) is the
-        side's `tabulate` result, kept in `bases`."""
-        if j == SECTION_LEG:
-            table = self.tabulate(j)
+        frame = (ax, ay, ex * inv, ey * inv, length)
+        if abs(denom) > par:
+            sec = (ax, ay, ex, ey, denom)
+            legs = [None if base is None else
+                    base + _laws(*geom.sides[j][:4], ux, uy, *sec)
+                    for j, base in enumerate(self.bases)]
         else:
-            base = self.bases[j]
-            if base is None:
-                base = self.bases[j] = self.tabulate(j)
-            sec = self.section_row
-            if sec is None:
-                table = base + _NO_SECTION
-            else:
-                bx, by, fx, fy = self.sides[j][:4]
-                table = base + _laws(bx, by, fx, fy, self.ux, self.uy, *sec)
-        self.legs[j] = table
-        return table
+            sec = None
+            legs = [None if base is None else base + _NO_SECTION
+                    for base in self.bases]
+        legs.append(self.tabulate(*frame))
+        found = self.headings[section] = Heading(
+            geom.sides, self.t_base, CLEARANCE * geom.diameter, sec, frame,
+            tuple(legs))
+        return found
 
-    def tabulate(self, j: int) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
-        """(cuts, pieces) of the legs from side j, or from the section
-        for j = SECTION_LEG, as `leg_table` describes them."""
-        exits, rows, ux, uy, t_base, _, _, frame = self
-        if j == SECTION_LEG:
-            bx, by, fx, fy, top = frame
-        else:
-            bx, by, fx, fy = rows[j][:4]
-            top = 1.0
+    def tabulate(self, bx: float, by: float, fx: float, fy: float,
+                 top: float) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
+        """(cuts, pieces) of the legs from sigma in [0, top] on the
+        segment from (bx, by) along (fx, fy), as `Heading` reads them."""
+        ux, uy, t_base, rows = self.ux, self.uy, self.t_base, self.geom.sides
         laws: list[tuple] = []
         cuts: list[float] = []
-        for k, ax, ay, ex, ey, denom in exits:
+        for k, ax, ay, ex, ey, denom in self.exits:
             t0, t1, s0, s1 = _laws(bx, by, fx, fy, ux, uy, ax, ay, ex, ey,
                                    denom)
             if s1:
@@ -350,32 +370,6 @@ class Heading(_HeadingFields):
         return tuple(kept), tuple(pieces)
 
 
-def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,
-          ax: float, ay: float, ex: float, ey: float, denom: float
-          ) -> tuple[float, float, float, float]:
-    """(T0, T1, S0, S1): the ray along u from (bx + fx*sigma,
-    by + fy*sigma) crosses the segment from (ax, ay) along (ex, ey),
-    whose u x e is denom, at t = T0 + T1*sigma and s = S0 + S1*sigma."""
-    dx, dy = ax - bx, ay - by
-    return ((dx * ey - dy * ex) / denom, (fy * ex - fx * ey) / denom,
-            (dx * uy - dy * ux) / denom, (fy * ux - fx * uy) / denom)
-
-
-class _Direction:
-    """What a room keeps of the direction it was last asked about: the
-    float theta, its candidate sections (None until first asked for),
-    the heading of each section asked for, and the side pieces
-    (`Heading.bases`) all of those headings share."""
-
-    __slots__ = ("theta", "candidates", "headings", "bases")
-
-    def __init__(self, theta: float):
-        self.theta = theta
-        self.candidates: Optional[list[CrossSection]] = None
-        self.headings: dict[CrossSection, Heading] = {}
-        self.bases: list[Optional[tuple]] = [None] * SECTION_LEG
-
-
 def _direction(room: Room, theta: float) -> _Direction:
     """The room's `_Direction` of theta, a fresh one that replaces the
     last unless theta is the same float (0.0 and -0.0 differ).
@@ -387,28 +381,8 @@ def _direction(room: Room, theta: float) -> _Direction:
     rec = kept.get("_direction")
     if (rec is None or rec.theta != theta
             or math.copysign(1.0, rec.theta) != math.copysign(1.0, theta)):
-        rec = kept["_direction"] = _Direction(theta)
+        rec = kept["_direction"] = _Direction(room, theta)
     return rec
-
-
-def _heading(room: Room, theta: float, section: CrossSection) -> Heading:
-    """`Heading.of(room, theta, section)`, built once per direction of
-    the room and sharing that direction's side pieces."""
-    rec = _direction(room, theta)
-    heading = rec.headings.get(section)
-    if heading is None:
-        heading = rec.headings[section] = Heading.of(room, theta, section)
-        heading.bases = rec.bases
-    return heading
-
-
-def _candidates(room: Room, theta: float) -> list[CrossSection]:
-    """`_candidate_sections(room, theta)`, worked out once per direction
-    of the room; callers must not change the list."""
-    rec = _direction(room, theta)
-    if rec.candidates is None:
-        rec.candidates = _candidate_sections(room, theta)
-    return rec.candidates
 
 
 class RayTrace(NamedTuple):
@@ -482,18 +456,18 @@ def trace_ray(heading: Heading, start: float,
     [0, length] raises ValueError before any leg.
 
     Every leg starts on a side or on the section, at a coordinate sigma
-    of its leg table (`Heading.leg_table`): it takes the piece of sigma
-    by one bisection of the table's cuts and the exit's s by one
-    multiply-add; a second multiply-add gives the section's t, and the
-    exit's t and the section's s follow only when that t passes
-    t_clear.  The section is crossed when t_clear < its t < the exit's
-    t - t_base and its s lies within VERTEX_TOL of [0, 1].  The first
-    leg, from the section, cannot cross it, so it and the first
-    transport are taken before the loop over the later legs.  A
-    crossing whose s lies within VERTEX_TOL of 0 or 1 raises VertexHit,
-    and so does a piece with no exit, where the leg starts within float
-    resolution of a cone point.  A transport through side k at s lands
-    on its partner side at sigma = 1 - s.
+    of its leg table in `Heading.legs`, which a flight reads and never
+    builds: it takes the piece of sigma by one bisection of the table's
+    cuts and the exit's s by one multiply-add; a second multiply-add
+    gives the section's t, and the exit's t and the section's s follow
+    only when that t passes t_clear.  The section is crossed when
+    t_clear < its t < the exit's t - t_base and its s lies within
+    VERTEX_TOL of [0, 1].  The first leg, from the section, cannot cross
+    it, so it and the first transport are taken before the loop over the
+    later legs.  A crossing whose s lies within VERTEX_TOL of 0 or 1
+    raises VertexHit, and so does a piece with no exit, where the leg
+    starts within float resolution of a cone point.  A transport through
+    side k at s lands on its partner side at sigma = 1 - s.
     End points are taken on the side or the section crossed, a + s*e of
     its row, so a flight builds no Vec2 and keeps only its crossed sides
     and the running product of their factors.  Nothing is cached beyond
@@ -510,13 +484,12 @@ def trace_ray(heading: Heading, start: float,
     appending their sides and multiplying their factors into the gain in
     crossing order, so the RayTrace is the one the legs would have built.
     """
-    _, rows, _, _, t_base, t_clear, sec, frame = heading
+    rows, t_base, t_clear, sec, frame, legs = heading
     if not 0.0 <= start <= frame[4]:
         raise ValueError(f"section coordinate {start!r} is not in "
                          f"[0, {frame[4]!r}]")
-    legs = heading.legs
     # the first leg, from the section, which it cannot cross
-    cuts, pieces = legs[SECTION_LEG] or heading.leg_table(SECTION_LEG)
+    cuts, pieces = legs[SECTION_LEG]
     k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, start)]
     s = s0 + s1 * start
     if not _S_IN_LO <= s <= _S_IN_HI:
@@ -538,7 +511,7 @@ def trace_ray(heading: Heading, start: float,
     save_at = 2 * transports_left - max_crossings
 
     while True:
-        cuts, pieces, c0, c1, d0, d1 = legs[j] or heading.leg_table(j)
+        cuts, pieces, c0, c1, d0, d1 = legs[j]
         k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, sigma)]
         if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
             s = d0 + d1 * sigma
@@ -640,7 +613,7 @@ def first_return_map(room: Room, theta: float,
     # to the boundary leaf and never crosses the door transversally.
     if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
-    heading = _heading(room, theta, section)
+    heading = Heading.of(room, theta, section)
     length = heading.frame[4]
 
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
@@ -733,7 +706,7 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
     resolution; a reduction whose extrapolated laws disagree with an
     independent trace is rejected rather than silently kept.
     """
-    heading = _heading(room, theta, sec)
+    heading = Heading.of(room, theta, sec)
     length = heading.frame[4]
     for k in range(16):
         s = length * math.modf(0.12345 + k * 0.6180339887498949)[0]
@@ -762,7 +735,7 @@ def direction_to_two_slope(room: Room, theta: float) -> SectionReduction:
 
     The first of `_candidate_sections` whose return map reduces wins.
     """
-    candidates = _candidates(room, theta)
+    candidates = _direction(room, theta).candidates
     if not candidates:
         raise NotTransverse("direction is parallel to every interior "
                             "diagonal")
@@ -823,7 +796,7 @@ def _collapsed_direction(room: Room, theta: float
     `_candidate_sections` whose return map has a single attracting branch
     confirmed by a trace from the fixed point itself, or None.
     """
-    for sec in _candidates(room, theta):
+    for sec in _direction(room, theta).candidates:
         try:
             pam = first_return_map(room, theta, sec)
         except (NotTransverse, BudgetExhausted):
@@ -834,7 +807,7 @@ def _collapsed_direction(room: Room, theta: float
         if col is None:
             continue
         slope, fixed = col
-        heading = _heading(room, theta, sec)
+        heading = Heading.of(room, theta, sec)
         try:
             s_back = _back(heading, _flight(heading, fixed))
         except (NotTransverse, BudgetExhausted):

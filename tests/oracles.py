@@ -295,8 +295,8 @@ def _least_t_exit(laws: list[tuple], sigma: float, t_base: float
 
 def _side_leg(laws: list[tuple], sigma: float, top: float,
               t_base: float) -> Optional[tuple]:
-    """The exit a leg at sigma takes, by the rule of
-    `surface.Heading.leg_table`, worked out afresh: the laws' cuts in
+    """The exit a leg at sigma takes, by the rule of the leg tables in
+    `surface.Heading.legs`, worked out afresh: the laws' cuts in
     (0, top), where an s reaches -VERTEX_TOL or 1 + VERTEX_TOL, a t
     reaches t_base or two t meet, bound the piece of sigma, and the
     exit of least t at the piece's midpoint is taken."""
@@ -693,6 +693,128 @@ def trace_ray_exact(sides: list[tuple], start: ExactPoint, u: ExactPoint,
             return tuple(crossed), TraceEnd.BUDGET, q, margin
         crossed.append(k)
         px, py = scale * q[0] + offset[0], scale * q[1] + offset[1]
+
+
+
+def cylinder_certificate(room: Room, itinerary: Sequence[int],
+                         theta: float) -> Optional[Fraction]:
+    """The holonomy factor lambda of the closed leaf of direction theta
+    that crosses the glued sides `itinerary` in turn, cyclically, or
+    None when no such leaf is proved.  The proof is exact, on the room's
+    exact twin (`exact_twin`) and the Fractions of
+    u = (cos theta, sin theta), and independent of the tracer.
+
+    Crossing side k glues by g_k(z) = scale*z + offset, so the leaf
+    develops through copies G_i^-1(P) of the pentagon P, with G_0 = id
+    and G_i = g_ki o ... o g_k1, and its holonomy is H = G_n:
+    z -> lambda*z + c.  H fixes the leaf's line, so the line passes H's
+    centre z0 = c/(1 - lambda).  Each g_k keeps u, so G_i takes that
+    line to the line z x u = tau_i of P, with tau_0 = z0 x u and
+    tau_i = scale*tau_(i-1) + offset x u for the side crossed.  The leaf
+    is proved when in each copy the line leaves through the next side
+    of the itinerary strictly inside that side, ahead of where it came
+    in (so on the leaf's half-line), and meets no other side of P on
+    the way, which only a non-convex pentagon can fail; a line along a
+    side is refused.
+
+    The plane is scaled to integers, which keeps every s, sign and
+    order.  tau has O(n) digits for a leaf of n crossings, too many to
+    carry exactly (a leaf of 5,506 crossings took 24 s), so each tau_i
+    is carried as an interval with ends of K binary places, rounded
+    outward, K enough for the widest growth of the intervals.  Every
+    test is linear in tau, so it holds for the exact tau_i whenever it
+    holds at both ends of its interval.
+    """
+    sides = exact_twin(room)
+    if not itinerary or any(sides[k][2] is None for k in itinerary):
+        return None
+    lam = math.prod(sides[k][2] ** itinerary.count(k) for k in set(itinerary))
+    if lam == 1:
+        return None
+    cos, sin = Fraction(math.cos(theta)), Fraction(math.sin(theta))
+    ux, uy = (int(c * math.lcm(cos.denominator, sin.denominator))
+              for c in (cos, sin))
+    plane = math.lcm(*(c.denominator for a, _, _, offset in sides
+                       for c in (*a, *(offset or ()))))
+    # an interval's width grows by at most the largest product of
+    # scales over a run of the cyclic itinerary
+    growth = widest = 0.0
+    for k in (*itinerary, *itinerary):
+        growth = max(0.0, growth + math.log2(sides[k][2]))
+        widest = max(widest, growth)
+    places = 256 + math.ceil(widest) + len(itinerary).bit_length()
+    one = 1 << places
+    # per side: a x u, w = e x u, a.u and e.u for its start a and edge
+    # e, in the scaled plane, and its glue on tau as (top, bottom,
+    # shift): scale = top/bottom and shift = offset x u, in units of one
+    rows = []
+    for (ax, ay), (bx, by), scale, offset in sides:
+        ax, ay = int(ax * plane), int(ay * plane)
+        ex, ey = int(bx * plane) - ax, int(by * plane) - ay
+        glue = None if scale is None else (
+            scale.numerator, scale.denominator,
+            (int(offset[0] * plane) * uy - int(offset[1] * plane) * ux)
+            * one)
+        rows.append((ax * uy - ay * ux, ex * uy - ey * ux,
+                     ax * ux + ay * uy, ex * ux + ey * uy, glue))
+
+    def scaled(ends: tuple[int, int], k: int) -> tuple[int, int]:
+        top, bottom, _ = rows[k][4]
+        return top * ends[0] // bottom, -(-top * ends[1] // bottom)
+
+    def glued(ends: tuple[int, int], k: int) -> tuple[int, int]:
+        lo, hi = scaled(ends, k)
+        return lo + rows[k][4][2], hi + rows[k][4][2]
+
+    # H on tau, lambda*tau + c, as intervals; then tau_0 = c/(1 - lambda)
+    slope, c = (one, one), (0, 0)
+    for k in itinerary:
+        slope, c = scaled(slope, k), glued(c, k)
+    lo, hi = one - slope[1], one - slope[0]
+    if lo <= 0 <= hi:
+        return None
+    if hi < 0:
+        lo, hi, c = -hi, -lo, (-c[1], -c[0])
+    ends = (min(c[0] * one // lo, c[0] * one // hi),
+            max(-(-c[1] * one // lo), -(-c[1] * one // hi)))
+
+    def s_of(m: int, t: int) -> int:
+        # s*w*one at the crossing of side m by the line tau = t/one
+        return t - rows[m][0] * one
+
+    def before(x: int, y: int, t: int) -> bool:
+        # whether the line meets side x before side y along u: rho the
+        # position along u of a crossing, rho*w*one = a.u*w*one + s*e.u
+        wx, wy = rows[x][1], rows[y][1]
+        rx = rows[x][2] * wx * one + s_of(x, t) * rows[x][3]
+        ry = rows[y][2] * wy * one + s_of(y, t) * rows[y][3]
+        diff = rx * wy - ry * wx
+        return diff < 0 if wx * wy > 0 else diff > 0
+
+    for prev, k in zip((itinerary[-1], *itinerary[:-1]), itinerary):
+        j = _GLUED[prev]
+        wj, wk = rows[j][1], rows[k][1]
+        if not (wk < 0 < wj and all(
+                wk * one < s_of(k, t) < 0 < s_of(j, t) < wj * one
+                and before(j, k, t) for t in ends)):
+            return None
+        for m, (_, w, *_) in enumerate(rows):
+            if m in (j, k):
+                continue
+            if not w:
+                if s_of(m, ends[0]) * s_of(m, ends[1]) <= 0:
+                    return None
+                continue
+            # the leg meets side m when all of these hold; it is clear
+            # of m when one of them fails at both ends
+            meets = (lambda t: s_of(m, t) * w >= 0,
+                     lambda t: (w * one - s_of(m, t)) * w >= 0,
+                     lambda t: before(j, m, t),
+                     lambda t: not before(k, m, t))
+            if all(test(ends[0]) or test(ends[1]) for test in meets):
+                return None
+        ends = glued(ends, k)
+    return lam
 
 
 # --- periodic cycles of two-slope maps ---

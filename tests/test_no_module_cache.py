@@ -7,7 +7,9 @@ sit in the room's instance dict.  A module-level cache would outlive a
 one test or benchmark op could change the work of the next.  So no
 module uses `functools.lru_cache` or `functools.cache`, none has a
 `global` statement, and no dict, list or set bound at module level is
-changed inside a function.
+changed inside a function.  Nor is a value filled in on first use:
+`Room.geom` is the package's one `functools.cached_property`, and every
+other value, a `surface.Heading` among them, is built whole.
 """
 
 import ast
@@ -114,3 +116,61 @@ def test_the_guard_sees_a_module_level_cache():
     assert _module_caches(ast.parse(source)) == [
         "2: functools.lru_cache", "7: functools.cache", "9: global count",
         "10: TABLE changed", "11: SEEN changed", "16: TABLE changed"]
+
+
+def _names_cached_property(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "cached_property")
+            or (isinstance(node, ast.Attribute)
+                and node.attr == "cached_property"))
+
+
+def _cached_properties(tree: ast.Module) -> list[str]:
+    """'Class.member' of each class member that cached_property makes,
+    as a decorator or by assignment, by name or as
+    functools.cached_property; '?' for a use outside a class."""
+    found = []
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            if any(_names_cached_property(n) for n in ast.walk(stmt)):
+                found.append("?")
+            continue
+        for member in stmt.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(_names_cached_property, member.decorator_list)):
+                    found.append(f"{stmt.name}.{member.name}")
+            elif isinstance(member, ast.Assign) and any(
+                    map(_names_cached_property, ast.walk(member.value))):
+                found += [f"{stmt.name}.{target.id}"
+                          for target in member.targets
+                          if isinstance(target, ast.Name)]
+    return found
+
+
+def test_room_geom_is_the_only_cached_property():
+    # a cached_property fills a value's instance dict on first use:
+    # `Room.geom`, the derived geometry of an immutable room, is the
+    # one such state; a value whose fields are all set at construction
+    # needs none
+    found = [f"{path.stem}.{hit}" for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _cached_properties(ast.parse(path.read_text(),
+                                                     filename=str(path)))]
+    assert found == ["geometry.Room.geom"]
+
+
+def test_the_guard_sees_each_cached_property():
+    source = ("import functools\n"
+              "from functools import cached_property\n"
+              "class A:\n"
+              "    @cached_property\n"
+              "    def b(self):\n"
+              "        return 1\n"
+              "    @functools.cached_property\n"
+              "    def c(self):\n"
+              "        return 2\n"
+              "    d = cached_property(lambda self: 3)\n"
+              "    @property\n"
+              "    def e(self):\n"
+              "        return 4\n"
+              "lazy = functools.cached_property(len)\n")
+    assert _cached_properties(ast.parse(source)) == ["A.b", "A.c", "A.d",
+                                                     "?"]

@@ -17,7 +17,8 @@ from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
                               VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 Vec2, apply_sl2, build_room,
-                                projective_action, square_room, unit)
+                                projective_action, square_room, unit,
+                                wrap_2pi)
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap)
 from dilatorus.quadratics import QuadraticNumber, sqrt_int
@@ -246,15 +247,13 @@ def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
 
 
 def test_a_bad_section_coordinate_is_refused_before_any_leg():
-    # a section coordinate must be a finite float in [0, length]; a
-    # refused start leaves the heading's leg tables unbuilt
+    # a section coordinate must be a finite float in [0, length]
     heading = Heading.of(ROOM, 0.7, CrossSection(1, 3))
     length = heading.frame[4]
     for bad in (math.nan, math.inf, -math.inf, -1e-300, -0.5,
                 math.nextafter(length, math.inf), 2.0 * length):
         with pytest.raises(ValueError, match="not in"):
             trace_ray(heading, bad, 64)
-    assert heading.legs == [None] * (surface.SECTION_LEG + 1)
     # both ends are starts, each at a vertex
     for s in (0.0, length):
         fast = _trace_outcome(trace_ray, heading, s, 64)
@@ -263,72 +262,116 @@ def test_a_bad_section_coordinate_is_refused_before_any_leg():
                                       0.7, 64, CrossSection(1, 3))
 
 
-def test_leg_tables_are_invisible():
-    # tables built by flights change neither eq, hash nor repr
+def _sheared():
+    return build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+
+
+def _reflex():
+    return build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
+
+
+def _entered_sides(room, theta: float) -> list[int]:
+    """The sides a ray along theta can enter: the partners of the glued
+    sides it leaves through, worked out on Vec2."""
+    u = unit(theta)
+    return sorted(oracles._GLUED[side.index] for side in room.sides()
+                  if not side.is_door
+                  and oracles._leaves_through(u, side.start, side.end))
+
+
+def test_flights_leave_a_heading_unchanged():
+    # a heading is a value built whole: flights on it change neither
+    # its eq, hash nor repr, and it equals the heading of an equal room
+    # built separately
     heading = Heading.of(REFLEX, 1.3, CrossSection(0, 2))
-    twin = Heading.of(REFLEX, 1.3, CrossSection(0, 2))
+    twin = Heading.of(_reflex(), 1.3, CrossSection(0, 2))
     before = (repr(heading), hash(heading))
     for k in range(40):
         try:
             trace_ray(heading, heading.frame[4] * (k + 0.5) / 40, 64)
         except VertexHit:
             pass
-    assert any(table is not None for table in heading.legs)
-    assert heading == twin
+    assert heading == twin and heading is not twin
     assert (repr(heading), hash(heading)) == before == (repr(twin),
                                                          hash(twin))
+    with pytest.raises(AttributeError):
+        heading.legs = ()
+    assert isinstance(heading.legs, tuple)
 
 
 def test_shared_headings_build_the_tables_of_a_fresh_heading():
-    # the headings of one direction share their side pieces: whichever
-    # heading builds a side's pieces first, every table equals, element
-    # by element (repr tells -0.0 from 0.0), that of a fresh Heading.of
+    # the headings of one direction share its side pieces: in whichever
+    # order the sections are asked for, every heading's tables equal,
+    # element by element (repr tells -0.0 from 0.0), those of the
+    # heading of an equal room built separately, and exactly the sides
+    # a ray can enter have one
     rng = random.Random(SEED + 14)
-    sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
-    for room in (ROOM, sheared, REFLEX):
+    for make in (lambda: square_room(LN2, LN2), _sheared, _reflex):
+        room = make()
+        sections = [CrossSection(*pair)
+                    for i, j in room.interior_diagonals()
+                    for pair in ((i, j), (j, i))]
         for _ in range(12):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            sections = [CrossSection(*pair)
-                        for i, j in room.interior_diagonals()
-                        for pair in ((i, j), (j, i))]
-            slots = [(section, j) for section in sections
-                     for j in range(surface.SECTION_LEG + 1)]
-            rng.shuffle(slots)
-            for section, j in slots:
-                shared = surface._heading(room, theta, section)
-                assert shared is surface._heading(room, theta, section)
-                assert shared == Heading.of(room, theta, section)
-                assert repr(shared.leg_table(j)) == repr(
-                    Heading.of(room, theta, section).leg_table(j)), (
-                        room, theta, section, j)
-            kept = vars(room)["_direction"]
-            assert len(kept.headings) == len(sections)
-            assert repr(kept.bases) == repr([
-                Heading.of(room, theta, sections[0]).tabulate(j)
-                for j in range(surface.SECTION_LEG)])
+            entered = _entered_sides(room, theta)
+            rng.shuffle(sections)
+            for section in sections:
+                shared = Heading.of(room, theta, section)
+                assert shared is Heading.of(room, theta, section)
+                fresh = Heading.of(make(), theta, section)
+                assert shared == fresh
+                assert repr(shared.legs) == repr(fresh.legs), (
+                    room, theta, section)
+                assert [j for j, table in enumerate(shared.legs)
+                        if table is not None] == entered + [
+                            surface.SECTION_LEG]
+            headings = list(vars(room)["_direction"].headings.values())
+            assert len(headings) == len(sections)
+            for j in entered:
+                assert len({id(heading.legs[j][1])
+                            for heading in headings}) == 1
+
+
+def test_a_section_outside_the_room_is_refused():
+    # on REFLEX the chord from V0 to V3 leaves the pentagon: in either
+    # orientation it is no section, and no flight starts on it
+    assert (0, 3) not in REFLEX.interior_diagonals()
+    lo, hi = REFLEX.inward_directions()
+    for section in (CrossSection(0, 3), CrossSection(3, 0)):
+        for k in range(8):
+            theta = lo + (k + 0.5) * (hi - lo) / 8
+            with pytest.raises(ValueError, match="not an interior"):
+                Heading.of(REFLEX, theta, section)
+            with pytest.raises(ValueError, match="not an interior"):
+                first_return_map(REFLEX, theta, section)
 
 
 def test_a_room_keeps_the_set_up_of_its_last_direction_only():
-    room = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
+    room = _sheared()
     lo, hi = room.inward_directions()
     first, second = lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo)
-    sections = surface._candidates(room, first)
-    old = [surface._heading(room, first, sec) for sec in sections]
-    assert vars(room)["_direction"].candidates is sections
+    sections = surface._candidate_sections(room, first)
+    old = [Heading.of(room, first, sec) for sec in sections]
+    kept = vars(room)["_direction"]
+    assert kept.theta == first and kept.candidates == sections
+    assert list(kept.headings.values()) == old
     section = surface._candidate_sections(room, second)[0]
     first_return_map(room, second, section)
     kept = vars(room)["_direction"]
-    assert kept.theta == second and kept.candidates is None
+    assert kept.theta == second
+    assert kept.candidates == surface._candidate_sections(room, second)
     assert list(kept.headings) == [section]
-    assert kept.headings[section] == Heading.of(room, second, section)
-    assert kept.headings[section].bases is kept.bases
-    # back at the first direction, the room builds its set-up afresh
-    assert surface._heading(room, first, sections[0]) is not old[0]
+    # back at the first direction, the room builds its set-up afresh,
+    # to the same value
+    again = Heading.of(room, first, sections[0])
+    assert again is not old[0] and repr(again) == repr(old[0])
+    assert list(vars(room)["_direction"].headings) == [sections[0]]
     # the same float only: -0.0 is not 0.0
-    zero = surface._heading(room, 0.0, section)
-    assert surface._heading(room, 0.0, section) is zero
-    assert surface._heading(room, -0.0, section) is not zero
+    zero = Heading.of(room, 0.0, section)
+    assert Heading.of(room, 0.0, section) is zero
+    assert Heading.of(room, -0.0, section) is not zero
     assert math.copysign(1.0, vars(room)["_direction"].theta) == -1.0
+    assert Heading.of(room, 0.0, section) is not zero
 
 
 def test_a_trapped_flight_traces_as_the_oracle_does():
@@ -440,10 +483,10 @@ def test_cached_room_geometry_is_invisible():
     before = (repr(room), hash(room))
     s, theta = 0.5, 0.7
     section = CrossSection(0, 2)
-    first = trace_ray(Heading.of(room, theta, section), s, 64)
     # and so is the set-up of the direction the room was last asked about
-    shared = surface._heading(room, theta, section)
-    assert trace_ray(shared, s, 64) == first
+    shared = Heading.of(room, theta, section)
+    first = trace_ray(shared, s, 64)
+    assert Heading.of(room, theta, section) is shared
     assert "_direction" in vars(room) and "_direction" not in vars(twin)
     assert room == twin
     assert (repr(room), hash(room)) == before == (repr(twin), hash(twin))
@@ -473,11 +516,11 @@ def test_cached_room_geometry_is_invisible():
     assert trace_ray(Heading.of(room, theta, section), s, 64) == first
     # an equal room built separately traces identically, and shares
     # none of the set-up
-    assert trace_ray(Heading.of(twin, theta, section), s, 64) == first
-    other = surface._heading(twin, theta, section)
+    other = Heading.of(twin, theta, section)
     assert other == shared and other is not shared
-    assert other.bases is not shared.bases
-    assert all(base is None for base in other.bases)
+    assert vars(twin)["_direction"] is not vars(room)["_direction"]
+    assert all(mine is not theirs for mine, theirs
+               in zip(other.legs, shared.legs) if mine is not None)
     assert trace_ray(other, s, 64) == first
     assert trace_ray(Heading.of(fresh(), theta, section), s,
                      64) == first
@@ -647,6 +690,92 @@ def test_cylinder_outcome_consistency():
         assert verdict.outcome.terminal is TerminalKind.HALT
 
 
+def _leaf_key(room, theta: float, verdict) -> tuple[int, ...]:
+    """The sides the closed leaf of a cylinder verdict crosses: one
+    `_flight` from each point of its cycle in turn, or from the fixed
+    point of its collapsed return map."""
+    if verdict.reduction is None:
+        _, fixed, section = surface._collapsed_direction(room, theta)
+        starts = [fixed]
+    else:
+        section = verdict.reduction.section
+        starts = [float(verdict.reduction.chart.invert(x))
+                  for x in verdict.outcome.cycle.points]
+    heading = Heading.of(room, theta, section)
+    return tuple(k for s in starts
+                 for k in surface._flight(heading, s).crossed_sides)
+
+
+def test_cylinder_verdicts_are_certified_exactly():
+    # the closed leaf of every cylinder verdict passes the exact
+    # certificate, whose holonomy is the verdict's multiplier, and fails
+    # it in the direction pi/2 away; failures are collected, not skipped
+    rng = random.Random(SEED + 17)
+    failures, certified = [], []
+    for index, room in enumerate(_oracle_rooms(rng)):
+        lo, hi = room.inward_directions()
+        for _ in range(20):
+            theta = wrap_2pi(rng.uniform(lo, hi))
+            assert room.is_inward(theta)
+            try:
+                verdict = classify_direction(room, theta)
+            except UNDECIDED_ERRORS:
+                continue
+            if verdict.kind is not DirectionKind.CYLINDER:
+                continue
+            key = _leaf_key(room, theta, verdict)
+            lam = oracles.cylinder_certificate(room, key, theta)
+            if lam is None:
+                failures.append(("uncertified", room, theta, key))
+                continue
+            if not math.isclose(float(max(lam, 1 / lam)),
+                                verdict.multiplier, rel_tol=1e-9):
+                failures.append(("multiplier", room, theta, key,
+                                 float(lam), verdict.multiplier))
+            if oracles.cylinder_certificate(room, key,
+                                            theta + 0.5 * math.pi):
+                failures.append(("control certified", room, theta, key))
+            certified.append((index, verdict.reduction is None))
+    assert not failures, failures
+    # every room has several, by the normal form and by the collapse
+    assert all(sum(i == index for i, _ in certified) >= 4
+               for index in range(6)), certified
+    assert {collapsed for _, collapsed in certified} == {False, True}
+
+
+def test_a_leaf_that_leaves_a_non_convex_room_is_refused():
+    # on REFLEX the line through the centre of the glue of side 2 along
+    # theta crosses side 0 and then side 2 inside them, on the leaf's
+    # half-line, but its chord between them meets a side by the reflex
+    # vertex V4, so there is no closed leaf (2,)
+    theta = 1.842973116867049
+    assert oracles.cylinder_certificate(REFLEX, (2,), theta) is None
+    sides = oracles.exact_twin(REFLEX)
+    _, _, scale, (cx, cy) = sides[2]
+    z0 = (cx / (1 - scale), cy / (1 - scale))
+    u = (Fraction(math.cos(theta)), Fraction(math.sin(theta)))
+
+    def crossing(k):
+        # (r, s): z0 + r*u = a + s*(b - a) on side k
+        (ax, ay), (bx, by), _, _ = sides[k]
+        ex, ey = bx - ax, by - ay
+        wx, wy = ax - z0[0], ay - z0[1]
+        denom = u[0] * ey - u[1] * ex
+        return ((wx * ey - wy * ex) / denom, (wx * u[1] - wy * u[0]) / denom)
+
+    (r_in, s_in), (r_out, s_out) = crossing(0), crossing(2)
+    assert 0 < s_in < 1 and 0 < s_out < 1
+    # the glue takes the exit to the entry, and with scale < 1 the leaf
+    # runs away from z0
+    assert r_in == scale * r_out and scale < 1 and 0 < r_in < r_out
+    ends = [(z0[0] + r * u[0], z0[1] + r * u[1]) for r in (r_in, r_out)]
+    verts = [a for a, *_ in sides]
+    den = math.lcm(*(c.denominator for pt in ends + verts for c in pt))
+    p, q, *ints = [(int(x * den), int(y * den)) for x, y in ends + verts]
+    assert [m for m in (1, 3, 4) if oracles._open_chord_meets(
+        p, q, ints[m], ints[(m + 1) % 5])] == [3, 4]
+
+
 def test_scan_drops_undecided_directions_and_reports_bugs(monkeypatch):
     def raising(error):
         def classify(room, theta, budget):
@@ -732,40 +861,40 @@ def test_collapsed_direction_needs_the_cycle_to_close(monkeypatch):
 def test_a_collapsed_classification_sets_each_direction_up_once(monkeypatch):
     # the collapsed fallback flies again on the sections the reduction
     # tried, and its flights and the verifications take the headings the
-    # return maps used: one heading per (theta, section), one base
-    # table per (theta, side), one candidate list per theta
-    headings, tables, candidates = [], [], []
-    of, tabulate = Heading.of.__func__, Heading.tabulate
-    candidate_sections = surface._candidate_sections
+    # return maps used: one direction record, each heading built once,
+    # and each side a ray can enter tabulated once
+    records, frames, tables = [], [], []
+    init, tabulate = surface._Direction.__init__, surface._Direction.tabulate
+    new = Heading.__new__
 
-    def counted_of(cls, room, theta, section):
-        headings.append((theta, section))
-        return of(cls, room, theta, section)
+    def counted_init(rec, room, theta):
+        records.append(theta)
+        init(rec, room, theta)
 
-    def counted_tabulate(heading, j):
-        # a section's table is told apart by the section's frame
-        tables.append((heading.ux, heading.uy, j,
-                       heading.frame if j == surface.SECTION_LEG else None))
-        return tabulate(heading, j)
+    def counted_tabulate(rec, *segment):
+        tables.append(segment)
+        return tabulate(rec, *segment)
 
-    def counted_candidates(room, theta):
-        candidates.append(theta)
-        return candidate_sections(room, theta)
+    def counted_new(cls, *fields):
+        frames.append(fields[4])
+        return new(cls, *fields)
 
-    monkeypatch.setattr(Heading, "of", classmethod(counted_of))
-    monkeypatch.setattr(Heading, "tabulate", counted_tabulate)
-    monkeypatch.setattr(surface, "_candidate_sections", counted_candidates)
+    monkeypatch.setattr(surface._Direction, "__init__", counted_init)
+    monkeypatch.setattr(surface._Direction, "tabulate", counted_tabulate)
+    monkeypatch.setattr(Heading, "__new__", counted_new)
     theta = 5.4192
-    verdict = classify_direction(square_room(LN2, LN2), theta)
+    room = square_room(LN2, LN2)
+    verdict = classify_direction(room, theta)
     assert verdict.kind is DirectionKind.CYLINDER and verdict.word == ""
     assert verdict.reduction is None
-    assert candidates == [theta]
-    assert len(headings) >= 2 and len(set(headings)) == len(headings)
-    assert len(set(tables)) == len(tables)
-    # the section of each heading is tabulated once, and each side once
-    assert sum(j == surface.SECTION_LEG for _, _, j, _ in tables) == len(
-        headings)
-    assert 0 < sum(j < surface.SECTION_LEG for _, _, j, _ in tables) <= 4
+    assert records == [theta]
+    kept = vars(room)["_direction"]
+    assert len(frames) >= 2 and len(set(frames)) == len(frames)
+    assert frames == [heading.frame for heading in kept.headings.values()]
+    # a side is the segment from its start along its edge, sigma in [0, 1]
+    sides = [(*room.geom.sides[j][:4], 1.0)
+             for j in _entered_sides(room, theta)]
+    assert sorted(tables) == sorted(sides + frames)
 
 
 def test_first_return_map_refuses_a_bent_branch(monkeypatch):
