@@ -15,11 +15,15 @@ along a word is their product.  One top-down walk of the word tree serves
 the word intervals, the survivor measure and the interval of a single
 word: every node carries its slopes as numerator/denominator pairs and
 that composed pull-back, extended by one factor per letter, and a leaf's
-interval is the image of [0, 1].  A pull-back is projective, so each
+interval is the image of [0, 1].  Only internal nodes go on the walk's
+stack: a node with one letter left yields its leaves itself, and about
+half the nodes of the tree are leaves.  A pull-back is projective, so each
 factor is scaled by its slope's denominator without moving any point: int
 and Fraction slopes then keep every matrix entry an int, and each endpoint
 is reduced once, as a Fraction, at its leaf.  Float slopes carry
-denominator 1.0 and run the float operations of the unscaled factors.
+denominator 1.0 and run the float operations of the unscaled factors,
+and a float survivor measure adds each leaf's hi - lo to its running
+sum as the walk yields the leaf.
 
 On int entries the survivor measure builds no endpoint: a leaf's length
 is read off its pull-back [[p, q], [r, s]] as (p*s - q*r) / (s*(r + s)),
@@ -264,7 +268,7 @@ def _walk(root: tuple, depth: int, word: str = ""):
     of every feasible word of length `depth`, L before R; with a `word`
     (of length `depth`), of that word alone.
 
-    The tree is walked top-down on an explicit stack of nodes
+    The tree is walked top-down on an explicit stack of internal nodes
     (xn, xd, yn, yd, p, q, r, s, k): slopes rho_a = xn/xd and
     rho_b = yn/yd (denominators positive), the pull-back from the node's
     break parameter to the root's, and the letters still to take.  A
@@ -273,20 +277,27 @@ def _walk(root: tuple, depth: int, word: str = ""):
     for R.  The factor is scaled by the slope's denominator, which moves
     no point, so integer slope pairs keep every entry an integer; at
     denominator 1.0 the float operations are those of the unscaled factor.
+    A leaf is never pushed: a node with one letter left yields its L
+    child's pull-back and then its R child's, so about half the nodes of
+    the tree never go through the stack.  The products xn*yn and xd*yd,
+    which a node's feasibility test and its children's slopes read, are
+    taken once.
 
     With rho_a*rho_b >= 1 the injectivity constraint confines valid break
     points to one side: below the B-threshold when rho_a > 1 (forced L),
-    above the A-threshold when rho_b > 1 (forced R).
+    above the A-threshold when rho_b > 1 (forced R).  The walk is lazy: a
+    caller that stops early stops it at that leaf.
     """
+    if not depth:
+        yield root[4:]
+        return
     stack = [(*root, depth)]
     pop, push = stack.pop, stack.append
     while stack:
         xn, xd, yn, yd, p, q, r, s, k = pop()
-        if not k:
-            yield p, q, r, s
-            continue
         k -= 1
-        free = xn * yn < xd * yd
+        xyn, xyd = xn * yn, xd * yd
+        free = xyn < xyd
         go_l, go_r = free or yn <= yd, free or xn <= xd
         if word:
             letter = word[~k]
@@ -297,15 +308,22 @@ def _walk(root: tuple, depth: int, word: str = ""):
                     f"letter {letter} is unreachable at slopes "
                     f"({float(xn / xd)}, {float(yn / yd)})")
             go_l, go_r = letter == "L", letter == "R"
-        if go_r:                        # pushed first, so L is popped first
-            # [[p, q], [r, s]] @ [[0, xd], [-xn, xd + xn]]
-            t = xd + xn
-            push((xn, xd, xn * yn, xd * yd,
-                  -q * xn, p * xd + q * t, -s * xn, r * xd + s * t, k))
+        if k:
+            if go_r:                    # pushed first, so L is popped first
+                # [[p, q], [r, s]] @ [[0, xd], [-xn, xd + xn]]
+                t = xd + xn
+                push((xn, xd, xyn, xyd,
+                      -q * xn, p * xd + q * t, -s * xn, r * xd + s * t, k))
+            if go_l:
+                # [[p, q], [r, s]] @ [[yn, 0], [yn, yd]]
+                push((xyn, xyd, yn, yd,
+                      (p + q) * yn, q * yd, (r + s) * yn, s * yd, k))
+            continue
         if go_l:
-            # [[p, q], [r, s]] @ [[yn, 0], [yn, yd]]
-            push((xn * yn, xd * yd, yn, yd,
-                  (p + q) * yn, q * yd, (r + s) * yn, s * yd, k))
+            yield (p + q) * yn, q * yd, (r + s) * yn, s * yd
+        if go_r:
+            t = xd + xn
+            yield -q * xn, p * xd + q * t, -s * xn, r * xd + s * t
 
 
 def _images_of_unit(leaves, integral: bool) -> Iterator[tuple[Scalar, Scalar]]:
@@ -405,9 +423,11 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     leaf past the cap, so a refusal costs the same at any depth."""
     root, integral = _checked_root(rho_a, rho_b, depth)
     if not (is_exact(rho_a) and is_exact(rho_b)):
+        # a float slope makes every entry a float: hi - lo of each leaf,
+        # as `_images_of_unit` would give them
         total = 0 * rho_a
-        for lo, hi in _images_of_unit(_walk(root, depth), integral):
-            total = total + (hi - lo)
+        for p, q, r, s in _walk(root, depth):
+            total = total + ((p + q) / (r + s) - q / s)
         return total
     leaves = _exact_leaves(root, depth)
     if not leaves:

@@ -232,7 +232,6 @@ class Heading(_HeadingFields):
         last asked about (`_direction`), so the same float theta and
         section give the same heading until another theta is asked
         about."""
-        _require_finite(theta)
         return _direction(room, theta).heading(section)
 
 
@@ -372,11 +371,13 @@ class _Direction:
 
 def _direction(room: Room, theta: float) -> _Direction:
     """The room's `_Direction` of theta, a fresh one that replaces the
-    last unless theta is the same float (0.0 and -0.0 differ).
+    last unless theta is the same float (0.0 and -0.0 differ).  A NaN or
+    infinite theta raises ValueError, on every path that sets up rays.
 
     It is kept in the room's instance dict, as `Room.geom` is, so it
     stays out of the room's eq, hash and repr, and lives no longer than
     the room."""
+    _require_finite(theta)
     kept = vars(room)
     rec = kept.get("_direction")
     if (rec is None or rec.theta != theta
@@ -462,18 +463,24 @@ def trace_ray(heading: Heading, start: float,
     gives the section's t, and the exit's t and the section's s follow
     only when that t passes t_clear.  The section is crossed when
     t_clear < its t < the exit's t - t_base and its s lies within
-    VERTEX_TOL of [0, 1].  The first leg, from the section, cannot cross
-    it, so it and the first transport are taken before the loop over the
-    later legs.  A crossing whose s lies within VERTEX_TOL of 0 or 1
-    raises VertexHit, and so does a piece with no exit, where the leg
-    starts within float resolution of a cone point.  A transport through
-    side k at s lands on its partner side at sigma = 1 - s.
+    VERTEX_TOL of [0, 1].  A crossing whose s lies within VERTEX_TOL of
+    0 or 1 raises VertexHit, and so does a piece with no exit, where the
+    leg starts within float resolution of a cone point.  A transport
+    through side k at s lands on its partner side at sigma = 1 - s.
     End points are taken on the side or the section crossed, a + s*e of
     its row, so a flight builds no Vec2 and keeps only its crossed sides
     and the running product of their factors.  Nothing is cached beyond
     the heading's tables, the room's own tables and the set-up of the
     direction the room was last asked about (`_direction`), so nothing
     outlives the room (nor, in the CLI, a `cli.main` call).
+
+    A flight runs in three parts.  The first leg, from the section,
+    cannot cross it; it ends at the door, at a budget of 0 or in the
+    first transport.  The second leg's section test comes next, before
+    the loop's set-up, since most flights return on that leg (about 87%
+    of a scan's and 75% of a classification's).  Each pass of the loop
+    then takes a leg's exit and transport and the next leg's section
+    test.
 
     After the first transport every leg depends on its side and sigma
     alone, so a flight whose post-transport (side, sigma) repeats
@@ -500,28 +507,30 @@ def trace_ray(heading: Heading, start: float,
             (), 1.0, _DOOR if partner is None else _BUDGET,
             (ax + ex * s, ay + ey * s)))
 
-    # the first transport, whose (side, sigma) Brent's method saves with
-    # the transports then left; the next save comes after twice the
-    # transports so far
-    crossed = [k]
-    gain = factor
-    transports_left = seen_left = max_crossings - 1
-    j = seen_side = partner
-    sigma = seen_sigma = 1.0 - s
-    save_at = 2 * transports_left - max_crossings
+    # the second leg, after the first transport, on which most flights
+    # return: its section test comes before the loop's set-up
+    first, gain = k, factor
+    j, sigma = partner, 1.0 - s
+    cuts, pieces, c0, c1, d0, d1 = legs[j]
+    k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, sigma)]
+    if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
+        s = d0 + d1 * sigma
+        if _S_LO <= s <= _S_HI:
+            if not _S_IN_LO <= s <= _S_IN_HI:
+                raise _vertex_hit(heading, SECTION_LEG, s, [first], gain, j,
+                                  sigma)
+            ax, ay, ex, ey, _ = sec
+            return _new_trace(RayTrace, ((first,), gain, _SECTION,
+                                         (ax + ex * s, ay + ey * s)))
 
+    # Brent's method saves the (side, sigma) after the first transport
+    # with the transports then left; the next save comes after twice the
+    # transports so far.
+    crossed = [first]
+    transports_left = seen_left = max_crossings - 1
+    seen_side, seen_sigma = j, sigma
+    save_at = 2 * transports_left - max_crossings
     while True:
-        cuts, pieces, c0, c1, d0, d1 = legs[j]
-        k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, sigma)]
-        if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
-            s = d0 + d1 * sigma
-            if _S_LO <= s <= _S_HI:
-                if not _S_IN_LO <= s <= _S_IN_HI:
-                    raise _vertex_hit(heading, SECTION_LEG, s, crossed, gain,
-                                      j, sigma)
-                ax, ay, ex, ey, _ = sec
-                return _new_trace(RayTrace, (tuple(crossed), gain, _SECTION,
-                                             (ax + ex * s, ay + ey * s)))
         s = s0 + s1 * sigma
         if not _S_IN_LO <= s <= _S_IN_HI:
             raise _vertex_hit(heading, k, s, crossed, gain, j, sigma)
@@ -546,6 +555,17 @@ def trace_ray(heading: Heading, start: float,
         elif transports_left == save_at:
             seen_side, seen_sigma, seen_left = j, sigma, transports_left
             save_at = 2 * transports_left - max_crossings
+        cuts, pieces, c0, c1, d0, d1 = legs[j]
+        k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, sigma)]
+        if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
+            s = d0 + d1 * sigma
+            if _S_LO <= s <= _S_HI:
+                if not _S_IN_LO <= s <= _S_IN_HI:
+                    raise _vertex_hit(heading, SECTION_LEG, s, crossed, gain,
+                                      j, sigma)
+                ax, ay, ex, ey, _ = sec
+                return _new_trace(RayTrace, (tuple(crossed), gain, _SECTION,
+                                             (ax + ex * s, ay + ey * s)))
 
 
 # --- first-return map to a cross-section ---
@@ -734,6 +754,7 @@ def direction_to_two_slope(room: Room, theta: float) -> SectionReduction:
     """Reduce the direction's return dynamics to a TwoSlopeMap.
 
     The first of `_candidate_sections` whose return map reduces wins.
+    A non-finite theta raises ValueError before any section is tried.
     """
     candidates = _direction(room, theta).candidates
     if not candidates:

@@ -450,6 +450,13 @@ def test_scaled_walk_is_bit_identical_on_floats(ra):
                 float(ra), float(rb), depth)
             assert [(lo.hex(), hi.hex()) for lo, hi in got] \
                 == [(lo.hex(), hi.hex()) for lo, hi in want]
+            # the float measure is the oracle's lengths summed left to
+            # right, bit for bit
+            total = 0.0
+            for lo, hi in want:
+                total = total + (hi - lo)
+            assert survivor_measure(float(ra), float(rb), depth).hex() \
+                == total.hex()
 
 
 @pytest.mark.parametrize("ra,rb", SAME_FIELD_PAIRS, ids=["sqrt3", "sqrt7"])
@@ -539,6 +546,17 @@ def test_exact_survivor_measure_refuses_more_leaves_than_the_cap(
     # one leaf at any depth, and floats are not capped
     assert survivor_measure(Fraction(2), Fraction(1), 50) == Fraction(1, 51)
     assert survivor_measure(0.5, 0.5, 3) > 0
+
+
+def test_a_measure_past_the_cap_is_refused_before_the_tree_is_walked(
+        monkeypatch):
+    # (1/2, 1/2) has 2^200 leaves at depth 200: the walk yields them one
+    # at a time, so the refusal comes at the fifth, as at depth 3
+    monkeypatch.setattr(rauzy, "EXACT_MEASURE_MAX_LEAVES", 4)
+    with pytest.raises(ValueError, match="EXACT_MEASURE_MAX_LEAVES = 4"):
+        survivor_measure(HALF, HALF, 200)
+    with pytest.raises(ValueError, match="at depth 3 sums"):
+        rauzy.check_exact_measures(HALF, HALF, 200)
 
 
 def test_survivor_intervals_forced_chain_is_not_recursive():

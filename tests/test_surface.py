@@ -153,9 +153,11 @@ def _oracle_cases(rng: random.Random, n: int):
 
 def test_trace_ray_matches_vec2_oracle():
     # the float tracer must do the oracle's arithmetic in the oracle's
-    # order: traces and partial traces agree exactly
+    # order: traces and partial traces agree exactly.  Returns on the
+    # second leg, which the tracer takes before the loop, are counted
     kinds = {"trace": 0, "vertex": 0}
     ends = set()
+    second_leg_returns = 0
     for case in _oracle_cases(random.Random(SEED), 600):
         room, s, theta, max_crossings, section = case
         fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
@@ -165,8 +167,11 @@ def test_trace_ray_matches_vec2_oracle():
         kinds[fast[0]] += 1
         if fast[0] == "trace":
             ends.add(fast[1].terminal)
+            second_leg_returns += (fast[1].terminal is TraceEnd.SECTION
+                                   and fast[1].crossings == 1)
     assert all(count >= 10 for count in kinds.values()), kinds
     assert ends == {TraceEnd.DOOR, TraceEnd.SECTION, TraceEnd.BUDGET}
+    assert second_leg_returns >= 100, second_leg_returns
 
 
 def _back_from(room, p: Vec2, u: Vec2, section):
@@ -191,18 +196,18 @@ def _back_from(room, p: Vec2, u: Vec2, section):
 
 
 def _aimed_past_transports(rng: random.Random, room, section, theta: float,
-                           transports: int):
+                           transports: int, targets=None):
     """A section coordinate from which the ray along theta makes
-    `transports` transports and then heads for a vertex, for the first
-    vertex in random order that has one; or None.  It is found by going
-    back from the vertex: each side met on the way back was entered at
-    s from its partner's exit at 1 - s, and the way back must meet
-    neither the door nor the section before its last step, whose end is
-    on the section."""
+    `transports` transports and then heads for a target point, the
+    room's vertices unless `targets` are given, for the first target in
+    random order that has one; or None.  It is found by going back from
+    the target: each side met on the way back was entered at s from its
+    partner's exit at 1 - s, and the way back must meet neither the door
+    nor the section before its last step, whose end is on the section."""
     u = unit(theta)
     sides = room.sides()
     a, b = section.endpoints(room)
-    verts = room.vertices()
+    verts = room.vertices() if targets is None else list(targets)
     rng.shuffle(verts)
     for vertex in verts:
         p = vertex
@@ -244,6 +249,40 @@ def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
             if fast[0] == "vertex" and fast[1].crossings == transports:
                 hits[transports] += 1
     assert all(count >= 20 for count in hits.values()), hits
+
+
+def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
+        monkeypatch):
+    # starts aimed past one transport at the section within VERTEX_TOL
+    # of an end: most raise VertexHit on the section on the second leg,
+    # where the tracer tests the section before the loop's set-up, and
+    # the partial trace (one side, its factor, the end point) must be
+    # the oracle's
+    section_hits = []
+    vertex_hit = surface._vertex_hit
+
+    def spy(heading, k, s, crossed, *rest):
+        if k == surface.SECTION_LEG:
+            section_hits.append(len(crossed))
+        return vertex_hit(heading, k, s, crossed, *rest)
+
+    monkeypatch.setattr(surface, "_vertex_hit", spy)
+    rng = random.Random(SEED + 14)
+    for room in _oracle_rooms(rng):
+        for _ in range(150):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            section = CrossSection(*rng.choice(room.interior_diagonals()))
+            a, b = section.endpoints(room)
+            ends = [a + (b - a) * f for f in (5e-13, 1.0 - 5e-13)]
+            s = _aimed_past_transports(rng, room, section, theta, 1, ends)
+            if s is None:
+                continue
+            fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
+                                  s, 64)
+            slow = _trace_outcome(oracles.trace_ray_oracle, room, s, theta,
+                                  64, section)
+            assert fast == slow, (room, theta, section, s)
+    assert section_hits.count(1) >= 100, section_hits
 
 
 def test_a_bad_section_coordinate_is_refused_before_any_leg():
@@ -552,16 +591,19 @@ def _return_map_outcome(builder, room, theta, section):
         return ("error", type(exc))
 
 
-def test_a_heading_refuses_a_non_finite_direction():
+@pytest.mark.parametrize("entry", [
+    lambda theta: Heading.of(ROOM, theta, CrossSection(0, 2)),
+    lambda theta: first_return_map(ROOM, theta, CrossSection(0, 2)),
+    lambda theta: surface.direction_to_two_slope(ROOM, theta),
+    lambda theta: surface._collapsed_direction(ROOM, theta),
+], ids=["heading", "first_return_map", "direction_to_two_slope",
+        "collapsed_direction"])
+def test_a_non_finite_direction_is_refused(entry):
+    # every path that sets up rays refuses it with one message, before
+    # math.cos or a parallel test sees it
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theta must be finite"):
-            Heading.of(ROOM, theta, CrossSection(0, 2))
-
-
-def test_first_return_map_refuses_a_non_finite_direction():
-    for theta in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="theta must be finite"):
-            first_return_map(ROOM, theta, CrossSection(0, 2))
+            entry(theta)
 
 
 def test_first_return_map_matches_vec2_oracle():
