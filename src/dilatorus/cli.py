@@ -45,9 +45,9 @@ DEFAULT_FLOW_STEPS = 12
 DEFAULT_FLOW_BUDGET = 2000
 DEFAULT_EPS_ANGLE = 0.05
 DEFAULT_REACH_EPS = 1e-2
-# depth n walks up to 2^n survivor intervals; at (0.5, 0.5) on floats,
-# depth 20 takes 1.2-1.9 s and 17 MB peak RSS (2-vCPU x86-64 host), as
-# the float sum holds no list of them
+# depth n walks up to 2^n survivor intervals, and the float sum holds no
+# list of them; README's `measure` row gives the time and peak RSS of
+# depth 20
 MAX_MEASURE_DEPTH = 20
 
 

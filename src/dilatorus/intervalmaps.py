@@ -74,9 +74,6 @@ class TwoSlopeMap(_TwoSlopeFields):
         ra, rb, xt = self
         return (float(ra), float(rb), float(xt))
 
-    def __call__(self, x: Scalar, side: Optional[str] = None) -> Scalar:
-        return evaluate(self, x, side)
-
 
 def evaluate(tsm: TwoSlopeMap, x: Scalar, side: Optional[str] = None) -> Scalar:
     """Branch value at x; the break point needs an explicit side."""

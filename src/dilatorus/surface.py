@@ -140,24 +140,37 @@ class CrossSection(_SectionFields):
         verts = room.geom.vertices
         return verts[self.i], verts[self.j]
 
-    def direction(self, room: Room) -> float:
-        _, _, ex, ey, _ = room.geom.diagonals[self.i, self.j]
-        return math.atan2(ey, ex)
+
+def _crossing_angle(theta: float, ux: float, uy: float,
+                    chord: tuple[float, ...]) -> Optional[float]:
+    """The angle, mod pi, between direction theta, of unit vector
+    (ux, uy), and a diagonal's chord row (ax, ay, ex, ey, parallel
+    floor) of `Room.geom`; None when the direction cannot cross the
+    chord: that angle is below TRANSVERSALITY_FLOOR, or |u x e| is
+    within the chord's parallel floor.  On a chord longer than about
+    1e-5 the first rule implies the second."""
+    _, _, ex, ey, par = chord
+    margin = angle_dist_mod_pi(theta, math.atan2(ey, ex))
+    if margin < TRANSVERSALITY_FLOOR or abs(ux * ey - uy * ex) <= par:
+        return None
+    return margin
 
 
 def _candidate_sections(room: Room, theta: float) -> list[CrossSection]:
-    """Interior diagonals that theta crosses, most transversal first.
+    """Interior diagonals that theta crosses (`_crossing_angle`), most
+    transversal first.
 
     Vertex indices break ties between equal margins.
     """
+    ux, uy = math.cos(theta), math.sin(theta)
+    geom = room.geom
     scored = []
-    for i, j in room.interior_diagonals():
-        sec = CrossSection(i, j)
-        margin = angle_dist_mod_pi(theta, sec.direction(room))
-        if margin >= TRANSVERSALITY_FLOOR:
-            scored.append((-margin, i, j, sec))
-    scored.sort(key=lambda item: item[:3])
-    return [item[3] for item in scored]
+    for i, j in geom.interior:
+        margin = _crossing_angle(theta, ux, uy, geom.diagonals[i, j])
+        if margin is not None:
+            scored.append((-margin, i, j))
+    scored.sort()
+    return [CrossSection(i, j) for _, i, j in scored]
 
 
 # --- ray tracing ---
@@ -175,37 +188,27 @@ def _require_finite(theta: float) -> None:
         raise ValueError(f"direction theta must be finite, got {theta!r}")
 
 
-class _HeadingFields(NamedTuple):
-    sides: tuple[tuple, ...]
-    t_base: float
-    t_clear: float
-    section_row: Optional[tuple[float, float, float, float, float]]
-    frame: tuple[float, float, float, float, float]
-    legs: tuple[Optional[tuple], ...]
-
-
 # `Heading.legs` slot of the section's leg table; slots 0-4 are the sides'
 SECTION_LEG = 5
 # the exit of a leg table's piece on which a ray meets no side: its t is
 # infinite, and its s NaN, which fails the test for a crossing clear of
 # the vertices, so that a leg there raises VertexHit
 _NO_EXIT = (None, None, 1.0, math.nan, 0.0, math.inf, 0.0)
-# the section law of the legs from a side that cannot cross the section
-_NO_SECTION = (-math.inf, 0.0, 0.0, 0.0)
 
 
-class Heading(_HeadingFields):
+class Heading(NamedTuple):
     """Direction-only set-up of the rays of one (room, theta, section),
-    an immutable value built whole by `Heading.of`.
+    an immutable value built whole by `Heading.of`, and only for a
+    section that theta crosses.
 
     `sides` is the room's side table (`Room.geom`), which the transports
     read.  `t_base` and `t_clear` are MIN_STEP and CLEARANCE in units of
     the room diameter.  `section_row` is (ax, ay, ex, ey, u x e) of the
-    section when the ray can cross it, else None.  `frame` is the
-    section's arc-length frame (ax, ay, tx, ty, length): the point at s
-    is (ax + tx*s, ay + ty*s), and a point (x, y) on the section sits at
-    s = (x - ax)*tx + (y - ay)*ty, the float operations of the Vec2
-    forms a + tangent*s and (q - a).dot(tangent).
+    section.  `frame` is the section's arc-length frame (ax, ay, tx, ty,
+    length): the point at s is (ax + tx*s, ay + ty*s), and a point
+    (x, y) on the section sits at s = (x - ax)*tx + (y - ay)*ty, the
+    float operations of the Vec2 forms a + tangent*s and
+    (q - a).dot(tangent).
 
     `legs[j]` is the table of the legs from side j, (cuts, pieces, C0,
     C1, D0, D1), and None for a side no ray of theta enters;
@@ -215,23 +218,29 @@ class Heading(_HeadingFields):
     side k, the side its transport lands on (None for the door) and its
     factor, and the exit's s and t laws.  A piece where no exit is taken
     is `_NO_EXIT`.  On every piece of side j the section is met at
-    t = C0 + C1*sigma and s = D0 + D1*sigma, and C0 = -inf where the leg
-    cannot cross the section.  The section's own table has no section
-    law, since a flight crosses a side before it can return.
-    `_Direction.tabulate` builds each (cuts, pieces).
+    t = C0 + C1*sigma and s = D0 + D1*sigma.  The section's own table
+    has no section law, since a flight crosses a side before it can
+    return.  `_Direction.tabulate` builds each (cuts, pieces).
     """
 
-    __slots__ = ()
+    sides: tuple[tuple, ...]
+    t_base: float
+    t_clear: float
+    section_row: tuple[float, float, float, float, float]
+    frame: tuple[float, float, float, float, float]
+    legs: tuple[Optional[tuple], ...]
 
     @classmethod
     def of(cls, room: Room, theta: float, section: CrossSection) -> Heading:
         """The heading of direction theta in `room`, stopping at
-        `section`, an interior diagonal of the room in either
-        orientation.  A non-finite theta or any other section raises
-        ValueError.  The room keeps the headings of the direction it was
-        last asked about (`_direction`), so the same float theta and
-        section give the same heading until another theta is asked
-        about."""
+        `section`, a diagonal of the room in either orientation.  It
+        refuses, in this order: a non-finite theta (ValueError), a
+        section that theta cannot cross (NotTransverse, see
+        `_crossing_angle`), and a section that is not an interior
+        diagonal (ValueError).  The room keeps the headings of the
+        direction it was last asked about (`_direction`), so the same
+        float theta and section give the same heading until another
+        theta is asked about."""
         return _direction(room, theta).heading(section)
 
 
@@ -301,29 +310,27 @@ class _Direction:
 
     def heading(self, section: CrossSection) -> Heading:
         """The heading of `section`, built with its leg tables on first
-        ask.  A section that is not an interior diagonal of the room
-        raises ValueError before any table is built."""
+        ask.  A section that theta cannot cross raises NotTransverse,
+        and then one that is not an interior diagonal of the room
+        ValueError, before any table is built."""
         found = self.headings.get(section)
         if found is not None:
             return found
         geom, ux, uy = self.geom, self.ux, self.uy
+        chord = geom.diagonals[section.i, section.j]
+        if _crossing_angle(self.theta, ux, uy, chord) is None:
+            raise NotTransverse("direction is parallel to the section")
         if (min(section), max(section)) not in geom.interior:
             raise ValueError(f"({section.i}, {section.j}) is not an "
                              "interior diagonal of the room")
-        ax, ay, ex, ey, par = geom.diagonals[section.i, section.j]
-        denom = ux * ey - uy * ex
+        ax, ay, ex, ey, _ = chord
         length = math.hypot(ex, ey)
         inv = 1.0 / length
         frame = (ax, ay, ex * inv, ey * inv, length)
-        if abs(denom) > par:
-            sec = (ax, ay, ex, ey, denom)
-            legs = [None if base is None else
-                    base + _laws(*geom.sides[j][:4], ux, uy, *sec)
-                    for j, base in enumerate(self.bases)]
-        else:
-            sec = None
-            legs = [None if base is None else base + _NO_SECTION
-                    for base in self.bases]
+        sec = (ax, ay, ex, ey, ux * ey - uy * ex)
+        legs = [None if base is None else
+                base + _laws(*geom.sides[j][:4], ux, uy, *sec)
+                for j, base in enumerate(self.bases)]
         legs.append(self.tabulate(*frame))
         found = self.headings[section] = Heading(
             geom.sides, self.t_base, CLEARANCE * geom.diameter, sec, frame,
@@ -623,17 +630,18 @@ def first_return_map(room: Room, theta: float,
     the map is affine with slope equal to the product of the crossed
     factors.  Branch boundaries (orbits of the cone point) are located
     by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
-    midpoints of equal cells.  A non-finite theta raises ValueError
-    before any other check.
+    midpoints of equal cells.
+
+    It refuses what `Heading.of` refuses, in its order: a non-finite
+    theta, a section theta cannot cross and a section that is not an
+    interior diagonal.  Then it refuses, with ValueError, a direction
+    that points out of the surface at the door.
     """
-    _require_finite(theta)
-    if angle_dist_mod_pi(theta, section.direction(room)) < TRANSVERSALITY_FLOOR:
-        raise NotTransverse("direction is parallel to the section")
+    heading = Heading.of(room, theta, section)
     # Directions parallel to the door are allowed: their flow is tangent
     # to the boundary leaf and never crosses the door transversally.
     if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
-    heading = Heading.of(room, theta, section)
     length = heading.frame[4]
 
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
@@ -665,14 +673,13 @@ def first_return_map(room: Room, theta: float,
             inside, outside, key = grid[k + 1], grid[k], right
         cuts.append(_bisect(inside, outside, on_key, tol))
 
+    # a cut lies between two grid midpoints, at least length/96 from
+    # either end, so only cuts merge with each other
     boundaries = [0.0]
     for c in sorted(cuts):
         if c - boundaries[-1] > BRANCH_MIN_GAP * tol:
             boundaries.append(c)
-    if length - boundaries[-1] > BRANCH_MIN_GAP * tol:
-        boundaries.append(length)
-    else:
-        boundaries[-1] = length
+    boundaries.append(length)
 
     branches = []
     for lo, hi in zip(boundaries, boundaries[1:]):

@@ -322,7 +322,8 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
     section's endpoints, with no side, diagonal or leg table; it must
     agree with the fast tracer bit for bit.
 
-    `p` is the arc-length coordinate of a point on `section`.  Every
+    `p` is the arc-length coordinate of a point on `section`, a
+    section that theta crosses, as `surface.Heading.of` requires.  Every
     leg starts on a side or on the section at a coordinate sigma, takes
     the laws of every exit and of the section from scratch (`_leg_law`)
     and its exit by the rule of the leg tables (`_side_leg`); a
@@ -335,9 +336,7 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
     t_base = MIN_STEP * diam
     t_clear = CLEARANCE * diam
     a, b = section.endpoints(room)
-    sec_a, sec_e = a, b - a
-    if abs(u.cross(sec_e)) <= PARALLEL_EPS * max(sec_e.length(), 1.0):
-        sec_a = None
+    sec_e = b - a
     exits = [side for side in sides
              if _leaves_through(u, side.start, side.end)]
 
@@ -361,7 +360,7 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
 
     while True:
         if best_side == -1:
-            q = sec_a + sec_e * best_s
+            q = a + sec_e * best_s
         else:
             side = sides[best_side]
             q = side.start + (side.end - side.start) * best_s
@@ -389,14 +388,12 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
                 for out in exits]
         law = _side_leg(laws, sigma, 1.0, t_base)
         best_t = math.inf if law is None else law[3] + law[4] * sigma
-        if sec_a is not None:
-            sec_s0, sec_s1, sec_t0, sec_t1 = _leg_law(entry.start, f, u,
-                                                      sec_a, sec_e)
-            if t_clear < sec_t0 + sec_t1 * sigma < best_t - t_base:
-                s = sec_s0 + sec_s1 * sigma
-                if -VERTEX_TOL <= s <= 1.0 + VERTEX_TOL:
-                    best_side, best_s = -1, s
-                    continue
+        sec_s0, sec_s1, sec_t0, sec_t1 = _leg_law(entry.start, f, u, a, sec_e)
+        if t_clear < sec_t0 + sec_t1 * sigma < best_t - t_base:
+            s = sec_s0 + sec_s1 * sigma
+            if -VERTEX_TOL <= s <= 1.0 + VERTEX_TOL:
+                best_side, best_s = -1, s
+                continue
         if law is None:
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",

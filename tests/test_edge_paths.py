@@ -4,13 +4,24 @@ import math
 
 import pytest
 
-from dilatorus.errors import NotTransverse
-from dilatorus.geometry import square_room
-from dilatorus.intervalmaps import AffineBranch, PiecewiseAffineMap
-from dilatorus.quadratics import QuadraticNumber
-from dilatorus.surface import CrossSection, first_return_map, rotation_number
+from dilatorus import twists
+from dilatorus.errors import NotTransverse, RationalRatio
+from dilatorus.geometry import DilationParams, build_room, square_room
+from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
+                                    TwoSlopeMap, evaluate, orbit)
+from dilatorus.quadratics import QuadraticNumber, sqrt_int
+from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
+from dilatorus.surface import (CrossSection, Heading, first_return_map,
+                               rotation_number)
+from dilatorus.twists import (Holonomy, HolonomyClass, gauss_contraction,
+                              holonomy_class, reach_target)
 
 ROOM = square_room(math.log(2.0), math.log(2.0))
+# mu1 < 0 puts V3 past V2: the chord V0V3 leaves the pentagon
+REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
+# the middle of REFLEX's outward half-circle
+OUTWARD = sum(REFLEX.inward_directions()) / 2 + math.pi
+TSM = TwoSlopeMap(0.5, 0.5, 0.5)
 # image [0.5, 0.75] on [0, 0.5), then [0, 0.25]: a jump down at 0.5
 JUMP = PiecewiseAffineMap((AffineBranch(0.0, 0.5, 0.5, 0.5),
                            AffineBranch(0.5, 1.0, 0.5, -0.25)))
@@ -21,7 +32,8 @@ BELOW_ZERO = QuadraticNumber(14398739476117879, -10181446324101389, 2)
 ABOVE_ZERO = QuadraticNumber(34761632124320657, -24580185800219268, 2)
 
 
-# each row: a call, then its value or the (error, message) it raises
+# each row: a call, then its value or the (error, message) it raises,
+# a plain tuple
 CASES = [
     # the square room's door and its diagonal V0V2 both run at pi/4
     pytest.param(lambda: first_return_map(ROOM, math.pi / 4,
@@ -32,6 +44,14 @@ CASES = [
                                           CrossSection(0, 2)),
                  (ValueError, "must point into the surface"),
                  id="return-map-outward-direction"),
+    pytest.param(lambda: Heading.of(ROOM, math.pi / 4, CrossSection(0, 2)),
+                 (NotTransverse, "parallel to the section"),
+                 id="heading-section-parallel-to-the-flow"),
+    # a section off the room is refused before an outward direction
+    pytest.param(lambda: first_return_map(REFLEX, OUTWARD,
+                                          CrossSection(0, 3)),
+                 (ValueError, "not an interior diagonal"),
+                 id="return-map-outward-direction-off-the-room"),
     pytest.param(lambda: CrossSection(0, 1),
                  (ValueError, "not a pentagon diagonal"),
                  id="cross-section-on-a-side"),
@@ -47,12 +67,57 @@ CASES = [
                  id="evaluate-right-limit-at-the-jump"),
     pytest.param(BELOW_ZERO.floor, -1, id="floor-corrects-downward"),
     pytest.param(ABOVE_ZERO.floor, 0, id="floor-corrects-upward"),
+    pytest.param(lambda: evaluate(TSM, 1.5),
+                 (ValueError, "outside \\[0, 1\\]"),
+                 id="two-slope-evaluate-outside-the-unit-interval"),
+    pytest.param(lambda: orbit(TSM, -0.1, 3),
+                 (ValueError, "start -0.1 is outside"),
+                 id="orbit-start-outside-the-unit-interval"),
+    pytest.param(lambda: subdivision(0, 1),
+                 (ValueError, "slopes must be positive"),
+                 id="subdivision-zero-slope"),
+    pytest.param(lambda: interval_for_word(0.5, 0.5, "LX"),
+                 (ValueError, "invalid word letter 'X'"),
+                 id="interval-for-word-bad-letter"),
+    pytest.param(lambda: survivor_intervals(0.5, 0.5, -1),
+                 (ValueError, "depth must be nonnegative"),
+                 id="survivor-intervals-negative-depth"),
+    pytest.param(lambda: gauss_contraction(DilationParams(-1, 0.5), 1e-3),
+                 (ValueError, "strictly positive parameters"),
+                 id="gauss-contraction-negative-parameter"),
+    pytest.param(lambda: gauss_contraction(DilationParams(0.3, 0.1), 1e-3),
+                 (RationalRatio, "cannot certify"),
+                 id="gauss-contraction-rational-ratio"),
+    pytest.param(lambda: twists._complete_to_unimodular(2, 4),
+                 (ValueError, "not coprime"),
+                 id="complete-to-unimodular-not-coprime"),
+    pytest.param(lambda: reach_target(square_room(-0.5, 0.5), (1, 1), 1e-2),
+                 (ValueError, "starts from the open positive quadrant"),
+                 id="reach-target-start-outside-the-quadrant"),
+    pytest.param(lambda: reach_target(square_room(0.5, 0.5), (-1, 1), 1e-2),
+                 (ValueError, "target must lie in the open positive"),
+                 id="reach-target-target-outside-the-quadrant"),
+    pytest.param(lambda: holonomy_class(DilationParams(0, 0)),
+                 (ValueError, "zero parameters"),
+                 id="holonomy-class-zero-parameters"),
+    pytest.param(lambda: holonomy_class(DilationParams(0.5, 0.0)),
+                 HolonomyClass(Holonomy.DISCRETE, (1, 0)),
+                 id="holonomy-class-second-parameter-zero"),
+    pytest.param(lambda: holonomy_class(DilationParams(0.0, 0.5)),
+                 HolonomyClass(Holonomy.DISCRETE, (0, 1)),
+                 id="holonomy-class-first-parameter-zero"),
+    pytest.param(lambda: QuadraticNumber(1, 1, 2) / 0,
+                 (ZeroDivisionError, "division by zero"),
+                 id="quadratic-division-by-zero"),
+    pytest.param(lambda: (1 + sqrt_int(2)).as_fraction(),
+                 (ValueError, "value is irrational"),
+                 id="quadratic-irrational-as-fraction"),
 ]
 
 
 @pytest.mark.parametrize("call, expected", CASES)
 def test_edge_path(call, expected):
-    if isinstance(expected, tuple):
+    if type(expected) is tuple:
         exc, match = expected
         with pytest.raises(exc, match=match):
             call()

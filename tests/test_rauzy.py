@@ -103,7 +103,7 @@ def test_iterate_induction_halts_with_pulled_back_cycle():
     # the lifted cycle really is periodic for the original map
     x = cycle.points[0]
     for _ in range(cycle.period):
-        x = tsm(x)
+        x = evaluate(tsm, x)
     assert x == cycle.points[0]
 
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import oracles
-from dilatorus import cli, surface
-from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
-                              VertexHit)
+from dilatorus import cli, surface, teichmuller
+from dilatorus.errors import (BudgetExhausted, NonConvergence, NotReducible,
+                              NotTransverse, VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 Vec2, apply_sl2, build_room,
                                 projective_action, square_room, unit,
@@ -61,10 +61,11 @@ def test_trace_transport_factors_are_glue_factors():
 
 
 def test_trace_vertex_hit():
-    # aim exactly at V2 = (1, 1), along the diagonal from (0.5, 0.5)
-    heading = Heading.of(ROOM, math.pi / 4.0, CrossSection(0, 2))
+    # aim exactly at V2 = (1, 1), along pi/4 from (2/3, 2/3), two thirds
+    # of the way along the diagonal from V1 = (1, 0) to V3 = (0.5, 1)
+    heading = Heading.of(ROOM, math.pi / 4.0, CrossSection(1, 3))
     with pytest.raises(VertexHit) as info:
-        trace_ray(heading, 0.5 * heading.frame[4], 64)
+        trace_ray(heading, 2.0 / 3.0 * heading.frame[4], 64)
     assert info.value.trace.terminal is TraceEnd.VERTEX
 
 
@@ -383,6 +384,36 @@ def test_a_section_outside_the_room_is_refused():
                 Heading.of(REFLEX, theta, section)
             with pytest.raises(ValueError, match="not an interior"):
                 first_return_map(REFLEX, theta, section)
+
+
+def test_one_rule_decides_whether_a_section_can_be_crossed():
+    # a heading is built for a section exactly when the section is a
+    # candidate of its direction, and then holds the section's u x e;
+    # near each diagonal's direction the angle floor refuses it on the
+    # unit square, and the parallel floor alone on a square of side
+    # 1e-7, whose diagonals are too short for the angle floor
+    tiny = build_room((1e-7, 0.0), (0.0, 1e-7), (LN2, LN2))
+    refused_by = {"angle": 0, "parallel floor": 0}
+    for room in (ROOM, tiny, REFLEX):
+        for i, j in room.interior_diagonals():
+            _, _, ex, ey, par = room.geom.diagonals[i, j]
+            along = math.atan2(ey, ex)
+            for off in (0.0, 5e-10, -5e-10, 1e-8, -1e-8, 1e-3, 0.7):
+                theta = along + off
+                candidates = surface._candidate_sections(room, theta)
+                for section in (CrossSection(i, j), CrossSection(j, i)):
+                    if CrossSection(i, j) in candidates:
+                        row = Heading.of(room, theta, section).section_row
+                        assert len(row) == 5 and all(
+                            isinstance(x, float) for x in row)
+                        assert abs(row[4]) > par
+                        continue
+                    with pytest.raises(NotTransverse, match="parallel"):
+                        Heading.of(room, theta, section)
+                    u = unit(theta)
+                    refused_by["parallel floor" if abs(u.cross(
+                        Vec2(ex, ey))) <= par else "angle"] += 1
+    assert all(count >= 4 for count in refused_by.values()), refused_by
 
 
 def test_a_room_keeps_the_set_up_of_its_last_direction_only():
@@ -950,6 +981,110 @@ def test_first_return_map_refuses_a_bent_branch(monkeypatch):
     monkeypatch.setattr(surface, "_back", bent)
     with pytest.raises(NotTransverse, match="not affine"):
         first_return_map(ROOM, 5.5, CrossSection(0, 2))
+
+
+def _failing_flight(monkeypatch, error, when):
+    """Make `surface._flight` raise `error` from each section coordinate
+    s for which when(s) holds."""
+    real = surface._flight
+
+    def flight(heading, s):
+        if when(s):
+            raise error
+        return real(heading, s)
+
+    monkeypatch.setattr(surface, "_flight", flight)
+
+
+@pytest.mark.parametrize("error, refused", [
+    (VertexHit("hit"), False),
+    (BudgetExhausted("out"), True),
+    (NotTransverse("door"), True),
+])
+def test_verify_reduction_skips_a_vertex_hit_and_refuses_a_lost_probe(
+        monkeypatch, error, refused):
+    # a probe that hits a vertex is skipped, even where the normal form
+    # is wrong; one that runs out of crossings or reaches the door
+    # makes the reduction unverifiable
+    theta = 4.0055
+    red = surface.direction_to_two_slope(ROOM, theta)
+    tsm = red.two_slope
+    moved = TwoSlopeMap(tsm.rho_a, tsm.rho_b, tsm.x_t + 1e-3)
+    _failing_flight(monkeypatch, error, lambda s: True)
+    if refused:
+        with pytest.raises(NotReducible, match="did not return"):
+            surface._verify_reduction(ROOM, theta, red.section, moved,
+                                      red.chart)
+    else:
+        surface._verify_reduction(ROOM, theta, red.section, moved, red.chart)
+
+
+@pytest.mark.parametrize("error, accepted", [
+    (VertexHit("hit"), True),
+    (BudgetExhausted("out"), False),
+    (NotTransverse("door"), False),
+])
+def test_collapsed_direction_checks_its_fixed_point_flight(
+        monkeypatch, error, accepted):
+    # the flight from a collapsed map's fixed point confirms the cycle:
+    # a section whose flight fails is skipped, while a vertex hit there
+    # does not refute the branch law already checked at two probes
+    theta = 5.4192
+    found = surface._collapsed_direction(ROOM, theta)
+    assert found is not None
+    fixed_points = []
+    real = surface._collapsed_cycle
+
+    def recorded(pam):
+        col = real(pam)
+        if col is not None:
+            fixed_points.append(col[1])
+        return col
+
+    monkeypatch.setattr(surface, "_collapsed_cycle", recorded)
+    _failing_flight(monkeypatch, error, fixed_points.__contains__)
+    got = surface._collapsed_direction(ROOM, theta)
+    assert fixed_points
+    assert got == (found if accepted else None)
+
+
+def test_first_return_map_probes_again_where_two_probes_part(monkeypatch):
+    # when the two probes of a branch return along different itineraries,
+    # the next pair of probes gives the branch its law
+    theta = 5.5
+    pam = first_return_map(ROOM, theta, CrossSection(0, 2))
+    lo, hi = pam.branches[0].lo, pam.branches[0].hi
+    first_pair = (lo + 0.5 * (hi - lo), lo + 0.8 * (hi - lo))
+    next_pair = (lo + 0.38 * (hi - lo), lo + 0.66 * (hi - lo))
+    real = surface._flight
+    starts = []
+
+    def parted(heading, s):
+        starts.append(s)
+        tr = real(heading, s)
+        if s == first_pair[1]:
+            return tr._replace(crossed_sides=tr.crossed_sides + (0,))
+        return tr
+
+    monkeypatch.setattr(surface, "_flight", parted)
+    again = first_return_map(ROOM, theta, CrossSection(0, 2))
+    assert starts.index(next_pair[0]) > starts.index(first_pair[1])
+    assert [(b.lo, b.hi, b.slope) for b in again.branches] == [
+        (b.lo, b.hi, b.slope) for b in pam.branches]
+    for old, new in zip(pam.branches, again.branches):
+        assert new.intercept == pytest.approx(old.intercept, abs=1e-12)
+
+
+def test_a_direction_along_every_diagonal_has_no_section():
+    # far along the diagonal flow every interior diagonal of the square
+    # room turns within TRANSVERSALITY_FLOOR of one direction
+    room = teichmuller.flow(square_room(LN2, LN2), 60.0)
+    _, _, ex, ey, _ = room.geom.diagonals[0, 2]
+    theta = math.atan2(ey, ex)
+    assert surface._candidate_sections(room, theta) == []
+    with pytest.raises(NotTransverse,
+                       match="parallel to every interior diagonal"):
+        surface.direction_to_two_slope(room, theta)
 
 
 class _TraceRayReads(ast.NodeVisitor):
