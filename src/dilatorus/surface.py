@@ -577,13 +577,15 @@ def trace_ray(heading: Heading, start: float,
 
 # --- first-return map to a cross-section ---
 
-def _bisect(inside: float, outside: float, pred: Callable[[float], bool],
-            tol: float) -> float:
-    """Edge of {pred} between inside, where pred holds, and outside, where
-    it does not; the bracket may run either way along the line."""
+def _bisect(inside: float, outside: float, key_of: Callable[[float], object],
+            key: object, tol: float) -> float:
+    """Edge of {x : key_of(x) == key} between inside, where key_of gives
+    key, and outside, where it does not; the bracket may run either way
+    along the line.  The edge is the midpoint of a bracket that only
+    shrinks, so it lies between inside and outside."""
     while abs(outside - inside) > tol:
         mid = 0.5 * (inside + outside)
-        if pred(mid):
+        if key_of(mid) == key:
             inside = mid
         else:
             outside = mid
@@ -630,7 +632,12 @@ def first_return_map(room: Room, theta: float,
     the map is affine with slope equal to the product of the crossed
     factors.  Branch boundaries (orbits of the cone point) are located
     by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
-    midpoints of equal cells.
+    midpoints of equal cells: one key, the flight's crossed sides (None
+    on a VertexHit), serves the grid and every bisection.  Each cut lies
+    between its own two grid midpoints, so the cuts arrive in order and
+    join the boundaries in the one pass that finds them; a cut within
+    BRANCH_MIN_GAP bisection tolerances of the last boundary merges into
+    it.
 
     It refuses what `Heading.of` refuses, in its order: a non-finite
     theta, a section theta cannot cross and a section that is not an
@@ -644,47 +651,34 @@ def first_return_map(room: Room, theta: float,
         raise ValueError("direction must point into the surface at the door")
     length = heading.frame[4]
 
+    def itinerary(s: float) -> Optional[tuple[int, ...]]:
+        try:
+            return _flight(heading, s).crossed_sides
+        except VertexHit:
+            return None
+
     grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
             for k in range(DEFAULT_RETURN_SAMPLES)]
-    keys: list[Optional[tuple[int, ...]]] = []
-    for s in grid:
-        try:
-            keys.append(_flight(heading, s).crossed_sides)
-        except VertexHit:
-            keys.append(None)
-
-    def on_key(s: float) -> bool:
-        # `key`, set in the loop below, is the itinerary being bisected
-        try:
-            return _flight(heading, s).crossed_sides == key
-        except VertexHit:
-            return False
-
+    keys = [itinerary(s) for s in grid]
     tol = BRANCH_BISECT_TOL * length
-    cuts: list[float] = []
+    # a cut lies at least length/96 from either end, so only cuts merge
+    boundaries = [0.0]
     for k in range(DEFAULT_RETURN_SAMPLES - 1):
         left, right = keys[k], keys[k + 1]
         if left == right:
             continue
         # bisect from the grid point whose flight has a key
         if left is not None:
-            inside, outside, key = grid[k], grid[k + 1], left
+            cut = _bisect(grid[k], grid[k + 1], itinerary, left, tol)
         else:
-            inside, outside, key = grid[k + 1], grid[k], right
-        cuts.append(_bisect(inside, outside, on_key, tol))
-
-    # a cut lies between two grid midpoints, at least length/96 from
-    # either end, so only cuts merge with each other
-    boundaries = [0.0]
-    for c in sorted(cuts):
-        if c - boundaries[-1] > BRANCH_MIN_GAP * tol:
-            boundaries.append(c)
+            cut = _bisect(grid[k + 1], grid[k], itinerary, right, tol)
+        if cut - boundaries[-1] > BRANCH_MIN_GAP * tol:
+            boundaries.append(cut)
     boundaries.append(length)
 
     branches = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         width = hi - lo
-        law = None
         for frac1, frac2 in ((0.5, 0.8), (0.38, 0.66), (0.29, 0.71)):
             try:
                 s1 = lo + frac1 * width
@@ -693,21 +687,19 @@ def first_return_map(room: Room, theta: float,
                 tr2 = _flight(heading, s2)
             except VertexHit:
                 continue
-            if tr1.crossed_sides != tr2.crossed_sides:
-                continue
-            factor1 = tr1.cumulative_factor
-            intercept = _back(heading, tr1) - factor1 * s1
-            if (abs(_back(heading, tr2) - (factor1 * s2 + intercept))
-                    > BRANCH_VERIFY_TOL * length):
-                raise NotTransverse("return map is not affine between "
-                                    "detected branch boundaries; section "
-                                    "sampling too coarse for this direction")
-            law = (factor1, intercept)
-            break
-        if law is None:
+            if tr1.crossed_sides == tr2.crossed_sides:
+                break
+        else:
             raise NotTransverse("could not probe a branch away from "
                                 "singular orbits")
-        branches.append(AffineBranch(lo, hi, law[0], law[1]))
+        factor1 = tr1.cumulative_factor
+        intercept = _back(heading, tr1) - factor1 * s1
+        if (abs(_back(heading, tr2) - (factor1 * s2 + intercept))
+                > BRANCH_VERIFY_TOL * length):
+            raise NotTransverse("return map is not affine between "
+                                "detected branch boundaries; section "
+                                "sampling too coarse for this direction")
+        branches.append(AffineBranch(lo, hi, factor1, intercept))
     return PiecewiseAffineMap(tuple(branches))
 
 
@@ -966,7 +958,11 @@ def find_cylinders(room: Room, eps_angle: float,
     The grid step eps_angle/2 guarantees at least two samples inside any
     cylinder of angle >= eps_angle; smaller ones are reported when a
     sample happens to land in them.  Interval edges are bisected to
-    CYLINDER_EDGE_TOL.  `exhausted` records that some sample's
+    CYLINDER_EDGE_TOL on one key, the cylinder word (None for any other
+    verdict), which the grid samples too.  A run's left edge stays
+    between its first sample and the sample before it, and its right
+    edge between its last sample and the one after, so the edges come
+    in order and need no swap.  `exhausted` records that some sample's
     renormalization ran out of budget, or that a run's bisected
     midpoint gave another verdict and the run was dropped, so absence
     of further cylinders is not certified.  An eps_angle whose grid
@@ -993,21 +989,19 @@ def find_cylinders(room: Room, eps_angle: float,
         exhausted = exhausted or verdict.exhausted
         return verdict if verdict.kind is DirectionKind.CYLINDER else None
 
-    words = [None if v is None else v.word
-             for v in map(cylinder_at, thetas)]
+    def word_of(theta: float) -> Optional[str]:
+        v = cylinder_at(theta)
+        return None if v is None else v.word
+
+    words = [word_of(theta) for theta in thetas]
     cylinders = []
     for k, k_end in _runs(words, operator.eq):
         word = words[k]
-
-        def in_run(theta: float) -> bool:
-            v = cylinder_at(theta)
-            return v is not None and v.word == word
-
         left_out = thetas[k - 1] if k > 0 else lo
         right_out = thetas[k_end + 1] if k_end + 1 < n else hi
-        t1 = _bisect(thetas[k], left_out, in_run, CYLINDER_EDGE_TOL)
-        t2 = _bisect(thetas[k_end], right_out, in_run, CYLINDER_EDGE_TOL)
-        t1, t2 = min(t1, t2), max(t1, t2)
+        t1 = _bisect(thetas[k], left_out, word_of, word, CYLINDER_EDGE_TOL)
+        t2 = _bisect(thetas[k_end], right_out, word_of, word,
+                     CYLINDER_EDGE_TOL)
         mid = cylinder_at(0.5 * (t1 + t2))
         if mid is not None and mid.word == word:
             cylinders.append(Cylinder(t1, t2, word, mid.multiplier))

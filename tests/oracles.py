@@ -407,12 +407,22 @@ def first_return_map_oracle(room: Room, theta: float,
     """`surface.first_return_map` with its section coordinate in Vec2
     arithmetic, flying every flight from its section coordinate through
     `trace_ray_oracle`; it must build the same map, or raise the same
-    error type."""
+    error with the same message.
+
+    It refuses in the library's order: a non-finite theta, a section
+    theta cannot cross, a section whose chord is not inside the room's
+    exact twin (`exact_shape`), and a direction out of the door."""
+    if not math.isfinite(theta):
+        raise ValueError(f"direction theta must be finite, got {theta!r}")
     a, b = section.endpoints(room)
     length = (b - a).length()
     tangent = (b - a) * (1.0 / length)
     if angle_dist_mod_pi(theta, (b - a).angle()) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")
+    pair = (min(section), max(section))
+    if pair not in exact_shape(twin_vertices(room.e1, room.e2, room.nu())):
+        raise ValueError(f"({section.i}, {section.j}) is not an "
+                         "interior diagonal of the room")
     if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
 
@@ -468,10 +478,7 @@ def first_return_map_oracle(room: Room, theta: float,
     for c in sorted(cuts):
         if c - boundaries[-1] > BRANCH_MIN_GAP * tol:
             boundaries.append(c)
-    if length - boundaries[-1] > BRANCH_MIN_GAP * tol:
-        boundaries.append(length)
-    else:
-        boundaries[-1] = length
+    boundaries.append(length)
 
     branches = []
     for lo, hi in zip(boundaries, boundaries[1:]):

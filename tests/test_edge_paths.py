@@ -1,18 +1,19 @@
 """Refusals and branches that no other test reaches, one row each."""
 
 import math
+import operator
 
 import pytest
 
-from dilatorus import twists
+from dilatorus import surface, twists
 from dilatorus.errors import NotTransverse, RationalRatio
 from dilatorus.geometry import DilationParams, build_room, square_room
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap, evaluate, orbit)
 from dilatorus.quadratics import QuadraticNumber, sqrt_int
 from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
-from dilatorus.surface import (CrossSection, Heading, first_return_map,
-                               rotation_number)
+from dilatorus.surface import (CrossSection, Heading, RayTrace, TraceEnd,
+                               first_return_map, rotation_number)
 from dilatorus.twists import (Holonomy, HolonomyClass, gauss_contraction,
                               holonomy_class, reach_target)
 
@@ -22,6 +23,10 @@ REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 # the middle of REFLEX's outward half-circle
 OUTWARD = sum(REFLEX.inward_directions()) / 2 + math.pi
 TSM = TwoSlopeMap(0.5, 0.5, 0.5)
+PARAMS = DilationParams(0.5, 0.7)
+# slope 1, then slope 2: the branches meet at (1, 1), a kink, no jump
+KINK = PiecewiseAffineMap((AffineBranch(0.0, 1.0, 1.0, 0.0),
+                           AffineBranch(1.0, 2.0, 2.0, -1.0)))
 # image [0.5, 0.75] on [0, 0.5), then [0, 0.25]: a jump down at 0.5
 JUMP = PiecewiseAffineMap((AffineBranch(0.0, 0.5, 0.5, 0.5),
                            AffineBranch(0.5, 1.0, 0.5, -0.25)))
@@ -112,6 +117,21 @@ CASES = [
     pytest.param(lambda: (1 + sqrt_int(2)).as_fraction(),
                  (ValueError, "value is irrational"),
                  id="quadratic-irrational-as-fraction"),
+    # a float operand is refused by each operator (NotImplemented) and
+    # then by float's reflected one
+    *[pytest.param(lambda op=op: op(QuadraticNumber(1, 1, 2), 0.5),
+                   (TypeError, "unsupported operand type"),
+                   id=f"quadratic-{op.__name__}-float")
+      for op in (operator.add, operator.sub, operator.mul,
+                 operator.truediv)],
+    pytest.param(lambda: setattr(QuadraticNumber(1, 1, 2), "a", 2),
+                 (AttributeError, "QuadraticNumber is immutable"),
+                 id="quadratic-set-a-field"),
+    pytest.param(lambda: build_room((1, 0), (0, 1), PARAMS).params is PARAMS,
+                 True, id="build-room-keeps-a-params-record"),
+    pytest.param(KINK.jumps, [], id="kink-has-no-jumps"),
+    pytest.param(lambda: KINK.evaluate(1.0), 1.0,
+                 id="evaluate-at-a-kink-needs-no-side"),
 ]
 
 
@@ -128,3 +148,16 @@ def test_edge_path(call, expected):
 def test_floor_rows_start_from_a_wrong_float_floor():
     assert (float(BELOW_ZERO), float(ABOVE_ZERO)) == (2.0, -4.0)
     assert -1 < BELOW_ZERO < 0 < ABOVE_ZERO < 1
+
+
+def test_a_flight_that_reaches_the_door_has_no_return(monkeypatch):
+    # no float input is known to reach the door within INWARD_SLACK of
+    # door-parallel, so the tracer is stubbed to end each flight there
+    def to_the_door(heading, start):
+        return RayTrace((), 1.0, TraceEnd.DOOR, (0.0, 0.0))
+
+    monkeypatch.setattr(surface, "trace_ray", to_the_door)
+    theta = sum(ROOM.inward_directions()) / 2
+    with pytest.raises(NotTransverse, match="off the section reaches the "
+                                            "door"):
+        first_return_map(ROOM, theta, CrossSection(0, 2))

@@ -619,7 +619,7 @@ def _return_map_outcome(builder, room, theta, section):
     try:
         return ("map", builder(room, theta, section))
     except Exception as exc:
-        return ("error", type(exc))
+        return ("error", type(exc), str(exc))
 
 
 @pytest.mark.parametrize("entry", [
@@ -639,9 +639,12 @@ def test_a_non_finite_direction_is_refused(entry):
 
 def test_first_return_map_matches_vec2_oracle():
     # the float section frame must land every flight where the Vec2
-    # arithmetic did: same maps, or the same error type.  The non-convex
-    # rooms put a reflex vertex's shadow on the leg tables, where a
-    # table could pick the wrong piece
+    # arithmetic did: same maps, or the same error and message.  The
+    # non-convex rooms put a reflex vertex's shadow on the leg tables,
+    # where a table could pick the wrong piece, and have diagonals that
+    # are not interior.  Every diagonal is flown, and a NaN, the
+    # direction of diagonal (0, 3) and an outward theta check the order
+    # of the refusals
     rng = random.Random(SEED + 6)
     sheared = build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3))
     rooms = [ROOM, sheared, apply_sl2(oracles.random_sl2(rng), ROOM),
@@ -650,9 +653,11 @@ def test_first_return_map_matches_vec2_oracle():
     outcomes = {"map": 0, "error": 0}
     for room in rooms:
         lo, hi = room.inward_directions()
-        for k in range(4):
-            theta = lo + (hi - lo) * (k + rng.random()) / 4
-            for i, j in room.interior_diagonals():
+        thetas = [lo + (hi - lo) * (k + rng.random()) / 4 for k in range(4)]
+        v0, v3 = room.vertices()[0], room.vertices()[3]
+        for theta in thetas + [math.nan, (v3 - v0).angle(),
+                               0.5 * (lo + hi) + math.pi]:
+            for i, j in _DIAGONAL_PAIRS:
                 section = CrossSection(i, j)
                 fast = _return_map_outcome(first_return_map, room, theta,
                                            section)
@@ -665,14 +670,14 @@ def test_first_return_map_matches_vec2_oracle():
 
 def test_bisect_is_the_same_float_either_way_round():
     # first_return_map bisects from whichever grid point has a key, so
-    # swapping the bracket and negating the predicate must not move a bit
+    # swapping the bracket and the key must not move a bit
     rng = random.Random(SEED + 7)
     for _ in range(200):
         a, b = sorted(rng.uniform(-3.0, 3.0) for _ in range(2))
         edge = rng.uniform(a, b)
         tol = 10.0 ** rng.uniform(-14, -2) * (b - a)
-        forward = surface._bisect(a, b, lambda x: x < edge, tol)
-        backward = surface._bisect(b, a, lambda x: not x < edge, tol)
+        forward = surface._bisect(a, b, lambda x: x < edge, True, tol)
+        backward = surface._bisect(b, a, lambda x: x < edge, False, tol)
         assert forward == backward
         assert abs(forward - edge) <= tol
 
