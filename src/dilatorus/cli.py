@@ -23,6 +23,7 @@ bracket the estimate did establish.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -49,16 +50,65 @@ DEFAULT_REACH_EPS = 1e-2
 # list of them; README's `measure` row gives the time and peak RSS of
 # depth 20
 MAX_MEASURE_DEPTH = 20
+# The most decimal digits of an int the CLI reads or prints: the
+# interpreter's cap on int <-> str conversions is raised to it, and an
+# exact measure with a longer numerator or denominator is refused.
+MAX_PRINTED_DIGITS = 10 ** 6
+# `_decimal` hands str(), whose time grows with the square of the
+# length, only ints below 10**PRINT_LEAF_DIGITS (3,402 bits).
+PRINT_LEAF_DIGITS = 1024
 
 
 class UsageError(Exception):
     """Flag-level rejection: a malformed flag, reported before any
-    computation runs, or an --svg path that cannot be written."""
+    computation runs, an --svg path that cannot be written, or an exact
+    measure too long to print."""
 
 
 def canonical_json(obj) -> str:
     """The byte-stable serialization every command prints."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _decimal(n: int) -> str:
+    """str(n) in the time of a few divmods rather than str()'s, which
+    grows with the square of the length: n is split at powers
+    10**(PRINT_LEAF_DIGITS * 2**k) until each piece is a leaf."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    powers = [10 ** PRINT_LEAF_DIGITS]
+    # until n < powers[-1]**2, read off the bit lengths
+    while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
+        powers.append(powers[-1] * powers[-1])
+    return _digits(n, powers, len(powers) - 1)
+
+
+def _digits(n: int, powers: list[int], k: int) -> str:
+    """The digits of 0 <= n < powers[k]**2, with no leading zero, where
+    powers[j] == 10**(PRINT_LEAF_DIGITS << j)."""
+    while k >= 0 and n < powers[k]:
+        k -= 1
+    if k < 0:
+        return str(n)
+    hi, lo = divmod(n, powers[k])
+    return (_digits(hi, powers, k - 1)
+            + _digits(lo, powers, k - 1).zfill(PRINT_LEAF_DIGITS << k))
+
+
+def _rational_text(q) -> str:
+    """str(q) for an int or a Fraction q, its parts printed by `_decimal`.
+    A part of more than MAX_PRINTED_DIGITS digits is refused with
+    UsageError, decided from the bit lengths before any conversion."""
+    parts = [q.numerator] if q.denominator == 1 else [q.numerator,
+                                                      q.denominator]
+    bits = int(MAX_PRINTED_DIGITS * math.log2(10)) + 1   # 10**cap - 1's
+    for n in parts:
+        b = abs(n).bit_length()
+        if b > bits or b == bits and abs(n) >= 10 ** MAX_PRINTED_DIGITS:
+            raise UsageError(f"an exact value of {b} bits has more than "
+                             f"MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} "
+                             "decimal digits, the most the CLI prints")
+    return "/".join(map(_decimal, parts))
 
 
 # --- flag parsing helpers ---
@@ -346,7 +396,8 @@ def cmd_measure(args) -> int:
         lines = ["n,measure"]
         for k in range(args.n + 1):
             m = survivor_measure(rho_a, rho_b, k)
-            lines.append(f"{k},{m}" if args.exact else f"{k},{m!r}")
+            lines.append(f"{k},{_rational_text(m)}" if args.exact
+                         else f"{k},{m!r}")
         _emit("\n".join(lines) + "\n")
     else:
         # the payload's floats are refused before the measure is computed
@@ -356,7 +407,7 @@ def cmd_measure(args) -> int:
             "rho_a": ra_f,
             "rho_b": rb_f,
             "n": args.n,
-            "measure": str(m) if args.exact else m,
+            "measure": _rational_text(m) if args.exact else m,
             "measure_float": float(m),
         }))
     return 0
@@ -547,9 +598,10 @@ def _diagnostic(name: str, detail: str, **extra) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # deep exact survivor measures print rationals with thousands of digits
+    # exact slopes and room parameters are read, and printed, as long
+    # decimals
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(10 ** 6)
+        sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)

@@ -7,7 +7,8 @@ is all the parameter-contraction and holonomy code needs.  Floats are
 deliberately rejected: this module is the exact track.
 
 It also decides exactness for the whole package, through `is_exact`,
-the tolerance rule `slack`, the coercion `quadratic` and `max_denominator`.
+the tolerance rule `slack`, the coercion `quadratic` and the integer
+form `integer_form`, whose sign rule is `surd_sign`.
 """
 
 from __future__ import annotations
@@ -151,20 +152,7 @@ class QuadraticNumber:
     # --- exact sign and order ---
 
     def _sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d exactly
-        lhs, rhs = a * a, b * b * d
-        if a > 0:   # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return surd_sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         # the normal form is unique: equal values have equal (a, b, d)
@@ -201,15 +189,12 @@ class QuadraticNumber:
 
     def floor(self) -> int:
         """Exact floor at any magnitude, in integer arithmetic alone."""
-        a, b = self.a, self.b
-        if not b:
-            return math.floor(a)
-        # over a common denominator D the value is (m + n*sqrt(d)) / D;
-        # n^2 d is no square, so r < |n|*sqrt(d) < r + 1 and the
-        # numerator lies strictly between consecutive integers
-        D = math.lcm(a.denominator, b.denominator)
-        m = a.numerator * (D // a.denominator)
-        n = b.numerator * (D // b.denominator)
+        if not self.b:
+            return math.floor(self.a)
+        # the value is (m + n*sqrt(d)) / D; n^2 d is no square, so
+        # r < |n|*sqrt(d) < r + 1 and the numerator lies strictly between
+        # consecutive integers
+        _, D, ((m, n),) = integer_form(self)
         r = math.isqrt(n * n * self.d)
         return (m + r if n > 0 else m - r - 1) // D
 
@@ -246,6 +231,34 @@ def quadratic(x) -> QuadraticNumber:
     raise TypeError(f"exact arithmetic does not accept {type(x).__name__}")
 
 
+def surd_sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), for ints or Fractions a and b and a
+    radicand d >= 0 that is positive whenever b is not 0: when a and b
+    differ in sign, a^2 is compared with b^2 d."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    lhs, rhs = a * a, b * b * d
+    return sa if lhs > rhs else (sb if lhs < rhs else 0)
+
+
+def integer_form(*xs) -> tuple[int, int, list[tuple[int, int]]]:
+    """Exact values of one field over one denominator: (d, D, [(m, n),
+    ...]) with each x == (m + n*sqrt(d)) / D, d their common radicand (0
+    when all are rational) and D > 0 the least common denominator of
+    their rational coordinates.  For one value gcd(m, n, D) == 1, so the
+    triple (m, n, D) is its canonical key.  Values from two fields raise
+    TypeError, as their arithmetic does."""
+    qs = [quadratic(x) for x in xs]
+    fields = {q.d for q in qs} - {0}
+    if len(fields) > 1:
+        raise TypeError("mixed radicands are not supported")
+    D = math.lcm(*(c.denominator for q in qs for c in (q.a, q.b)))
+    return (max(fields, default=0), D,
+            [(q.a.numerator * (D // q.a.denominator),
+              q.b.numerator * (D // q.b.denominator)) for q in qs])
+
+
 def sqrt_int(d: int) -> QuadraticNumber:
     """Exact square root of a nonnegative integer."""
     return QuadraticNumber(0, 1, d)
@@ -274,14 +287,6 @@ def slack(tol: float, *values: Scalar) -> float:
         if type(x) is float or not is_exact(x):
             return tol
     return 0
-
-
-def max_denominator(x: Scalar) -> int:
-    """The largest denominator of an exact x: its own for an int or a
-    Fraction, the larger of a's and b's for a + b*sqrt(d)."""
-    if isinstance(x, QuadraticNumber):
-        return max(x.a.denominator, x.b.denominator)
-    return x.denominator
 
 
 def as_float(x: Scalar, name: str) -> float:

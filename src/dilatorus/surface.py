@@ -52,7 +52,7 @@ from .intervalmaps import (
     evaluate as evaluate_two_slope,
     restrict_to_image,
 )
-from .quadratics import Scalar, as_float, is_exact, max_denominator
+from .quadratics import Scalar, as_float, integer_form, is_exact, surd_sign
 from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
 
 # Tolerances for the tracer are relative to the room diameter; those for
@@ -1039,7 +1039,14 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     degree-one circle homeomorphism; its lift is
     F(x) = rho_A x + rho_B (1 - x*) below x* and rho_B (x - x*) + 1
     above.  Exact input drives exact orbit-of-the-break cycle detection
-    (returning a Fraction).  In float mode the orbit usually locks onto
+    (returning a Fraction) on integers: each point is its canonical
+    triple (m, n, D), the value (m + n*sqrt(d))/D with D > 0 and
+    gcd(m, n, D) == 1 (`quadratics.integer_form`), so a step is a few
+    integer products, one three-way gcd and, for the side of x*, the
+    integer sign rule `surd_sign`; no Fraction or QuadraticNumber is
+    built per step.  The search gives up to the float estimate after
+    EXACT_ORBIT_CAP steps, or once a point has a denominator above
+    EXACT_DENOMINATOR_CAP.  In float mode the orbit usually locks onto
     an attracting cycle, found by comparing against power-of-two anchor
     points and verified by one more loop around the candidate cycle;
     failing that, Birkhoff averages with doubling caps run until two
@@ -1051,7 +1058,7 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
 
     Both orbits take the step of the lift inline; the oracle is
     `tests/oracles.rotation_number_oracle`, which calls the step once per
-    iterate.
+    iterate, on QuadraticNumbers in the exact search.
     """
     ra_f, rb_f = as_float(rho_a, "rho_a"), as_float(rho_b, "rho_b")
     if not (ra_f > 1.0 > rb_f > 0.0):
@@ -1065,19 +1072,35 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
 
     if is_exact(rho_a) and is_exact(rho_b):
         x_star, b_a = _lift(rho_a, rho_b)
-        seen: dict = {}     # exact values hash by value
-        x, gain = x_star, 0
-        for n in range(EXACT_ORBIT_CAP):
-            if x in seen:
-                n0, g0 = seen[x]
-                return Fraction(gain - g0, n - n0)
-            seen[x] = (n, gain)
-            if x < x_star:
-                x = rho_a * x + b_a
+        # over one denominator L: x* as (xm, xn), and the branches x ->
+        # rho*x + beta below and above x* as (p, q, u, v), where rho =
+        # (p + q*sqrt(d))/L and beta = (u + v*sqrt(d))/L
+        d, L, (ra, ba, rb, cb, (xm, xn)) = integer_form(
+            rho_a, b_a, rho_b, -rho_b * x_star, x_star)
+        below, above = ra + ba, rb + cb
+        g = math.gcd(xm, xn, L)
+        m, n, D = xm // g, xn // g, L // g    # x = (m + n*sqrt(d))/D, x*
+        seen: dict = {}
+        gain = 0
+        for k in range(EXACT_ORBIT_CAP):
+            key = m, n, D
+            if key in seen:
+                k0, g0 = seen[key]
+                return Fraction(gain - g0, k - k0)
+            seen[key] = (k, gain)
+            # x < x*: the sign of (x - x*) * D * L
+            if surd_sign(m * L - xm * D, n * L - xn * D, d) < 0:
+                p, q, u, v = below
             else:
-                x = rho_b * (x - x_star)
+                p, q, u, v = above
                 gain += 1
-            if max_denominator(x) > EXACT_DENOMINATOR_CAP:
+            m, n, D = p * m + q * n * d + u * D, p * n + q * m + v * D, L * D
+            g = math.gcd(m, n, D)
+            m, n, D = m // g, n // g, D // g
+            # the larger denominator of x's coordinates m/D and n/D
+            if D > EXACT_DENOMINATOR_CAP and max(
+                    D // math.gcd(m, D),
+                    D // math.gcd(n, D)) > EXACT_DENOMINATOR_CAP:
                 break
         # fall through to the float estimate
 

@@ -128,13 +128,29 @@ def mu_path(word: Sequence[TwistGenerator],
         yield new(DilationParams, (m1, m2))
 
 
+def mu_after(word: Sequence[TwistGenerator],
+             params: DilationParams) -> DilationParams:
+    """The parameters after `word`: the last value `mu_path` yields, folded
+    with its operations and its refusals but no record per move."""
+    if word and not params.in_positive_quadrant():
+        raise InadmissibleAtStep(0, "start parameters are not in the "
+                                    "positive quadrant")
+    m1, m2 = params
+    rows = MU_ACTION
+    for k, g in enumerate(word):
+        r11, r12, r21, r22 = rows[g._value_]
+        m1, m2 = r11 * m1 + r12 * m2, r21 * m1 + r22 * m2
+        if not (m1 > 0 and m2 > 0):
+            raise InadmissibleAtStep(k)
+    return tuple.__new__(DilationParams, (m1, m2)) if word else params
+
+
 def admissibility_violation(word: Sequence[TwistGenerator],
                             params: DilationParams) -> Optional[int]:
     """First 0-based step whose result leaves the open positive quadrant,
     or None if the whole word is admissible.  The start must be admissible."""
     try:
-        for _ in mu_path(word, params):
-            pass
+        mu_after(word, params)
     except InadmissibleAtStep as exc:
         return exc.step
     return None
@@ -325,8 +341,9 @@ def reach_target(room: Room, mu_target, eps: float,
     Three phases: contract toward the origin, push the first coordinate out
     along a near-rational ray with S2 powers, then spread with a nonnegative
     unimodular word whose leading column approximates the target direction.
-    The word's parameter action is re-folded move by move, verifying both
-    admissibility and the final error before the report is returned.
+    The word's parameter action is re-folded move by move by `mu_after`,
+    verifying both admissibility and the final error before the report
+    is returned.
     A negative or NaN eps, which no word could meet, a negative budget,
     and a NaN or infinite target or target ratio are refused.  So is,
     unless the start already lies within eps, a target ratio below
@@ -383,8 +400,7 @@ def reach_target(room: Room, mu_target, eps: float,
         last_error = min(last_error, err)
         if err <= eps:
             try:
-                for cur in mu_path(word, params0):
-                    pass
+                cur = mu_after(word, params0)
             except InadmissibleAtStep:
                 continue
             got = cur.as_floats()

@@ -20,7 +20,7 @@ from dilatorus.geometry import (PARALLEL_EPS, DilationParams, Room, SL2Matrix,
                                 Vec2, angle_dist_mod_pi, unit)
 from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
                                     PiecewiseAffineMap, TwoSlopeMap)
-from dilatorus.quadratics import QuadraticNumber, Scalar, max_denominator
+from dilatorus.quadratics import QuadraticNumber, Scalar
 from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
                              StepClass, TerminalKind, _pull_back_cycle,
                              classify_step, induce)
@@ -1013,6 +1013,14 @@ def mu_path_oracle(word: Sequence[TwistGenerator],
         if not params.in_positive_quadrant():
             raise InadmissibleAtStep(k)
         yield params
+
+
+def max_denominator(x: Scalar) -> int:
+    """The largest denominator of an exact x: its own for an int or a
+    Fraction, the larger of a's and b's for a + b*sqrt(d)."""
+    if isinstance(x, QuadraticNumber):
+        return max(x.a.denominator, x.b.denominator)
+    return x.denominator
 
 
 def _circle_step(ra: Scalar, rb: Scalar):

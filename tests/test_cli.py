@@ -5,8 +5,11 @@ import importlib
 import inspect
 import json
 import math
+import random
+import sys
 import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -408,6 +411,73 @@ def test_exact_measure_table_is_refused_before_any_sum(capsys,
     code, out, err = run(capsys, args + ["--n=3"])
     assert code == 2 and out == "" and len(sums) == 3
     assert "depth 3" in json.loads(err)["detail"]
+
+
+def test_the_decimal_printer_matches_str_under_the_default_digit_cap():
+    leaf = cli.PRINT_LEAF_DIGITS
+    values = [0, 1, 9, 10, -1, -10 ** 5]
+    for k in range(4):
+        # each split size and the values that straddle it
+        width = leaf << k
+        values += [10 ** width - 1, 10 ** width, 10 ** width + 1,
+                   10 ** (2 * width) - 1, 10 ** (2 * width)]
+    # the leaf size, 10**leaf, is 3,402 bits long: one bit either side
+    bits = (10 ** leaf).bit_length()
+    values += [(1 << b) + e for b in (bits - 2, bits - 1, bits)
+               for e in (-1, 0, 1)]
+    rng = random.Random(20260817)
+    values += [rng.getrandbits(rng.randint(1, 200_000)) for _ in range(16)]
+    values += [-v for v in values[-4:]]
+    fractions = [Fraction(v, 1) for v in values[:12]] + [
+        Fraction(rng.getrandbits(b), rng.getrandbits(b) | 1)
+        for b in (10, 4_000, 60_000)] + [Fraction(-7, 3), 5]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(v) for v in values], [str(q) for q in fractions]
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        got = ([cli._decimal(v) for v in values],
+               [cli._rational_text(q) for q in fractions])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want
+    assert max(v.bit_length() for v in values) > 150_000
+
+
+def test_a_value_past_the_digit_cap_is_refused_from_its_bit_length(
+        monkeypatch):
+    monkeypatch.setattr(cli, "MAX_PRINTED_DIGITS", 5)
+    assert cli._rational_text(Fraction(99_999, 2)) == "99999/2"
+    assert cli._rational_text(-99_999) == "-99999"
+    # 10**5 and 99,999 are both 17 bits long; 2**17 is 18
+    for q in (10 ** 5, Fraction(1, 10 ** 5), -(1 << 17), Fraction(1, 3) ** 11):
+        with pytest.raises(cli.UsageError, match="MAX_PRINTED_DIGITS = 5"):
+            cli._rational_text(q)
+
+
+def test_an_exact_measure_past_the_digit_cap_is_bad_input(capsys,
+                                                          monkeypatch):
+    # depth 8 at (5/6, 4/7) has a 7,734-digit denominator; the CLI prints
+    # it under its own cap and refuses it under a cap of 1,000 digits,
+    # which main() also gives the interpreter, so the test restores that
+    old = sys.get_int_max_str_digits()
+    args = ["measure", "--rhoA=5/6", "--rhoB=4/7", "--n=8", "--exact"]
+    try:
+        code, out, _ = run(capsys, args)
+        assert code == 0
+        assert len(json.loads(out)["measure"]) == 7732 + 1 + 7734
+        monkeypatch.setattr(cli, "MAX_PRINTED_DIGITS", 1000)
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, args + [f"--format={fmt}"])
+            assert code == 2 and out == ""
+            data = json.loads(err)
+            assert data["error"] == "BadInput"
+            assert "MAX_PRINTED_DIGITS = 1000" in data["detail"]
+        code, out, _ = run(capsys, args[:3] + ["--n=4", "--exact"])
+        assert code == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert cli.MAX_PRINTED_DIGITS == 1000
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf"])

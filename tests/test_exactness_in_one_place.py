@@ -2,7 +2,7 @@
 
 `quadratics` alone asks whether a scalar is a Fraction or a
 QuadraticNumber: every other module goes through `is_exact`, `slack`,
-`quadratic` and `max_denominator`.  A float finiteness check such as
+`quadratic` and `integer_form`.  A float finiteness check such as
 `isinstance(c, float)` is an input check and may stay anywhere.
 """
 

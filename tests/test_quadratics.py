@@ -11,8 +11,8 @@ import oracles
 
 from dilatorus.quadratics import (MAX_RADICAND, QuadraticNumber,
                                   cf_convergents, float_convergents,
-                                  max_denominator, quadratic, slack,
-                                  sqrt_int)
+                                  integer_form, quadratic, slack, sqrt_int,
+                                  surd_sign)
 
 SEED = 20260817
 
@@ -146,11 +146,47 @@ def test_quadratic_lifts_exact_scalars_and_refuses_floats():
 
 
 def test_max_denominator_reads_every_rational_coordinate():
+    max_denominator = oracles.max_denominator
     assert max_denominator(7) == 1
     assert max_denominator(Fraction(3, 8)) == 8
     assert max_denominator(QuadraticNumber(Fraction(1, 3), Fraction(1, 5),
                                            2)) == 5
     assert max_denominator(QuadraticNumber(Fraction(1, 9), 1, 3)) == 9
+
+
+def test_integer_form_is_each_value_over_the_least_common_denominator():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        d = rng.choice((2, 3, 5))
+        xs = [random_quadratic(rng, d) for _ in range(rng.randint(1, 4))]
+        xs.append(rng.choice((rng.randint(-5, 5),
+                              Fraction(rng.randint(-9, 9), rng.randint(1, 9)))))
+        field, D, pairs = integer_form(*xs)
+        assert D > 0 and len(pairs) == len(xs)
+        assert field == max(quadratic(x).d for x in xs)
+        for x, (m, n) in zip(xs, pairs):
+            assert QuadraticNumber(Fraction(m, D), Fraction(n, D), d) == x
+        assert D == math.lcm(*(c.denominator for x in xs
+                               for c in (quadratic(x).a, quadratic(x).b)))
+        # alone, a value's triple is in lowest terms: its canonical key
+        _, D1, ((m, n),) = integer_form(xs[0])
+        assert math.gcd(m, n, D1) == 1
+    assert integer_form(Fraction(3, 4), 2) == (0, 4, [(3, 0), (8, 0)])
+    with pytest.raises(TypeError, match="mixed radicands"):
+        integer_form(sqrt_int(2), sqrt_int(3))
+
+
+def test_surd_sign_reads_integer_and_fraction_parts_alike():
+    rng = random.Random(SEED + 1)
+    for _ in range(300):
+        d = rng.choice((2, 3, 7))
+        a, b = rng.randint(-30, 30), rng.randint(-30, 30)
+        want = (a + b * math.sqrt(d) > 0) - (a + b * math.sqrt(d) < 0)
+        assert surd_sign(a, b, d) == want
+        assert surd_sign(Fraction(a, 7), Fraction(b, 7), d) == want
+    # a^2 == b^2 d only at zero, where the sign is 0
+    assert surd_sign(0, 0, 2) == 0 and surd_sign(6, -2, 9) == 0
+    assert surd_sign(-4, 0, 0) == -1 and surd_sign(0, 3, 5) == 1
 
 
 def test_a_rational_quadratic_number_is_its_fraction_as_a_key():

@@ -1,10 +1,12 @@
 """Ray tracing, direction classification, and the cylinder scan."""
 
 import ast
+import functools
 import importlib
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import oracles
-from dilatorus import cli, surface, teichmuller
+from dilatorus import cli, quadratics, surface, teichmuller
 from dilatorus.errors import (BudgetExhausted, NonConvergence, NotReducible,
                               NotTransverse, VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
@@ -1166,6 +1168,43 @@ def test_rotation_number_on_quadratic_slopes():
     assert value == 0.3331795579118434
 
 
+def _exact_values_built(fn) -> int:
+    """How many Fractions and QuadraticNumbers fn() builds: calls of
+    their constructors, counted by a profile hook."""
+    codes = {Fraction.__new__.__code__, QuadraticNumber.__init__.__code__,
+             quadratics._normal.__code__}
+    built = 0
+
+    def hook(frame, event, _arg):
+        nonlocal built
+        built += event == "call" and frame.f_code in codes
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+def test_the_exact_rotation_orbit_builds_no_exact_value_per_step(
+        monkeypatch):
+    # the irrational pair above: its break orbit runs 56 steps to
+    # EXACT_DENOMINATOR_CAP, and fewer to a lower cap
+    r2 = sqrt_int(2)
+    ra, rb = 1 + r2 / 2, Fraction(1, 2) - r2 / 9
+    counts = []
+    search = functools.partial(rotation_number, ra, rb, tol=1e-5)
+    for cap in (10 ** 30, 10 ** 15, 10 ** 6):
+        monkeypatch.setattr(surface, "EXACT_DENOMINATOR_CAP", cap)
+        counts.append(_exact_values_built(search))
+    # the set-up's exact values only, as many for the shorter orbits
+    assert counts == [counts[0]] * 3
+    # the guard sees the oracle's QuadraticNumber steps, many per point
+    assert _exact_values_built(lambda: oracles.rotation_number_oracle(
+        ra, rb, 1e-5, surface.ROTATION_MAX_ITER)) > 10 * 56
+
+
 def test_rotation_number_monotone_in_rho_a():
     # raising the expanding slope advances the circle map
     vals = [float(rotation_number(ra, 0.5, tol=1e-6))
@@ -1279,6 +1318,21 @@ def test_rotation_number_matches_the_one_call_per_step_oracle(monkeypatch):
                                                       Fraction(1, 5)))
               for tol, max_iter in ((0.0, 1), (1e-12, 1000), (1e-14, 5000),
                                     (1e-12, 1 << 12))]
+    # exact cycles in an irrational field: rho_a^j * rho_b = 1 closes the
+    # break's orbit after j + 1 steps, which max_iter=1 leaves to the
+    # exact search alone
+    cycles = [(k + sqrt_int(2) / 3, j) for k in (1, 2, 3) for j in (1, 2, 3)]
+    first_cycle = len(cases)
+    cases += [(ra, 1 / math.prod([ra] * j), 0.0, 1) for ra, j in cycles]
+    # mixed int, Fraction and QuadraticNumber pairs, and the irrational
+    # pair whose orbit runs 56 steps to EXACT_DENOMINATOR_CAP
+    r2, r5 = sqrt_int(2), sqrt_int(5)
+    cases += [(ra, rb, 1e-5, surface.ROTATION_MAX_ITER) for ra, rb in (
+        (2, QuadraticNumber(Fraction(1, 2))), (3, Fraction(1, 2) - r2 / 9),
+        (Fraction(5, 2), QuadraticNumber(Fraction(2, 5))),
+        (Fraction(7, 3), (r5 - 1) / 2), (1 + r5 / 3, Fraction(1, 3)),
+        (QuadraticNumber(3), Fraction(1, 9)), (2, Fraction(1, 4)),
+        (1 + r2 / 2, Fraction(1, 2) - r2 / 9))]
     outcomes = []
     for ra, rb, tol, max_iter in cases:
         got = _rotation_outcome(rotation_number, ra, rb, tol, max_iter)
@@ -1288,6 +1342,8 @@ def test_rotation_number_matches_the_one_call_per_step_oracle(monkeypatch):
     assert sum(isinstance(got, tuple) for got in outcomes) >= 6
     assert sum(str(got).startswith("Fraction")
                for got in outcomes[80:100]) >= 15
+    assert outcomes[first_cycle:first_cycle + len(cycles)] == [
+        repr(Fraction(1, j + 1)) for _, j in cycles]
 
 
 def test_rotation_number_rejects_bad_slopes():

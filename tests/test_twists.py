@@ -16,7 +16,8 @@ from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.twists import (Holonomy, TwistGenerator, admissibility_violation,
                               apply_word, decompose_sl2n, gauss_contraction,
-                              holonomy_class, mu_path, reach_target,
+                              holonomy_class, mu_after, mu_path,
+                              reach_target,
                               sl2n_word_to_twists, twist_mu, word_from_string,
                               word_to_string)
 
@@ -159,8 +160,16 @@ def test_mu_path_matches_the_twist_mu_fold_oracle():
         word = word_from_string("".join(rng.choice(letters)
                                         for _ in range(rng.randint(0, 30))))
         got = _fold(mu_path, word, params)
-        assert got == _fold(oracles.mu_path_oracle, word, params), (params,
-                                                                    word)
+        want = _fold(oracles.mu_path_oracle, word, params)
+        assert got == want, (params, word)
+        # the fold to the end: the oracle's last value, or its refusal
+        try:
+            end = mu_after(word, params)
+        except InadmissibleAtStep as exc:
+            assert exc.step == want[1] is not None
+        else:
+            assert want[1] is None and type(end) is DilationParams
+            assert repr(end) == want[0][-1]
         exits += got[1] is not None
         completed += got[1] is None and len(word) > 0
     assert exits > 30 and completed > 30
@@ -183,6 +192,14 @@ def test_mu_path_folds_twist_mu_and_stops_at_the_exit():
     with pytest.raises(InadmissibleAtStep) as exc:
         list(mu_path(word_from_string("Bbb"), params))
     assert exc.value.step == 2
+    # mu_after ends where mu_path ends, and refuses where it refuses
+    assert mu_after(word, params) == path[-1]
+    assert mu_after((), outside) is outside
+    for text, step in (("Ab", 0), ("Bbb", 2)):
+        start = outside if step == 0 else params
+        with pytest.raises(InadmissibleAtStep) as exc:
+            mu_after(word_from_string(text), start)
+        assert exc.value.step == step
 
 
 def test_a_basis_past_the_float_range_is_refused_before_a_later_exit():
