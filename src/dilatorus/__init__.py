@@ -24,10 +24,10 @@ from .rauzy import (InductionStep, RauzyOutcome, StepClass, Subdivision,
                     TerminalKind, induce, interval_for_word,
                     iterate_induction, subdivision, survivor_intervals,
                     survivor_measure)
-from .surface import (Cylinder, DirectionClass, DirectionKind, Heading,
-                      RayTrace, ScanResult, SectionReduction, TraceEnd,
-                      classify_direction, find_cylinders, first_return_map,
-                      rotation_number, trace_ray)
+from .surface import (Cylinder, Direction, DirectionClass, DirectionKind,
+                      Heading, RayTrace, ScanResult, SectionReduction,
+                      TraceEnd, classify_direction, find_cylinders,
+                      first_return_map, rotation_number, trace_ray)
 from .teichmuller import (FlowSample, MonitorFlag, MonitorReport, distortion,
                           divergence_monitor, flow, track_direction_interval)
 from .twists import (ContractionResult, Holonomy, HolonomyClass,

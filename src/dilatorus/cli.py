@@ -599,8 +599,10 @@ def _diagnostic(name: str, detail: str, **extra) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     # exact slopes and room parameters are read, and printed, as long
-    # decimals
-    if hasattr(sys, "set_int_max_str_digits"):
+    # decimals; the caller's limit comes back on every exit
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        callers_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -622,6 +624,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(_diagnostic("ValueError", str(exc)), file=sys.stderr)
         return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(callers_limit)
 
 
 if __name__ == "__main__":

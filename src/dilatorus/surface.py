@@ -156,23 +156,6 @@ def _crossing_angle(theta: float, ux: float, uy: float,
     return margin
 
 
-def _candidate_sections(room: Room, theta: float) -> list[CrossSection]:
-    """Interior diagonals that theta crosses (`_crossing_angle`), most
-    transversal first.
-
-    Vertex indices break ties between equal margins.
-    """
-    ux, uy = math.cos(theta), math.sin(theta)
-    geom = room.geom
-    scored = []
-    for i, j in geom.interior:
-        margin = _crossing_angle(theta, ux, uy, geom.diagonals[i, j])
-        if margin is not None:
-            scored.append((-margin, i, j))
-    scored.sort()
-    return [CrossSection(i, j) for _, i, j in scored]
-
-
 # --- ray tracing ---
 
 class TraceEnd(Enum):
@@ -198,8 +181,10 @@ _NO_EXIT = (None, None, 1.0, math.nan, 0.0, math.inf, 0.0)
 
 class Heading(NamedTuple):
     """Direction-only set-up of the rays of one (room, theta, section),
-    an immutable value built whole by `Heading.of`, and only for a
-    section that theta crosses.
+    an immutable value built whole by `Direction.heading`, and only for
+    a section that theta crosses.  The headings of one `Direction`
+    share its side tables; `Heading.of` builds one on a direction of
+    its own.
 
     `sides` is the room's side table (`Room.geom`), which the transports
     read.  `t_base` and `t_clear` are MIN_STEP and CLEARANCE in units of
@@ -220,7 +205,7 @@ class Heading(NamedTuple):
     is `_NO_EXIT`.  On every piece of side j the section is met at
     t = C0 + C1*sigma and s = D0 + D1*sigma.  The section's own table
     has no section law, since a flight crosses a side before it can
-    return.  `_Direction.tabulate` builds each (cuts, pieces).
+    return.  `Direction.tabulate` builds each (cuts, pieces).
     """
 
     sides: tuple[tuple, ...]
@@ -237,11 +222,10 @@ class Heading(NamedTuple):
         refuses, in this order: a non-finite theta (ValueError), a
         section that theta cannot cross (NotTransverse, see
         `_crossing_angle`), and a section that is not an interior
-        diagonal (ValueError).  The room keeps the headings of the
-        direction it was last asked about (`_direction`), so the same
-        float theta and section give the same heading until another
-        theta is asked about."""
-        return _direction(room, theta).heading(section)
+        diagonal (ValueError).  Each call sets the direction up afresh,
+        `Direction(room, theta)`; flights that share a direction take
+        their headings from one `Direction` instead."""
+        return Direction(room, theta).heading(section)
 
 
 def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,
@@ -255,13 +239,23 @@ def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,
             (dx * uy - dy * ux) / denom, (fy * ux - fx * uy) / denom)
 
 
-class _Direction:
-    """What a room keeps of the direction it was last asked about, all
-    built with it but the headings: the float theta, the unit direction
-    (ux, uy), the room's geometry and `t_base`, the exits, the candidate
-    sections (`_candidate_sections`), and `bases`, the (cuts, pieces) of
-    the legs from each side a ray can enter, None for the others.
-    `heading` builds the heading of a section from them once.
+class Direction:
+    """The set-up of direction theta in `room` that every flight along
+    it shares, built whole but for the headings: the room, the float
+    theta, the unit direction (ux, uy), `t_base`, the exits, the
+    candidate sections and `bases`, the (cuts, pieces) of the legs from
+    each side a ray can enter, None for the others.  `heading` builds
+    the heading of a section from them once.  A NaN or infinite theta
+    raises ValueError before any of it is built.
+
+    The candidates are the interior diagonals that theta crosses
+    (`_crossing_angle`), most transversal first; vertex indices break
+    ties between equal margins.
+
+    `classify_direction` builds one per classification and hands it to
+    each return map, verification and collapsed check it makes, so they
+    all fly on the same headings.  The room keeps nothing of it: a
+    caller that holds only (room, theta) builds its own.
 
     A crossing of the ray p + t*u with the side a + s*e solves, with
     w = a - p, t = (w x e)/(u x e) and s = (w x u)/(u x e).  The
@@ -289,20 +283,26 @@ class _Direction:
     section law.
     """
 
-    __slots__ = ("theta", "ux", "uy", "geom", "t_base", "exits",
+    __slots__ = ("room", "theta", "ux", "uy", "t_base", "exits",
                  "candidates", "bases", "headings")
 
     def __init__(self, room: Room, theta: float):
+        _require_finite(theta)
         geom = room.geom
         ux, uy = math.cos(theta), math.sin(theta)
-        self.theta, self.ux, self.uy, self.geom = theta, ux, uy, geom
+        self.room, self.theta, self.ux, self.uy = room, theta, ux, uy
         self.t_base = MIN_STEP * geom.diameter
         self.exits = exits = []
         for k, (ax, ay, ex, ey, par, *_) in enumerate(geom.sides):
             denom = ux * ey - uy * ex
             if denom > par:
                 exits.append((k, ax, ay, ex, ey, denom))
-        self.candidates = _candidate_sections(room, theta)
+        scored = []
+        for i, j in geom.interior:
+            margin = _crossing_angle(theta, ux, uy, geom.diagonals[i, j])
+            if margin is not None:
+                scored.append((-margin, i, j))
+        self.candidates = [CrossSection(i, j) for _, i, j in sorted(scored)]
         entered = {_PARTNERS[k] for k, *_ in exits}
         self.bases = [self.tabulate(*row[:4], 1.0) if j in entered else None
                       for j, row in enumerate(geom.sides)]
@@ -316,7 +316,7 @@ class _Direction:
         found = self.headings.get(section)
         if found is not None:
             return found
-        geom, ux, uy = self.geom, self.ux, self.uy
+        geom, ux, uy = self.room.geom, self.ux, self.uy
         chord = geom.diagonals[section.i, section.j]
         if _crossing_angle(self.theta, ux, uy, chord) is None:
             raise NotTransverse("direction is parallel to the section")
@@ -341,7 +341,8 @@ class _Direction:
                  top: float) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
         """(cuts, pieces) of the legs from sigma in [0, top] on the
         segment from (bx, by) along (fx, fy), as `Heading` reads them."""
-        ux, uy, t_base, rows = self.ux, self.uy, self.t_base, self.geom.sides
+        ux, uy, t_base = self.ux, self.uy, self.t_base
+        rows = self.room.geom.sides
         laws: list[tuple] = []
         cuts: list[float] = []
         for k, ax, ay, ex, ey, denom in self.exits:
@@ -374,23 +375,6 @@ class _Direction:
                 pieces.append(taken)
             lo = hi
         return tuple(kept), tuple(pieces)
-
-
-def _direction(room: Room, theta: float) -> _Direction:
-    """The room's `_Direction` of theta, a fresh one that replaces the
-    last unless theta is the same float (0.0 and -0.0 differ).  A NaN or
-    infinite theta raises ValueError, on every path that sets up rays.
-
-    It is kept in the room's instance dict, as `Room.geom` is, so it
-    stays out of the room's eq, hash and repr, and lives no longer than
-    the room."""
-    _require_finite(theta)
-    kept = vars(room)
-    rec = kept.get("_direction")
-    if (rec is None or rec.theta != theta
-            or math.copysign(1.0, rec.theta) != math.copysign(1.0, theta)):
-        rec = kept["_direction"] = _Direction(room, theta)
-    return rec
 
 
 class RayTrace(NamedTuple):
@@ -477,9 +461,9 @@ def trace_ray(heading: Heading, start: float,
     End points are taken on the side or the section crossed, a + s*e of
     its row, so a flight builds no Vec2 and keeps only its crossed sides
     and the running product of their factors.  Nothing is cached beyond
-    the heading's tables, the room's own tables and the set-up of the
-    direction the room was last asked about (`_direction`), so nothing
-    outlives the room (nor, in the CLI, a `cli.main` call).
+    the heading's tables and the room's own tables (`Room.geom`), so
+    nothing outlives the heading and the room (nor, in the CLI, a
+    `cli.main` call).
 
     A flight runs in three parts.  The first leg, from the section,
     cannot cross it; it ends at the door, at a budget of 0 or in the
@@ -623,9 +607,9 @@ def _back(heading: Heading, tr: RayTrace) -> float:
     return (x - ax) * tx + (y - ay) * ty
 
 
-def first_return_map(room: Room, theta: float,
+def first_return_map(direction: Direction,
                      section: CrossSection) -> PiecewiseAffineMap:
-    """Return map of the direction-theta flow to a diagonal section.
+    """Return map of the flow along `direction` to a diagonal section.
 
     The section is arc-length parametrized from vertex i to vertex j.
     Branches correspond to itineraries of glued-side crossings; on each
@@ -639,15 +623,16 @@ def first_return_map(room: Room, theta: float,
     BRANCH_MIN_GAP bisection tolerances of the last boundary merges into
     it.
 
-    It refuses what `Heading.of` refuses, in its order: a non-finite
-    theta, a section theta cannot cross and a section that is not an
-    interior diagonal.  Then it refuses, with ValueError, a direction
-    that points out of the surface at the door.
+    It refuses what `Direction.heading` refuses, in its order: a
+    section theta cannot cross and a section that is not an interior
+    diagonal.  Then it refuses, with ValueError, a direction that points
+    out of the surface at the door.  (A non-finite theta has no
+    `Direction`.)
     """
-    heading = Heading.of(room, theta, section)
+    heading = direction.heading(section)
     # Directions parallel to the door are allowed: their flow is tangent
     # to the boundary leaf and never crosses the door transversally.
-    if not room.is_inward(theta, margin=-INWARD_SLACK):
+    if not direction.room.is_inward(direction.theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
     length = heading.frame[4]
 
@@ -717,7 +702,7 @@ class SectionReduction(NamedTuple):
     section: CrossSection
 
 
-def _verify_reduction(room: Room, theta: float, sec: CrossSection,
+def _verify_reduction(direction: Direction, sec: CrossSection,
                       tsm: TwoSlopeMap, chart: AffineChart) -> None:
     """Check the normal form against traces the builder never saw.
 
@@ -725,7 +710,7 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
     resolution; a reduction whose extrapolated laws disagree with an
     independent trace is rejected rather than silently kept.
     """
-    heading = Heading.of(room, theta, sec)
+    heading = direction.heading(sec)
     length = heading.frame[4]
     for k in range(16):
         s = length * math.modf(0.12345 + k * 0.6180339887498949)[0]
@@ -749,22 +734,21 @@ def _verify_reduction(room: Room, theta: float, sec: CrossSection,
                 f"structure below the sampling resolution")
 
 
-def direction_to_two_slope(room: Room, theta: float) -> SectionReduction:
+def direction_to_two_slope(direction: Direction) -> SectionReduction:
     """Reduce the direction's return dynamics to a TwoSlopeMap.
 
-    The first of `_candidate_sections` whose return map reduces wins.
-    A non-finite theta raises ValueError before any section is tried.
+    The first of the direction's candidate sections whose return map
+    reduces wins.
     """
-    candidates = _direction(room, theta).candidates
-    if not candidates:
+    if not direction.candidates:
         raise NotTransverse("direction is parallel to every interior "
                             "diagonal")
     failures = []
-    for sec in candidates:
+    for sec in direction.candidates:
         try:
-            pam = first_return_map(room, theta, sec)
+            pam = first_return_map(direction, sec)
             tsm, chart = restrict_to_image(pam)
-            _verify_reduction(room, theta, sec, tsm, chart)
+            _verify_reduction(direction, sec, tsm, chart)
         except (NotTransverse, NotReducible, VertexHit, BudgetExhausted) as exc:
             failures.append(f"({sec.i},{sec.j}): {exc}")
             continue
@@ -808,17 +792,18 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
     return slope, fixed
 
 
-def _collapsed_direction(room: Room, theta: float
+def _collapsed_direction(direction: Direction
                          ) -> Optional[tuple[float, float, CrossSection]]:
-    """Search the candidate sections for a collapsed return map.
+    """Search the direction's candidate sections for a collapsed return
+    map.
 
-    Returns (slope, fixed point, section) for the first of
-    `_candidate_sections` whose return map has a single attracting branch
-    confirmed by a trace from the fixed point itself, or None.
+    Returns (slope, fixed point, section) for the first candidate whose
+    return map has a single attracting branch confirmed by a trace from
+    the fixed point itself, or None.
     """
-    for sec in _direction(room, theta).candidates:
+    for sec in direction.candidates:
         try:
-            pam = first_return_map(room, theta, sec)
+            pam = first_return_map(direction, sec)
         except (NotTransverse, BudgetExhausted):
             # direction_to_two_slope built this same map first, so only
             # the errors it absorbed can recur here
@@ -827,7 +812,7 @@ def _collapsed_direction(room: Room, theta: float
         if col is None:
             continue
         slope, fixed = col
-        heading = Heading.of(room, theta, sec)
+        heading = direction.heading(sec)
         try:
             s_back = _back(heading, _flight(heading, fixed))
         except (NotTransverse, BudgetExhausted):
@@ -883,6 +868,8 @@ def classify_direction(room: Room, theta: float,
     or hits a renormalization boundary (Cantor-like as far as this
     budget can tell).  A negative budget and a non-finite theta are
     refused on every path, not only on those that reach the induction.
+    One `Direction` of the normalized theta serves every return map,
+    verification and collapsed check of the classification.
     """
     if budget < 0:
         raise ValueError("induction budget must be nonnegative")
@@ -892,10 +879,11 @@ def classify_direction(room: Room, theta: float,
     th = wrap_2pi(theta)
     if not room.is_inward(th):
         th = wrap_2pi(th + math.pi)
+    direction = Direction(room, th)
     try:
-        red = direction_to_two_slope(room, th)
+        red = direction_to_two_slope(direction)
     except NotReducible:
-        collapsed = _collapsed_direction(room, th)
+        collapsed = _collapsed_direction(direction)
         if collapsed is None:
             raise
         return DirectionClass(DirectionKind.CYLINDER, "",

@@ -118,7 +118,8 @@ def _window_hits(room: Room, t: float, eps_angle: float, budget: int,
     emt = math.exp(-t)
     step = eps_angle / 2.0
     half = min(window, math.pi / 2.0 - 2.0 * step)
-    n = max(2, math.ceil(2.0 * half / step))
+    # an eps_angle of pi/2 or more leaves no window, and no probe
+    n = max(2, math.ceil(2.0 * half / step)) if half > 0.0 else 0
     exhausted = False
     mults: list[Optional[float]] = []
     for k in range(n):
@@ -164,6 +165,8 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
         raise ValueError(f"eps_angle must be positive, got {eps_angle!r}")
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget!r}")
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be finite and positive, got {window!r}")
     # t_max is the largest sample time, and the flow matrix leaves the
     # float range as |t| grows, so one past it is refused before any scan
     geodesic_matrix(t_max)

@@ -458,26 +458,47 @@ def test_a_value_past_the_digit_cap_is_refused_from_its_bit_length(
 def test_an_exact_measure_past_the_digit_cap_is_bad_input(capsys,
                                                           monkeypatch):
     # depth 8 at (5/6, 4/7) has a 7,734-digit denominator; the CLI prints
-    # it under its own cap and refuses it under a cap of 1,000 digits,
-    # which main() also gives the interpreter, so the test restores that
-    old = sys.get_int_max_str_digits()
+    # it under its own cap and refuses it under a cap of 1,000 digits
     args = ["measure", "--rhoA=5/6", "--rhoB=4/7", "--n=8", "--exact"]
+    code, out, _ = run(capsys, args)
+    assert code == 0
+    assert len(json.loads(out)["measure"]) == 7732 + 1 + 7734
+    monkeypatch.setattr(cli, "MAX_PRINTED_DIGITS", 1000)
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, args + [f"--format={fmt}"])
+        assert code == 2 and out == ""
+        data = json.loads(err)
+        assert data["error"] == "BadInput"
+        assert "MAX_PRINTED_DIGITS = 1000" in data["detail"]
+    code, out, _ = run(capsys, args[:3] + ["--n=4", "--exact"])
+    assert code == 0
+
+
+def test_main_gives_the_caller_back_its_digit_limit(capsys):
+    # main() reads and prints long decimals under MAX_PRINTED_DIGITS,
+    # and the caller's own limit comes back on a success, a BadInput and
+    # a ValueError exit alike
+    one, two = "1" + "0" * 5000, "1" + "0" * 4999 + "1"
+    long_slope = ["measure", f"--rhoA={one}/{two}", "--rhoB=4/7", "--n=1",
+                  "--exact", "--format=csv"]
+    old = sys.get_int_max_str_digits()
     try:
-        code, out, _ = run(capsys, args)
-        assert code == 0
-        assert len(json.loads(out)["measure"]) == 7732 + 1 + 7734
-        monkeypatch.setattr(cli, "MAX_PRINTED_DIGITS", 1000)
-        for fmt in ("json", "csv"):
-            code, out, err = run(capsys, args + [f"--format={fmt}"])
-            assert code == 2 and out == ""
-            data = json.loads(err)
-            assert data["error"] == "BadInput"
-            assert "MAX_PRINTED_DIGITS = 1000" in data["detail"]
-        code, out, _ = run(capsys, args[:3] + ["--n=4", "--exact"])
-        assert code == 0
+        sys.set_int_max_str_digits(4321)
+        with pytest.raises(ValueError, match="limit"):
+            int(one)
+        code, out, _ = run(capsys, long_slope)
+        assert code == 0 and sys.get_int_max_str_digits() == 4321
+        first, second = out.splitlines()[1:]
+        assert first == "0,1" and len(second) > 2 + 2 * 4321
+        code, _, err = run(capsys, ["measure", "--rhoA=x", "--rhoB=4/7",
+                                    "--n=1", "--exact"])
+        assert json.loads(err)["error"] == "BadInput"
+        assert code == 2 and sys.get_int_max_str_digits() == 4321
+        code, _, err = run(capsys, ["scan", "--eps=0"] + MU_FLAGS)
+        assert json.loads(err)["error"] == "ValueError"
+        assert code == 2 and sys.get_int_max_str_digits() == 4321
     finally:
         sys.set_int_max_str_digits(old)
-    assert cli.MAX_PRINTED_DIGITS == 1000
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf"])

@@ -12,8 +12,8 @@ from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap, evaluate, orbit)
 from dilatorus.quadratics import QuadraticNumber, sqrt_int
 from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
-from dilatorus.surface import (CrossSection, Heading, RayTrace, TraceEnd,
-                               first_return_map, rotation_number)
+from dilatorus.surface import (CrossSection, Direction, Heading, RayTrace,
+                               TraceEnd, first_return_map, rotation_number)
 from dilatorus.twists import (Holonomy, HolonomyClass, gauss_contraction,
                               holonomy_class, reach_target)
 
@@ -41,11 +41,11 @@ ABOVE_ZERO = QuadraticNumber(34761632124320657, -24580185800219268, 2)
 # a plain tuple
 CASES = [
     # the square room's door and its diagonal V0V2 both run at pi/4
-    pytest.param(lambda: first_return_map(ROOM, math.pi / 4,
+    pytest.param(lambda: first_return_map(Direction(ROOM, math.pi / 4),
                                           CrossSection(0, 2)),
                  (NotTransverse, "parallel to the section"),
                  id="return-map-section-parallel-to-the-flow"),
-    pytest.param(lambda: first_return_map(ROOM, 3 * math.pi / 4,
+    pytest.param(lambda: first_return_map(Direction(ROOM, 3 * math.pi / 4),
                                           CrossSection(0, 2)),
                  (ValueError, "must point into the surface"),
                  id="return-map-outward-direction"),
@@ -53,7 +53,7 @@ CASES = [
                  (NotTransverse, "parallel to the section"),
                  id="heading-section-parallel-to-the-flow"),
     # a section off the room is refused before an outward direction
-    pytest.param(lambda: first_return_map(REFLEX, OUTWARD,
+    pytest.param(lambda: first_return_map(Direction(REFLEX, OUTWARD),
                                           CrossSection(0, 3)),
                  (ValueError, "not an interior diagonal"),
                  id="return-map-outward-direction-off-the-room"),
@@ -160,4 +160,4 @@ def test_a_flight_that_reaches_the_door_has_no_return(monkeypatch):
     theta = sum(ROOM.inward_directions()) / 2
     with pytest.raises(NotTransverse, match="off the section reaches the "
                                             "door"):
-        first_return_map(ROOM, theta, CrossSection(0, 2))
+        first_return_map(Direction(ROOM, theta), CrossSection(0, 2))

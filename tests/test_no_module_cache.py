@@ -1,15 +1,19 @@
-"""The package keeps no cache at module level.
+"""The package keeps no cache at module level, and no per-call state on
+a value.
 
 Whatever the library keeps between calls lives on an object the caller
-holds: a room's derived geometry and the set-up of its last direction
-sit in the room's instance dict.  A module-level cache would outlive a
-`cli.main` call and be shared by every caller in the process, so that
-one test or benchmark op could change the work of the next.  So no
-module uses `functools.lru_cache` or `functools.cache`, none has a
-`global` statement, and no dict, list or set bound at module level is
-changed inside a function.  Nor is a value filled in on first use:
-`Room.geom` is the package's one `functools.cached_property`, and every
-other value, a `surface.Heading` among them, is built whole.
+holds: a room's derived geometry sits in the room's instance dict, and
+the set-up of a direction on the `surface.Direction` its caller builds.
+A module-level cache would outlive a `cli.main` call and be shared by
+every caller in the process, so that one test or benchmark op could
+change the work of the next.  So no module uses `functools.lru_cache` or
+`functools.cache`, none has a `global` statement, and no dict, list or
+set bound at module level is changed inside a function.  Nor is a value
+filled in on first use: `Room.geom` is the package's one
+`functools.cached_property`, and every other value, a `surface.Heading`
+among them, is built whole.  Nor does a call leave state on a value it
+was handed: no function calls `vars()`, and an instance dict is written
+only by the `__new__` that has just built the instance.
 """
 
 import ast
@@ -174,3 +178,70 @@ def test_the_guard_sees_each_cached_property():
               "lazy = functools.cached_property(len)\n")
     assert _cached_properties(ast.parse(source)) == ["A.b", "A.c", "A.d",
                                                      "?"]
+
+
+def _is_fresh_instance(fn: ast.FunctionDef, name: str) -> bool:
+    """Whether `fn` is a `__new__` that binds `name` to a `__new__`
+    call, the instance it has just built."""
+    return fn.name == "__new__" and any(
+        isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "__new__"
+        and any(isinstance(t, ast.Name) and t.id == name
+                for t in node.targets)
+        for node in ast.walk(fn))
+
+
+def _instance_state_writes(tree: ast.Module) -> list[str]:
+    """Sorted 'line: what' of every call of vars() and of every use of
+    an instance dict other than by a `__new__` on its own new
+    instance."""
+    found = []
+
+    def visit(node: ast.AST, fn) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"):
+            found.append((node.lineno, "vars()"))
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            owner = getattr(node.value, "id", "?")
+            if fn is None or not _is_fresh_instance(fn, owner):
+                found.append((node.lineno, f"{owner}.__dict__"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_no_call_leaves_state_on_a_value():
+    # a room handed to a classification leaves it as it came: the
+    # direction's set-up lives on the record its caller holds.  The one
+    # instance-dict write is PiecewiseAffineMap's tolerance, set by the
+    # __new__ that builds the map
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [f"{path.name}:{hit}" for path in modules
+             for hit in _instance_state_writes(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_the_guard_sees_state_left_on_a_value():
+    source = ("class A(tuple):\n"
+              "    def __new__(cls, x):\n"
+              "        self = tuple.__new__(cls, ())\n"
+              "        self.__dict__['x'] = x\n"
+              "        other = cls.make()\n"
+              "        other.__dict__['x'] = x\n"
+              "        return self\n"
+              "    def set(self, x):\n"
+              "        self.__dict__['x'] = x\n"
+              "def keep(room, x):\n"
+              "    vars(room)['x'] = x\n"
+              "    room.__dict__.update(x=x)\n"
+              "seen = vars()\n")
+    assert _instance_state_writes(ast.parse(source)) == [
+        "6: other.__dict__", "9: self.__dict__", "11: vars()",
+        "12: room.__dict__", "13: vars()"]

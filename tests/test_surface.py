@@ -25,7 +25,7 @@ from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap)
 from dilatorus.quadratics import QuadraticNumber, sqrt_int
 from dilatorus.rauzy import TerminalKind
-from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection,
+from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection, Direction,
                                DirectionKind, Heading, TraceEnd,
                                classify_direction, find_cylinders,
                                first_return_map, rotation_number, trace_ray)
@@ -342,9 +342,9 @@ def test_flights_leave_a_heading_unchanged():
 
 
 def test_shared_headings_build_the_tables_of_a_fresh_heading():
-    # the headings of one direction share its side pieces: in whichever
-    # order the sections are asked for, every heading's tables equal,
-    # element by element (repr tells -0.0 from 0.0), those of the
+    # the headings of one direction record share its side pieces: in
+    # whichever order the sections are asked for, every heading's tables
+    # equal, element by element (repr tells -0.0 from 0.0), those of the
     # heading of an equal room built separately, and exactly the sides
     # a ray can enter have one
     rng = random.Random(SEED + 14)
@@ -356,10 +356,11 @@ def test_shared_headings_build_the_tables_of_a_fresh_heading():
         for _ in range(12):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             entered = _entered_sides(room, theta)
+            direction = Direction(room, theta)
             rng.shuffle(sections)
             for section in sections:
-                shared = Heading.of(room, theta, section)
-                assert shared is Heading.of(room, theta, section)
+                shared = direction.heading(section)
+                assert shared is direction.heading(section)
                 fresh = Heading.of(make(), theta, section)
                 assert shared == fresh
                 assert repr(shared.legs) == repr(fresh.legs), (
@@ -367,7 +368,7 @@ def test_shared_headings_build_the_tables_of_a_fresh_heading():
                 assert [j for j, table in enumerate(shared.legs)
                         if table is not None] == entered + [
                             surface.SECTION_LEG]
-            headings = list(vars(room)["_direction"].headings.values())
+            headings = list(direction.headings.values())
             assert len(headings) == len(sections)
             for j in entered:
                 assert len({id(heading.legs[j][1])
@@ -385,7 +386,7 @@ def test_a_section_outside_the_room_is_refused():
             with pytest.raises(ValueError, match="not an interior"):
                 Heading.of(REFLEX, theta, section)
             with pytest.raises(ValueError, match="not an interior"):
-                first_return_map(REFLEX, theta, section)
+                first_return_map(Direction(REFLEX, theta), section)
 
 
 def test_one_rule_decides_whether_a_section_can_be_crossed():
@@ -402,7 +403,7 @@ def test_one_rule_decides_whether_a_section_can_be_crossed():
             along = math.atan2(ey, ex)
             for off in (0.0, 5e-10, -5e-10, 1e-8, -1e-8, 1e-3, 0.7):
                 theta = along + off
-                candidates = surface._candidate_sections(room, theta)
+                candidates = Direction(room, theta).candidates
                 for section in (CrossSection(i, j), CrossSection(j, i)):
                     if CrossSection(i, j) in candidates:
                         row = Heading.of(room, theta, section).section_row
@@ -418,32 +419,30 @@ def test_one_rule_decides_whether_a_section_can_be_crossed():
     assert all(count >= 4 for count in refused_by.values()), refused_by
 
 
-def test_a_room_keeps_the_set_up_of_its_last_direction_only():
+def test_a_room_keeps_no_direction_state():
+    # a direction's set-up lives on the record its caller holds: after a
+    # classification, a return map or a heading, the room's instance
+    # dict holds its geometry only, and two records of one theta build
+    # equal headings, never shared ones
     room = _sheared()
     lo, hi = room.inward_directions()
     first, second = lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo)
-    sections = surface._candidate_sections(room, first)
-    old = [Heading.of(room, first, sec) for sec in sections]
-    kept = vars(room)["_direction"]
-    assert kept.theta == first and kept.candidates == sections
-    assert list(kept.headings.values()) == old
-    section = surface._candidate_sections(room, second)[0]
-    first_return_map(room, second, section)
-    kept = vars(room)["_direction"]
-    assert kept.theta == second
-    assert kept.candidates == surface._candidate_sections(room, second)
-    assert list(kept.headings) == [section]
-    # back at the first direction, the room builds its set-up afresh,
-    # to the same value
+    direction = Direction(room, first)
+    assert direction.room is room and direction.theta == first
+    sections = direction.candidates
+    old = [direction.heading(sec) for sec in sections]
+    assert list(direction.headings.values()) == old
+    assert list(vars(room)) == ["geom"]
+    verdict = classify_direction(room, second)
+    assert verdict.reduction is not None
+    assert list(vars(room)) == ["geom"]
+    first_return_map(Direction(room, second), verdict.reduction.section)
+    assert list(vars(room)) == ["geom"]
     again = Heading.of(room, first, sections[0])
     assert again is not old[0] and repr(again) == repr(old[0])
-    assert list(vars(room)["_direction"].headings) == [sections[0]]
-    # the same float only: -0.0 is not 0.0
-    zero = Heading.of(room, 0.0, section)
-    assert Heading.of(room, 0.0, section) is zero
-    assert Heading.of(room, -0.0, section) is not zero
-    assert math.copysign(1.0, vars(room)["_direction"].theta) == -1.0
-    assert Heading.of(room, 0.0, section) is not zero
+    assert Heading.of(room, first, sections[0]) is not again
+    assert direction.heading(sections[0]) is old[0]
+    assert list(vars(room)) == ["geom"]
 
 
 def test_a_trapped_flight_traces_as_the_oracle_does():
@@ -555,11 +554,11 @@ def test_cached_room_geometry_is_invisible():
     before = (repr(room), hash(room))
     s, theta = 0.5, 0.7
     section = CrossSection(0, 2)
-    # and so is the set-up of the direction the room was last asked about
+    # a heading leaves nothing on the room beyond its geometry
     shared = Heading.of(room, theta, section)
     first = trace_ray(shared, s, 64)
-    assert Heading.of(room, theta, section) is shared
-    assert "_direction" in vars(room) and "_direction" not in vars(twin)
+    assert Heading.of(room, theta, section) == shared
+    assert list(vars(room)) == ["geom"] and list(vars(twin)) == []
     assert room == twin
     assert (repr(room), hash(room)) == before == (repr(twin), hash(twin))
     # the lists handed out are copies of the cache
@@ -590,7 +589,7 @@ def test_cached_room_geometry_is_invisible():
     # none of the set-up
     other = Heading.of(twin, theta, section)
     assert other == shared and other is not shared
-    assert vars(twin)["_direction"] is not vars(room)["_direction"]
+    assert list(vars(twin)) == list(vars(room)) == ["geom"]
     assert all(mine is not theirs for mine, theirs
                in zip(other.legs, shared.legs) if mine is not None)
     assert trace_ray(other, s, 64) == first
@@ -617,6 +616,10 @@ def test_diagonal_rows_are_endpoint_floats():
                     PARALLEL_EPS * max(e.length(), 1.0))
 
 
+def _return_map(room, theta, section):
+    return first_return_map(Direction(room, theta), section)
+
+
 def _return_map_outcome(builder, room, theta, section):
     try:
         return ("map", builder(room, theta, section))
@@ -626,14 +629,16 @@ def _return_map_outcome(builder, room, theta, section):
 
 @pytest.mark.parametrize("entry", [
     lambda theta: Heading.of(ROOM, theta, CrossSection(0, 2)),
-    lambda theta: first_return_map(ROOM, theta, CrossSection(0, 2)),
-    lambda theta: surface.direction_to_two_slope(ROOM, theta),
-    lambda theta: surface._collapsed_direction(ROOM, theta),
+    lambda theta: first_return_map(Direction(ROOM, theta),
+                                   CrossSection(0, 2)),
+    lambda theta: surface.direction_to_two_slope(Direction(ROOM, theta)),
+    lambda theta: surface._collapsed_direction(Direction(ROOM, theta)),
 ], ids=["heading", "first_return_map", "direction_to_two_slope",
         "collapsed_direction"])
 def test_a_non_finite_direction_is_refused(entry):
-    # every path that sets up rays refuses it with one message, before
-    # math.cos or a parallel test sees it
+    # every path that sets up rays refuses it with one message, when its
+    # direction record is built, before math.cos or a parallel test
+    # sees it
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theta must be finite"):
             entry(theta)
@@ -661,7 +666,7 @@ def test_first_return_map_matches_vec2_oracle():
                                0.5 * (lo + hi) + math.pi]:
             for i, j in _DIAGONAL_PAIRS:
                 section = CrossSection(i, j)
-                fast = _return_map_outcome(first_return_map, room, theta,
+                fast = _return_map_outcome(_return_map, room, theta,
                                            section)
                 slow = _return_map_outcome(oracles.first_return_map_oracle,
                                            room, theta, section)
@@ -775,7 +780,8 @@ def _leaf_key(room, theta: float, verdict) -> tuple[int, ...]:
     `_flight` from each point of its cycle in turn, or from the fixed
     point of its collapsed return map."""
     if verdict.reduction is None:
-        _, fixed, section = surface._collapsed_direction(room, theta)
+        _, fixed, section = surface._collapsed_direction(
+            Direction(room, theta))
         starts = [fixed]
     else:
         section = verdict.reduction.section
@@ -898,13 +904,13 @@ def test_scan_drops_a_run_whose_midpoint_probe_fails(monkeypatch):
 
 
 def test_verify_reduction_refuses_a_moved_break_point():
-    theta = 4.0055
-    red = surface.direction_to_two_slope(ROOM, theta)
+    direction = Direction(ROOM, 4.0055)
+    red = surface.direction_to_two_slope(direction)
     tsm = red.two_slope
-    surface._verify_reduction(ROOM, theta, red.section, tsm, red.chart)
+    surface._verify_reduction(direction, red.section, tsm, red.chart)
     moved = TwoSlopeMap(tsm.rho_a, tsm.rho_b, tsm.x_t + 1e-3)
     with pytest.raises(NotReducible, match="disagrees with an independent"):
-        surface._verify_reduction(ROOM, theta, red.section, moved, red.chart)
+        surface._verify_reduction(direction, red.section, moved, red.chart)
 
 
 def test_collapsed_cycle_needs_a_decodable_contracting_branch():
@@ -921,7 +927,7 @@ def test_collapsed_cycle_needs_a_decodable_contracting_branch():
 
 def test_collapsed_direction_needs_the_cycle_to_close(monkeypatch):
     theta = 5.4192
-    found = surface._collapsed_direction(ROOM, theta)
+    found = surface._collapsed_direction(Direction(ROOM, theta))
     assert found is not None and found[0] == pytest.approx(0.25)
     real = surface._collapsed_cycle
 
@@ -935,7 +941,7 @@ def test_collapsed_direction_needs_the_cycle_to_close(monkeypatch):
     # a fixed point off the true one returns elsewhere: every section's
     # confirmation fails
     monkeypatch.setattr(surface, "_collapsed_cycle", shifted)
-    assert surface._collapsed_direction(ROOM, theta) is None
+    assert surface._collapsed_direction(Direction(ROOM, theta)) is None
 
 
 def test_a_collapsed_classification_sets_each_direction_up_once(monkeypatch):
@@ -944,11 +950,11 @@ def test_a_collapsed_classification_sets_each_direction_up_once(monkeypatch):
     # return maps used: one direction record, each heading built once,
     # and each side a ray can enter tabulated once
     records, frames, tables = [], [], []
-    init, tabulate = surface._Direction.__init__, surface._Direction.tabulate
+    init, tabulate = Direction.__init__, Direction.tabulate
     new = Heading.__new__
 
     def counted_init(rec, room, theta):
-        records.append(theta)
+        records.append(rec)
         init(rec, room, theta)
 
     def counted_tabulate(rec, *segment):
@@ -959,22 +965,53 @@ def test_a_collapsed_classification_sets_each_direction_up_once(monkeypatch):
         frames.append(fields[4])
         return new(cls, *fields)
 
-    monkeypatch.setattr(surface._Direction, "__init__", counted_init)
-    monkeypatch.setattr(surface._Direction, "tabulate", counted_tabulate)
+    monkeypatch.setattr(Direction, "__init__", counted_init)
+    monkeypatch.setattr(Direction, "tabulate", counted_tabulate)
     monkeypatch.setattr(Heading, "__new__", counted_new)
     theta = 5.4192
     room = square_room(LN2, LN2)
     verdict = classify_direction(room, theta)
     assert verdict.kind is DirectionKind.CYLINDER and verdict.word == ""
     assert verdict.reduction is None
-    assert records == [theta]
-    kept = vars(room)["_direction"]
+    [kept] = records
+    assert kept.room is room and kept.theta == theta
     assert len(frames) >= 2 and len(set(frames)) == len(frames)
     assert frames == [heading.frame for heading in kept.headings.values()]
     # a side is the segment from its start along its edge, sigma in [0, 1]
     sides = [(*room.geom.sides[j][:4], 1.0)
              for j in _entered_sides(room, theta)]
     assert sorted(tables) == sorted(sides + frames)
+
+
+def test_a_scan_builds_one_direction_record_per_classification(
+        monkeypatch):
+    # every return map, verification and collapsed check of a scan's
+    # classifications flies on its classification's record: as many
+    # records as classifications, each built by classify_direction
+    # itself, none by the steps it hands its record to
+    builders = []
+    calls = {name: 0 for name in ("classify_direction", "first_return_map",
+                                  "_verify_reduction",
+                                  "_collapsed_direction")}
+    init = Direction.__init__
+
+    def counted_init(rec, room, theta):
+        builders.append(sys._getframe(1).f_code.co_name)
+        init(rec, room, theta)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Direction, "__init__", counted_init)
+    for name in calls:
+        monkeypatch.setattr(surface, name,
+                            counted(name, getattr(surface, name)))
+    find_cylinders(square_room(LN2, LN2), 1.0, budget=200)
+    assert all(calls.values()), calls
+    assert builders == ["classify_direction"] * calls["classify_direction"]
 
 
 def test_first_return_map_refuses_a_bent_branch(monkeypatch):
@@ -987,7 +1024,7 @@ def test_first_return_map_refuses_a_bent_branch(monkeypatch):
 
     monkeypatch.setattr(surface, "_back", bent)
     with pytest.raises(NotTransverse, match="not affine"):
-        first_return_map(ROOM, 5.5, CrossSection(0, 2))
+        first_return_map(Direction(ROOM, 5.5), CrossSection(0, 2))
 
 
 def _failing_flight(monkeypatch, error, when):
@@ -1013,17 +1050,17 @@ def test_verify_reduction_skips_a_vertex_hit_and_refuses_a_lost_probe(
     # a probe that hits a vertex is skipped, even where the normal form
     # is wrong; one that runs out of crossings or reaches the door
     # makes the reduction unverifiable
-    theta = 4.0055
-    red = surface.direction_to_two_slope(ROOM, theta)
+    direction = Direction(ROOM, 4.0055)
+    red = surface.direction_to_two_slope(direction)
     tsm = red.two_slope
     moved = TwoSlopeMap(tsm.rho_a, tsm.rho_b, tsm.x_t + 1e-3)
     _failing_flight(monkeypatch, error, lambda s: True)
     if refused:
         with pytest.raises(NotReducible, match="did not return"):
-            surface._verify_reduction(ROOM, theta, red.section, moved,
+            surface._verify_reduction(direction, red.section, moved,
                                       red.chart)
     else:
-        surface._verify_reduction(ROOM, theta, red.section, moved, red.chart)
+        surface._verify_reduction(direction, red.section, moved, red.chart)
 
 
 @pytest.mark.parametrize("error, accepted", [
@@ -1037,7 +1074,7 @@ def test_collapsed_direction_checks_its_fixed_point_flight(
     # a section whose flight fails is skipped, while a vertex hit there
     # does not refute the branch law already checked at two probes
     theta = 5.4192
-    found = surface._collapsed_direction(ROOM, theta)
+    found = surface._collapsed_direction(Direction(ROOM, theta))
     assert found is not None
     fixed_points = []
     real = surface._collapsed_cycle
@@ -1050,7 +1087,7 @@ def test_collapsed_direction_checks_its_fixed_point_flight(
 
     monkeypatch.setattr(surface, "_collapsed_cycle", recorded)
     _failing_flight(monkeypatch, error, fixed_points.__contains__)
-    got = surface._collapsed_direction(ROOM, theta)
+    got = surface._collapsed_direction(Direction(ROOM, theta))
     assert fixed_points
     assert got == (found if accepted else None)
 
@@ -1059,7 +1096,7 @@ def test_first_return_map_probes_again_where_two_probes_part(monkeypatch):
     # when the two probes of a branch return along different itineraries,
     # the next pair of probes gives the branch its law
     theta = 5.5
-    pam = first_return_map(ROOM, theta, CrossSection(0, 2))
+    pam = first_return_map(Direction(ROOM, theta), CrossSection(0, 2))
     lo, hi = pam.branches[0].lo, pam.branches[0].hi
     first_pair = (lo + 0.5 * (hi - lo), lo + 0.8 * (hi - lo))
     next_pair = (lo + 0.38 * (hi - lo), lo + 0.66 * (hi - lo))
@@ -1074,7 +1111,7 @@ def test_first_return_map_probes_again_where_two_probes_part(monkeypatch):
         return tr
 
     monkeypatch.setattr(surface, "_flight", parted)
-    again = first_return_map(ROOM, theta, CrossSection(0, 2))
+    again = first_return_map(Direction(ROOM, theta), CrossSection(0, 2))
     assert starts.index(next_pair[0]) > starts.index(first_pair[1])
     assert [(b.lo, b.hi, b.slope) for b in again.branches] == [
         (b.lo, b.hi, b.slope) for b in pam.branches]
@@ -1088,10 +1125,10 @@ def test_a_direction_along_every_diagonal_has_no_section():
     room = teichmuller.flow(square_room(LN2, LN2), 60.0)
     _, _, ex, ey, _ = room.geom.diagonals[0, 2]
     theta = math.atan2(ey, ex)
-    assert surface._candidate_sections(room, theta) == []
+    assert Direction(room, theta).candidates == []
     with pytest.raises(NotTransverse,
                        match="parallel to every interior diagonal"):
-        surface.direction_to_two_slope(room, theta)
+        surface.direction_to_two_slope(Direction(room, theta))
 
 
 class _TraceRayReads(ast.NodeVisitor):
@@ -1129,7 +1166,7 @@ def test_only_flight_calls_the_tracer():
 
 
 def test_first_return_map_is_piecewise_affine_with_glue_slopes():
-    pam = first_return_map(ROOM, 5.5, CrossSection(0, 2))
+    pam = first_return_map(Direction(ROOM, 5.5), CrossSection(0, 2))
     assert len(pam.branches) >= 2
     for branch in pam.branches:
         power = math.log2(float(branch.slope))

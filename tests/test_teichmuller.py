@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from dilatorus import teichmuller
+from dilatorus import surface, teichmuller
 from dilatorus.cli import _flow_csv, _flow_payload
 from dilatorus.geometry import (SL2Matrix, geodesic_matrix,
                                 projective_action, square_room, wrap_2pi)
@@ -214,6 +214,50 @@ def test_monitor_rejects_bad_arguments():
         divergence_monitor(ROOM, 1.0, 2, eps_angle=0.0, budget=400)
     with pytest.raises(ValueError):
         divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=0)
+
+
+def _counted_classifications(monkeypatch, *modules) -> list[float]:
+    """The thetas of every classification made from here on through the
+    `classify_direction` binding of each of `modules`: surface's serves
+    the baseline scan, teichmuller's the window probes."""
+    thetas = []
+    for module in modules:
+        real = module.classify_direction
+
+        def counted(room, theta, budget, real=real):
+            thetas.append(theta)
+            return real(room, theta, budget=budget)
+
+        monkeypatch.setattr(module, "classify_direction", counted)
+    return thetas
+
+
+def test_an_empty_window_probes_nothing(monkeypatch):
+    # an eps_angle of pi/2 or more leaves no flowed angle to probe; a
+    # window of negative half-width would classify 2 directions at eps
+    # 3.0 and report hits of negative extent
+    probes = _counted_classifications(monkeypatch, teichmuller)
+    for eps in (math.pi / 2.0, 3.0, 10.0):
+        assert teichmuller._window_hits(ROOM, 6.0, eps, 400, 1.2) == (
+            [], False)
+    assert probes == []
+    hits, _ = teichmuller._window_hits(ROOM, 6.0, 1.5, 400, 1.2)
+    assert len(probes) == 2 and all(extent > 0 for extent, _ in hits)
+    del probes[:]
+    report = divergence_monitor(ROOM, 6.0, 1, eps_angle=3.0, budget=400)
+    assert len(report.samples) == 2 and probes == []
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, -0.5, 0.0])
+def test_monitor_refuses_a_window_that_is_not_finite_and_positive(
+        monkeypatch, window):
+    # refused before the baseline scan and any window probe
+    thetas = _counted_classifications(monkeypatch, surface, teichmuller)
+    with pytest.raises(ValueError, match="window must be finite and "
+                                         "positive"):
+        divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=400,
+                           window=window)
+    assert thetas == []
 
 
 @pytest.mark.parametrize("t_max, theta_tol", [
