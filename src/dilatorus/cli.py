@@ -195,7 +195,7 @@ def _room_payload(room: Room) -> dict:
                             for q in map(quadratic, room.params)]
     data["mu"] = list(room.params.as_floats())
     data["vertices"] = [list(v.as_floats()) for v in room.vertices()]
-    data["nu"] = list(room.nu())
+    data["nu"] = list(room.params.nu())
     return data
 
 
@@ -267,11 +267,10 @@ def cmd_twist(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    room = _room_from_args(args)
-    _require_one_field(room.params.mu1, room.params.mu2,
-                       "--mu1-exact", "--mu2-exact")
-    report = reach_target(room, (args.target1, args.target2), args.tol,
-                          args.budget)
+    mu1, mu2 = _parse_mu_pair(args)
+    _require_one_field(mu1, mu2, "--mu1-exact", "--mu2-exact")
+    report = reach_target(DilationParams(mu1, mu2),
+                          (args.target1, args.target2), args.tol, args.budget)
     _emit(canonical_json({
         "word": word_to_string(report.word),
         "mu_trajectory": [[stage, list(mu)]
@@ -456,8 +455,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
     "twist": (cmd_twist, "apply a twist word", _ROOM + _SVG + (
         ("--word", {"required": True, "help": "string over A,a,B,b"}),
     )),
-    "reach": (cmd_reach, "search a word reaching a parameter target",
-              _ROOM + (
+    "reach": (cmd_reach, "search a word reaching a parameter target", _MU + (
         ("--target1", {"type": float, "required": True}),
         ("--target2", {"type": float, "required": True}),
         ("--budget", {"type": int, "default": DEFAULT_REACH_BUDGET,

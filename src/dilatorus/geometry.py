@@ -140,10 +140,6 @@ class SL2Matrix(_SL2Fields):
         c, s = math.cos(alpha), math.sin(alpha)
         return SL2Matrix(c, -s, s, c)
 
-    @staticmethod
-    def diagonal(lam: float) -> "SL2Matrix":
-        return SL2Matrix(lam, 0.0, 0.0, 1.0 / lam)
-
     def __matmul__(self, other: "SL2Matrix") -> "SL2Matrix":
         return SL2Matrix(
             self.a * other.a + self.b * other.c,
@@ -393,7 +389,7 @@ class Room(_RoomFields):
         tuple's, over the fields only, so equal rooms stay equal whether
         traced or not.
         """
-        nu1, nu2 = self.nu()
+        nu1, nu2 = self.params.nu()
         verts = _pentagon_vertices(self.e1, self.e2, nu1, nu2)
         e1x, e1y = self.e1.as_floats()
         v3x, v3y = verts[3].as_floats()
@@ -423,9 +419,6 @@ class Room(_RoomFields):
                              "square leaves the float range")
         return RoomGeometry(verts, diam, sides, diagonals,
                             _interior_pairs(nu1, nu2))
-
-    def nu(self) -> tuple[float, float]:
-        return self.params.nu()
 
     def vertices(self) -> list[Vec2]:
         """V0..V4 of the pentagon model."""

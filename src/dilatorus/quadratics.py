@@ -259,11 +259,6 @@ def integer_form(*xs) -> tuple[int, int, list[tuple[int, int]]]:
               q.b.numerator * (D // q.b.denominator)) for q in qs])
 
 
-def sqrt_int(d: int) -> QuadraticNumber:
-    """Exact square root of a nonnegative integer."""
-    return QuadraticNumber(0, 1, d)
-
-
 # What the rest of the package computes with: the exact track plus floats.
 Scalar = Union[int, Fraction, float, QuadraticNumber]
 
@@ -297,6 +292,17 @@ def as_float(x: Scalar, name: str) -> float:
         return float(x)
     except OverflowError:
         raise ValueError(f"{name} lies outside the float range") from None
+
+
+def stable_float(x: Scalar) -> float:
+    """float(x) within a few ulps of x.  float() of a + b*sqrt(d) with a
+    and b of opposite signs cancels, and near 0 can miss x entirely, even
+    in sign; such an x is read as (a^2 - b^2 d) / (a - b*sqrt(d)), whose
+    denominator adds two floats of one sign."""
+    if type(x) is not QuadraticNumber or x.a * x.b >= 0:
+        return float(x)
+    a, b, d = x.a, x.b, x.d
+    return float(a * a - b * b * d) / (float(a) - float(b) * math.sqrt(d))
 
 
 def as_ratio(x: Scalar) -> tuple[Scalar, Scalar]:

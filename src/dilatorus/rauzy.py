@@ -225,6 +225,9 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     adds t_b to t_a and letter R adds t_a to t_b."""
     if budget < 0:
         raise ValueError("induction budget must be nonnegative")
+    # an induced map is exact exactly when its input is: a float slope
+    # or break point passes into every later map
+    exact = tsm.is_exact
     current = tsm
     charts: list[AffineChart] = []
     letters: list[str] = []
@@ -238,7 +241,7 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY, None)
         if len(letters) == budget:
             break
-        if not current.is_exact and not (
+        if not exact and not (
                 FLOAT_SLOPE_MIN < float(current.rho_a) < FLOAT_SLOPE_MAX
                 and FLOAT_SLOPE_MIN < float(current.rho_b) < FLOAT_SLOPE_MAX):
             # Float slopes grow without bound along non-halting words;

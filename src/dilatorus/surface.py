@@ -39,7 +39,6 @@ from .geometry import (
     _DIAGONAL_PAIRS,
     _PARTNERS,
     Room,
-    Vec2,
     angle_dist_mod_pi,
     wrap_2pi,
 )
@@ -136,10 +135,6 @@ class CrossSection(_SectionFields):
             raise ValueError(f"({i}, {j}) is not a pentagon diagonal")
         return tuple.__new__(cls, (i, j))
 
-    def endpoints(self, room: Room) -> tuple[Vec2, Vec2]:
-        verts = room.geom.vertices
-        return verts[self.i], verts[self.j]
-
 
 def _crossing_angle(theta: float, ux: float, uy: float,
                     chord: tuple[float, ...]) -> Optional[float]:
@@ -183,8 +178,8 @@ class Heading(NamedTuple):
     """Direction-only set-up of the rays of one (room, theta, section),
     an immutable value built whole by `Direction.heading`, and only for
     a section that theta crosses.  The headings of one `Direction`
-    share its side tables; `Heading.of` builds one on a direction of
-    its own.
+    share its side tables; a caller that holds only (room, theta)
+    builds one as `Direction(room, theta).heading(section)`.
 
     `sides` is the room's side table (`Room.geom`), which the transports
     read.  `t_base` and `t_clear` are MIN_STEP and CLEARANCE in units of
@@ -214,18 +209,6 @@ class Heading(NamedTuple):
     section_row: tuple[float, float, float, float, float]
     frame: tuple[float, float, float, float, float]
     legs: tuple[Optional[tuple], ...]
-
-    @classmethod
-    def of(cls, room: Room, theta: float, section: CrossSection) -> Heading:
-        """The heading of direction theta in `room`, stopping at
-        `section`, a diagonal of the room in either orientation.  It
-        refuses, in this order: a non-finite theta (ValueError), a
-        section that theta cannot cross (NotTransverse, see
-        `_crossing_angle`), and a section that is not an interior
-        diagonal (ValueError).  Each call sets the direction up afresh,
-        `Direction(room, theta)`; flights that share a direction take
-        their headings from one `Direction` instead."""
-        return Direction(room, theta).heading(section)
 
 
 def _laws(bx: float, by: float, fx: float, fy: float, ux: float, uy: float,

@@ -27,7 +27,8 @@ from .errors import (
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import CF_NOISE_FLOOR, float_convergents, quadratic
+from .quadratics import (CF_NOISE_FLOOR, float_convergents, quadratic,
+                         stable_float)
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -204,7 +205,8 @@ def _exact_block_count(x, y) -> int:
 
 def _float_block_count(x: float, y: float) -> int:
     q = x / y
-    k = math.floor(q - FLOAT_MARGIN)
+    # past the float range no remainder can be certified: k = 0 refuses
+    k = math.floor(q - FLOAT_MARGIN) if q < math.inf else 0
     if k < 1 or x - k * y <= FLOAT_MARGIN * max(abs(x), abs(y)):
         raise RationalRatio(
             f"cannot certify a positive remainder for ({x}, {y})")
@@ -228,7 +230,7 @@ def gauss_contraction(params: DilationParams, eps: float,
     m1, m2 = (params.mu1, params.mu2) if exact else params.as_floats()
     blocks: list[tuple[TwistGenerator, int]] = []
     word: list[TwistGenerator] = []
-    while math.hypot(float(m1), float(m2)) >= eps:
+    while math.hypot(stable_float(m1), stable_float(m2)) >= eps:
         if m1 == m2:
             raise RationalRatio("parameters became equal")
         if m1 > m2:
@@ -334,9 +336,9 @@ def _target_convergents(t1: float, t2: float):
             yield p, q
 
 
-def reach_target(room: Room, mu_target, eps: float,
+def reach_target(params: DilationParams, mu_target, eps: float,
                  budget: int = DEFAULT_REACH_BUDGET) -> ReachReport:
-    """Admissible word moving the parameters within eps of a positive target.
+    """Admissible word moving `params` within eps of a positive target.
 
     Three phases: contract toward the origin, push the first coordinate out
     along a near-rational ray with S2 powers, then spread with a nonnegative
@@ -345,6 +347,7 @@ def reach_target(room: Room, mu_target, eps: float,
     verifying both admissibility and the final error before the report
     is returned.
     A negative or NaN eps, which no word could meet, a negative budget,
+    a start outside the open positive quadrant or past the float range,
     and a NaN or infinite target or target ratio are refused.  So is,
     unless the start already lies within eps, a target ratio below
     CF_NOISE_FLOOR: its continued fraction ends at the term 0, so no
@@ -354,19 +357,20 @@ def reach_target(room: Room, mu_target, eps: float,
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget!r}")
-    params0 = room.params
-    if not params0.in_positive_quadrant():
+    if not params.in_positive_quadrant():
         raise ValueError("search starts from the open positive quadrant")
+    m1, m2 = params.as_floats()
+    if not (m1 < math.inf and m2 < math.inf):
+        raise ValueError(f"start ({m1!r}, {m2!r}) must be finite floats")
     t1, t2 = float(mu_target[0]), float(mu_target[1])
     if t1 <= 0 or t2 <= 0:
         raise ValueError("target must lie in the open positive quadrant")
     if not (t1 < math.inf and t2 < math.inf and t1 / t2 < math.inf):
         raise ValueError(f"target ({t1!r}, {t2!r}) and its ratio must be "
                          "finite floats")
-    m1, m2 = params0.as_floats()
     if math.hypot(m1 - t1, m2 - t2) <= eps:
         return ReachReport((), (("start", (m1, m2)),),
-                           math.hypot(m1 - t1, m2 - t2), params0)
+                           math.hypot(m1 - t1, m2 - t2), params)
     if t1 / t2 < CF_NOISE_FLOOR:
         raise ValueError(f"target ratio {t1 / t2!r} lies below the "
                          f"continued-fraction noise floor {CF_NOISE_FLOOR!r}; "
@@ -380,18 +384,18 @@ def reach_target(room: Room, mu_target, eps: float,
         b, d = _complete_to_unimodular(a, c)
         eta = eps / (3.0 * (a + b + c + d + 1))
         try:
-            contraction = gauss_contraction(params0, eta,
+            contraction = gauss_contraction(params, eta,
                                             max_generators=budget)
         except BudgetExhausted as exc:
             raise BudgetExhausted("budget exhausted during contraction",
                                   partial=exc.partial) from exc
-        eps1, eps2 = contraction.final.as_floats()
-        x_goal = t1 / a
-        n = max(0, round((x_goal - eps1) / eps2))
-        push = (TwistGenerator.T2,) * n
+        eps1, eps2 = map(stable_float, contraction.final)
+        # the S2 pushes toward t1 / a: near eps2 = 0 their count can pass
+        # any budget, or the float range, so it is capped before rounding
+        pushes = (t1 / a - eps1) / eps2 if eps2 else math.inf
+        n = max(0, round(min(pushes, budget + 1)))
         spread = sl2n_word_to_twists(decompose_sl2n(((a, b), (c, d))))
-        word = contraction.word + push + spread
-        if len(word) > budget:
+        if len(contraction.word) + n + len(spread) > budget:
             continue
         # verified parameter trajectory
         x_mid = (eps1 + n * eps2, eps2)
@@ -399,11 +403,12 @@ def reach_target(room: Room, mu_target, eps: float,
         err = math.hypot(final[0] - t1, final[1] - t2)
         last_error = min(last_error, err)
         if err <= eps:
+            word = contraction.word + (TwistGenerator.T2,) * n + spread
             try:
-                cur = mu_after(word, params0)
+                cur = mu_after(word, params)
             except InadmissibleAtStep:
                 continue
-            got = cur.as_floats()
+            got = tuple(map(stable_float, cur))
             true_err = math.hypot(got[0] - t1, got[1] - t2)
             if true_err > eps:
                 continue

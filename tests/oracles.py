@@ -68,7 +68,8 @@ def random_sl2(rng: random.Random, spread: float = 0.6) -> SL2Matrix:
     log-stretch s uniform in [-spread, spread]."""
     rot1 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
     rot2 = SL2Matrix.rotation(rng.uniform(0.0, 2.0 * math.pi))
-    stretch = SL2Matrix.diagonal(math.exp(rng.uniform(-spread, spread)))
+    lam = math.exp(rng.uniform(-spread, spread))
+    stretch = SL2Matrix(lam, 0.0, 0.0, 1.0 / lam)
     return rot1 @ stretch @ rot2
 
 
@@ -323,7 +324,7 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
     agree with the fast tracer bit for bit.
 
     `p` is the arc-length coordinate of a point on `section`, a
-    section that theta crosses, as `surface.Heading.of` requires.  Every
+    section that theta crosses, as `surface.Direction.heading` requires.  Every
     leg starts on a side or on the section at a coordinate sigma, takes
     the laws of every exit and of the section from scratch (`_leg_law`)
     and its exit by the rule of the leg tables (`_side_leg`); a
@@ -335,7 +336,7 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
     u = unit(theta)
     t_base = MIN_STEP * diam
     t_clear = CLEARANCE * diam
-    a, b = section.endpoints(room)
+    a, b = (room.geom.vertices[k] for k in section)
     sec_e = b - a
     exits = [side for side in sides
              if _leaves_through(u, side.start, side.end)]
@@ -414,13 +415,14 @@ def first_return_map_oracle(room: Room, theta: float,
     exact twin (`exact_shape`), and a direction out of the door."""
     if not math.isfinite(theta):
         raise ValueError(f"direction theta must be finite, got {theta!r}")
-    a, b = section.endpoints(room)
+    a, b = (room.geom.vertices[k] for k in section)
     length = (b - a).length()
     tangent = (b - a) * (1.0 / length)
     if angle_dist_mod_pi(theta, (b - a).angle()) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")
     pair = (min(section), max(section))
-    if pair not in exact_shape(twin_vertices(room.e1, room.e2, room.nu())):
+    twin = twin_vertices(room.e1, room.e2, room.params.nu())
+    if pair not in exact_shape(twin):
         raise ValueError(f"({section.i}, {section.j}) is not an "
                          "interior diagonal of the room")
     if not room.is_inward(theta, margin=-INWARD_SLACK):
@@ -540,7 +542,7 @@ def exact_twin(room: Room) -> list[tuple]:
     twin of `square_room(ln 2, ln 2)` is that room itself: its floats
     are dyadic, and exp(log 2.0) == 2.0.
     """
-    verts = twin_vertices(room.e1, room.e2, room.nu())
+    verts = twin_vertices(room.e1, room.e2, room.params.nu())
     sides = []
     for k in range(5):
         a, b = verts[k], verts[(k + 1) % 5]

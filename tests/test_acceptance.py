@@ -192,14 +192,14 @@ def test_criterion_07_density_machinery():
     assert admissibility_violation(contraction.word, start) is None
 
     rng = random.Random(SEED + 7)
-    room = square_room(1.0, math.sqrt(2.0))
+    params = DilationParams(1.0, math.sqrt(2.0))
     worst_err = 0.0
     longest = 0
     for _ in range(20):
         target = (rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
-        rep = reach_target(room, target, 1e-2, budget=10 ** 5)
+        rep = reach_target(params, target, 1e-2, budget=10 ** 5)
         assert rep.final_error <= 1e-2
-        assert admissibility_violation(rep.word, room.params) is None
+        assert admissibility_violation(rep.word, params) is None
         worst_err = max(worst_err, rep.final_error)
         longest = max(longest, len(rep.word))
     report("criterion 7", f"contraction to norm {math.hypot(m1, m2):.3e} "

@@ -39,7 +39,7 @@ def room_payload(room) -> dict:
     return {"e1": list(room.e1.as_floats()), "e2": list(room.e2.as_floats()),
             "mu": list(room.params.as_floats()),
             "vertices": [list(v.as_floats()) for v in room.vertices()],
-            "nu": list(room.nu())}
+            "nu": list(room.params.nu())}
 
 
 # --- wrapper fidelity ---
@@ -270,6 +270,32 @@ REFUSALS_AND_EDGES = {
         ["reach", "--mu1-exact=1,0,0", "--mu2-exact=1e-400,0,0",
          "--target1=1", "--target2=1"], 3, "BudgetExhausted", "out",
         "budget exhausted during contraction"),
+    # reach reads no basis
+    "reach-basis-flag": (["reach", "--mu1=0.5", "--mu2=0.7", "--target1=1",
+                          "--target2=1", "--e1=1,0"], 2, "BadInput", "err",
+                         "unrecognized arguments"),
+    # the first block's count, 3e308, is past the float range
+    "reach-start-ratio-past-float-range": (
+        ["reach", "--mu1=30", "--mu2=1e-307", "--target1=1", "--target2=1"],
+        2, "RationalRatio", "err", "cannot certify a positive remainder"),
+    # a push toward the target would take 5e16 letters: it is counted
+    # against the budget, never built
+    "reach-start-near-zero": (
+        ["reach", "--mu1=1e-17", "--mu2=2e-17", "--target1=1",
+         "--target2=1.3"], 3, "BudgetExhausted", "out",
+        "best predicted error inf"),
+    # an exact second coordinate that reads as the float 0: no push count
+    "reach-exact-start-below-the-float-range": (
+        ["reach", "--mu1-exact=1e-400,0,0", "--mu2-exact=2e-400,0,0",
+         "--target1=1", "--target2=1.3"], 3, "BudgetExhausted", "out",
+        "best predicted error inf"),
+    # a 2,853-letter word from an exact start: float() cancels its
+    # contracted parameters to 0 and its end to (16.0, 64.0)
+    "reach-exact-start-long-word": (
+        ["reach", "--mu1-exact=1,0,0", "--mu2-exact=0,1,2",
+         "--target1=0.6627834591034834", "--target2=2.588071089730528",
+         "--budget=3000"], 0, None, "out",
+        '"final_error":0.00024237259880723159,'),
     # the doubling caps stop at 1024, the last that fits in 1500
     "rotnum-names-the-iterations-run": (
         ["rotnum", "--rhoA=2.887559999924621", "--rhoB=0.7176082903346565",
@@ -579,6 +605,10 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
      "float range"),
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=inf", "--target2=0.5"],
      "finite"),
+    (["reach", "--mu1=inf", "--mu2=0.7", "--target1=1", "--target2=0.5"],
+     "start (inf, 0.7) must be finite"),
+    (["reach", "--mu1=nan", "--mu2=0.7", "--target1=1", "--target2=0.5"],
+     "open positive quadrant"),
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=1e300",
       "--target2=1e-300"], "ratio must be finite"),
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=nan", "--target2=0.5"],
@@ -612,7 +642,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "flow-eps-1e-300", "rotnum-exact-rhoA-overflow",
         "rotnum-exact-rhoA-overflow-csv", "measure-exact-rhoA-overflow",
         "room-exact-mu1-overflow", "twist-exact-mu1-overflow",
-        "reach-target1-inf", "reach-target-ratio-overflow",
+        "reach-target1-inf", "reach-mu1-inf", "reach-mu1-nan",
+        "reach-target-ratio-overflow",
         "reach-target1-nan", "reach-target-ratio-below-floor",
         "reach-target-ratio-underflow", "room-long-mu2", "room-long-mu1",
         "act-rotate-inf", "orbit-closure-mu1-inf",

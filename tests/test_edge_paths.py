@@ -5,14 +5,16 @@ import operator
 
 import pytest
 
-from dilatorus import surface, twists
-from dilatorus.errors import NotTransverse, RationalRatio
+from dilatorus import rauzy, surface, twists
+from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
+                              RationalRatio)
 from dilatorus.geometry import DilationParams, build_room, square_room
-from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
-                                    TwoSlopeMap, evaluate, orbit)
-from dilatorus.quadratics import QuadraticNumber, sqrt_int
+from dilatorus.intervalmaps import (AffineBranch, AffineChart,
+                                    PiecewiseAffineMap, TwoSlopeMap,
+                                    evaluate, orbit, restrict_to_image)
+from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
-from dilatorus.surface import (CrossSection, Direction, Heading, RayTrace,
+from dilatorus.surface import (CrossSection, Direction, RayTrace,
                                TraceEnd, first_return_map, rotation_number)
 from dilatorus.twists import (Holonomy, HolonomyClass, gauss_contraction,
                               holonomy_class, reach_target)
@@ -30,6 +32,12 @@ KINK = PiecewiseAffineMap((AffineBranch(0.0, 1.0, 1.0, 0.0),
 # image [0.5, 0.75] on [0, 0.5), then [0, 0.25]: a jump down at 0.5
 JUMP = PiecewiseAffineMap((AffineBranch(0.0, 0.5, 0.5, 0.5),
                            AffineBranch(0.5, 1.0, 0.5, -0.25)))
+# images [0.25, 0.5] and [0, 0.25 + 8e-13] on the image interval
+# [0, 0.5]: they overlap by 8e-13, within the map's MERGE_TOL slack of
+# 1e-12, but by 1.6e-12 once rescaled to [0, 1], past INJECTIVITY_SLACK
+OVERLAP = PiecewiseAffineMap((
+    AffineBranch(0.0, 0.25, 1.0, 0.25),
+    AffineBranch(0.25, 0.5, 1.0 + 3.2e-12, -0.25 * (1.0 + 3.2e-12))))
 # p - q*sqrt(2) for convergents p/q of sqrt(2): the value lies within
 # 1e-16 of 0, while float() cancels to 2.0 and to -4.0, so a floor
 # read off the float would be 3 too high and 4 too low
@@ -49,7 +57,8 @@ CASES = [
                                           CrossSection(0, 2)),
                  (ValueError, "must point into the surface"),
                  id="return-map-outward-direction"),
-    pytest.param(lambda: Heading.of(ROOM, math.pi / 4, CrossSection(0, 2)),
+    pytest.param(lambda: Direction(ROOM, math.pi / 4).heading(
+                     CrossSection(0, 2)),
                  (NotTransverse, "parallel to the section"),
                  id="heading-section-parallel-to-the-flow"),
     # a section off the room is refused before an outward direction
@@ -93,13 +102,24 @@ CASES = [
     pytest.param(lambda: gauss_contraction(DilationParams(0.3, 0.1), 1e-3),
                  (RationalRatio, "cannot certify"),
                  id="gauss-contraction-rational-ratio"),
+    # a ratio past the float range leaves no remainder to certify
+    pytest.param(lambda: gauss_contraction(DilationParams(1e300, 1e-10),
+                                           1e-3),
+                 (RationalRatio, "cannot certify a positive remainder"),
+                 id="gauss-contraction-ratio-past-the-float-range"),
     pytest.param(lambda: twists._complete_to_unimodular(2, 4),
                  (ValueError, "not coprime"),
                  id="complete-to-unimodular-not-coprime"),
-    pytest.param(lambda: reach_target(square_room(-0.5, 0.5), (1, 1), 1e-2),
+    pytest.param(lambda: reach_target(DilationParams(-0.5, 0.5), (1, 1),
+                                      1e-2),
                  (ValueError, "starts from the open positive quadrant"),
                  id="reach-target-start-outside-the-quadrant"),
-    pytest.param(lambda: reach_target(square_room(0.5, 0.5), (-1, 1), 1e-2),
+    pytest.param(lambda: reach_target(DilationParams(math.inf, 1.0), (1, 1),
+                                      1e-2),
+                 (ValueError, r"start \(inf, 1.0\) must be finite"),
+                 id="reach-target-start-past-the-float-range"),
+    pytest.param(lambda: reach_target(DilationParams(0.5, 0.5), (-1, 1),
+                                      1e-2),
                  (ValueError, "target must lie in the open positive"),
                  id="reach-target-target-outside-the-quadrant"),
     pytest.param(lambda: holonomy_class(DilationParams(0, 0)),
@@ -114,7 +134,7 @@ CASES = [
     pytest.param(lambda: QuadraticNumber(1, 1, 2) / 0,
                  (ZeroDivisionError, "division by zero"),
                  id="quadratic-division-by-zero"),
-    pytest.param(lambda: (1 + sqrt_int(2)).as_fraction(),
+    pytest.param(lambda: (1 + QuadraticNumber(0, 1, 2)).as_fraction(),
                  (ValueError, "value is irrational"),
                  id="quadratic-irrational-as-fraction"),
     # a float operand is refused by each operator (NotImplemented) and
@@ -132,6 +152,17 @@ CASES = [
     pytest.param(KINK.jumps, [], id="kink-has-no-jumps"),
     pytest.param(lambda: KINK.evaluate(1.0), 1.0,
                  id="evaluate-at-a-kink-needs-no-side"),
+    pytest.param(lambda: restrict_to_image(OVERLAP),
+                 (NotReducible, "restricted map is not a valid two-slope "
+                                "map: branch images overlap"),
+                 id="restrict-to-image-overlap-past-the-rescaled-slack"),
+    # TSM halts at once with the 2-cycle (1/6, 5/6); a chart that is not
+    # its map's sends the lift's seed off the cycle
+    pytest.param(lambda: rauzy._pull_back_cycle(TSM, TSM, [AffineChart(2, 0)],
+                                                2),
+                 (NonConvergence, "cycle lift does not return to its first "
+                                  "point after its period of 2 steps"),
+                 id="pull-back-cycle-through-a-foreign-chart"),
 ]
 
 

@@ -260,7 +260,7 @@ def test_json_roundtrip_float_and_exact():
         "e1": list(room.e1.as_floats()), "e2": list(room.e2.as_floats()),
         "mu": [0.4, 0.8],
         "vertices": [list(v.as_floats()) for v in room.vertices()],
-        "nu": list(room.nu())}
+        "nu": list(room.params.nu())}
 
     exact = square_room(QuadraticNumber(0, 1, 2), Fraction(1, 2))
     data = _room_payload(exact)

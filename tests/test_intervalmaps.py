@@ -13,7 +13,7 @@ from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     evaluate, orbit, restrict_to_image,
                                     thresholds)
 from dilatorus import rauzy
-from dilatorus.quadratics import QuadraticNumber, sqrt_int
+from dilatorus.quadratics import QuadraticNumber
 import oracles
 
 SEED = 20260817
@@ -217,7 +217,7 @@ def test_an_exact_map_past_the_float_range_is_read_exactly():
 
 
 def test_restrict_to_image_keeps_quadratic_data_exact():
-    r2 = sqrt_int(2)
+    r2 = QuadraticNumber(0, 1, 2)
     pam = PiecewiseAffineMap((
         AffineBranch(QuadraticNumber(0), QuadraticNumber(HALF), r2 / 4,
                      QuadraticNumber(HALF)),

@@ -1,5 +1,6 @@
 """Exact quadratic arithmetic and continued-fraction helpers."""
 
+import decimal
 import math
 import operator
 import random
@@ -11,8 +12,8 @@ import oracles
 
 from dilatorus.quadratics import (MAX_RADICAND, QuadraticNumber,
                                   cf_convergents, float_convergents,
-                                  integer_form, quadratic, slack, sqrt_int,
-                                  surd_sign)
+                                  integer_form, quadratic, slack,
+                                  stable_float, surd_sign)
 
 SEED = 20260817
 
@@ -49,11 +50,11 @@ def test_exactness_no_drift():
 
 
 def test_square_root_squares_back():
-    r2 = sqrt_int(2)
+    r2 = QuadraticNumber(0, 1, 2)
     assert r2 * r2 == 2
     assert float(r2) == pytest.approx(math.sqrt(2), rel=1e-15)
     # non-squarefree radicands normalize into the same field
-    r8 = sqrt_int(8)
+    r8 = QuadraticNumber(0, 1, 8)
     assert r8 == 2 * r2
 
 
@@ -77,7 +78,7 @@ def test_ordering_agrees_with_floats():
 
 
 def test_floor_on_both_signs():
-    r2 = sqrt_int(2)
+    r2 = QuadraticNumber(0, 1, 2)
     assert r2.floor() == 1
     assert (-r2).floor() == -2
     assert (3 * r2).floor() == 4
@@ -105,6 +106,29 @@ def test_floor_brackets_the_value():
         assert n <= x < n + 1, x
 
 
+def test_stable_float_is_within_a_few_ulps_where_float_cancels():
+    # p - q*sqrt(d) with p = isqrt(q^2 d) (+1): values near 0 whose
+    # float() cancels, against 60-digit decimal arithmetic
+    rng = random.Random(SEED + 11)
+    ctx = decimal.Context(prec=60)
+    cancelled = 0
+    for _ in range(300):
+        d = rng.choice((2, 3, 5, 7, 10))
+        q = rng.randint(1, 10 ** rng.randint(1, 17))
+        p = math.isqrt(q * q * d) + rng.randint(0, 1)
+        x = QuadraticNumber(Fraction(p, 3), Fraction(-q, 3), d)
+        true = ctx.divide(ctx.subtract(p, ctx.multiply(q, ctx.sqrt(d))), 3)
+        got = stable_float(x)
+        assert abs(decimal.Decimal(got) - true) <= 4 * math.ulp(float(true))
+        cancelled += abs(float(x) - got) > 4 * math.ulp(got)
+    assert cancelled >= 100
+    # exact values whose float() does not cancel, and floats, read as
+    # float() reads them
+    for x in (QuadraticNumber(1, 1, 2), QuadraticNumber(-1, -1, 3),
+              QuadraticNumber(Fraction(1, 3)), Fraction(2, 7), 5, 0.1):
+        assert stable_float(x) == float(x)
+
+
 def test_continued_fraction_roundtrip():
     # 649/200 = [3; 4, 12, 4]
     convergents = list(cf_convergents([3, 4, 12, 4]))
@@ -128,7 +152,7 @@ def test_float_convergents_approximate():
 # --- the package's exactness rule ---
 
 def test_slack_is_the_tolerance_for_floats_and_zero_for_exact_data():
-    exact = (3, Fraction(1, 3), sqrt_int(2), True)
+    exact = (3, Fraction(1, 3), QuadraticNumber(0, 1, 2), True)
     assert slack(1e-9, *exact) == 0
     assert slack(1e-9) == 0
     for at in range(len(exact) + 1):
@@ -137,7 +161,7 @@ def test_slack_is_the_tolerance_for_floats_and_zero_for_exact_data():
 
 
 def test_quadratic_lifts_exact_scalars_and_refuses_floats():
-    r2 = sqrt_int(2)
+    r2 = QuadraticNumber(0, 1, 2)
     assert quadratic(r2) is r2
     assert quadratic(3) == QuadraticNumber(3)
     assert quadratic(Fraction(-2, 7)).a == Fraction(-2, 7)
@@ -173,7 +197,7 @@ def test_integer_form_is_each_value_over_the_least_common_denominator():
         assert math.gcd(m, n, D1) == 1
     assert integer_form(Fraction(3, 4), 2) == (0, 4, [(3, 0), (8, 0)])
     with pytest.raises(TypeError, match="mixed radicands"):
-        integer_form(sqrt_int(2), sqrt_int(3))
+        integer_form(QuadraticNumber(0, 1, 2), QuadraticNumber(0, 1, 3))
 
 
 def test_surd_sign_reads_integer_and_fraction_parts_alike():
@@ -197,8 +221,9 @@ def test_a_rational_quadratic_number_is_its_fraction_as_a_key():
     assert {Fraction(1, 2): "f"}[half] == "f"
     assert {half: "q"}[Fraction(1, 2)] == "q"
     # irrational values hash by their normalized coordinates
-    assert hash(sqrt_int(8)) == hash(2 * sqrt_int(2))
-    assert len({sqrt_int(8), 2 * sqrt_int(2), sqrt_int(2)}) == 2
+    r2, r8 = QuadraticNumber(0, 1, 2), QuadraticNumber(0, 1, 8)
+    assert hash(r8) == hash(2 * r2)
+    assert len({r8, 2 * r2, r2}) == 2
 
 
 def test_equality_and_truth_read_the_normal_form():
@@ -229,7 +254,7 @@ def test_equality_and_truth_read_the_normal_form():
 
 
 def test_truth_order_absolute_value_and_repr():
-    r2 = sqrt_int(2)
+    r2 = QuadraticNumber(0, 1, 2)
     assert not QuadraticNumber(1, 1, 1) - 2 and bool(r2 - 1)
     assert r2 <= r2 and r2 <= Fraction(3, 2) and not r2 <= Fraction(7, 5)
     assert abs(1 - r2) == r2 - 1 and abs(r2) == r2
@@ -240,9 +265,9 @@ def test_truth_order_absolute_value_and_repr():
 
 def test_mixed_radicands_raise_type_error():
     with pytest.raises(TypeError, match="mixed radicands"):
-        sqrt_int(2) + sqrt_int(3)
+        QuadraticNumber(0, 1, 2) + QuadraticNumber(0, 1, 3)
     # equality of two fields is decided, not raised
-    assert sqrt_int(2) != sqrt_int(3)
+    assert QuadraticNumber(0, 1, 2) != QuadraticNumber(0, 1, 3)
 
 
 def test_a_negative_radicand_is_refused():

@@ -25,7 +25,7 @@ ROOMS = {
     "sheared": build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3)),
 }
 MATRICES = (SL2Matrix.rotation(0.7), SL2Matrix(1.0, 0.4, 0.0, 1.0),
-            SL2Matrix.diagonal(1.3))
+            SL2Matrix(1.3, 0.0, 0.0, 1.0 / 1.3))
 FLOW_TIMES = (0.5, 2.0, 4.0, 8.0, 12.0)
 SEED = 20260817
 # multipliers agree to this relative tolerance (unitless)

@@ -23,7 +23,7 @@ from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
                                 wrap_2pi)
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap)
-from dilatorus.quadratics import QuadraticNumber, sqrt_int
+from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import TerminalKind
 from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection, Direction,
                                DirectionKind, Heading, TraceEnd,
@@ -41,9 +41,9 @@ REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 
 def test_trace_reaches_door():
     # straight shot toward the door from (0.3, 0.3) on the diagonal
-    trace = trace_ray(Heading.of(ROOM, math.atan2(1.0, -0.3),
-                                 CrossSection(0, 2)), 0.3 * math.sqrt(2.0),
-                      64)
+    heading = Direction(ROOM, math.atan2(1.0, -0.3)).heading(
+        CrossSection(0, 2))
+    trace = trace_ray(heading, 0.3 * math.sqrt(2.0), 64)
     assert trace.terminal is TraceEnd.DOOR
     assert trace.crossings == len(trace.crossed_sides)
 
@@ -52,7 +52,7 @@ def test_trace_transport_factors_are_glue_factors():
     rng = random.Random(SEED)
     for _ in range(40):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        heading = Heading.of(ROOM, theta, CrossSection(2, 4))
+        heading = Direction(ROOM, theta).heading(CrossSection(2, 4))
         try:
             trace = trace_ray(heading, 0.29 * heading.frame[4], 12)
         except VertexHit:
@@ -65,14 +65,14 @@ def test_trace_transport_factors_are_glue_factors():
 def test_trace_vertex_hit():
     # aim exactly at V2 = (1, 1), along pi/4 from (2/3, 2/3), two thirds
     # of the way along the diagonal from V1 = (1, 0) to V3 = (0.5, 1)
-    heading = Heading.of(ROOM, math.pi / 4.0, CrossSection(1, 3))
+    heading = Direction(ROOM, math.pi / 4.0).heading(CrossSection(1, 3))
     with pytest.raises(VertexHit) as info:
         trace_ray(heading, 2.0 / 3.0 * heading.frame[4], 64)
     assert info.value.trace.terminal is TraceEnd.VERTEX
 
 
 def test_trace_max_crossings_budget():
-    heading = Heading.of(ROOM, 0.1, CrossSection(2, 4))
+    heading = Direction(ROOM, 0.1).heading(CrossSection(2, 4))
     trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
     assert trace.terminal is TraceEnd.BUDGET
     assert trace.crossings == 5
@@ -87,7 +87,7 @@ def test_a_section_start_next_to_a_vertex_traces():
             for section in (CrossSection(i, j), CrossSection(j, i)):
                 for k in range(24):
                     theta = 2.0 * math.pi * (k + 0.37) / 24
-                    heading = Heading.of(room, theta, section)
+                    heading = Direction(room, theta).heading(section)
                     length = heading.frame[4]
                     for s in (1e-12 * length, 1e-9 * length):
                         fast = _trace_outcome(trace_ray, heading, s, 64)
@@ -125,7 +125,7 @@ def _start(rng: random.Random, room, section, theta: float,
     section; or, when aimed, where the line along theta through a vertex
     ahead meets the section, for the first vertex in random order that
     has one."""
-    a, b = section.endpoints(room)
+    a, b = (room.geom.vertices[k] for k in section)
     e = b - a
     length = e.length()
     u = unit(theta)
@@ -163,8 +163,9 @@ def test_trace_ray_matches_vec2_oracle():
     second_leg_returns = 0
     for case in _oracle_cases(random.Random(SEED), 600):
         room, s, theta, max_crossings, section = case
-        fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
-                              s, max_crossings)
+        fast = _trace_outcome(trace_ray,
+                              Direction(room, theta).heading(section), s,
+                              max_crossings)
         slow = _trace_outcome(oracles.trace_ray_oracle, *case)
         assert fast == slow, case
         kinds[fast[0]] += 1
@@ -182,7 +183,7 @@ def _back_from(room, p: Vec2, u: Vec2, section):
     ray from p against u meets past 1e-9 of the room's diameter, s its
     fraction along the segment; None if it meets none."""
     d = u * -1.0
-    a, b = section.endpoints(room)
+    a, b = (room.geom.vertices[k] for k in section)
     segments = [(side.index, side.start, side.end - side.start)
                 for side in room.sides()] + [(None, a, b - a)]
     best = None
@@ -209,7 +210,7 @@ def _aimed_past_transports(rng: random.Random, room, section, theta: float,
     nor the section before its last step, whose end is on the section."""
     u = unit(theta)
     sides = room.sides()
-    a, b = section.endpoints(room)
+    a, b = (room.geom.vertices[k] for k in section)
     verts = room.vertices() if targets is None else list(targets)
     rng.shuffle(verts)
     for vertex in verts:
@@ -244,8 +245,9 @@ def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
             s = _aimed_past_transports(rng, room, section, theta, transports)
             if s is None:
                 continue
-            fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
-                                  s, 64)
+            fast = _trace_outcome(trace_ray,
+                                  Direction(room, theta).heading(section), s,
+                                  64)
             slow = _trace_outcome(oracles.trace_ray_oracle, room, s, theta,
                                   64, section)
             assert fast == slow, (room, theta, section, s)
@@ -275,13 +277,14 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
         for _ in range(150):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             section = CrossSection(*rng.choice(room.interior_diagonals()))
-            a, b = section.endpoints(room)
+            a, b = (room.geom.vertices[k] for k in section)
             ends = [a + (b - a) * f for f in (5e-13, 1.0 - 5e-13)]
             s = _aimed_past_transports(rng, room, section, theta, 1, ends)
             if s is None:
                 continue
-            fast = _trace_outcome(trace_ray, Heading.of(room, theta, section),
-                                  s, 64)
+            fast = _trace_outcome(trace_ray,
+                                  Direction(room, theta).heading(section), s,
+                                  64)
             slow = _trace_outcome(oracles.trace_ray_oracle, room, s, theta,
                                   64, section)
             assert fast == slow, (room, theta, section, s)
@@ -290,7 +293,7 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
 
 def test_a_bad_section_coordinate_is_refused_before_any_leg():
     # a section coordinate must be a finite float in [0, length]
-    heading = Heading.of(ROOM, 0.7, CrossSection(1, 3))
+    heading = Direction(ROOM, 0.7).heading(CrossSection(1, 3))
     length = heading.frame[4]
     for bad in (math.nan, math.inf, -math.inf, -1e-300, -0.5,
                 math.nextafter(length, math.inf), 2.0 * length):
@@ -325,8 +328,8 @@ def test_flights_leave_a_heading_unchanged():
     # a heading is a value built whole: flights on it change neither
     # its eq, hash nor repr, and it equals the heading of an equal room
     # built separately
-    heading = Heading.of(REFLEX, 1.3, CrossSection(0, 2))
-    twin = Heading.of(_reflex(), 1.3, CrossSection(0, 2))
+    heading = Direction(REFLEX, 1.3).heading(CrossSection(0, 2))
+    twin = Direction(_reflex(), 1.3).heading(CrossSection(0, 2))
     before = (repr(heading), hash(heading))
     for k in range(40):
         try:
@@ -361,7 +364,7 @@ def test_shared_headings_build_the_tables_of_a_fresh_heading():
             for section in sections:
                 shared = direction.heading(section)
                 assert shared is direction.heading(section)
-                fresh = Heading.of(make(), theta, section)
+                fresh = Direction(make(), theta).heading(section)
                 assert shared == fresh
                 assert repr(shared.legs) == repr(fresh.legs), (
                     room, theta, section)
@@ -384,7 +387,7 @@ def test_a_section_outside_the_room_is_refused():
         for k in range(8):
             theta = lo + (k + 0.5) * (hi - lo) / 8
             with pytest.raises(ValueError, match="not an interior"):
-                Heading.of(REFLEX, theta, section)
+                Direction(REFLEX, theta).heading(section)
             with pytest.raises(ValueError, match="not an interior"):
                 first_return_map(Direction(REFLEX, theta), section)
 
@@ -403,16 +406,16 @@ def test_one_rule_decides_whether_a_section_can_be_crossed():
             along = math.atan2(ey, ex)
             for off in (0.0, 5e-10, -5e-10, 1e-8, -1e-8, 1e-3, 0.7):
                 theta = along + off
-                candidates = Direction(room, theta).candidates
+                direction = Direction(room, theta)
                 for section in (CrossSection(i, j), CrossSection(j, i)):
-                    if CrossSection(i, j) in candidates:
-                        row = Heading.of(room, theta, section).section_row
+                    if CrossSection(i, j) in direction.candidates:
+                        row = direction.heading(section).section_row
                         assert len(row) == 5 and all(
                             isinstance(x, float) for x in row)
                         assert abs(row[4]) > par
                         continue
                     with pytest.raises(NotTransverse, match="parallel"):
-                        Heading.of(room, theta, section)
+                        direction.heading(section)
                     u = unit(theta)
                     refused_by["parallel floor" if abs(u.cross(
                         Vec2(ex, ey))) <= par else "angle"] += 1
@@ -438,9 +441,9 @@ def test_a_room_keeps_no_direction_state():
     assert list(vars(room)) == ["geom"]
     first_return_map(Direction(room, second), verdict.reduction.section)
     assert list(vars(room)) == ["geom"]
-    again = Heading.of(room, first, sections[0])
+    again = Direction(room, first).heading(sections[0])
     assert again is not old[0] and repr(again) == repr(old[0])
-    assert Heading.of(room, first, sections[0]) is not again
+    assert Direction(room, first).heading(sections[0]) is not again
     assert direction.heading(sections[0]) is old[0]
     assert list(vars(room)) == ["geom"]
 
@@ -461,7 +464,7 @@ def test_a_trapped_flight_traces_as_the_oracle_does():
             if not room.is_inward(theta):
                 theta += math.pi
             section = CrossSection(*rng.choice(room.interior_diagonals()))
-            heading = Heading.of(room, theta, section)
+            heading = Direction(room, theta).heading(section)
             s = heading.frame[4] * rng.random()
             try:
                 sides = trace_ray(heading, s, 512).crossed_sides
@@ -495,7 +498,7 @@ def test_a_shared_heading_leaks_nothing_between_flights():
                 want = [_trace_outcome(oracles.trace_ray_oracle, room, s,
                                        theta, n, section)
                         for s, n in flights]
-                heading = Heading.of(room, theta, section)
+                heading = Direction(room, theta).heading(section)
                 forward = [_trace_outcome(trace_ray, heading, s, n)
                            for s, n in flights]
                 backward = [_trace_outcome(trace_ray, heading, s, n)
@@ -505,7 +508,7 @@ def test_a_shared_heading_leaks_nothing_between_flights():
                 for kind, _ in want:
                     kinds[kind] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
-    heading = Heading.of(ROOM, 0.1, CrossSection(2, 4))
+    heading = Direction(ROOM, 0.1).heading(CrossSection(2, 4))
     trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
     with pytest.raises(AttributeError):
         trace.crossed_sides = ()
@@ -535,7 +538,7 @@ def test_float_traces_agree_with_exact_traces():
             sides, start, u, ((ax, ay), (bx, by)), 64)
         if margin < Fraction(1, 10 ** 6):
             continue
-        heading = Heading.of(ROOM, theta, CrossSection(i, j))
+        heading = Direction(ROOM, theta).heading(CrossSection(i, j))
         trace = trace_ray(heading, float(frac) * heading.frame[4], 64)
         assert (trace.crossed_sides, trace.terminal) == (crossed, terminal)
         assert math.dist(trace.end_point,
@@ -555,9 +558,9 @@ def test_cached_room_geometry_is_invisible():
     s, theta = 0.5, 0.7
     section = CrossSection(0, 2)
     # a heading leaves nothing on the room beyond its geometry
-    shared = Heading.of(room, theta, section)
+    shared = Direction(room, theta).heading(section)
     first = trace_ray(shared, s, 64)
-    assert Heading.of(room, theta, section) == shared
+    assert Direction(room, theta).heading(section) == shared
     assert list(vars(room)) == ["geom"] and list(vars(twin)) == []
     assert room == twin
     assert (repr(room), hash(room)) == before == (repr(twin), hash(twin))
@@ -577,23 +580,23 @@ def test_cached_room_geometry_is_invisible():
     assert room.interior_diagonals() is not room.interior_diagonals()
     # the section's endpoints are the cached vertices themselves, so
     # they must refuse every change
-    ends = section.endpoints(room)
+    ends = room.geom.vertices
     with pytest.raises(TypeError):
-        ends[0] = Vec2(9.0, 9.0)
+        ends[section.i] = Vec2(9.0, 9.0)
     with pytest.raises(AttributeError):
-        ends[1].x = 9.0
-    assert section.endpoints(room) == section.endpoints(twin)
+        ends[section.j].x = 9.0
+    assert room.geom.vertices == twin.geom.vertices
     assert room.geom.diagonals == twin.geom.diagonals
-    assert trace_ray(Heading.of(room, theta, section), s, 64) == first
+    assert trace_ray(Direction(room, theta).heading(section), s, 64) == first
     # an equal room built separately traces identically, and shares
     # none of the set-up
-    other = Heading.of(twin, theta, section)
+    other = Direction(twin, theta).heading(section)
     assert other == shared and other is not shared
     assert list(vars(twin)) == list(vars(room)) == ["geom"]
     assert all(mine is not theirs for mine, theirs
                in zip(other.legs, shared.legs) if mine is not None)
     assert trace_ray(other, s, 64) == first
-    assert trace_ray(Heading.of(fresh(), theta, section), s,
+    assert trace_ray(Direction(fresh(), theta).heading(section), s,
                      64) == first
 
 
@@ -609,7 +612,7 @@ def test_diagonal_rows_are_endpoint_floats():
         assert len(room.geom.diagonals) == 2 * len(_DIAGONAL_PAIRS)
         for pair in _DIAGONAL_PAIRS:
             for i, j in (pair, pair[::-1]):
-                a, b = CrossSection(i, j).endpoints(room)
+                a, b = room.geom.vertices[i], room.geom.vertices[j]
                 e = b - a
                 assert room.geom.diagonals[i, j] == (
                     float(a.x), float(a.y), float(e.x), float(e.y),
@@ -628,7 +631,7 @@ def _return_map_outcome(builder, room, theta, section):
 
 
 @pytest.mark.parametrize("entry", [
-    lambda theta: Heading.of(ROOM, theta, CrossSection(0, 2)),
+    lambda theta: Direction(ROOM, theta).heading(CrossSection(0, 2)),
     lambda theta: first_return_map(Direction(ROOM, theta),
                                    CrossSection(0, 2)),
     lambda theta: surface.direction_to_two_slope(Direction(ROOM, theta)),
@@ -740,7 +743,8 @@ def sl2_matrices(draw) -> SL2Matrix:
     """rot @ diag(e^s, e^-s) @ rot, the log-stretch s within +-0.6."""
     angles = st.floats(0.0, 2.0 * math.pi)
     rot1 = SL2Matrix.rotation(draw(angles))
-    stretch = SL2Matrix.diagonal(math.exp(draw(st.floats(-0.6, 0.6))))
+    lam = math.exp(draw(st.floats(-0.6, 0.6)))
+    stretch = SL2Matrix(lam, 0.0, 0.0, 1.0 / lam)
     return rot1 @ stretch @ SL2Matrix.rotation(draw(angles))
 
 
@@ -787,7 +791,7 @@ def _leaf_key(room, theta: float, verdict) -> tuple[int, ...]:
         section = verdict.reduction.section
         starts = [float(verdict.reduction.chart.invert(x))
                   for x in verdict.outcome.cycle.points]
-    heading = Heading.of(room, theta, section)
+    heading = Direction(room, theta).heading(section)
     return tuple(k for s in starts
                  for k in surface._flight(heading, s).crossed_sides)
 
@@ -1200,7 +1204,7 @@ def test_rotation_number_on_quadratic_slopes():
     # an irrational pair: the exact break orbit passes
     # EXACT_DENOMINATOR_CAP (at its 56th point) without repeating, and
     # the float estimate answers
-    r2 = sqrt_int(2)
+    r2 = QuadraticNumber(0, 1, 2)
     value = rotation_number(1 + r2 / 2, Fraction(1, 2) - r2 / 9, tol=1e-5)
     assert value == 0.3331795579118434
 
@@ -1228,7 +1232,7 @@ def test_the_exact_rotation_orbit_builds_no_exact_value_per_step(
         monkeypatch):
     # the irrational pair above: its break orbit runs 56 steps to
     # EXACT_DENOMINATOR_CAP, and fewer to a lower cap
-    r2 = sqrt_int(2)
+    r2 = QuadraticNumber(0, 1, 2)
     ra, rb = 1 + r2 / 2, Fraction(1, 2) - r2 / 9
     counts = []
     search = functools.partial(rotation_number, ra, rb, tol=1e-5)
@@ -1358,12 +1362,13 @@ def test_rotation_number_matches_the_one_call_per_step_oracle(monkeypatch):
     # exact cycles in an irrational field: rho_a^j * rho_b = 1 closes the
     # break's orbit after j + 1 steps, which max_iter=1 leaves to the
     # exact search alone
-    cycles = [(k + sqrt_int(2) / 3, j) for k in (1, 2, 3) for j in (1, 2, 3)]
+    r2 = QuadraticNumber(0, 1, 2)
+    cycles = [(k + r2 / 3, j) for k in (1, 2, 3) for j in (1, 2, 3)]
     first_cycle = len(cases)
     cases += [(ra, 1 / math.prod([ra] * j), 0.0, 1) for ra, j in cycles]
     # mixed int, Fraction and QuadraticNumber pairs, and the irrational
     # pair whose orbit runs 56 steps to EXACT_DENOMINATOR_CAP
-    r2, r5 = sqrt_int(2), sqrt_int(5)
+    r5 = QuadraticNumber(0, 1, 5)
     cases += [(ra, rb, 1e-5, surface.ROTATION_MAX_ITER) for ra, rb in (
         (2, QuadraticNumber(Fraction(1, 2))), (3, Fraction(1, 2) - r2 / 9),
         (Fraction(5, 2), QuadraticNumber(Fraction(2, 5))),

@@ -13,7 +13,7 @@ from dilatorus import twists
 from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               NotInMonoid, RationalRatio)
 from dilatorus.geometry import DilationParams, square_room
-from dilatorus.quadratics import QuadraticNumber
+from dilatorus.quadratics import QuadraticNumber, stable_float
 from dilatorus.twists import (Holonomy, TwistGenerator, admissibility_violation,
                               apply_word, decompose_sl2n, gauss_contraction,
                               holonomy_class, mu_after, mu_path,
@@ -295,11 +295,11 @@ def test_sl2n_word_to_twists_is_admissible_from_positive():
 
 
 def test_reach_target_simple():
-    room = square_room(Fraction(1), QuadraticNumber(0, 1, 2))
-    report = reach_target(room, (0.5, 0.5), 1e-2, budget=10 ** 5)
+    params = DilationParams(Fraction(1), QuadraticNumber(0, 1, 2))
+    report = reach_target(params, (0.5, 0.5), 1e-2, budget=10 ** 5)
     assert report.final_error < 1e-2
-    assert admissibility_violation(report.word, room.params) is None
-    # the report's trajectory ends where the verified room sits
+    assert admissibility_violation(report.word, params) is None
+    # the report's trajectory ends where the verified parameters sit
     end = report.final_params.as_floats()
     assert math.hypot(end[0] - 0.5, end[1] - 0.5) < 1e-2
 
@@ -308,15 +308,83 @@ def test_reach_target_exhaustion_names_the_predicted_error():
     # no word within 30 letters: the error is that of the closed-form
     # trajectory, which mu_path has not verified
     with pytest.raises(BudgetExhausted, match="best predicted error"):
-        reach_target(square_room(Fraction(1), QuadraticNumber(0, 1, 2)),
+        reach_target(DilationParams(Fraction(1), QuadraticNumber(0, 1, 2)),
                      (0.5, 0.5), 1e-2, budget=30)
 
 
 def test_reach_target_reports_a_start_within_eps_below_the_noise_floor():
     # a target ratio below CF_NOISE_FLOOR is refused before a search
     # (tests/test_cli.py), but a start already within eps needs none
-    report = reach_target(square_room(1e-3, 1.0), (1e-15, 1.0), 1e-2)
+    report = reach_target(DilationParams(1e-3, 1.0), (1e-15, 1.0), 1e-2)
     assert report.word == () and report.final_error < 1e-2
+
+
+# the first re-folded word from this start toward this target has 4,668
+# letters and reaches it, and the next convergent's, of 5,101, does too
+REFOLD_START = DilationParams(Fraction(1), QuadraticNumber(0, 1, 2))
+REFOLD_TARGET = (2.0, math.pi)
+
+
+def _patch_refold(monkeypatch, replace):
+    """Patch `twists.mu_after`, which `reach_target` re-folds each
+    candidate word with: `replace(k)` for the k-th call (from 1) is an
+    error to raise, parameters to return, or None for the true fold.
+    Returns the list of the re-folded words."""
+    words = []
+
+    def refold(word, params):
+        words.append(word)
+        got = replace(len(words))
+        if isinstance(got, Exception):
+            raise got
+        return mu_after(word, params) if got is None else got
+
+    monkeypatch.setattr(twists, "mu_after", refold)
+    return words
+
+
+@pytest.mark.parametrize("first", [
+    InadmissibleAtStep(3),
+    # a true end (5, 5) lies far past eps of the target
+    DilationParams(5.0, 5.0),
+], ids=["inadmissible", "true-error-past-eps"])
+def test_reach_target_moves_on_from_a_refold_that_fails(monkeypatch, first):
+    words = _patch_refold(monkeypatch, lambda k: first if k == 1 else None)
+    report = reach_target(REFOLD_START, REFOLD_TARGET, 1e-2)
+    assert len(words) == 2 and report.word == words[1] != words[0]
+    assert report.final_error <= 1e-2
+    assert report.final_params == mu_after(report.word, REFOLD_START)
+
+
+def test_reach_target_whose_every_refold_fails_exhausts(monkeypatch):
+    words = _patch_refold(monkeypatch, lambda k: InadmissibleAtStep(0))
+    with pytest.raises(BudgetExhausted, match="no admissible word within "
+                                              "budget reached the target"):
+        reach_target(REFOLD_START, REFOLD_TARGET, 1e-2)
+    assert len(words) >= 2
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_exact_contraction_stops_at_its_first_block_below_eps(eps):
+    # from eps = 1e-8 on, float() of the contracted values cancels to 0
+    result = gauss_contraction(REFOLD_START, eps)
+    last = result.blocks[-1][1]
+    before = mu_after(result.word[:-last], REFOLD_START)
+    assert result.final == mu_after(result.word, REFOLD_START)
+    assert math.hypot(*map(stable_float, result.final)) < eps
+    assert math.hypot(*map(stable_float, before)) >= eps
+
+
+def test_reach_target_reads_a_long_exact_word_without_cancellation():
+    # float() of this 2,853-letter word's exact end cancels to
+    # (16.0, 64.0), and of its contracted parameters to 0
+    target = (0.6627834591034834, 2.588071089730528)
+    report = reach_target(REFOLD_START, target, 1e-2, budget=3000)
+    assert len(report.word) == 2853
+    end = report.mu_checkpoints[-1][1]
+    assert end == tuple(map(stable_float, report.final_params))
+    assert report.final_error == math.hypot(end[0] - target[0],
+                                            end[1] - target[1]) <= 1e-2
 
 
 def test_holonomy_exact_dichotomy():
