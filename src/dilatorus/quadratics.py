@@ -294,17 +294,6 @@ def as_float(x: Scalar, name: str) -> float:
         raise ValueError(f"{name} lies outside the float range") from None
 
 
-def stable_float(x: Scalar) -> float:
-    """float(x) within a few ulps of x.  float() of a + b*sqrt(d) with a
-    and b of opposite signs cancels, and near 0 can miss x entirely, even
-    in sign; such an x is read as (a^2 - b^2 d) / (a - b*sqrt(d)), whose
-    denominator adds two floats of one sign."""
-    if type(x) is not QuadraticNumber or x.a * x.b >= 0:
-        return float(x)
-    a, b, d = x.a, x.b, x.d
-    return float(a * a - b * b * d) / (float(a) - float(b) * math.sqrt(d))
-
-
 def as_ratio(x: Scalar) -> tuple[Scalar, Scalar]:
     """x as (numerator, positive denominator): a Fraction's two ints,
     (x, 1.0) for a float, and (x, 1) for an int or a QuadraticNumber."""

@@ -27,8 +27,7 @@ from .errors import (
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import (CF_NOISE_FLOOR, float_convergents, quadratic,
-                         stable_float)
+from .quadratics import CF_NOISE_FLOOR, float_convergents, quadratic
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -230,7 +229,7 @@ def gauss_contraction(params: DilationParams, eps: float,
     m1, m2 = (params.mu1, params.mu2) if exact else params.as_floats()
     blocks: list[tuple[TwistGenerator, int]] = []
     word: list[TwistGenerator] = []
-    while math.hypot(stable_float(m1), stable_float(m2)) >= eps:
+    while math.hypot(float(m1), float(m2)) >= eps:
         if m1 == m2:
             raise RationalRatio("parameters became equal")
         if m1 > m2:
@@ -389,7 +388,7 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         except BudgetExhausted as exc:
             raise BudgetExhausted("budget exhausted during contraction",
                                   partial=exc.partial) from exc
-        eps1, eps2 = map(stable_float, contraction.final)
+        eps1, eps2 = contraction.final.as_floats()
         # the S2 pushes toward t1 / a: near eps2 = 0 their count can pass
         # any budget, or the float range, so it is capped before rounding
         pushes = (t1 / a - eps1) / eps2 if eps2 else math.inf
@@ -408,7 +407,7 @@ def reach_target(params: DilationParams, mu_target, eps: float,
                 cur = mu_after(word, params)
             except InadmissibleAtStep:
                 continue
-            got = tuple(map(stable_float, cur))
+            got = cur.as_floats()
             true_err = math.hypot(got[0] - t1, got[1] - t2)
             if true_err > eps:
                 continue

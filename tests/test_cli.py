@@ -289,13 +289,6 @@ REFUSALS_AND_EDGES = {
         ["reach", "--mu1-exact=1e-400,0,0", "--mu2-exact=2e-400,0,0",
          "--target1=1", "--target2=1.3"], 3, "BudgetExhausted", "out",
         "best predicted error inf"),
-    # a 2,853-letter word from an exact start: float() cancels its
-    # contracted parameters to 0 and its end to (16.0, 64.0)
-    "reach-exact-start-long-word": (
-        ["reach", "--mu1-exact=1,0,0", "--mu2-exact=0,1,2",
-         "--target1=0.6627834591034834", "--target2=2.588071089730528",
-         "--budget=3000"], 0, None, "out",
-        '"final_error":0.00024237259880723159,'),
     # the doubling caps stop at 1024, the last that fits in 1500
     "rotnum-names-the-iterations-run": (
         ["rotnum", "--rhoA=2.887559999924621", "--rhoB=0.7176082903346565",

@@ -1,6 +1,5 @@
 """Exact quadratic arithmetic and continued-fraction helpers."""
 
-import decimal
 import math
 import operator
 import random
@@ -13,7 +12,7 @@ import oracles
 from dilatorus.quadratics import (MAX_RADICAND, QuadraticNumber,
                                   cf_convergents, float_convergents,
                                   integer_form, quadratic, slack,
-                                  stable_float, surd_sign)
+                                  surd_sign)
 
 SEED = 20260817
 
@@ -104,29 +103,6 @@ def test_floor_brackets_the_value():
         x = random_quadratic(rng, d) * Fraction(10) ** rng.randint(-400, 400)
         n = x.floor()
         assert n <= x < n + 1, x
-
-
-def test_stable_float_is_within_a_few_ulps_where_float_cancels():
-    # p - q*sqrt(d) with p = isqrt(q^2 d) (+1): values near 0 whose
-    # float() cancels, against 60-digit decimal arithmetic
-    rng = random.Random(SEED + 11)
-    ctx = decimal.Context(prec=60)
-    cancelled = 0
-    for _ in range(300):
-        d = rng.choice((2, 3, 5, 7, 10))
-        q = rng.randint(1, 10 ** rng.randint(1, 17))
-        p = math.isqrt(q * q * d) + rng.randint(0, 1)
-        x = QuadraticNumber(Fraction(p, 3), Fraction(-q, 3), d)
-        true = ctx.divide(ctx.subtract(p, ctx.multiply(q, ctx.sqrt(d))), 3)
-        got = stable_float(x)
-        assert abs(decimal.Decimal(got) - true) <= 4 * math.ulp(float(true))
-        cancelled += abs(float(x) - got) > 4 * math.ulp(got)
-    assert cancelled >= 100
-    # exact values whose float() does not cancel, and floats, read as
-    # float() reads them
-    for x in (QuadraticNumber(1, 1, 2), QuadraticNumber(-1, -1, 3),
-              QuadraticNumber(Fraction(1, 3)), Fraction(2, 7), 5, 0.1):
-        assert stable_float(x) == float(x)
 
 
 def test_continued_fraction_roundtrip():

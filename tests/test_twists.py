@@ -13,7 +13,7 @@ from dilatorus import twists
 from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               NotInMonoid, RationalRatio)
 from dilatorus.geometry import DilationParams, square_room
-from dilatorus.quadratics import QuadraticNumber, stable_float
+from dilatorus.quadratics import QuadraticNumber
 from dilatorus.twists import (Holonomy, TwistGenerator, admissibility_violation,
                               apply_word, decompose_sl2n, gauss_contraction,
                               holonomy_class, mu_after, mu_path,
@@ -362,29 +362,6 @@ def test_reach_target_whose_every_refold_fails_exhausts(monkeypatch):
                                               "budget reached the target"):
         reach_target(REFOLD_START, REFOLD_TARGET, 1e-2)
     assert len(words) >= 2
-
-
-@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
-def test_exact_contraction_stops_at_its_first_block_below_eps(eps):
-    # from eps = 1e-8 on, float() of the contracted values cancels to 0
-    result = gauss_contraction(REFOLD_START, eps)
-    last = result.blocks[-1][1]
-    before = mu_after(result.word[:-last], REFOLD_START)
-    assert result.final == mu_after(result.word, REFOLD_START)
-    assert math.hypot(*map(stable_float, result.final)) < eps
-    assert math.hypot(*map(stable_float, before)) >= eps
-
-
-def test_reach_target_reads_a_long_exact_word_without_cancellation():
-    # float() of this 2,853-letter word's exact end cancels to
-    # (16.0, 64.0), and of its contracted parameters to 0
-    target = (0.6627834591034834, 2.588071089730528)
-    report = reach_target(REFOLD_START, target, 1e-2, budget=3000)
-    assert len(report.word) == 2853
-    end = report.mu_checkpoints[-1][1]
-    assert end == tuple(map(stable_float, report.final_params))
-    assert report.final_error == math.hypot(end[0] - target[0],
-                                            end[1] - target[1]) <= 1e-2
 
 
 def test_holonomy_exact_dichotomy():
