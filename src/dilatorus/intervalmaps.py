@@ -37,6 +37,26 @@ MERGE_TOL: float = 1e-12
 IMAGE_TOL: float = 1e-9
 
 
+def check_two_slope(rho_a: Scalar, rho_b: Scalar, x_t: Scalar,
+                    tol: float) -> None:
+    """ValueError unless (rho_a, rho_b, x_t) is a two-slope map: positive
+    slopes, not both above 1, a break point inside (0, 1), and branch
+    images that overlap by at most `tol`, which is
+    `slack(INJECTIVITY_SLACK, rho_a, rho_b, x_t)`."""
+    if not (rho_a > 0 and rho_b > 0):
+        raise ValueError("slopes must be positive")
+    if rho_a > 1 and rho_b > 1:
+        raise ValueError("slopes may not both exceed 1")
+    if not (0 < x_t < 1):
+        raise ValueError(f"break point {x_t} must lie in (0, 1)")
+    lhs = rho_b * (1 - x_t)
+    rhs = 1 - rho_a * x_t
+    if lhs > rhs + tol:
+        raise ValueError(
+            f"branch images overlap: rho_b*(1-x_t)={lhs} exceeds "
+            f"1-rho_a*x_t={rhs}")
+
+
 class _TwoSlopeFields(NamedTuple):
     rho_a: Scalar
     rho_b: Scalar
@@ -47,28 +67,14 @@ class TwoSlopeMap(_TwoSlopeFields):
     __slots__ = ()
 
     def __new__(cls, rho_a: Scalar, rho_b: Scalar, x_t: Scalar) -> TwoSlopeMap:
-        if not (rho_a > 0 and rho_b > 0):
-            raise ValueError("slopes must be positive")
-        if rho_a > 1 and rho_b > 1:
-            raise ValueError("slopes may not both exceed 1")
-        if not (0 < x_t < 1):
-            raise ValueError(f"break point {x_t} must lie in (0, 1)")
-        lhs = rho_b * (1 - x_t)
-        rhs = 1 - rho_a * x_t
-        if lhs > rhs + slack(INJECTIVITY_SLACK, rho_a, rho_b, x_t):
-            raise ValueError(
-                f"branch images overlap: rho_b*(1-x_t)={lhs} exceeds "
-                f"1-rho_a*x_t={rhs}")
+        check_two_slope(rho_a, rho_b, x_t,
+                        slack(INJECTIVITY_SLACK, rho_a, rho_b, x_t))
         return tuple.__new__(cls, (rho_a, rho_b, x_t))
 
     @property
     def is_exact(self) -> bool:
         ra, rb, xt = self
         return is_exact(ra) and is_exact(rb) and is_exact(xt)
-
-    @property
-    def intercept_a(self) -> Scalar:
-        return 1 - self.rho_a * self.x_t
 
     def as_floats(self) -> tuple[float, float, float]:
         ra, rb, xt = self
@@ -121,7 +127,8 @@ def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
 
     With x_t strictly inside the hole (`thresholds`) the image of [0,1]
     avoids x_t, both branches map across the break, and T^2 contracts
-    with factor rho_a*rho_b < 1 toward a unique 2-cycle.
+    with factor rho_a*rho_b < 1 toward a unique 2-cycle.  `tsm` may be
+    any (rho_a, rho_b, x_t) triple of a valid map.
     """
     ra, rb, xt = tsm
     lo, hi = thresholds(ra, rb)
@@ -129,8 +136,9 @@ def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
         raise NotInHole(
             f"x_t={xt} is not strictly inside the hole ({lo}, {hi})")
     mult = ra * rb
-    x_star = rb * (tsm.intercept_a - xt) / (1 - mult)
-    y_star = ra * x_star + tsm.intercept_a
+    intercept_a = 1 - ra * xt
+    x_star = rb * (intercept_a - xt) / (1 - mult)
+    y_star = ra * x_star + intercept_a
     return PeriodicCycle((x_star, y_star), 2, mult)
 
 

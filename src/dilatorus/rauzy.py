@@ -10,6 +10,18 @@ attracting 2-cycle.  Pulling the hole back through the inverse parameter
 maps produces the nested word intervals whose intersection is the Cantor set
 of infinitely renormalizable parameters.
 
+`iterate_induction` runs these steps on plain scalars: it carries the
+current map as (rho_a, rho_b, x_t) and each step's chart as a (scale,
+offset) pair, computed by `induce`'s expressions, and builds no
+TwoSlopeMap, AffineChart or step record along the word.  One classifier,
+which `classify_step` shares, decides each step once, and each induced
+triple is checked by `intervalmaps.check_two_slope`, the rule every
+TwoSlopeMap is built under, at a slack read once since exactness holds
+along the word.  A halt's 2-cycle is lifted back through the inverse
+charts and then iterated with the original map's branch laws.  The
+plain-loop oracle in the tests, built on `induce` and `evaluate`, holds
+the loop to the same bits.
+
 Each letter's inverse parameter map is a Moebius factor, so the pull-back
 along a word is their product.  One top-down walk of the word tree serves
 the word intervals, the survivor measure and the interval of a single
@@ -41,13 +53,15 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import EmptyInterval, NonConvergence, NotRenormalizable
+from .errors import (AtDiscontinuity, EmptyInterval, NonConvergence,
+                     NotRenormalizable)
 from .intervalmaps import (
+    INJECTIVITY_SLACK,
     AffineChart,
     PeriodicCycle,
     TwoSlopeMap,
     attracting_cycle_in_hole,
-    evaluate,
+    check_two_slope,
     thresholds,
 )
 from .quadratics import Scalar, as_ratio, is_exact, slack
@@ -92,17 +106,24 @@ _WINNER_A, _WINNER_B = StepClass.WINNER_A, StepClass.WINNER_B
 _HALT, _BOUNDARY = StepClass.HALT, StepClass.BOUNDARY
 
 
-def classify_step(tsm: TwoSlopeMap) -> StepClass:
-    """Which branch image captures the break point, if any."""
-    rho_a, rho_b, x_t = tsm
-    thr_b, thr_a = thresholds(rho_a, rho_b)
-    if x_t == thr_b or x_t == thr_a:
+def _step_class(ra: Scalar, rb: Scalar, xt: Scalar) -> StepClass:
+    """Which branch image captures the break point of the map
+    (ra, rb, xt), if any: the one classifier of a step.  Its thresholds
+    are those of `thresholds`, written out, since the induction loop
+    calls it on every step."""
+    thr_b, thr_a = rb / (1 + rb), 1 / (1 + ra)
+    if xt == thr_b or xt == thr_a:
         return _BOUNDARY
-    if x_t < thr_b:
+    if xt < thr_b:
         return _WINNER_B
-    if x_t > thr_a:
+    if xt > thr_a:
         return _WINNER_A
     return _HALT
+
+
+def classify_step(tsm: TwoSlopeMap) -> StepClass:
+    """Which branch image captures the break point, if any."""
+    return _step_class(*tsm)
 
 
 class InductionStep(NamedTuple):
@@ -116,18 +137,10 @@ def induce(tsm: TwoSlopeMap) -> InductionStep:
 
     The break parameter transforms by a Moebius map in each case; the chart
     rescales the induced subinterval ([0,x_t) for A, (x_t,1] for B) back to
-    the unit interval.  Rational inputs stay rational.
+    the unit interval.  Rational inputs stay rational.  `iterate_induction`
+    runs the same expressions on plain scalars.
     """
     verdict = classify_step(tsm)
-    induced, chart = _induce(tsm, verdict)
-    return InductionStep(induced, verdict, chart)
-
-
-def _induce(tsm: TwoSlopeMap, verdict: StepClass
-            ) -> tuple[TwoSlopeMap, AffineChart]:
-    """(induced map, chart) of the step of `tsm` whose class is
-    `verdict`, as `classify_step` gives it; NotRenormalizable without a
-    winner, or when rounding leaves the induced map invalid."""
     ra, rb, xt = tsm
     if verdict is _WINNER_A:
         slopes, new_xt = (ra, ra * rb), ((1 + ra) * xt - 1) / (ra * xt)
@@ -138,11 +151,16 @@ def _induce(tsm: TwoSlopeMap, verdict: StepClass
     else:
         raise NotRenormalizable(f"step class is {verdict.value}; no winner")
     try:
-        return TwoSlopeMap(*slopes, new_xt), chart
+        return InductionStep(TwoSlopeMap(*slopes, new_xt), verdict, chart)
     except ValueError as exc:
-        # float rounding can push the induced map past the injectivity slack
-        raise NotRenormalizable(f"induced map is not a valid two-slope map: "
-                                f"{exc}") from exc
+        raise _invalid_induced_map(exc) from exc
+
+
+def _invalid_induced_map(exc: ValueError) -> NotRenormalizable:
+    """The refusal of an induced map that float rounding pushed past
+    the validity rule of a two-slope map."""
+    return NotRenormalizable(f"induced map is not a valid two-slope map: "
+                             f"{exc}")
 
 
 class Subdivision(NamedTuple):
@@ -182,32 +200,48 @@ class RauzyOutcome(NamedTuple):
     cycle: Optional[PeriodicCycle]
 
 
-def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
-                     charts: list[AffineChart], period: int) -> PeriodicCycle:
+def _pull_back_cycle(tsm: TwoSlopeMap, final: tuple, charts: list[tuple],
+                     period: int) -> PeriodicCycle:
     """Lift the final map's 2-cycle to the full cycle of the original map.
 
-    Inverse charts send one cycle point back to original coordinates; the
-    remaining points are recovered by iterating, since the induced maps are
-    first returns.  The cycle has `period` points, the two branch return
-    times of `final` summed, so the lift takes exactly that many steps: a
-    contracting cycle may pass closer to its first point before it closes.
-    The multiplier is the slope product along the loop, which equals the
-    final map's rho_a*rho_b.
+    `final` is the last induced map's (rho_a, rho_b, x_t) and `charts`
+    the steps' (scale, offset) pairs, first step first.  The inverse
+    charts send one cycle point back to original coordinates; the
+    remaining points are recovered by iterating the original map's
+    branch laws, since the induced maps are first returns.  Each point
+    is refused as `intervalmaps.evaluate` refuses it: outside [0, 1] or
+    on the break point.  The cycle has `period` points, the two branch
+    return times of `final` summed, so the lift takes exactly that many
+    steps: a contracting cycle may pass closer to its first point before
+    it closes.  The multiplier is the slope product along the loop,
+    which equals the final map's rho_a*rho_b.
     """
     if period > RECONSTRUCT_CAP:
         raise NonConvergence(f"cycle period {period} exceeds the "
                              f"reconstruction cap {RECONSTRUCT_CAP}")
     seed = attracting_cycle_in_hole(final).points[0]
-    for chart in reversed(charts):
-        seed = chart.invert(seed)
+    for scale, offset in reversed(charts):
+        seed = (seed - offset) / scale
     ra, rb, xt = tsm
-    pts = [seed]
-    mult = ra if seed < xt else rb
-    x = evaluate(tsm, seed)
-    for _ in range(period - 1):
-        pts.append(x)
-        mult = mult * (ra if x < xt else rb)
-        x = evaluate(tsm, x)
+    intercept_a = 1 - ra * xt
+    pts: list = []
+    append = pts.append
+    x, mult = seed, 1
+    for _ in range(period):
+        # a point below x_t is below 1 and one above it is above 0, so
+        # each branch tests one end of [0, 1]; NaN takes neither branch
+        if x < xt and x >= 0:
+            append(x)
+            mult *= ra
+            x = ra * x + intercept_a
+        elif x > xt and x <= 1:
+            append(x)
+            mult *= rb
+            x = rb * (x - xt)
+        elif x == xt:
+            raise AtDiscontinuity(f"map is undefined at its break point {x}")
+        else:
+            raise ValueError(f"{x} is outside [0, 1]")
     tol = slack(CYCLE_CLOSE_TOL, ra, rb, xt, seed)
     if not abs(x - seed) <= tol:        # a NaN never closes
         raise NonConvergence(
@@ -219,42 +253,55 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: TwoSlopeMap,
 def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     """Renormalize until the dynamics halts, hits a threshold tie, or the
     step budget runs out.  Budget 0 classifies the first step only.
-    Each step is classified once, and every induced map is built and
-    validated as a TwoSlopeMap.  The return times (t_a, t_b) of the
-    current map's branches to the original map start at (1, 1); letter L
-    adds t_b to t_a and letter R adds t_a to t_b."""
+
+    The loop steps the plain scalars (rho_a, rho_b, x_t) and keeps each
+    chart as a (scale, offset) pair, both by `induce`'s expressions: each
+    step is classified once by `_step_class`, and each induced triple is
+    checked by `intervalmaps.check_two_slope`, the rule a TwoSlopeMap
+    applies, at the injectivity slack of the input, read once.  The
+    return times (t_a, t_b) of the current map's branches to the
+    original map start at (1, 1); letter L adds t_b to t_a and letter R
+    adds t_a to t_b."""
     if budget < 0:
         raise ValueError("induction budget must be nonnegative")
+    ra, rb, xt = tsm
     # an induced map is exact exactly when its input is: a float slope
-    # or break point passes into every later map
-    exact = tsm.is_exact
-    current = tsm
-    charts: list[AffineChart] = []
+    # or break point passes into every later map, so the slack, 0 on
+    # exact data only, holds along the loop
+    tol = slack(INJECTIVITY_SLACK, ra, rb, xt)
+    charts: list[tuple] = []
     letters: list[str] = []
     t_a = t_b = 1
-    for _ in range(budget + 1):
-        verdict = classify_step(current)
+    for step in range(budget + 1):
+        verdict = _step_class(ra, rb, xt)
         if verdict is _HALT:
-            cycle = _pull_back_cycle(tsm, current, charts, t_a + t_b)
+            cycle = _pull_back_cycle(tsm, (ra, rb, xt), charts, t_a + t_b)
             return RauzyOutcome("".join(letters), TerminalKind.HALT, cycle)
         if verdict is _BOUNDARY:
             return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY, None)
-        if len(letters) == budget:
+        if step == budget:
             break
-        if not exact and not (
-                FLOAT_SLOPE_MIN < float(current.rho_a) < FLOAT_SLOPE_MAX
-                and FLOAT_SLOPE_MIN < float(current.rho_b) < FLOAT_SLOPE_MAX):
+        if tol and not (FLOAT_SLOPE_MIN < float(ra) < FLOAT_SLOPE_MAX
+                        and FLOAT_SLOPE_MIN < float(rb) < FLOAT_SLOPE_MAX):
             # Float slopes grow without bound along non-halting words;
             # past this range the induced data is no longer meaningful.
             break
-        current, chart = _induce(current, verdict)
+        # `induce`'s expressions, on the scalars
         if verdict is _WINNER_B:
+            rest = 1 - xt
+            charts.append((1 / rest, -xt / rest))
+            ra, xt = ra * rb, xt / (rb * rest)
             letters.append("L")
             t_a += t_b
         else:
+            charts.append((1 / xt, 0 * xt))
+            rb, xt = ra * rb, ((1 + ra) * xt - 1) / (ra * xt)
             letters.append("R")
             t_b += t_a
-        charts.append(chart)
+        try:
+            check_two_slope(ra, rb, xt, tol)
+        except ValueError as exc:
+            raise _invalid_induced_map(exc) from exc
     return RauzyOutcome("".join(letters), TerminalKind.BUDGET_EXHAUSTED, None)
 
 

@@ -13,17 +13,18 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from dilatorus import cli
+from dilatorus import cli, rauzy
 from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               NonConvergence, NotTransverse, VertexHit)
 from dilatorus.geometry import (PARALLEL_EPS, DilationParams, Room, SL2Matrix,
                                 Vec2, angle_dist_mod_pi, unit)
-from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, PeriodicCycle,
-                                    PiecewiseAffineMap, TwoSlopeMap)
-from dilatorus.quadratics import QuadraticNumber, Scalar
+from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, AffineChart,
+                                    PeriodicCycle, PiecewiseAffineMap,
+                                    TwoSlopeMap, attracting_cycle_in_hole,
+                                    evaluate)
+from dilatorus.quadratics import QuadraticNumber, Scalar, slack
 from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
-                             StepClass, TerminalKind, _pull_back_cycle,
-                             classify_step, induce)
+                             StepClass, TerminalKind, classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
@@ -165,14 +166,46 @@ def compare_induction_to_simulation(induce_fn, n_triples: int,
     return worst
 
 
+def lift_cycle_oracle(tsm: TwoSlopeMap, final: TwoSlopeMap,
+                      charts: list[AffineChart], period: int) -> PeriodicCycle:
+    """The cycle of `tsm` that the 2-cycle of its induced map `final`
+    lifts to, through the AffineCharts of the steps: one cycle point is
+    sent back by `AffineChart.invert`, and the others follow by one
+    `intervalmaps.evaluate` per point, for `period` points.  Refused
+    with NonConvergence as `rauzy` refuses it: a period past
+    `rauzy.RECONSTRUCT_CAP` before any step, and a lift that is not back
+    within `rauzy.CYCLE_CLOSE_TOL` of its first point after its period."""
+    if period > rauzy.RECONSTRUCT_CAP:
+        raise NonConvergence(f"cycle period {period} exceeds the "
+                             f"reconstruction cap {rauzy.RECONSTRUCT_CAP}")
+    seed = attracting_cycle_in_hole(final).points[0]
+    for chart in reversed(charts):
+        seed = chart.invert(seed)
+    ra, rb, xt = tsm
+    pts = [seed]
+    mult = ra if seed < xt else rb
+    x = evaluate(tsm, seed)
+    for _ in range(period - 1):
+        pts.append(x)
+        mult = mult * (ra if x < xt else rb)
+        x = evaluate(tsm, x)
+    tol = slack(rauzy.CYCLE_CLOSE_TOL, ra, rb, xt, seed)
+    if not abs(x - seed) <= tol:        # a NaN never closes
+        raise NonConvergence(
+            f"cycle lift does not return to its first point after its period "
+            f"of {period} steps; the chart pullback must be wrong")
+    return PeriodicCycle(tuple(pts), period, mult)
+
+
 def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     """`rauzy.iterate_induction` as a plain loop over the public
     `classify_step` and `induce`, which classifies each step a second
-    time.  A halt is lifted to the original map by `rauzy._pull_back_cycle`,
-    the one piece shared with the library, for the period that the loop
-    counts: the current map's branches return to the original map after
-    `times` = (t_a, t_b) steps, and each induced branch is one old branch
-    followed by the other or by itself alone."""
+    time and builds each induced map and chart as a TwoSlopeMap and an
+    AffineChart.  A halt is lifted to the original map by
+    `lift_cycle_oracle`, for the period that the loop counts: the
+    current map's branches return to the original map after `times` =
+    (t_a, t_b) steps, and each induced branch is one old branch followed
+    by the other or by itself alone."""
     current = tsm
     charts = []
     word = ""
@@ -181,8 +214,8 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
         verdict = classify_step(current)
         if verdict is StepClass.HALT:
             return RauzyOutcome(word, TerminalKind.HALT,
-                                _pull_back_cycle(tsm, current, charts,
-                                                 sum(times)))
+                                lift_cycle_oracle(tsm, current, charts,
+                                                  sum(times)))
         if verdict is StepClass.BOUNDARY:
             return RauzyOutcome(word, TerminalKind.BOUNDARY, None)
         if len(word) == budget:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from dilatorus import rauzy
 from dilatorus.errors import (DilatorusError, EmptyInterval, NonConvergence,
                               NotRenormalizable)
 from dilatorus.geometry import square_room
-from dilatorus.intervalmaps import TwoSlopeMap, evaluate
+from dilatorus.intervalmaps import AffineChart, TwoSlopeMap, evaluate
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import (StepClass, TerminalKind,
                              classify_step, induce, interval_for_word,
@@ -159,6 +160,31 @@ def _exact_maps(rng: random.Random, count: int) -> list:
     return maps
 
 
+def _near_rotation_maps(rng: random.Random, count: int) -> list:
+    """Float maps with slopes (2^-s, 2^s), whose product is 1, and a
+    break point just inside the injectivity boundary x*, where the map is
+    close to a circle rotation: their holes open late, after hundreds of
+    steps, on cycles of hundreds to thousands of points."""
+    maps = []
+    for _ in range(count):
+        s = rng.choice((1, 2, 3))
+        ra, rb = rng.choice(((2.0 ** -s, 2.0 ** s), (2.0 ** s, 2.0 ** -s)))
+        x_star = (1.0 - rb) / (ra - rb)
+        offset = 10.0 ** rng.uniform(-5.0, -2.0)
+        maps.append(TwoSlopeMap(ra, rb, x_star + offset if rb > 1.0
+                                else x_star - offset))
+    return maps
+
+
+def _outcome_or_refusal(fn, tsm, budget):
+    """`_outcome_bits` of fn(tsm, budget), or the type and message of
+    the domain error it raises."""
+    try:
+        return _outcome_bits(fn(tsm, budget))
+    except DilatorusError as exc:
+        return type(exc), str(exc)
+
+
 def test_iterate_induction_matches_the_plain_loop_oracle():
     rng = random.Random(SEED + 14)
     floats = []
@@ -175,6 +201,26 @@ def test_iterate_induction_matches_the_plain_loop_oracle():
         assert _outcome_bits(got) == _outcome_bits(want), (tsm, budget)
         terminals.add(got.terminal)
     assert terminals == set(TerminalKind)
+    # long lifts: the library's inline branch laws against one
+    # intervalmaps.evaluate per point
+    periods = []
+    for tsm in _near_rotation_maps(rng, 80):
+        got = iterate_induction(tsm, 600)
+        want = oracles.iterate_induction_oracle(tsm, 600)
+        assert _outcome_bits(got) == _outcome_bits(want), tsm
+        if got.cycle is not None:
+            periods.append(got.cycle.period)
+    assert sum(period >= 1000 for period in periods) >= 3
+    # the refusals: an induced map that rounding made invalid, and a
+    # period past RECONSTRUCT_CAP, with the same messages
+    refusals = set()
+    for tsm in _boundary_maps():
+        got = _outcome_or_refusal(iterate_induction, tsm, 3000)
+        want = _outcome_or_refusal(oracles.iterate_induction_oracle, tsm,
+                                   3000)
+        assert got == want, tsm
+        refusals.add(got[0])
+    assert refusals == {NotRenormalizable, NonConvergence}
 
 
 def _winner_maps(rng: random.Random, count: int, exact: bool) -> list:
@@ -231,20 +277,60 @@ def test_induce_rounds_once_where_its_formulas_round_once():
 
 
 def test_iterate_induction_classifies_each_step_once(monkeypatch):
+    # the loop classifies through the scalar classifier that
+    # classify_step shares
     calls = []
-    real = rauzy.classify_step
+    real = rauzy._step_class
 
-    def counted(tsm):
-        calls.append(tsm)
-        return real(tsm)
+    def counted(*triple):
+        calls.append(triple)
+        return real(*triple)
 
-    monkeypatch.setattr(rauzy, "classify_step", counted)
+    monkeypatch.setattr(rauzy, "_step_class", counted)
     rng = random.Random(SEED + 15)
     for tsm in _exact_maps(rng, 20):
         for budget in (0, 3, 40):
             calls.clear()
             outcome = iterate_induction(tsm, budget)
             assert len(calls) == len(outcome.word) + 1, (tsm, budget)
+
+
+def _maps_and_charts_built(fn) -> int:
+    """How many TwoSlopeMaps and AffineCharts fn() builds and how many
+    times it calls intervalmaps.evaluate, counted by a profile hook."""
+    codes = {TwoSlopeMap.__new__.__code__, AffineChart.__new__.__code__,
+             evaluate.__code__}
+    built = 0
+
+    def hook(frame, event, _arg):
+        nonlocal built
+        built += event == "call" and frame.f_code in codes
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+def test_iterate_induction_builds_no_map_or_chart_per_step():
+    # maps near the circle rotation with slopes (1/2, 2), whose
+    # injectivity boundary is x* = 2/3, run the whole budget; the one
+    # from the flow monitor takes 520 letters, then lifts a cycle of
+    # 5,169 points
+    near = TwoSlopeMap(0.5, 2.0, 2.0 / 3.0 + 1e-7)
+    rotation = TwoSlopeMap(0.5, 2.0, float.fromhex("0x1.558db13899badp-1"))
+    runs = [(TwoSlopeMap(0.5, 0.5, 0.25), 10),      # "L", then a 3-cycle
+            (near, 40), (near, 600), (rotation, 600)]
+    outcomes = [iterate_induction(tsm, budget) for tsm, budget in runs]
+    assert [len(o.word) for o in outcomes] == [1, 40, 600, 520]
+    assert outcomes[-1].cycle.period == 5169
+    counts = [_maps_and_charts_built(lambda: iterate_induction(tsm, budget))
+              for tsm, budget in runs]
+    assert counts == [counts[0]] * len(runs)
+    # the guard sees the oracle's map, chart and evaluation per step
+    assert _maps_and_charts_built(
+        lambda: oracles.iterate_induction_oracle(rotation, 600)) > 5169
 
 
 def test_cycle_reconstruction_cap_raises_nonconvergence(monkeypatch):
@@ -315,18 +401,20 @@ def test_boundary_maps_raise_only_domain_errors():
 
 
 def test_an_overlong_cycle_is_refused_before_it_is_lifted(monkeypatch):
+    # a lift starts from the final map's 2-cycle, so no seed means no
+    # lifted point
     calls = []
-    real = rauzy.evaluate
+    real = rauzy.attracting_cycle_in_hole
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(rauzy, "evaluate", counted)
+    monkeypatch.setattr(rauzy, "attracting_cycle_in_hole", counted)
     for tsm in _boundary_maps():
         with pytest.raises((NotRenormalizable, NonConvergence)):
             iterate_induction(tsm, budget=3000)
-    assert len(calls) < 10 ** 6
+    assert calls == []
 
 
 def test_interval_for_word_contains_its_parameters():
