@@ -189,7 +189,7 @@ def _room_payload(room: Room) -> dict:
         "e1": list(room.e1.as_floats()),
         "e2": list(room.e2.as_floats()),
     }
-    if room.params.is_exact:
+    if is_exact(*room.params):
         # each parameter as its (a, b, d) triple, a + b*sqrt(d)
         data["mu_exact"] = [[str(q.a), str(q.b), q.d]
                             for q in map(quadratic, room.params)]

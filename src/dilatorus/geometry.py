@@ -25,7 +25,7 @@ from .errors import (
     NonSimplePentagon,
     OutsideQ,
 )
-from .quadratics import Scalar, as_float, is_exact
+from .quadratics import Scalar, as_float
 
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
@@ -182,10 +182,6 @@ class DilationParams(NamedTuple):
     mu1: Scalar
     mu2: Scalar
 
-    @property
-    def is_exact(self) -> bool:
-        return is_exact(self.mu1) and is_exact(self.mu2)
-
     def as_floats(self) -> tuple[float, float]:
         """(mu1, mu2) as floats; ValueError for an exact one past the
         float range."""
@@ -221,13 +217,6 @@ class DilationParams(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.mu1 == 0 and self.mu2 == 0
-
-
-def _coerce_params(mu) -> DilationParams:
-    if isinstance(mu, DilationParams):
-        return mu
-    m1, m2 = mu
-    return DilationParams(m1, m2)
 
 
 # --- rooms ---
@@ -473,7 +462,10 @@ def build_room(e1, e2, mu) -> Room:
         e1 = Vec2(*e1)
     if not isinstance(e2, Vec2):
         e2 = Vec2(*e2)
-    return Room(e1, e2, _coerce_params(mu))
+    if not isinstance(mu, DilationParams):
+        m1, m2 = mu
+        mu = DilationParams(m1, m2)
+    return Room(e1, e2, mu)
 
 
 def square_room(mu1: Scalar, mu2: Scalar) -> Room:

@@ -14,10 +14,11 @@ brought to this normal form by restricting to the image interval.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .errors import AtDiscontinuity, NotInHole, NotReducible
-from .quadratics import Scalar, as_float, is_exact, slack
+from .quadratics import Scalar, as_float, slack
 
 # Every tolerance below applies to float data only: through
 # quadratics.slack, data whose numbers are all exact compares exactly.
@@ -70,15 +71,6 @@ class TwoSlopeMap(_TwoSlopeFields):
         check_two_slope(rho_a, rho_b, x_t,
                         slack(INJECTIVITY_SLACK, rho_a, rho_b, x_t))
         return tuple.__new__(cls, (rho_a, rho_b, x_t))
-
-    @property
-    def is_exact(self) -> bool:
-        ra, rb, xt = self
-        return is_exact(ra) and is_exact(rb) and is_exact(xt)
-
-    def as_floats(self) -> tuple[float, float, float]:
-        ra, rb, xt = self
-        return (float(ra), float(rb), float(xt))
 
 
 def evaluate(tsm: TwoSlopeMap, x: Scalar, side: Optional[str] = None) -> Scalar:
@@ -195,14 +187,6 @@ class AffineBranch(_BranchFields):
                 and abs(self.intercept - other.intercept) <= tol)
 
 
-def _branches_slack(tol: float, branches: tuple[AffineBranch, ...]) -> float:
-    """`slack(tol, ...)` over the numbers of `branches`, branch by branch."""
-    for b in branches:
-        if slack(tol, b.lo, b.hi, b.slope, b.intercept):
-            return tol
-    return 0
-
-
 class _PiecewiseFields(NamedTuple):
     branches: tuple[AffineBranch, ...]
 
@@ -219,7 +203,7 @@ class PiecewiseAffineMap(_PiecewiseFields):
                 ) -> PiecewiseAffineMap:
         if not branches:
             raise ValueError("need at least one branch")
-        tol = _branches_slack(MERGE_TOL, branches)
+        tol = slack(MERGE_TOL, *chain.from_iterable(branches))
         if tol:     # float data: scaled by the domain ends
             lo, hi = branches[0].lo, branches[-1].hi
             tol *= max(1.0, abs(as_float(lo, "the domain's low end")),

@@ -263,25 +263,25 @@ def integer_form(*xs) -> tuple[int, int, list[tuple[int, int]]]:
 Scalar = Union[int, Fraction, float, QuadraticNumber]
 
 
-def is_exact(x) -> bool:
-    """Whether x belongs to the exact track (int, Fraction, QuadraticNumber).
+def is_exact(*values) -> bool:
+    """Whether every one of `values` belongs to the exact track (int,
+    Fraction, QuadraticNumber); true of no values at all.
 
     A float, the common case on the float track, is answered by its type
     alone, before the isinstance test that Fraction's abstract base class
     makes slow."""
-    if type(x) is float:
-        return False
-    return isinstance(x, (int, Fraction, QuadraticNumber))
+    for x in values:
+        if type(x) is float or not isinstance(
+                x, (int, Fraction, QuadraticNumber)):
+            return False
+    return True
 
 
 def slack(tol: float, *values: Scalar) -> float:
-    """The tolerance a comparison of `values` gets: `tol` from the first
-    float on, and 0 when every one is exact, so exact data compares
+    """The tolerance a comparison of `values` gets: `tol` if one is a
+    float, and 0 when every one is exact, so exact data compares
     exactly."""
-    for x in values:
-        if type(x) is float or not is_exact(x):
-            return tol
-    return 0
+    return 0 if is_exact(*values) else tol
 
 
 def as_float(x: Scalar, name: str) -> float:

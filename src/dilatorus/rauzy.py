@@ -14,10 +14,10 @@ of infinitely renormalizable parameters.
 current map as (rho_a, rho_b, x_t) and each step's chart as a (scale,
 offset) pair, computed by `induce`'s expressions, and builds no
 TwoSlopeMap, AffineChart or step record along the word.  One classifier,
-which `classify_step` shares, decides each step once, and each induced
-triple is checked by `intervalmaps.check_two_slope`, the rule every
-TwoSlopeMap is built under, at a slack read once since exactness holds
-along the word.  A halt's 2-cycle is lifted back through the inverse
+`classify_step`, which `induce` shares, decides each step once, and each
+induced triple is checked by `intervalmaps.check_two_slope`, the rule
+every TwoSlopeMap is built under, at a slack read once since exactness
+holds along the word.  A halt's 2-cycle is lifted back through the inverse
 charts and then iterated with the original map's branch laws.  The
 plain-loop oracle in the tests, built on `induce` and `evaluate`, holds
 the loop to the same bits.
@@ -106,7 +106,7 @@ _WINNER_A, _WINNER_B = StepClass.WINNER_A, StepClass.WINNER_B
 _HALT, _BOUNDARY = StepClass.HALT, StepClass.BOUNDARY
 
 
-def _step_class(ra: Scalar, rb: Scalar, xt: Scalar) -> StepClass:
+def classify_step(ra: Scalar, rb: Scalar, xt: Scalar) -> StepClass:
     """Which branch image captures the break point of the map
     (ra, rb, xt), if any: the one classifier of a step.  Its thresholds
     are those of `thresholds`, written out, since the induction loop
@@ -119,11 +119,6 @@ def _step_class(ra: Scalar, rb: Scalar, xt: Scalar) -> StepClass:
     if xt > thr_a:
         return _WINNER_A
     return _HALT
-
-
-def classify_step(tsm: TwoSlopeMap) -> StepClass:
-    """Which branch image captures the break point, if any."""
-    return _step_class(*tsm)
 
 
 class InductionStep(NamedTuple):
@@ -140,7 +135,7 @@ def induce(tsm: TwoSlopeMap) -> InductionStep:
     the unit interval.  Rational inputs stay rational.  `iterate_induction`
     runs the same expressions on plain scalars.
     """
-    verdict = classify_step(tsm)
+    verdict = classify_step(*tsm)
     ra, rb, xt = tsm
     if verdict is _WINNER_A:
         slopes, new_xt = (ra, ra * rb), ((1 + ra) * xt - 1) / (ra * xt)
@@ -188,9 +183,20 @@ class Subdivision(NamedTuple):
         return (self.left[1], hole_len, self.rho_a / (1 + self.rho_a))
 
 
-def subdivision(rho_a: Scalar, rho_b: Scalar) -> Subdivision:
+def _check_slopes(rho_a: Scalar, rho_b: Scalar) -> None:
+    """ValueError unless both slopes are positive, and finite when they
+    are floats."""
+    if not all(math.isfinite(x) for x in (rho_a, rho_b)
+               if isinstance(x, float)):
+        raise ValueError(f"slopes must be finite, got ({rho_a!r}, {rho_b!r})")
     if not (rho_a > 0 and rho_b > 0):
         raise ValueError("slopes must be positive")
+
+
+def subdivision(rho_a: Scalar, rho_b: Scalar) -> Subdivision:
+    """The subdivision at slopes that are positive, and finite when they
+    are floats."""
+    _check_slopes(rho_a, rho_b)
     return Subdivision(rho_a, rho_b)
 
 
@@ -256,7 +262,7 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 
     The loop steps the plain scalars (rho_a, rho_b, x_t) and keeps each
     chart as a (scale, offset) pair, both by `induce`'s expressions: each
-    step is classified once by `_step_class`, and each induced triple is
+    step is classified once by `classify_step`, and each induced triple is
     checked by `intervalmaps.check_two_slope`, the rule a TwoSlopeMap
     applies, at the injectivity slack of the input, read once.  The
     return times (t_a, t_b) of the current map's branches to the
@@ -273,7 +279,7 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     letters: list[str] = []
     t_a = t_b = 1
     for step in range(budget + 1):
-        verdict = _step_class(ra, rb, xt)
+        verdict = classify_step(ra, rb, xt)
         if verdict is _HALT:
             cycle = _pull_back_cycle(tsm, (ra, rb, xt), charts, t_a + t_b)
             return RauzyOutcome("".join(letters), TerminalKind.HALT, cycle)
@@ -306,16 +312,6 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 
 
 # --- parameter intervals of induction words ---
-
-def _root(rho_a: Scalar, rho_b: Scalar) -> tuple[tuple, bool]:
-    """The root node (xn, xd, yn, yd, p, q, r, s) with the identity
-    pull-back, and whether all its entries are ints."""
-    xn, xd = as_ratio(rho_a)
-    yn, yd = as_ratio(rho_b)
-    zero = 0 * xn * yn
-    return ((xn, xd, yn, yd, 1 + zero, zero, zero, 1 + zero),
-            all(type(v) is int for v in (xn, xd, yn, yd)))
-
 
 def _walk(root: tuple, depth: int, word: str = ""):
     """Yield the composed pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s),
@@ -400,16 +396,18 @@ def interval_for_word(rho_a: Scalar, rho_b: Scalar,
 
 def _checked_root(rho_a: Scalar, rho_b: Scalar,
                   depth: int) -> tuple[tuple, bool]:
-    """`_root`, once the depth is nonnegative and the slopes are
-    positive, and finite when they are floats."""
+    """The root node (xn, xd, yn, yd, p, q, r, s) of a walk to `depth`,
+    with the identity pull-back, and whether all its entries are ints;
+    ValueError unless the depth is nonnegative and `_check_slopes`
+    passes."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if not all(math.isfinite(x) for x in (rho_a, rho_b)
-               if isinstance(x, float)):
-        raise ValueError(f"slopes must be finite, got ({rho_a!r}, {rho_b!r})")
-    if not (rho_a > 0 and rho_b > 0):
-        raise ValueError("slopes must be positive")
-    return _root(rho_a, rho_b)
+    _check_slopes(rho_a, rho_b)
+    xn, xd = as_ratio(rho_a)
+    yn, yd = as_ratio(rho_b)
+    zero = 0 * xn * yn
+    return ((xn, xd, yn, yd, 1 + zero, zero, zero, 1 + zero),
+            all(type(v) is int for v in (xn, xd, yn, yd)))
 
 
 def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
@@ -476,7 +474,7 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     refused with ValueError before the sum: the walk stops at the first
     leaf past the cap, so a refusal costs the same at any depth."""
     root, integral = _checked_root(rho_a, rho_b, depth)
-    if not (is_exact(rho_a) and is_exact(rho_b)):
+    if not is_exact(rho_a, rho_b):
         # a float slope makes every entry a float: hi - lo of each leaf,
         # as `_images_of_unit` would give them
         total = 0 * rho_a

@@ -1041,7 +1041,7 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    if is_exact(rho_a) and is_exact(rho_b):
+    if is_exact(rho_a, rho_b):
         x_star, b_a = _lift(rho_a, rho_b)
         # over one denominator L: x* as (xm, xn), and the branches x ->
         # rho*x + beta below and above x* as (p, q, u, v), where rho =

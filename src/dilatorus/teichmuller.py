@@ -76,7 +76,7 @@ def distortion(t: float) -> float:
     attains its extremes at u = 0 and u = 1, giving the closed form
     2 / (1 + e^{-2t}): equal to 1 at t = 0 and increasing to 2.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("distortion is defined for t >= 0")
     return 2.0 / (1.0 + math.exp(-2.0 * t))
 

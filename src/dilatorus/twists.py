@@ -27,7 +27,7 @@ from .errors import (
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import CF_NOISE_FLOOR, float_convergents, quadratic
+from .quadratics import CF_NOISE_FLOOR, float_convergents, is_exact, quadratic
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -222,10 +222,13 @@ def gauss_contraction(params: DilationParams, eps: float,
     remainder too small to certify: RationalRatio.  A block that would
     take the word past max_generators raises BudgetExhausted before it is
     built, with the word and blocks before it as the partial result.
+    A negative or NaN eps, which no contraction could meet, is refused.
     """
+    if not eps >= 0:
+        raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
     if not params.in_positive_quadrant():
         raise ValueError("contraction needs strictly positive parameters")
-    exact = params.is_exact
+    exact = is_exact(*params)
     m1, m2 = (params.mu1, params.mu2) if exact else params.as_floats()
     blocks: list[tuple[TwistGenerator, int]] = []
     word: list[TwistGenerator] = []
@@ -329,12 +332,6 @@ def _complete_to_unimodular(a: int, c: int) -> tuple[int, int]:
     return b0 + shift * a, d0 + shift * c
 
 
-def _target_convergents(t1: float, t2: float):
-    for p, q in float_convergents(t1 / t2):
-        if p >= 1 and q >= 1:
-            yield p, q
-
-
 def reach_target(params: DilationParams, mu_target, eps: float,
                  budget: int = DEFAULT_REACH_BUDGET) -> ReachReport:
     """Admissible word moving `params` within eps of a positive target.
@@ -376,7 +373,9 @@ def reach_target(params: DilationParams, mu_target, eps: float,
                          "no convergent resolves its direction")
 
     last_error = math.inf
-    for a, c in _target_convergents(t1, t2):
+    for a, c in float_convergents(t1 / t2):
+        if not (a >= 1 and c >= 1):
+            continue
         direction_error = abs(c * (t1 / a) - t2)
         if direction_error > eps / 3.0:
             continue
@@ -469,7 +468,7 @@ def holonomy_class(params: DilationParams) -> HolonomyClass:
     """
     if params.is_zero():
         raise ValueError("zero parameters do not define a dilation surface")
-    if params.is_exact:
+    if is_exact(*params):
         witness = _exact_ratio_witness(params.mu1, params.mu2)
         if witness is None:
             return HolonomyClass(Holonomy.NON_DISCRETE)

@@ -1,8 +1,17 @@
-"""Independent brute-force oracles used to validate the fast paths.
+"""Brute-force oracles used to validate the fast paths.
 
-Everything here is written directly from the definitions, on purpose not
-reusing the package's induction or cycle code: orbits are iterated point by
-point and first returns are observed, not computed in closed form.
+The oracles are written directly from the definitions: orbits are
+iterated point by point and first returns are observed, not computed in
+closed form.  One oracle shares package code on purpose:
+`iterate_induction_oracle` is a plain loop over the public single steps
+`rauzy.classify_step` and `rauzy.induce`, with the halting 2-cycle taken
+from `intervalmaps.attracting_cycle_in_hole`, so it checks how
+`rauzy.iterate_induction` chains the steps and lifts the cycle, not the
+steps themselves.  That is sound because each shared step is held to an
+independent oracle of its own: `induction_step_oracle` reads the winner,
+induced map and chart off exact first returns, acceptance criterion 02
+holds `induce` to simulated first returns, and `find_periodic_oracle`
+finds the 2-cycle by iteration.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, AffineChart,
                                     PeriodicCycle, PiecewiseAffineMap,
                                     TwoSlopeMap, attracting_cycle_in_hole,
                                     evaluate)
-from dilatorus.quadratics import QuadraticNumber, Scalar, slack
+from dilatorus.quadratics import QuadraticNumber, Scalar, is_exact, slack
 from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
                              StepClass, TerminalKind, classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
@@ -211,7 +220,7 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     word = ""
     times = (1, 1)
     while True:
-        verdict = classify_step(current)
+        verdict = classify_step(*current)
         if verdict is StepClass.HALT:
             return RauzyOutcome(word, TerminalKind.HALT,
                                 lift_cycle_oracle(tsm, current, charts,
@@ -220,7 +229,7 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             return RauzyOutcome(word, TerminalKind.BOUNDARY, None)
         if len(word) == budget:
             break
-        if not current.is_exact and not all(
+        if not is_exact(*current) and not all(
                 FLOAT_SLOPE_MIN < float(rho) < FLOAT_SLOPE_MAX
                 for rho in (current.rho_a, current.rho_b)):
             break
@@ -874,7 +883,7 @@ def find_periodic_oracle(tsm: TwoSlopeMap, max_iter: int = 10 ** 4,
                          tol: float = 1e-8) -> Optional[PeriodicCycle]:
     """Brute-force cycle finder: iterate a few fixed seeds and look for a
     repeating tail.  Independent of the closed-form solvers on purpose."""
-    ra, rb, xt = tsm.as_floats()
+    ra, rb, xt = map(float, tsm)
     for seed in _ORACLE_SEEDS:
         x = seed
         tail: list[float] = []

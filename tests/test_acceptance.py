@@ -62,7 +62,7 @@ def test_criterion_01_subdivision_formulas():
 
 def test_criterion_02_induction_matches_first_return_oracle():
     def closed_form(ra, rb, xt):
-        return induce(TwoSlopeMap(ra, rb, xt)).induced.as_floats()
+        return tuple(map(float, induce(TwoSlopeMap(ra, rb, xt)).induced))
 
     worst = oracles.compare_induction_to_simulation(closed_form, 1000,
                                                     seed=SEED + 2)
@@ -75,7 +75,7 @@ def test_criterion_02_induction_matches_first_return_oracle():
         ra_f, rb_f, xt_f, _ = oracles.random_winner_triple(rng)
         ra, rb, xt = Fraction(ra_f), Fraction(rb_f), Fraction(xt_f)
         tsm = TwoSlopeMap(ra, rb, xt)
-        winner = classify_step(tsm)
+        winner = classify_step(*tsm)
         if winner not in (StepClass.WINNER_A, StepClass.WINNER_B):
             continue
         step = induce(tsm)

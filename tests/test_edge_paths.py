@@ -16,6 +16,7 @@ from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
 from dilatorus.surface import (CrossSection, Direction, RayTrace,
                                TraceEnd, first_return_map, rotation_number)
+from dilatorus.teichmuller import distortion
 from dilatorus.twists import (Holonomy, HolonomyClass, gauss_contraction,
                               holonomy_class, reach_target)
 
@@ -72,6 +73,9 @@ CASES = [
     pytest.param(lambda: rotation_number(2.0, 0.5, max_iter=0),
                  (ValueError, "max_iter must be at least 1"),
                  id="rotation-number-no-iterations"),
+    pytest.param(lambda: distortion(math.nan),
+                 (ValueError, "defined for t >= 0"),
+                 id="distortion-nan-time"),
     pytest.param(lambda: JUMP.evaluate(1.5),
                  (ValueError, "outside the domain"),
                  id="evaluate-outside-the-domain"),
@@ -90,6 +94,10 @@ CASES = [
     pytest.param(lambda: subdivision(0, 1),
                  (ValueError, "slopes must be positive"),
                  id="subdivision-zero-slope"),
+    # the survivor walk's rule: an infinite slope gave lengths with a nan
+    pytest.param(lambda: subdivision(math.inf, 0.5),
+                 (ValueError, "slopes must be finite"),
+                 id="subdivision-infinite-slope"),
     pytest.param(lambda: interval_for_word(0.5, 0.5, "LX"),
                  (ValueError, "invalid word letter 'X'"),
                  id="interval-for-word-bad-letter"),
@@ -99,6 +107,21 @@ CASES = [
     pytest.param(lambda: gauss_contraction(DilationParams(-1, 0.5), 1e-3),
                  (ValueError, "strictly positive parameters"),
                  id="gauss-contraction-negative-parameter"),
+    # a NaN eps ended the loop at once and returned the start as if
+    # contracted; a negative one ran on to a tie
+    pytest.param(lambda: gauss_contraction(DilationParams(1.0, 2 ** 0.5),
+                                           math.nan),
+                 (ValueError, "eps must be nonnegative, got nan"),
+                 id="gauss-contraction-nan-eps"),
+    pytest.param(lambda: gauss_contraction(DilationParams(1.0, 2 ** 0.5),
+                                           -1e-3),
+                 (ValueError, "eps must be nonnegative, got -0.001"),
+                 id="gauss-contraction-negative-eps"),
+    # eps 0, which `reach --tol=0` passes on, still runs the float loop
+    pytest.param(lambda: gauss_contraction(DilationParams(1.0, 2 ** 0.5),
+                                           0.0),
+                 (RationalRatio, "parameters became equal"),
+                 id="gauss-contraction-zero-eps-runs-to-a-tie"),
     pytest.param(lambda: gauss_contraction(DilationParams(0.3, 0.1), 1e-3),
                  (RationalRatio, "cannot certify"),
                  id="gauss-contraction-rational-ratio"),

@@ -3,7 +3,9 @@
 `quadratics` alone asks whether a scalar is a Fraction or a
 QuadraticNumber: every other module goes through `is_exact`, `slack`,
 `quadratic` and `integer_form`.  A float finiteness check such as
-`isinstance(c, float)` is an input check and may stay anywhere.
+`isinstance(c, float)` is an input check and may stay anywhere.  No
+record restates the question as an `is_exact` member of its own: a
+caller asks `is_exact(*record)`.
 """
 
 import ast
@@ -47,3 +49,45 @@ def test_the_guard_sees_a_type_switch():
               "        return ok\n"
               "    return y._coerce(x)\n")
     assert _type_switches(ast.parse(source)) == [4, 6]
+
+
+def _is_exact_members(tree: ast.Module) -> list[str]:
+    """Classes that define a member named `is_exact`: a method, a
+    property or an assigned attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {item.name}
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = (item.targets if isinstance(item, ast.Assign)
+                           else [item.target])
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            if "is_exact" in names:
+                found.append(node.name)
+    return found
+
+
+def test_no_class_defines_an_is_exact_member():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{name}" for name in _is_exact_members(tree)]
+    assert found == []
+
+
+def test_the_guard_sees_an_is_exact_member():
+    source = ("class P:\n"
+              "    @property\n"
+              "    def is_exact(self):\n"
+              "        return True\n"
+              "class Q:\n"
+              "    is_exact = True\n"
+              "class R:\n"
+              "    def as_floats(self):\n"
+              "        return is_exact(self)\n")
+    assert _is_exact_members(ast.parse(source)) == ["P", "Q"]

@@ -51,12 +51,12 @@ def test_subdivision_lengths_random():
 def test_classify_step_regions():
     thr_b, thr_a = thresholds(HALF, HALF)
     assert (thr_b, thr_a) == (Fraction(1, 3), Fraction(2, 3))
-    assert classify_step(TwoSlopeMap(HALF, HALF, Fraction(1, 4))) \
+    assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(1, 4))) \
         is StepClass.WINNER_B
-    assert classify_step(TwoSlopeMap(HALF, HALF, HALF)) is StepClass.HALT
-    assert classify_step(TwoSlopeMap(HALF, HALF, Fraction(3, 4))) \
+    assert classify_step(*TwoSlopeMap(HALF, HALF, HALF)) is StepClass.HALT
+    assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(3, 4))) \
         is StepClass.WINNER_A
-    assert classify_step(TwoSlopeMap(HALF, HALF, Fraction(1, 3))) \
+    assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(1, 3))) \
         is StepClass.BOUNDARY
 
 
@@ -88,7 +88,7 @@ def test_induce_requires_winner():
 def test_induce_matches_first_return_oracle():
     def closed_form(ra, rb, xt):
         step = induce(TwoSlopeMap(ra, rb, xt))
-        return step.induced.as_floats()
+        return tuple(map(float, step.induced))
 
     worst = oracles.compare_induction_to_simulation(closed_form, 150)
     assert worst <= 1e-9
@@ -277,16 +277,14 @@ def test_induce_rounds_once_where_its_formulas_round_once():
 
 
 def test_iterate_induction_classifies_each_step_once(monkeypatch):
-    # the loop classifies through the scalar classifier that
-    # classify_step shares
     calls = []
-    real = rauzy._step_class
+    real = rauzy.classify_step
 
     def counted(*triple):
         calls.append(triple)
         return real(*triple)
 
-    monkeypatch.setattr(rauzy, "_step_class", counted)
+    monkeypatch.setattr(rauzy, "classify_step", counted)
     rng = random.Random(SEED + 15)
     for tsm in _exact_maps(rng, 20):
         for budget in (0, 3, 40):
@@ -374,7 +372,7 @@ def test_cycle_lift_does_not_stop_at_a_near_return(theta, period, multiplier):
     assert min(abs(x - first) for x in cycle.points[1:]) \
         < rauzy.CYCLE_CLOSE_TOL
     # the reduced map's exact twin has the same cycle
-    twin = TwoSlopeMap(*map(Fraction, verdict.reduction.two_slope.as_floats()))
+    twin = TwoSlopeMap(*map(Fraction, map(float, verdict.reduction.two_slope)))
     exact = iterate_induction(twin, budget=600).cycle
     assert (exact.period, 1 / exact.multiplier) == (period, multiplier)
 
