@@ -32,10 +32,9 @@ from .teichmuller import (FlowSample, MonitorFlag, MonitorReport, distortion,
                           divergence_monitor, flow, track_direction_interval)
 from .twists import (ContractionResult, Holonomy, HolonomyClass,
                      ReachReport, TwistGenerator, WordResult,
-                     admissibility_violation, apply_word, decompose_sl2n,
-                     gauss_contraction, holonomy_class, reach_target,
-                     sl2n_word_to_twists, twist_mu, word_from_string,
-                     word_to_string)
+                     apply_word, decompose_sl2n, gauss_contraction,
+                     holonomy_class, reach_target, sl2n_word_to_twists,
+                     twist_mu, word_from_string, word_to_string)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -148,9 +148,6 @@ class SL2Matrix(_SL2Fields):
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "SL2Matrix":
-        return SL2Matrix(self.d, -self.b, -self.c, self.a)
-
     def apply(self, v: Vec2) -> Vec2:
         return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
@@ -207,10 +204,6 @@ class DilationParams(NamedTuple):
                     "leaves the float range")
             out.append(nu)
         return (out[0], out[1])
-
-    def in_admissible_region(self) -> bool:
-        """True outside the open negative quadrant."""
-        return not (self.mu1 < 0 and self.mu2 < 0)
 
     def in_positive_quadrant(self) -> bool:
         return self.mu1 > 0 and self.mu2 > 0
@@ -278,9 +271,6 @@ class GluedSide(NamedTuple):
     transport_scale: float
     transport_offset: Vec2
 
-    def transport(self, p: Vec2) -> Vec2:
-        return p * self.transport_scale + self.transport_offset
-
 
 class RoomGeometry(NamedTuple):
     """Derived geometry of a room; `Room.geom` computes it once.
@@ -340,7 +330,7 @@ class Room(_RoomFields):
         if det <= 0:
             raise NonOrientedBasis(
                 f"basis determinant {float(det)} must be positive")
-        if not params.in_admissible_region():
+        if params.mu1 < 0 and params.mu2 < 0:
             raise OutsideQ(f"parameters {params.as_floats()} are in the "
                            "excluded negative quadrant")
         if params.is_zero():
@@ -423,10 +413,6 @@ class Room(_RoomFields):
                           Vec2(ox, oy))
                 for k, (*_, is_door, factor, scale, ox, oy)
                 in enumerate(self.geom.sides)]
-
-    def interior_diagonals(self) -> list[tuple[int, int]]:
-        """Vertex index pairs whose chord lies inside the pentagon."""
-        return list(self.geom.interior)
 
     # --- directions ---
 

@@ -15,7 +15,7 @@ brought to this normal form by restricting to the image interval.
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import AtDiscontinuity, NotInHole, NotReducible
 from .quadratics import Scalar, as_float, slack
@@ -73,16 +73,12 @@ class TwoSlopeMap(_TwoSlopeFields):
         return tuple.__new__(cls, (rho_a, rho_b, x_t))
 
 
-def evaluate(tsm: TwoSlopeMap, x: Scalar, side: Optional[str] = None) -> Scalar:
-    """Branch value at x; the break point needs an explicit side."""
+def evaluate(tsm: TwoSlopeMap, x: Scalar) -> Scalar:
+    """Branch value at x; the break point raises AtDiscontinuity."""
     ra, rb, xt = tsm
     if not (0 <= x <= 1):
         raise ValueError(f"{x} is outside [0, 1]")
     if x == xt:
-        if side == "left":
-            return ra * x + (1 - ra * xt)
-        if side == "right":
-            return rb * (x - xt)
         raise AtDiscontinuity(f"map is undefined at its break point {x}")
     if x < xt:
         return ra * x + (1 - ra * xt)
@@ -103,10 +99,6 @@ class PeriodicCycle(_CycleFields):
         if len(points) != period:
             raise ValueError("point count must equal the period")
         return tuple.__new__(cls, (points, period, multiplier))
-
-    @property
-    def is_attracting(self) -> bool:
-        return self.multiplier < 1
 
 
 def thresholds(rho_a: Scalar, rho_b: Scalar) -> tuple[Scalar, Scalar]:
@@ -250,7 +242,7 @@ class PiecewiseAffineMap(_PiecewiseFields):
                 out.append((left.hi, a, b))
         return out
 
-    def evaluate(self, x: Scalar, side: Optional[str] = None) -> Scalar:
+    def evaluate(self, x: Scalar) -> Scalar:
         lo, hi = self.domain
         if not (lo <= x <= hi):
             raise ValueError(f"{x} is outside the domain [{lo}, {hi}]")
@@ -260,10 +252,6 @@ class PiecewiseAffineMap(_PiecewiseFields):
                     prev = self.branches[i - 1]
                     left_v, right_v = prev.value(x), b.value(x)
                     if abs(left_v - right_v) <= self._tol:
-                        return right_v
-                    if side == "left":
-                        return left_v
-                    if side == "right":
                         return right_v
                     raise AtDiscontinuity(f"map jumps at {x}")
                 return b.value(x)

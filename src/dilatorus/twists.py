@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -145,17 +146,6 @@ def mu_after(word: Sequence[TwistGenerator],
     return tuple.__new__(DilationParams, (m1, m2)) if word else params
 
 
-def admissibility_violation(word: Sequence[TwistGenerator],
-                            params: DilationParams) -> Optional[int]:
-    """First 0-based step whose result leaves the open positive quadrant,
-    or None if the whole word is admissible.  The start must be admissible."""
-    try:
-        mu_after(word, params)
-    except InadmissibleAtStep as exc:
-        return exc.step
-    return None
-
-
 class WordResult(NamedTuple):
     room: Room
     mu_path: tuple[tuple[float, float], ...]
@@ -222,17 +212,40 @@ def gauss_contraction(params: DilationParams, eps: float,
     remainder too small to certify: RationalRatio.  A block that would
     take the word past max_generators raises BudgetExhausted before it is
     built, with the word and blocks before it as the partial result.
-    A negative or NaN eps, which no contraction could meet, is refused.
+
+    Exact parameters stop on the exact test m1^2 + m2^2 < eps^2, floats
+    on their hypot.  Refused with ValueError: a negative or NaN eps,
+    which no contraction could meet, a non-finite float start, and a
+    float eps at or below ulp(min(m1, m2)).  Both floats, and every
+    rounded k*y and x - k*y computed from them, are multiples of that
+    spacing, so no smaller norm can be reached.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
     if not params.in_positive_quadrant():
         raise ValueError("contraction needs strictly positive parameters")
     exact = is_exact(*params)
-    m1, m2 = (params.mu1, params.mu2) if exact else params.as_floats()
+    if exact:
+        if eps == math.inf:     # no Fraction; every start already meets it
+            return ContractionResult((), (), params)
+        m1, m2 = params.mu1, params.mu2
+        eps_sq = Fraction(eps) ** 2
+    else:
+        m1, m2 = params.as_floats()
+        if not (m1 < math.inf and m2 < math.inf):
+            raise ValueError(f"contraction start ({m1!r}, {m2!r}) must be "
+                             "finite floats")
+        spacing = math.ulp(min(m1, m2))
+        if eps <= spacing:
+            raise ValueError(
+                f"contraction tolerance {eps!r} is not above the float "
+                f"spacing {spacing!r} of the smaller parameter, so no float "
+                "contraction reaches it (reach derives this tolerance from "
+                "--tol)")
     blocks: list[tuple[TwistGenerator, int]] = []
     word: list[TwistGenerator] = []
-    while math.hypot(float(m1), float(m2)) >= eps:
+    while (m1 * m1 + m2 * m2 >= eps_sq if exact
+           else math.hypot(m1, m2) >= eps):
         if m1 == m2:
             raise RationalRatio("parameters became equal")
         if m1 > m2:

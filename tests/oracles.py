@@ -17,6 +17,7 @@ finds the 2-cycle by iteration.
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -1057,6 +1058,22 @@ def mu_path_oracle(word: Sequence[TwistGenerator],
         if not params.in_positive_quadrant():
             raise InadmissibleAtStep(k)
         yield params
+
+
+def decimal_norm(m1: Scalar, m2: Scalar, digits: int = 60) -> decimal.Decimal:
+    """sqrt(m1^2 + m2^2) of exact values a + b*sqrt(d), each part read
+    as a `decimal` quotient with `digits` significant digits: no
+    QuadraticNumber arithmetic and no float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        parts = []
+        for x in (m1, m2):
+            a, b, d = ((x.a, x.b, x.d) if isinstance(x, QuadraticNumber)
+                       else (Fraction(x), Fraction(0), 0))
+            parts.append(ctx.divide(a.numerator, a.denominator)
+                         + ctx.divide(b.numerator, b.denominator)
+                         * ctx.sqrt(d))
+        return ctx.sqrt(parts[0] * parts[0] + parts[1] * parts[1])
 
 
 def max_denominator(x: Scalar) -> int:

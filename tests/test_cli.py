@@ -270,6 +270,18 @@ REFUSALS_AND_EDGES = {
         ["reach", "--mu1-exact=1,0,0", "--mu2-exact=1e-400,0,0",
          "--target1=1", "--target2=1"], 3, "BudgetExhausted", "out",
         "budget exhausted during contraction"),
+    # eps 0 on exact parameters: every exact norm stays above it, so the
+    # contraction runs into the budget, not into a float overflow
+    "reach-exact-zero-tol-exhausts-the-budget": (
+        ["reach", "--mu1-exact=1,0,0", "--mu2-exact=0,1,2", "--target1=2.0",
+         "--target2=1.0", "--tol=0", "--budget=2000"], 3, "BudgetExhausted",
+        "out", "budget exhausted during contraction"),
+    # no float contraction reaches a norm at or below the smaller
+    # parameter's float spacing, so the pair is not called rational
+    "reach-float-tol-below-the-float-spacing": (
+        ["reach", "--mu1=1.0", "--mu2=1.4142135623730951", "--target1=2.0",
+         "--target2=1.0", "--tol=1e-20"], 2, "ValueError", "err",
+        "is not above the float spacing 2.220446049250313e-16"),
     # reach reads no basis
     "reach-basis-flag": (["reach", "--mu1=0.5", "--mu2=0.7", "--target1=1",
                           "--target2=1", "--e1=1,0"], 2, "BadInput", "err",

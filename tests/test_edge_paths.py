@@ -79,10 +79,6 @@ CASES = [
     pytest.param(lambda: JUMP.evaluate(1.5),
                  (ValueError, "outside the domain"),
                  id="evaluate-outside-the-domain"),
-    pytest.param(lambda: JUMP.evaluate(0.5, side="left"), 0.75,
-                 id="evaluate-left-limit-at-the-jump"),
-    pytest.param(lambda: JUMP.evaluate(0.5, side="right"), 0.0,
-                 id="evaluate-right-limit-at-the-jump"),
     pytest.param(BELOW_ZERO.floor, -1, id="floor-corrects-downward"),
     pytest.param(ABOVE_ZERO.floor, 0, id="floor-corrects-upward"),
     pytest.param(lambda: evaluate(TSM, 1.5),
@@ -117,11 +113,18 @@ CASES = [
                                            -1e-3),
                  (ValueError, "eps must be nonnegative, got -0.001"),
                  id="gauss-contraction-negative-eps"),
-    # eps 0, which `reach --tol=0` passes on, still runs the float loop
+    # eps 0, which `reach --tol=0` passes on, lies below every float
+    # spacing: the float loop, which once ran on to a tie, is refused
     pytest.param(lambda: gauss_contraction(DilationParams(1.0, 2 ** 0.5),
                                            0.0),
-                 (RationalRatio, "parameters became equal"),
+                 (ValueError, "tolerance 0.0 is not above the float spacing "
+                              "2.220446049250313e-16"),
                  id="gauss-contraction-zero-eps-runs-to-a-tie"),
+    # an infinite start would end in a claim about its ratio
+    pytest.param(lambda: gauss_contraction(DilationParams(math.inf, 1.0),
+                                           0.1),
+                 (ValueError, "start \\(inf, 1.0\\) must be finite floats"),
+                 id="gauss-contraction-infinite-start"),
     pytest.param(lambda: gauss_contraction(DilationParams(0.3, 0.1), 1e-3),
                  (RationalRatio, "cannot certify"),
                  id="gauss-contraction-rational-ratio"),

@@ -83,7 +83,7 @@ def test_a_section_start_next_to_a_vertex_traces():
     # never refused, and traces as the oracle does
     kinds = {"trace": 0, "vertex": 0}
     for room in (ROOM, REFLEX):
-        for i, j in room.interior_diagonals():
+        for i, j in room.geom.interior:
             for section in (CrossSection(i, j), CrossSection(j, i)):
                 for k in range(24):
                     theta = 2.0 * math.pi * (k + 0.37) / 24
@@ -148,7 +148,7 @@ def _oracle_cases(rng: random.Random, n: int):
     rooms = _oracle_rooms(rng)
     for k in range(n):
         room = rooms[k % len(rooms)]
-        section = CrossSection(*rng.choice(room.interior_diagonals()))
+        section = CrossSection(*rng.choice(room.geom.interior))
         theta = rng.uniform(0.0, 2.0 * math.pi)
         s = _start(rng, room, section, theta, rng.random() < 0.1)
         yield (room, s, theta, rng.choice((3, 12, 64)), section)
@@ -240,7 +240,7 @@ def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
     for room in _oracle_rooms(rng):
         for k in range(450):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            section = CrossSection(*rng.choice(room.interior_diagonals()))
+            section = CrossSection(*rng.choice(room.geom.interior))
             transports = 1 + k % 3
             s = _aimed_past_transports(rng, room, section, theta, transports)
             if s is None:
@@ -276,7 +276,7 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
     for room in _oracle_rooms(rng):
         for _ in range(150):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            section = CrossSection(*rng.choice(room.interior_diagonals()))
+            section = CrossSection(*rng.choice(room.geom.interior))
             a, b = (room.geom.vertices[k] for k in section)
             ends = [a + (b - a) * f for f in (5e-13, 1.0 - 5e-13)]
             s = _aimed_past_transports(rng, room, section, theta, 1, ends)
@@ -354,7 +354,7 @@ def test_shared_headings_build_the_tables_of_a_fresh_heading():
     for make in (lambda: square_room(LN2, LN2), _sheared, _reflex):
         room = make()
         sections = [CrossSection(*pair)
-                    for i, j in room.interior_diagonals()
+                    for i, j in room.geom.interior
                     for pair in ((i, j), (j, i))]
         for _ in range(12):
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -381,7 +381,7 @@ def test_shared_headings_build_the_tables_of_a_fresh_heading():
 def test_a_section_outside_the_room_is_refused():
     # on REFLEX the chord from V0 to V3 leaves the pentagon: in either
     # orientation it is no section, and no flight starts on it
-    assert (0, 3) not in REFLEX.interior_diagonals()
+    assert (0, 3) not in REFLEX.geom.interior
     lo, hi = REFLEX.inward_directions()
     for section in (CrossSection(0, 3), CrossSection(3, 0)):
         for k in range(8):
@@ -401,7 +401,7 @@ def test_one_rule_decides_whether_a_section_can_be_crossed():
     tiny = build_room((1e-7, 0.0), (0.0, 1e-7), (LN2, LN2))
     refused_by = {"angle": 0, "parallel floor": 0}
     for room in (ROOM, tiny, REFLEX):
-        for i, j in room.interior_diagonals():
+        for i, j in room.geom.interior:
             _, _, ex, ey, par = room.geom.diagonals[i, j]
             along = math.atan2(ey, ex)
             for off in (0.0, 5e-10, -5e-10, 1e-8, -1e-8, 1e-3, 0.7):
@@ -463,7 +463,7 @@ def test_a_trapped_flight_traces_as_the_oracle_does():
             theta = rng.uniform(0.0, 2.0 * math.pi)
             if not room.is_inward(theta):
                 theta += math.pi
-            section = CrossSection(*rng.choice(room.interior_diagonals()))
+            section = CrossSection(*rng.choice(room.geom.interior))
             heading = Direction(room, theta).heading(section)
             s = heading.frame[4] * rng.random()
             try:
@@ -490,7 +490,7 @@ def test_a_shared_heading_leaks_nothing_between_flights():
     for room in _oracle_rooms(rng):
         for _ in range(2):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            for i, j in room.interior_diagonals():
+            for i, j in room.geom.interior:
                 section = CrossSection(i, j)
                 # one start in six aimed along theta at a vertex
                 flights = [(_start(rng, room, section, theta, k % 6 == 0),
@@ -529,7 +529,7 @@ def test_float_traces_agree_with_exact_traces():
     ends = set()
     for _ in range(200):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        i, j = rng.choice(ROOM.interior_diagonals())
+        i, j = rng.choice(ROOM.geom.interior)
         (ax, ay), (bx, by) = sides[i][0], sides[j][0]
         frac = Fraction(rng.random())
         start = (ax + frac * (bx - ax), ay + frac * (by - ay))
@@ -571,21 +571,20 @@ def test_cached_room_geometry_is_invisible():
     sides = room.sides()
     sides[0] = sides[3]
     del sides[1:]
-    diagonals = room.interior_diagonals()
-    diagonals.append((0, 0))
-    del diagonals[0]
     assert room.vertices() == twin.vertices()
     assert room.sides() == twin.sides()
-    assert room.interior_diagonals() == twin.interior_diagonals()
-    assert room.interior_diagonals() is not room.interior_diagonals()
-    # the section's endpoints are the cached vertices themselves, so
-    # they must refuse every change
+    # the section's endpoints are the cached vertices themselves, and
+    # the interior chords the cached pairs, so they must refuse every
+    # change
     ends = room.geom.vertices
     with pytest.raises(TypeError):
         ends[section.i] = Vec2(9.0, 9.0)
     with pytest.raises(AttributeError):
         ends[section.j].x = 9.0
+    with pytest.raises(TypeError):
+        room.geom.interior[0] = (0, 0)
     assert room.geom.vertices == twin.geom.vertices
+    assert room.geom.interior == twin.geom.interior
     assert room.geom.diagonals == twin.geom.diagonals
     assert trace_ray(Direction(room, theta).heading(section), s, 64) == first
     # an equal room built separately traces identically, and shares

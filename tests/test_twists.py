@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               NotInMonoid, RationalRatio)
 from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.twists import (Holonomy, TwistGenerator, admissibility_violation,
-                              apply_word, decompose_sl2n, gauss_contraction,
+from dilatorus.twists import (Holonomy, TwistGenerator, apply_word,
+                              decompose_sl2n, gauss_contraction,
                               holonomy_class, mu_after, mu_path,
                               reach_target,
                               sl2n_word_to_twists, twist_mu, word_from_string,
@@ -86,7 +87,10 @@ def exact_params(draw) -> DilationParams:
 @given(exact_params(), st.text(alphabet="AaBb", min_size=1, max_size=6))
 def test_word_then_inverse_word_round_trips_exactly(params, letters):
     word = word_from_string(letters)
-    assume(admissibility_violation(word, params) is None)
+    try:
+        mu_after(word, params)
+    except InadmissibleAtStep:
+        assume(False)
     there = apply_word(word, square_room(params.mu1, params.mu2))
     inverse = tuple(g.inverse for g in reversed(word))
     back = apply_word(inverse, there.room)
@@ -115,13 +119,12 @@ def test_apply_word_rejects_inadmissible_prefix():
     room = square_room(Fraction(1), Fraction(3))
     with pytest.raises(InadmissibleAtStep):
         apply_word(word_from_string("b"), room)  # mu1 - mu2 = -2
-    assert admissibility_violation(word_from_string("b"),
-                                   room.params) == 0
-    # one harmless prefix move, then the exit: index 1
-    assert admissibility_violation(word_from_string("Ab"),
-                                   room.params) == 1
-    assert admissibility_violation(word_from_string("AB"),
-                                   room.params) is None
+    # at once (index 0), or after one harmless prefix move (index 1)
+    for text, step in (("b", 0), ("Ab", 1)):
+        with pytest.raises(InadmissibleAtStep) as exc:
+            mu_after(word_from_string(text), room.params)
+        assert exc.value.step == step
+    mu_after(word_from_string("AB"), room.params)  # admissible: no refusal
 
 
 def _fold(path_fn, word, params):
@@ -207,7 +210,9 @@ def test_a_basis_past_the_float_range_is_refused_before_a_later_exit():
     # the first b leaves the quadrant only at move 720
     word = word_from_string("A" * 720 + "b")
     room = square_room(1, 1)
-    assert admissibility_violation(word, room.params) == 720
+    with pytest.raises(InadmissibleAtStep) as exc:
+        mu_after(word, room.params)
+    assert exc.value.step == 720
     with pytest.raises(ValueError, match="float range"):
         apply_word(word, room)
 
@@ -230,10 +235,49 @@ def test_gauss_contraction_golden_pair():
     result = gauss_contraction(params, 1e-3)
     m1, m2 = result.final.as_floats()
     assert math.hypot(m1, m2) < 1e-3
-    assert admissibility_violation(result.word, params) is None
+    mu_after(result.word, params)  # admissible: no refusal
     # block counts follow the continued fraction of sqrt(2): 1,2,2,2,...
     counts = [k for _, k in result.blocks]
     assert counts[0] == 1 and counts[1:4] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("eps, letters", [(1e-9, 49), (1e-12, 65)])
+def test_exact_contraction_stops_on_the_true_norm(eps, letters):
+    # a float hypot of the exact values would stop both at one 45-letter
+    # word, whose end has a true norm of 4.1e-9
+    params = DilationParams(Fraction(1), QuadraticNumber(0, 1, 2))
+    result = gauss_contraction(params, eps)
+    assert len(result.word) == letters
+    assert oracles.decimal_norm(*result.final) < Decimal(eps)
+    assert mu_after(result.word, params) == result.final
+
+
+def test_exact_contractions_end_below_eps():
+    # 50 seeded starts in Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), at eps
+    # from 1e-3 to 1e-15, read by a 60-digit decimal oracle
+    rng = random.Random(SEED + 24)
+    checked = 0
+    while checked < 50:
+        d = (2, 3, 5)[checked % 3]
+        a1, b1, a2, b2 = (Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                          for _ in range(4))
+        if a1 * b2 == a2 * b1:      # a rational ratio runs to a tie
+            continue
+        params = DilationParams(QuadraticNumber(a1, b1, d),
+                                QuadraticNumber(a2, b2, d))
+        if not params.in_positive_quadrant():
+            continue
+        eps = 10.0 ** -(3 + checked % 13)
+        result = gauss_contraction(params, eps)
+        assert oracles.decimal_norm(*result.final) < Decimal(eps), \
+            (params, eps)
+        assert mu_after(result.word, params) == result.final
+        checked += 1
+
+
+def test_exact_contraction_meets_an_infinite_eps_at_once():
+    params = DilationParams(Fraction(1), QuadraticNumber(0, 1, 2))
+    assert gauss_contraction(params, math.inf) == ((), (), params)
 
 
 def test_gauss_contraction_rational_pair_fails():
@@ -291,14 +335,14 @@ def test_sl2n_word_to_twists_is_admissible_from_positive():
         letters = "".join(rng.choice("RL") for _ in range(rng.randint(0, 8)))
         word = sl2n_word_to_twists(letters)
         params = DilationParams(Fraction(1), Fraction(1))
-        assert admissibility_violation(word, params) is None
+        mu_after(word, params)  # admissible: no refusal
 
 
 def test_reach_target_simple():
     params = DilationParams(Fraction(1), QuadraticNumber(0, 1, 2))
     report = reach_target(params, (0.5, 0.5), 1e-2, budget=10 ** 5)
     assert report.final_error < 1e-2
-    assert admissibility_violation(report.word, params) is None
+    mu_after(report.word, params)  # admissible: no refusal
     # the report's trajectory ends where the verified parameters sit
     end = report.final_params.as_floats()
     assert math.hypot(end[0] - 0.5, end[1] - 0.5) < 1e-2
