@@ -8,10 +8,9 @@ moduli space.  The CLI entry point lives in `dilatorus.cli`.
 from .errors import (AtDiscontinuity, BudgetExhausted, DegenerateDoor,
                      DilatorusError, EmptyInterval, InadmissibleAtStep,
                      NonConvergence, NonOrientedBasis, NonSimplePentagon,
-                     NotInHole, NotInMonoid, NotReducible,
-                     NotRenormalizable, NotTransverse,
-                     OrientationLostToRounding, OutsideQ, RationalRatio,
-                     VertexHit)
+                     NotInHole, NotReducible, NotRenormalizable,
+                     NotTransverse, OrientationLostToRounding, OutsideQ,
+                     RationalRatio, VertexHit)
 from .geometry import (DilationParams, GluedSide, Room, SL2Matrix, Vec2,
                        apply_sl2, build_room, canonicalize, geodesic_matrix,
                        projective_action, square_room)
@@ -32,9 +31,9 @@ from .teichmuller import (FlowSample, MonitorFlag, MonitorReport, distortion,
                           divergence_monitor, flow, track_direction_interval)
 from .twists import (ContractionResult, Holonomy, HolonomyClass,
                      ReachReport, TwistGenerator, WordResult,
-                     apply_word, decompose_sl2n, gauss_contraction,
-                     holonomy_class, reach_target, sl2n_word_to_twists,
-                     twist_mu, word_from_string, word_to_string)
+                     apply_word, gauss_contraction, holonomy_class,
+                     reach_target, twist_mu, word_from_string,
+                     word_to_string)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

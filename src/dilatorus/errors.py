@@ -54,10 +54,6 @@ class OrientationLostToRounding(DilatorusError):
     """
 
 
-class NotInMonoid(DilatorusError):
-    """Matrix is not a product of the two nonnegative unipotent generators."""
-
-
 class BudgetExhausted(DilatorusError):
     """An iteration or search budget ran out before the goal was reached.
 

@@ -25,7 +25,7 @@ from .errors import (
     NonSimplePentagon,
     OutsideQ,
 )
-from .quadratics import Scalar, as_float
+from .quadratics import Scalar, as_float, as_ratio
 
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
@@ -466,6 +466,13 @@ def apply_sl2(m: SL2Matrix, room: Room) -> Room:
 
 def canonicalize(room: Room) -> Room:
     """Rescale the basis so that det(e1, e2) = 1."""
-    det = float(_basis_det(room.e1, room.e2))
-    s = 1.0 / math.sqrt(det)
+    det, k = _basis_det(room.e1, room.e2), 0
+    num, den = as_ratio(det)
+    if type(num) is int:
+        # float() of a rational det past the float range overflows, and
+        # of one below it underflows to 0: 4^-k brings it into [1/2, 4)
+        # first, and 2^-k goes back onto its inverse square root
+        k = (num.bit_length() - den.bit_length()) // 2
+        det /= Fraction(4) ** k
+    s = math.ldexp(1.0 / math.sqrt(float(det)), -k)
     return Room(room.e1 * s, room.e2 * s, room.params)

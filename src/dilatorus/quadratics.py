@@ -7,8 +7,9 @@ is all the parameter-contraction and holonomy code needs.  Floats are
 deliberately rejected: this module is the exact track.
 
 It also decides exactness for the whole package, through `is_exact`,
-the tolerance rule `slack`, the coercion `quadratic` and the integer
-form `integer_form`, whose sign rule is `surd_sign`.
+the tolerance rule `slack`, the coercion `quadratic`, the field rule
+`one_field` and the integer form `integer_form`, whose sign rule is
+`surd_sign`.
 """
 
 from __future__ import annotations
@@ -242,6 +243,18 @@ def surd_sign(a, b, d: int) -> int:
     return sa if lhs > rhs else (sb if lhs < rhs else 0)
 
 
+def one_field(*xs) -> int:
+    """The radicand d of the one field that holds the exact values `xs`,
+    0 when all are rational.  Values from two fields, which no arithmetic
+    combines, raise ValueError naming their radicands."""
+    fields = {quadratic(x).d for x in xs} - {0}
+    if len(fields) > 1:
+        raise ValueError("exact values from two quadratic fields, "
+                         + " and ".join(f"sqrt({d})" for d in sorted(fields))
+                         + ", cannot be combined")
+    return max(fields, default=0)
+
+
 def integer_form(*xs) -> tuple[int, int, list[tuple[int, int]]]:
     """Exact values of one field over one denominator: (d, D, [(m, n),
     ...]) with each x == (m + n*sqrt(d)) / D, d their common radicand (0
@@ -250,11 +263,12 @@ def integer_form(*xs) -> tuple[int, int, list[tuple[int, int]]]:
     triple (m, n, D) is its canonical key.  Values from two fields raise
     TypeError, as their arithmetic does."""
     qs = [quadratic(x) for x in xs]
-    fields = {q.d for q in qs} - {0}
-    if len(fields) > 1:
-        raise TypeError("mixed radicands are not supported")
+    try:
+        d = one_field(*qs)
+    except ValueError as exc:
+        raise TypeError(f"mixed radicands are not supported: {exc}") from None
     D = math.lcm(*(c.denominator for q in qs for c in (q.a, q.b)))
-    return (max(fields, default=0), D,
+    return (d, D,
             [(q.a.numerator * (D // q.a.denominator),
               q.b.numerator * (D // q.b.denominator)) for q in qs])
 

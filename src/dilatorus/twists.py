@@ -23,12 +23,12 @@ from .errors import (
     BudgetExhausted,
     InadmissibleAtStep,
     NonOrientedBasis,
-    NotInMonoid,
     OrientationLostToRounding,
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import CF_NOISE_FLOOR, float_convergents, is_exact, quadratic
+from .quadratics import (CF_NOISE_FLOOR, cf_convergents, float_convergents,
+                         is_exact, one_field, quadratic)
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -215,10 +215,11 @@ def gauss_contraction(params: DilationParams, eps: float,
 
     Exact parameters stop on the exact test m1^2 + m2^2 < eps^2, floats
     on their hypot.  Refused with ValueError: a negative or NaN eps,
-    which no contraction could meet, a non-finite float start, and a
-    float eps at or below ulp(min(m1, m2)).  Both floats, and every
-    rounded k*y and x - k*y computed from them, are multiples of that
-    spacing, so no smaller norm can be reached.
+    which no contraction could meet, exact parameters from two quadratic
+    fields, a non-finite float start, and a float eps at or below
+    ulp(min(m1, m2)).  Both floats, and every rounded k*y and x - k*y
+    computed from them, are multiples of that spacing, so no smaller
+    norm can be reached.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
@@ -226,6 +227,7 @@ def gauss_contraction(params: DilationParams, eps: float,
         raise ValueError("contraction needs strictly positive parameters")
     exact = is_exact(*params)
     if exact:
+        one_field(*params)
         if eps == math.inf:     # no Fraction; every start already meets it
             return ContractionResult((), (), params)
         m1, m2 = params.mu1, params.mu2
@@ -266,49 +268,6 @@ def gauss_contraction(params: DilationParams, eps: float,
     return ContractionResult(tuple(word), tuple(blocks), DilationParams(m1, m2))
 
 
-# --- nonnegative unimodular decomposition ---
-
-R_LETTER, L_LETTER = "R", "L"
-# the move whose parameter action is each monoid letter
-_MONOID_MOVES = {R_LETTER: TwistGenerator.T2, L_LETTER: TwistGenerator.T1}
-
-
-def decompose_sl2n(matrix: Sequence[Sequence[int]]) -> str:
-    """Write a nonnegative determinant-1 integer matrix as a word in
-    R = [[1,1],[0,1]] and L = [[1,0],[1,1]] (left-to-right product order)."""
-    (a, b), (c, d) = matrix
-    for entry in (a, b, c, d):
-        if not isinstance(entry, int) or entry < 0:
-            raise NotInMonoid(f"entries must be nonnegative integers, got {matrix}")
-    if a * d - b * c != 1:
-        raise NotInMonoid(f"determinant of {matrix} is not 1")
-    letters: list[str] = []
-    while (a, b, c, d) != (1, 0, 0, 1):
-        if c == 0 and a == 1 and d == 1:
-            letters.append(R_LETTER * b)
-            break
-        if a >= c and b >= d and (c or d):
-            letters.append(R_LETTER)
-            a, b = a - c, b - d
-        elif c >= a and d >= b and (a or b):
-            letters.append(L_LETTER)
-            c, d = c - a, d - b
-        else:
-            raise NotInMonoid(f"{matrix} is not a product of R and L")
-    return "".join(letters)
-
-
-def sl2n_word_to_twists(word: str) -> Word:
-    """Generator sequence realizing an R/L word on the parameter pair.
-
-    The parameter action of S2 is R and of S1 is L; matrices in a product
-    act right-to-left, so the letter order is reversed."""
-    try:
-        return tuple(_MONOID_MOVES[ch] for ch in reversed(word))
-    except KeyError as exc:
-        raise ValueError(f"invalid monoid letter {exc.args[0]!r}") from None
-
-
 # --- density search in the positive quadrant ---
 
 class ReachReport(NamedTuple):
@@ -325,24 +284,22 @@ class ReachReport(NamedTuple):
     final_params: DilationParams
 
 
-def _complete_to_unimodular(a: int, c: int) -> tuple[int, int]:
-    """Nonnegative (b, d) with a*d - c*b == 1 for coprime nonnegative a, c."""
-    # extended euclid on (a, c)
-    old_r, r = a, c
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r != 1:
-        raise ValueError("inputs are not coprime")
-    d0, b0 = old_s, -old_t     # a*d0 - c*b0 == 1
-    shift = 0
-    while d0 + shift * c < 0 or b0 + shift * a < 0:
-        shift += 1
-    return b0 + shift * a, d0 + shift * c
+def _spread_exponents(a: int, c: int) -> tuple[int, int, list[int]]:
+    """For coprime a, c >= 1: the least nonnegative (b, d) with
+    a*d - c*b == 1, and the exponents of [[a, b], [c, d]] =
+    R^t0 L^t1 R^t2 ... in R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]].
+
+    One Euclid pass gives the continued fraction of a/c; an odd number
+    of terms, whose product has determinant -1, has its last term t
+    split into t - 1 and 1.  (b, d) is the convergent before a/c."""
+    terms, x, y = [], a, c
+    while y:
+        terms.append(x // y)
+        x, y = y, x % y
+    if len(terms) % 2:
+        terms[-1:] = [terms[-1] - 1, 1]
+    (b, d), _ = list(cf_convergents(terms))[-2:]
+    return b, d, terms
 
 
 def reach_target(params: DilationParams, mu_target, eps: float,
@@ -356,11 +313,13 @@ def reach_target(params: DilationParams, mu_target, eps: float,
     verifying both admissibility and the final error before the report
     is returned.
     A negative or NaN eps, which no word could meet, a negative budget,
-    a start outside the open positive quadrant or past the float range,
-    and a NaN or infinite target or target ratio are refused.  So is,
-    unless the start already lies within eps, a target ratio below
-    CF_NOISE_FLOOR: its continued fraction ends at the term 0, so no
-    convergent could aim a search at it.
+    a start outside the open positive quadrant, past the float range or
+    from two quadratic fields, and a NaN or infinite target or target
+    ratio are refused.  So is, unless the start already lies within eps,
+    a target ratio below CF_NOISE_FLOOR: its continued fraction ends at
+    the term 0, so no convergent could aim a search at it.  A convergent
+    whose word would pass the budget is skipped before the word is
+    built, and so is one whose entries pass the float range.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
@@ -368,6 +327,8 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         raise ValueError(f"budget must be nonnegative, got {budget!r}")
     if not params.in_positive_quadrant():
         raise ValueError("search starts from the open positive quadrant")
+    if is_exact(*params):
+        one_field(*params)
     m1, m2 = params.as_floats()
     if not (m1 < math.inf and m2 < math.inf):
         raise ValueError(f"start ({m1!r}, {m2!r}) must be finite floats")
@@ -392,8 +353,11 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         direction_error = abs(c * (t1 / a) - t2)
         if direction_error > eps / 3.0:
             continue
-        b, d = _complete_to_unimodular(a, c)
-        eta = eps / (3.0 * (a + b + c + d + 1))
+        b, d, exponents = _spread_exponents(a, c)
+        try:
+            eta = eps / (3.0 * (a + b + c + d + 1))
+        except OverflowError:   # no float eta, nor prediction, this far out
+            continue
         try:
             contraction = gauss_contraction(params, eta,
                                             max_generators=budget)
@@ -405,8 +369,7 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         # any budget, or the float range, so it is capped before rounding
         pushes = (t1 / a - eps1) / eps2 if eps2 else math.inf
         n = max(0, round(min(pushes, budget + 1)))
-        spread = sl2n_word_to_twists(decompose_sl2n(((a, b), (c, d))))
-        if len(contraction.word) + n + len(spread) > budget:
+        if len(contraction.word) + n + sum(exponents) > budget:
             continue
         # verified parameter trajectory
         x_mid = (eps1 + n * eps2, eps2)
@@ -414,7 +377,12 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         err = math.hypot(final[0] - t1, final[1] - t2)
         last_error = min(last_error, err)
         if err <= eps:
-            word = contraction.word + (TwistGenerator.T2,) * n + spread
+            # matrices act right to left: the last exponent moves first,
+            # S2 for each R and S1 for each L
+            word = contraction.word + (TwistGenerator.T2,) * n
+            for i in reversed(range(len(exponents))):
+                word += (TwistGenerator.T1 if i % 2
+                         else TwistGenerator.T2,) * exponents[i]
             try:
                 cur = mu_after(word, params)
             except InadmissibleAtStep:

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import random
+import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
@@ -26,6 +27,15 @@ from dilatorus.twists import apply_word, reach_target, word_from_string
 
 LN2 = math.log(2.0)
 MU_FLAGS = ["--mu1", str(LN2), "--mu2", str(LN2)]
+SRC = Path(__file__).resolve().parent.parent / "src"
+# a fresh interpreter that runs the CLI on its argv from SRC, as
+# tests/test_cold_start.py does, so that a hang ends in a timeout
+CLI_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from dilatorus.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 def run(capsys, argv):
@@ -90,6 +100,62 @@ def test_reach_search_reports_error_below_tolerance(capsys):
     data = json.loads(out)
     assert data["final_error"] < 1e-2
     assert set(data) == {"word", "mu_trajectory", "final_error"}
+
+
+def run_in_subprocess(argv):
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", CLI_PROBE,
+                           str(SRC), *argv],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reach_skips_a_float_noise_convergent_past_the_budget():
+    # 975779919263606/525419956526557, a convergent of 1.3/0.7 past its
+    # float noise, has a partial quotient of about 7.5e13: its spread
+    # was once built letter by letter before the budget was read
+    code, out, _ = run_in_subprocess([
+        "reach", "--mu1-exact=0,1,2", "--mu2-exact=1,0,0", "--target1=1.3",
+        "--target2=0.7", "--budget=3000"])
+    assert code == 3
+    assert json.loads(out)["error"] == "BudgetExhausted"
+
+
+def test_reach_meets_the_contraction_tolerance_refusal_past_a_long_spread():
+    code, out, err = run_in_subprocess([
+        "reach", "--mu1=1e-3", "--mu2=1.4142135623730951e-3",
+        "--target1=1.3", "--target2=0.7", "--budget=200"])
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "ValueError"
+    assert "not above the float spacing" in data["detail"]
+
+
+@pytest.mark.parametrize("target", [["--target1=1e308", "--target2=1"],
+                                    ["--target1=1", "--target2=1e-308"]])
+def test_reach_skips_a_convergent_past_the_float_range(capsys, target):
+    # the one convergent, 10^308/1, is completed by b = 10^308 - 1 and
+    # d = 1, whose sum no float holds: no eta or prediction exists for it
+    code, out, err = run(capsys, ["reach", "--mu1=0.7", "--mu2=1.1",
+                                  "--budget=3000", *target])
+    assert code == 3 and err == ""
+    assert json.loads(out)["error"] == "BudgetExhausted"
+
+
+def test_room_canonicalizes_a_basis_whose_determinant_leaves_the_floats(
+        capsys):
+    # float() of the exact determinant, 1e400 or 1e-400, overflowed or
+    # underflowed to 0
+    unit = canonicalize(build_room((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+    for scale in ("1e200", "1e-200"):
+        code, out, err = run(capsys, ["room", "--mu1=1", "--mu2=1",
+                                      f"--e1={scale},0", f"--e2=0,{scale}"])
+        assert code == 0 and err == ""
+        assert out == canonical_json(room_payload(unit)) + "\n"
+    # det 2^-1075 scales e2 to 2^536.5, whose diameter squared overflows
+    code, out, err = run(capsys, ["room", "--mu1=1", "--mu2=1",
+                                  "--e1=5e-324,0", "--e2=0,0.5"])
+    assert code == 2 and out == ""
+    assert "room diameter" in json.loads(err)["detail"]
 
 
 def test_classify_matches_library_verdict(capsys):

@@ -5,10 +5,11 @@ import operator
 
 import pytest
 
-from dilatorus import rauzy, surface, twists
+from dilatorus import rauzy, surface
 from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
                               RationalRatio)
-from dilatorus.geometry import DilationParams, build_room, square_room
+from dilatorus.geometry import (DilationParams, build_room, canonicalize,
+                                square_room)
 from dilatorus.intervalmaps import (AffineBranch, AffineChart,
                                     PiecewiseAffineMap, TwoSlopeMap,
                                     evaluate, orbit, restrict_to_image)
@@ -44,6 +45,14 @@ OVERLAP = PiecewiseAffineMap((
 # read off the float would be 3 too high and 4 too low
 BELOW_ZERO = QuadraticNumber(14398739476117879, -10181446324101389, 2)
 ABOVE_ZERO = QuadraticNumber(34761632124320657, -24580185800219268, 2)
+MIXED = DilationParams(QuadraticNumber(0, 1, 2), QuadraticNumber(0, 1, 3))
+UNIT_BASIS = [(1.0, 0.0), (0.0, 1.0)]
+
+
+
+def basis_of(room):
+    """The basis as a list, which the table reads as a value."""
+    return [room.e1.as_floats(), room.e2.as_floats()]
 
 
 # each row: a call, then its value or the (error, message) it raises,
@@ -133,9 +142,16 @@ CASES = [
                                            1e-3),
                  (RationalRatio, "cannot certify a positive remainder"),
                  id="gauss-contraction-ratio-past-the-float-range"),
-    pytest.param(lambda: twists._complete_to_unimodular(2, 4),
-                 (ValueError, "not coprime"),
-                 id="complete-to-unimodular-not-coprime"),
+    # two quadratic fields have no common arithmetic: refused at entry,
+    # where a bare TypeError once came out of the first block
+    pytest.param(lambda: gauss_contraction(MIXED, 1e-3),
+                 (ValueError, r"two quadratic fields, sqrt\(2\) and "
+                              r"sqrt\(3\)"),
+                 id="gauss-contraction-two-quadratic-fields"),
+    pytest.param(lambda: reach_target(MIXED, (1, 1), 1e-2),
+                 (ValueError, r"two quadratic fields, sqrt\(2\) and "
+                              r"sqrt\(3\)"),
+                 id="reach-target-two-quadratic-fields"),
     pytest.param(lambda: reach_target(DilationParams(-0.5, 0.5), (1, 1),
                                       1e-2),
                  (ValueError, "starts from the open positive quadrant"),
@@ -175,6 +191,11 @@ CASES = [
                  id="quadratic-set-a-field"),
     pytest.param(lambda: build_room((1, 0), (0, 1), PARAMS).params is PARAMS,
                  True, id="build-room-keeps-a-params-record"),
+    # the exact determinants 1e400 and 1e-400 leave the float range
+    *[pytest.param(lambda s=s: basis_of(canonicalize(
+          build_room((s, 0.0), (0.0, s), (1, 1)))), UNIT_BASIS,
+                   id=f"canonicalize-a-basis-at-{s:g}")
+      for s in (1e200, 1e-200)],
     pytest.param(KINK.jumps, [], id="kink-has-no-jumps"),
     pytest.param(lambda: KINK.evaluate(1.0), 1.0,
                  id="evaluate-at-a-kink-needs-no-side"),

@@ -11,8 +11,8 @@ import oracles
 
 from dilatorus.quadratics import (MAX_RADICAND, QuadraticNumber,
                                   cf_convergents, float_convergents,
-                                  integer_form, quadratic, slack,
-                                  surd_sign)
+                                  integer_form, one_field, quadratic,
+                                  slack, surd_sign)
 
 SEED = 20260817
 
@@ -174,6 +174,11 @@ def test_integer_form_is_each_value_over_the_least_common_denominator():
     assert integer_form(Fraction(3, 4), 2) == (0, 4, [(3, 0), (8, 0)])
     with pytest.raises(TypeError, match="mixed radicands"):
         integer_form(QuadraticNumber(0, 1, 2), QuadraticNumber(0, 1, 3))
+    # the field rule integer_form applies, on its own
+    assert one_field(QuadraticNumber(1, 1, 8), 2, Fraction(1, 2)) == 2
+    assert one_field(Fraction(3, 4), 2) == 0 and one_field() == 0
+    with pytest.raises(ValueError, match=r"sqrt\(2\) and sqrt\(3\)"):
+        one_field(QuadraticNumber(0, 1, 3), QuadraticNumber(0, 1, 2))
 
 
 def test_surd_sign_reads_integer_and_fraction_parts_alike():

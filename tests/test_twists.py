@@ -12,15 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from dilatorus import twists
 from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
-                              NotInMonoid, RationalRatio)
+                              RationalRatio)
 from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.twists import (Holonomy, TwistGenerator, apply_word,
-                              decompose_sl2n, gauss_contraction,
-                              holonomy_class, mu_after, mu_path,
-                              reach_target,
-                              sl2n_word_to_twists, twist_mu, word_from_string,
-                              word_to_string)
+                              gauss_contraction, holonomy_class, mu_after,
+                              mu_path, reach_target, twist_mu,
+                              word_from_string, word_to_string)
 
 SEED = 20260817
 GENERATORS = list(TwistGenerator)
@@ -217,12 +215,6 @@ def test_a_basis_past_the_float_range_is_refused_before_a_later_exit():
         apply_word(word, room)
 
 
-def test_monoid_letters_become_moves_in_reverse_order():
-    assert sl2n_word_to_twists("RLL") == word_from_string("AAB")
-    with pytest.raises(ValueError, match="'x'"):
-        sl2n_word_to_twists("RxL")
-
-
 def test_word_string_roundtrip():
     word = word_from_string("AaBb")
     assert word_to_string(word) == "AaBb"
@@ -308,34 +300,55 @@ def test_exact_block_count_is_the_largest_positive_remainder():
         assert k >= 1 and x - k * y > 0 and not x - (k + 1) * y > 0, (x, y)
 
 
+def spread_word(exponents):
+    """The moves of R^t0 L^t1 R^t2 ...: right to left, S2 for each R and
+    S1 for each L, as reach_target builds its spread."""
+    return tuple(g for i in reversed(range(len(exponents)))
+                 for g in (TwistGenerator.T1 if i % 2
+                           else TwistGenerator.T2,) * exponents[i])
+
+
 def test_complete_to_unimodular_gives_the_least_nonnegative_completion():
     pairs = [(a, c) for a in range(1, 61) for c in range(1, 61)
              if math.gcd(a, c) == 1]
     assert len(pairs) == 2203
     for a, c in pairs:
-        b, d = twists._complete_to_unimodular(a, c)
+        b, d, exponents = twists._spread_exponents(a, c)
         assert a * d - c * b == 1 and b >= 0 and d >= 0, (a, c)
         # one step back along (a, c) leaves the nonnegative quadrant
         assert b - a < 0 or d - c < 0, (a, c)
+        # R^t0 L^t1 R^t2 ... is [[a, b], [c, d]]
+        m = (1, 0, 0, 1)
+        for i, t in enumerate(exponents):
+            r11, r12, r21, r22 = m
+            m = ((r11, r12 + t * r11, r21, r22 + t * r21) if i % 2 == 0
+                 else (r11 + t * r12, r12, r21 + t * r22, r22))
+        assert m == (a, b, c, d), (a, c)
 
 
 def test_decompose_sl2n_examples():
-    assert decompose_sl2n(((1, 2), (0, 1))) == "RR"
-    assert decompose_sl2n(((2, 1), (1, 1))) == "RL"
-    assert decompose_sl2n(((1, 0), (0, 1))) == ""
-    with pytest.raises(NotInMonoid):
-        decompose_sl2n(((0, -1), (1, 0)))
-    with pytest.raises(NotInMonoid):
-        decompose_sl2n(((2, 1), (1, 2)))  # determinant 3
+    # (a, c) = (2, 1): [[2, 1], [1, 1]] = RL
+    assert twists._spread_exponents(2, 1) == (1, 1, [1, 1])
+    # the continued fraction [1, 2] of 3/2 has an even count, and 1/1's
+    # one term 1 splits into 0 and 1: L alone
+    assert twists._spread_exponents(3, 2) == (1, 1, [1, 2])
+    assert twists._spread_exponents(1, 1) == (0, 1, [0, 1])
 
 
 def test_sl2n_word_to_twists_is_admissible_from_positive():
+    # the spread word of [[a, b], [c, d]] moves (1, 1) to (a + b, c + d)
     rng = random.Random(SEED + 1)
-    for _ in range(50):
-        letters = "".join(rng.choice("RL") for _ in range(rng.randint(0, 8)))
-        word = sl2n_word_to_twists(letters)
+    checked = 0
+    while checked < 50:
+        a, c = rng.randint(1, 40), rng.randint(1, 40)
+        if math.gcd(a, c) != 1:
+            continue
+        b, d, exponents = twists._spread_exponents(a, c)
+        word = spread_word(exponents)
+        assert len(word) == sum(exponents)
         params = DilationParams(Fraction(1), Fraction(1))
-        mu_after(word, params)  # admissible: no refusal
+        assert mu_after(word, params) == (a + b, c + d)   # admissible
+        checked += 1
 
 
 def test_reach_target_simple():
