@@ -15,6 +15,7 @@ the parameters untouched.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -25,7 +26,7 @@ from .errors import (
     NonSimplePentagon,
     OutsideQ,
 )
-from .quadratics import Scalar, as_float, as_ratio
+from .quadratics import Scalar, as_float
 
 # A ray is parallel to a side when |u x e| <= PARALLEL_EPS * max(|e|, 1)
 # for the unit direction u and the side's edge vector e.
@@ -245,19 +246,28 @@ def _interior_pairs(nu1: float, nu2: float) -> tuple[tuple[int, int], ...]:
     return tuple(pair for pair in _DIAGONAL_PAIRS if inside[pair])
 
 
-def _basis_det(e1: Vec2, e2: Vec2):
+def _basis_det(e1: Vec2, e2: Vec2) -> Fraction:
     """Determinant of the basis, exact even for heavily sheared bases.
 
     Long twist words drive the entries to 1e8 and beyond while the true
     determinant stays moderate; the float cross product then cancels
-    catastrophically.  Fractions of the stored floats are exact at any
-    scale, and exact scalar types already cross exactly.
+    catastrophically.  Fractions of the coordinates are exact at any
+    scale, floats and ints alike; a coordinate no Fraction can hold, such
+    as a QuadraticNumber, on which no float geometry can be built either,
+    raises TypeError.
     """
-    comps = (e1.x, e1.y, e2.x, e2.y)
-    if all(isinstance(c, (int, float)) for c in comps):
-        return (Fraction(e1.x) * Fraction(e2.y)
-                - Fraction(e1.y) * Fraction(e2.x))
-    return e1.cross(e2)
+    return (Fraction(e1.x) * Fraction(e2.y)
+            - Fraction(e1.y) * Fraction(e2.x))
+
+
+def _quarter_split(det: Fraction) -> tuple[float, int]:
+    """(m, k) with det = m * 4^k and 1/2 < |m| < 4, m rounded to a float.
+
+    float(det) overflows past the float range and rounds to 0 below it;
+    m and k hold any determinant of float coordinates.
+    """
+    k = (det.numerator.bit_length() - det.denominator.bit_length()) // 2
+    return float(det / Fraction(4) ** k), k
 
 
 class GluedSide(NamedTuple):
@@ -309,6 +319,9 @@ class _RoomFields(NamedTuple):
 class Room(_RoomFields):
     """Validated pentagon model of a dilation torus with one boundary.
 
+    Basis coordinates are ints, floats or Fractions; another type, which
+    `_basis_det` cannot read exactly, raises TypeError.
+
     Float basis coordinates and parameters must be finite: NaN or an
     infinite parameter would pass the other checks and put NaN vertices,
     or V3 on V2, into the model.  So must the dilation factors and their
@@ -328,8 +341,11 @@ class Room(_RoomFields):
                 f"mu={params.as_floats()}")
         det = _basis_det(e1, e2)
         if det <= 0:
+            m, k = _quarter_split(det)
+            shown = (float(det) if not det or sys.float_info.min <= -det
+                     <= sys.float_info.max else f"{m} * 4**{k}")
             raise NonOrientedBasis(
-                f"basis determinant {float(det)} must be positive")
+                f"basis determinant {shown} must be positive")
         if params.mu1 < 0 and params.mu2 < 0:
             raise OutsideQ(f"parameters {params.as_floats()} are in the "
                            "excluded negative quadrant")
@@ -426,6 +442,8 @@ class Room(_RoomFields):
         """Unit normal of the door pointing into the pentagon: its edge
         vector (ex, ey) turned by +pi/2."""
         _, _, ex, ey, *_ = self.geom.sides[3]
+        if not (ex or ey):
+            raise ValueError("the door V3V4 has length 0 in float coordinates")
         inv = 1.0 / math.hypot(-ey, ex)
         return (-ey * inv, ex * inv)
 
@@ -466,13 +484,11 @@ def apply_sl2(m: SL2Matrix, room: Room) -> Room:
 
 def canonicalize(room: Room) -> Room:
     """Rescale the basis so that det(e1, e2) = 1."""
-    det, k = _basis_det(room.e1, room.e2), 0
-    num, den = as_ratio(det)
-    if type(num) is int:
-        # float() of a rational det past the float range overflows, and
-        # of one below it underflows to 0: 4^-k brings it into [1/2, 4)
-        # first, and 2^-k goes back onto its inverse square root
-        k = (num.bit_length() - den.bit_length()) // 2
-        det /= Fraction(4) ** k
-    s = math.ldexp(1.0 / math.sqrt(float(det)), -k)
-    return Room(room.e1 * s, room.e2 * s, room.params)
+    m, k = _quarter_split(_basis_det(room.e1, room.e2))
+    # 2^-k goes onto each coordinate before 1/sqrt(m), since their
+    # product leaves the float range below det = 1e-616 or so, and in two
+    # float halves, since a coordinate past the range must read inf for
+    # Room to refuse, where math.ldexp raises OverflowError
+    half = -k // 2
+    lo, hi, s = 2.0 ** half, 2.0 ** (-k - half), 1.0 / math.sqrt(m)
+    return Room(room.e1 * lo * hi * s, room.e2 * lo * hi * s, room.params)

@@ -35,7 +35,8 @@ and Fraction slopes then keep every matrix entry an int, and each endpoint
 is reduced once, as a Fraction, at its leaf.  Float slopes carry
 denominator 1.0 and run the float operations of the unscaled factors,
 and a float survivor measure adds each leaf's hi - lo to its running
-sum as the walk yields the leaf.
+sum as the walk yields the leaf.  Rounding can leave a float leaf's
+interval dividing by 0; a walk that meets one raises ValueError.
 
 On int entries the survivor measure builds no endpoint: a leaf's length
 is read off its pull-back [[p, q], [r, s]] as (p*s - q*r) / (s*(r + s)),
@@ -51,7 +52,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import (AtDiscontinuity, EmptyInterval, NonConvergence,
                      NotRenormalizable)
@@ -376,21 +377,38 @@ def _walk(root: tuple, depth: int, word: str = ""):
             yield -q * xn, p * xd + q * t, -s * xn, r * xd + s * t
 
 
-def _images_of_unit(leaves, integral: bool) -> Iterator[tuple[Scalar, Scalar]]:
-    """Each pull-back's images of 0 and 1, one at a time; Fractions when
-    the entries are ints."""
+def _rounded_to_a_pole(rho_a: Scalar, rho_b: Scalar,
+                       depth: int) -> ValueError:
+    """The refusal of a float walk with a leaf whose pull-back has a zero
+    denominator: exact ones never do, but a float R factor's entries are
+    built on xd + xn, which can round the 1 away, and the leaf's r + s
+    then cancels to 0."""
+    return ValueError(
+        f"the float walk at slopes ({rho_a!r}, {rho_b!r}) to depth {depth} "
+        "reaches a word interval whose end divides by 0 after rounding")
+
+
+def _intervals(rho_a: Scalar, rho_b: Scalar, depth: int,
+               word: str = "") -> list[tuple[Scalar, Scalar]]:
+    """The images of 0 and 1 under each pull-back `_walk` yields to
+    `depth` (of `word` alone, if given); Fractions when the entries are
+    ints.  Slopes must be positive, and finite when they are floats."""
+    root, integral = _checked_root(rho_a, rho_b, depth)
+    leaves = _walk(root, depth, word)
     if integral:
-        return ((Fraction(q, s), Fraction(p + q, r + s))
-                for p, q, r, s in leaves)
-    return ((q / s, (p + q) / (r + s)) for p, q, r, s in leaves)
+        return [(Fraction(q, s), Fraction(p + q, r + s))
+                for p, q, r, s in leaves]
+    try:
+        return [(q / s, (p + q) / (r + s)) for p, q, r, s in leaves]
+    except ZeroDivisionError:
+        raise _rounded_to_a_pole(rho_a, rho_b, depth) from None
 
 
 def interval_for_word(rho_a: Scalar, rho_b: Scalar,
                       word: str) -> tuple[Scalar, Scalar]:
     """Closed parameter interval whose induction word starts with `word`.
     Slopes must be positive, and finite when they are floats."""
-    root, integral = _checked_root(rho_a, rho_b, len(word))
-    (interval,) = _images_of_unit(_walk(root, len(word), word), integral)
+    (interval,) = _intervals(rho_a, rho_b, len(word), word)
     return interval
 
 
@@ -423,8 +441,7 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
     float slopes run the float operations of the unscaled factors.
     Slopes must be positive, and finite when they are floats.
     """
-    root, integral = _checked_root(rho_a, rho_b, depth)
-    return list(_images_of_unit(_walk(root, depth), integral))
+    return _intervals(rho_a, rho_b, depth)
 
 
 def _pairwise_sum(terms: list) -> Scalar:
@@ -476,17 +493,20 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     root, integral = _checked_root(rho_a, rho_b, depth)
     if not is_exact(rho_a, rho_b):
         # a float slope makes every entry a float: hi - lo of each leaf,
-        # as `_images_of_unit` would give them
+        # as `_intervals` would give them
         total = 0 * rho_a
-        for p, q, r, s in _walk(root, depth):
-            total = total + ((p + q) / (r + s) - q / s)
+        try:
+            for p, q, r, s in _walk(root, depth):
+                total = total + ((p + q) / (r + s) - q / s)
+        except ZeroDivisionError:
+            raise _rounded_to_a_pole(rho_a, rho_b, depth) from None
         return total
     leaves = _exact_leaves(root, depth)
     if not leaves:
         return 0 * rho_a
     if not integral:
-        return _pairwise_sum([hi - lo for lo, hi
-                              in _images_of_unit(leaves, integral)])
+        return _pairwise_sum([(p + q) / (r + s) - q / s
+                              for p, q, r, s in leaves])
     terms = [(p * s - q * r, s * (r + s)) for p, q, r, s in leaves]
     for _ in range(2):              # the lowest two levels, unreduced
         terms = [(a * d + c * b, b * d) for (a, b), (c, d)

@@ -158,6 +158,67 @@ def test_room_canonicalizes_a_basis_whose_determinant_leaves_the_floats(
     assert "room diameter" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("command", [["room"], ["act", "--rotate=0"],
+                                     ["twist", "--word=A"],
+                                     ["classify", "--theta=1"], ["scan"],
+                                     ["flow", "--t-max=1"]],
+                         ids=lambda command: command[0])
+def test_a_wrongly_oriented_basis_past_the_floats_is_refused(capsys,
+                                                              command):
+    # float() of the exact determinant -1e400 overflowed in the message,
+    # and -1e-400 printed as -0.0
+    for scale, shown in (("1e200", "-1.7067336779066407 * 4**664"),
+                         ("1e-200", "-2.3436579776793987 * 4**-665")):
+        code, out, err = run(capsys, command + [
+            "--mu1=1", "--mu2=1", f"--e1={scale},0", f"--e2=0,-{scale}"])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "NonOrientedBasis",
+            "detail": f"basis determinant {shown} must be positive"}
+
+
+def test_room_canonicalizes_a_basis_of_subnormal_coordinates(capsys):
+    # det is 2^-2148, so 1/sqrt(det) = 2^1074 left the float range
+    unit = canonicalize(build_room((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+    code, out, err = run(capsys, ["room", "--mu1=1", "--mu2=1",
+                                  "--e1=5e-324,0", "--e2=0,5e-324"])
+    assert code == 0 and err == ""
+    assert out == canonical_json(room_payload(unit)) + "\n"
+    # a canonical coordinate past the float range is still refused as
+    # not finite
+    code, out, err = run(capsys, ["room", "--mu1=0.5", "--mu2=0",
+                                  "--e1=5e-324,0", "--e2=1e308,1e308"])
+    assert code == 2 and out == ""
+    assert "must be finite" in json.loads(err)["detail"]
+
+
+def test_a_door_of_zero_float_length_is_refused_where_its_normal_is_read(
+        capsys):
+    # V3 and V4 coincide in float coordinates: the door's normal divided
+    # by its length 0, while `act`, which reads no normal, prints the room
+    room = ["--mu1=0", "--mu2=3", "--e1=1,1", "--e2=0,5e-324"]
+    for command in (["classify", "--theta=1"], ["scan"],
+                    ["flow", "--t-max=1", "--steps=1"]):
+        code, out, err = run(capsys, command + room)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "detail": "the door V3V4 has length 0 in float coordinates"}
+    code, out, err = run(capsys, ["act", "--rotate=0"] + room)
+    assert code == 0 and err == ""
+    assert json.loads(out)["vertices"][3:] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("argv", [["--rhoA=1e16", "--rhoB=1e-17", "--n=1"],
+                                  ["--rhoA=1e8", "--rhoB=1e-17", "--n=2"]])
+def test_a_float_measure_whose_interval_divides_by_0_exits_2(capsys, argv):
+    # the R factor's xd + xn rounds the 1 away, and a leaf's r + s
+    # cancels to 0
+    code, out, err = run(capsys, ["measure"] + argv)
+    assert code == 2 and out == ""
+    assert "divides by 0 after rounding" in json.loads(err)["detail"]
+
+
 def test_classify_matches_library_verdict(capsys):
     theta = math.pi / 4.0
     code, out, _ = run(capsys, ["classify", "--theta", str(theta)] + MU_FLAGS)

@@ -2,6 +2,7 @@
 
 import math
 import operator
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +197,30 @@ CASES = [
           build_room((s, 0.0), (0.0, s), (1, 1)))), UNIT_BASIS,
                    id=f"canonicalize-a-basis-at-{s:g}")
       for s in (1e200, 1e-200)],
+    # a mixed basis crossed its floats and cancelled, while its twin of
+    # Fractions crossed exactly
+    pytest.param(lambda: basis_of(canonicalize(
+        build_room((Fraction(1, 3), 3.0), (1e8, 9e8 + 1), (1, 1)))),
+                 basis_of(canonicalize(build_room(
+                     (Fraction(1, 3), Fraction(3)),
+                     (Fraction(10 ** 8), Fraction(9 * 10 ** 8 + 1)),
+                     (1, 1)))),
+                 id="canonicalize-a-mixed-basis-as-its-fraction-twin"),
+    # no float geometry can be built on a quadratic coordinate
+    pytest.param(lambda: build_room((QuadraticNumber(0, 1, 2), 0),
+                                    (0, QuadraticNumber(3)), (1, 1)),
+                 (TypeError, "Rational instance"),
+                 id="room-refuses-a-quadratic-coordinate"),
+    # the R leaf's r + s cancels to 0 in floats
+    *[pytest.param(call, (ValueError, r"slopes \(1e\+16, 1e-17\) to depth 1 "
+                                      "reaches a word interval whose end "
+                                      "divides by 0 after rounding"),
+                   id=f"float-{name}-divides-by-0")
+      for name, call in (
+          ("survivor-intervals", lambda: survivor_intervals(1e16, 1e-17, 1)),
+          ("interval-for-word", lambda: interval_for_word(1e16, 1e-17, "R")),
+          ("survivor-measure",
+           lambda: rauzy.survivor_measure(1e16, 1e-17, 1)))],
     pytest.param(KINK.jumps, [], id="kink-has-no-jumps"),
     pytest.param(lambda: KINK.evaluate(1.0), 1.0,
                  id="evaluate-at-a-kink-needs-no-side"),

@@ -1,8 +1,7 @@
 """No module of the package or of the tests imports a name it never uses.
 
 An unused import hides which code a module depends on, and can keep a
-dead name alive after its last caller is gone.  The package's
-`__init__.py` imports to re-export, so it is left out.
+dead name alive after its last caller is gone.
 """
 
 import ast
@@ -59,8 +58,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def _modules() -> list[Path]:
-    return ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-            + sorted(TESTS.glob("*.py")))
+    return sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def test_no_module_imports_a_name_it_never_uses():
