@@ -320,7 +320,9 @@ class Room(_RoomFields):
     """Validated pentagon model of a dilation torus with one boundary.
 
     Basis coordinates are ints, floats or Fractions; another type, which
-    `_basis_det` cannot read exactly, raises TypeError.
+    `_basis_det` cannot read exactly, raises TypeError, and an int or
+    Fraction past the float range, on which no float geometry can be
+    built, raises ValueError.
 
     Float basis coordinates and parameters must be finite: NaN or an
     infinite parameter would pass the other checks and put NaN vertices,
@@ -333,12 +335,12 @@ class Room(_RoomFields):
     """
 
     def __new__(cls, e1: Vec2, e2: Vec2, params: DilationParams) -> Room:
-        if not all(math.isfinite(c) for c in (*e1, *e2, *params)
+        x1, y1, x2, y2 = map(as_float, (*e1, *e2), ["a basis coordinate"] * 4)
+        if not all(math.isfinite(c) for c in (x1, y1, x2, y2, *params)
                    if isinstance(c, float)):
             raise ValueError(
                 "basis coordinates and parameters must be finite, got "
-                f"e1={e1.as_floats()}, e2={e2.as_floats()}, "
-                f"mu={params.as_floats()}")
+                f"e1={(x1, y1)}, e2={(x2, y2)}, mu={params.as_floats()}")
         det = _basis_det(e1, e2)
         if det <= 0:
             m, k = _quarter_split(det)

@@ -26,23 +26,43 @@ Each letter's inverse parameter map is a Moebius factor, so the pull-back
 along a word is their product.  One top-down walk of the word tree serves
 the word intervals, the survivor measure and the interval of a single
 word: every node carries its slopes as numerator/denominator pairs and
-that composed pull-back, extended by one factor per letter, and a leaf's
-interval is the image of [0, 1].  Only internal nodes go on the walk's
-stack: a node with one letter left yields its leaves itself, and about
-half the nodes of the tree are leaves.  A pull-back is projective, so each
-factor is scaled by its slope's denominator without moving any point: int
-and Fraction slopes then keep every matrix entry an int, and each endpoint
-is reduced once, as a Fraction, at its leaf.  Float slopes carry
-denominator 1.0 and run the float operations of the unscaled factors,
-and a float survivor measure adds each leaf's hi - lo to its running
-sum as the walk yields the leaf.  Rounding can leave a float leaf's
-interval dividing by 0; a walk that meets one raises ValueError.
+its leaf (q, s, u, v, det), the images of 0 and 1 under the composed
+pull-back as homogeneous pairs q/s and u/v, and the product of the
+letters' determinants, each extended by one factor per letter.  A leaf's
+interval is (q/s, u/v), and every scalar track reads its length,
+exactly hi - lo, as det/(s*v): divided twice, det/s/v, so that no float
+product s*v overflows where s and v do not.  Only internal nodes go on the walk's stack: a node
+with one letter left yields its leaves itself, and about half the nodes of
+the tree are leaves.  A pull-back is projective, so each factor is scaled
+by its slope's denominator without moving any point: int and Fraction
+slopes then keep every entry an int, and each endpoint is reduced once,
+as a Fraction, at its leaf.  Float slopes carry denominator 1.0, and a
+float survivor measure takes the correctly rounded sum (math.fsum) of the
+leaves' lengths as the walk yields them.
+
+Every entry of a leaf is a sum of products of positive numbers, so a
+float walk subtracts nowhere and no leaf divides by 0 (s, v >= 1).  Its
+error against the exact walk of the same floats is bounded, in units of
+u = 2^-53 relative and to first order, by counting roundings: a slope at
+depth k carries at most F(k+2) - 1 of them (F the Fibonacci numbers,
+F(1) = F(2) = 1), and a letter adds at most a slope's count plus 2 to an
+entry and plus 1 to det, so at depth n an entry carries at most
+F(n+3) + n - 2 and det at most F(n+3) - 2.  An endpoint is then within
+2F(n+3) + 2n - 3 units, a leaf's length within 3F(n+3) + 2n - 4, and a
+measure, whose sum rounds once, within 3F(n+3) + 2n - 3.  The bound holds
+while every entry stays in the normal float range, and while every
+feasibility test agrees with the exact one, which fails only where a
+slope product lies within its rounding error of 1.  Past the float range
+an entry can overflow.  Word intervals with a leaf whose s or v is
+infinite are refused with ValueError, since an endpoint would read 0 or
+inf/inf; a measure is refused only when a length reads inf/inf, and a
+leaf whose s or v alone overflows adds 0, short of its length by less
+than det/1.8e308.  No float walk returns a NaN.
 
 On int entries the survivor measure builds no endpoint: a leaf's length
-is read off its pull-back [[p, q], [r, s]] as (p*s - q*r) / (s*(r + s)),
-which is exactly hi - lo.  The lengths are summed in balanced pairs,
-since a running sum's denominator grows with every term; the lowest two
-levels add unreduced int (numerator, denominator) pairs, and Fraction
+is the unreduced pair (det, s*v).  The lengths are summed in balanced
+pairs, since a running sum's denominator grows with every term; the lowest
+two levels add unreduced int (numerator, denominator) pairs, and Fraction
 normalizes only above them.
 """
 
@@ -315,24 +335,30 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 # --- parameter intervals of induction words ---
 
 def _walk(root: tuple, depth: int, word: str = ""):
-    """Yield the composed pull-back (p, q, r, s), y -> (p*y + q)/(r*y + s),
-    of every feasible word of length `depth`, L before R; with a `word`
-    (of length `depth`), of that word alone.
+    """Yield the leaf (q, s, u, v, det) of every feasible word of length
+    `depth`, L before R; with a `word` (of length `depth`), of that word
+    alone.  The word's composed pull-back sends 0 to q/s and 1 to u/v, and
+    det is its determinant, so the word's interval is (q/s, u/v) and its
+    length det/(s*v).
 
     The tree is walked top-down on an explicit stack of internal nodes
-    (xn, xd, yn, yd, p, q, r, s, k): slopes rho_a = xn/xd and
-    rho_b = yn/yd (denominators positive), the pull-back from the node's
-    break parameter to the root's, and the letters still to take.  A
-    child's pull-back is its parent's times the letter's Moebius factor on
-    the right: y -> rho_b*y / (1 + rho_b*y) for L, y -> 1 / (1 + rho_a*(1 - y))
-    for R.  The factor is scaled by the slope's denominator, which moves
-    no point, so integer slope pairs keep every entry an integer; at
-    denominator 1.0 the float operations are those of the unscaled factor.
-    A leaf is never pushed: a node with one letter left yields its L
-    child's pull-back and then its R child's, so about half the nodes of
-    the tree never go through the stack.  The products xn*yn and xd*yd,
-    which a node's feasibility test and its children's slopes read, are
-    taken once.
+    (xn, xd, yn, yd, q, s, u, v, det, k): slopes rho_a = xn/xd and
+    rho_b = yn/yd (denominators positive), the node's leaf, and the
+    letters still to take.  A child's pull-back is its parent's times the
+    letter's Moebius factor on the right: y -> rho_b*y / (1 + rho_b*y) for
+    L, y -> 1 / (1 + rho_a*(1 - y)) for R, as the matrices
+    [[yn, 0], [yn, yd]] and [[0, xd], [-xn, xd + xn]], of determinants
+    yn*yd and xn*xd.  The factor is scaled by the slope's denominator,
+    which moves no point, so integer slope pairs keep every entry an
+    integer; at denominator 1.0 the float operations are those of the
+    unscaled factor.  Carried as images of 0 and 1, every entry is a sum of
+    products of positive numbers: the R factor's negative entry never
+    enters, so a float walk subtracts nowhere, and s, v >= 1 at every
+    node.  A leaf is never pushed: a node with one letter left yields its
+    L child's leaf and then its R child's, so about half the nodes of the
+    tree never go through the stack.  The products xn*yn and xd*yd, which
+    a node's feasibility test and its children's slopes read, are taken
+    once.
 
     With rho_a*rho_b >= 1 the injectivity constraint confines valid break
     points to one side: below the B-threshold when rho_a > 1 (forced L),
@@ -345,7 +371,7 @@ def _walk(root: tuple, depth: int, word: str = ""):
     stack = [(*root, depth)]
     pop, push = stack.pop, stack.append
     while stack:
-        xn, xd, yn, yd, p, q, r, s, k = pop()
+        xn, xd, yn, yd, q, s, u, v, det, k = pop()
         k -= 1
         xyn, xyd = xn * yn, xd * yd
         free = xyn < xyd
@@ -361,47 +387,46 @@ def _walk(root: tuple, depth: int, word: str = ""):
             go_l, go_r = letter == "L", letter == "R"
         if k:
             if go_r:                    # pushed first, so L is popped first
-                # [[p, q], [r, s]] @ [[0, xd], [-xn, xd + xn]]
-                t = xd + xn
-                push((xn, xd, xyn, xyd,
-                      -q * xn, p * xd + q * t, -s * xn, r * xd + s * t, k))
+                ud, vd = u * xd, v * xd
+                push((xn, xd, xyn, xyd, ud + q * xn, vd + s * xn, ud, vd,
+                      det * (xn * xd), k))
             if go_l:
-                # [[p, q], [r, s]] @ [[yn, 0], [yn, yd]]
-                push((xyn, xyd, yn, yd,
-                      (p + q) * yn, q * yd, (r + s) * yn, s * yd, k))
+                qd, sd = q * yd, s * yd
+                push((xyn, xyd, yn, yd, qd, sd, u * yn + qd, v * yn + sd,
+                      det * (yn * yd), k))
             continue
         if go_l:
-            yield (p + q) * yn, q * yd, (r + s) * yn, s * yd
+            qd, sd = q * yd, s * yd
+            yield qd, sd, u * yn + qd, v * yn + sd, det * (yn * yd)
         if go_r:
-            t = xd + xn
-            yield -q * xn, p * xd + q * t, -s * xn, r * xd + s * t
+            ud, vd = u * xd, v * xd
+            yield ud + q * xn, vd + s * xn, ud, vd, det * (xn * xd)
 
 
-def _rounded_to_a_pole(rho_a: Scalar, rho_b: Scalar,
-                       depth: int) -> ValueError:
-    """The refusal of a float walk with a leaf whose pull-back has a zero
-    denominator: exact ones never do, but a float R factor's entries are
-    built on xd + xn, which can round the 1 away, and the leaf's r + s
-    then cancels to 0."""
+def _left_the_float_range(rho_a: Scalar, rho_b: Scalar,
+                          depth: int) -> ValueError:
+    """The refusal of a float walk whose leaf entries overflowed: word
+    intervals with an infinite s or v, whose endpoint would read 0 or
+    inf/inf, or a measure with a length that reads inf/inf."""
     return ValueError(
         f"the float walk at slopes ({rho_a!r}, {rho_b!r}) to depth {depth} "
-        "reaches a word interval whose end divides by 0 after rounding")
+        "left the float range")
 
 
 def _intervals(rho_a: Scalar, rho_b: Scalar, depth: int,
                word: str = "") -> list[tuple[Scalar, Scalar]]:
-    """The images of 0 and 1 under each pull-back `_walk` yields to
-    `depth` (of `word` alone, if given); Fractions when the entries are
-    ints.  Slopes must be positive, and finite when they are floats."""
+    """The interval (q/s, u/v) of each leaf `_walk` yields to `depth` (of
+    `word` alone, if given); Fractions when the entries are ints.  Slopes
+    must be positive, and finite when they are floats, and a float walk
+    must keep every s and v finite."""
     root, integral = _checked_root(rho_a, rho_b, depth)
-    leaves = _walk(root, depth, word)
+    leaves = list(_walk(root, depth, word))
+    if not is_exact(rho_a, rho_b) and not all(
+            max(s, v) < math.inf for _, s, _, v, _ in leaves):
+        raise _left_the_float_range(rho_a, rho_b, depth)
     if integral:
-        return [(Fraction(q, s), Fraction(p + q, r + s))
-                for p, q, r, s in leaves]
-    try:
-        return [(q / s, (p + q) / (r + s)) for p, q, r, s in leaves]
-    except ZeroDivisionError:
-        raise _rounded_to_a_pole(rho_a, rho_b, depth) from None
+        return [(Fraction(q, s), Fraction(u, v)) for q, s, u, v, _ in leaves]
+    return [(q / s, u / v) for q, s, u, v, _ in leaves]
 
 
 def interval_for_word(rho_a: Scalar, rho_b: Scalar,
@@ -414,17 +439,17 @@ def interval_for_word(rho_a: Scalar, rho_b: Scalar,
 
 def _checked_root(rho_a: Scalar, rho_b: Scalar,
                   depth: int) -> tuple[tuple, bool]:
-    """The root node (xn, xd, yn, yd, p, q, r, s) of a walk to `depth`,
-    with the identity pull-back, and whether all its entries are ints;
-    ValueError unless the depth is nonnegative and `_check_slopes`
-    passes."""
+    """The root node (xn, xd, yn, yd, q, s, u, v, det) of a walk to
+    `depth`, with the identity pull-back's leaf (0, 1, 1, 1, 1), and
+    whether all its entries are ints; ValueError unless the depth is
+    nonnegative and `_check_slopes` passes."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     _check_slopes(rho_a, rho_b)
     xn, xd = as_ratio(rho_a)
     yn, yd = as_ratio(rho_b)
     zero = 0 * xn * yn
-    return ((xn, xd, yn, yd, 1 + zero, zero, zero, 1 + zero),
+    return ((xn, xd, yn, yd, zero) + (1 + zero,) * 4,
             all(type(v) is int for v in (xn, xd, yn, yd)))
 
 
@@ -438,8 +463,10 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
     `_walk`).  That is O(2^depth) scalar operations.  Int and Fraction
     slopes keep every entry an int and give Fraction endpoints, normalized
     once per leaf; QuadraticNumber slopes give exact endpoints too, and
-    float slopes run the float operations of the unscaled factors.
-    Slopes must be positive, and finite when they are floats.
+    float slopes run the float operations of the unscaled factors, within
+    the error bound the module docstring states, and refuse with
+    ValueError a walk that left the float range.  Slopes must be
+    positive, and finite when they are floats.
     """
     return _intervals(rho_a, rho_b, depth)
 
@@ -479,35 +506,32 @@ def check_exact_measures(rho_a: Scalar, rho_b: Scalar, depth: int) -> None:
 def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     """Lebesgue measure of the n-times renormalizable parameter set.
 
-    Int and Fraction slopes read each leaf's length off its integer
-    pull-back [[p, q], [r, s]] as (p*s - q*r) / (s*(r + s)), which is
-    exactly hi - lo, and sum the lengths in balanced pairs: the lowest two
+    Every track reads a leaf's length as det/(s*v) off the leaf (q, s, u,
+    v, det) that `_walk` yields, which is exactly hi - lo: the unreduced
+    pair (det, s*v) on ints, det/s/v otherwise.  Int and
+    Fraction slopes sum the lengths in balanced pairs: the lowest two
     levels as unreduced int (numerator, denominator) pairs, Fractions
-    above them.  QuadraticNumber slopes sum the interval lengths in
-    balanced pairs; float slopes sum them left to right as the walk yields
-    them, holding no list of intervals.
+    above them.  QuadraticNumber slopes sum them in balanced pairs; float
+    slopes take their correctly rounded sum as the walk yields them,
+    holding no list of intervals, and refuse with ValueError a walk that
+    left the float range.
 
     Exact slopes with more than EXACT_MEASURE_MAX_LEAVES leaves are
     refused with ValueError before the sum: the walk stops at the first
     leaf past the cap, so a refusal costs the same at any depth."""
     root, integral = _checked_root(rho_a, rho_b, depth)
     if not is_exact(rho_a, rho_b):
-        # a float slope makes every entry a float: hi - lo of each leaf,
-        # as `_intervals` would give them
-        total = 0 * rho_a
-        try:
-            for p, q, r, s in _walk(root, depth):
-                total = total + ((p + q) / (r + s) - q / s)
-        except ZeroDivisionError:
-            raise _rounded_to_a_pole(rho_a, rho_b, depth) from None
+        total = math.fsum(det / s / v for _, s, _, v, det
+                          in _walk(root, depth))
+        if not math.isfinite(total):
+            raise _left_the_float_range(rho_a, rho_b, depth)
         return total
     leaves = _exact_leaves(root, depth)
     if not leaves:
         return 0 * rho_a
     if not integral:
-        return _pairwise_sum([(p + q) / (r + s) - q / s
-                              for p, q, r, s in leaves])
-    terms = [(p * s - q * r, s * (r + s)) for p, q, r, s in leaves]
+        return _pairwise_sum([det / s / v for _, s, _, v, det in leaves])
+    terms = [(det, s * v) for _, s, _, v, det in leaves]
     for _ in range(2):              # the lowest two levels, unreduced
         terms = [(a * d + c * b, b * d) for (a, b), (c, d)
                  in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]

@@ -924,8 +924,9 @@ def find_periodic_oracle(tsm: TwoSlopeMap, max_iter: int = 10 ** 4,
     return None
 
 
-# --- survivor intervals: the letter-feasibility test, and the top-down walk
-# on unscaled Moebius factors in the slopes' own scalar type ---
+# --- survivor intervals: the letter-feasibility test, the top-down walks
+# on unscaled Moebius factors in the slopes' own scalar type, and the
+# float walk's error bound ---
 
 def _letter_feasible(rho_a: Scalar, rho_b: Scalar, letter: str) -> bool:
     """Whether any valid break point takes this letter.
@@ -1001,6 +1002,72 @@ def survivor_intervals_topdown_oracle(rho_a: Scalar, rho_b: Scalar,
             if _letter_feasible(ra, rb, letter):
                 stack.append((*_descend(ra, rb, letter, p, q, r, s), k - 1))
     return out
+
+
+def survivor_leaves_topdown_oracle(rho_a: Scalar, rho_b: Scalar,
+                                   depth: int) -> list[tuple]:
+    """The same walk carrying, per node, the images of 0 and 1 under its
+    pull-back as homogeneous pairs q/s and u/v, and det, the product of
+    the unscaled factors' determinants (rho_b for L, rho_a for R): the
+    leaves (q, s, u, v, det), a word's interval (q/s, u/v) and its length
+    det/s/v."""
+    zero = 0 * rho_a
+    one = 1 + zero
+    out: list[tuple] = []
+    stack = [(rho_a, rho_b, zero, one, one, one, one, depth)]
+    while stack:
+        ra, rb, q, s, u, v, det, k = stack.pop()
+        if k == 0:
+            out.append((q, s, u, v, det))
+            continue
+        if _letter_feasible(ra, rb, "R"):  # L is popped, and listed, first
+            stack.append((ra, ra * rb, u + q * ra, v + s * ra, u, v,
+                          det * ra, k - 1))
+        if _letter_feasible(ra, rb, "L"):
+            stack.append((ra * rb, rb, q, s, u * rb + q, v * rb + s,
+                          det * rb, k - 1))
+    return out
+
+
+def float_walk_bounds(depth: int) -> tuple[Fraction, Fraction]:
+    """The relative error bounds (endpoint, measure) that the `rauzy`
+    docstring states for a float survivor walk to `depth`, against the
+    exact walk of the same floats: gamma_N = N*u / (1 - N*u) with
+    u = 2^-53, for N = 2F(n+3) + 2n - 3 and 3F(n+3) + 2n - 3."""
+    fib = [0, 1]
+    while len(fib) < depth + 4:
+        fib.append(fib[-1] + fib[-2])
+    f = fib[depth + 3]
+
+    def gamma(n: int) -> Fraction:
+        return Fraction(n, 2 ** 53 - n)
+
+    return gamma(2 * f + 2 * depth - 3), gamma(3 * f + 2 * depth - 3)
+
+
+def within(got: float, exact: Fraction, bound: Fraction) -> bool:
+    """Whether the float `got` lies within `bound` of `exact`, relative
+    to `exact`: |got - exact| <= bound*|exact|, cross-multiplied over
+    ints so that no Fraction is normalized."""
+    a, b = got.as_integer_ratio()
+    p, q = exact.numerator, exact.denominator
+    return (abs(a * q - p * b) * bound.denominator
+            <= bound.numerator * abs(p) * b)
+
+
+def meets_float_walk_bound(call: Callable, rho_a: float, rho_b: float,
+                           depth: int) -> bool:
+    """Whether `call(rho_a, rho_b)`, a survivor measure or a list of word
+    intervals at `depth`, lies within `float_walk_bounds` of `call` on
+    the exact values of the same floats: a measure within the measure
+    bound, and every endpoint within the endpoint bound."""
+    got, want = call(rho_a, rho_b), call(Fraction(rho_a), Fraction(rho_b))
+    endpoint, measure = float_walk_bounds(depth)
+    if type(got) is float:
+        return within(got, want, measure)
+    return len(got) == len(want) and all(
+        within(x, y, endpoint)
+        for interval, exact in zip(got, want) for x, y in zip(interval, exact))
 
 
 # --- survivor intervals by bottom-up recursion ---

@@ -210,13 +210,46 @@ def test_a_door_of_zero_float_length_is_refused_where_its_normal_is_read(
 
 
 @pytest.mark.parametrize("argv", [["--rhoA=1e16", "--rhoB=1e-17", "--n=1"],
-                                  ["--rhoA=1e8", "--rhoB=1e-17", "--n=2"]])
-def test_a_float_measure_whose_interval_divides_by_0_exits_2(capsys, argv):
-    # the R factor's xd + xn rounds the 1 away, and a leaf's r + s
-    # cancels to 0
+                                  ["--rhoA=1e8", "--rhoB=1e-17", "--n=2"],
+                                  ["--rhoA=1e17", "--rhoB=1e-50", "--n=6"],
+                                  ["--rhoA=1e100", "--rhoB=1e-200", "--n=4"]])
+def test_a_float_measure_meets_the_bound_of_the_exact_measure(capsys, argv):
+    # 1 + rho_a rounds the 1 away in the first two, and far apart slopes
+    # leave a word interval shorter than its endpoints' rounding in the
+    # last two: each measure is read without a subtraction
     code, out, err = run(capsys, ["measure"] + argv)
+    assert (code, err) == (0, "")
+    ra, rb, n = (float(flag.split("=")[1]) for flag in argv)
+    got = json.loads(out)["measure"]
+    assert oracles.meets_float_walk_bound(
+        lambda a, b: survivor_measure(a, b, int(n)), ra, rb, int(n))
+    assert got == survivor_measure(ra, rb, int(n))
+
+
+def test_a_float_measure_whose_entries_overflow_is_a_number(capsys):
+    # the walk's entries overflow at a few leaves, which then add
+    # det/inf = 0.0
+    code, out, err = run(capsys, ["measure", "--rhoA=5e-324", "--rhoB=1e200",
+                                  "--n=8"])
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=pytest.fail)["measure"] == 0.0
+    # the exact measure of the same floats, which only shrinks with depth,
+    # lies below half the least subnormal float at depth 4 already, so it
+    # rounds to 0.0 too
+    assert survivor_measure(Fraction(5e-324), Fraction(1e200), 4) \
+        < Fraction(1, 2 ** 1075)
+
+
+def test_a_float_measure_whose_leaf_reads_inf_over_inf_exits_2(capsys):
+    # the word LL multiplies det and v by 1e155 twice, so both overflow
+    # and the leaf's length would be NaN
+    code, out, err = run(capsys, ["measure", "--rhoA=5e-324",
+                                  "--rhoB=1e155", "--n=2"])
     assert code == 2 and out == ""
-    assert "divides by 0 after rounding" in json.loads(err)["detail"]
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "detail": "the float walk at slopes (5e-324, 1e+155) to depth 2 "
+                  "left the float range"}
 
 
 def test_classify_matches_library_verdict(capsys):

@@ -2,10 +2,12 @@
 
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from dilatorus import rauzy, surface
 from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
                               RationalRatio)
@@ -211,16 +213,34 @@ CASES = [
                                     (0, QuadraticNumber(3)), (1, 1)),
                  (TypeError, "Rational instance"),
                  id="room-refuses-a-quadratic-coordinate"),
-    # the R leaf's r + s cancels to 0 in floats
-    *[pytest.param(call, (ValueError, r"slopes \(1e\+16, 1e-17\) to depth 1 "
-                                      "reaches a word interval whose end "
-                                      "divides by 0 after rounding"),
-                   id=f"float-{name}-divides-by-0")
+    # no float geometry can be built on an exact coordinate past the
+    # float range, and the NaN refusal's message reads none
+    *[pytest.param(lambda e1=e1, e2=e2: build_room(e1, e2, (1, 1)),
+                   (ValueError, "a basis coordinate lies outside the float "
+                                "range"),
+                   id=f"room-refuses-{name}-past-the-float-range")
+      for name, e1, e2 in (
+          ("an-int", (10 ** 400, 0), (0, 1)),
+          ("a-fraction-beside-a-nan", (math.nan, 0.0),
+           (Fraction(10 ** 400, 3), 1)))],
+    # 1 + rho_a rounds the 1 away: the R factor's matrix [[0, 1],
+    # [-rho_a, 1 + rho_a]] would leave the R leaf dividing by 0, and the
+    # walk on images of 0 and 1 reads it within the stated bound
+    *[pytest.param(lambda call=call: oracles.meets_float_walk_bound(
+          call, 1e16, 1e-17, 1), True, id=f"float-{name}-divides-by-0")
       for name, call in (
-          ("survivor-intervals", lambda: survivor_intervals(1e16, 1e-17, 1)),
-          ("interval-for-word", lambda: interval_for_word(1e16, 1e-17, "R")),
-          ("survivor-measure",
-           lambda: rauzy.survivor_measure(1e16, 1e-17, 1)))],
+          ("survivor-intervals", lambda a, b: survivor_intervals(a, b, 1)),
+          ("interval-for-word", lambda a, b: [interval_for_word(a, b, "R")]),
+          ("survivor-measure", lambda a, b: rauzy.survivor_measure(a, b, 1)))],
+    # a few leaves' entries overflow, and their endpoints read inf/inf;
+    # in the second, an s alone overflows, and its endpoint read 0.0 where
+    # the exact one is 1e-250
+    *[pytest.param(lambda a=a, b=b, n=n: survivor_intervals(a, b, n),
+                   (ValueError, re.escape(f"slopes ({a!r}, {b!r}) to depth "
+                                          f"{n} left the float range")),
+                   id=f"float-survivor-intervals-{kind}-past-the-float-range")
+      for kind, a, b, n in (("nan", 5e-324, 1e200, 8),
+                            ("zero", 1e250, 5e-324, 6))],
     pytest.param(KINK.jumps, [], id="kink-has-no-jumps"),
     pytest.param(lambda: KINK.evaluate(1.0), 1.0,
                  id="evaluate-at-a-kink-needs-no-side"),

@@ -530,19 +530,40 @@ def test_scaled_walk_equals_unscaled_walk_on_fractions(ra):
 @pytest.mark.parametrize("ra", MEASURE_SLOPES, ids=str)
 def test_scaled_walk_is_bit_identical_on_floats(ra):
     for rb in MEASURE_SLOPES:
-        for depth in (8, 11):
-            got = survivor_intervals(float(ra), float(rb), depth)
-            want = oracles.survivor_intervals_topdown_oracle(
-                float(ra), float(rb), depth)
-            assert [(lo.hex(), hi.hex()) for lo, hi in got] \
-                == [(lo.hex(), hi.hex()) for lo, hi in want]
-            # the float measure is the oracle's lengths summed left to
-            # right, bit for bit
-            total = 0.0
-            for lo, hi in want:
-                total = total + (hi - lo)
-            assert survivor_measure(float(ra), float(rb), depth).hex() \
-                == total.hex()
+        fa, fb = float(ra), float(rb)
+        for depth in range(7):
+            leaves = oracles.survivor_leaves_topdown_oracle(fa, fb, depth)
+            assert [(lo.hex(), hi.hex())
+                    for lo, hi in survivor_intervals(fa, fb, depth)] \
+                == [((q / s).hex(), (u / v).hex())
+                    for q, s, u, v, _ in leaves]
+            # the float measure is the correctly rounded sum of the
+            # oracle's lengths, bit for bit
+            total = math.fsum(det / s / v for _, s, _, v, det in leaves)
+            assert survivor_measure(fa, fb, depth).hex() == total.hex()
+            # and both lie within the stated bound of the exact walk of
+            # the same floats
+            for call in (survivor_intervals, survivor_measure):
+                assert oracles.meets_float_walk_bound(
+                    lambda a, b: call(a, b, depth), fa, fb, depth)
+
+
+# from the least subnormal float to near the largest, 50 decades apart
+EXTREME_SLOPES = [5e-324, *(10.0 ** e for e in range(-300, 301, 50)), 1.7e308]
+
+
+def test_float_walk_gives_numbers_in_the_unit_interval_or_refuses():
+    for ra, rb in itertools.product(EXTREME_SLOPES, repeat=2):
+        for depth in (1, 2, 3, 4, 6, 8):
+            for call in (survivor_intervals, survivor_measure):
+                try:
+                    got = call(ra, rb, depth)
+                except ValueError as exc:
+                    assert str(exc).endswith("left the float range")
+                    continue
+                values = [got] if type(got) is float else [
+                    x for interval in got for x in interval]
+                assert all(0 <= x <= 1 for x in values), (ra, rb, depth)
 
 
 @pytest.mark.parametrize("ra,rb", SAME_FIELD_PAIRS, ids=["sqrt3", "sqrt7"])
@@ -673,7 +694,8 @@ def test_float_survivor_measure_holds_no_list_of_intervals():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 16
-    total = 0.0
-    for lo, hi in survivor_intervals(0.5, 0.5, 14):
-        total = total + (hi - lo)
-    assert m == total
+    # the correctly rounded sum of the reference walk's lengths, which
+    # test_scaled_walk_is_bit_identical_on_floats holds to the bound
+    leaves = oracles.survivor_leaves_topdown_oracle(0.5, 0.5, 14)
+    assert m.hex() == math.fsum(det / s / v
+                                for _, s, _, v, det in leaves).hex()
