@@ -20,10 +20,6 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-# float_convergents expands at most CF_MAX_TERMS terms, and stops once
-# the fractional part left (unitless) falls below CF_NOISE_FLOOR.
-CF_MAX_TERMS = 48
-CF_NOISE_FLOOR = 1e-14
 # An irrational value's radicand d is at most MAX_RADICAND: its
 # square-free part is found by trial division up to sqrt(d), which for
 # a prime d near the cap takes 0.15 s on a 2-vCPU x86-64 host.
@@ -319,23 +315,14 @@ def as_ratio(x: Scalar) -> tuple[Scalar, Scalar]:
 # --- continued fractions ---
 
 
-def cf_convergents(terms: list[int]):
-    """Yield convergents (p, q) of a continued fraction."""
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    for a in terms:
-        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
-        yield p0, q0
-
-
-def float_convergents(x: float):
-    """Convergents of a float's continued fraction, stopping at noise level."""
-    terms: list[int] = []
-    r = x
-    for _ in range(CF_MAX_TERMS):
-        a = math.floor(r)
-        terms.append(a)
-        frac = r - a
-        if frac < CF_NOISE_FLOOR:
-            break
-        r = 1.0 / frac
-    return list(cf_convergents(terms))
+def convergents(p: int, q: int):
+    """Yield (t, h, k) for each partial quotient t of the continued
+    fraction of p/q (ints, q > 0), with h/k the convergent that t ends:
+    Euclid on (p, q), so the expansion is exact and finite and its last
+    convergent is p/q in lowest terms.  A float x is expanded exactly as
+    convergents(*x.as_integer_ratio())."""
+    h0, k0, h1, k1 = 1, 0, 0, 1
+    while q:
+        t, (p, q) = p // q, (q, p % q)
+        h0, k0, h1, k1 = t * h0 + h1, t * k0 + k1, h0, k0
+        yield t, h0, k0

@@ -50,9 +50,12 @@ entry and plus 1 to det, so at depth n an entry carries at most
 F(n+3) + n - 2 and det at most F(n+3) - 2.  An endpoint is then within
 2F(n+3) + 2n - 3 units, a leaf's length within 3F(n+3) + 2n - 4, and a
 measure, whose sum rounds once, within 3F(n+3) + 2n - 3.  The bound holds
-while every entry stays in the normal float range, and while every
-feasibility test agrees with the exact one, which fails only where a
-slope product lies within its rounding error of 1.  Past the float range
+while every entry stays in the normal float range.  Every feasibility
+test agrees with the exact one, so a float walk walks the exact walk's
+tree at any depth: a slope product that could round to the wrong side
+of 1 is decided exactly and, where it did, moved to the float nearest 1
+on the right side (`_straddle_products`), no farther from its exact
+value than the rounded product or one unit.  Past the float range
 an entry can overflow.  Word intervals with a leaf whose s or v is
 infinite are refused with ValueError, since an endpoint would read 0 or
 inf/inf; a measure is refused only when a length reads inf/inf, and a
@@ -69,9 +72,10 @@ normalizes only above them.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple, Optional
 
 from .errors import (AtDiscontinuity, EmptyInterval, NonConvergence,
@@ -334,6 +338,47 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 
 # --- parameter intervals of induction words ---
 
+def _straddle_products(rho_a: Scalar, rho_b: Scalar,
+                       depth: int) -> dict[tuple[int, float, float], float]:
+    """The slope product x*y that `_walk` takes at each node, to `depth`,
+    whose float slopes (x, y) lie on both sides of 1, keyed by (k, x, y)
+    with k the letters left below the node.  Where x*y rounded to 1 or
+    past it, the float nearest 1 on the side of the exact product of the
+    same floats takes its place.  Empty unless both slopes are floats,
+    and not both powers of 2.
+
+    Rounding is monotone and 1 is a float, so a product of floats on
+    one side of 1 rounds to that side, and to 1 only when it is 1: only
+    a product of slopes on both sides of 1 can be decided wrong.  Of the
+    children of such a node, the one that takes the product in place of
+    the slope on the product's side of 1 straddles 1 again and the other
+    does not, so these nodes form one path, one node per depth.  The
+    slopes along it are rho_a**i * rho_b**j, and a product's side of 1
+    is the sign of t = i*ln(rho_a) + j*ln(rho_b), which is 0 only when
+    both slopes are powers of 2, whose products along the path are
+    exact.  Decimal's ln is correctly rounded, so t read at P digits is
+    off by less than 10**(2 - P) * (i*|ln(rho_a)| + j*|ln(rho_b)|); P
+    grows until |t| passes that."""
+    path, x, y = {}, (rho_a, 1, 0), (rho_b, 0, 1)
+    rounded = type(rho_a) is type(rho_b) is float and (
+        math.frexp(rho_a)[0] != 0.5 or math.frexp(rho_b)[0] != 0.5)
+    for k in reversed(range(depth)):
+        if not (rounded and (x[0] < 1 < y[0] or y[0] < 1 < x[0])):
+            break
+        p, i, j = x[0] * y[0], x[1] + y[1], x[2] + y[2]
+        with localcontext() as ctx:
+            for ctx.prec in count(32, 32):
+                la, lb = Decimal(rho_a).ln(), Decimal(rho_b).ln()
+                t = i * la + j * lb
+                if abs(t) > (i * abs(la) + j * abs(lb)).scaleb(2 - ctx.prec):
+                    break
+        if not (p < 1 if t < 0 else p > 1):     # rounded to 1 or past it
+            p = math.nextafter(1.0, 2.0 * (t > 0))
+        path[k, x[0], y[0]] = p
+        x, y = ((p, i, j), y) if (p < 1) == (x[0] < 1) else (x, (p, i, j))
+    return path
+
+
 def _walk(root: tuple, depth: int, word: str = ""):
     """Yield the leaf (q, s, u, v, det) of every feasible word of length
     `depth`, L before R; with a `word` (of length `depth`), of that word
@@ -358,7 +403,8 @@ def _walk(root: tuple, depth: int, word: str = ""):
     L child's leaf and then its R child's, so about half the nodes of the
     tree never go through the stack.  The products xn*yn and xd*yd, which
     a node's feasibility test and its children's slopes read, are taken
-    once.
+    once; on float slopes on both sides of 1, xn*yn is read from
+    `_straddle_products` at the nodes whose slopes straddle 1.
 
     With rho_a*rho_b >= 1 the injectivity constraint confines valid break
     points to one side: below the B-threshold when rho_a > 1 (forced L),
@@ -368,12 +414,13 @@ def _walk(root: tuple, depth: int, word: str = ""):
     if not depth:
         yield root[4:]
         return
+    path = _straddle_products(root[0], root[2], depth)
     stack = [(*root, depth)]
     pop, push = stack.pop, stack.append
     while stack:
         xn, xd, yn, yd, q, s, u, v, det, k = pop()
         k -= 1
-        xyn, xyd = xn * yn, xd * yd
+        xyn, xyd = path.get((k, xn, yn), xn * yn) if path else xn * yn, xd * yd
         free = xyn < xyd
         go_l, go_r = free or yn <= yd, free or xn <= xd
         if word:

@@ -27,8 +27,7 @@ from .errors import (
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import (CF_NOISE_FLOOR, cf_convergents, float_convergents,
-                         is_exact, one_field, quadratic)
+from .quadratics import convergents, is_exact, one_field, quadratic
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -289,16 +288,17 @@ def _spread_exponents(a: int, c: int) -> tuple[int, int, list[int]]:
     a*d - c*b == 1, and the exponents of [[a, b], [c, d]] =
     R^t0 L^t1 R^t2 ... in R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]].
 
-    One Euclid pass gives the continued fraction of a/c; an odd number
+    `convergents` gives the continued fraction of a/c, and (b, d) is the
+    convergent before a/c, with (1, 0) before the first.  An odd number
     of terms, whose product has determinant -1, has its last term t
-    split into t - 1 and 1.  (b, d) is the convergent before a/c."""
-    terms, x, y = [], a, c
-    while y:
-        terms.append(x // y)
-        x, y = y, x % y
+    split into t - 1 and 1, and the convergent that t - 1 ends, (a, c)
+    minus the one before a/c, becomes the one before a/c."""
+    expansion = [(None, 1, 0), *convergents(a, c)]
+    terms = [t for t, _, _ in expansion[1:]]
+    _, b, d = expansion[-2]
     if len(terms) % 2:
         terms[-1:] = [terms[-1] - 1, 1]
-    (b, d), _ = list(cf_convergents(terms))[-2:]
+        b, d = a - b, c - d
     return b, d, terms
 
 
@@ -314,12 +314,11 @@ def reach_target(params: DilationParams, mu_target, eps: float,
     is returned.
     A negative or NaN eps, which no word could meet, a negative budget,
     a start outside the open positive quadrant, past the float range or
-    from two quadratic fields, and a NaN or infinite target or target
-    ratio are refused.  So is, unless the start already lies within eps,
-    a target ratio below CF_NOISE_FLOOR: its continued fraction ends at
-    the term 0, so no convergent could aim a search at it.  A convergent
-    whose word would pass the budget is skipped before the word is
-    built, and so is one whose entries pass the float range.
+    from two quadratic fields, and a NaN or infinite target, or a target
+    ratio that is not a positive finite float, are refused.  The search
+    walks the exact continued fraction of the float target ratio.  A
+    convergent whose word would pass the budget is skipped before the
+    word is built, and so is one whose entries pass the float range.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
@@ -335,29 +334,22 @@ def reach_target(params: DilationParams, mu_target, eps: float,
     t1, t2 = float(mu_target[0]), float(mu_target[1])
     if t1 <= 0 or t2 <= 0:
         raise ValueError("target must lie in the open positive quadrant")
-    if not (t1 < math.inf and t2 < math.inf and t1 / t2 < math.inf):
+    if not (t1 < math.inf and t2 < math.inf and 0 < t1 / t2 < math.inf):
         raise ValueError(f"target ({t1!r}, {t2!r}) and its ratio must be "
-                         "finite floats")
+                         "finite, positive floats")
     if math.hypot(m1 - t1, m2 - t2) <= eps:
         return ReachReport((), (("start", (m1, m2)),),
                            math.hypot(m1 - t1, m2 - t2), params)
-    if t1 / t2 < CF_NOISE_FLOOR:
-        raise ValueError(f"target ratio {t1 / t2!r} lies below the "
-                         f"continued-fraction noise floor {CF_NOISE_FLOOR!r}; "
-                         "no convergent resolves its direction")
 
     last_error = math.inf
-    for a, c in float_convergents(t1 / t2):
-        if not (a >= 1 and c >= 1):
-            continue
-        direction_error = abs(c * (t1 / a) - t2)
-        if direction_error > eps / 3.0:
-            continue
-        b, d, exponents = _spread_exponents(a, c)
-        try:
+    for _, a, c in convergents(*(t1 / t2).as_integer_ratio()):
+        try:                    # the convergent 0/1 aims at no direction
+            if not a or abs(c * (t1 / a) - t2) > eps / 3.0:
+                continue
+            b, d, exponents = _spread_exponents(a, c)
             eta = eps / (3.0 * (a + b + c + d + 1))
-        except OverflowError:   # no float eta, nor prediction, this far out
-            continue
+        except OverflowError:   # past the float range: no direction error,
+            break               # eta or prediction here, nor further on
         try:
             contraction = gauss_contraction(params, eta,
                                             max_generators=budget)
@@ -444,8 +436,9 @@ def holonomy_class(params: DilationParams) -> HolonomyClass:
 
     The multiplicative holonomy group is discrete exactly when mu1, mu2 are
     rationally dependent.  Exact inputs are decided; floats are screened by
-    the continued-fraction test and otherwise reported undecided.  Float
-    parameters that are NaN or infinite, or whose ratio is, are refused.
+    the continued-fraction test, on the exact expansion of their float
+    ratio, and otherwise reported undecided.  Float parameters that are
+    NaN or infinite, or whose ratio is, are refused.
     """
     if params.is_zero():
         raise ValueError("zero parameters do not define a dilation surface")
@@ -461,14 +454,11 @@ def holonomy_class(params: DilationParams) -> HolonomyClass:
                          "be finite floats")
     if m2 == 0.0:
         return HolonomyClass(Holonomy.DISCRETE, (1, 0))
-    if m1 == 0.0:
-        return HolonomyClass(Holonomy.DISCRETE, (0, 1))
     r = m1 / m2
-    for p, q in float_convergents(abs(r)):
+    for _, p, q in convergents(*abs(r).as_integer_ratio()):
         if q > DENOMINATOR_CAP:
             break
         err = abs(abs(r) - p / q)
-        if q >= 1 and err < RATIO_TOL and err * q * q < ANOMALY_FACTOR:
-            sign = -1 if r < 0 else 1
-            return HolonomyClass(Holonomy.DISCRETE, (sign * p, q))
+        if err < RATIO_TOL and err * q * q < ANOMALY_FACTOR:
+            return HolonomyClass(Holonomy.DISCRETE, (-p if r < 0 else p, q))
     return HolonomyClass(Holonomy.UNDECIDED_FLOAT)

@@ -110,9 +110,9 @@ def run_in_subprocess(argv):
 
 
 def test_reach_skips_a_float_noise_convergent_past_the_budget():
-    # 975779919263606/525419956526557, a convergent of 1.3/0.7 past its
-    # float noise, has a partial quotient of about 7.5e13: its spread
-    # was once built letter by letter before the budget was read
+    # 929314208822482/500399958596721, a convergent of the float 1.3/0.7,
+    # has a partial quotient of about 7.1e13: a spread of that size was
+    # once built letter by letter before the budget was read
     code, out, _ = run_in_subprocess([
         "reach", "--mu1-exact=0,1,2", "--mu2-exact=1,0,0", "--target1=1.3",
         "--target2=0.7", "--budget=3000"])
@@ -450,11 +450,24 @@ REFUSALS_AND_EDGES = {
     "reach-start-ratio-past-float-range": (
         ["reach", "--mu1=30", "--mu2=1e-307", "--target1=1", "--target2=1"],
         2, "RationalRatio", "err", "cannot certify a positive remainder"),
-    # a push toward the target would take 5e16 letters: it is counted
-    # against the budget, never built
+    # the start's ratio is exactly 2: past the push that the convergent
+    # 10/13 of the target ratio counts against the budget, a deeper
+    # convergent's contraction meets the tie
     "reach-start-near-zero": (
         ["reach", "--mu1=1e-17", "--mu2=2e-17", "--target1=1",
-         "--target2=1.3"], 3, "BudgetExhausted", "out",
+         "--target2=1.3"], 2, "RationalRatio", "err",
+        "parameters became equal"),
+    # a push toward the target would take 5e15 letters: it is counted
+    # against the budget, never built, and so is every deeper one
+    "reach-irrational-start-near-zero": (
+        ["reach", "--mu1=1e-17", "--mu2=1.4142135623730951e-17",
+         "--target1=1", "--target2=1.3"], 3, "BudgetExhausted", "out",
+        "best predicted error inf"),
+    # the ratio 1e-310 is subnormal: its second convergent's denominator,
+    # about 1e310, is past the float range, and so is every later one
+    "reach-target-ratio-subnormal": (
+        ["reach", "--mu1=1", "--mu2=0.7", "--target1=1e-300",
+         "--target2=1e10"], 3, "BudgetExhausted", "out",
         "best predicted error inf"),
     # an exact second coordinate that reads as the float 0: no push count
     "reach-exact-start-below-the-float-range": (
@@ -779,9 +792,9 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=nan", "--target2=0.5"],
      "finite"),
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=1e-15", "--target2=1"],
-     "noise floor"),
+     "not above the float spacing"),
     (["reach", "--mu1=1", "--mu2=0.7", "--target1=1e-300",
-      "--target2=1e300"], "noise floor"),
+      "--target2=1e300"], "ratio must be finite, positive"),
     (["room", "--mu1=0.3", "--mu2=-400"], "diameter"),
     (["room", "--mu1=-400", "--mu2=0.3"], "diameter"),
     (["act", "--rotate=inf"] + MU_FLAGS, "rotation angle inf must be finite"),

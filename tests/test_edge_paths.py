@@ -232,6 +232,16 @@ CASES = [
           ("survivor-intervals", lambda a, b: survivor_intervals(a, b, 1)),
           ("interval-for-word", lambda a, b: [interval_for_word(a, b, "R")]),
           ("survivor-measure", lambda a, b: rauzy.survivor_measure(a, b, 1)))],
+    # 1e-200 * 1e200 and 0.75 * (1/0.75) round to 1.0, but the exact
+    # products of the floats lie below 1: the letter L is free, as in
+    # the exact walk, and the measure is 1, not 1e-200 or 3/7
+    *[pytest.param(lambda a=a, b=b, call=call: oracles.meets_float_walk_bound(
+          call, a, b, 1), True, id=f"float-{name}-on-a-product-rounded-to-1")
+      for name, a, b, call in (
+          ("interval-for-word", 1e-200, 1e200,
+           lambda a, b: [interval_for_word(a, b, "L")]),
+          ("survivor-measure", 0.75, 1 / 0.75,
+           lambda a, b: rauzy.survivor_measure(a, b, 1)))],
     # a few leaves' entries overflow, and their endpoints read inf/inf;
     # in the second, an s alone overflows, and its endpoint read 0.0 where
     # the exact one is 1e-250

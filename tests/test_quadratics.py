@@ -6,13 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
 from dilatorus.quadratics import (MAX_RADICAND, QuadraticNumber,
-                                  cf_convergents, float_convergents,
-                                  integer_form, one_field, quadratic,
-                                  slack, surd_sign)
+                                  convergents, integer_form, one_field,
+                                  quadratic, slack, surd_sign)
 
 SEED = 20260817
 
@@ -107,15 +107,17 @@ def test_floor_brackets_the_value():
 
 def test_continued_fraction_roundtrip():
     # 649/200 = [3; 4, 12, 4]
-    convergents = list(cf_convergents([3, 4, 12, 4]))
-    p, q = convergents[-1]
-    assert Fraction(p, q) == Fraction(649, 200)
+    expansion = list(convergents(649, 200))
+    assert [t for t, _, _ in expansion] == [3, 4, 12, 4]
+    assert expansion[-1][1:] == (649, 200)
+    # a pair not in lowest terms ends at its reduced ratio
+    assert list(convergents(4, 6))[-1][1:] == (2, 3)
 
 
 def test_float_convergents_approximate():
     x = math.pi
     best = None
-    for p, q in float_convergents(x):
+    for _, p, q in convergents(*x.as_integer_ratio()):
         err = abs(x - p / q)
         if best is not None:
             assert err < best  # strictly improving
@@ -123,6 +125,36 @@ def test_float_convergents_approximate():
         if q > 1000:
             break
     assert best < 1e-6
+
+
+def fraction_expansion(f: Fraction) -> list[int]:
+    """The continued fraction of f by the plain Fraction loop: t = floor(f),
+    then f = 1/(f - t) until f is an integer."""
+    terms = [math.floor(f)]
+    while f != terms[-1]:
+        f = 1 / (f - terms[-1])
+        terms.append(math.floor(f))
+    return terms
+
+
+def check_float_expansion(x: float) -> None:
+    expansion = list(convergents(*x.as_integer_ratio()))
+    assert [t for t, _, _ in expansion] == fraction_expansion(Fraction(x))
+    _, p, q = expansion[-1]
+    assert Fraction(p, q) == Fraction(x)
+
+
+@pytest.mark.parametrize("x", [1 / 1.3, math.pi, 5e-324, 1.7e308])
+def test_a_float_expands_exactly_to_its_own_value(x):
+    # 1/1.3 runs on past 10/13, where a float expansion once stopped at
+    # a remainder below 1e-14, with the term 86,607,685,141,740
+    check_float_expansion(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+def test_float_expansions_match_the_fraction_loop(x):
+    check_float_expansion(x)
 
 
 # --- the package's exactness rule ---

@@ -566,6 +566,55 @@ def test_float_walk_gives_numbers_in_the_unit_interval_or_refuses():
                 assert all(0 <= x <= 1 for x in values), (ra, rb, depth)
 
 
+def test_float_walk_walks_the_exact_walks_tree():
+    # 1e-250 * 1e250 rounds to 1.0, but the exact product of the two
+    # floats lies below 1: the float walk decides each such product on
+    # its exact side of 1, so it keeps the words the exact walk keeps
+    assert survivor_measure(1e-200, 1e200, 1) == 1.0
+    for ra, rb in itertools.product(EXTREME_SLOPES, repeat=2):
+        for depth in (1, 2, 3, 4):
+            assert (len(survivor_intervals(ra, rb, depth))
+                    == len(survivor_intervals(Fraction(ra), Fraction(rb),
+                                              depth))), (ra, rb, depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=1e-100, max_value=0.99),
+       st.integers(min_value=1, max_value=3), st.booleans())
+def test_float_walk_keeps_the_exact_tree_near_a_product_of_1(a, m, swap):
+    # b = a**-m rounded: the slope product a**m * b lies within rounding
+    # of 1, on one side or the other
+    b = a ** -m
+    ra, rb = (b, a) if swap else (a, b)
+    for depth in (m + 1, m + 3):
+        assert (len(survivor_intervals(ra, rb, depth))
+                == len(survivor_intervals(Fraction(ra), Fraction(rb),
+                                          depth))), (ra, rb, depth)
+
+
+@pytest.mark.parametrize("ra,rb", [(0.6, 1.3), (0.75, 1 / 0.75),
+                                   (1e-250, 1e250), (2.0 ** 0.5, 0.5)])
+def test_straddle_products_lie_on_the_exact_side_of_1(ra, rb):
+    # the path of nodes whose slopes straddle 1, walked on the exact
+    # values of the same floats: each product the float walk reads is on
+    # its exact product's side of 1
+    path = rauzy._straddle_products(ra, rb, 20)
+    x, y, fx, fy = Fraction(ra), Fraction(rb), ra, rb
+    checked = 0
+    for k in reversed(range(20)):
+        if not (x < 1 < y or y < 1 < x):
+            break
+        exact, got = x * y, path[k, fx, fy]
+        checked += 1
+        assert (got < 1) == (exact < 1) and got != 1, (k, got)
+        assert math.isclose(got, exact, rel_tol=1e-9)
+        if (exact < 1) == (x < 1):
+            x, fx = exact, got
+        else:
+            y, fy = exact, got
+    assert len(path) == checked
+
+
 @pytest.mark.parametrize("ra,rb", SAME_FIELD_PAIRS, ids=["sqrt3", "sqrt7"])
 def test_scaled_walk_equals_unscaled_walk_on_quadratic_slopes(ra, rb):
     for depth in range(7):

@@ -370,8 +370,10 @@ def test_reach_target_exhaustion_names_the_predicted_error():
 
 
 def test_reach_target_reports_a_start_within_eps_below_the_noise_floor():
-    # a target ratio below CF_NOISE_FLOOR is refused before a search
-    # (tests/test_cli.py), but a start already within eps needs none
+    # a search toward the target ratio 1e-15 is refused at its first
+    # convergent, whose contraction tolerance lies below the float
+    # spacing (tests/test_cli.py), but a start already within eps needs
+    # none
     report = reach_target(DilationParams(1e-3, 1.0), (1e-15, 1.0), 1e-2)
     assert report.word == () and report.final_error < 1e-2
 
@@ -437,3 +439,12 @@ def test_holonomy_float_screening():
     undecided = holonomy_class(DilationParams(1.0, math.sqrt(2.0)))
     assert undecided.verdict is Holonomy.UNDECIDED_FLOAT
     assert undecided.orbit_closure == "unknown"
+
+
+def test_holonomy_float_witness_is_a_convergent_of_the_float():
+    # the float 44787310884004.72 is 1433193948288151/32 exactly; a float
+    # expansion by rounded steps once named 1119682772100118/25, which is
+    # no convergent of it
+    screened = holonomy_class(DilationParams(44787310884004.72, -1.0))
+    assert screened.witness == (-1433193948288151, 32)
+    assert Fraction(44787310884004.72) == Fraction(1433193948288151, 32)
