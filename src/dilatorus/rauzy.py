@@ -36,8 +36,9 @@ with one letter left yields its leaves itself, and about half the nodes of
 the tree are leaves.  A pull-back is projective, so each factor is scaled
 by its slope's denominator without moving any point: int and Fraction
 slopes then keep every entry an int, and each endpoint is reduced once,
-as a Fraction, at its leaf.  Float slopes carry denominator 1.0, and a
-float survivor measure takes the correctly rounded sum (math.fsum) of the
+as a Fraction, at its leaf.  Float slopes carry denominator 1.0 (a
+pair with one float slope is read as two floats), and a float survivor
+measure takes the correctly rounded sum (math.fsum) of the
 leaves' lengths as the walk yields them.
 
 Every entry of a leaf is a sum of products of positive numbers, so a
@@ -89,7 +90,7 @@ from .intervalmaps import (
     check_two_slope,
     thresholds,
 )
-from .quadratics import Scalar, as_ratio, is_exact, slack
+from .quadratics import Scalar, as_float, as_ratio, is_exact, slack
 
 # A cycle lifted back to the original map runs for its period, which the
 # induction counts; a float lift must then be back within CYCLE_CLOSE_TOL
@@ -340,12 +341,12 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
 
 def _straddle_products(rho_a: Scalar, rho_b: Scalar,
                        depth: int) -> dict[tuple[int, float, float], float]:
-    """The slope product x*y that `_walk` takes at each node, to `depth`,
-    whose float slopes (x, y) lie on both sides of 1, keyed by (k, x, y)
-    with k the letters left below the node.  Where x*y rounded to 1 or
-    past it, the float nearest 1 on the side of the exact product of the
-    same floats takes its place.  Empty unless both slopes are floats,
-    and not both powers of 2.
+    """The slope product that `_walk` takes in place of x*y at each node,
+    to `depth`, whose float slopes (x, y) lie on both sides of 1 and
+    whose x*y rounded to 1 or past it: the float nearest 1 on the side
+    of the exact product of the same floats, keyed by (k, x, y) with k
+    the letters left below the node.  Empty unless both slopes are
+    floats, and not both powers of 2; empty, too, for almost every pair.
 
     Rounding is monotone and 1 is a float, so a product of floats on
     one side of 1 rounds to that side, and to 1 only when it is 1: only
@@ -373,8 +374,7 @@ def _straddle_products(rho_a: Scalar, rho_b: Scalar,
                 if abs(t) > (i * abs(la) + j * abs(lb)).scaleb(2 - ctx.prec):
                     break
         if not (p < 1 if t < 0 else p > 1):     # rounded to 1 or past it
-            p = math.nextafter(1.0, 2.0 * (t > 0))
-        path[k, x[0], y[0]] = p
+            p = path[k, x[0], y[0]] = math.nextafter(1.0, 2.0 * (t > 0))
         x, y = ((p, i, j), y) if (p < 1) == (x[0] < 1) else (x, (p, i, j))
     return path
 
@@ -403,8 +403,8 @@ def _walk(root: tuple, depth: int, word: str = ""):
     L child's leaf and then its R child's, so about half the nodes of the
     tree never go through the stack.  The products xn*yn and xd*yd, which
     a node's feasibility test and its children's slopes read, are taken
-    once; on float slopes on both sides of 1, xn*yn is read from
-    `_straddle_products` at the nodes whose slopes straddle 1.
+    once; on float slopes, xn*yn is read from `_straddle_products` at
+    the nodes where it rounded to the wrong side of 1, or to 1.
 
     With rho_a*rho_b >= 1 the injectivity constraint confines valid break
     points to one side: below the B-threshold when rho_a > 1 (forced L),
@@ -489,9 +489,12 @@ def _checked_root(rho_a: Scalar, rho_b: Scalar,
     """The root node (xn, xd, yn, yd, q, s, u, v, det) of a walk to
     `depth`, with the identity pull-back's leaf (0, 1, 1, 1, 1), and
     whether all its entries are ints; ValueError unless the depth is
-    nonnegative and `_check_slopes` passes."""
+    nonnegative and `_check_slopes` passes.  A pair with a float slope
+    is read as two floats, so that the walk is a float walk throughout."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if not is_exact(rho_a, rho_b):      # a pair with a float walks as floats
+        rho_a, rho_b = as_float(rho_a, "a slope"), as_float(rho_b, "a slope")
     _check_slopes(rho_a, rho_b)
     xn, xd = as_ratio(rho_a)
     yn, yd = as_ratio(rho_b)

@@ -318,7 +318,13 @@ def reach_target(params: DilationParams, mu_target, eps: float,
     ratio that is not a positive finite float, are refused.  The search
     walks the exact continued fraction of the float target ratio.  A
     convergent whose word would pass the budget is skipped before the
-    word is built, and so is one whose entries pass the float range.
+    word is built, and the walk stops at the first whose entries pass
+    the float range.  On a float start it also stops, once a contraction
+    has run, at the first whose contraction tolerance eta is not above
+    the float spacing of the smaller parameter, which gauss_contraction
+    refuses; no later eta is larger.  So an exhausted search raises
+    BudgetExhausted, and the spacing refusal is left to a first
+    contraction that no float could reach.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
@@ -341,7 +347,9 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         return ReachReport((), (("start", (m1, m2)),),
                            math.hypot(m1 - t1, m2 - t2), params)
 
-    last_error = math.inf
+    # a float contraction reaches no eta at or below this (gauss_contraction)
+    spacing = 0.0 if is_exact(*params) else math.ulp(min(m1, m2))
+    last_error, contraction = math.inf, None
     for _, a, c in convergents(*(t1 / t2).as_integer_ratio()):
         try:                    # the convergent 0/1 aims at no direction
             if not a or abs(c * (t1 / a) - t2) > eps / 3.0:
@@ -350,6 +358,10 @@ def reach_target(params: DilationParams, mu_target, eps: float,
             eta = eps / (3.0 * (a + b + c + d + 1))
         except OverflowError:   # past the float range: no direction error,
             break               # eta or prediction here, nor further on
+        # past a first contraction, a tolerance at the float spacing ends
+        # the search: a + b + c + d never falls along convergents
+        if contraction and eta <= spacing:
+            break
         try:
             contraction = gauss_contraction(params, eta,
                                             max_generators=budget)

@@ -121,13 +121,15 @@ def test_reach_skips_a_float_noise_convergent_past_the_budget():
 
 
 def test_reach_meets_the_contraction_tolerance_refusal_past_a_long_spread():
+    # past the spread of 929314208822482/500399958596721, which passes the
+    # budget unbuilt, the next convergent's contraction tolerance is not
+    # above the float spacing of the start: the search stops there and
+    # reports exhaustion, not the refusal that a first contraction gets
     code, out, err = run_in_subprocess([
         "reach", "--mu1=1e-3", "--mu2=1.4142135623730951e-3",
         "--target1=1.3", "--target2=0.7", "--budget=200"])
-    assert code == 2 and out == ""
-    data = json.loads(err)
-    assert data["error"] == "ValueError"
-    assert "not above the float spacing" in data["detail"]
+    assert code == 3 and err == ""
+    assert json.loads(out)["error"] == "BudgetExhausted"
 
 
 @pytest.mark.parametrize("target", [["--target1=1e308", "--target2=1"],
@@ -462,6 +464,13 @@ REFUSALS_AND_EDGES = {
     "reach-irrational-start-near-zero": (
         ["reach", "--mu1=1e-17", "--mu2=1.4142135623730951e-17",
          "--target1=1", "--target2=1.3"], 3, "BudgetExhausted", "out",
+        "best predicted error inf"),
+    # 13/7's contraction runs, but its pushes pass the budget; a deeper
+    # convergent's contraction tolerance lies below the float spacing of
+    # the start, so the search stops there, exhausted, with no refusal
+    "reach-exhausted-at-the-float-spacing": (
+        ["reach", "--mu1=1", "--mu2=1.4142135623730951", "--target1=1.3",
+         "--target2=0.7", "--budget=50"], 3, "BudgetExhausted", "out",
         "best predicted error inf"),
     # the ratio 1e-310 is subnormal: its second convergent's denominator,
     # about 1e310, is past the float range, and so is every later one

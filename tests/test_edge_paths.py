@@ -242,6 +242,15 @@ CASES = [
            lambda a, b: [interval_for_word(a, b, "L")]),
           ("survivor-measure", 0.75, 1 / 0.75,
            lambda a, b: rauzy.survivor_measure(a, b, 1)))],
+    # a float slope beside an int: the pair is read as two floats, so
+    # the float 1/3 times 3, which rounds to 1.0, is decided on its exact
+    # side of 1 too
+    *[pytest.param(lambda call=call: oracles.meets_float_walk_bound(
+          call, 1 / 3, 3, 1), True,
+          id=f"mixed-{name}-on-a-product-rounded-to-1")
+      for name, call in (
+          ("interval-for-word", lambda a, b: [interval_for_word(a, b, "L")]),
+          ("survivor-measure", lambda a, b: rauzy.survivor_measure(a, b, 1)))],
     # a few leaves' entries overflow, and their endpoints read inf/inf;
     # in the second, an s alone overflows, and its endpoint read 0.0 where
     # the exact one is 1e-250

@@ -600,19 +600,31 @@ def test_straddle_products_lie_on_the_exact_side_of_1(ra, rb):
     # its exact product's side of 1
     path = rauzy._straddle_products(ra, rb, 20)
     x, y, fx, fy = Fraction(ra), Fraction(rb), ra, rb
-    checked = 0
+    replaced = 0
     for k in reversed(range(20)):
         if not (x < 1 < y or y < 1 < x):
             break
-        exact, got = x * y, path[k, fx, fy]
-        checked += 1
+        exact, got = x * y, path.get((k, fx, fy), fx * fy)
+        replaced += (k, fx, fy) in path
         assert (got < 1) == (exact < 1) and got != 1, (k, got)
         assert math.isclose(got, exact, rel_tol=1e-9)
         if (exact < 1) == (x < 1):
             x, fx = exact, got
         else:
             y, fy = exact, got
-    assert len(path) == checked
+    # only the products that rounded to 1 or past it are held
+    assert len(path) == replaced
+    assert bool(path) == ((ra, rb) in ((0.75, 1 / 0.75), (1e-250, 1e250)))
+
+
+def test_a_pair_with_a_float_slope_walks_as_two_floats():
+    # the Fraction 1/3 is read as the float 1/3, whose product with 3.0
+    # lies below 1, where the exact 1/3 * 3 is 1
+    for depth in range(6):
+        assert (survivor_measure(Fraction(1, 3), 3.0, depth)
+                == survivor_measure(1 / 3, 3.0, depth))
+        assert (survivor_intervals(3, 1 / 3, depth)
+                == survivor_intervals(3.0, 1 / 3, depth))
 
 
 @pytest.mark.parametrize("ra,rb", SAME_FIELD_PAIRS, ids=["sqrt3", "sqrt7"])
