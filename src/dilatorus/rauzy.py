@@ -25,21 +25,26 @@ the loop to the same bits.
 Each letter's inverse parameter map is a Moebius factor, so the pull-back
 along a word is their product.  One top-down walk of the word tree serves
 the word intervals, the survivor measure and the interval of a single
-word: every node carries its slopes as numerator/denominator pairs and
-its leaf (q, s, u, v, det), the images of 0 and 1 under the composed
-pull-back as homogeneous pairs q/s and u/v, and the product of the
-letters' determinants, each extended by one factor per letter.  A leaf's
-interval is (q/s, u/v), and every scalar track reads its length,
-exactly hi - lo, as det/(s*v): divided twice, det/s/v, so that no float
-product s*v overflows where s and v do not.  Only internal nodes go on the walk's stack: a node
-with one letter left yields its leaves itself, and about half the nodes of
-the tree are leaves.  A pull-back is projective, so each factor is scaled
-by its slope's denominator without moving any point: int and Fraction
-slopes then keep every entry an int, and each endpoint is reduced once,
-as a Fraction, at its leaf.  Float slopes carry denominator 1.0 (a
-pair with one float slope is read as two floats), and a float survivor
-measure takes the correctly rounded sum (math.fsum) of the
-leaves' lengths as the walk yields them.
+word.  The pull-back sends 0 to q/s and 1 to u/v, homogeneous pairs whose
+numerators (q, u) and denominators (s, v) are its two rows read at 0 and
+1.  A child's pull-back is its parent's times the letter's factor on the
+right, and a product on the right maps each row by itself and both rows
+by the same rule, so the walk carries one row: every node carries its
+slopes as numerator/denominator pairs, the row and det, the product of
+the letters' determinants, each extended by one factor per letter.  A
+measure walks the denominators' row alone, and word intervals zip the
+walks of both rows, which take the same branches.  A leaf's interval is
+(q/s, u/v), and every scalar track reads its length, exactly hi - lo, as
+det/(s*v): divided twice, det/s/v, so that no float product s*v
+overflows where s and v do not.  Only internal nodes go on the walk's
+stack: a node with one letter left yields its leaves itself, and about
+half the nodes of the tree are leaves.  A pull-back is projective, so
+each factor is scaled by its slope's denominator without moving any
+point: int and Fraction slopes then keep every entry an int, and each
+endpoint is reduced once, as a Fraction, at its leaf.  Float slopes
+carry denominator 1.0 (a pair with one float slope is read as two
+floats), and a float survivor measure takes the correctly rounded sum
+(math.fsum) of the leaves' lengths as the walk yields them.
 
 Every entry of a leaf is a sum of products of positive numbers, so a
 float walk subtracts nowhere and no leaf divides by 0 (s, v >= 1).  Its
@@ -379,46 +384,50 @@ def _straddle_products(rho_a: Scalar, rho_b: Scalar,
     return path
 
 
-def _walk(root: tuple, depth: int, word: str = ""):
-    """Yield the leaf (q, s, u, v, det) of every feasible word of length
-    `depth`, L before R; with a `word` (of length `depth`), of that word
-    alone.  The word's composed pull-back sends 0 to q/s and 1 to u/v, and
-    det is its determinant, so the word's interval is (q/s, u/v) and its
-    length det/(s*v).
+def _walk(root: tuple, path: dict, word: str = ""):
+    """Yield the leaf (a, b, det) of every feasible word of the root's
+    length k, L before R; with a `word` (of length k), of that word alone.
+    (a, b) is the root's row, the numerators' (q, u) or the denominators'
+    (s, v), mapped along the word, and det is the word's determinant: the
+    word's interval is (q/s, u/v) and its length det/(s*v).
 
     The tree is walked top-down on an explicit stack of internal nodes
-    (xn, xd, yn, yd, q, s, u, v, det, k): slopes rho_a = xn/xd and
-    rho_b = yn/yd (denominators positive), the node's leaf, and the
+    (xn, xd, yn, yd, a, b, det, k): slopes rho_a = xn/xd and rho_b = yn/yd
+    (denominators positive), the node's row and determinant, and the
     letters still to take.  A child's pull-back is its parent's times the
     letter's Moebius factor on the right: y -> rho_b*y / (1 + rho_b*y) for
     L, y -> 1 / (1 + rho_a*(1 - y)) for R, as the matrices
     [[yn, 0], [yn, yd]] and [[0, xd], [-xn, xd + xn]], of determinants
-    yn*yd and xn*xd.  The factor is scaled by the slope's denominator,
-    which moves no point, so integer slope pairs keep every entry an
-    integer; at denominator 1.0 the float operations are those of the
-    unscaled factor.  Carried as images of 0 and 1, every entry is a sum of
-    products of positive numbers: the R factor's negative entry never
-    enters, so a float walk subtracts nowhere, and s, v >= 1 at every
-    node.  A leaf is never pushed: a node with one letter left yields its
-    L child's leaf and then its R child's, so about half the nodes of the
-    tree never go through the stack.  The products xn*yn and xd*yd, which
-    a node's feasibility test and its children's slopes read, are taken
-    once; on float slopes, xn*yn is read from `_straddle_products` at
-    the nodes where it rounded to the wrong side of 1, or to 1.
+    yn*yd and xn*xd.  A product on the right maps each row of the
+    pull-back by itself, and both rows alike: read as its images (a, b)
+    of 0 and 1, a row goes to (a*yd, b*yn + a*yd) under L and to
+    (b*xd + a*xn, b*xd) under R.  The factor is scaled by the slope's
+    denominator, which moves no point, so integer slope pairs keep every
+    entry an integer; at denominator 1.0 the float operations are those
+    of the unscaled factor.  Every entry is a sum of products of positive
+    numbers: the R factor's negative entry never enters, so a float walk
+    subtracts nowhere, and the denominators' row stays >= 1.  A leaf is
+    never pushed: a node with one letter left yields its L child's leaf
+    and then its R child's, so about half the nodes of the tree never go
+    through the stack.  The products xn*yn and xd*yd, which a node's
+    feasibility test and its children's slopes read, are taken once; on
+    float slopes, xn*yn is read from `path`, the walk's
+    `_straddle_products`, at the nodes where it rounded to the wrong side
+    of 1, or to 1.  A node's branches depend on its slopes alone, so the
+    walks of both rows take the same ones.
 
     With rho_a*rho_b >= 1 the injectivity constraint confines valid break
     points to one side: below the B-threshold when rho_a > 1 (forced L),
     above the A-threshold when rho_b > 1 (forced R).  The walk is lazy: a
     caller that stops early stops it at that leaf.
     """
-    if not depth:
-        yield root[4:]
+    if not root[-1]:
+        yield root[4:7]
         return
-    path = _straddle_products(root[0], root[2], depth)
-    stack = [(*root, depth)]
+    stack = [root]
     pop, push = stack.pop, stack.append
     while stack:
-        xn, xd, yn, yd, q, s, u, v, det, k = pop()
+        xn, xd, yn, yd, a, b, det, k = pop()
         k -= 1
         xyn, xyd = path.get((k, xn, yn), xn * yn) if path else xn * yn, xd * yd
         free = xyn < xyd
@@ -434,20 +443,18 @@ def _walk(root: tuple, depth: int, word: str = ""):
             go_l, go_r = letter == "L", letter == "R"
         if k:
             if go_r:                    # pushed first, so L is popped first
-                ud, vd = u * xd, v * xd
-                push((xn, xd, xyn, xyd, ud + q * xn, vd + s * xn, ud, vd,
-                      det * (xn * xd), k))
+                bd = b * xd
+                push((xn, xd, xyn, xyd, bd + a * xn, bd, det * (xn * xd), k))
             if go_l:
-                qd, sd = q * yd, s * yd
-                push((xyn, xyd, yn, yd, qd, sd, u * yn + qd, v * yn + sd,
-                      det * (yn * yd), k))
+                ad = a * yd
+                push((xyn, xyd, yn, yd, ad, b * yn + ad, det * (yn * yd), k))
             continue
         if go_l:
-            qd, sd = q * yd, s * yd
-            yield qd, sd, u * yn + qd, v * yn + sd, det * (yn * yd)
+            ad = a * yd
+            yield ad, b * yn + ad, det * (yn * yd)
         if go_r:
-            ud, vd = u * xd, v * xd
-            yield ud + q * xn, vd + s * xn, ud, vd, det * (xn * xd)
+            bd = b * xd
+            yield bd + a * xn, bd, det * (xn * xd)
 
 
 def _left_the_float_range(rho_a: Scalar, rho_b: Scalar,
@@ -462,18 +469,22 @@ def _left_the_float_range(rho_a: Scalar, rho_b: Scalar,
 
 def _intervals(rho_a: Scalar, rho_b: Scalar, depth: int,
                word: str = "") -> list[tuple[Scalar, Scalar]]:
-    """The interval (q/s, u/v) of each leaf `_walk` yields to `depth` (of
-    `word` alone, if given); Fractions when the entries are ints.  Slopes
+    """The interval (q/s, u/v) of each leaf to `depth` (of `word` alone,
+    if given): the walks of the numerators' row (0, 1) and of the
+    denominators' row (1, 1), zipped leaf by leaf and sharing one
+    `_straddle_products`; Fractions when the entries are ints.  Slopes
     must be positive, and finite when they are floats, and a float walk
     must keep every s and v finite."""
-    root, integral = _checked_root(rho_a, rho_b, depth)
-    leaves = list(_walk(root, depth, word))
+    root, path, integral = _checked_root(rho_a, rho_b, depth)
+    rows = zip(_walk((*root[:4], 0 * root[4], *root[5:]), path, word),
+               _walk(root, path, word), strict=True)
+    leaves = [(q, s, u, v) for (q, u, _), (s, v, _) in rows]
     if not is_exact(rho_a, rho_b) and not all(
-            max(s, v) < math.inf for _, s, _, v, _ in leaves):
+            max(s, v) < math.inf for _, s, _, v in leaves):
         raise _left_the_float_range(rho_a, rho_b, depth)
     if integral:
-        return [(Fraction(q, s), Fraction(u, v)) for q, s, u, v, _ in leaves]
-    return [(q / s, u / v) for q, s, u, v, _ in leaves]
+        return [(Fraction(q, s), Fraction(u, v)) for q, s, u, v in leaves]
+    return [(q / s, u / v) for q, s, u, v in leaves]
 
 
 def interval_for_word(rho_a: Scalar, rho_b: Scalar,
@@ -485,9 +496,10 @@ def interval_for_word(rho_a: Scalar, rho_b: Scalar,
 
 
 def _checked_root(rho_a: Scalar, rho_b: Scalar,
-                  depth: int) -> tuple[tuple, bool]:
-    """The root node (xn, xd, yn, yd, q, s, u, v, det) of a walk to
-    `depth`, with the identity pull-back's leaf (0, 1, 1, 1, 1), and
+                  depth: int) -> tuple[tuple, dict, bool]:
+    """The root node (xn, xd, yn, yd, a, b, det, k) of a walk of the
+    denominators' row to `depth`: the identity pull-back's row (1, 1),
+    det 1 and k = `depth`.  With it the walk's `_straddle_products` and
     whether all its entries are ints; ValueError unless the depth is
     nonnegative and `_check_slopes` passes.  A pair with a float slope
     is read as two floats, so that the walk is a float walk throughout."""
@@ -498,8 +510,9 @@ def _checked_root(rho_a: Scalar, rho_b: Scalar,
     _check_slopes(rho_a, rho_b)
     xn, xd = as_ratio(rho_a)
     yn, yd = as_ratio(rho_b)
-    zero = 0 * xn * yn
-    return ((xn, xd, yn, yd, zero) + (1 + zero,) * 4,
+    one = 1 + 0 * xn * yn
+    return ((xn, xd, yn, yd, one, one, one, depth),
+            _straddle_products(rho_a, rho_b, depth),
             all(type(v) is int for v in (xn, xd, yn, yd)))
 
 
@@ -510,7 +523,8 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
     One interval per feasible word of length `depth`, words in order with
     L before R: the image of [0, 1] under the word's composed pull-back,
     one Moebius factor per letter scaled by the slope's denominator (see
-    `_walk`).  That is O(2^depth) scalar operations.  Int and Fraction
+    `_walk`), its numerators and its denominators each walked as one row
+    and zipped.  That is O(2^depth) scalar operations.  Int and Fraction
     slopes keep every entry an int and give Fraction endpoints, normalized
     once per leaf; QuadraticNumber slopes give exact endpoints too, and
     float slopes run the float operations of the unscaled factors, within
@@ -530,14 +544,16 @@ def _pairwise_sum(terms: list) -> Scalar:
     return terms[0]
 
 
-def _exact_leaves(root: tuple, depth: int) -> list[tuple]:
-    """The pull-backs an exact survivor measure at `depth` sums; ValueError
-    when there are more than EXACT_MEASURE_MAX_LEAVES, found by a walk
-    that stops at the first leaf past the cap."""
-    leaves = list(islice(_walk(root, depth), EXACT_MEASURE_MAX_LEAVES + 1))
+def _exact_leaves(root: tuple) -> list[tuple]:
+    """The leaves (s, v, det) an exact survivor measure sums: the walk of
+    the denominators' row from `root`, which exact slopes walk with no
+    straddle products.  ValueError when there are more than
+    EXACT_MEASURE_MAX_LEAVES, found by a walk that stops at the first
+    leaf past the cap."""
+    leaves = list(islice(_walk(root, {}), EXACT_MEASURE_MAX_LEAVES + 1))
     if len(leaves) > EXACT_MEASURE_MAX_LEAVES:
         raise ValueError(
-            f"an exact measure at depth {depth} sums more than "
+            f"an exact measure at depth {root[-1]} sums more than "
             f"EXACT_MEASURE_MAX_LEAVES = {EXACT_MEASURE_MAX_LEAVES} "
             "interval lengths")
     return leaves
@@ -548,40 +564,39 @@ def check_exact_measures(rho_a: Scalar, rho_b: Scalar, depth: int) -> None:
     measures at depths 0 to `depth` if one of them has more than
     EXACT_MEASURE_MAX_LEAVES leaves: the check survivor_measure makes at
     each depth, with the first depth past the cap in its message."""
-    root, _ = _checked_root(rho_a, rho_b, depth)
+    root, _, _ = _checked_root(rho_a, rho_b, depth)
     for k in range(depth + 1):
-        _exact_leaves(root, k)
+        _exact_leaves((*root[:-1], k))
 
 
 def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
     """Lebesgue measure of the n-times renormalizable parameter set.
 
-    Every track reads a leaf's length as det/(s*v) off the leaf (q, s, u,
-    v, det) that `_walk` yields, which is exactly hi - lo: the unreduced
-    pair (det, s*v) on ints, det/s/v otherwise.  Int and
-    Fraction slopes sum the lengths in balanced pairs: the lowest two
-    levels as unreduced int (numerator, denominator) pairs, Fractions
-    above them.  QuadraticNumber slopes sum them in balanced pairs; float
-    slopes take their correctly rounded sum as the walk yields them,
-    holding no list of intervals, and refuse with ValueError a walk that
-    left the float range.
+    Only the denominators' row is walked: every track reads a leaf's
+    length as det/(s*v) off the leaf (s, v, det) that `_walk` yields from
+    the row (1, 1), which is exactly hi - lo: the unreduced pair
+    (det, s*v) on ints, det/s/v otherwise.  Int and Fraction slopes sum
+    the lengths in balanced pairs: the lowest two levels as unreduced int
+    (numerator, denominator) pairs, Fractions above them.  QuadraticNumber
+    slopes sum them in balanced pairs; float slopes take their correctly
+    rounded sum as the walk yields them, holding no list of intervals,
+    and refuse with ValueError a walk that left the float range.
 
     Exact slopes with more than EXACT_MEASURE_MAX_LEAVES leaves are
     refused with ValueError before the sum: the walk stops at the first
     leaf past the cap, so a refusal costs the same at any depth."""
-    root, integral = _checked_root(rho_a, rho_b, depth)
+    root, path, integral = _checked_root(rho_a, rho_b, depth)
     if not is_exact(rho_a, rho_b):
-        total = math.fsum(det / s / v for _, s, _, v, det
-                          in _walk(root, depth))
+        total = math.fsum(det / s / v for s, v, det in _walk(root, path))
         if not math.isfinite(total):
             raise _left_the_float_range(rho_a, rho_b, depth)
         return total
-    leaves = _exact_leaves(root, depth)
+    leaves = _exact_leaves(root)
     if not leaves:
         return 0 * rho_a
     if not integral:
-        return _pairwise_sum([det / s / v for _, s, _, v, det in leaves])
-    terms = [(det, s * v) for _, s, _, v, det in leaves]
+        return _pairwise_sum([det / s / v for s, v, det in leaves])
+    terms = [(det, s * v) for s, v, det in leaves]
     for _ in range(2):              # the lowest two levels, unreduced
         terms = [(a * d + c * b, b * d) for (a, b), (c, d)
                  in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]

@@ -527,11 +527,19 @@ def test_scaled_walk_equals_unscaled_walk_on_fractions(ra):
         assert measure == sum((hi - lo for lo, hi in want), Fraction(0))
 
 
+# a few of those pairs are also walked to the float measures' depths in
+# the benchmark, 8 and 11
+DEEP_PAIRS = {(MEASURE_SLOPES[0], MEASURE_SLOPES[-1]),
+              (MEASURE_SLOPES[5], MEASURE_SLOPES[5]),
+              (MEASURE_SLOPES[-1], MEASURE_SLOPES[3])}
+
+
 @pytest.mark.parametrize("ra", MEASURE_SLOPES, ids=str)
 def test_scaled_walk_is_bit_identical_on_floats(ra):
     for rb in MEASURE_SLOPES:
         fa, fb = float(ra), float(rb)
-        for depth in range(7):
+        deep = (8, 11) if (ra, rb) in DEEP_PAIRS else ()
+        for depth in (*range(7), *deep):
             leaves = oracles.survivor_leaves_topdown_oracle(fa, fb, depth)
             assert [(lo.hex(), hi.hex())
                     for lo, hi in survivor_intervals(fa, fb, depth)] \
@@ -541,6 +549,9 @@ def test_scaled_walk_is_bit_identical_on_floats(ra):
             # oracle's lengths, bit for bit
             total = math.fsum(det / s / v for _, s, _, v, det in leaves)
             assert survivor_measure(fa, fb, depth).hex() == total.hex()
+            if depth in deep:
+                # the exact walk of the same floats takes minutes there
+                continue
             # and both lie within the stated bound of the exact walk of
             # the same floats
             for call in (survivor_intervals, survivor_measure):
@@ -615,6 +626,24 @@ def test_straddle_products_lie_on_the_exact_side_of_1(ra, rb):
     # only the products that rounded to 1 or past it are held
     assert len(path) == replaced
     assert bool(path) == ((ra, rb) in ((0.75, 1 / 0.75), (1e-250, 1e250)))
+
+
+@pytest.mark.parametrize("row", [0, 1], ids=["numerators", "denominators"])
+def test_word_intervals_refuse_row_walks_of_different_lengths(monkeypatch,
+                                                              row):
+    # the walks of the two rows are zipped strictly: a walk one leaf short
+    # raises where a plain zip would drop the other walk's last leaf
+    walk = rauzy._walk
+
+    def short_of_a_leaf(root, path, word=""):
+        leaves = list(walk(root, path, word))
+        return leaves[:-1] if root[4] == row else leaves
+
+    monkeypatch.setattr(rauzy, "_walk", short_of_a_leaf)
+    with pytest.raises(ValueError, match="zip"):
+        survivor_intervals(Fraction(1, 2), Fraction(1, 2), 3)
+    with pytest.raises(ValueError, match="zip"):
+        survivor_intervals(0.5, 0.5, 3)
 
 
 def test_a_pair_with_a_float_slope_walks_as_two_floats():
