@@ -544,13 +544,12 @@ def _pairwise_sum(terms: list) -> Scalar:
     return terms[0]
 
 
-def _exact_leaves(root: tuple) -> list[tuple]:
+def _exact_leaves(root: tuple, path: dict) -> list[tuple]:
     """The leaves (s, v, det) an exact survivor measure sums: the walk of
-    the denominators' row from `root`, which exact slopes walk with no
-    straddle products.  ValueError when there are more than
-    EXACT_MEASURE_MAX_LEAVES, found by a walk that stops at the first
-    leaf past the cap."""
-    leaves = list(islice(_walk(root, {}), EXACT_MEASURE_MAX_LEAVES + 1))
+    the denominators' row from `root`.  ValueError when there are more
+    than EXACT_MEASURE_MAX_LEAVES, found by a walk that stops at the
+    first leaf past the cap."""
+    leaves = list(islice(_walk(root, path), EXACT_MEASURE_MAX_LEAVES + 1))
     if len(leaves) > EXACT_MEASURE_MAX_LEAVES:
         raise ValueError(
             f"an exact measure at depth {root[-1]} sums more than "
@@ -564,9 +563,10 @@ def check_exact_measures(rho_a: Scalar, rho_b: Scalar, depth: int) -> None:
     measures at depths 0 to `depth` if one of them has more than
     EXACT_MEASURE_MAX_LEAVES leaves: the check survivor_measure makes at
     each depth, with the first depth past the cap in its message."""
-    root, _, _ = _checked_root(rho_a, rho_b, depth)
-    for k in range(depth + 1):
-        _exact_leaves((*root[:-1], k))
+    _checked_root(rho_a, rho_b, depth)      # refuses a negative depth
+    for k in range(depth + 1):              # each depth walks its own path
+        root, path, _ = _checked_root(rho_a, rho_b, k)
+        _exact_leaves(root, path)
 
 
 def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
@@ -591,7 +591,7 @@ def survivor_measure(rho_a: Scalar, rho_b: Scalar, depth: int) -> Scalar:
         if not math.isfinite(total):
             raise _left_the_float_range(rho_a, rho_b, depth)
         return total
-    leaves = _exact_leaves(root)
+    leaves = _exact_leaves(root, path)
     if not leaves:
         return 0 * rho_a
     if not integral:
