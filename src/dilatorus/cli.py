@@ -40,7 +40,7 @@ from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
 from .teichmuller import (DEFAULT_MULTIPLIER_THRESHOLD, DEFAULT_THETA_TOL,
                           MonitorReport, divergence_monitor)
 from .twists import (DEFAULT_REACH_BUDGET, apply_word, holonomy_class,
-                     reach_target, word_from_string, word_to_string)
+                     reach_target, word_from_string)
 
 DEFAULT_FLOW_STEPS = 12
 DEFAULT_FLOW_BUDGET = 2000
@@ -272,7 +272,7 @@ def cmd_reach(args) -> int:
     report = reach_target(DilationParams(mu1, mu2),
                           (args.target1, args.target2), args.tol, args.budget)
     _emit(canonical_json({
-        "word": word_to_string(report.word),
+        "word": report.word,
         "mu_trajectory": [[stage, list(mu)]
                           for stage, mu in report.mu_checkpoints],
         "final_error": report.final_error,

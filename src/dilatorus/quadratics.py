@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 # An irrational value's radicand d is at most MAX_RADICAND: its
 # square-free part is found by trial division up to sqrt(d), which for
@@ -40,16 +40,21 @@ def _squarefree_split(d: int) -> tuple[int, int]:
 class QuadraticNumber:
     """Immutable exact value a + b*sqrt(d).
 
-    `__init__` normalizes any input; the field operations build their
-    results, whose parts are normal already, through `_normal`.  Their
-    oracle is `tests/oracles.quadratic_op_oracle`, which normalizes
-    every result in full."""
+    `__init__` normalizes parts a, b that are ints or Fractions and an
+    int radicand d, and refuses any other, a float included, with
+    TypeError; the field operations build their results, whose parts are
+    normal already, through `_normal`.  Their oracle is
+    `tests/oracles.quadratic_op_oracle`, which normalizes every result in
+    full."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 0):
+        if not (isinstance(a, RationalLike) and isinstance(b, RationalLike)
+                and isinstance(d, int)):
+            raise TypeError(f"exact arithmetic does not accept the parts "
+                            f"({a!r}, {b!r}, {d!r})")
         a, b = Fraction(a), Fraction(b)
-        d = int(d)
         if d < 0:
             raise ValueError(f"negative radicand {d}")
         if b != 0 and d > 0:
@@ -223,7 +228,7 @@ def quadratic(x) -> QuadraticNumber:
     Anything else, a float included, raises TypeError."""
     if isinstance(x, QuadraticNumber):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, RationalLike):
         return QuadraticNumber(x)
     raise TypeError(f"exact arithmetic does not accept {type(x).__name__}")
 

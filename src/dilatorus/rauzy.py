@@ -10,6 +10,10 @@ attracting 2-cycle.  Pulling the hole back through the inverse parameter
 maps produces the nested word intervals whose intersection is the Cantor set
 of infinitely renormalizable parameters.
 
+A step is its letter, "L" or "R", and a word is its string of letters:
+`classify_step` returns the letter a step records, or the value of the
+`TerminalKind` member, "halt" or "boundary", that ends the run.
+
 `iterate_induction` runs these steps on plain scalars: it carries the
 current map as (rho_a, rho_b, x_t) and each step's chart as a (scale,
 offset) pair, computed by `induce`'s expressions, and builds no
@@ -117,67 +121,55 @@ FLOAT_SLOPE_MAX: float = 1e150
 EXACT_MEASURE_MAX_LEAVES: int = 2 ** 14
 
 
-class StepClass(Enum):
-    WINNER_A = "A"
-    WINNER_B = "B"
-    HALT = "halt"
-    BOUNDARY = "boundary"
-
-
 class TerminalKind(Enum):
     HALT = "halt"
     BUDGET_EXHAUSTED = "budget_exhausted"
     BOUNDARY = "boundary"
 
 
-# The members as module constants: an enum member looked up on its class
-# costs several times a global, and the induction loop reads them on
-# every step.
-_WINNER_A, _WINNER_B = StepClass.WINNER_A, StepClass.WINNER_B
-_HALT, _BOUNDARY = StepClass.HALT, StepClass.BOUNDARY
-
-
-def classify_step(ra: Scalar, rb: Scalar, xt: Scalar) -> StepClass:
-    """Which branch image captures the break point of the map
-    (ra, rb, xt), if any: the one classifier of a step.  Its thresholds
-    are those of `thresholds`, written out, since the induction loop
-    calls it on every step."""
+def classify_step(ra: Scalar, rb: Scalar, xt: Scalar) -> str:
+    """The letter the step of the map (ra, rb, xt) records: "L" when the
+    B branch's image captures the break point and "R" when the A
+    branch's does; otherwise "halt" or "boundary", the values of the
+    `TerminalKind` members that end the run.  The one classifier of a
+    step; its thresholds are those of `thresholds`, written out, since
+    the induction loop calls it on every step."""
     thr_b, thr_a = rb / (1 + rb), 1 / (1 + ra)
     if xt == thr_b or xt == thr_a:
-        return _BOUNDARY
+        return "boundary"
     if xt < thr_b:
-        return _WINNER_B
+        return "L"
     if xt > thr_a:
-        return _WINNER_A
-    return _HALT
+        return "R"
+    return "halt"
 
 
 class InductionStep(NamedTuple):
     induced: TwoSlopeMap
-    winner: StepClass
+    letter: str               # "L" or "R"
     chart: AffineChart        # induced subinterval -> [0, 1]
 
 
 def induce(tsm: TwoSlopeMap) -> InductionStep:
-    """One renormalization step; requires a winner.
+    """One renormalization step; requires a letter, "L" or "R".
 
     The break parameter transforms by a Moebius map in each case; the chart
-    rescales the induced subinterval ([0,x_t) for A, (x_t,1] for B) back to
+    rescales the induced subinterval ([0,x_t) for R, (x_t,1] for L) back to
     the unit interval.  Rational inputs stay rational.  `iterate_induction`
     runs the same expressions on plain scalars.
     """
-    verdict = classify_step(*tsm)
+    letter = classify_step(*tsm)
     ra, rb, xt = tsm
-    if verdict is _WINNER_A:
+    if letter == "R":
         slopes, new_xt = (ra, ra * rb), ((1 + ra) * xt - 1) / (ra * xt)
         chart = AffineChart(1 / xt, 0 * xt)
-    elif verdict is _WINNER_B:
+    elif letter == "L":
         slopes, new_xt = (ra * rb, rb), xt / (rb * (1 - xt))
         chart = AffineChart(1 / (1 - xt), -xt / (1 - xt))
     else:
-        raise NotRenormalizable(f"step class is {verdict.value}; no winner")
+        raise NotRenormalizable(f"step class is {letter}; no winner")
     try:
-        return InductionStep(TwoSlopeMap(*slopes, new_xt), verdict, chart)
+        return InductionStep(TwoSlopeMap(*slopes, new_xt), letter, chart)
     except ValueError as exc:
         raise _invalid_induced_map(exc) from exc
 
@@ -310,11 +302,11 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     letters: list[str] = []
     t_a = t_b = 1
     for step in range(budget + 1):
-        verdict = classify_step(ra, rb, xt)
-        if verdict is _HALT:
+        letter = classify_step(ra, rb, xt)
+        if letter == "halt":
             cycle = _pull_back_cycle(tsm, (ra, rb, xt), charts, t_a + t_b)
             return RauzyOutcome("".join(letters), TerminalKind.HALT, cycle)
-        if verdict is _BOUNDARY:
+        if letter == "boundary":
             return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY, None)
         if step == budget:
             break
@@ -324,17 +316,16 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             # past this range the induced data is no longer meaningful.
             break
         # `induce`'s expressions, on the scalars
-        if verdict is _WINNER_B:
+        if letter == "L":
             rest = 1 - xt
             charts.append((1 / rest, -xt / rest))
             ra, xt = ra * rb, xt / (rb * rest)
-            letters.append("L")
             t_a += t_b
         else:
             charts.append((1 / xt, 0 * xt))
             rb, xt = ra * rb, ((1 + ra) * xt - 1) / (ra * xt)
-            letters.append("R")
             t_b += t_a
+        letters.append(letter)
         try:
             check_two_slope(ra, rb, xt, tol)
         except ValueError as exc:

@@ -8,8 +8,11 @@ The two shears and their inverses act on (e1, e2, mu1, mu2) by
     S2inv:  (e1/nu2, e2 - e1),      (mu1 - mu2, mu2)
 
 so the parameter pair transforms by unimodular integer matrices while the
-basis picks up dilation factors.  Words over these four letters drive the
-subtractive contraction algorithm and the density search in parameter space.
+basis picks up dilation factors.  A move is a letter: S1 = A, S2 = B, and
+the other case is the inverse.  A word is its string of letters, a `str`
+over A, a, B, b; a letter outside these four is refused with ValueError
+before any move.  Words drive the subtractive contraction algorithm and
+the density search in parameter space.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     BudgetExhausted,
@@ -45,21 +48,7 @@ RATIO_TOL: float = 1e-9
 ANOMALY_FACTOR: float = 1e-3
 
 
-class TwistGenerator(Enum):
-    """The four generating moves, serialized as A, a, B, b."""
-
-    T1 = "A"
-    T1_INV = "a"
-    T2 = "B"
-    T2_INV = "b"
-
-    @property
-    def inverse(self) -> "TwistGenerator":
-        return TwistGenerator(self.value.swapcase())
-
-
-# action on (mu1, mu2) as the integer rows (r11, r12, r21, r22), keyed by
-# the letter, which a fold reads off each move without hashing the Enum
+# action on (mu1, mu2) as the integer rows (r11, r12, r21, r22) of each move
 MU_ACTION: dict[str, tuple[int, int, int, int]] = {
     "A": (1, 0, 1, 1),
     "B": (1, 1, 0, 1),
@@ -67,45 +56,41 @@ MU_ACTION: dict[str, tuple[int, int, int, int]] = {
     "b": (1, -1, 0, 1),
 }
 
-Word = tuple[TwistGenerator, ...]
-
-
-def word_from_string(s: str) -> Word:
-    try:
-        return tuple(TwistGenerator(ch) for ch in s)
-    except ValueError as exc:
-        raise ValueError(f"invalid word letter in {s!r}") from exc
-
-
-def word_to_string(word: Sequence[TwistGenerator]) -> str:
-    return "".join([g._value_ for g in word])
+def word_from_string(s: str) -> str:
+    """`s` itself, once each of its letters is one of A, a, B, b."""
+    if s.strip("AaBb"):
+        raise ValueError(f"invalid word letter in {s!r}")
+    return s
 
 
 # --- single moves ---
 
-def twist_mu(g: TwistGenerator, params: DilationParams) -> DilationParams:
+def twist_mu(g: str, params: DilationParams) -> DilationParams:
     """Parameter part of a move; exact when the inputs are exact."""
-    r11, r12, r21, r22 = MU_ACTION[g._value_]
+    if g not in MU_ACTION:
+        raise ValueError(f"invalid move {g!r}: a move is one of A, a, B, b")
+    r11, r12, r21, r22 = MU_ACTION[g]
     m1, m2 = params.mu1, params.mu2
     return DilationParams(r11 * m1 + r12 * m2, r21 * m1 + r22 * m2)
 
 
-def twist_basis(g: TwistGenerator, e1: Vec2, e2: Vec2,
+def twist_basis(g: str, e1: Vec2, e2: Vec2,
                 params: DilationParams) -> tuple[Vec2, Vec2]:
+    if g not in MU_ACTION:
+        raise ValueError(f"invalid move {g!r}: a move is one of A, a, B, b")
     nu1, nu2 = params.nu()
-    if g is TwistGenerator.T1:
+    if g == "A":
         return (e1 + e2 * nu1, e2 * nu1)
-    if g is TwistGenerator.T2:
+    if g == "B":
         return (e1 * nu2, e2 + e1 * nu2)
-    if g is TwistGenerator.T1_INV:
+    if g == "a":
         return (e1 - e2, e2 * (1.0 / nu1))
     return (e1 * (1.0 / nu2), e2 - e1)
 
 
 # --- words ---
 
-def mu_path(word: Sequence[TwistGenerator],
-            params: DilationParams) -> Iterator[DilationParams]:
+def mu_path(word: str, params: DilationParams) -> Iterator[DilationParams]:
     """The parameters before `word` and after each move, lazily: the one
     fold of `twist_mu` along a word.  Raises InadmissibleAtStep at the
     first result outside the open positive quadrant, or at step 0 when a
@@ -114,31 +99,31 @@ def mu_path(word: Sequence[TwistGenerator],
     Each move is `twist_mu`'s multiply-add and `in_positive_quadrant`'s
     test, inline, in the same order of operations; its oracle is
     `tests/oracles.mu_path_oracle`, the plain fold of `twist_mu`."""
+    word_from_string(word)
     if word and not params.in_positive_quadrant():
         raise InadmissibleAtStep(0, "start parameters are not in the "
                                     "positive quadrant")
     yield params
     m1, m2 = params
-    rows, new = MU_ACTION, tuple.__new__
+    new = tuple.__new__
     for k, g in enumerate(word):
-        r11, r12, r21, r22 = rows[g._value_]
+        r11, r12, r21, r22 = MU_ACTION[g]
         m1, m2 = r11 * m1 + r12 * m2, r21 * m1 + r22 * m2
         if not (m1 > 0 and m2 > 0):
             raise InadmissibleAtStep(k)
         yield new(DilationParams, (m1, m2))
 
 
-def mu_after(word: Sequence[TwistGenerator],
-             params: DilationParams) -> DilationParams:
+def mu_after(word: str, params: DilationParams) -> DilationParams:
     """The parameters after `word`: the last value `mu_path` yields, folded
     with its operations and its refusals but no record per move."""
+    word_from_string(word)
     if word and not params.in_positive_quadrant():
         raise InadmissibleAtStep(0, "start parameters are not in the "
                                     "positive quadrant")
     m1, m2 = params
-    rows = MU_ACTION
     for k, g in enumerate(word):
-        r11, r12, r21, r22 = rows[g._value_]
+        r11, r12, r21, r22 = MU_ACTION[g]
         m1, m2 = r11 * m1 + r12 * m2, r21 * m1 + r22 * m2
         if not (m1 > 0 and m2 > 0):
             raise InadmissibleAtStep(k)
@@ -150,7 +135,7 @@ class WordResult(NamedTuple):
     mu_path: tuple[tuple[float, float], ...]
 
 
-def apply_word(word: Sequence[TwistGenerator], room: Room) -> WordResult:
+def apply_word(word: str, room: Room) -> WordResult:
     """Apply a word move by move, requiring every prefix to stay admissible.
 
     The moves keep the basis oriented, but its float entries can grow
@@ -180,8 +165,8 @@ def apply_word(word: Sequence[TwistGenerator], room: Room) -> WordResult:
 # --- subtractive contraction ---
 
 class ContractionResult(NamedTuple):
-    word: Word
-    blocks: tuple[tuple[TwistGenerator, int], ...]
+    word: str
+    blocks: tuple[tuple[str, int], ...]     # (letter, k): k moves of it
     final: DilationParams
 
 
@@ -205,12 +190,13 @@ def gauss_contraction(params: DilationParams, eps: float,
                       max_generators: int = 10 ** 6) -> ContractionResult:
     """Shrink positive parameters below eps by maximal subtractive blocks.
 
-    While mu1 > mu2 the move S2inv subtracts mu2 from mu1 (k times, k maximal
-    with a positive remainder); symmetrically S1inv subtracts mu1 from mu2.
+    While mu1 > mu2 the move S2inv = b subtracts mu2 from mu1 (k times, k
+    maximal with a positive remainder); symmetrically S1inv = a subtracts
+    mu1 from mu2.
     Rationally dependent pairs run into a tie, or on floats into a
     remainder too small to certify: RationalRatio.  A block that would
     take the word past max_generators raises BudgetExhausted before it is
-    built, with the word and blocks before it as the partial result.
+    built, with the (word, blocks) before it as the partial result.
 
     Exact parameters stop on the exact test m1^2 + m2^2 < eps^2, floats
     on their hypot.  Refused with ValueError: a negative or NaN eps,
@@ -228,7 +214,7 @@ def gauss_contraction(params: DilationParams, eps: float,
     if exact:
         one_field(*params)
         if eps == math.inf:     # no Fraction; every start already meets it
-            return ContractionResult((), (), params)
+            return ContractionResult("", (), params)
         m1, m2 = params.mu1, params.mu2
         eps_sq = Fraction(eps) ** 2
     else:
@@ -243,28 +229,28 @@ def gauss_contraction(params: DilationParams, eps: float,
                 f"spacing {spacing!r} of the smaller parameter, so no float "
                 "contraction reaches it (reach derives this tolerance from "
                 "--tol)")
-    blocks: list[tuple[TwistGenerator, int]] = []
-    word: list[TwistGenerator] = []
+    blocks: list[tuple[str, int]] = []
+    word = ""
     while (m1 * m1 + m2 * m2 >= eps_sq if exact
            else math.hypot(m1, m2) >= eps):
         if m1 == m2:
             raise RationalRatio("parameters became equal")
         if m1 > m2:
-            x, y, gen = m1, m2, TwistGenerator.T2_INV
+            x, y, letter = m1, m2, "b"
         else:
-            x, y, gen = m2, m1, TwistGenerator.T1_INV
+            x, y, letter = m2, m1, "a"
         k = _exact_block_count(x, y) if exact else _float_block_count(x, y)
         if len(word) + k > max_generators:
             raise BudgetExhausted("contraction word exceeded the generator cap",
-                                  partial=(tuple(word), blocks))
+                                  partial=(word, blocks))
         rem = x - k * y
         if m1 > m2:
             m1 = rem
         else:
             m2 = rem
-        blocks.append((gen, k))
-        word.extend([gen] * k)
-    return ContractionResult(tuple(word), tuple(blocks), DilationParams(m1, m2))
+        blocks.append((letter, k))
+        word += letter * k
+    return ContractionResult(word, tuple(blocks), DilationParams(m1, m2))
 
 
 # --- density search in the positive quadrant ---
@@ -277,7 +263,7 @@ class ReachReport(NamedTuple):
     stays well conditioned.  Build a fresh room from final_params.
     """
 
-    word: Word
+    word: str
     mu_checkpoints: tuple[tuple[str, tuple[float, float]], ...]
     final_error: float
     final_params: DilationParams
@@ -344,7 +330,7 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         raise ValueError(f"target ({t1!r}, {t2!r}) and its ratio must be "
                          "finite, positive floats")
     if math.hypot(m1 - t1, m2 - t2) <= eps:
-        return ReachReport((), (("start", (m1, m2)),),
+        return ReachReport("", (("start", (m1, m2)),),
                            math.hypot(m1 - t1, m2 - t2), params)
 
     # a float contraction reaches no eta at or below this (gauss_contraction)
@@ -383,10 +369,9 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         if err <= eps:
             # matrices act right to left: the last exponent moves first,
             # S2 for each R and S1 for each L
-            word = contraction.word + (TwistGenerator.T2,) * n
+            word = contraction.word + "B" * n
             for i in reversed(range(len(exponents))):
-                word += (TwistGenerator.T1 if i % 2
-                         else TwistGenerator.T2,) * exponents[i]
+                word += "AB"[i % 2 == 0] * exponents[i]
             try:
                 cur = mu_after(word, params)
             except InadmissibleAtStep:

@@ -34,7 +34,7 @@ from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, AffineChart,
                                     evaluate)
 from dilatorus.quadratics import QuadraticNumber, Scalar, is_exact, slack
 from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
-                             StepClass, TerminalKind, classify_step, induce)
+                             TerminalKind, classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
@@ -42,7 +42,7 @@ from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                INWARD_SLACK, MIN_STEP, ROTATION_ANCHOR_RADIUS,
                                ROTATION_CYCLE_TOL, TRANSVERSALITY_FLOOR,
                                VERTEX_TOL, CrossSection, RayTrace, TraceEnd)
-from dilatorus.twists import TwistGenerator, twist_mu
+from dilatorus.twists import twist_mu
 
 
 class _RaisingParser(argparse.ArgumentParser):
@@ -222,11 +222,11 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     times = (1, 1)
     while True:
         verdict = classify_step(*current)
-        if verdict is StepClass.HALT:
+        if verdict == "halt":
             return RauzyOutcome(word, TerminalKind.HALT,
                                 lift_cycle_oracle(tsm, current, charts,
                                                   sum(times)))
-        if verdict is StepClass.BOUNDARY:
+        if verdict == "boundary":
             return RauzyOutcome(word, TerminalKind.BOUNDARY, None)
         if len(word) == budget:
             break
@@ -236,11 +236,10 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             break
         step = induce(current)
         t_a, t_b = times
-        if step.winner is StepClass.WINNER_B:   # induced on the B branch
-            word += "L"
+        word += step.letter
+        if step.letter == "L":                  # induced on the B branch
             times = (t_b + t_a, t_b)
         else:                                   # induced on the A branch
-            word += "R"
             times = (t_a, t_a + t_b)
         charts.append(step.chart)
         current = step.induced
@@ -1111,8 +1110,7 @@ def survivor_intervals_oracle(rho_a: Scalar, rho_b: Scalar,
 
 # --- the exact track's long loops, one call per step ---
 
-def mu_path_oracle(word: Sequence[TwistGenerator],
-                   params: DilationParams):
+def mu_path_oracle(word: str, params: DilationParams):
     """The parameters before `word` and after each move: `twist_mu` once
     per move, each result tested by `in_positive_quadrant`.  Raises
     InadmissibleAtStep where `twists.mu_path` must."""

@@ -189,6 +189,16 @@ CASES = [
                    id=f"quadratic-{op.__name__}-float")
       for op in (operator.add, operator.sub, operator.mul,
                  operator.truediv)],
+    # a float part or a radicand that is not an int is refused, as
+    # `quadratic` refuses a float, not truncated (2.7 would read as 2) or
+    # read as its dyadic value
+    *[pytest.param(lambda parts=parts: QuadraticNumber(*parts),
+                   (TypeError, "exact arithmetic does not accept the parts"),
+                   id=f"quadratic-refuses-{name}")
+      for name, parts in (("a-float-radicand", (0, 1, 2.7)),
+                          ("float-parts", (0.1, 0.5, 2)),
+                          ("a-float-irrational-part", (1, 0.5, 2)),
+                          ("a-fraction-radicand", (0, 1, Fraction(2))))],
     pytest.param(lambda: setattr(QuadraticNumber(1, 1, 2), "a", 2),
                  (AttributeError, "QuadraticNumber is immutable"),
                  id="quadratic-set-a-field"),

@@ -16,8 +16,8 @@ from dilatorus.errors import (DilatorusError, EmptyInterval, NonConvergence,
 from dilatorus.geometry import square_room
 from dilatorus.intervalmaps import AffineChart, TwoSlopeMap, evaluate
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.rauzy import (StepClass, TerminalKind,
-                             classify_step, induce, interval_for_word,
+from dilatorus.rauzy import (TerminalKind, classify_step, induce,
+                             interval_for_word,
                              iterate_induction, subdivision,
                              survivor_intervals, survivor_measure, thresholds)
 from dilatorus.surface import classify_direction
@@ -51,13 +51,11 @@ def test_subdivision_lengths_random():
 def test_classify_step_regions():
     thr_b, thr_a = thresholds(HALF, HALF)
     assert (thr_b, thr_a) == (Fraction(1, 3), Fraction(2, 3))
-    assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(1, 4))) \
-        is StepClass.WINNER_B
-    assert classify_step(*TwoSlopeMap(HALF, HALF, HALF)) is StepClass.HALT
-    assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(3, 4))) \
-        is StepClass.WINNER_A
+    assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(1, 4))) == "L"
+    assert classify_step(*TwoSlopeMap(HALF, HALF, HALF)) == "halt"
+    assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(3, 4))) == "R"
     assert classify_step(*TwoSlopeMap(HALF, HALF, Fraction(1, 3))) \
-        is StepClass.BOUNDARY
+        == "boundary"
 
 
 def test_induce_slope_rule_exact():
@@ -246,9 +244,8 @@ def _winner_maps(rng: random.Random, count: int, exact: bool) -> list:
 
 def _step_of(tsm):
     step = induce(tsm)
-    letter = "L" if step.winner is StepClass.WINNER_B else "R"
     induced = step.induced
-    return (letter, (induced.rho_a, induced.rho_b, induced.x_t),
+    return (step.letter, (induced.rho_a, induced.rho_b, induced.x_t),
             (step.chart.scale, step.chart.offset))
 
 

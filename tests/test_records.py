@@ -21,13 +21,13 @@ from dilatorus.geometry import (DilationParams, GluedSide, SL2Matrix, Vec2,
 from dilatorus.intervalmaps import (AffineBranch, AffineChart, OrbitResult,
                                     PeriodicCycle, PiecewiseAffineMap,
                                     TwoSlopeMap)
-from dilatorus.rauzy import (InductionStep, RauzyOutcome, StepClass,
-                             Subdivision, TerminalKind)
+from dilatorus.rauzy import (InductionStep, RauzyOutcome, Subdivision,
+                             TerminalKind)
 from dilatorus.surface import (CrossSection, Cylinder, DirectionClass,
                                DirectionKind, ScanResult, SectionReduction)
 from dilatorus.teichmuller import FlowSample, MonitorFlag, MonitorReport
 from dilatorus.twists import (ContractionResult, Holonomy, HolonomyClass,
-                              ReachReport, TwistGenerator, WordResult)
+                              ReachReport, WordResult)
 
 HALF = Fraction(1, 2)
 
@@ -86,11 +86,10 @@ RECORDS = {
     "AffineChart": (lambda: AffineChart(2.0, -0.5),
                     "AffineChart(scale=2.0, offset=-0.5)"),
     "InductionStep": (
-        lambda: InductionStep(_tsm(), StepClass.WINNER_B,
-                              AffineChart(2.0, -0.5)),
+        lambda: InductionStep(_tsm(), "L", AffineChart(2.0, -0.5)),
         "InductionStep(induced=TwoSlopeMap(rho_a=Fraction(1, 2), "
         "rho_b=Fraction(1, 3), x_t=Fraction(1, 2)), "
-        "winner=<StepClass.WINNER_B: 'B'>, "
+        "letter='L', "
         "chart=AffineChart(scale=2.0, offset=-0.5))"),
     "Subdivision": (lambda: Subdivision(HALF, Fraction(1, 3)),
                     "Subdivision(rho_a=Fraction(1, 2), "
@@ -136,16 +135,14 @@ RECORDS = {
         "y=1.0), params=DilationParams(mu1=1.0, mu2=0.5)), "
         "mu_path=((1.0, 0.5), (1.0, 1.5)))"),
     "ContractionResult": (
-        lambda: ContractionResult((TwistGenerator.T1_INV,),
-                                  ((TwistGenerator.T1_INV, 1),),
+        lambda: ContractionResult("a", (("a", 1),),
                                   DilationParams(0.5, 0.25)),
-        "ContractionResult(word=(<TwistGenerator.T1_INV: 'a'>,), "
-        "blocks=((<TwistGenerator.T1_INV: 'a'>, 1),), "
+        "ContractionResult(word='a', blocks=(('a', 1),), "
         "final=DilationParams(mu1=0.5, mu2=0.25))"),
     "ReachReport": (
-        lambda: ReachReport((TwistGenerator.T2,), (("start", (1.0, 2.0)),),
+        lambda: ReachReport("B", (("start", (1.0, 2.0)),),
                             0.001, DilationParams(1.0, 2.0)),
-        "ReachReport(word=(<TwistGenerator.T2: 'B'>,), "
+        "ReachReport(word='B', "
         "mu_checkpoints=(('start', (1.0, 2.0)),), final_error=0.001, "
         "final_params=DilationParams(mu1=1.0, mu2=2.0))"),
     "HolonomyClass": (lambda: HolonomyClass(Holonomy.NON_DISCRETE),

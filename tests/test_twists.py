@@ -15,13 +15,13 @@ from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               RationalRatio)
 from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.twists import (Holonomy, TwistGenerator, apply_word,
-                              gauss_contraction, holonomy_class, mu_after,
-                              mu_path, reach_target, twist_mu,
-                              word_from_string, word_to_string)
+from dilatorus.twists import (Holonomy, apply_word, gauss_contraction,
+                              holonomy_class, mu_after, mu_path,
+                              reach_target, twist_basis, twist_mu,
+                              word_from_string)
 
 SEED = 20260817
-GENERATORS = list(TwistGenerator)
+GENERATORS = "AaBb"
 
 
 def rational_params(rng: random.Random) -> DilationParams:
@@ -30,8 +30,7 @@ def rational_params(rng: random.Random) -> DilationParams:
 
 
 def test_t1_on_unit_basis_frozen_example():
-    room = apply_word((TwistGenerator.T1,),
-                      square_room(math.log(2.0), math.log(3.0))).room
+    room = apply_word("A", square_room(math.log(2.0), math.log(3.0))).room
     e1, e2, params = room.e1, room.e2, room.params
     assert e1.as_floats() == pytest.approx((1.0, 2.0))
     assert e2.as_floats() == pytest.approx((0.0, 2.0))
@@ -49,10 +48,10 @@ def test_mu_action_matrices():
         c2 = twist_mu(g, e2)
         return ((c1.mu1, c2.mu1), (c1.mu2, c2.mu2))
 
-    assert matrix_of(TwistGenerator.T1) == ((1, 0), (1, 1))
-    assert matrix_of(TwistGenerator.T2) == ((1, 1), (0, 1))
-    assert matrix_of(TwistGenerator.T1_INV) == ((1, 0), (-1, 1))
-    assert matrix_of(TwistGenerator.T2_INV) == ((1, -1), (0, 1))
+    assert matrix_of("A") == ((1, 0), (1, 1))
+    assert matrix_of("B") == ((1, 1), (0, 1))
+    assert matrix_of("a") == ((1, 0), (-1, 1))
+    assert matrix_of("b") == ((1, -1), (0, 1))
 
 
 def test_generator_roundtrips_exact_in_rational_mode():
@@ -61,7 +60,7 @@ def test_generator_roundtrips_exact_in_rational_mode():
         params = rational_params(rng)
         for g in GENERATORS:
             there = twist_mu(g, params)
-            back = twist_mu(g.inverse, there)
+            back = twist_mu(g.swapcase(), there)
             assert back.mu1 == params.mu1 and back.mu2 == params.mu2
 
 
@@ -90,7 +89,7 @@ def test_word_then_inverse_word_round_trips_exactly(params, letters):
     except InadmissibleAtStep:
         assume(False)
     there = apply_word(word, square_room(params.mu1, params.mu2))
-    inverse = tuple(g.inverse for g in reversed(word))
+    inverse = word[::-1].swapcase()
     back = apply_word(inverse, there.room)
     assert back.room.params.mu1 == params.mu1
     assert back.room.params.mu2 == params.mu2
@@ -186,7 +185,7 @@ def test_mu_path_folds_twist_mu_and_stops_at_the_exit():
     assert path[-1] == apply_word(word, square_room(1, 3)).room.params
     # the start is checked only for a nonempty word
     outside = DilationParams(Fraction(-1), Fraction(3))
-    assert list(mu_path((), outside)) == [outside]
+    assert list(mu_path("", outside)) == [outside]
     with pytest.raises(InadmissibleAtStep) as exc:
         list(mu_path(word_from_string("Ab"), outside))
     assert exc.value.step == 0
@@ -195,7 +194,7 @@ def test_mu_path_folds_twist_mu_and_stops_at_the_exit():
     assert exc.value.step == 2
     # mu_after ends where mu_path ends, and refuses where it refuses
     assert mu_after(word, params) == path[-1]
-    assert mu_after((), outside) is outside
+    assert mu_after("", outside) is outside
     for text, step in (("Ab", 0), ("Bbb", 2)):
         start = outside if step == 0 else params
         with pytest.raises(InadmissibleAtStep) as exc:
@@ -216,10 +215,36 @@ def test_a_basis_past_the_float_range_is_refused_before_a_later_exit():
 
 
 def test_word_string_roundtrip():
-    word = word_from_string("AaBb")
-    assert word_to_string(word) == "AaBb"
+    assert word_from_string("AaBb") == "AaBb"
     with pytest.raises(ValueError):
         word_from_string("AXB")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.text(alphabet="AaBb", max_size=12),
+       st.characters(exclude_characters="AaBb"), st.integers(0, 12))
+def test_a_word_is_its_letters_and_any_other_character_is_refused(
+        word, other, at):
+    assert word_from_string(word) == word
+    with pytest.raises(ValueError, match="invalid word letter"):
+        word_from_string(word[:at] + other + word[at:])
+
+
+# each call refuses before its first move: mu_path yields not even its
+# start
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda w, room: next(mu_path(w, room.params)), id="mu_path"),
+    pytest.param(lambda w, room: mu_after(w, room.params), id="mu_after"),
+    pytest.param(lambda w, room: apply_word(w, room), id="apply_word"),
+    pytest.param(lambda w, room: twist_mu(w, room.params), id="twist_mu"),
+    pytest.param(lambda w, room: twist_basis(w, room.e1, room.e2,
+                                             room.params), id="twist_basis"),
+])
+@pytest.mark.parametrize("text", ["AXB", "Ac", "X"])
+def test_a_letter_outside_the_four_moves_is_refused(call, text):
+    room = square_room(Fraction(1), Fraction(2))
+    with pytest.raises(ValueError, match="invalid"):
+        call(text, room)
 
 
 def test_gauss_contraction_golden_pair():
@@ -269,7 +294,7 @@ def test_exact_contractions_end_below_eps():
 
 def test_exact_contraction_meets_an_infinite_eps_at_once():
     params = DilationParams(Fraction(1), QuadraticNumber(0, 1, 2))
-    assert gauss_contraction(params, math.inf) == ((), (), params)
+    assert gauss_contraction(params, math.inf) == ("", (), params)
 
 
 def test_gauss_contraction_rational_pair_fails():
@@ -288,7 +313,7 @@ def test_contraction_refuses_a_block_past_the_cap_before_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    assert info.value.partial == ((), [])
+    assert info.value.partial == ("", [])
 
 
 def test_exact_block_count_is_the_largest_positive_remainder():
@@ -303,9 +328,8 @@ def test_exact_block_count_is_the_largest_positive_remainder():
 def spread_word(exponents):
     """The moves of R^t0 L^t1 R^t2 ...: right to left, S2 for each R and
     S1 for each L, as reach_target builds its spread."""
-    return tuple(g for i in reversed(range(len(exponents)))
-                 for g in (TwistGenerator.T1 if i % 2
-                           else TwistGenerator.T2,) * exponents[i])
+    return "".join(("A" if i % 2 else "B") * exponents[i]
+                   for i in reversed(range(len(exponents))))
 
 
 def test_complete_to_unimodular_gives_the_least_nonnegative_completion():
@@ -375,7 +399,7 @@ def test_reach_target_reports_a_start_within_eps_below_the_noise_floor():
     # spacing (tests/test_cli.py), but a start already within eps needs
     # none
     report = reach_target(DilationParams(1e-3, 1.0), (1e-15, 1.0), 1e-2)
-    assert report.word == () and report.final_error < 1e-2
+    assert report.word == "" and report.final_error < 1e-2
 
 
 # the first re-folded word from this start toward this target has 4,668
