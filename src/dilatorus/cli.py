@@ -285,7 +285,7 @@ def cmd_classify(args) -> int:
     verdict = classify_direction(room, args.theta, budget=args.budget)
     _emit(canonical_json({
         "theta": args.theta,
-        "kind": verdict.kind.value,
+        "kind": verdict.kind,
         "word": verdict.word,
         "multiplier": verdict.multiplier,
     }))
@@ -331,7 +331,7 @@ def _flow_payload(report: MonitorReport, theta_tol: float) -> dict:
         "samples": [
             {"t": s.t, "theta_sup": s.theta_sup,
              "max_multiplier": s.max_multiplier,
-             "flags": sorted(f.value for f in s.verdict_flags),
+             "flags": sorted(s.verdict_flags),
              "budget_exhausted": s.budget_exhausted}
             for s in report.samples
         ],
@@ -341,7 +341,7 @@ def _flow_payload(report: MonitorReport, theta_tol: float) -> dict:
 def _flow_csv(report: MonitorReport) -> str:
     lines = ["t,theta_sup,max_multiplier,flags,budget_exhausted"]
     for s in report.samples:
-        flags = "|".join(sorted(f.value for f in s.verdict_flags))
+        flags = "|".join(sorted(s.verdict_flags))
         lines.append(f"{s.t!r},{s.theta_sup!r},{s.max_multiplier!r},"
                      f"{flags},{int(s.budget_exhausted)}")
     return "\n".join(lines) + "\n"
@@ -416,7 +416,7 @@ def cmd_orbit_closure(args) -> int:
     mu1, mu2 = _parse_mu_pair(args)
     hc = holonomy_class(DilationParams(mu1, mu2))
     _emit(canonical_json({
-        "verdict": hc.verdict.value,
+        "verdict": hc.verdict,
         "orbit_closure": hc.orbit_closure,
         "witness": list(hc.witness) if hc.witness is not None else None,
     }))

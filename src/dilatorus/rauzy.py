@@ -11,8 +11,8 @@ maps produces the nested word intervals whose intersection is the Cantor set
 of infinitely renormalizable parameters.
 
 A step is its letter, "L" or "R", and a word is its string of letters:
-`classify_step` returns the letter a step records, or the value of the
-`TerminalKind` member, "halt" or "boundary", that ends the run.
+`classify_step` returns the letter a step records, or the terminal,
+"halt" or "boundary", that ends the run.
 
 `iterate_induction` runs these steps on plain scalars: it carries the
 current map as (rho_a, rho_b, x_t) and each step's chart as a (scale,
@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from itertools import count, islice
 from typing import NamedTuple, Optional
@@ -99,7 +98,8 @@ from .intervalmaps import (
     check_two_slope,
     thresholds,
 )
-from .quadratics import Scalar, as_float, as_ratio, is_exact, slack
+from .quadratics import (Scalar, as_float, as_ratio, is_exact, one_field,
+                         slack)
 
 # A cycle lifted back to the original map runs for its period, which the
 # induction counts; a float lift must then be back within CYCLE_CLOSE_TOL
@@ -121,19 +121,13 @@ FLOAT_SLOPE_MAX: float = 1e150
 EXACT_MEASURE_MAX_LEAVES: int = 2 ** 14
 
 
-class TerminalKind(Enum):
-    HALT = "halt"
-    BUDGET_EXHAUSTED = "budget_exhausted"
-    BOUNDARY = "boundary"
-
-
 def classify_step(ra: Scalar, rb: Scalar, xt: Scalar) -> str:
     """The letter the step of the map (ra, rb, xt) records: "L" when the
     B branch's image captures the break point and "R" when the A
-    branch's does; otherwise "halt" or "boundary", the values of the
-    `TerminalKind` members that end the run.  The one classifier of a
-    step; its thresholds are those of `thresholds`, written out, since
-    the induction loop calls it on every step."""
+    branch's does; otherwise the terminal that ends the run: "halt"
+    when neither image holds it and "boundary" on a threshold tie.  The
+    one classifier of a step; its thresholds are those of `thresholds`,
+    written out, since the induction loop calls it on every step."""
     thr_b, thr_a = rb / (1 + rb), 1 / (1 + ra)
     if xt == thr_b or xt == thr_a:
         return "boundary"
@@ -224,8 +218,12 @@ def subdivision(rho_a: Scalar, rho_b: Scalar) -> Subdivision:
 
 
 class RauzyOutcome(NamedTuple):
+    """The word an induction recorded and how it ended: `terminal` is
+    "halt" (with the pulled-back `cycle`), "boundary" (a threshold tie)
+    or "budget_exhausted" (see `iterate_induction`)."""
+
     word: str
-    terminal: TerminalKind
+    terminal: str
     cycle: Optional[PeriodicCycle]
 
 
@@ -280,8 +278,11 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: tuple, charts: list[tuple],
 
 
 def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
-    """Renormalize until the dynamics halts, hits a threshold tie, or the
-    step budget runs out.  Budget 0 classifies the first step only.
+    """Renormalize until the dynamics halts ("halt"), hits a threshold
+    tie ("boundary"), or the step budget runs out ("budget_exhausted").
+    A run on float slopes also ends "budget_exhausted" once a slope
+    leaves (FLOAT_SLOPE_MIN, FLOAT_SLOPE_MAX), short of its budget.
+    Budget 0 classifies the first step only.
 
     The loop steps the plain scalars (rho_a, rho_b, x_t) and keeps each
     chart as a (scale, offset) pair, both by `induce`'s expressions: each
@@ -305,9 +306,9 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
         letter = classify_step(ra, rb, xt)
         if letter == "halt":
             cycle = _pull_back_cycle(tsm, (ra, rb, xt), charts, t_a + t_b)
-            return RauzyOutcome("".join(letters), TerminalKind.HALT, cycle)
+            return RauzyOutcome("".join(letters), letter, cycle)
         if letter == "boundary":
-            return RauzyOutcome("".join(letters), TerminalKind.BOUNDARY, None)
+            return RauzyOutcome("".join(letters), letter, None)
         if step == budget:
             break
         if tol and not (FLOAT_SLOPE_MIN < float(ra) < FLOAT_SLOPE_MAX
@@ -330,7 +331,7 @@ def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             check_two_slope(ra, rb, xt, tol)
         except ValueError as exc:
             raise _invalid_induced_map(exc) from exc
-    return RauzyOutcome("".join(letters), TerminalKind.BUDGET_EXHAUSTED, None)
+    return RauzyOutcome("".join(letters), "budget_exhausted", None)
 
 
 # --- parameter intervals of induction words ---
@@ -492,11 +493,15 @@ def _checked_root(rho_a: Scalar, rho_b: Scalar,
     denominators' row to `depth`: the identity pull-back's row (1, 1),
     det 1 and k = `depth`.  With it the walk's `_straddle_products` and
     whether all its entries are ints; ValueError unless the depth is
-    nonnegative and `_check_slopes` passes.  A pair with a float slope
-    is read as two floats, so that the walk is a float walk throughout."""
+    nonnegative, exact slopes share one quadratic field
+    (`quadratics.one_field`) and `_check_slopes` passes.  A pair with a
+    float slope is read as two floats, so that the walk is a float walk
+    throughout."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if not is_exact(rho_a, rho_b):      # a pair with a float walks as floats
+    if is_exact(rho_a, rho_b):
+        one_field(rho_a, rho_b)
+    else:                               # a pair with a float walks as floats
         rho_a, rho_b = as_float(rho_a, "a slope"), as_float(rho_b, "a slope")
     _check_slopes(rho_a, rho_b)
     xn, xd = as_ratio(rho_a)

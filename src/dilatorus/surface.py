@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -51,8 +50,9 @@ from .intervalmaps import (
     evaluate as evaluate_two_slope,
     restrict_to_image,
 )
-from .quadratics import Scalar, as_float, integer_form, is_exact, surd_sign
-from .rauzy import RauzyOutcome, TerminalKind, iterate_induction
+from .quadratics import (Scalar, as_float, integer_form, is_exact, one_field,
+                         surd_sign)
+from .rauzy import RauzyOutcome, iterate_induction
 
 # Tolerances for the tracer are relative to the room diameter; those for
 # the return map are relative to the section length, so squashed rooms
@@ -152,13 +152,6 @@ def _crossing_angle(theta: float, ux: float, uy: float,
 
 
 # --- ray tracing ---
-
-class TraceEnd(Enum):
-    DOOR = "door"
-    SECTION = "section"
-    BUDGET = "budget"
-    VERTEX = "vertex"
-
 
 def _require_finite(theta: float) -> None:
     """Refuse a NaN or infinite direction before any other work."""
@@ -364,6 +357,11 @@ class RayTrace(NamedTuple):
     """Itinerary of one ray: the glued sides it crossed, in flight order,
     and where and how it stopped.
 
+    `terminal` says how: "door" (the ray reached the door), "section"
+    (it crossed the heading's section), "budget" (it used up its
+    crossings) or "vertex" (it hit a cone point; only the trace a
+    VertexHit carries ends so).
+
     `cumulative_factor` is the product of the crossed sides' dilation
     factors, taken in crossing order: the derivative of the flow between
     the start and `end_point`, an (x, y) pair of floats.  `trace_ray`
@@ -373,7 +371,7 @@ class RayTrace(NamedTuple):
 
     crossed_sides: tuple[int, ...]
     cumulative_factor: float
-    terminal: TraceEnd
+    terminal: str
     end_point: tuple[float, float]
 
     @property
@@ -382,12 +380,9 @@ class RayTrace(NamedTuple):
 
 
 # Bound once, not per flight: a side's s counts as crossed within
-# [_S_LO, _S_HI] and as a vertex outside [_S_IN_LO, _S_IN_HI], and an
-# enum member read on its class costs several global reads.
+# [_S_LO, _S_HI] and as a vertex outside [_S_IN_LO, _S_IN_HI].
 _S_LO, _S_HI = -VERTEX_TOL, 1.0 + VERTEX_TOL
 _S_IN_LO, _S_IN_HI = VERTEX_TOL, 1.0 - VERTEX_TOL
-_DOOR, _SECTION = TraceEnd.DOOR, TraceEnd.SECTION
-_BUDGET, _VERTEX = TraceEnd.BUDGET, TraceEnd.VERTEX
 # builds a RayTrace from its fields, skipping the NamedTuple's Python __new__
 _new_trace = tuple.__new__
 
@@ -406,14 +401,14 @@ def _vertex_hit(heading: Heading, k: Optional[int], s: float,
                               else heading.sides[j])
         return VertexHit(
             "ray passes a cone point closer than float resolution",
-            trace=_new_trace(RayTrace, (tuple(crossed), gain, _VERTEX,
+            trace=_new_trace(RayTrace, (tuple(crossed), gain, "vertex",
                                         (bx + fx * sigma, by + fy * sigma))))
     ax, ay, ex, ey, *_ = (heading.section_row if k == SECTION_LEG
                           else heading.sides[k])
     return VertexHit("ray hits a pentagon vertex; the flow is undefined "
                      "through the cone point",
                      trace=_new_trace(RayTrace, (tuple(crossed), gain,
-                                                 _VERTEX,
+                                                 "vertex",
                                                  (ax + ex * s, ay + ey * s))))
 
 
@@ -478,7 +473,7 @@ def trace_ray(heading: Heading, start: float,
     if partner is None or max_crossings <= 0:
         ax, ay, ex, ey, *_ = rows[k]
         return _new_trace(RayTrace, (
-            (), 1.0, _DOOR if partner is None else _BUDGET,
+            (), 1.0, "door" if partner is None else "budget",
             (ax + ex * s, ay + ey * s)))
 
     # the second leg, after the first transport, on which most flights
@@ -494,7 +489,7 @@ def trace_ray(heading: Heading, start: float,
                 raise _vertex_hit(heading, SECTION_LEG, s, [first], gain, j,
                                   sigma)
             ax, ay, ex, ey, _ = sec
-            return _new_trace(RayTrace, ((first,), gain, _SECTION,
+            return _new_trace(RayTrace, ((first,), gain, "section",
                                          (ax + ex * s, ay + ey * s)))
 
     # Brent's method saves the (side, sigma) after the first transport
@@ -511,7 +506,7 @@ def trace_ray(heading: Heading, start: float,
         if partner is None or transports_left <= 0:
             ax, ay, ex, ey, *_ = rows[k]
             return _new_trace(RayTrace, (
-                tuple(crossed), gain, _DOOR if partner is None else _BUDGET,
+                tuple(crossed), gain, "door" if partner is None else "budget",
                 (ax + ex * s, ay + ey * s)))
         transports_left -= 1
         crossed.append(k)
@@ -538,7 +533,7 @@ def trace_ray(heading: Heading, start: float,
                     raise _vertex_hit(heading, SECTION_LEG, s, crossed, gain,
                                       j, sigma)
                 ax, ay, ex, ey, _ = sec
-                return _new_trace(RayTrace, (tuple(crossed), gain, _SECTION,
+                return _new_trace(RayTrace, (tuple(crossed), gain, "section",
                                              (ax + ex * s, ay + ey * s)))
 
 
@@ -570,12 +565,11 @@ def _flight(heading: Heading, s: float) -> RayTrace:
     door, and VertexHit from the tracer.
     """
     tr = trace_ray(heading, s)
-    terminal = tr.terminal
-    if terminal is _BUDGET:
+    if tr.terminal == "budget":
         raise BudgetExhausted("no return to the section within "
                               f"{DEFAULT_MAX_CROSSINGS} crossings",
                               partial=tr)
-    if terminal is _DOOR:
+    if tr.terminal == "door":
         raise NotTransverse("trajectory off the section reaches the "
                             "door; no first-return map in this "
                             "direction")
@@ -811,23 +805,18 @@ def _collapsed_direction(direction: Direction
     return None
 
 
-class DirectionKind(Enum):
-    DOOR = "door"
-    CYLINDER = "cylinder"
-    CANTOR_LIKE = "cantor_like"
-
-
 class DirectionClass(NamedTuple):
     """Verdict for one flow direction.
 
-    For cylinders, `multiplier` is the expansion of the return map
-    around the periodic orbit, normalized above 1, and `word` is the
-    renormalization word that found it.  Cantor-like verdicts carry the
-    word prefix examined before the budget ran out or a renormalization
-    boundary was hit.
+    `kind` is "door" (parallel to the door), "cylinder" or
+    "cantor_like".  For cylinders, `multiplier` is the expansion of the
+    return map around the periodic orbit, normalized above 1, and `word`
+    is the renormalization word that found it.  Cantor-like verdicts
+    carry the word prefix examined before the budget ran out or a
+    renormalization boundary was hit.
     """
 
-    kind: DirectionKind
+    kind: str
     word: str
     multiplier: Optional[float]
     reduction: Optional[SectionReduction]
@@ -835,9 +824,11 @@ class DirectionClass(NamedTuple):
 
     @property
     def exhausted(self) -> bool:
-        """The induction budget ran out before a verdict was reached."""
+        """The induction ended "budget_exhausted": its step budget ran
+        out before a verdict was reached, or, on float slopes, a slope
+        left (rauzy.FLOAT_SLOPE_MIN, rauzy.FLOAT_SLOPE_MAX) first."""
         return (self.outcome is not None
-                and self.outcome.terminal is TerminalKind.BUDGET_EXHAUSTED)
+                and self.outcome.terminal == "budget_exhausted")
 
 
 def classify_direction(room: Room, theta: float,
@@ -858,7 +849,7 @@ def classify_direction(room: Room, theta: float,
         raise ValueError("induction budget must be nonnegative")
     _require_finite(theta)
     if angle_dist_mod_pi(theta, room.door_direction()) <= DOOR_ANGLE_TOL:
-        return DirectionClass(DirectionKind.DOOR, "", None, None, None)
+        return DirectionClass("door", "", None, None, None)
     th = wrap_2pi(theta)
     if not room.is_inward(th):
         th = wrap_2pi(th + math.pi)
@@ -869,17 +860,14 @@ def classify_direction(room: Room, theta: float,
         collapsed = _collapsed_direction(direction)
         if collapsed is None:
             raise
-        return DirectionClass(DirectionKind.CYLINDER, "",
-                              1.0 / collapsed[0], None, None)
+        return DirectionClass("cylinder", "", 1.0 / collapsed[0], None, None)
     outcome = iterate_induction(red.two_slope, budget)
-    if outcome.terminal is TerminalKind.HALT:
+    if outcome.terminal == "halt":
         mult = float(outcome.cycle.multiplier)
         if mult < 1.0:
             mult = 1.0 / mult
-        return DirectionClass(DirectionKind.CYLINDER, outcome.word, mult,
-                              red, outcome)
-    return DirectionClass(DirectionKind.CANTOR_LIKE, outcome.word, None,
-                          red, outcome)
+        return DirectionClass("cylinder", outcome.word, mult, red, outcome)
+    return DirectionClass("cantor_like", outcome.word, None, red, outcome)
 
 
 # --- cylinder search over the direction circle ---
@@ -958,7 +946,7 @@ def find_cylinders(room: Room, eps_angle: float,
         except UNDECIDED_ERRORS:
             return None
         exhausted = exhausted or verdict.exhausted
-        return verdict if verdict.kind is DirectionKind.CYLINDER else None
+        return verdict if verdict.kind == "cylinder" else None
 
     def word_of(theta: float) -> Optional[str]:
         v = cylinder_at(theta)
@@ -1025,7 +1013,8 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     the rigorous bracket (displacement +/- 1)/n if the cap is reached.
     A negative or NaN tol is refused: no two estimates could meet it.
     So is an infinite rho_a, whose map sends every point below x* to
-    infinity, and an exact slope past the float range.
+    infinity, an exact slope past the float range, and exact slopes
+    from two quadratic fields (`quadratics.one_field`).
 
     Both orbits take the step of the lift inline; the oracle is
     `tests/oracles.rotation_number_oracle`, which calls the step once per
@@ -1042,6 +1031,7 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
         raise ValueError("max_iter must be at least 1")
 
     if is_exact(rho_a, rho_b):
+        one_field(rho_a, rho_b)
         x_star, b_a = _lift(rho_a, rho_b)
         # over one denominator L: x* as (xm, xn), and the branches x ->
         # rho*x + beta below and above x* as (p, q, u, v), where rho =

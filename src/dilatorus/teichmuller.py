@@ -13,7 +13,6 @@ cylinders blowing up (criterion 2).
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -24,8 +23,8 @@ from .geometry import (
     projective_action,
     wrap_2pi,
 )
-from .surface import (UNDECIDED_ERRORS, Cylinder, DirectionKind, _runs,
-                      classify_direction, find_cylinders)
+from .surface import (UNDECIDED_ERRORS, Cylinder, _runs, classify_direction,
+                      find_cylinders)
 
 # Criterion 1 fires within DEFAULT_THETA_TOL radians of 0 or pi, and a
 # step of the theta_sup series counts as monotone up to TREND_SLACK
@@ -83,16 +82,15 @@ def distortion(t: float) -> float:
 
 # --- divergence monitor ---
 
-class MonitorFlag(Enum):
-    CRITERION1 = "Criterion1Fired"
-    CRITERION2 = "Criterion2Fired"
-
-
 class FlowSample(NamedTuple):
+    """One sample of the monitor: `verdict_flags` holds
+    "Criterion1Fired" and "Criterion2Fired" for the criteria that fired
+    at time t."""
+
     t: float
     theta_sup: float
     max_multiplier: float
-    verdict_flags: frozenset[MonitorFlag]
+    verdict_flags: frozenset[str]
     budget_exhausted: bool
 
 
@@ -131,8 +129,7 @@ def _window_hits(room: Room, t: float, eps_angle: float, budget: int,
             mults.append(None)
             continue
         exhausted = exhausted or v.exhausted
-        mults.append(v.multiplier if v.kind is DirectionKind.CYLINDER
-                     else None)
+        mults.append(v.multiplier if v.kind == "cylinder" else None)
     runs = _runs(mults, lambda m, x: abs(x - m) <= MULTIPLIER_RUN_TOL * m)
     hits = [((k_end - k + 1) * (2.0 * half / n), mults[k])
             for k, k_end in runs]
@@ -206,11 +203,11 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
                            and all(b <= a + TREND_SLACK
                                    for a, b in zip(quarter, quarter[1:])))
             if toward_pi or toward_zero:
-                flags.add(MonitorFlag.CRITERION1)
+                flags.add("Criterion1Fired")
         if max_mult > multiplier_threshold:
-            flags.add(MonitorFlag.CRITERION2)
-        fired1 = fired1 or MonitorFlag.CRITERION1 in flags
-        fired2 = fired2 or MonitorFlag.CRITERION2 in flags
+            flags.add("Criterion2Fired")
+        fired1 = fired1 or "Criterion1Fired" in flags
+        fired2 = fired2 or "Criterion2Fired" in flags
         samples.append(FlowSample(t, theta_sup_t, max_mult,
                                   frozenset(flags), exhausted))
     return MonitorReport(tuple(samples), baseline.cylinders, fired1, fired2)

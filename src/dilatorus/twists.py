@@ -18,7 +18,6 @@ the density search in parameter space.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
@@ -394,21 +393,19 @@ def reach_target(params: DilationParams, mu_target, eps: float,
 
 # --- holonomy ---
 
-class Holonomy(Enum):
-    DISCRETE = "discrete"
-    NON_DISCRETE = "non_discrete"
-    UNDECIDED_FLOAT = "undecided_float"
-
-
 class HolonomyClass(NamedTuple):
-    verdict: Holonomy
+    """Discreteness of the holonomy: `verdict` is "discrete", with a
+    `witness` (p, q) of the ratio mu1 : mu2 = p : q, "non_discrete" or
+    "undecided_float"."""
+
+    verdict: str
     witness: Optional[tuple[int, int]] = None
 
     @property
     def orbit_closure(self) -> str:
-        if self.verdict is Holonomy.DISCRETE:
+        if self.verdict == "discrete":
             return "closed"
-        if self.verdict is Holonomy.NON_DISCRETE:
+        if self.verdict == "non_discrete":
             return "dense"
         return "unknown"
 
@@ -442,20 +439,20 @@ def holonomy_class(params: DilationParams) -> HolonomyClass:
     if is_exact(*params):
         witness = _exact_ratio_witness(params.mu1, params.mu2)
         if witness is None:
-            return HolonomyClass(Holonomy.NON_DISCRETE)
-        return HolonomyClass(Holonomy.DISCRETE, witness)
+            return HolonomyClass("non_discrete")
+        return HolonomyClass("discrete", witness)
     m1, m2 = params.as_floats()
     if not (math.isfinite(m1) and math.isfinite(m2)
             and (m2 == 0.0 or math.isfinite(m1 / m2))):
         raise ValueError(f"parameters ({m1!r}, {m2!r}) and their ratio must "
                          "be finite floats")
     if m2 == 0.0:
-        return HolonomyClass(Holonomy.DISCRETE, (1, 0))
+        return HolonomyClass("discrete", (1, 0))
     r = m1 / m2
     for _, p, q in convergents(*abs(r).as_integer_ratio()):
         if q > DENOMINATOR_CAP:
             break
         err = abs(abs(r) - p / q)
         if err < RATIO_TOL and err * q * q < ANOMALY_FACTOR:
-            return HolonomyClass(Holonomy.DISCRETE, (-p if r < 0 else p, q))
-    return HolonomyClass(Holonomy.UNDECIDED_FLOAT)
+            return HolonomyClass("discrete", (-p if r < 0 else p, q))
+    return HolonomyClass("undecided_float")

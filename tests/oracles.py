@@ -34,14 +34,14 @@ from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, AffineChart,
                                     evaluate)
 from dilatorus.quadratics import QuadraticNumber, Scalar, is_exact, slack
 from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
-                             TerminalKind, classify_step, induce)
+                             classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
                                DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
                                EXACT_DENOMINATOR_CAP, EXACT_ORBIT_CAP,
                                INWARD_SLACK, MIN_STEP, ROTATION_ANCHOR_RADIUS,
                                ROTATION_CYCLE_TOL, TRANSVERSALITY_FLOOR,
-                               VERTEX_TOL, CrossSection, RayTrace, TraceEnd)
+                               VERTEX_TOL, CrossSection, RayTrace)
 from dilatorus.twists import twist_mu
 
 
@@ -223,11 +223,11 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
     while True:
         verdict = classify_step(*current)
         if verdict == "halt":
-            return RauzyOutcome(word, TerminalKind.HALT,
+            return RauzyOutcome(word, "halt",
                                 lift_cycle_oracle(tsm, current, charts,
                                                   sum(times)))
         if verdict == "boundary":
-            return RauzyOutcome(word, TerminalKind.BOUNDARY, None)
+            return RauzyOutcome(word, "boundary", None)
         if len(word) == budget:
             break
         if not is_exact(*current) and not all(
@@ -243,7 +243,7 @@ def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
             times = (t_a, t_a + t_b)
         charts.append(step.chart)
         current = step.induced
-    return RauzyOutcome(word, TerminalKind.BUDGET_EXHAUSTED, None)
+    return RauzyOutcome(word, "budget_exhausted", None)
 
 
 def induction_step_oracle(ra: Fraction, rb: Fraction, xt: Fraction
@@ -397,7 +397,7 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
     if law is None:
         raise VertexHit(
             "ray passes a cone point closer than float resolution",
-            trace=RayTrace((), gain, TraceEnd.VERTEX,
+            trace=RayTrace((), gain, "vertex",
                            (a + tangent * p).as_floats()))
     best_side, best_s = law[0], law[1] + law[2] * p
 
@@ -411,15 +411,15 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
             raise VertexHit("ray hits a pentagon vertex; the flow is "
                             "undefined through the cone point",
                             trace=RayTrace(tuple(crossed), gain,
-                                           TraceEnd.VERTEX, q.as_floats()))
+                                           "vertex", q.as_floats()))
         if best_side == -1:
-            return RayTrace(tuple(crossed), gain, TraceEnd.SECTION,
+            return RayTrace(tuple(crossed), gain, "section",
                             q.as_floats())
         if side.is_door:
-            return RayTrace(tuple(crossed), gain, TraceEnd.DOOR,
+            return RayTrace(tuple(crossed), gain, "door",
                             q.as_floats())
         if len(crossed) >= max_crossings:
-            return RayTrace(tuple(crossed), gain, TraceEnd.BUDGET,
+            return RayTrace(tuple(crossed), gain, "budget",
                             q.as_floats())
         crossed.append(side.index)
         gain *= side.factor
@@ -440,7 +440,7 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
         if law is None:
             raise VertexHit(
                 "ray passes a cone point closer than float resolution",
-                trace=RayTrace(tuple(crossed), gain, TraceEnd.VERTEX,
+                trace=RayTrace(tuple(crossed), gain, "vertex",
                                (entry.start + f * sigma).as_floats()))
         best_side, best_s = law[0], law[1] + law[2] * sigma
 
@@ -474,11 +474,11 @@ def first_return_map_oracle(room: Room, theta: float,
         tr = trace_ray_oracle(room, s, theta,
                               max_crossings=DEFAULT_MAX_CROSSINGS,
                               section=section)
-        if tr.terminal is TraceEnd.BUDGET:
+        if tr.terminal == "budget":
             raise BudgetExhausted("no return to the section within "
                                   f"{DEFAULT_MAX_CROSSINGS} crossings",
                                   partial=tr)
-        if tr.terminal is TraceEnd.DOOR:
+        if tr.terminal == "door":
             raise NotTransverse("trajectory off the section reaches the "
                                 "door; no first-return map in this "
                                 "direction")
@@ -689,7 +689,7 @@ def exact_shape(verts: list[ExactPoint]
 def trace_ray_exact(sides: list[tuple], start: ExactPoint, u: ExactPoint,
                     section: tuple[ExactPoint, ExactPoint],
                     max_crossings: int
-                    ) -> tuple[tuple[int, ...], TraceEnd, ExactPoint,
+                    ) -> tuple[tuple[int, ...], str, ExactPoint,
                                Fraction]:
     """`surface.trace_ray` on an exact twin, in Fractions and with no
     tolerance, from `start` on `section` along the direction u.
@@ -731,14 +731,14 @@ def trace_ray_exact(sides: list[tuple], start: ExactPoint, u: ExactPoint,
         q = (px + ux * t, py + uy * t)
         margin = min(margin, s, 1 - s)
         if margin == 0:
-            return tuple(crossed), TraceEnd.VERTEX, q, margin
+            return tuple(crossed), "vertex", q, margin
         if k is None:
-            return tuple(crossed), TraceEnd.SECTION, q, margin
+            return tuple(crossed), "section", q, margin
         _, _, scale, offset = sides[k]
         if scale is None:
-            return tuple(crossed), TraceEnd.DOOR, q, margin
+            return tuple(crossed), "door", q, margin
         if len(crossed) >= max_crossings:
-            return tuple(crossed), TraceEnd.BUDGET, q, margin
+            return tuple(crossed), "budget", q, margin
         crossed.append(k)
         px, py = scale * q[0] + offset[0], scale * q[1] + offset[1]
 

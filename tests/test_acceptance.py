@@ -18,11 +18,11 @@ from dilatorus.intervalmaps import (TwoSlopeMap, attracting_cycle_in_hole,
                                     evaluate)
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import classify_step, induce, subdivision, survivor_measure
-from dilatorus.surface import (DirectionKind, classify_direction,
-                               find_cylinders, rotation_number)
+from dilatorus.surface import (classify_direction, find_cylinders,
+                               rotation_number)
 from dilatorus.teichmuller import distortion, divergence_monitor, flow
-from dilatorus.twists import (Holonomy, gauss_contraction, holonomy_class,
-                              mu_after, reach_target, twist_mu)
+from dilatorus.twists import (gauss_contraction, holonomy_class, mu_after,
+                              reach_target, twist_mu)
 
 SEED = 20260817
 HALF = Fraction(1, 2)
@@ -140,14 +140,14 @@ def test_criterion_05_classification_equivariance():
         except VertexHit:
             continue
         if (base.kind is not moved.kind
-                and DirectionKind.CANTOR_LIKE in (base.kind, moved.kind)):
+                and "cantor_like" in (base.kind, moved.kind)):
             # a truncated verdict reflects the budget, not the direction
             base = classify_direction(room, theta, budget=4 * budget)
             moved = classify_direction(apply_sl2(m, room),
                                        projective_action(m, theta),
                                        budget=4 * budget)
         assert base.kind is moved.kind
-        if base.kind is DirectionKind.CYLINDER:
+        if base.kind == "cylinder":
             rel = abs(moved.multiplier - base.multiplier) / base.multiplier
             assert rel <= 1e-9
             worst_rel = max(worst_rel, rel)
@@ -212,15 +212,15 @@ def test_criterion_08_orbit_closure_dichotomy():
                                 QuadraticNumber(0, 1, 2))
     hc_rat = holonomy_class(rational)
     hc_irr = holonomy_class(irrational)
-    assert hc_rat.verdict is Holonomy.DISCRETE
+    assert hc_rat.verdict == "discrete"
     assert hc_rat.orbit_closure == "closed"
-    assert hc_irr.verdict is Holonomy.NON_DISCRETE
+    assert hc_irr.verdict == "non_discrete"
     assert hc_irr.orbit_closure == "dense"
 
     rng = random.Random(SEED + 8)
     letters = "AaBb"
-    for start, want in ((rational, Holonomy.DISCRETE),
-                        (irrational, Holonomy.NON_DISCRETE)):
+    for start, want in ((rational, "discrete"),
+                        (irrational, "non_discrete")):
         for _ in range(50):
             cur = start
             for _ in range(rng.randint(1, 12)):
@@ -249,7 +249,7 @@ def test_criterion_10a_horizontal_cylinder_trend():
     drift = 0.0
     for t in (3.0, 6.0, 9.0, 12.0):
         v = classify_direction(flow(room, t), 0.0, budget=800)
-        assert v.kind is DirectionKind.CYLINDER
+        assert v.kind == "cylinder"
         drift = max(drift, abs(v.multiplier - mult0) / mult0)
     assert drift < 1e-9
 
@@ -292,12 +292,12 @@ def _deepest_cylinder_direction(room, levels: int = 11, budget: int = 1200):
         k = 0
         while k < m:
             v = samples[k]
-            if v is None or v.kind is not DirectionKind.CYLINDER:
+            if v is None or v.kind != "cylinder":
                 k += 1
                 continue
             k2 = k
             while (k2 + 1 < m and samples[k2 + 1] is not None
-                   and samples[k2 + 1].kind is DirectionKind.CYLINDER
+                   and samples[k2 + 1].kind == "cylinder"
                    and abs(samples[k2 + 1].multiplier - v.multiplier)
                    <= 1e-9 * v.multiplier):
                 k2 += 1
@@ -317,7 +317,7 @@ def test_criterion_10c_renormalizable_multiplier_growth():
     base = square_room(LN2, LN2)
     theta_star, _ = _deepest_cylinder_direction(base)
     verdict = classify_direction(base, theta_star, budget=2000)
-    assert verdict.kind is DirectionKind.CYLINDER
+    assert verdict.kind == "cylinder"
     assert len(verdict.word) >= 8
 
     room = apply_sl2(SL2Matrix.rotation(-theta_star), base)

@@ -261,7 +261,7 @@ def test_classify_matches_library_verdict(capsys):
     data = json.loads(out)
     verdict = classify_direction(
         build_room((1.0, 0.0), (0.0, 1.0), (LN2, LN2)), theta)
-    assert data["kind"] == verdict.kind.value
+    assert data["kind"] == verdict.kind
     assert data["word"] == verdict.word
     assert data["multiplier"] == verdict.multiplier
 

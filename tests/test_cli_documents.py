@@ -2,7 +2,8 @@
 
 Each row is a CLI call and its stdout, byte for byte.  The benchmark
 checks the outputs of classify, scan, flow and exact; these rows pin
-the other documents that `cli.py` lays out.
+the other documents that `cli.py` lays out, and each verdict string
+that the benchmark's references never print.
 """
 
 import pytest
@@ -84,6 +85,20 @@ GOLDEN = {
      "2,0.4999657894058554\n"
      "3,0.2971653759682596\n"
      "4,0.16172485431240072\n"),
+    "classify-door": (["classify", "--theta=0.7853981633974483"] + SQUARE,
+     '{"kind":"door","multiplier":null,"theta":0.7853981633974483,'
+     '"word":""}\n'),
+    # budget 0 classifies the first step only, which does not halt here
+    "classify-cantor-like": (["classify", "--theta=1.0", "--budget=0"]
+                             + SQUARE,
+     '{"kind":"cantor_like","multiplier":null,"theta":1.0,"word":""}\n'),
+    "orbit-closure-discrete": (["orbit-closure", "--mu1-exact=1,0,0",
+                                "--mu2-exact=3/2,0,0"],
+     '{"orbit_closure":"closed","verdict":"discrete","witness":[2,3]}\n'),
+    "orbit-closure-undecided": (["orbit-closure", "--mu1=1",
+                                 "--mu2=1.4142135623730951"],
+     '{"orbit_closure":"unknown","verdict":"undecided_float",'
+     '"witness":null}\n'),
 }
 
 

@@ -19,9 +19,9 @@ from dilatorus.intervalmaps import (AffineBranch, AffineChart,
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
 from dilatorus.surface import (CrossSection, Direction, RayTrace,
-                               TraceEnd, first_return_map, rotation_number)
+                               first_return_map, rotation_number)
 from dilatorus.teichmuller import distortion
-from dilatorus.twists import (Holonomy, HolonomyClass, gauss_contraction,
+from dilatorus.twists import (HolonomyClass, gauss_contraction,
                               holonomy_class, reach_target)
 
 ROOM = square_room(math.log(2.0), math.log(2.0))
@@ -49,6 +49,7 @@ OVERLAP = PiecewiseAffineMap((
 BELOW_ZERO = QuadraticNumber(14398739476117879, -10181446324101389, 2)
 ABOVE_ZERO = QuadraticNumber(34761632124320657, -24580185800219268, 2)
 MIXED = DilationParams(QuadraticNumber(0, 1, 2), QuadraticNumber(0, 1, 3))
+MIXED_SLOPES = (QuadraticNumber(0, 1, 2) / 2, QuadraticNumber(0, 1, 3) / 4)
 UNIT_BASIS = [(1.0, 0.0), (0.0, 1.0)]
 
 
@@ -155,6 +156,19 @@ CASES = [
                  (ValueError, r"two quadratic fields, sqrt\(2\) and "
                               r"sqrt\(3\)"),
                  id="reach-target-two-quadratic-fields"),
+    pytest.param(lambda: rotation_number(QuadraticNumber(2, 1, 2),
+                                         QuadraticNumber(0, 1, 3) / 4),
+                 (ValueError, r"two quadratic fields, sqrt\(2\) and "
+                              r"sqrt\(3\)"),
+                 id="rotation-number-two-quadratic-fields"),
+    # the survivor walk refuses them at its root, for each of its callers
+    *[pytest.param(lambda walk=walk, n=n: walk(*MIXED_SLOPES, n),
+                   (ValueError, r"two quadratic fields, sqrt\(2\) and "
+                                r"sqrt\(3\)"),
+                   id=f"{name}-two-quadratic-fields")
+      for name, walk, n in (("survivor-measure", rauzy.survivor_measure, 2),
+                            ("survivor-intervals", survivor_intervals, 2),
+                            ("interval-for-word", interval_for_word, "LR"))],
     pytest.param(lambda: reach_target(DilationParams(-0.5, 0.5), (1, 1),
                                       1e-2),
                  (ValueError, "starts from the open positive quadrant"),
@@ -171,10 +185,10 @@ CASES = [
                  (ValueError, "zero parameters"),
                  id="holonomy-class-zero-parameters"),
     pytest.param(lambda: holonomy_class(DilationParams(0.5, 0.0)),
-                 HolonomyClass(Holonomy.DISCRETE, (1, 0)),
+                 HolonomyClass("discrete", (1, 0)),
                  id="holonomy-class-second-parameter-zero"),
     pytest.param(lambda: holonomy_class(DilationParams(0.0, 0.5)),
-                 HolonomyClass(Holonomy.DISCRETE, (0, 1)),
+                 HolonomyClass("discrete", (0, 1)),
                  id="holonomy-class-first-parameter-zero"),
     pytest.param(lambda: QuadraticNumber(1, 1, 2) / 0,
                  (ZeroDivisionError, "division by zero"),
@@ -306,7 +320,7 @@ def test_a_flight_that_reaches_the_door_has_no_return(monkeypatch):
     # no float input is known to reach the door within INWARD_SLACK of
     # door-parallel, so the tracer is stubbed to end each flight there
     def to_the_door(heading, start):
-        return RayTrace((), 1.0, TraceEnd.DOOR, (0.0, 0.0))
+        return RayTrace((), 1.0, "door", (0.0, 0.0))
 
     monkeypatch.setattr(surface, "trace_ray", to_the_door)
     theta = sum(ROOM.inward_directions()) / 2

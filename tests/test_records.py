@@ -21,13 +21,12 @@ from dilatorus.geometry import (DilationParams, GluedSide, SL2Matrix, Vec2,
 from dilatorus.intervalmaps import (AffineBranch, AffineChart, OrbitResult,
                                     PeriodicCycle, PiecewiseAffineMap,
                                     TwoSlopeMap)
-from dilatorus.rauzy import (InductionStep, RauzyOutcome, Subdivision,
-                             TerminalKind)
+from dilatorus.rauzy import InductionStep, RauzyOutcome, Subdivision
 from dilatorus.surface import (CrossSection, Cylinder, DirectionClass,
-                               DirectionKind, ScanResult, SectionReduction)
-from dilatorus.teichmuller import FlowSample, MonitorFlag, MonitorReport
-from dilatorus.twists import (ContractionResult, Holonomy, HolonomyClass,
-                              ReachReport, WordResult)
+                               ScanResult, SectionReduction)
+from dilatorus.teichmuller import FlowSample, MonitorReport
+from dilatorus.twists import (ContractionResult, HolonomyClass, ReachReport,
+                              WordResult)
 
 HALF = Fraction(1, 2)
 
@@ -45,7 +44,7 @@ def _cylinder():
 
 
 def _sample():
-    return FlowSample(0.5, 1.25, 2.0, frozenset({MonitorFlag.CRITERION1}),
+    return FlowSample(0.5, 1.25, 2.0, frozenset({"Criterion1Fired"}),
                       False)
 
 
@@ -95,8 +94,8 @@ RECORDS = {
                     "Subdivision(rho_a=Fraction(1, 2), "
                     "rho_b=Fraction(1, 3))"),
     "RauzyOutcome": (
-        lambda: RauzyOutcome("LR", TerminalKind.HALT, _cycle()),
-        "RauzyOutcome(word='LR', terminal=<TerminalKind.HALT: 'halt'>, "
+        lambda: RauzyOutcome("LR", "halt", _cycle()),
+        "RauzyOutcome(word='LR', terminal='halt', "
         "cycle=PeriodicCycle(points=(0.25, 0.75), period=2, "
         "multiplier=0.25))"),
     "CrossSection": (lambda: CrossSection(2, 0), "CrossSection(i=2, j=0)"),
@@ -108,9 +107,8 @@ RECORDS = {
         "chart=AffineChart(scale=2.0, offset=-0.5), "
         "section=CrossSection(i=0, j=2))"),
     "DirectionClass": (
-        lambda: DirectionClass(DirectionKind.CYLINDER, "RLL", 2.0, None,
-                               None),
-        "DirectionClass(kind=<DirectionKind.CYLINDER: 'cylinder'>, "
+        lambda: DirectionClass("cylinder", "RLL", 2.0, None, None),
+        "DirectionClass(kind='cylinder', "
         "word='RLL', multiplier=2.0, reduction=None, outcome=None)"),
     "Cylinder": (_cylinder, "Cylinder(theta1=3.75, theta2=4.0, "
                             "word='RLL', multiplier=2.0)"),
@@ -120,13 +118,12 @@ RECORDS = {
                    "exhausted=False, n_samples=21)"),
     "FlowSample": (_sample, "FlowSample(t=0.5, theta_sup=1.25, "
                             "max_multiplier=2.0, verdict_flags=frozenset("
-                            "{<MonitorFlag.CRITERION1: 'Criterion1Fired'>"
-                            "}), budget_exhausted=False)"),
+                            "{'Criterion1Fired'}), budget_exhausted=False)"),
     "MonitorReport": (
         lambda: MonitorReport((_sample(),), (_cylinder(),), True, False),
         "MonitorReport(samples=(FlowSample(t=0.5, theta_sup=1.25, "
-        "max_multiplier=2.0, verdict_flags=frozenset({<MonitorFlag."
-        "CRITERION1: 'Criterion1Fired'>}), budget_exhausted=False),), "
+        "max_multiplier=2.0, verdict_flags=frozenset({'Criterion1Fired'}), "
+        "budget_exhausted=False),), "
         "tracked=(Cylinder(theta1=3.75, theta2=4.0, word='RLL', "
         "multiplier=2.0),), criterion1=True, criterion2=False)"),
     "WordResult": (
@@ -145,9 +142,9 @@ RECORDS = {
         "ReachReport(word='B', "
         "mu_checkpoints=(('start', (1.0, 2.0)),), final_error=0.001, "
         "final_params=DilationParams(mu1=1.0, mu2=2.0))"),
-    "HolonomyClass": (lambda: HolonomyClass(Holonomy.NON_DISCRETE),
-                      "HolonomyClass(verdict=<Holonomy.NON_DISCRETE: "
-                      "'non_discrete'>, witness=None)"),
+    "HolonomyClass": (lambda: HolonomyClass("non_discrete"),
+                      "HolonomyClass(verdict='non_discrete', "
+                      "witness=None)"),
 }
 
 # (type name, a call that builds it from refused fields, error, message)

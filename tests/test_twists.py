@@ -15,10 +15,9 @@ from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               RationalRatio)
 from dilatorus.geometry import DilationParams, square_room
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.twists import (Holonomy, apply_word, gauss_contraction,
-                              holonomy_class, mu_after, mu_path,
-                              reach_target, twist_basis, twist_mu,
-                              word_from_string)
+from dilatorus.twists import (apply_word, gauss_contraction, holonomy_class,
+                              mu_after, mu_path, reach_target, twist_basis,
+                              twist_mu, word_from_string)
 
 SEED = 20260817
 GENERATORS = "AaBb"
@@ -449,19 +448,19 @@ def test_reach_target_whose_every_refold_fails_exhausts(monkeypatch):
 
 def test_holonomy_exact_dichotomy():
     discrete = holonomy_class(DilationParams(Fraction(1), Fraction(2)))
-    assert discrete.verdict is Holonomy.DISCRETE
+    assert discrete.verdict == "discrete"
     assert discrete.orbit_closure == "closed"
     assert discrete.witness == (1, 2)
 
     dense = holonomy_class(DilationParams(Fraction(1), QuadraticNumber(0, 1, 2)))
-    assert dense.verdict is Holonomy.NON_DISCRETE
+    assert dense.verdict == "non_discrete"
     assert dense.orbit_closure == "dense"
 
 
 def test_holonomy_float_screening():
-    assert holonomy_class(DilationParams(0.5, 0.25)).verdict is Holonomy.DISCRETE
+    assert holonomy_class(DilationParams(0.5, 0.25)).verdict == "discrete"
     undecided = holonomy_class(DilationParams(1.0, math.sqrt(2.0)))
-    assert undecided.verdict is Holonomy.UNDECIDED_FLOAT
+    assert undecided.verdict == "undecided_float"
     assert undecided.orbit_closure == "unknown"
 
 
