@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple, Optional
 from .errors import BudgetExhausted, DilatorusError, NonConvergence
 from .geometry import (DilationParams, Room, SL2Matrix, apply_sl2,
                        build_room, canonicalize, geodesic_matrix)
-from .quadratics import QuadraticNumber, as_float, is_exact, quadratic
+from .quadratics import (QuadraticNumber, as_float, is_exact, one_field,
+                         quadratic)
 from .rauzy import check_exact_measures, survivor_measure
 from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
                       ROTATION_TOL, classify_direction, find_cylinders,
@@ -169,12 +170,14 @@ def _parse_mu_pair(args, name1: str = "mu1", name2: str = "mu2"):
 
 
 def _require_one_field(x1, x2, flag1: str, flag2: str) -> None:
-    """Reject exact values from two different quadratic fields, which the
-    exact arithmetic cannot combine."""
-    radicands = {quadratic(x).d for x in (x1, x2) if is_exact(x)} - {0}
-    if len(radicands) > 1:
-        raise UsageError(f"{flag1} and {flag2} must share one radicand, got "
-                         + " and ".join(f"sqrt({d})" for d in sorted(radicands)))
+    """Reject up front, naming the flags, exact values from two quadratic
+    fields, which the library refuses where it first combines them
+    (`quadratics.one_field`)."""
+    try:
+        one_field(*(x for x in (x1, x2) if is_exact(x)))
+    except ValueError as exc:
+        raise UsageError(f"{flag1} and {flag2} must share one radicand: "
+                         f"{exc}") from None
 
 
 def _room_from_args(args) -> Room:

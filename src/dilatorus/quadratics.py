@@ -9,7 +9,10 @@ deliberately rejected: this module is the exact track.
 It also decides exactness for the whole package, through `is_exact`,
 the tolerance rule `slack`, the coercion `quadratic`, the field rule
 `one_field` and the integer form `integer_form`, whose sign rule is
-`surd_sign`.
+`surd_sign`.  Values from two fields are refused by `one_field`, with
+ValueError, wherever they are first combined: in a sum, product,
+quotient or comparison, or in `integer_form`.  So no caller checks the
+field itself, and a call that combines nothing answers.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class QuadraticNumber:
     `__init__` normalizes parts a, b that are ints or Fractions and an
     int radicand d, and refuses any other, a float included, with
     TypeError; the field operations build their results, whose parts are
-    normal already, through `_normal`.  Their oracle is
+    normal already, through `_normal`.  A sum, product, quotient or
+    comparison of values from two fields raises `one_field`'s
+    ValueError; equality of two fields is False.  Their oracle is
     `tests/oracles.quadratic_op_oracle`, which normalizes every result in
     full."""
 
@@ -89,12 +94,13 @@ class QuadraticNumber:
     # --- arithmetic ---
 
     def _same_field(self, other: "QuadraticNumber") -> int:
-        """Common radicand for a binary op, or raise."""
+        """Common radicand for a binary op; two fields are refused by
+        `one_field`."""
         if self.d == 0:
             return other.d
         if other.d == 0 or other.d == self.d:
             return self.d
-        raise TypeError("mixed radicands are not supported")
+        return one_field(self, other)
 
     def __add__(self, other):
         try:
@@ -247,7 +253,9 @@ def surd_sign(a, b, d: int) -> int:
 def one_field(*xs) -> int:
     """The radicand d of the one field that holds the exact values `xs`,
     0 when all are rational.  Values from two fields, which no arithmetic
-    combines, raise ValueError naming their radicands."""
+    combines, raise ValueError naming their radicands: the one refusal
+    of two fields, which `QuadraticNumber`'s operations and
+    `integer_form` raise."""
     fields = {quadratic(x).d for x in xs} - {0}
     if len(fields) > 1:
         raise ValueError("exact values from two quadratic fields, "
@@ -262,12 +270,9 @@ def integer_form(*xs) -> tuple[int, int, list[tuple[int, int]]]:
     when all are rational) and D > 0 the least common denominator of
     their rational coordinates.  For one value gcd(m, n, D) == 1, so the
     triple (m, n, D) is its canonical key.  Values from two fields raise
-    TypeError, as their arithmetic does."""
+    `one_field`'s ValueError, as their arithmetic does."""
     qs = [quadratic(x) for x in xs]
-    try:
-        d = one_field(*qs)
-    except ValueError as exc:
-        raise TypeError(f"mixed radicands are not supported: {exc}") from None
+    d = one_field(*qs)
     D = math.lcm(*(c.denominator for q in qs for c in (q.a, q.b)))
     return (d, D,
             [(q.a.numerator * (D // q.a.denominator),

@@ -98,8 +98,7 @@ from .intervalmaps import (
     check_two_slope,
     thresholds,
 )
-from .quadratics import (Scalar, as_float, as_ratio, is_exact, one_field,
-                         slack)
+from .quadratics import Scalar, as_float, as_ratio, is_exact, slack
 
 # A cycle lifted back to the original map runs for its period, which the
 # induction counts; a float lift must then be back within CYCLE_CLOSE_TOL
@@ -493,15 +492,14 @@ def _checked_root(rho_a: Scalar, rho_b: Scalar,
     denominators' row to `depth`: the identity pull-back's row (1, 1),
     det 1 and k = `depth`.  With it the walk's `_straddle_products` and
     whether all its entries are ints; ValueError unless the depth is
-    nonnegative, exact slopes share one quadratic field
-    (`quadratics.one_field`) and `_check_slopes` passes.  A pair with a
-    float slope is read as two floats, so that the walk is a float walk
-    throughout."""
+    nonnegative and `_check_slopes` passes.  Exact slopes from two
+    quadratic fields raise `quadratics.one_field`'s ValueError where the
+    walk first multiplies them, at its first step, so at depth 0 they
+    give the one root.  A pair with a float slope is read as two floats,
+    so that the walk is a float walk throughout."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if is_exact(rho_a, rho_b):
-        one_field(rho_a, rho_b)
-    else:                               # a pair with a float walks as floats
+    if not is_exact(rho_a, rho_b):      # a pair with a float walks as floats
         rho_a, rho_b = as_float(rho_a, "a slope"), as_float(rho_b, "a slope")
     _check_slopes(rho_a, rho_b)
     xn, xd = as_ratio(rho_a)

@@ -50,8 +50,7 @@ from .intervalmaps import (
     evaluate as evaluate_two_slope,
     restrict_to_image,
 )
-from .quadratics import (Scalar, as_float, integer_form, is_exact, one_field,
-                         surd_sign)
+from .quadratics import Scalar, as_float, integer_form, is_exact, surd_sign
 from .rauzy import RauzyOutcome, iterate_induction
 
 # Tolerances for the tracer are relative to the room diameter; those for
@@ -1014,7 +1013,8 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
     A negative or NaN tol is refused: no two estimates could meet it.
     So is an infinite rho_a, whose map sends every point below x* to
     infinity, an exact slope past the float range, and exact slopes
-    from two quadratic fields (`quadratics.one_field`).
+    from two quadratic fields, by `quadratics.one_field`'s ValueError
+    where the lift first combines them.
 
     Both orbits take the step of the lift inline; the oracle is
     `tests/oracles.rotation_number_oracle`, which calls the step once per
@@ -1031,7 +1031,6 @@ def rotation_number(rho_a: Scalar, rho_b: Scalar,
         raise ValueError("max_iter must be at least 1")
 
     if is_exact(rho_a, rho_b):
-        one_field(rho_a, rho_b)
         x_star, b_a = _lift(rho_a, rho_b)
         # over one denominator L: x* as (xm, xn), and the branches x ->
         # rho*x + beta below and above x* as (p, q, u, v), where rho =

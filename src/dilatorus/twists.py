@@ -29,7 +29,7 @@ from .errors import (
     RationalRatio,
 )
 from .geometry import DilationParams, Room, Vec2
-from .quadratics import convergents, is_exact, one_field, quadratic
+from .quadratics import convergents, is_exact, quadratic
 
 # A float subtractive block of x by y takes k = floor(x/y - FLOAT_MARGIN)
 # moves and needs a remainder above FLOAT_MARGIN * max(|x|, |y|):
@@ -199,11 +199,13 @@ def gauss_contraction(params: DilationParams, eps: float,
 
     Exact parameters stop on the exact test m1^2 + m2^2 < eps^2, floats
     on their hypot.  Refused with ValueError: a negative or NaN eps,
-    which no contraction could meet, exact parameters from two quadratic
-    fields, a non-finite float start, and a float eps at or below
-    ulp(min(m1, m2)).  Both floats, and every rounded k*y and x - k*y
-    computed from them, are multiples of that spacing, so no smaller
-    norm can be reached.
+    which no contraction could meet, a non-finite float start, and a
+    float eps at or below ulp(min(m1, m2)).  Both floats, and every
+    rounded k*y and x - k*y computed from them, are multiples of that
+    spacing, so no smaller norm can be reached.  Exact parameters from
+    two quadratic fields raise `quadratics.one_field`'s ValueError where
+    the loop first combines them, so an infinite eps, which every start
+    meets, gives the empty contraction.
     """
     if not eps >= 0:
         raise ValueError(f"tolerance eps must be nonnegative, got {eps!r}")
@@ -211,7 +213,6 @@ def gauss_contraction(params: DilationParams, eps: float,
         raise ValueError("contraction needs strictly positive parameters")
     exact = is_exact(*params)
     if exact:
-        one_field(*params)
         if eps == math.inf:     # no Fraction; every start already meets it
             return ContractionResult("", (), params)
         m1, m2 = params.mu1, params.mu2
@@ -298,13 +299,15 @@ def reach_target(params: DilationParams, mu_target, eps: float,
     verifying both admissibility and the final error before the report
     is returned.
     A negative or NaN eps, which no word could meet, a negative budget,
-    a start outside the open positive quadrant, past the float range or
-    from two quadratic fields, and a NaN or infinite target, or a target
-    ratio that is not a positive finite float, are refused.  The search
-    walks the exact continued fraction of the float target ratio.  A
-    convergent whose word would pass the budget is skipped before the
-    word is built, and the walk stops at the first whose entries pass
-    the float range.  On a float start it also stops, once a contraction
+    a start outside the open positive quadrant or past the float range,
+    and a NaN or infinite target, or a target ratio that is not a
+    positive finite float, are refused.  A start from two quadratic
+    fields raises `quadratics.one_field`'s ValueError where a move or a
+    contraction first combines them, so a start within eps of the
+    target gives the empty word.  The search walks the exact continued
+    fraction of the float target ratio.  A convergent whose word would
+    pass the budget is skipped before the word is built, and the walk
+    stops at the first whose entries pass the float range.  On a float start it also stops, once a contraction
     has run, at the first whose contraction tolerance eta is not above
     the float spacing of the smaller parameter, which gauss_contraction
     refuses; no later eta is larger.  So an exhausted search raises
@@ -317,8 +320,6 @@ def reach_target(params: DilationParams, mu_target, eps: float,
         raise ValueError(f"budget must be nonnegative, got {budget!r}")
     if not params.in_positive_quadrant():
         raise ValueError("search starts from the open positive quadrant")
-    if is_exact(*params):
-        one_field(*params)
     m1, m2 = params.as_floats()
     if not (m1 < math.inf and m2 < math.inf):
         raise ValueError(f"start ({m1!r}, {m2!r}) must be finite floats")

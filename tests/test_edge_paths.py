@@ -21,8 +21,9 @@ from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
 from dilatorus.surface import (CrossSection, Direction, RayTrace,
                                first_return_map, rotation_number)
 from dilatorus.teichmuller import distortion
-from dilatorus.twists import (HolonomyClass, gauss_contraction,
-                              holonomy_class, reach_target)
+from dilatorus.twists import (ContractionResult, HolonomyClass, ReachReport,
+                              apply_word, gauss_contraction, holonomy_class,
+                              mu_path, reach_target, twist_mu)
 
 ROOM = square_room(math.log(2.0), math.log(2.0))
 # mu1 < 0 puts V3 past V2: the chord V0V3 leaves the pentagon
@@ -50,6 +51,7 @@ BELOW_ZERO = QuadraticNumber(14398739476117879, -10181446324101389, 2)
 ABOVE_ZERO = QuadraticNumber(34761632124320657, -24580185800219268, 2)
 MIXED = DilationParams(QuadraticNumber(0, 1, 2), QuadraticNumber(0, 1, 3))
 MIXED_SLOPES = (QuadraticNumber(0, 1, 2) / 2, QuadraticNumber(0, 1, 3) / 4)
+MIXED_ROOM = build_room((1.0, 0.0), (0.0, 1.0), MIXED)
 UNIT_BASIS = [(1.0, 0.0), (0.0, 1.0)]
 
 
@@ -146,8 +148,8 @@ CASES = [
                                            1e-3),
                  (RationalRatio, "cannot certify a positive remainder"),
                  id="gauss-contraction-ratio-past-the-float-range"),
-    # two quadratic fields have no common arithmetic: refused at entry,
-    # where a bare TypeError once came out of the first block
+    # two quadratic fields have no common arithmetic: refused with
+    # ValueError where they are first combined
     pytest.param(lambda: gauss_contraction(MIXED, 1e-3),
                  (ValueError, r"two quadratic fields, sqrt\(2\) and "
                               r"sqrt\(3\)"),
@@ -161,7 +163,7 @@ CASES = [
                  (ValueError, r"two quadratic fields, sqrt\(2\) and "
                               r"sqrt\(3\)"),
                  id="rotation-number-two-quadratic-fields"),
-    # the survivor walk refuses them at its root, for each of its callers
+    # the survivor walk refuses them at its first step, for each caller
     *[pytest.param(lambda walk=walk, n=n: walk(*MIXED_SLOPES, n),
                    (ValueError, r"two quadratic fields, sqrt\(2\) and "
                                 r"sqrt\(3\)"),
@@ -169,6 +171,36 @@ CASES = [
       for name, walk, n in (("survivor-measure", rauzy.survivor_measure, 2),
                             ("survivor-intervals", survivor_intervals, 2),
                             ("interval-for-word", interval_for_word, "LR"))],
+    # so does every other call that combines them, the order included
+    *[pytest.param(call, (ValueError, r"two quadratic fields, sqrt\(2\) and "
+                                      r"sqrt\(3\)"),
+                   id=f"{name}-two-quadratic-fields")
+      for name, call in (
+          ("two-slope-map",
+           lambda: TwoSlopeMap(*MIXED_SLOPES, Fraction(1, 2))),
+          ("subdivision-lengths",
+           lambda: subdivision(*MIXED_SLOPES).lengths()),
+          ("twist-mu", lambda: twist_mu("A", MIXED)),
+          ("mu-path", lambda: list(mu_path("A", MIXED))),
+          ("apply-word", lambda: apply_word("A", MIXED_ROOM)),
+          ("quadratic-order",
+           lambda: QuadraticNumber(0, 1, 2) < QuadraticNumber(0, 1, 3)))],
+    # a call that combines nothing answers exactly: two fields are
+    # refused where they are first combined, not where they enter
+    pytest.param(lambda: gauss_contraction(MIXED, math.inf),
+                 ContractionResult("", (), MIXED),
+                 id="gauss-contraction-two-fields-at-an-infinite-eps"),
+    pytest.param(lambda: reach_target(MIXED, (math.sqrt(2), math.sqrt(3)),
+                                      1e-2),
+                 ReachReport("", (("start", (math.sqrt(2), math.sqrt(3))),),
+                             0.0, MIXED),
+                 id="reach-target-two-fields-from-the-target"),
+    pytest.param(lambda: [rauzy.survivor_measure(*MIXED_SLOPES, 0),
+                          survivor_intervals(*MIXED_SLOPES, 0)],
+                 [1, [(0, 1)]],
+                 id="survivor-walk-two-fields-at-depth-0"),
+    pytest.param(lambda: list(mu_path("", MIXED)), [MIXED],
+                 id="mu-path-two-fields-along-the-empty-word"),
     pytest.param(lambda: reach_target(DilationParams(-0.5, 0.5), (1, 1),
                                       1e-2),
                  (ValueError, "starts from the open positive quadrant"),

@@ -5,7 +5,9 @@ QuadraticNumber: every other module goes through `is_exact`, `slack`,
 `quadratic` and `integer_form`.  A float finiteness check such as
 `isinstance(c, float)` is an input check and may stay anywhere.  No
 record restates the question as an `is_exact` member of its own: a
-caller asks `is_exact(*record)`.
+caller asks `is_exact(*record)`.  The field rule `one_field` is applied
+by the arithmetic that combines two values, so no library module
+restates it; the CLI alone calls it, to name the flags of its input.
 """
 
 import ast
@@ -91,3 +93,31 @@ def test_the_guard_sees_an_is_exact_member():
               "    def as_floats(self):\n"
               "        return is_exact(self)\n")
     assert _is_exact_members(ast.parse(source)) == ["P", "Q"]
+
+
+def _one_field_calls(tree: ast.Module) -> list[int]:
+    """Sorted lines of calls of `one_field`, by name or as an attribute."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and (getattr(node.func, "id", None) == "one_field"
+                        or getattr(node.func, "attr", None) == "one_field")})
+
+
+def test_only_quadratics_and_cli_call_one_field():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("quadratics.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _one_field_calls(tree)]
+    assert found == []
+
+
+def test_the_guard_sees_a_one_field_call():
+    source = ("from . import quadratics\n"
+              "from .quadratics import one_field\n"
+              "def f(x, y):\n"
+              "    one_field(x, y)\n"
+              "    checked = one_field\n"
+              "    return quadratics.one_field(x) + checked(y)\n")
+    assert _one_field_calls(ast.parse(source)) == [4, 6]

@@ -204,7 +204,7 @@ def test_integer_form_is_each_value_over_the_least_common_denominator():
         _, D1, ((m, n),) = integer_form(xs[0])
         assert math.gcd(m, n, D1) == 1
     assert integer_form(Fraction(3, 4), 2) == (0, 4, [(3, 0), (8, 0)])
-    with pytest.raises(TypeError, match="mixed radicands"):
+    with pytest.raises(ValueError, match=r"sqrt\(2\) and sqrt\(3\)"):
         integer_form(QuadraticNumber(0, 1, 2), QuadraticNumber(0, 1, 3))
     # the field rule integer_form applies, on its own
     assert one_field(QuadraticNumber(1, 1, 8), 2, Fraction(1, 2)) == 2
@@ -256,7 +256,7 @@ def test_equality_and_truth_read_the_normal_form():
         for y in values:
             try:
                 want = (quadratic(x) - quadratic(y))._sign() == 0
-            except TypeError:               # mixed radicands
+            except ValueError:              # two quadratic fields
                 want = False
             assert (quadratic(x) == y) is want and (y == quadratic(x)) is want
             if want:
@@ -276,8 +276,8 @@ def test_truth_order_absolute_value_and_repr():
         "QuadraticNumber(1, -1/3, 2)"
 
 
-def test_mixed_radicands_raise_type_error():
-    with pytest.raises(TypeError, match="mixed radicands"):
+def test_two_quadratic_fields_raise_value_error():
+    with pytest.raises(ValueError, match=r"sqrt\(2\) and sqrt\(3\)"):
         QuadraticNumber(0, 1, 2) + QuadraticNumber(0, 1, 3)
     # equality of two fields is decided, not raised
     assert QuadraticNumber(0, 1, 2) != QuadraticNumber(0, 1, 3)
