@@ -38,7 +38,7 @@ from .rauzy import check_exact_measures, survivor_measure
 from .surface import (DEFAULT_INDUCTION_BUDGET, ROTATION_MAX_ITER,
                       ROTATION_TOL, classify_direction, find_cylinders,
                       rotation_number)
-from .teichmuller import (DEFAULT_MULTIPLIER_THRESHOLD, DEFAULT_THETA_TOL,
+from .teichmuller import (DEFAULT_THETA_TOL, MULTIPLIER_THRESHOLD,
                           MonitorReport, divergence_monitor)
 from .twists import (DEFAULT_REACH_BUDGET, apply_word, holonomy_class,
                      reach_target, word_from_string)
@@ -326,7 +326,7 @@ def _flow_payload(report: MonitorReport, theta_tol: float) -> dict:
         "criterion1": report.criterion1,
         "criterion2": report.criterion2,
         "theta_tol": theta_tol,
-        "multiplier_threshold": DEFAULT_MULTIPLIER_THRESHOLD,
+        "multiplier_threshold": MULTIPLIER_THRESHOLD,
         "tracked": [
             {"interval": [c.theta1, c.theta2], "word": c.word,
              "multiplier": c.multiplier} for c in report.tracked
@@ -508,8 +508,9 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
 
 
 class _Grammar(NamedTuple):
-    """What `build_parser` returns: the grammar of `command` alone, read
-    from the flags after its name, or (None) of every command."""
+    """The grammar of every command (None), which `build_parser`
+    returns, or of `command` alone, read from the flags after its name,
+    which --help of that command prints."""
     command: Optional[str] = None
 
     def parse_args(self, argv: list[str]) -> Optional[SimpleNamespace]:
@@ -587,9 +588,9 @@ class _Grammar(NamedTuple):
                 + "".join(f"  {a:<22} {b}".rstrip() + "\n" for a, b in rows))
 
 
-def build_parser(command: Optional[str] = None) -> _Grammar:
-    """The CLI grammar of `command` alone, or of every command (None)."""
-    return _Grammar(command)
+def build_parser() -> _Grammar:
+    """The CLI grammar of every command."""
+    return _Grammar()
 
 
 def _diagnostic(name: str, detail: str, **extra) -> str:

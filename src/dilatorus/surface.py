@@ -35,7 +35,6 @@ from .errors import (
     VertexHit,
 )
 from .geometry import (
-    _DIAGONAL_PAIRS,
     _PARTNERS,
     Room,
     angle_dist_mod_pi,
@@ -110,29 +109,6 @@ MAX_SCAN_SAMPLES = 10 ** 5
 # exhausted crossing budgets are absorbed per section, so they never
 # escape, and any other error is a bug that must reach the caller.
 UNDECIDED_ERRORS = (NotTransverse, NotReducible)
-
-
-# --- cross-sections ---
-
-class _SectionFields(NamedTuple):
-    i: int
-    j: int
-
-
-class CrossSection(_SectionFields):
-    """One of the five pentagon diagonals, oriented from vertex i to j.
-
-    All five vertices project to the single cone point of the glued
-    surface, so every diagonal closes up to a circle there; the return
-    map of a transverse direction is a circle map in disguise.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, i: int, j: int) -> CrossSection:
-        if (min(i, j), max(i, j)) not in _DIAGONAL_PAIRS:
-            raise ValueError(f"({i}, {j}) is not a pentagon diagonal")
-        return tuple.__new__(cls, (i, j))
 
 
 def _crossing_angle(theta: float, ux: float, uy: float,
@@ -223,9 +199,14 @@ class Direction:
     the heading of a section from them once.  A NaN or infinite theta
     raises ValueError before any of it is built.
 
-    The candidates are the interior diagonals that theta crosses
-    (`_crossing_angle`), most transversal first; vertex indices break
-    ties between equal margins.
+    A section is one of the five pentagon diagonals, oriented from
+    vertex i to vertex j and given as the pair (i, j).  All five
+    vertices project to the single cone point of the glued surface, so
+    every diagonal closes up to a circle there; the return map of a
+    transverse direction is a circle map in disguise.  The candidates
+    are the interior diagonals that theta crosses (`_crossing_angle`),
+    most transversal first; vertex indices break ties between equal
+    margins.
 
     `classify_direction` builds one per classification and hands it to
     each return map, verification and collapsed check it makes, so they
@@ -277,27 +258,31 @@ class Direction:
             margin = _crossing_angle(theta, ux, uy, geom.diagonals[i, j])
             if margin is not None:
                 scored.append((-margin, i, j))
-        self.candidates = [CrossSection(i, j) for _, i, j in sorted(scored)]
+        self.candidates = [(i, j) for _, i, j in sorted(scored)]
         entered = {_PARTNERS[k] for k, *_ in exits}
         self.bases = [self.tabulate(*row[:4], 1.0) if j in entered else None
                       for j, row in enumerate(geom.sides)]
-        self.headings: dict[CrossSection, Heading] = {}
+        self.headings: dict[tuple[int, int], Heading] = {}
 
-    def heading(self, section: CrossSection) -> Heading:
-        """The heading of `section`, built with its leg tables on first
-        ask.  A section that theta cannot cross raises NotTransverse,
-        and then one that is not an interior diagonal of the room
-        ValueError, before any table is built."""
+    def heading(self, section: tuple[int, int]) -> Heading:
+        """The heading of `section`, the diagonal from vertex i to
+        vertex j given as the pair (i, j), built with its leg tables on
+        first ask.  Before any table is built, a pair that is not a
+        pentagon diagonal raises ValueError, then a section that theta
+        cannot cross NotTransverse, and then one that is not an interior
+        diagonal of the room ValueError."""
         found = self.headings.get(section)
         if found is not None:
             return found
         geom, ux, uy = self.room.geom, self.ux, self.uy
-        chord = geom.diagonals[section.i, section.j]
+        chord = geom.diagonals.get(section)
+        if chord is None:
+            raise ValueError(f"{section} is not a pentagon diagonal")
         if _crossing_angle(self.theta, ux, uy, chord) is None:
             raise NotTransverse("direction is parallel to the section")
         if (min(section), max(section)) not in geom.interior:
-            raise ValueError(f"({section.i}, {section.j}) is not an "
-                             "interior diagonal of the room")
+            raise ValueError(f"{section} is not an interior diagonal of "
+                             "the room")
         ax, ay, ex, ey, _ = chord
         length = math.hypot(ex, ey)
         inv = 1.0 / length
@@ -566,8 +551,7 @@ def _flight(heading: Heading, s: float) -> RayTrace:
     tr = trace_ray(heading, s)
     if tr.terminal == "budget":
         raise BudgetExhausted("no return to the section within "
-                              f"{DEFAULT_MAX_CROSSINGS} crossings",
-                              partial=tr)
+                              f"{DEFAULT_MAX_CROSSINGS} crossings")
     if tr.terminal == "door":
         raise NotTransverse("trajectory off the section reaches the "
                             "door; no first-return map in this "
@@ -584,26 +568,26 @@ def _back(heading: Heading, tr: RayTrace) -> float:
 
 
 def first_return_map(direction: Direction,
-                     section: CrossSection) -> PiecewiseAffineMap:
+                     section: tuple[int, int]) -> PiecewiseAffineMap:
     """Return map of the flow along `direction` to a diagonal section.
 
-    The section is arc-length parametrized from vertex i to vertex j.
-    Branches correspond to itineraries of glued-side crossings; on each
-    the map is affine with slope equal to the product of the crossed
-    factors.  Branch boundaries (orbits of the cone point) are located
-    by bisection on the itinerary, between DEFAULT_RETURN_SAMPLES
-    midpoints of equal cells: one key, the flight's crossed sides (None
-    on a VertexHit), serves the grid and every bisection.  Each cut lies
-    between its own two grid midpoints, so the cuts arrive in order and
-    join the boundaries in the one pass that finds them; a cut within
-    BRANCH_MIN_GAP bisection tolerances of the last boundary merges into
-    it.
+    The section, the pair (i, j), is arc-length parametrized from
+    vertex i to vertex j.  Branches correspond to itineraries of
+    glued-side crossings; on each the map is affine with slope equal to
+    the product of the crossed factors.  Branch boundaries (orbits of
+    the cone point) are located by bisection on the itinerary, between
+    DEFAULT_RETURN_SAMPLES midpoints of equal cells: one key, the
+    flight's crossed sides (None on a VertexHit), serves the grid and
+    every bisection.  Each cut lies between its own two grid midpoints,
+    so the cuts arrive in order and join the boundaries in the one pass
+    that finds them; a cut within BRANCH_MIN_GAP bisection tolerances of
+    the last boundary merges into it.
 
-    It refuses what `Direction.heading` refuses, in its order: a
-    section theta cannot cross and a section that is not an interior
-    diagonal.  Then it refuses, with ValueError, a direction that points
-    out of the surface at the door.  (A non-finite theta has no
-    `Direction`.)
+    It refuses what `Direction.heading` refuses, in its order: a pair
+    that is not a pentagon diagonal, a section theta cannot cross and a
+    section that is not an interior diagonal.  Then it refuses, with
+    ValueError, a direction that points out of the surface at the
+    door.  (A non-finite theta has no `Direction`.)
     """
     heading = direction.heading(section)
     # Directions parallel to the door are allowed: their flow is tangent
@@ -675,10 +659,10 @@ class SectionReduction(NamedTuple):
 
     two_slope: TwoSlopeMap
     chart: AffineChart
-    section: CrossSection
+    section: tuple[int, int]
 
 
-def _verify_reduction(direction: Direction, sec: CrossSection,
+def _verify_reduction(direction: Direction, sec: tuple[int, int],
                       tsm: TwoSlopeMap, chart: AffineChart) -> None:
     """Check the normal form against traces the builder never saw.
 
@@ -726,7 +710,7 @@ def direction_to_two_slope(direction: Direction) -> SectionReduction:
             tsm, chart = restrict_to_image(pam)
             _verify_reduction(direction, sec, tsm, chart)
         except (NotTransverse, NotReducible, VertexHit, BudgetExhausted) as exc:
-            failures.append(f"({sec.i},{sec.j}): {exc}")
+            failures.append(f"({sec[0]},{sec[1]}): {exc}")
             continue
         return SectionReduction(tsm, chart, sec)
     raise NotReducible("no section yields a two-slope normal form: "
@@ -769,7 +753,7 @@ def _collapsed_cycle(pam: PiecewiseAffineMap) -> Optional[tuple[float, float]]:
 
 
 def _collapsed_direction(direction: Direction
-                         ) -> Optional[tuple[float, float, CrossSection]]:
+                         ) -> Optional[tuple[float, float, tuple[int, int]]]:
     """Search the direction's candidate sections for a collapsed return
     map.
 

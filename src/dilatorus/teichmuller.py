@@ -7,7 +7,7 @@ their direction intervals move projectively.  Divergence of the flowed
 family cannot be certified by a finite computation; the monitor instead
 samples a time grid and raises explicit trend flags: cylinder angles
 approaching 0 or pi (criterion 1), or multipliers of bounded-angle
-cylinders blowing up (criterion 2).
+cylinders blowing up past MULTIPLIER_THRESHOLD (criterion 2).
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from .surface import (UNDECIDED_ERRORS, Cylinder, _runs, classify_direction,
 
 # Criterion 1 fires within DEFAULT_THETA_TOL radians of 0 or pi, and a
 # step of the theta_sup series counts as monotone up to TREND_SLACK
-# radians against the trend.  The window probes cover flowed angles
-# within DEFAULT_WINDOW radians of horizontal on either side.
+# radians against the trend.  Criterion 2 fires at a multiplier
+# (unitless) above MULTIPLIER_THRESHOLD.  The window probes cover flowed
+# angles within PROBE_WINDOW radians of horizontal on either side.
 DEFAULT_THETA_TOL = 0.05
-DEFAULT_MULTIPLIER_THRESHOLD = 1e6
-DEFAULT_WINDOW = 1.2
+MULTIPLIER_THRESHOLD = 1e6
+PROBE_WINDOW = 1.2
 TREND_SLACK = 1e-9
 # Window probes join one run while their multipliers agree within this
 # fraction (unitless) of the run's first multiplier.
@@ -102,20 +103,21 @@ class MonitorReport(NamedTuple):
     criterion2: bool
 
 
-def _window_hits(room: Room, t: float, eps_angle: float, budget: int,
-                 window: float) -> tuple[list[tuple[float, float]], bool]:
+def _window_hits(room: Room, t: float, eps_angle: float, budget: int
+                 ) -> tuple[list[tuple[float, float]], bool]:
     """Cylinders near horizontal at flow time t, as (flowed angle, multiplier).
 
-    Probes are uniform in the flowed angle and pulled back to the base
-    room, where classification stays well conditioned at every t; the
-    multiplier is a flow invariant, so no flowed-room computation is
-    needed.  Runs are grouped by multiplier (renormalization words vary
+    Probes are uniform in the flowed angle, within PROBE_WINDOW of the
+    horizontal and eps_angle clear of the vertical, and pulled back to
+    the base room, where classification stays well conditioned at every
+    t; the multiplier is a flow invariant, so no flowed-room computation
+    is needed.  Runs are grouped by multiplier (renormalization words vary
     with the reducing section even for one cylinder), and the run extent
     in flowed angle is the coarse angle the caller compares to eps.
     """
     emt = math.exp(-t)
     step = eps_angle / 2.0
-    half = min(window, math.pi / 2.0 - 2.0 * step)
+    half = min(PROBE_WINDOW, math.pi / 2.0 - 2.0 * step)
     # an eps_angle of pi/2 or more leaves no window, and no probe
     n = max(2, math.ceil(2.0 * half / step)) if half > 0.0 else 0
     exhausted = False
@@ -138,17 +140,17 @@ def _window_hits(room: Room, t: float, eps_angle: float, budget: int,
 
 def divergence_monitor(room: Room, t_max: float, steps: int,
                        eps_angle: float, budget: int,
-                       theta_tol: float = DEFAULT_THETA_TOL,
-                       multiplier_threshold: float = DEFAULT_MULTIPLIER_THRESHOLD,
-                       window: float = DEFAULT_WINDOW) -> MonitorReport:
+                       theta_tol: float = DEFAULT_THETA_TOL) -> MonitorReport:
     """Sample the flow on a uniform grid and raise divergence trend flags.
 
     Criterion 1 fires when theta_sup sits within theta_tol of 0 or pi
     and the last quarter of the series trends that way monotonically.
-    Criterion 2 fires when max_multiplier exceeds the threshold; since
-    max_multiplier only counts cylinders whose angle is still >= eps_angle
-    at the sample, the blowup is always witnessed by a cylinder of
-    bounded angle.  Per-sample budget exhaustion is flagged, never fatal.
+    Criterion 2 fires when max_multiplier exceeds MULTIPLIER_THRESHOLD;
+    since max_multiplier only counts cylinders whose angle is still
+    >= eps_angle at the sample, the blowup is always witnessed by a
+    cylinder of bounded angle.  Per-sample budget exhaustion is flagged,
+    never fatal.  An eps_angle that is not positive and finite is
+    refused by the baseline `find_cylinders`, before any probe.
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError("t_max must be finite and nonnegative, "
@@ -158,12 +160,8 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
                          f"got {theta_tol!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps!r}")
-    if eps_angle <= 0:
-        raise ValueError(f"eps_angle must be positive, got {eps_angle!r}")
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget!r}")
-    if not (math.isfinite(window) and window > 0):
-        raise ValueError(f"window must be finite and positive, got {window!r}")
     # t_max is the largest sample time, and the flow matrix leaves the
     # float range as |t| grows, so one past it is refused before any scan
     geodesic_matrix(t_max)
@@ -182,8 +180,7 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
         for c in baseline.cylinders:
             d1, d2 = track_direction_interval(g, (c.theta1, c.theta2))
             spans.append((d2 - d1, c.multiplier))
-        hits, window_exhausted = _window_hits(room, t, eps_angle, budget,
-                                              window)
+        hits, window_exhausted = _window_hits(room, t, eps_angle, budget)
         exhausted = baseline.exhausted or window_exhausted
         max_mult = 1.0
         theta_sup_t = 0.0
@@ -204,7 +201,7 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
                                    for a, b in zip(quarter, quarter[1:])))
             if toward_pi or toward_zero:
                 flags.add("Criterion1Fired")
-        if max_mult > multiplier_threshold:
+        if max_mult > MULTIPLIER_THRESHOLD:
             flags.add("Criterion2Fired")
         fired1 = fired1 or "Criterion1Fired" in flags
         fired2 = fired2 or "Criterion2Fired" in flags

@@ -41,7 +41,7 @@ from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                EXACT_DENOMINATOR_CAP, EXACT_ORBIT_CAP,
                                INWARD_SLACK, MIN_STEP, ROTATION_ANCHOR_RADIUS,
                                ROTATION_CYCLE_TOL, TRANSVERSALITY_FLOOR,
-                               VERTEX_TOL, CrossSection, RayTrace)
+                               VERTEX_TOL, RayTrace)
 from dilatorus.twists import twist_mu
 
 
@@ -360,7 +360,7 @@ def _side_leg(laws: list[tuple], sigma: float, top: float,
 
 
 def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
-                     section: CrossSection) -> RayTrace:
+                     section: tuple[int, int]) -> RayTrace:
     """`surface.trace_ray` written over Vec2, `Room.sides()` and the
     section's endpoints, with no side, diagonal or leg table; it must
     agree with the fast tracer bit for bit.
@@ -446,15 +446,16 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
 
 
 def first_return_map_oracle(room: Room, theta: float,
-                            section: CrossSection) -> PiecewiseAffineMap:
+                            section: tuple[int, int]) -> PiecewiseAffineMap:
     """`surface.first_return_map` with its section coordinate in Vec2
     arithmetic, flying every flight from its section coordinate through
     `trace_ray_oracle`; it must build the same map, or raise the same
     error with the same message.
 
-    It refuses in the library's order: a non-finite theta, a section
-    theta cannot cross, a section whose chord is not inside the room's
-    exact twin (`exact_shape`), and a direction out of the door."""
+    `section` is a pentagon diagonal (i, j).  The oracle refuses in the
+    library's order: a non-finite theta, a section theta cannot cross,
+    a section whose chord is not inside the room's exact twin
+    (`exact_shape`), and a direction out of the door."""
     if not math.isfinite(theta):
         raise ValueError(f"direction theta must be finite, got {theta!r}")
     a, b = (room.geom.vertices[k] for k in section)
@@ -465,8 +466,8 @@ def first_return_map_oracle(room: Room, theta: float,
     pair = (min(section), max(section))
     twin = twin_vertices(room.e1, room.e2, room.params.nu())
     if pair not in exact_shape(twin):
-        raise ValueError(f"({section.i}, {section.j}) is not an "
-                         "interior diagonal of the room")
+        raise ValueError(f"{section} is not an interior diagonal of "
+                         "the room")
     if not room.is_inward(theta, margin=-INWARD_SLACK):
         raise ValueError("direction must point into the surface at the door")
 

@@ -253,8 +253,7 @@ def test_criterion_10a_horizontal_cylinder_trend():
         drift = max(drift, abs(v.multiplier - mult0) / mult0)
     assert drift < 1e-9
 
-    rep = divergence_monitor(room, 12.0, 8, eps_angle=0.05, budget=800,
-                             window=0.4)
+    rep = divergence_monitor(room, 12.0, 8, eps_angle=0.05, budget=800)
     final = rep.samples[-1].theta_sup
     assert final > 3.0
     report("criterion 10a", f"horizontal-cylinder room: theta_sup {final:.4f}"
@@ -264,8 +263,7 @@ def test_criterion_10a_horizontal_cylinder_trend():
 def test_criterion_10b_door_horizontal_trend():
     base = square_room(LN2, LN2)
     room = apply_sl2(SL2Matrix.rotation(-base.door_direction()), base)
-    rep = divergence_monitor(room, 12.0, 8, eps_angle=0.05, budget=800,
-                             window=0.4)
+    rep = divergence_monitor(room, 12.0, 8, eps_angle=0.05, budget=800)
     final = rep.samples[-1].theta_sup
     assert final < 0.05
     report("criterion 10b", f"door-horizontal room: theta_sup {final:.3e} "

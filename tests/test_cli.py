@@ -16,13 +16,13 @@ from pathlib import Path
 import pytest
 
 import oracles
-from dilatorus import cli, rauzy
+from dilatorus import cli, rauzy, teichmuller
 from dilatorus.cli import MAX_MEASURE_DEPTH, canonical_json, main
 from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
                                 SL2Matrix)
 from dilatorus.rauzy import EXACT_MEASURE_MAX_LEAVES, survivor_measure
 from dilatorus.surface import classify_direction, find_cylinders, rotation_number
-from dilatorus.teichmuller import divergence_monitor
+from dilatorus.teichmuller import MonitorReport, divergence_monitor
 from dilatorus.twists import apply_word, reach_target, word_from_string
 
 LN2 = math.log(2.0)
@@ -813,7 +813,13 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
     (["flow", "--t-max=1", "--steps=-2"] + MU_FLAGS,
      "steps must be nonnegative, got -2"),
     (["flow", "--t-max=1", "--eps=0"] + MU_FLAGS,
-     "eps_angle must be positive, got 0.0"),
+     "eps_angle must be positive and finite"),
+    (["flow", "--t-max=1", "--eps=-1"] + MU_FLAGS,
+     "eps_angle must be positive and finite"),
+    (["flow", "--t-max=1", "--eps=nan"] + MU_FLAGS,
+     "eps_angle must be positive and finite"),
+    (["flow", "--t-max=1", "--eps=inf"] + MU_FLAGS,
+     "eps_angle must be positive and finite"),
     (["flow", "--t-max=1", "--budget=0"] + MU_FLAGS,
      "budget must be positive, got 0"),
     (["flow", "--mu1=0.69", "--mu2=0.69", "--t-max=2000"],
@@ -835,7 +841,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "reach-target-ratio-underflow", "room-long-mu2", "room-long-mu1",
         "act-rotate-inf", "orbit-closure-mu1-inf",
         "orbit-closure-ratio-overflow", "orbit-closure-mu1-nan",
-        "flow-steps-negative", "flow-eps-zero", "flow-budget-zero",
+        "flow-steps-negative", "flow-eps-zero", "flow-eps-negative",
+        "flow-eps-nan", "flow-eps-inf", "flow-budget-zero",
         "flow-t-max-past-float-range"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     # each refusal comes before any work: a flow past the float range
@@ -894,7 +901,7 @@ def test_unwritable_svg_path_exits_2_and_prints_nothing(tmp_path, capsys,
 
 
 def _parsed_defaults(command: str, required: list[str]) -> dict:
-    args = vars(cli.build_parser(command).parse_args(required))
+    args = vars(cli._Grammar(command).parse_args(required))
     assert args == _through_oracle(required, command)
     return args
 
@@ -910,8 +917,8 @@ def test_cli_defaults_are_the_library_defaults():
     flow = _parsed_defaults("flow", ["--t-max=1"])
     assert flow["tol"] == default(divergence_monitor, "theta_tol")
     # the flow document echoes the threshold the monitor runs with
-    assert cli.DEFAULT_MULTIPLIER_THRESHOLD == default(
-        divergence_monitor, "multiplier_threshold")
+    assert cli._flow_payload(MonitorReport((), (), False, False), 0.05)[
+        "multiplier_threshold"] == teichmuller.MULTIPLIER_THRESHOLD
     rotnum = _parsed_defaults("rotnum", [])
     assert rotnum["tol"] == default(rotation_number, "tol")
     assert rotnum["budget"] == default(rotation_number, "max_iter")
@@ -922,6 +929,19 @@ def test_cli_defaults_are_the_library_defaults():
     assert flow["budget"] == cli.DEFAULT_FLOW_BUDGET
     assert flow["steps"] == cli.DEFAULT_FLOW_STEPS
     assert reach["tol"] == cli.DEFAULT_REACH_EPS
+
+
+def test_every_defaulted_library_setting_is_a_cli_flag():
+    # a defaulted parameter of an entry point that no flag sets serves
+    # only tests; the previous test matches each one to its flag
+    def defaulted(fn):
+        return {name for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    for fn in (classify_direction, find_cylinders, reach_target):
+        assert defaulted(fn) == {"budget"}, fn.__name__
+    assert defaulted(divergence_monitor) == {"theta_tol"}
+    assert defaulted(rotation_number) == {"tol", "max_iter"}
 
 
 ROTNUM_FLAGS = ["--rhoA=2.5", "--rhoB=0.3"]
@@ -1058,7 +1078,7 @@ def _parsed(grammar, argv):
 
 def _through_oracle(argv, command=None):
     """`_parsed` by argparse; a command's own grammar also names the
-    command, as `cli.build_parser(command)` does."""
+    command, as `cli._Grammar(command)` does."""
     want = _parsed(_oracle_grammar(command), list(argv))
     if command is not None and isinstance(want, dict):
         want["command"] = command
@@ -1132,7 +1152,7 @@ def test_the_table_parser_reads_argv_as_argparse_does(monkeypatch):
         want = _through_oracle(argv)
         assert _parsed(cli.build_parser(), argv) == want, argv
         if argv and argv[0] in cli._COMMANDS:
-            assert (_parsed(cli.build_parser(argv[0]), argv[1:])
+            assert (_parsed(cli._Grammar(argv[0]), argv[1:])
                     == _through_oracle(argv[1:], argv[0])), argv
 
 

@@ -18,8 +18,8 @@ from dilatorus.intervalmaps import (AffineBranch, AffineChart,
                                     evaluate, orbit, restrict_to_image)
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
-from dilatorus.surface import (CrossSection, Direction, RayTrace,
-                               first_return_map, rotation_number)
+from dilatorus.surface import (Direction, RayTrace, first_return_map,
+                               rotation_number)
 from dilatorus.teichmuller import distortion
 from dilatorus.twists import (ContractionResult, HolonomyClass, ReachReport,
                               apply_word, gauss_contraction, holonomy_class,
@@ -66,25 +66,28 @@ def basis_of(room):
 CASES = [
     # the square room's door and its diagonal V0V2 both run at pi/4
     pytest.param(lambda: first_return_map(Direction(ROOM, math.pi / 4),
-                                          CrossSection(0, 2)),
+                                          (0, 2)),
                  (NotTransverse, "parallel to the section"),
                  id="return-map-section-parallel-to-the-flow"),
     pytest.param(lambda: first_return_map(Direction(ROOM, 3 * math.pi / 4),
-                                          CrossSection(0, 2)),
+                                          (0, 2)),
                  (ValueError, "must point into the surface"),
                  id="return-map-outward-direction"),
     pytest.param(lambda: Direction(ROOM, math.pi / 4).heading(
-                     CrossSection(0, 2)),
+                     (0, 2)),
                  (NotTransverse, "parallel to the section"),
                  id="heading-section-parallel-to-the-flow"),
     # a section off the room is refused before an outward direction
     pytest.param(lambda: first_return_map(Direction(REFLEX, OUTWARD),
-                                          CrossSection(0, 3)),
+                                          (0, 3)),
                  (ValueError, "not an interior diagonal"),
                  id="return-map-outward-direction-off-the-room"),
-    pytest.param(lambda: CrossSection(0, 1),
+    pytest.param(lambda: first_return_map(Direction(ROOM, 1.0), (0, 1)),
                  (ValueError, "not a pentagon diagonal"),
                  id="cross-section-on-a-side"),
+    pytest.param(lambda: Direction(ROOM, 1.0).heading((2, 3)),
+                 (ValueError, r"^\(2, 3\) is not a pentagon diagonal$"),
+                 id="heading-section-on-a-side"),
     pytest.param(lambda: rotation_number(2.0, 0.5, max_iter=0),
                  (ValueError, "max_iter must be at least 1"),
                  id="rotation-number-no-iterations"),
@@ -358,4 +361,4 @@ def test_a_flight_that_reaches_the_door_has_no_return(monkeypatch):
     theta = sum(ROOM.inward_directions()) / 2
     with pytest.raises(NotTransverse, match="off the section reaches the "
                                             "door"):
-        first_return_map(Direction(ROOM, theta), CrossSection(0, 2))
+        first_return_map(Direction(ROOM, theta), (0, 2))

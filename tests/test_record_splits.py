@@ -3,7 +3,7 @@
 A NamedTuple class body cannot define `__new__`, so a record that checks
 or converts its fields on construction is written as a private
 `_*Fields` NamedTuple and a public subclass whose `__new__` does the
-work, as `surface.CrossSection` and `intervalmaps.TwoSlopeMap` are.  A
+work, as `geometry.SL2Matrix` and `intervalmaps.TwoSlopeMap` are.  A
 subclass without its own `__new__` gains nothing from the split: its
 methods, properties and docstring fit in one NamedTuple class, as
 `surface.Heading` and `surface.RayTrace` show.

@@ -22,7 +22,7 @@ from dilatorus.intervalmaps import (AffineBranch, AffineChart, OrbitResult,
                                     PeriodicCycle, PiecewiseAffineMap,
                                     TwoSlopeMap)
 from dilatorus.rauzy import InductionStep, RauzyOutcome, Subdivision
-from dilatorus.surface import (CrossSection, Cylinder, DirectionClass,
+from dilatorus.surface import (Cylinder, DirectionClass,
                                ScanResult, SectionReduction)
 from dilatorus.teichmuller import FlowSample, MonitorReport
 from dilatorus.twists import (ContractionResult, HolonomyClass, ReachReport,
@@ -98,14 +98,13 @@ RECORDS = {
         "RauzyOutcome(word='LR', terminal='halt', "
         "cycle=PeriodicCycle(points=(0.25, 0.75), period=2, "
         "multiplier=0.25))"),
-    "CrossSection": (lambda: CrossSection(2, 0), "CrossSection(i=2, j=0)"),
     "SectionReduction": (
         lambda: SectionReduction(_tsm(), AffineChart(2.0, -0.5),
-                                 CrossSection(0, 2)),
+                                 (0, 2)),
         "SectionReduction(two_slope=TwoSlopeMap(rho_a=Fraction(1, 2), "
         "rho_b=Fraction(1, 3), x_t=Fraction(1, 2)), "
         "chart=AffineChart(scale=2.0, offset=-0.5), "
-        "section=CrossSection(i=0, j=2))"),
+        "section=(0, 2))"),
     "DirectionClass": (
         lambda: DirectionClass("cylinder", "RLL", 2.0, None, None),
         "DirectionClass(kind='cylinder', "
@@ -205,18 +204,15 @@ REFUSALS = [
      ValueError, "the domain's high end lies outside the float range"),
     ("AffineChart", lambda: AffineChart(0, 1), ValueError,
      "chart must be invertible"),
-    ("CrossSection", lambda: CrossSection(0, 1), ValueError,
-     "(0, 1) is not a pentagon diagonal"),
 ]
 
 
 def test_the_table_covers_every_record_type():
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 24
     validated = {name for name, *_ in REFUSALS}
     assert validated == {"SL2Matrix", "Room", "TwoSlopeMap",
                          "PeriodicCycle", "AffineBranch",
-                         "PiecewiseAffineMap", "AffineChart",
-                         "CrossSection"}
+                         "PiecewiseAffineMap", "AffineChart"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -24,8 +24,8 @@ from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap)
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.surface import (UNDECIDED_ERRORS, CrossSection, Direction,
-                               Heading, classify_direction, find_cylinders,
+from dilatorus.surface import (UNDECIDED_ERRORS, Direction, Heading,
+                               classify_direction, find_cylinders,
                                first_return_map, rotation_number, trace_ray)
 
 SEED = 20260817
@@ -39,8 +39,7 @@ REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 
 def test_trace_reaches_door():
     # straight shot toward the door from (0.3, 0.3) on the diagonal
-    heading = Direction(ROOM, math.atan2(1.0, -0.3)).heading(
-        CrossSection(0, 2))
+    heading = Direction(ROOM, math.atan2(1.0, -0.3)).heading((0, 2))
     trace = trace_ray(heading, 0.3 * math.sqrt(2.0), 64)
     assert trace.terminal == "door"
     assert trace.crossings == len(trace.crossed_sides)
@@ -50,7 +49,7 @@ def test_trace_transport_factors_are_glue_factors():
     rng = random.Random(SEED)
     for _ in range(40):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        heading = Direction(ROOM, theta).heading(CrossSection(2, 4))
+        heading = Direction(ROOM, theta).heading((2, 4))
         try:
             trace = trace_ray(heading, 0.29 * heading.frame[4], 12)
         except VertexHit:
@@ -63,14 +62,14 @@ def test_trace_transport_factors_are_glue_factors():
 def test_trace_vertex_hit():
     # aim exactly at V2 = (1, 1), along pi/4 from (2/3, 2/3), two thirds
     # of the way along the diagonal from V1 = (1, 0) to V3 = (0.5, 1)
-    heading = Direction(ROOM, math.pi / 4.0).heading(CrossSection(1, 3))
+    heading = Direction(ROOM, math.pi / 4.0).heading((1, 3))
     with pytest.raises(VertexHit) as info:
         trace_ray(heading, 2.0 / 3.0 * heading.frame[4], 64)
     assert info.value.trace.terminal == "vertex"
 
 
 def test_trace_max_crossings_budget():
-    heading = Direction(ROOM, 0.1).heading(CrossSection(2, 4))
+    heading = Direction(ROOM, 0.1).heading((2, 4))
     trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
     assert trace.terminal == "budget"
     assert trace.crossings == 5
@@ -82,7 +81,7 @@ def test_a_section_start_next_to_a_vertex_traces():
     kinds = {"trace": 0, "vertex": 0}
     for room in (ROOM, REFLEX):
         for i, j in room.geom.interior:
-            for section in (CrossSection(i, j), CrossSection(j, i)):
+            for section in ((i, j), (j, i)):
                 for k in range(24):
                     theta = 2.0 * math.pi * (k + 0.37) / 24
                     heading = Direction(room, theta).heading(section)
@@ -146,7 +145,7 @@ def _oracle_cases(rng: random.Random, n: int):
     rooms = _oracle_rooms(rng)
     for k in range(n):
         room = rooms[k % len(rooms)]
-        section = CrossSection(*rng.choice(room.geom.interior))
+        section = rng.choice(room.geom.interior)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         s = _start(rng, room, section, theta, rng.random() < 0.1)
         yield (room, s, theta, rng.choice((3, 12, 64)), section)
@@ -238,7 +237,7 @@ def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
     for room in _oracle_rooms(rng):
         for k in range(450):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            section = CrossSection(*rng.choice(room.geom.interior))
+            section = rng.choice(room.geom.interior)
             transports = 1 + k % 3
             s = _aimed_past_transports(rng, room, section, theta, transports)
             if s is None:
@@ -274,7 +273,7 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
     for room in _oracle_rooms(rng):
         for _ in range(150):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            section = CrossSection(*rng.choice(room.geom.interior))
+            section = rng.choice(room.geom.interior)
             a, b = (room.geom.vertices[k] for k in section)
             ends = [a + (b - a) * f for f in (5e-13, 1.0 - 5e-13)]
             s = _aimed_past_transports(rng, room, section, theta, 1, ends)
@@ -291,7 +290,7 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
 
 def test_a_bad_section_coordinate_is_refused_before_any_leg():
     # a section coordinate must be a finite float in [0, length]
-    heading = Direction(ROOM, 0.7).heading(CrossSection(1, 3))
+    heading = Direction(ROOM, 0.7).heading((1, 3))
     length = heading.frame[4]
     for bad in (math.nan, math.inf, -math.inf, -1e-300, -0.5,
                 math.nextafter(length, math.inf), 2.0 * length):
@@ -302,7 +301,7 @@ def test_a_bad_section_coordinate_is_refused_before_any_leg():
         fast = _trace_outcome(trace_ray, heading, s, 64)
         assert fast[0] == "vertex"
         assert fast == _trace_outcome(oracles.trace_ray_oracle, ROOM, s,
-                                      0.7, 64, CrossSection(1, 3))
+                                      0.7, 64, (1, 3))
 
 
 def _sheared():
@@ -326,8 +325,8 @@ def test_flights_leave_a_heading_unchanged():
     # a heading is a value built whole: flights on it change neither
     # its eq, hash nor repr, and it equals the heading of an equal room
     # built separately
-    heading = Direction(REFLEX, 1.3).heading(CrossSection(0, 2))
-    twin = Direction(_reflex(), 1.3).heading(CrossSection(0, 2))
+    heading = Direction(REFLEX, 1.3).heading((0, 2))
+    twin = Direction(_reflex(), 1.3).heading((0, 2))
     before = (repr(heading), hash(heading))
     for k in range(40):
         try:
@@ -351,7 +350,7 @@ def test_shared_headings_build_the_tables_of_a_fresh_heading():
     rng = random.Random(SEED + 14)
     for make in (lambda: square_room(LN2, LN2), _sheared, _reflex):
         room = make()
-        sections = [CrossSection(*pair)
+        sections = [pair
                     for i, j in room.geom.interior
                     for pair in ((i, j), (j, i))]
         for _ in range(12):
@@ -381,7 +380,7 @@ def test_a_section_outside_the_room_is_refused():
     # orientation it is no section, and no flight starts on it
     assert (0, 3) not in REFLEX.geom.interior
     lo, hi = REFLEX.inward_directions()
-    for section in (CrossSection(0, 3), CrossSection(3, 0)):
+    for section in ((0, 3), (3, 0)):
         for k in range(8):
             theta = lo + (k + 0.5) * (hi - lo) / 8
             with pytest.raises(ValueError, match="not an interior"):
@@ -405,8 +404,8 @@ def test_one_rule_decides_whether_a_section_can_be_crossed():
             for off in (0.0, 5e-10, -5e-10, 1e-8, -1e-8, 1e-3, 0.7):
                 theta = along + off
                 direction = Direction(room, theta)
-                for section in (CrossSection(i, j), CrossSection(j, i)):
-                    if CrossSection(i, j) in direction.candidates:
+                for section in ((i, j), (j, i)):
+                    if (i, j) in direction.candidates:
                         row = direction.heading(section).section_row
                         assert len(row) == 5 and all(
                             isinstance(x, float) for x in row)
@@ -461,7 +460,7 @@ def test_a_trapped_flight_traces_as_the_oracle_does():
             theta = rng.uniform(0.0, 2.0 * math.pi)
             if not room.is_inward(theta):
                 theta += math.pi
-            section = CrossSection(*rng.choice(room.geom.interior))
+            section = rng.choice(room.geom.interior)
             heading = Direction(room, theta).heading(section)
             s = heading.frame[4] * rng.random()
             try:
@@ -489,7 +488,7 @@ def test_a_shared_heading_leaks_nothing_between_flights():
         for _ in range(2):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             for i, j in room.geom.interior:
-                section = CrossSection(i, j)
+                section = (i, j)
                 # one start in six aimed along theta at a vertex
                 flights = [(_start(rng, room, section, theta, k % 6 == 0),
                             rng.choice((3, 12, 64))) for k in range(60)]
@@ -506,7 +505,7 @@ def test_a_shared_heading_leaks_nothing_between_flights():
                 for kind, _ in want:
                     kinds[kind] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
-    heading = Direction(ROOM, 0.1).heading(CrossSection(2, 4))
+    heading = Direction(ROOM, 0.1).heading((2, 4))
     trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
     with pytest.raises(AttributeError):
         trace.crossed_sides = ()
@@ -536,7 +535,7 @@ def test_float_traces_agree_with_exact_traces():
             sides, start, u, ((ax, ay), (bx, by)), 64)
         if margin < Fraction(1, 10 ** 6):
             continue
-        heading = Direction(ROOM, theta).heading(CrossSection(i, j))
+        heading = Direction(ROOM, theta).heading((i, j))
         trace = trace_ray(heading, float(frac) * heading.frame[4], 64)
         assert (trace.crossed_sides, trace.terminal) == (crossed, terminal)
         assert math.dist(trace.end_point,
@@ -554,7 +553,7 @@ def test_cached_room_geometry_is_invisible():
     room, twin = fresh(), fresh()
     before = (repr(room), hash(room))
     s, theta = 0.5, 0.7
-    section = CrossSection(0, 2)
+    section = (0, 2)
     # a heading leaves nothing on the room beyond its geometry
     shared = Direction(room, theta).heading(section)
     first = trace_ray(shared, s, 64)
@@ -576,9 +575,9 @@ def test_cached_room_geometry_is_invisible():
     # change
     ends = room.geom.vertices
     with pytest.raises(TypeError):
-        ends[section.i] = Vec2(9.0, 9.0)
+        ends[section[0]] = Vec2(9.0, 9.0)
     with pytest.raises(AttributeError):
-        ends[section.j].x = 9.0
+        ends[section[1]].x = 9.0
     with pytest.raises(TypeError):
         room.geom.interior[0] = (0, 0)
     assert room.geom.vertices == twin.geom.vertices
@@ -628,9 +627,9 @@ def _return_map_outcome(builder, room, theta, section):
 
 
 @pytest.mark.parametrize("entry", [
-    lambda theta: Direction(ROOM, theta).heading(CrossSection(0, 2)),
+    lambda theta: Direction(ROOM, theta).heading((0, 2)),
     lambda theta: first_return_map(Direction(ROOM, theta),
-                                   CrossSection(0, 2)),
+                                   (0, 2)),
     lambda theta: surface.direction_to_two_slope(Direction(ROOM, theta)),
     lambda theta: surface._collapsed_direction(Direction(ROOM, theta)),
 ], ids=["heading", "first_return_map", "direction_to_two_slope",
@@ -665,7 +664,7 @@ def test_first_return_map_matches_vec2_oracle():
         for theta in thetas + [math.nan, (v3 - v0).angle(),
                                0.5 * (lo + hi) + math.pi]:
             for i, j in _DIAGONAL_PAIRS:
-                section = CrossSection(i, j)
+                section = (i, j)
                 fast = _return_map_outcome(_return_map, room, theta,
                                            section)
                 slow = _return_map_outcome(oracles.first_return_map_oracle,
@@ -1025,7 +1024,7 @@ def test_first_return_map_refuses_a_bent_branch(monkeypatch):
 
     monkeypatch.setattr(surface, "_back", bent)
     with pytest.raises(NotTransverse, match="not affine"):
-        first_return_map(Direction(ROOM, 5.5), CrossSection(0, 2))
+        first_return_map(Direction(ROOM, 5.5), (0, 2))
 
 
 def _failing_flight(monkeypatch, error, when):
@@ -1097,7 +1096,7 @@ def test_first_return_map_probes_again_where_two_probes_part(monkeypatch):
     # when the two probes of a branch return along different itineraries,
     # the next pair of probes gives the branch its law
     theta = 5.5
-    pam = first_return_map(Direction(ROOM, theta), CrossSection(0, 2))
+    pam = first_return_map(Direction(ROOM, theta), (0, 2))
     lo, hi = pam.branches[0].lo, pam.branches[0].hi
     first_pair = (lo + 0.5 * (hi - lo), lo + 0.8 * (hi - lo))
     next_pair = (lo + 0.38 * (hi - lo), lo + 0.66 * (hi - lo))
@@ -1112,7 +1111,7 @@ def test_first_return_map_probes_again_where_two_probes_part(monkeypatch):
         return tr
 
     monkeypatch.setattr(surface, "_flight", parted)
-    again = first_return_map(Direction(ROOM, theta), CrossSection(0, 2))
+    again = first_return_map(Direction(ROOM, theta), (0, 2))
     assert starts.index(next_pair[0]) > starts.index(first_pair[1])
     assert [(b.lo, b.hi, b.slope) for b in again.branches] == [
         (b.lo, b.hi, b.slope) for b in pam.branches]
@@ -1167,7 +1166,7 @@ def test_only_flight_calls_the_tracer():
 
 
 def test_first_return_map_is_piecewise_affine_with_glue_slopes():
-    pam = first_return_map(Direction(ROOM, 5.5), CrossSection(0, 2))
+    pam = first_return_map(Direction(ROOM, 5.5), (0, 2))
     assert len(pam.branches) >= 2
     for branch in pam.branches:
         power = math.log2(float(branch.slope))

@@ -116,8 +116,7 @@ def test_flow_expands_angles_away_from_horizontal():
 # --- divergence monitor ---
 
 def test_monitor_zero_time_is_one_flagless_sample():
-    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400,
-                                window=0.4)
+    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400)
     assert len(report.samples) == 1
     only = report.samples[0]
     assert only.t == 0.0
@@ -128,8 +127,7 @@ def test_monitor_zero_time_is_one_flagless_sample():
 
 
 def test_monitor_sample_grid_and_report_shape():
-    report = divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=400,
-                                window=0.4)
+    report = divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=400)
     assert [s.t for s in report.samples] == pytest.approx([0.0, 0.5, 1.0])
     assert all(s.theta_sup > 0.0 for s in report.samples)
     payload = _flow_payload(report, DEFAULT_THETA_TOL)
@@ -145,8 +143,7 @@ def test_monitor_sample_grid_and_report_shape():
 
 
 def test_monitor_tracks_the_baseline_scan_cylinders():
-    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400,
-                                window=0.4)
+    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400)
     scan = find_cylinders(ROOM, 0.3, budget=400)
     assert scan.cylinders
     assert _flow_payload(report, DEFAULT_THETA_TOL)["tracked"] == [
@@ -155,8 +152,7 @@ def test_monitor_tracks_the_baseline_scan_cylinders():
 
 
 def test_monitor_csv_round_trips_floats():
-    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400,
-                                window=0.4)
+    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400)
     text = _flow_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == "t,theta_sup,max_multiplier,flags,budget_exhausted"
@@ -167,10 +163,10 @@ def test_monitor_csv_round_trips_floats():
     assert float(first[2]) == report.samples[0].max_multiplier
 
 
-def test_monitor_multiplier_threshold_fires_criterion2():
+def test_monitor_multiplier_threshold_fires_criterion2(monkeypatch):
     # the widest base cylinder already has multiplier 4
-    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400,
-                                multiplier_threshold=2.0, window=0.4)
+    monkeypatch.setattr(teichmuller, "MULTIPLIER_THRESHOLD", 2.0)
+    report = divergence_monitor(ROOM, 0.0, 0, eps_angle=0.3, budget=400)
     assert report.criterion2
     assert "Criterion2Fired" in report.samples[0].verdict_flags
 
@@ -178,7 +174,7 @@ def test_monitor_multiplier_threshold_fires_criterion2():
 def test_monitor_trend_flag_needs_at_least_two_samples():
     # a tolerance covering every angle isolates the trend test itself
     report = divergence_monitor(ROOM, 0.6, 1, eps_angle=0.3, budget=400,
-                                theta_tol=4.0, window=0.4)
+                                theta_tol=4.0)
     assert not report.samples[0].verdict_flags
     assert "Criterion1Fired" in report.samples[-1].verdict_flags
     assert report.criterion1
@@ -192,10 +188,10 @@ def test_window_probes_drop_undecided_directions_and_report_bugs(monkeypatch):
 
     for error in UNDECIDED_ERRORS:
         monkeypatch.setattr(teichmuller, "classify_direction", raising(error))
-        assert teichmuller._window_hits(ROOM, 1.0, 0.3, 400, 0.4) == ([], False)
+        assert teichmuller._window_hits(ROOM, 1.0, 0.3, 400) == ([], False)
     monkeypatch.setattr(teichmuller, "classify_direction", raising(ValueError))
     with pytest.raises(ValueError, match="from classify_direction"):
-        teichmuller._window_hits(ROOM, 1.0, 0.3, 400, 0.4)
+        teichmuller._window_hits(ROOM, 1.0, 0.3, 400)
 
 
 def test_monitor_runs_past_the_time_where_image_lengths_round_to_pi():
@@ -238,25 +234,25 @@ def test_an_empty_window_probes_nothing(monkeypatch):
     # 3.0 and report hits of negative extent
     probes = _counted_classifications(monkeypatch, teichmuller)
     for eps in (math.pi / 2.0, 3.0, 10.0):
-        assert teichmuller._window_hits(ROOM, 6.0, eps, 400, 1.2) == (
+        assert teichmuller._window_hits(ROOM, 6.0, eps, 400) == (
             [], False)
     assert probes == []
-    hits, _ = teichmuller._window_hits(ROOM, 6.0, 1.5, 400, 1.2)
+    hits, _ = teichmuller._window_hits(ROOM, 6.0, 1.5, 400)
     assert len(probes) == 2 and all(extent > 0 for extent, _ in hits)
     del probes[:]
     report = divergence_monitor(ROOM, 6.0, 1, eps_angle=3.0, budget=400)
     assert len(report.samples) == 2 and probes == []
 
 
-@pytest.mark.parametrize("window", [math.nan, math.inf, -0.5, 0.0])
-def test_monitor_refuses_a_window_that_is_not_finite_and_positive(
-        monkeypatch, window):
-    # refused before the baseline scan and any window probe
+@pytest.mark.parametrize("eps_angle", [0.0, -1.0, math.nan, math.inf])
+def test_monitor_refuses_an_eps_angle_in_its_baseline_scan(monkeypatch,
+                                                          eps_angle):
+    # find_cylinders refuses it before the baseline scan and any window
+    # probe classify a direction
     thetas = _counted_classifications(monkeypatch, surface, teichmuller)
-    with pytest.raises(ValueError, match="window must be finite and "
-                                         "positive"):
-        divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=400,
-                           window=window)
+    with pytest.raises(ValueError, match="^eps_angle must be positive and "
+                                         "finite$"):
+        divergence_monitor(ROOM, 1.0, 2, eps_angle=eps_angle, budget=400)
     assert thetas == []
 
 
