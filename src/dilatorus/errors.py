@@ -60,7 +60,7 @@ class BudgetExhausted(DilatorusError):
     `partial` optionally carries whatever was computed before the cutoff.
     """
 
-    def __init__(self, message: str = "budget exhausted", partial=None):
+    def __init__(self, message: str, partial=None):
         self.partial = partial
         super().__init__(message)
 
@@ -101,7 +101,7 @@ class VertexHit(DilatorusError):
     `trace` optionally carries the partial trace up to the hit.
     """
 
-    def __init__(self, message: str = "trajectory hit a vertex", trace=None):
+    def __init__(self, message: str, trace=None):
         self.trace = trace
         super().__init__(message)
 
@@ -112,6 +112,6 @@ class NonConvergence(DilatorusError):
     `bracket` carries the best (lower, upper) enclosure found.
     """
 
-    def __init__(self, message: str = "estimator did not converge", bracket=None):
+    def __init__(self, message: str, bracket=None):
         self.bracket = bracket
         super().__init__(message)

@@ -271,14 +271,15 @@ def _quarter_split(det: Fraction) -> tuple[float, int]:
 
 
 class GluedSide(NamedTuple):
-    """One pentagon side: geometry plus the transport across its gluing."""
+    """One pentagon side: geometry plus the transport across its gluing,
+    which maps z to z*factor + transport_offset (the identity for the
+    door)."""
 
     index: int
     start: Vec2
     end: Vec2
     is_door: bool
-    factor: float          # derivative of the transport (1.0 for the door)
-    transport_scale: float
+    factor: float
     transport_offset: Vec2
 
 
@@ -286,13 +287,14 @@ class RoomGeometry(NamedTuple):
     """Derived geometry of a room; `Room.geom` computes it once.
 
     Each row of `sides` is the float tuple
-    (ax, ay, ex, ey, parallel_floor, is_door, factor, scale, ox, oy):
-    the side runs from (ax, ay) along the edge vector (ex, ey), a ray is
-    parallel to it when |u x e| <= parallel_floor, and its gluing maps z
-    to z*scale + (ox, oy) with derivative `factor`.  Rows are in the
-    order of `Room.sides()`.  `diagonals` maps each ordered diagonal
-    (i, j), in both orientations, to the first five entries of such a
-    row for the chord from vertex i to vertex j.  `interior` lists the
+    (ax, ay, ex, ey, parallel_floor, factor, ox, oy): the side runs from
+    (ax, ay) along the edge vector (ex, ey), a ray is parallel to it when
+    |u x e| <= parallel_floor, and its gluing maps z to
+    z*factor + (ox, oy).  Rows are in the order of `Room.sides()`; the
+    door, row 3, is the one side `_PARTNERS` glues to none, and its row
+    holds the identity.  `diagonals` maps each ordered diagonal (i, j),
+    in both orientations, to the first five entries of such a row for
+    the chord from vertex i to vertex j.  `interior` lists the
     pairs of `_DIAGONAL_PAIRS` whose chord lies inside the pentagon.
     """
 
@@ -390,18 +392,17 @@ class Room(_RoomFields):
         verts = _pentagon_vertices(self.e1, self.e2, nu1, nu2)
         e1x, e1y = self.e1.as_floats()
         v3x, v3y = verts[3].as_floats()
-        # (is_door, factor, scale, offset x, offset y) of each transport
+        # (factor, offset x, offset y) of each transport
         transports = (
             # bottom -> top copy: z maps to z/nu1 + V3
-            (False, 1.0 / nu1, 1.0 / nu1, v3x, v3y),
+            (1.0 / nu1, v3x, v3y),
             # right -> left copy: z maps to (z - e1)/nu2
-            (False, 1.0 / nu2, 1.0 / nu2, -e1x * (1.0 / nu2),
-             -e1y * (1.0 / nu2)),
+            (1.0 / nu2, -e1x * (1.0 / nu2), -e1y * (1.0 / nu2)),
             # top -> bottom copy: z maps to nu1*(z - V3)
-            (False, nu1, nu1, v3x * (-nu1), v3y * (-nu1)),
-            (True, 1.0, 1.0, 0.0, 0.0),
+            (nu1, v3x * (-nu1), v3y * (-nu1)),
+            (1.0, 0.0, 0.0),
             # left -> right copy: z maps to nu2*z + e1
-            (False, nu2, nu2, e1x, e1y),
+            (nu2, e1x, e1y),
         )
         sides = tuple((*_chord_row(verts[k], verts[(k + 1) % 5]), *transport)
                       for k, transport in enumerate(transports))
@@ -427,10 +428,9 @@ class Room(_RoomFields):
     def sides(self) -> list[GluedSide]:
         """Boundary sides in order V0V1, V1V2, V2V3, V3V4 (door), V4V0."""
         v = self.geom.vertices
-        return [GluedSide(k, v[k], v[(k + 1) % 5], is_door, factor, scale,
-                          Vec2(ox, oy))
-                for k, (*_, is_door, factor, scale, ox, oy)
-                in enumerate(self.geom.sides)]
+        return [GluedSide(k, v[k], v[(k + 1) % 5], _PARTNERS[k] is None,
+                          factor, Vec2(ox, oy))
+                for k, (*_, factor, ox, oy) in enumerate(self.geom.sides)]
 
     # --- directions ---
 
@@ -455,9 +455,9 @@ class Room(_RoomFields):
         lo = wrap_2pi(math.atan2(ny, nx) - math.pi / 2.0)
         return (lo, lo + math.pi)
 
-    def is_inward(self, theta: float, margin: float = 0.0) -> bool:
+    def is_inward(self, theta: float) -> bool:
         nx, ny = self._inward_normal()
-        return math.cos(theta) * nx + math.sin(theta) * ny > margin
+        return math.cos(theta) * nx + math.sin(theta) * ny > 0.0
 
 
 def build_room(e1, e2, mu) -> Room:

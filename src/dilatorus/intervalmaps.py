@@ -85,20 +85,16 @@ def evaluate(tsm: TwoSlopeMap, x: Scalar) -> Scalar:
     return rb * (x - xt)
 
 
-class _CycleFields(NamedTuple):
+class PeriodicCycle(NamedTuple):
+    """The points of a periodic orbit, in orbit order, and the slope
+    product along it."""
+
     points: tuple[Scalar, ...]
-    period: int
     multiplier: Scalar
 
-
-class PeriodicCycle(_CycleFields):
-    __slots__ = ()
-
-    def __new__(cls, points: tuple[Scalar, ...], period: int,
-                multiplier: Scalar) -> PeriodicCycle:
-        if len(points) != period:
-            raise ValueError("point count must equal the period")
-        return tuple.__new__(cls, (points, period, multiplier))
+    @property
+    def period(self) -> int:
+        return len(self.points)
 
 
 def thresholds(rho_a: Scalar, rho_b: Scalar) -> tuple[Scalar, Scalar]:
@@ -123,7 +119,7 @@ def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
     intercept_a = 1 - ra * xt
     x_star = rb * (intercept_a - xt) / (1 - mult)
     y_star = ra * x_star + intercept_a
-    return PeriodicCycle((x_star, y_star), 2, mult)
+    return PeriodicCycle((x_star, y_star), mult)
 
 
 class OrbitResult(NamedTuple):

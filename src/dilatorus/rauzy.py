@@ -273,7 +273,7 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: tuple, charts: list[tuple],
         raise NonConvergence(
             f"cycle lift does not return to its first point after its period "
             f"of {period} steps; the chart pullback must be wrong")
-    return PeriodicCycle(tuple(pts), period, mult)
+    return PeriodicCycle(tuple(pts), mult)
 
 
 def iterate_induction(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:

@@ -73,7 +73,6 @@ BRANCH_MIN_GAP = 8.0        # bisection tolerances; closer cuts merge
 BRANCH_VERIFY_TOL = 1e-9    # of the section's length
 TRANSVERSALITY_FLOOR = 1e-9  # radians between the flow and a section
 DOOR_ANGLE_TOL = 1e-12      # radians between the flow and the door
-INWARD_SLACK = 1e-12        # of the cosine: door-parallel flow is inward
 CYLINDER_EDGE_TOL = 1e-10   # radians
 # rotation_number's float orbit, in the [0, 1) coordinate of the circle:
 # a return within ROTATION_ANCHOR_RADIUS of an anchor point proposes a
@@ -97,8 +96,8 @@ COLLAPSE_FIXED_MARGIN = 1e-6
 COLLAPSE_SLOPE_MARGIN = 1e-9
 COLLAPSE_CLOSE_TOL = 1e-6
 
-DEFAULT_RETURN_SAMPLES = 48
-DEFAULT_MAX_CROSSINGS = 512
+RETURN_SAMPLES = 48
+MAX_CROSSINGS = 512
 DEFAULT_INDUCTION_BUDGET = 3000
 # find_cylinders refuses an eps_angle whose grid on the inward
 # half-circle would hold more samples: eps_angle below about 6.3e-5
@@ -315,7 +314,7 @@ class Direction:
             for other in laws:
                 if other[6] != t1:
                     cuts.append((t0 - other[5]) / (other[6] - t1))
-            laws.append((k, _PARTNERS[k], rows[k][6], s0, s1, t0, t1))
+            laws.append((k, _PARTNERS[k], rows[k][5], s0, s1, t0, t1))
         cuts = sorted([c for c in cuts if 0.0 < c < top])
         kept: list[float] = []
         pieces: list[tuple] = []
@@ -342,15 +341,14 @@ class RayTrace(NamedTuple):
     and where and how it stopped.
 
     `terminal` says how: "door" (the ray reached the door), "section"
-    (it crossed the heading's section), "budget" (it used up its
-    crossings) or "vertex" (it hit a cone point; only the trace a
+    (it crossed the heading's section), "budget" (it made MAX_CROSSINGS
+    transports) or "vertex" (it hit a cone point; only the trace a
     VertexHit carries ends so).
 
     `cumulative_factor` is the product of the crossed sides' dilation
     factors, taken in crossing order: the derivative of the flow between
     the start and `end_point`, an (x, y) pair of floats.  `trace_ray`
-    builds one per flight; as a NamedTuple it costs no per-field
-    `__setattr__`, and its fields stay read-only.
+    builds one per flight.
     """
 
     crossed_sides: tuple[int, ...]
@@ -396,14 +394,13 @@ def _vertex_hit(heading: Heading, k: Optional[int], s: float,
                                                  (ax + ex * s, ay + ey * s))))
 
 
-def trace_ray(heading: Heading, start: float,
-              max_crossings: int = DEFAULT_MAX_CROSSINGS) -> RayTrace:
+def trace_ray(heading: Heading, start: float) -> RayTrace:
     """Trace the ray along `heading` through the glued sides from
     `start`, the arc-length coordinate of a point on the heading's
     section, a float in [0, length].
 
     Stops at the door, at a transverse crossing of the heading's
-    section, or after `max_crossings` transports.  A hit within
+    section, or after MAX_CROSSINGS transports.  A hit within
     VERTEX_TOL of a side endpoint raises VertexHit carrying the
     itinerary up to the hit, since the flow is undefined through the
     cone point.  A start that is not finite or lies outside
@@ -428,12 +425,11 @@ def trace_ray(heading: Heading, start: float,
     `cli.main` call).
 
     A flight runs in three parts.  The first leg, from the section,
-    cannot cross it; it ends at the door, at a budget of 0 or in the
-    first transport.  The second leg's section test comes next, before
-    the loop's set-up, since most flights return on that leg (about 87%
-    of a scan's and 75% of a classification's).  Each pass of the loop
-    then takes a leg's exit and transport and the next leg's section
-    test.
+    cannot cross it; it ends at the door or in the first transport.
+    The second leg's section test comes next, before the loop's set-up,
+    since most flights return on that leg (about 87% of a scan's and 75%
+    of a classification's).  Each pass of the loop then takes a leg's
+    exit and transport and the next leg's section test.
 
     After the first transport every leg depends on its side and sigma
     alone, so a flight whose post-transport (side, sigma) repeats
@@ -454,11 +450,10 @@ def trace_ray(heading: Heading, start: float,
     s = s0 + s1 * start
     if not _S_IN_LO <= s <= _S_IN_HI:
         raise _vertex_hit(heading, k, s, [], 1.0, SECTION_LEG, start)
-    if partner is None or max_crossings <= 0:
+    if partner is None:
         ax, ay, ex, ey, *_ = rows[k]
-        return _new_trace(RayTrace, (
-            (), 1.0, "door" if partner is None else "budget",
-            (ax + ex * s, ay + ey * s)))
+        return _new_trace(RayTrace, ((), 1.0, "door",
+                                     (ax + ex * s, ay + ey * s)))
 
     # the second leg, after the first transport, on which most flights
     # return: its section test comes before the loop's set-up
@@ -480,9 +475,9 @@ def trace_ray(heading: Heading, start: float,
     # with the transports then left; the next save comes after twice the
     # transports so far.
     crossed = [first]
-    transports_left = seen_left = max_crossings - 1
+    transports_left = seen_left = MAX_CROSSINGS - 1
     seen_side, seen_sigma = j, sigma
-    save_at = 2 * transports_left - max_crossings
+    save_at = 2 * transports_left - MAX_CROSSINGS
     while True:
         s = s0 + s1 * sigma
         if not _S_IN_LO <= s <= _S_IN_HI:
@@ -502,12 +497,12 @@ def trace_ray(heading: Heading, start: float,
             period = seen_left - transports_left
             skipped = crossed[-period:] * (transports_left // period)
             for k in skipped:
-                gain *= rows[k][6]
+                gain *= rows[k][5]
             crossed += skipped
             transports_left -= len(skipped)
         elif transports_left == save_at:
             seen_side, seen_sigma, seen_left = j, sigma, transports_left
-            save_at = 2 * transports_left - max_crossings
+            save_at = 2 * transports_left - MAX_CROSSINGS
         cuts, pieces, c0, c1, d0, d1 = legs[j]
         k, partner, factor, s0, s1, t0, t1 = pieces[bisect_right(cuts, sigma)]
         if t_clear < c0 + c1 * sigma < t0 + t1 * sigma - t_base:
@@ -545,13 +540,13 @@ def _flight(heading: Heading, s: float) -> RayTrace:
     It runs one `trace_ray` from s and returns the RayTrace once the
     flight is known to end on the section; `_back` reads where it did.
     Raises BudgetExhausted when the flight takes more than
-    DEFAULT_MAX_CROSSINGS transports, NotTransverse when it reaches the
+    MAX_CROSSINGS transports, NotTransverse when it reaches the
     door, and VertexHit from the tracer.
     """
     tr = trace_ray(heading, s)
     if tr.terminal == "budget":
         raise BudgetExhausted("no return to the section within "
-                              f"{DEFAULT_MAX_CROSSINGS} crossings")
+                              f"{MAX_CROSSINGS} crossings")
     if tr.terminal == "door":
         raise NotTransverse("trajectory off the section reaches the "
                             "door; no first-return map in this "
@@ -576,7 +571,7 @@ def first_return_map(direction: Direction,
     glued-side crossings; on each the map is affine with slope equal to
     the product of the crossed factors.  Branch boundaries (orbits of
     the cone point) are located by bisection on the itinerary, between
-    DEFAULT_RETURN_SAMPLES midpoints of equal cells: one key, the
+    RETURN_SAMPLES midpoints of equal cells: one key, the
     flight's crossed sides (None on a VertexHit), serves the grid and
     every bisection.  Each cut lies between its own two grid midpoints,
     so the cuts arrive in order and join the boundaries in the one pass
@@ -587,12 +582,15 @@ def first_return_map(direction: Direction,
     that is not a pentagon diagonal, a section theta cannot cross and a
     section that is not an interior diagonal.  Then it refuses, with
     ValueError, a direction that points out of the surface at the
-    door.  (A non-finite theta has no `Direction`.)
+    door.  A direction within DOOR_ANGLE_TOL of the door's, mod pi, is
+    accepted, as `classify_direction` reads it: its flow is tangent to
+    the boundary leaf and never crosses the door transversally.  (A
+    non-finite theta has no `Direction`.)
     """
     heading = direction.heading(section)
-    # Directions parallel to the door are allowed: their flow is tangent
-    # to the boundary leaf and never crosses the door transversally.
-    if not direction.room.is_inward(direction.theta, margin=-INWARD_SLACK):
+    room, theta = direction.room, direction.theta
+    if not (room.is_inward(theta) or angle_dist_mod_pi(
+            theta, room.door_direction()) <= DOOR_ANGLE_TOL):
         raise ValueError("direction must point into the surface at the door")
     length = heading.frame[4]
 
@@ -602,13 +600,13 @@ def first_return_map(direction: Direction,
         except VertexHit:
             return None
 
-    grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
-            for k in range(DEFAULT_RETURN_SAMPLES)]
+    grid = [length * (k + 0.5) / RETURN_SAMPLES
+            for k in range(RETURN_SAMPLES)]
     keys = [itinerary(s) for s in grid]
     tol = BRANCH_BISECT_TOL * length
     # a cut lies at least length/96 from either end, so only cuts merge
     boundaries = [0.0]
-    for k in range(DEFAULT_RETURN_SAMPLES - 1):
+    for k in range(RETURN_SAMPLES - 1):
         left, right = keys[k], keys[k + 1]
         if left == right:
             continue

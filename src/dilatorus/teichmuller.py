@@ -149,8 +149,9 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
     since max_multiplier only counts cylinders whose angle is still
     >= eps_angle at the sample, the blowup is always witnessed by a
     cylinder of bounded angle.  Per-sample budget exhaustion is flagged,
-    never fatal.  An eps_angle that is not positive and finite is
-    refused by the baseline `find_cylinders`, before any probe.
+    never fatal.  The baseline `find_cylinders` refuses an eps_angle that
+    is not positive and finite before any sample, and its first
+    `classify_direction` a negative budget before any flight.
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError("t_max must be finite and nonnegative, "
@@ -160,8 +161,6 @@ def divergence_monitor(room: Room, t_max: float, steps: int,
                          f"got {theta_tol!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps!r}")
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget!r}")
     # t_max is the largest sample time, and the flow matrix leaves the
     # float range as |t| grows, so one past it is refused before any scan
     geodesic_matrix(t_max)

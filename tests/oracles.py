@@ -37,9 +37,9 @@ from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
                              classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
-                               DEFAULT_MAX_CROSSINGS, DEFAULT_RETURN_SAMPLES,
-                               EXACT_DENOMINATOR_CAP, EXACT_ORBIT_CAP,
-                               INWARD_SLACK, MIN_STEP, ROTATION_ANCHOR_RADIUS,
+                               DOOR_ANGLE_TOL, EXACT_DENOMINATOR_CAP,
+                               EXACT_ORBIT_CAP, MAX_CROSSINGS, MIN_STEP,
+                               RETURN_SAMPLES, ROTATION_ANCHOR_RADIUS,
                                ROTATION_CYCLE_TOL, TRANSVERSALITY_FLOOR,
                                VERTEX_TOL, RayTrace)
 from dilatorus.twists import twist_mu
@@ -204,7 +204,7 @@ def lift_cycle_oracle(tsm: TwoSlopeMap, final: TwoSlopeMap,
         raise NonConvergence(
             f"cycle lift does not return to its first point after its period "
             f"of {period} steps; the chart pullback must be wrong")
-    return PeriodicCycle(tuple(pts), period, mult)
+    return PeriodicCycle(tuple(pts), mult)
 
 
 def iterate_induction_oracle(tsm: TwoSlopeMap, budget: int) -> RauzyOutcome:
@@ -455,7 +455,8 @@ def first_return_map_oracle(room: Room, theta: float,
     `section` is a pentagon diagonal (i, j).  The oracle refuses in the
     library's order: a non-finite theta, a section theta cannot cross,
     a section whose chord is not inside the room's exact twin
-    (`exact_shape`), and a direction out of the door."""
+    (`exact_shape`), and a direction out of the door: one neither
+    inward nor within DOOR_ANGLE_TOL of the door's direction mod pi."""
     if not math.isfinite(theta):
         raise ValueError(f"direction theta must be finite, got {theta!r}")
     a, b = (room.geom.vertices[k] for k in section)
@@ -468,16 +469,17 @@ def first_return_map_oracle(room: Room, theta: float,
     if pair not in exact_shape(twin):
         raise ValueError(f"{section} is not an interior diagonal of "
                          "the room")
-    if not room.is_inward(theta, margin=-INWARD_SLACK):
+    v3, v4 = room.geom.vertices[3:5]
+    if not (room.is_inward(theta) or angle_dist_mod_pi(
+            theta, (v4 - v3).angle()) <= DOOR_ANGLE_TOL):
         raise ValueError("direction must point into the surface at the door")
 
     def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
-        tr = trace_ray_oracle(room, s, theta,
-                              max_crossings=DEFAULT_MAX_CROSSINGS,
+        tr = trace_ray_oracle(room, s, theta, max_crossings=MAX_CROSSINGS,
                               section=section)
         if tr.terminal == "budget":
             raise BudgetExhausted("no return to the section within "
-                                  f"{DEFAULT_MAX_CROSSINGS} crossings",
+                                  f"{MAX_CROSSINGS} crossings",
                                   partial=tr)
         if tr.terminal == "door":
             raise NotTransverse("trajectory off the section reaches the "
@@ -486,8 +488,8 @@ def first_return_map_oracle(room: Room, theta: float,
         s_back = (Vec2(*tr.end_point) - a).dot(tangent)
         return s_back, tr.cumulative_factor, tr.crossed_sides
 
-    grid = [length * (k + 0.5) / DEFAULT_RETURN_SAMPLES
-            for k in range(DEFAULT_RETURN_SAMPLES)]
+    grid = [length * (k + 0.5) / RETURN_SAMPLES
+            for k in range(RETURN_SAMPLES)]
     keys: list[Optional[tuple[int, ...]]] = []
     for s in grid:
         try:
@@ -503,7 +505,7 @@ def first_return_map_oracle(room: Room, theta: float,
 
     tol = BRANCH_BISECT_TOL * length
     cuts: list[float] = []
-    for k in range(DEFAULT_RETURN_SAMPLES - 1):
+    for k in range(RETURN_SAMPLES - 1):
         left, right = keys[k], keys[k + 1]
         if left == right:
             continue
@@ -866,6 +868,124 @@ def cylinder_certificate(room: Room, itinerary: Sequence[int],
     return lam
 
 
+# --- leaf windows: every closed leaf of a few crossings, by its itinerary ---
+
+def leaf_words(max_crossings: int) -> list[tuple[int, ...]]:
+    """Every itinerary of a closed leaf of at most `max_crossings`
+    crossings, as a cyclic word over the glued sides {0, 1, 2, 4}: each
+    in its least rotation and primitive, and no letter following its
+    partner, cyclically, since a leaf never leaves by the side it came
+    in by."""
+    words = []
+
+    def grow(word: list[int]) -> None:
+        if _GLUED[word[-1]] != word[0]:
+            n = len(word)
+            rotations = [tuple(word[r:] + word[:r]) for r in range(n)]
+            if min(rotations) == rotations[0] and rotations.count(
+                    rotations[0]) == 1:
+                words.append(rotations[0])
+        if len(word) < max_crossings:
+            for k in _GLUED:
+                # a least rotation starts with its least letter
+                if k >= word[0] and k != _GLUED[word[-1]]:
+                    grow(word + [k])
+
+    for first in _GLUED:
+        grow([first])
+    return words
+
+
+def _leg_passes(p: tuple[float, float], theta: float, verts: list,
+                entry: int, exit_: int) -> bool:
+    """Whether the line through p along theta crosses the pentagon
+    `verts` in from side `entry` and out by side `exit_`, both strictly
+    inside, with no side met between them; floats."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    hits = []
+    for m in range(5):
+        (ax, ay), (bx, by) = verts[m], verts[(m + 1) % 5]
+        ex, ey = bx - ax, by - ay
+        denom = ux * ey - uy * ex
+        if not denom:
+            continue
+        wx, wy = ax - p[0], ay - p[1]
+        t = (wx * ey - wy * ex) / denom
+        s = (wx * uy - wy * ux) / denom
+        if 0.0 <= s <= 1.0:
+            hits.append((t, m, 0.0 < s < 1.0, denom > 0.0))
+    hits.sort()
+    return any(a[1] == entry and b[1] == exit_ and a[2] and b[2]
+               and not a[3] and b[3] for a, b in zip(hits, hits[1:]))
+
+
+def leaf_windows(room: Room, max_crossings: int
+                 ) -> list[tuple[float, float, tuple[int, ...], Fraction]]:
+    """(theta1, theta2, itinerary, lambda) for each arc of directions
+    theta1 < theta < theta2, with 0 <= theta1 < 2*pi and theta2 - theta1
+    < 2*pi, on which a closed leaf crosses the glued sides `itinerary`
+    in turn (`leaf_words`), lambda its holonomy factor, exact on the
+    room's exact twin.
+
+    Crossing side k glues by g_k(z) = scale*z + offset (`exact_twin`),
+    so the leaf's holonomy H = g_kn o ... o g_k1 is z -> lambda*z + c,
+    and the leaf lies on a line through its centre z0 = c/(1 - lambda)
+    when lambda is not 1.  The line develops through the copies of the
+    pentagon: in copy i it passes G_i(z0), where G_0 = id and
+    G_i = g_ki o G_(i-1).  Along theta the line enters copy i by the
+    partner of the letter before and leaves by letter i (`_leg_passes`);
+    that can change only where the line through G_i(z0) passes a
+    vertex.  So the window is the union of the sub-arcs between the
+    directions, mod pi, from each developed centre to the five vertices,
+    on whose midpoints every copy passes.  Floats throughout: a window
+    is only as good as `cylinder_certificate`'s proof of it.
+    """
+    sides = exact_twin(room)
+    verts = [(float(x), float(y)) for (x, y), *_ in sides]
+    glue = {k: (float(sides[k][2]), float(sides[k][3][0]),
+                float(sides[k][3][1])) for k in _GLUED}
+    out = []
+    for word in leaf_words(max_crossings):
+        f, cx, cy = 1.0, 0.0, 0.0
+        for k in word:
+            scale, ox, oy = glue[k]
+            f, cx, cy = scale * f, scale * cx + ox, scale * cy + oy
+        lam = math.prod(sides[k][2] for k in word)
+        # no centre, or one past float resolution: on REFLEX,
+        # nu1^2 * nu2 = e^-1 * e rounds to 1
+        if lam == 1 or f == 1.0:
+            continue
+        p = (cx / (1.0 - f), cy / (1.0 - f))
+        arcs = [(0.0, math.tau)]
+        for i, k in enumerate(word):
+            cuts = sorted((math.atan2(vy - p[1], vx - p[0]) + turn) % math.tau
+                          for vx, vy in verts for turn in (0.0, math.pi))
+            entry = _GLUED[word[i - 1]]
+            pieces = []
+            for lo, hi in arcs:
+                ends = [lo, *(c for c in cuts if lo < c < hi), hi]
+                pieces += [(a, b) for a, b in zip(ends, ends[1:])
+                           if _leg_passes(p, 0.5 * (a + b), verts, entry, k)]
+            arcs = pieces
+            if not arcs:
+                break
+            scale, ox, oy = glue[k]
+            p = (scale * p[0] + ox, scale * p[1] + oy)
+        merged: list[list[float]] = []
+        for lo, hi in arcs:
+            if merged and merged[-1][1] == lo:
+                merged[-1][1] = hi
+            else:
+                merged.append([lo, hi])
+        # an arc through direction 0 comes in two pieces: join them
+        if (len(merged) > 1 and merged[0][0] == 0.0
+                and merged[-1][1] == math.tau):
+            last = merged.pop()
+            merged[0] = [last[0], math.tau + merged[0][1]]
+        out += [(lo, hi, word, lam) for lo, hi in merged]
+    return out
+
+
 # --- periodic cycles of two-slope maps ---
 
 _ORACLE_SEEDS = (0.1234567891, 0.9876543211, 0.3141592653,
@@ -920,7 +1040,7 @@ def find_periodic_oracle(tsm: TwoSlopeMap, max_iter: int = 10 ** 4,
             y = ra * y + (1 - ra * xt) if y < xt else rb * (y - xt)
         if abs(y - pts[0]) > 10 * tol:
             continue
-        return PeriodicCycle(pts, period, mult)
+        return PeriodicCycle(pts, mult)
     return None
 
 

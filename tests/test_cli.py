@@ -18,10 +18,11 @@ import pytest
 import oracles
 from dilatorus import cli, rauzy, teichmuller
 from dilatorus.cli import MAX_MEASURE_DEPTH, canonical_json, main
-from dilatorus.geometry import (apply_sl2, build_room, canonicalize,
-                                SL2Matrix)
+from dilatorus.geometry import (Room, SL2Matrix, apply_sl2, build_room,
+                                canonicalize)
 from dilatorus.rauzy import EXACT_MEASURE_MAX_LEAVES, survivor_measure
-from dilatorus.surface import classify_direction, find_cylinders, rotation_number
+from dilatorus.surface import (classify_direction, find_cylinders,
+                               rotation_number, trace_ray)
 from dilatorus.teichmuller import MonitorReport, divergence_monitor
 from dilatorus.twists import apply_word, reach_target, word_from_string
 
@@ -820,8 +821,8 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
      "eps_angle must be positive and finite"),
     (["flow", "--t-max=1", "--eps=inf"] + MU_FLAGS,
      "eps_angle must be positive and finite"),
-    (["flow", "--t-max=1", "--budget=0"] + MU_FLAGS,
-     "budget must be positive, got 0"),
+    (["flow", "--t-max=1", "--budget=-1"] + MU_FLAGS,
+     "induction budget must be nonnegative"),
     (["flow", "--mu1=0.69", "--mu2=0.69", "--t-max=2000"],
      "geodesic flow time 2000.0"),
 ], ids=["rotnum-tol-negative", "rotnum-tol-nan", "flow-t-max-nan",
@@ -842,7 +843,7 @@ def test_exact_commands_reject_mixed_radicands(capsys, argv):
         "act-rotate-inf", "orbit-closure-mu1-inf",
         "orbit-closure-ratio-overflow", "orbit-closure-mu1-nan",
         "flow-steps-negative", "flow-eps-zero", "flow-eps-negative",
-        "flow-eps-nan", "flow-eps-inf", "flow-budget-zero",
+        "flow-eps-nan", "flow-eps-inf", "flow-budget-negative",
         "flow-t-max-past-float-range"])
 def test_out_of_domain_numbers_exit_2_at_once(capsys, argv, detail):
     # each refusal comes before any work: a flow past the float range
@@ -942,6 +943,9 @@ def test_every_defaulted_library_setting_is_a_cli_flag():
         assert defaulted(fn) == {"budget"}, fn.__name__
     assert defaulted(divergence_monitor) == {"theta_tol"}
     assert defaulted(rotation_number) == {"tol", "max_iter"}
+    # the tracer's budget and the door test's slack are constants, not
+    # parameters only a test would set
+    assert defaulted(trace_ray) == defaulted(Room.is_inward) == set()
 
 
 ROTNUM_FLAGS = ["--rhoA=2.5", "--rhoB=0.3"]

@@ -44,6 +44,14 @@ JUMP = PiecewiseAffineMap((AffineBranch(0.0, 0.5, 0.5, 0.5),
 OVERLAP = PiecewiseAffineMap((
     AffineBranch(0.0, 0.25, 1.0, 0.25),
     AffineBranch(0.25, 0.5, 1.0 + 3.2e-12, -0.25 * (1.0 + 3.2e-12))))
+# images [-5e-13, 1e-6] on [0, 5e-7) and [0, 5e-13] on (5e-7, 1]: they
+# overlap by 5e-13, within MERGE_TOL, so the map is accepted, but the
+# left branch sends the image interval's low end 0 to -5e-13, past its
+# margin of IMAGE_TOL times the width 1e-6
+SPILL = PiecewiseAffineMap((
+    AffineBranch(0.0, 5e-7, (1e-6 + 5e-13) / 5e-7, -5e-13),
+    AffineBranch(5e-7, 1.0, 5e-13 / (1.0 - 5e-7),
+                 -5e-13 / (1.0 - 5e-7) * 5e-7)))
 # p - q*sqrt(2) for convergents p/q of sqrt(2): the value lies within
 # 1e-16 of 0, while float() cancels to 2.0 and to -4.0, so a floor
 # read off the float would be 3 too high and 4 too low
@@ -326,6 +334,10 @@ CASES = [
                  (NotReducible, "restricted map is not a valid two-slope "
                                 "map: branch images overlap"),
                  id="restrict-to-image-overlap-past-the-rescaled-slack"),
+    pytest.param(lambda: restrict_to_image(SPILL),
+                 (NotReducible, "restriction does not map the image "
+                                "interval into itself"),
+                 id="restrict-to-image-spills-below-the-image"),
     # TSM halts at once with the 2-cycle (1/6, 5/6); a chart that is not
     # its map's sends the lift's seed off the cycle
     pytest.param(lambda: rauzy._pull_back_cycle(TSM, TSM, [AffineChart(2, 0)],
@@ -352,8 +364,8 @@ def test_floor_rows_start_from_a_wrong_float_floor():
 
 
 def test_a_flight_that_reaches_the_door_has_no_return(monkeypatch):
-    # no float input is known to reach the door within INWARD_SLACK of
-    # door-parallel, so the tracer is stubbed to end each flight there
+    # no float input is known to reach the door within DOOR_ANGLE_TOL
+    # of door-parallel, so the tracer is stubbed to end each flight there
     def to_the_door(heading, start):
         return RayTrace((), 1.0, "door", (0.0, 0.0))
 

@@ -36,7 +36,7 @@ def _tsm():
 
 
 def _cycle():
-    return PeriodicCycle((0.25, 0.75), 2, 0.25)
+    return PeriodicCycle((0.25, 0.75), 0.25)
 
 
 def _cylinder():
@@ -57,9 +57,9 @@ RECORDS = {
                        "DilationParams(mu1=0.5, mu2=Fraction(1, 3))"),
     "GluedSide": (
         lambda: GluedSide(0, Vec2(0.0, 0.0), Vec2(1.0, 0.0), False, 0.5,
-                          0.5, Vec2(0.5, 1.0)),
+                          Vec2(0.5, 1.0)),
         "GluedSide(index=0, start=Vec2(x=0.0, y=0.0), end=Vec2(x=1.0, "
-        "y=0.0), is_door=False, factor=0.5, transport_scale=0.5, "
+        "y=0.0), is_door=False, factor=0.5, "
         "transport_offset=Vec2(x=0.5, y=1.0))"),
     "Room": (lambda: square_room(1.0, 0.5),
              "Room(e1=Vec2(x=1.0, y=0.0), e2=Vec2(x=0.0, y=1.0), "
@@ -67,7 +67,7 @@ RECORDS = {
     "TwoSlopeMap": (_tsm, "TwoSlopeMap(rho_a=Fraction(1, 2), "
                           "rho_b=Fraction(1, 3), x_t=Fraction(1, 2))"),
     "PeriodicCycle": (_cycle, "PeriodicCycle(points=(0.25, 0.75), "
-                              "period=2, multiplier=0.25)"),
+                              "multiplier=0.25)"),
     "OrbitResult": (lambda: OrbitResult((0.5, 0.25), "A", False),
                     "OrbitResult(points=(0.5, 0.25), branches='A', "
                     "hit_discontinuity=False)"),
@@ -96,8 +96,7 @@ RECORDS = {
     "RauzyOutcome": (
         lambda: RauzyOutcome("LR", "halt", _cycle()),
         "RauzyOutcome(word='LR', terminal='halt', "
-        "cycle=PeriodicCycle(points=(0.25, 0.75), period=2, "
-        "multiplier=0.25))"),
+        "cycle=PeriodicCycle(points=(0.25, 0.75), multiplier=0.25))"),
     "SectionReduction": (
         lambda: SectionReduction(_tsm(), AffineChart(2.0, -0.5),
                                  (0, 2)),
@@ -181,8 +180,8 @@ REFUSALS = [
     ("TwoSlopeMap", lambda: TwoSlopeMap(HALF, Fraction(2), HALF),
      ValueError, "branch images overlap: rho_b*(1-x_t)=1 exceeds "
      "1-rho_a*x_t=3/4"),
-    ("PeriodicCycle", lambda: PeriodicCycle((0.25,), 2, 0.5), ValueError,
-     "point count must equal the period"),
+    ("TwoSlopeMap", lambda: TwoSlopeMap(0.5, 0.5, 0.0), ValueError,
+     "break point 0.0 must lie in (0, 1)"),
     ("AffineBranch", lambda: AffineBranch(0.5, 0.5, 1.0, 0.0), ValueError,
      "branch interval is empty"),
     ("AffineBranch", lambda: AffineBranch(0.0, 0.5, -1.0, 0.0), ValueError,
@@ -211,8 +210,8 @@ def test_the_table_covers_every_record_type():
     assert len(RECORDS) == 24
     validated = {name for name, *_ in REFUSALS}
     assert validated == {"SL2Matrix", "Room", "TwoSlopeMap",
-                         "PeriodicCycle", "AffineBranch",
-                         "PiecewiseAffineMap", "AffineChart"}
+                         "AffineBranch", "PiecewiseAffineMap",
+                         "AffineChart"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -40,7 +40,7 @@ REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 def test_trace_reaches_door():
     # straight shot toward the door from (0.3, 0.3) on the diagonal
     heading = Direction(ROOM, math.atan2(1.0, -0.3)).heading((0, 2))
-    trace = trace_ray(heading, 0.3 * math.sqrt(2.0), 64)
+    trace = trace_ray(heading, 0.3 * math.sqrt(2.0))
     assert trace.terminal == "door"
     assert trace.crossings == len(trace.crossed_sides)
 
@@ -51,7 +51,7 @@ def test_trace_transport_factors_are_glue_factors():
         theta = rng.uniform(0.0, 2.0 * math.pi)
         heading = Direction(ROOM, theta).heading((2, 4))
         try:
-            trace = trace_ray(heading, 0.29 * heading.frame[4], 12)
+            trace = trace_ray(heading, 0.29 * heading.frame[4])
         except VertexHit:
             continue
         sides = ROOM.sides()
@@ -64,20 +64,22 @@ def test_trace_vertex_hit():
     # of the way along the diagonal from V1 = (1, 0) to V3 = (0.5, 1)
     heading = Direction(ROOM, math.pi / 4.0).heading((1, 3))
     with pytest.raises(VertexHit) as info:
-        trace_ray(heading, 2.0 / 3.0 * heading.frame[4], 64)
+        trace_ray(heading, 2.0 / 3.0 * heading.frame[4])
     assert info.value.trace.terminal == "vertex"
 
 
-def test_trace_max_crossings_budget():
+def test_trace_max_crossings_budget(monkeypatch):
+    monkeypatch.setattr(surface, "MAX_CROSSINGS", 5)
     heading = Direction(ROOM, 0.1).heading((2, 4))
-    trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
+    trace = trace_ray(heading, 0.29 * heading.frame[4])
     assert trace.terminal == "budget"
     assert trace.crossings == 5
 
 
-def test_a_section_start_next_to_a_vertex_traces():
+def test_a_section_start_next_to_a_vertex_traces(monkeypatch):
     # a start on a section 1e-12 or 1e-9 of its length from an end is
     # never refused, and traces as the oracle does
+    monkeypatch.setattr(surface, "MAX_CROSSINGS", 64)
     kinds = {"trace": 0, "vertex": 0}
     for room in (ROOM, REFLEX):
         for i, j in room.geom.interior:
@@ -87,13 +89,19 @@ def test_a_section_start_next_to_a_vertex_traces():
                     heading = Direction(room, theta).heading(section)
                     length = heading.frame[4]
                     for s in (1e-12 * length, 1e-9 * length):
-                        fast = _trace_outcome(trace_ray, heading, s, 64)
+                        fast = _trace_outcome(trace_ray, heading, s)
                         slow = _trace_outcome(oracles.trace_ray_oracle,
                                               room, s, theta, 64, section)
                         assert fast[0] != "value", (room, theta, section)
                         assert fast == slow, (room, theta, section, s)
                         kinds[fast[0]] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
+
+
+def _budgeted_outcome(monkeypatch, heading, s: float, n: int):
+    """`_trace_outcome` of `trace_ray` with a budget of n crossings."""
+    monkeypatch.setattr(surface, "MAX_CROSSINGS", n)
+    return _trace_outcome(trace_ray, heading, s)
 
 
 def _trace_outcome(tracer, *args):
@@ -151,7 +159,7 @@ def _oracle_cases(rng: random.Random, n: int):
         yield (room, s, theta, rng.choice((3, 12, 64)), section)
 
 
-def test_trace_ray_matches_vec2_oracle():
+def test_trace_ray_matches_vec2_oracle(monkeypatch):
     # the float tracer must do the oracle's arithmetic in the oracle's
     # order: traces and partial traces agree exactly.  Returns on the
     # second leg, which the tracer takes before the loop, are counted
@@ -160,9 +168,9 @@ def test_trace_ray_matches_vec2_oracle():
     second_leg_returns = 0
     for case in _oracle_cases(random.Random(SEED), 600):
         room, s, theta, max_crossings, section = case
+        monkeypatch.setattr(surface, "MAX_CROSSINGS", max_crossings)
         fast = _trace_outcome(trace_ray,
-                              Direction(room, theta).heading(section), s,
-                              max_crossings)
+                              Direction(room, theta).heading(section), s)
         slow = _trace_outcome(oracles.trace_ray_oracle, *case)
         assert fast == slow, case
         kinds[fast[0]] += 1
@@ -228,10 +236,11 @@ def _aimed_past_transports(rng: random.Random, room, section, theta: float,
     return None
 
 
-def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
+def test_a_vertex_past_a_transport_traces_as_the_oracle_does(monkeypatch):
     # starts aimed at a vertex one, two or three transports ahead: the
     # partial trace of each VertexHit (sides, gain, end point) is the
     # oracle's, which a vertex hit on the first leg cannot show
+    monkeypatch.setattr(surface, "MAX_CROSSINGS", 64)
     rng = random.Random(SEED + 13)
     hits = {1: 0, 2: 0, 3: 0}
     for room in _oracle_rooms(rng):
@@ -243,8 +252,7 @@ def test_a_vertex_past_a_transport_traces_as_the_oracle_does():
             if s is None:
                 continue
             fast = _trace_outcome(trace_ray,
-                                  Direction(room, theta).heading(section), s,
-                                  64)
+                                  Direction(room, theta).heading(section), s)
             slow = _trace_outcome(oracles.trace_ray_oracle, room, s, theta,
                                   64, section)
             assert fast == slow, (room, theta, section, s)
@@ -269,6 +277,7 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
         return vertex_hit(heading, k, s, crossed, *rest)
 
     monkeypatch.setattr(surface, "_vertex_hit", spy)
+    monkeypatch.setattr(surface, "MAX_CROSSINGS", 64)
     rng = random.Random(SEED + 14)
     for room in _oracle_rooms(rng):
         for _ in range(150):
@@ -280,25 +289,25 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
             if s is None:
                 continue
             fast = _trace_outcome(trace_ray,
-                                  Direction(room, theta).heading(section), s,
-                                  64)
+                                  Direction(room, theta).heading(section), s)
             slow = _trace_outcome(oracles.trace_ray_oracle, room, s, theta,
                                   64, section)
             assert fast == slow, (room, theta, section, s)
     assert section_hits.count(1) >= 100, section_hits
 
 
-def test_a_bad_section_coordinate_is_refused_before_any_leg():
+def test_a_bad_section_coordinate_is_refused_before_any_leg(monkeypatch):
     # a section coordinate must be a finite float in [0, length]
+    monkeypatch.setattr(surface, "MAX_CROSSINGS", 64)
     heading = Direction(ROOM, 0.7).heading((1, 3))
     length = heading.frame[4]
     for bad in (math.nan, math.inf, -math.inf, -1e-300, -0.5,
                 math.nextafter(length, math.inf), 2.0 * length):
         with pytest.raises(ValueError, match="not in"):
-            trace_ray(heading, bad, 64)
+            trace_ray(heading, bad)
     # both ends are starts, each at a vertex
     for s in (0.0, length):
-        fast = _trace_outcome(trace_ray, heading, s, 64)
+        fast = _trace_outcome(trace_ray, heading, s)
         assert fast[0] == "vertex"
         assert fast == _trace_outcome(oracles.trace_ray_oracle, ROOM, s,
                                       0.7, 64, (1, 3))
@@ -330,7 +339,7 @@ def test_flights_leave_a_heading_unchanged():
     before = (repr(heading), hash(heading))
     for k in range(40):
         try:
-            trace_ray(heading, heading.frame[4] * (k + 0.5) / 40, 64)
+            trace_ray(heading, heading.frame[4] * (k + 0.5) / 40)
         except VertexHit:
             pass
     assert heading == twin and heading is not twin
@@ -445,7 +454,7 @@ def test_a_room_keeps_no_direction_state():
     assert list(vars(room)) == ["geom"]
 
 
-def test_a_trapped_flight_traces_as_the_oracle_does():
+def test_a_trapped_flight_traces_as_the_oracle_does(monkeypatch):
     # a flight from a section that settles on a periodic leaf repeats
     # its post-transport point exactly and runs out of budget; trace_ray
     # skips whole periods of that cycle, and must still give the
@@ -464,7 +473,7 @@ def test_a_trapped_flight_traces_as_the_oracle_does():
             heading = Direction(room, theta).heading(section)
             s = heading.frame[4] * rng.random()
             try:
-                sides = trace_ray(heading, s, 512).crossed_sides
+                sides = trace_ray(heading, s).crossed_sides
             except VertexHit:
                 continue
             period = next((q for q in range(1, 5)
@@ -472,14 +481,15 @@ def test_a_trapped_flight_traces_as_the_oracle_does():
             if len(sides) < 512 or period is None:
                 continue
             for n in (64, 512):
-                assert trace_ray(heading, s, n) == oracles.trace_ray_oracle(
+                monkeypatch.setattr(surface, "MAX_CROSSINGS", n)
+                assert trace_ray(heading, s) == oracles.trace_ray_oracle(
                     room, s, theta, n, section), (room, theta, s)
             periods.append(period)
             found += 1
     assert len(periods) == 60 and len(set(periods)) >= 2, periods
 
 
-def test_a_shared_heading_leaks_nothing_between_flights():
+def test_a_shared_heading_leaks_nothing_between_flights(monkeypatch):
     # a return map flies all its rays on one Heading: in whichever order
     # the flights come, each must trace as the oracle does from scratch
     rng = random.Random(SEED + 8)
@@ -496,9 +506,9 @@ def test_a_shared_heading_leaks_nothing_between_flights():
                                        theta, n, section)
                         for s, n in flights]
                 heading = Direction(room, theta).heading(section)
-                forward = [_trace_outcome(trace_ray, heading, s, n)
+                forward = [_budgeted_outcome(monkeypatch, heading, s, n)
                            for s, n in flights]
-                backward = [_trace_outcome(trace_ray, heading, s, n)
+                backward = [_budgeted_outcome(monkeypatch, heading, s, n)
                             for s, n in reversed(flights)]
                 assert forward == want, (room, theta, section)
                 assert backward[::-1] == want, (room, theta, section)
@@ -506,18 +516,19 @@ def test_a_shared_heading_leaks_nothing_between_flights():
                     kinds[kind] += 1
     assert all(count >= 10 for count in kinds.values()), kinds
     heading = Direction(ROOM, 0.1).heading((2, 4))
-    trace = trace_ray(heading, 0.29 * heading.frame[4], 5)
+    trace = trace_ray(heading, 0.29 * heading.frame[4])
     with pytest.raises(AttributeError):
         trace.crossed_sides = ()
     with pytest.raises(AttributeError):
         trace.terminal = "door"
 
 
-def test_float_traces_agree_with_exact_traces():
+def test_float_traces_agree_with_exact_traces(monkeypatch):
     # the exact twin of the dyadic square room is the room itself.  On
     # every flight from a section whose exact crossings all keep 1e-6 of
     # a side's length from its ends, the float tracer crosses the exact
     # sides, stops the same way, and ends within 1e-12 of the exact end
+    monkeypatch.setattr(surface, "MAX_CROSSINGS", 64)
     sides = oracles.exact_twin(ROOM)
     assert ([(float(x), float(y)) for (x, y), *_ in sides]
             == [v.as_floats() for v in ROOM.vertices()])
@@ -536,7 +547,7 @@ def test_float_traces_agree_with_exact_traces():
         if margin < Fraction(1, 10 ** 6):
             continue
         heading = Direction(ROOM, theta).heading((i, j))
-        trace = trace_ray(heading, float(frac) * heading.frame[4], 64)
+        trace = trace_ray(heading, float(frac) * heading.frame[4])
         assert (trace.crossed_sides, trace.terminal) == (crossed, terminal)
         assert math.dist(trace.end_point,
                          (float(end[0]), float(end[1]))) <= 1e-12
@@ -556,7 +567,7 @@ def test_cached_room_geometry_is_invisible():
     section = (0, 2)
     # a heading leaves nothing on the room beyond its geometry
     shared = Direction(room, theta).heading(section)
-    first = trace_ray(shared, s, 64)
+    first = trace_ray(shared, s)
     assert Direction(room, theta).heading(section) == shared
     assert list(vars(room)) == ["geom"] and list(vars(twin)) == []
     assert room == twin
@@ -583,7 +594,7 @@ def test_cached_room_geometry_is_invisible():
     assert room.geom.vertices == twin.geom.vertices
     assert room.geom.interior == twin.geom.interior
     assert room.geom.diagonals == twin.geom.diagonals
-    assert trace_ray(Direction(room, theta).heading(section), s, 64) == first
+    assert trace_ray(Direction(room, theta).heading(section), s) == first
     # an equal room built separately traces identically, and shares
     # none of the set-up
     other = Direction(twin, theta).heading(section)
@@ -591,9 +602,8 @@ def test_cached_room_geometry_is_invisible():
     assert list(vars(twin)) == list(vars(room)) == ["geom"]
     assert all(mine is not theirs for mine, theirs
                in zip(other.legs, shared.legs) if mine is not None)
-    assert trace_ray(other, s, 64) == first
-    assert trace_ray(Direction(fresh(), theta).heading(section), s,
-                     64) == first
+    assert trace_ray(other, s) == first
+    assert trace_ray(Direction(fresh(), theta).heading(section), s) == first
 
 
 def test_diagonal_rows_are_endpoint_floats():
@@ -827,6 +837,42 @@ def test_cylinder_verdicts_are_certified_exactly():
     assert all(sum(i == index for i, _ in certified) >= 4
                for index in range(6)), certified
     assert {collapsed for _, collapsed in certified} == {False, True}
+
+
+def test_every_direction_in_a_proved_leaf_window_is_that_cylinder():
+    # the reverse of the certificate test: the closed leaves of at most
+    # 8 crossings, listed by itinerary and proved just inside both edges
+    # of their windows, cover most of the circle, and every seeded
+    # direction inside one must classify as its cylinder, with the
+    # leaf's holonomy as multiplier
+    rng = random.Random(SEED + 26)
+    inside, failures = 0, []
+    for room in (ROOM, _sheared(), REFLEX):
+        windows = []
+        for lo, hi, word, lam in oracles.leaf_windows(room, 8):
+            edge = 1e-9 * (hi - lo)
+            if all(oracles.cylinder_certificate(room, word, theta) == lam
+                   for theta in (lo + edge, hi - edge)):
+                windows.append((lo, hi, word, float(max(lam, 1 / lam))))
+        for _ in range(400):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            found = [(word, mult) for lo, hi, word, mult in windows
+                     if lo < theta < hi or lo < theta + 2.0 * math.pi < hi]
+            if not found:
+                continue
+            inside += 1
+            try:
+                verdict = classify_direction(room, theta)
+            except UNDECIDED_ERRORS as exc:
+                failures.append((room, theta, found, repr(exc)))
+                continue
+            for word, mult in found:
+                if not (verdict.kind == "cylinder" and math.isclose(
+                        verdict.multiplier, mult, rel_tol=1e-6)):
+                    failures.append((room, theta, word, mult, verdict.kind,
+                                     verdict.multiplier))
+    assert not failures, failures
+    assert inside >= 900, inside
 
 
 def test_a_leaf_that_leaves_a_non_convex_room_is_refused():

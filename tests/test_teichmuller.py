@@ -208,8 +208,6 @@ def test_monitor_rejects_bad_arguments():
         divergence_monitor(ROOM, -1.0, 2, eps_angle=0.3, budget=400)
     with pytest.raises(ValueError):
         divergence_monitor(ROOM, 1.0, 2, eps_angle=0.0, budget=400)
-    with pytest.raises(ValueError):
-        divergence_monitor(ROOM, 1.0, 2, eps_angle=0.3, budget=0)
 
 
 def _counted_classifications(monkeypatch, *modules) -> list[float]:
