@@ -23,14 +23,12 @@ from .quadratics import Scalar, as_float, slack
 # Every tolerance below applies to float data only: through
 # quadratics.slack, data whose numbers are all exact compares exactly.
 # In the [0, 1] coordinate of a float TwoSlopeMap: how far
-# rho_b*(1 - x_t) may exceed 1 - rho_a*x_t, and how close to x_t an orbit
-# point counts as a break-point hit.
+# rho_b*(1 - x_t) may exceed 1 - rho_a*x_t.
 INJECTIVITY_SLACK: float = 1e-12
-HIT_TOL: float = 1e-15
 # Agreement of two affine laws or two one-sided limits.  AffineBranch.same_law
 # applies it absolutely, to the slope (unitless) and to the intercept
 # (domain units); PiecewiseAffineMap scales it by max(1, |domain ends|)
-# in its contiguity, overlap, jump and evaluation tests.
+# in its contiguity, overlap and jump tests.
 MERGE_TOL: float = 1e-12
 # Slack of restrict_to_image's containment and interior-jump tests: in
 # domain units against the domain ends, and as a fraction of the image
@@ -120,29 +118,6 @@ def attracting_cycle_in_hole(tsm: TwoSlopeMap) -> PeriodicCycle:
     x_star = rb * (intercept_a - xt) / (1 - mult)
     y_star = ra * x_star + intercept_a
     return PeriodicCycle((x_star, y_star), mult)
-
-
-class OrbitResult(NamedTuple):
-    points: tuple[Scalar, ...]
-    branches: str                  # 'A'/'B' per applied step
-    hit_discontinuity: bool
-
-
-def orbit(tsm: TwoSlopeMap, x0: Scalar, n: int) -> OrbitResult:
-    """x0 and its first n iterates; stops early on a break-point hit."""
-    if not (0 <= x0 <= 1):
-        raise ValueError(f"start {x0} is outside [0, 1]")
-    pts = [x0]
-    labels: list[str] = []
-    x = x0
-    tol = slack(HIT_TOL, tsm.rho_a, tsm.rho_b, tsm.x_t, x0)
-    for _ in range(n):
-        if abs(x - tsm.x_t) <= tol:
-            return OrbitResult(tuple(pts), "".join(labels), True)
-        labels.append("A" if x < tsm.x_t else "B")
-        x = evaluate(tsm, x)
-        pts.append(x)
-    return OrbitResult(tuple(pts), "".join(labels), False)
 
 
 # --- general piecewise-affine data and reduction to the normal form ---
@@ -237,21 +212,6 @@ class PiecewiseAffineMap(_PiecewiseFields):
             if abs(a - b) > self._tol:
                 out.append((left.hi, a, b))
         return out
-
-    def evaluate(self, x: Scalar) -> Scalar:
-        lo, hi = self.domain
-        if not (lo <= x <= hi):
-            raise ValueError(f"{x} is outside the domain [{lo}, {hi}]")
-        for i, b in enumerate(self.branches):
-            if x < b.hi or (i == len(self.branches) - 1 and x <= b.hi):
-                if x == b.lo and i > 0:
-                    prev = self.branches[i - 1]
-                    left_v, right_v = prev.value(x), b.value(x)
-                    if abs(left_v - right_v) <= self._tol:
-                        return right_v
-                    raise AtDiscontinuity(f"map jumps at {x}")
-                return b.value(x)
-        raise AssertionError("unreachable: contiguity was validated")
 
 
 class _ChartFields(NamedTuple):

@@ -104,9 +104,10 @@ DEFAULT_INDUCTION_BUDGET = 3000
 MAX_SCAN_SAMPLES = 10 ** 5
 
 # What classify_direction raises for a direction it cannot decide; scans
-# and monitors count such a direction as a miss.  Vertex hits and
-# exhausted crossing budgets are absorbed per section, so they never
-# escape, and any other error is a bug that must reach the caller.
+# and monitors count such a direction as a miss.  Vertex hits are
+# absorbed per flight, by first_return_map and _verify_reduction, and
+# exhausted crossing budgets per section, by direction_to_two_slope, so
+# neither escapes; any other error is a bug that must reach the caller.
 UNDECIDED_ERRORS = (NotTransverse, NotReducible)
 
 
@@ -696,7 +697,9 @@ def direction_to_two_slope(direction: Direction) -> SectionReduction:
     """Reduce the direction's return dynamics to a TwoSlopeMap.
 
     The first of the direction's candidate sections whose return map
-    reduces wins.
+    reduces wins.  A section that fails is passed over; no VertexHit
+    reaches this loop, since `first_return_map` and `_verify_reduction`
+    absorb each one their flights raise.
     """
     if not direction.candidates:
         raise NotTransverse("direction is parallel to every interior "
@@ -707,7 +710,7 @@ def direction_to_two_slope(direction: Direction) -> SectionReduction:
             pam = first_return_map(direction, sec)
             tsm, chart = restrict_to_image(pam)
             _verify_reduction(direction, sec, tsm, chart)
-        except (NotTransverse, NotReducible, VertexHit, BudgetExhausted) as exc:
+        except (NotTransverse, NotReducible, BudgetExhausted) as exc:
             failures.append(f"({sec[0]},{sec[1]}): {exc}")
             continue
         return SectionReduction(tsm, chart, sec)

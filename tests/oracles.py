@@ -28,7 +28,7 @@ from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               NonConvergence, NotTransverse, VertexHit)
 from dilatorus.geometry import (PARALLEL_EPS, DilationParams, Room, SL2Matrix,
                                 Vec2, angle_dist_mod_pi, unit)
-from dilatorus.intervalmaps import (HIT_TOL, AffineBranch, AffineChart,
+from dilatorus.intervalmaps import (AffineBranch, AffineChart,
                                     PeriodicCycle, PiecewiseAffineMap,
                                     TwoSlopeMap, attracting_cycle_in_hole,
                                     evaluate)
@@ -990,6 +990,8 @@ def leaf_windows(room: Room, max_crossings: int
 
 _ORACLE_SEEDS = (0.1234567891, 0.9876543211, 0.3141592653,
                  0.7182818284, 0.5772156649)
+# how close to the break point x_t an orbit point counts as hitting it
+HIT_TOL = 1e-15
 
 
 def _detect_period(tail: Sequence[float], tol: float) -> Optional[int]:

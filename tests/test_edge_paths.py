@@ -9,13 +9,13 @@ import pytest
 
 import oracles
 from dilatorus import rauzy, surface
-from dilatorus.errors import (NonConvergence, NotReducible, NotTransverse,
-                              RationalRatio)
+from dilatorus.errors import (AtDiscontinuity, NonConvergence, NotReducible,
+                              NotTransverse, RationalRatio)
 from dilatorus.geometry import (DilationParams, build_room, canonicalize,
                                 square_room)
 from dilatorus.intervalmaps import (AffineBranch, AffineChart,
                                     PiecewiseAffineMap, TwoSlopeMap,
-                                    evaluate, orbit, restrict_to_image)
+                                    evaluate, restrict_to_image)
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
 from dilatorus.surface import (Direction, RayTrace, first_return_map,
@@ -31,13 +31,12 @@ REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 # the middle of REFLEX's outward half-circle
 OUTWARD = sum(REFLEX.inward_directions()) / 2 + math.pi
 TSM = TwoSlopeMap(0.5, 0.5, 0.5)
+HALF = Fraction(1, 2)
+EXACT_TSM = TwoSlopeMap(HALF, HALF, HALF)
 PARAMS = DilationParams(0.5, 0.7)
 # slope 1, then slope 2: the branches meet at (1, 1), a kink, no jump
 KINK = PiecewiseAffineMap((AffineBranch(0.0, 1.0, 1.0, 0.0),
                            AffineBranch(1.0, 2.0, 2.0, -1.0)))
-# image [0.5, 0.75] on [0, 0.5), then [0, 0.25]: a jump down at 0.5
-JUMP = PiecewiseAffineMap((AffineBranch(0.0, 0.5, 0.5, 0.5),
-                           AffineBranch(0.5, 1.0, 0.5, -0.25)))
 # images [0.25, 0.5] and [0, 0.25 + 8e-13] on the image interval
 # [0, 0.5]: they overlap by 8e-13, within the map's MERGE_TOL slack of
 # 1e-12, but by 1.6e-12 once rescaled to [0, 1], past INJECTIVITY_SLACK
@@ -102,17 +101,11 @@ CASES = [
     pytest.param(lambda: distortion(math.nan),
                  (ValueError, "defined for t >= 0"),
                  id="distortion-nan-time"),
-    pytest.param(lambda: JUMP.evaluate(1.5),
-                 (ValueError, "outside the domain"),
-                 id="evaluate-outside-the-domain"),
     pytest.param(BELOW_ZERO.floor, -1, id="floor-corrects-downward"),
     pytest.param(ABOVE_ZERO.floor, 0, id="floor-corrects-upward"),
     pytest.param(lambda: evaluate(TSM, 1.5),
                  (ValueError, "outside \\[0, 1\\]"),
                  id="two-slope-evaluate-outside-the-unit-interval"),
-    pytest.param(lambda: orbit(TSM, -0.1, 3),
-                 (ValueError, "start -0.1 is outside"),
-                 id="orbit-start-outside-the-unit-interval"),
     pytest.param(lambda: subdivision(0, 1),
                  (ValueError, "slopes must be positive"),
                  id="subdivision-zero-slope"),
@@ -328,8 +321,6 @@ CASES = [
       for kind, a, b, n in (("nan", 5e-324, 1e200, 8),
                             ("zero", 1e250, 5e-324, 6))],
     pytest.param(KINK.jumps, [], id="kink-has-no-jumps"),
-    pytest.param(lambda: KINK.evaluate(1.0), 1.0,
-                 id="evaluate-at-a-kink-needs-no-side"),
     pytest.param(lambda: restrict_to_image(OVERLAP),
                  (NotReducible, "restricted map is not a valid two-slope "
                                 "map: branch images overlap"),
@@ -345,6 +336,17 @@ CASES = [
                  (NonConvergence, "cycle lift does not return to its first "
                                   "point after its period of 2 steps"),
                  id="pull-back-cycle-through-a-foreign-chart"),
+    # the exact TSM's cycle seed is 1/6, and a chart that shifts it by
+    # 1/3 or by 11/6 pulls it back onto the break point or out of [0, 1]
+    pytest.param(lambda: rauzy._pull_back_cycle(
+                     EXACT_TSM, EXACT_TSM, [(1, Fraction(1, 6) - HALF)], 2),
+                 (AtDiscontinuity, r"^map is undefined at its break point "
+                                   r"1/2$"),
+                 id="pull-back-cycle-seed-on-the-break-point"),
+    pytest.param(lambda: rauzy._pull_back_cycle(
+                     EXACT_TSM, EXACT_TSM, [(1, Fraction(1, 6) - 2)], 2),
+                 (ValueError, r"^2 is outside \[0, 1\]$"),
+                 id="pull-back-cycle-seed-outside-the-unit-interval"),
 ]
 
 

@@ -10,7 +10,7 @@ from dilatorus.errors import AtDiscontinuity, NotInHole, NotReducible
 from dilatorus.intervalmaps import (AffineBranch, PiecewiseAffineMap,
                                     TwoSlopeMap,
                                     attracting_cycle_in_hole, downward_jump,
-                                    evaluate, orbit, restrict_to_image,
+                                    evaluate, restrict_to_image,
                                     thresholds)
 from dilatorus import rauzy
 from dilatorus.quadratics import QuadraticNumber
@@ -79,23 +79,10 @@ def test_cycle_matches_brute_force_oracle():
         hits += 1
 
 
-def test_orbit_shape():
-    tsm = TwoSlopeMap(0.5, 0.5, 0.5)
-    result = orbit(tsm, 0.1, 6)
-    assert len(result.points) == 7
-    assert result.points[0] == 0.1
-
-
-def test_orbit_converges_to_hole_cycle():
-    tsm = TwoSlopeMap(0.5, 0.5, 0.5)
-    rng = random.Random(SEED + 1)
-    for _ in range(20):
-        x = rng.uniform(0.0, 1.0)
-        if abs(x - 0.5) < 1e-9:
-            continue
-        result = orbit(tsm, x, 200)
-        tail = result.points[-1]
-        assert min(abs(tail - 1.0 / 6.0), abs(tail - 5.0 / 6.0)) < 1e-12
+def _law_at(pam, y):
+    """The value at y of the law of the branch whose [lo, hi] holds y."""
+    branch, = (b for b in pam.branches if b.lo <= y <= b.hi)
+    return branch.value(y)
 
 
 def test_restrict_to_image_recovers_conjugated_map():
@@ -111,7 +98,7 @@ def test_restrict_to_image_recovers_conjugated_map():
     assert reduced.x_t == Fraction(1, 4)
     # the chart conjugates the restriction to the normal form
     for y in (Fraction(11, 10), Fraction(7, 5), Fraction(2), Fraction(14, 5)):
-        assert chart.apply(pam.evaluate(y)) == evaluate(reduced,
+        assert chart.apply(_law_at(pam, y)) == evaluate(reduced,
                                                         chart.apply(y))
 
 
@@ -123,8 +110,6 @@ def test_an_exact_jump_below_the_float_tolerance_is_kept():
     ))
     assert len(pam.branches) == 2
     assert pam.jumps() == [(HALF, Fraction(3, 4), Fraction(3, 4) + tiny)]
-    with pytest.raises(AtDiscontinuity):
-        pam.evaluate(HALF)
     # the same jump in floats lies inside MERGE_TOL and merges away
     floats = PiecewiseAffineMap(tuple(
         AffineBranch(*map(float, (b.lo, b.hi, b.slope, b.intercept)))
@@ -227,19 +212,8 @@ def test_restrict_to_image_keeps_quadratic_data_exact():
     assert reduced == TwoSlopeMap(r2 / 4, r2 / 4, HALF / width)
     assert (chart.scale, chart.offset) == (1 / width, 0)
     for y in (Fraction(1, 10), Fraction(2, 5), Fraction(3, 5)):
-        assert chart.apply(pam.evaluate(y)) == evaluate(reduced,
+        assert chart.apply(_law_at(pam, y)) == evaluate(reduced,
                                                         chart.apply(y))
-
-
-def test_exact_orbit_hits_the_break_point_exactly():
-    tsm = TwoSlopeMap(HALF, HALF, Fraction(1, 4))
-    # T(3/4) = (3/4 - 1/4)/2 is the break point itself
-    hit = orbit(tsm, Fraction(3, 4), 5)
-    assert hit.hit_discontinuity and hit.points == (Fraction(3, 4),
-                                                    Fraction(1, 4))
-    # a start 10^-20 away misses it: exact data gets no HIT_TOL
-    near = orbit(tsm, Fraction(3, 4) + Fraction(1, 10 ** 20), 5)
-    assert not near.hit_discontinuity and len(near.points) == 6
 
 
 def test_restrict_to_image_rejects_upward_jump():

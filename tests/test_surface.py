@@ -839,6 +839,22 @@ def test_cylinder_verdicts_are_certified_exactly():
     assert {collapsed for _, collapsed in certified} == {False, True}
 
 
+@functools.lru_cache(maxsize=None)
+def _proved_leaf_windows(room) -> tuple:
+    """(theta1, theta2, itinerary, multiplier) for each window of
+    `oracles.leaf_windows(room, 8)` that `cylinder_certificate` proves
+    at 1e-9 of its width inside both edges; the multiplier is the
+    leaf's holonomy factor lambda, normalized to max(lambda, 1/lambda)
+    as a verdict's is.  Cached, since two tests read the same rooms."""
+    windows = []
+    for lo, hi, word, lam in oracles.leaf_windows(room, 8):
+        edge = 1e-9 * (hi - lo)
+        if all(oracles.cylinder_certificate(room, word, theta) == lam
+               for theta in (lo + edge, hi - edge)):
+            windows.append((lo, hi, word, float(max(lam, 1 / lam))))
+    return tuple(windows)
+
+
 def test_every_direction_in_a_proved_leaf_window_is_that_cylinder():
     # the reverse of the certificate test: the closed leaves of at most
     # 8 crossings, listed by itinerary and proved just inside both edges
@@ -848,12 +864,7 @@ def test_every_direction_in_a_proved_leaf_window_is_that_cylinder():
     rng = random.Random(SEED + 26)
     inside, failures = 0, []
     for room in (ROOM, _sheared(), REFLEX):
-        windows = []
-        for lo, hi, word, lam in oracles.leaf_windows(room, 8):
-            edge = 1e-9 * (hi - lo)
-            if all(oracles.cylinder_certificate(room, word, theta) == lam
-                   for theta in (lo + edge, hi - edge)):
-                windows.append((lo, hi, word, float(max(lam, 1 / lam))))
+        windows = _proved_leaf_windows(room)
         for _ in range(400):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             found = [(word, mult) for lo, hi, word, mult in windows
@@ -873,6 +884,39 @@ def test_every_direction_in_a_proved_leaf_window_is_that_cylinder():
                                      verdict.multiplier))
     assert not failures, failures
     assert inside >= 900, inside
+
+
+def test_every_wide_proved_leaf_window_meets_a_scanned_cylinder():
+    # the scan's side of the check above: a proved window wider than two
+    # grid steps holds at least two samples, so the scan must report an
+    # interval that overlaps it with the leaf's multiplier.  A window and
+    # its reverse, pi away, are one set of lines; the scan reads theta
+    # mod pi in the inward half-circle, so each window is moved there and
+    # split where it wraps past the half-circle's end
+    misses, selected = [], []
+    for room in (ROOM, _sheared(), REFLEX):
+        windows = _proved_leaf_windows(room)
+        lo_in, hi_in = room.inward_directions()
+        for eps in (0.3, 0.1):
+            scan = find_cylinders(room, eps, budget=600)
+            step = (hi_in - lo_in) / scan.n_samples
+            wide = [w for w in windows if w[1] - w[0] > 2.0 * step]
+            selected.append(len(wide))
+            for lo, hi, word, mult in wide:
+                a = lo_in + (lo - lo_in) % math.pi
+                b = a + (hi - lo)
+                pieces = [(a, min(b, hi_in))]
+                if b > hi_in:
+                    pieces.append((lo_in, b - math.pi))
+                if not any(max(p, c.theta1) < min(q, c.theta2)
+                           and math.isclose(c.multiplier, mult,
+                                            rel_tol=1e-6)
+                           for p, q in pieces for c in scan.cylinders):
+                    misses.append((room, eps, lo, hi, word, mult))
+    assert not misses, misses
+    # 6 and 10 on the square room, 4 and 12 on the sheared room and on
+    # REFLEX, at eps 0.3 and 0.1
+    assert all(n >= 4 for n in selected), selected
 
 
 def test_a_leaf_that_leaves_a_non_convex_room_is_refused():
@@ -922,6 +966,23 @@ def test_scan_drops_undecided_directions_and_reports_bugs(monkeypatch):
     monkeypatch.setattr(surface, "classify_direction", raising(ValueError))
     with pytest.raises(ValueError, match="from classify_direction"):
         find_cylinders(ROOM, 0.3, budget=600)
+
+
+def test_a_vertex_hit_from_a_return_map_reaches_the_caller(monkeypatch):
+    # first_return_map absorbs every VertexHit of its own flights, so one
+    # that escapes it is a bug, and the section loop passes it on rather
+    # than trying the next section or the collapsed fallback
+    sections = []
+
+    def hitting(direction, section):
+        sections.append(section)
+        raise VertexHit("from first_return_map")
+
+    monkeypatch.setattr(surface, "first_return_map", hitting)
+    with pytest.raises(VertexHit, match="from first_return_map"):
+        classify_direction(ROOM, 4.0055)
+    candidates = Direction(ROOM, 4.0055).candidates
+    assert len(candidates) > 1 and sections == [candidates[0]]
 
 
 def test_scan_drops_a_run_whose_midpoint_probe_fails(monkeypatch):
