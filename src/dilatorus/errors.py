@@ -85,10 +85,6 @@ class NotRenormalizable(DilatorusError):
     """Induction step requested on a map whose verdict is Halt or Boundary."""
 
 
-class EmptyInterval(DilatorusError):
-    """No parameter realizes the requested renormalization word."""
-
-
 # --- surface dynamics ---
 
 class NotTransverse(DilatorusError):

@@ -28,25 +28,24 @@ the loop to the same bits.
 
 Each letter's inverse parameter map is a Moebius factor, so the pull-back
 along a word is their product.  One top-down walk of the word tree serves
-the word intervals, the survivor measure and the interval of a single
-word.  The pull-back sends 0 to q/s and 1 to u/v, homogeneous pairs whose
-numerators (q, u) and denominators (s, v) are its two rows read at 0 and
-1.  A child's pull-back is its parent's times the letter's factor on the
-right, and a product on the right maps each row by itself and both rows
-by the same rule, so the walk carries one row: every node carries its
-slopes as numerator/denominator pairs, the row and det, the product of
-the letters' determinants, each extended by one factor per letter.  A
-measure walks the denominators' row alone, and word intervals zip the
-walks of both rows, which take the same branches.  A leaf's interval is
-(q/s, u/v), and every scalar track reads its length, exactly hi - lo, as
-det/(s*v): divided twice, det/s/v, so that no float product s*v
-overflows where s and v do not.  Only internal nodes go on the walk's
-stack: a node with one letter left yields its leaves itself, and about
-half the nodes of the tree are leaves.  A pull-back is projective, so
-each factor is scaled by its slope's denominator without moving any
-point: int and Fraction slopes then keep every entry an int, and each
-endpoint is reduced once, as a Fraction, at its leaf.  Float slopes
-carry denominator 1.0 (a pair with one float slope is read as two
+the word intervals and the survivor measure.  The pull-back sends 0 to q/s
+and 1 to u/v, homogeneous pairs whose numerators (q, u) and denominators
+(s, v) are its two rows read at 0 and 1.  A child's pull-back is its
+parent's times the letter's factor on the right, and a product on the
+right maps each row by itself and both rows by the same rule, so the walk
+carries one row: every node carries its slopes as numerator/denominator
+pairs, the row and det, the product of the letters' determinants, each
+extended by one factor per letter.  A measure walks the denominators' row
+alone, and word intervals zip the walks of both rows, which take the same
+branches.  A leaf's interval is (q/s, u/v), and every scalar track reads
+its length, exactly hi - lo, as det/(s*v): divided twice, det/s/v, so that
+no float product s*v overflows where s and v do not.  Only internal nodes
+go on the walk's stack: a node with one letter left yields its leaves
+itself, and about half the nodes of the tree are leaves.  A pull-back is
+projective, so each factor is scaled by its slope's denominator without
+moving any point: int and Fraction slopes then keep every entry an int,
+and each endpoint is reduced once, as a Fraction, at its leaf.  Float
+slopes carry denominator 1.0 (a pair with one float slope is read as two
 floats), and a float survivor measure takes the correctly rounded sum
 (math.fsum) of the leaves' lengths as the walk yields them.
 
@@ -87,8 +86,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import NamedTuple, Optional
 
-from .errors import (AtDiscontinuity, EmptyInterval, NonConvergence,
-                     NotRenormalizable)
+from .errors import AtDiscontinuity, NonConvergence, NotRenormalizable
 from .intervalmaps import (
     INJECTIVITY_SLACK,
     AffineChart,
@@ -375,12 +373,12 @@ def _straddle_products(rho_a: Scalar, rho_b: Scalar,
     return path
 
 
-def _walk(root: tuple, path: dict, word: str = ""):
+def _walk(root: tuple, path: dict):
     """Yield the leaf (a, b, det) of every feasible word of the root's
-    length k, L before R; with a `word` (of length k), of that word alone.
-    (a, b) is the root's row, the numerators' (q, u) or the denominators'
-    (s, v), mapped along the word, and det is the word's determinant: the
-    word's interval is (q/s, u/v) and its length det/(s*v).
+    length k, L before R.  (a, b) is the root's row, the numerators'
+    (q, u) or the denominators' (s, v), mapped along the word, and det is
+    the word's determinant: the word's interval is (q/s, u/v) and its
+    length det/(s*v).
 
     The tree is walked top-down on an explicit stack of internal nodes
     (xn, xd, yn, yd, a, b, det, k): slopes rho_a = xn/xd and rho_b = yn/yd
@@ -423,15 +421,6 @@ def _walk(root: tuple, path: dict, word: str = ""):
         xyn, xyd = path.get((k, xn, yn), xn * yn) if path else xn * yn, xd * yd
         free = xyn < xyd
         go_l, go_r = free or yn <= yd, free or xn <= xd
-        if word:
-            letter = word[~k]
-            if letter not in ("L", "R"):
-                raise ValueError(f"invalid word letter {letter!r}")
-            if not (go_l if letter == "L" else go_r):
-                raise EmptyInterval(
-                    f"letter {letter} is unreachable at slopes "
-                    f"({float(xn / xd)}, {float(yn / yd)})")
-            go_l, go_r = letter == "L", letter == "R"
         if k:
             if go_r:                    # pushed first, so L is popped first
                 bd = b * xd
@@ -456,34 +445,6 @@ def _left_the_float_range(rho_a: Scalar, rho_b: Scalar,
     return ValueError(
         f"the float walk at slopes ({rho_a!r}, {rho_b!r}) to depth {depth} "
         "left the float range")
-
-
-def _intervals(rho_a: Scalar, rho_b: Scalar, depth: int,
-               word: str = "") -> list[tuple[Scalar, Scalar]]:
-    """The interval (q/s, u/v) of each leaf to `depth` (of `word` alone,
-    if given): the walks of the numerators' row (0, 1) and of the
-    denominators' row (1, 1), zipped leaf by leaf and sharing one
-    `_straddle_products`; Fractions when the entries are ints.  Slopes
-    must be positive, and finite when they are floats, and a float walk
-    must keep every s and v finite."""
-    root, path, integral = _checked_root(rho_a, rho_b, depth)
-    rows = zip(_walk((*root[:4], 0 * root[4], *root[5:]), path, word),
-               _walk(root, path, word), strict=True)
-    leaves = [(q, s, u, v) for (q, u, _), (s, v, _) in rows]
-    if not is_exact(rho_a, rho_b) and not all(
-            max(s, v) < math.inf for _, s, _, v in leaves):
-        raise _left_the_float_range(rho_a, rho_b, depth)
-    if integral:
-        return [(Fraction(q, s), Fraction(u, v)) for q, s, u, v in leaves]
-    return [(q / s, u / v) for q, s, u, v in leaves]
-
-
-def interval_for_word(rho_a: Scalar, rho_b: Scalar,
-                      word: str) -> tuple[Scalar, Scalar]:
-    """Closed parameter interval whose induction word starts with `word`.
-    Slopes must be positive, and finite when they are floats."""
-    (interval,) = _intervals(rho_a, rho_b, len(word), word)
-    return interval
 
 
 def _checked_root(rho_a: Scalar, rho_b: Scalar,
@@ -517,8 +478,9 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
     One interval per feasible word of length `depth`, words in order with
     L before R: the image of [0, 1] under the word's composed pull-back,
     one Moebius factor per letter scaled by the slope's denominator (see
-    `_walk`), its numerators and its denominators each walked as one row
-    and zipped.  That is O(2^depth) scalar operations.  Int and Fraction
+    `_walk`): the numerators' row (0, 1) and the denominators' row (1, 1)
+    are each walked, sharing one `_straddle_products`, and zipped leaf by
+    leaf.  That is O(2^depth) scalar operations.  Int and Fraction
     slopes keep every entry an int and give Fraction endpoints, normalized
     once per leaf; QuadraticNumber slopes give exact endpoints too, and
     float slopes run the float operations of the unscaled factors, within
@@ -526,7 +488,16 @@ def survivor_intervals(rho_a: Scalar, rho_b: Scalar,
     ValueError a walk that left the float range.  Slopes must be
     positive, and finite when they are floats.
     """
-    return _intervals(rho_a, rho_b, depth)
+    root, path, integral = _checked_root(rho_a, rho_b, depth)
+    rows = zip(_walk((*root[:4], 0 * root[4], *root[5:]), path),
+               _walk(root, path), strict=True)
+    leaves = [(q, s, u, v) for (q, u, _), (s, v, _) in rows]
+    if not is_exact(rho_a, rho_b) and not all(
+            max(s, v) < math.inf for _, s, _, v in leaves):
+        raise _left_the_float_range(rho_a, rho_b, depth)
+    if integral:
+        return [(Fraction(q, s), Fraction(u, v)) for q, s, u, v in leaves]
+    return [(q / s, u / v) for q, s, u, v in leaves]
 
 
 def _pairwise_sum(terms: list) -> Scalar:

@@ -1099,6 +1099,22 @@ def _image_of_unit(p: Scalar, q: Scalar, r: Scalar,
     return (q / s, (p + q) / (r + s))
 
 
+def word_interval_oracle(rho_a: Scalar, rho_b: Scalar,
+                         word: str) -> tuple[Scalar, Scalar]:
+    """The closed parameter interval whose induction word starts with
+    `word`: the image of [0, 1] under the word's composed pull-back, one
+    unscaled Moebius factor per letter in the slopes' own scalar type.
+    ValueError for a letter other than L or R, or one that no valid
+    break point takes at its node's slopes."""
+    ra, rb, (p, q, r, s) = rho_a, rho_b, _identity(rho_a)
+    for letter in word:
+        if not _letter_feasible(ra, rb, letter):
+            raise ValueError(f"letter {letter} is unreachable at slopes "
+                             f"({ra}, {rb})")
+        ra, rb, p, q, r, s = _descend(ra, rb, letter, p, q, r, s)
+    return _image_of_unit(p, q, r, s)
+
+
 def survivor_intervals_topdown_oracle(rho_a: Scalar, rho_b: Scalar,
                                       depth: int
                                       ) -> list[tuple[Scalar, Scalar]]:

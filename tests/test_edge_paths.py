@@ -17,7 +17,7 @@ from dilatorus.intervalmaps import (AffineBranch, AffineChart,
                                     PiecewiseAffineMap, TwoSlopeMap,
                                     evaluate, restrict_to_image)
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.rauzy import interval_for_word, subdivision, survivor_intervals
+from dilatorus.rauzy import subdivision, survivor_intervals
 from dilatorus.surface import (Direction, RayTrace, first_return_map,
                                rotation_number)
 from dilatorus.teichmuller import distortion
@@ -113,9 +113,6 @@ CASES = [
     pytest.param(lambda: subdivision(math.inf, 0.5),
                  (ValueError, "slopes must be finite"),
                  id="subdivision-infinite-slope"),
-    pytest.param(lambda: interval_for_word(0.5, 0.5, "LX"),
-                 (ValueError, "invalid word letter 'X'"),
-                 id="interval-for-word-bad-letter"),
     pytest.param(lambda: survivor_intervals(0.5, 0.5, -1),
                  (ValueError, "depth must be nonnegative"),
                  id="survivor-intervals-negative-depth"),
@@ -173,8 +170,7 @@ CASES = [
                                 r"sqrt\(3\)"),
                    id=f"{name}-two-quadratic-fields")
       for name, walk, n in (("survivor-measure", rauzy.survivor_measure, 2),
-                            ("survivor-intervals", survivor_intervals, 2),
-                            ("interval-for-word", interval_for_word, "LR"))],
+                            ("survivor-intervals", survivor_intervals, 2))],
     # so does every other call that combines them, the order included
     *[pytest.param(call, (ValueError, r"two quadratic fields, sqrt\(2\) and "
                                       r"sqrt\(3\)"),
@@ -290,7 +286,6 @@ CASES = [
           call, 1e16, 1e-17, 1), True, id=f"float-{name}-divides-by-0")
       for name, call in (
           ("survivor-intervals", lambda a, b: survivor_intervals(a, b, 1)),
-          ("interval-for-word", lambda a, b: [interval_for_word(a, b, "R")]),
           ("survivor-measure", lambda a, b: rauzy.survivor_measure(a, b, 1)))],
     # 1e-200 * 1e200 and 0.75 * (1/0.75) round to 1.0, but the exact
     # products of the floats lie below 1: the letter L is free, as in
@@ -298,8 +293,8 @@ CASES = [
     *[pytest.param(lambda a=a, b=b, call=call: oracles.meets_float_walk_bound(
           call, a, b, 1), True, id=f"float-{name}-on-a-product-rounded-to-1")
       for name, a, b, call in (
-          ("interval-for-word", 1e-200, 1e200,
-           lambda a, b: [interval_for_word(a, b, "L")]),
+          ("survivor-intervals", 1e-200, 1e200,
+           lambda a, b: survivor_intervals(a, b, 1)),
           ("survivor-measure", 0.75, 1 / 0.75,
            lambda a, b: rauzy.survivor_measure(a, b, 1)))],
     # a float slope beside an int: the pair is read as two floats, so
@@ -309,7 +304,7 @@ CASES = [
           call, 1 / 3, 3, 1), True,
           id=f"mixed-{name}-on-a-product-rounded-to-1")
       for name, call in (
-          ("interval-for-word", lambda a, b: [interval_for_word(a, b, "L")]),
+          ("survivor-intervals", lambda a, b: survivor_intervals(a, b, 1)),
           ("survivor-measure", lambda a, b: rauzy.survivor_measure(a, b, 1)))],
     # a few leaves' entries overflow, and their endpoints read inf/inf;
     # in the second, an s alone overflows, and its endpoint read 0.0 where

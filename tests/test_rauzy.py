@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dilatorus import rauzy
-from dilatorus.errors import (DilatorusError, EmptyInterval, NonConvergence,
-                              NotRenormalizable)
+from dilatorus.errors import DilatorusError, NonConvergence, NotRenormalizable
 from dilatorus.geometry import square_room
 from dilatorus.intervalmaps import AffineChart, TwoSlopeMap, evaluate
 from dilatorus.quadratics import QuadraticNumber
-from dilatorus.rauzy import (classify_step, induce, interval_for_word,
-                             iterate_induction, subdivision,
-                             survivor_intervals, survivor_measure, thresholds)
+from dilatorus.rauzy import (classify_step, induce, iterate_induction,
+                             subdivision, survivor_intervals,
+                             survivor_measure, thresholds)
 from dilatorus.surface import classify_direction
 import oracles
 
@@ -107,7 +106,7 @@ def test_iterate_induction_halts_with_pulled_back_cycle():
 
 def test_iterate_induction_budget():
     # a parameter deep in the survivor set outlives a short budget
-    lo, hi = interval_for_word(HALF, HALF, "LR" * 10)
+    lo, hi = oracles.word_interval_oracle(HALF, HALF, "LR" * 10)
     tsm = TwoSlopeMap(HALF, HALF, (lo + hi) / 2)
     outcome = iterate_induction(tsm, budget=7)
     assert outcome.terminal == "budget_exhausted"
@@ -148,10 +147,10 @@ def _exact_maps(rng: random.Random, count: int) -> list:
         except ValueError:
             continue
     for word in ("LR" * 6, "LLR" * 3, "RRL" * 3):
-        lo, hi = interval_for_word(HALF, Fraction(2, 3), word)
+        lo, hi = oracles.word_interval_oracle(HALF, Fraction(2, 3), word)
         maps.append(TwoSlopeMap(HALF, Fraction(2, 3), (lo + hi) / 2))
     for word in ("LLR", "RRL", "LRL"):
-        for end in interval_for_word(HALF, Fraction(2, 3), word):
+        for end in oracles.word_interval_oracle(HALF, Fraction(2, 3), word):
             maps.append(TwoSlopeMap(HALF, Fraction(2, 3), end))
     return maps
 
@@ -410,21 +409,20 @@ def test_an_overlong_cycle_is_refused_before_it_is_lifted(monkeypatch):
     assert calls == []
 
 
-def test_interval_for_word_contains_its_parameters():
+def test_word_intervals_contain_their_parameters():
     ra, rb = HALF, HALF
-    for word in ("L", "R", "LL", "LR", "RL", "RR", "RLR"):
-        lo, hi = interval_for_word(ra, rb, word)
-        assert 0 <= lo < hi <= 1
-        xt = (lo + hi) / 2
-        outcome = iterate_induction(TwoSlopeMap(ra, rb, xt),
-                                    budget=len(word))
-        # the realized word matches letter for letter
-        assert outcome.word[:len(word)] == word
-
-
-def test_interval_for_word_infeasible_letter():
-    with pytest.raises(EmptyInterval):
-        interval_for_word(Fraction(3), Fraction(2), "R")
+    for n in (1, 2, 3):
+        intervals = survivor_intervals(ra, rb, n)
+        # every word is feasible at (1/2, 1/2)
+        assert len(intervals) == 2 ** n
+        # every word over L, R of length n, L before R
+        words = map("".join, itertools.product("LR", repeat=n))
+        for word, (lo, hi) in zip(words, intervals):
+            assert 0 <= lo < hi <= 1
+            xt = (lo + hi) / 2
+            outcome = iterate_induction(TwoSlopeMap(ra, rb, xt), budget=n)
+            # the realized word matches letter for letter
+            assert outcome.word[:n] == word
 
 
 @pytest.mark.parametrize("ra, rb", [
@@ -438,8 +436,6 @@ def test_survivor_intervals_refuse_bad_slopes(ra, rb):
         survivor_intervals(ra, rb, 3)
     with pytest.raises(ValueError, match="slopes must be"):
         survivor_measure(ra, rb, 3)
-    with pytest.raises(ValueError, match="slopes must be"):
-        interval_for_word(ra, rb, "L")
 
 
 def test_survivor_measure_frozen_values():
@@ -630,8 +626,8 @@ def test_word_intervals_refuse_row_walks_of_different_lengths(monkeypatch,
     # raises where a plain zip would drop the other walk's last leaf
     walk = rauzy._walk
 
-    def short_of_a_leaf(root, path, word=""):
-        leaves = list(walk(root, path, word))
+    def short_of_a_leaf(root, path):
+        leaves = list(walk(root, path))
         return leaves[:-1] if root[4] == row else leaves
 
     monkeypatch.setattr(rauzy, "_walk", short_of_a_leaf)
@@ -694,32 +690,12 @@ def test_leaf_length_measure_equals_running_sum(ra, rb):
         assert type(got) is (Fraction if got else type(ra))
 
 
-@pytest.mark.parametrize("twin", [Fraction, float], ids=["exact", "float"])
-@pytest.mark.parametrize("ra,rb", EXACT_SLOPES, ids=str)
-def test_interval_for_word_is_the_walks_leaf(ra, rb, twin):
-    ra, rb = twin(ra), twin(rb)
-
-    def bits(interval):
-        return tuple(x.hex() if type(x) is float else x for x in interval)
-
-    for length in range(7):
-        feasible = []
-        # every word over L, R of this length, L before R
-        for word in map("".join, itertools.product("LR", repeat=length)):
-            try:
-                feasible.append(bits(interval_for_word(ra, rb, word)))
-            except EmptyInterval:
-                pass
-        assert feasible == [bits(i) for i in survivor_intervals(ra, rb,
-                                                                length)]
-
-
 def test_int_slopes_give_fraction_endpoints():
     assert survivor_intervals(2, 1, 3) == [(0, Fraction(1, 4))]
-    assert interval_for_word(2, 1, "LL") == (0, Fraction(1, 3))
-    assert interval_for_word(1, 1, "LR") == (Fraction(1, 3), HALF)
+    assert survivor_intervals(2, 1, 2) == [(0, Fraction(1, 3))]
+    assert survivor_intervals(1, 1, 2)[1] == (Fraction(1, 3), HALF)
     for interval in (*survivor_intervals(1, 1, 4),
-                     interval_for_word(2, 1, "LL")):
+                     *survivor_intervals(2, 1, 2)):
         assert all(type(x) is Fraction for x in interval)
     assert survivor_measure(1, 1, 4) == survivor_measure(Fraction(1),
                                                          Fraction(1), 4)
