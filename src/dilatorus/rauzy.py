@@ -86,7 +86,8 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import NamedTuple, Optional
 
-from .errors import AtDiscontinuity, NonConvergence, NotRenormalizable
+from .errors import (AtDiscontinuity, BudgetExhausted, NonConvergence,
+                     NotRenormalizable)
 from .intervalmaps import (
     INJECTIVITY_SLACK,
     AffineChart,
@@ -100,8 +101,8 @@ from .quadratics import Scalar, as_float, as_ratio, is_exact, slack
 
 # A cycle lifted back to the original map runs for its period, which the
 # induction counts; a float lift must then be back within CYCLE_CLOSE_TOL
-# of its first point, in the map's [0, 1] coordinate.  A period above
-# RECONSTRUCT_CAP is refused before any step.
+# of its first point, in the map's [0, 1] coordinate.  RECONSTRUCT_CAP
+# is a budget: a period above it raises BudgetExhausted before any step.
 CYCLE_CLOSE_TOL: float = 1e-9
 RECONSTRUCT_CAP: int = 10 ** 6
 # Induction on float slopes stops once a slope (unitless) leaves
@@ -241,8 +242,8 @@ def _pull_back_cycle(tsm: TwoSlopeMap, final: tuple, charts: list[tuple],
     which equals the final map's rho_a*rho_b.
     """
     if period > RECONSTRUCT_CAP:
-        raise NonConvergence(f"cycle period {period} exceeds the "
-                             f"reconstruction cap {RECONSTRUCT_CAP}")
+        raise BudgetExhausted(f"cycle period {period} exceeds the "
+                              f"reconstruction cap {RECONSTRUCT_CAP}")
     seed = attracting_cycle_in_hole(final).points[0]
     for scale, offset in reversed(charts):
         seed = (seed - offset) / scale

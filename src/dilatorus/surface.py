@@ -3,8 +3,9 @@
 A room's sides are glued in pairs by affine maps with positive factors,
 so a ray leaving through a glued side re-enters through the partner side
 travelling in the same direction, with lengths multiplied by the side's
-factor.  The door is genuine boundary: rays reaching it stop.  This
-module traces such rays, assembles the first-return map to a diagonal
+factor.  The door is genuine boundary, and a direction is set up only
+pointing into the surface there, so no ray reaches it.  This module
+traces such rays, assembles the first-return map to a diagonal
 cross-section (piecewise affine, injective, orientation preserving),
 reduces it to the two-slope normal form, and classifies directions as
 door-parallel, cylinder-carrying, or Cantor-like.  It also computes
@@ -104,11 +105,16 @@ DEFAULT_INDUCTION_BUDGET = 3000
 MAX_SCAN_SAMPLES = 10 ** 5
 
 # What classify_direction raises for a direction it cannot decide; scans
-# and monitors count such a direction as a miss.  Vertex hits are
-# absorbed per flight, by first_return_map and _verify_reduction, and
-# exhausted crossing budgets per section, by direction_to_two_slope, so
-# neither escapes; any other error is a bug that must reach the caller.
-UNDECIDED_ERRORS = (NotTransverse, NotReducible)
+# and monitors count such a direction as a miss.  NotTransverse: the
+# direction is parallel to every interior diagonal.  NotReducible: no
+# section's return map reduces to the two-slope form, and none
+# collapses.  BudgetExhausted: the induction halted on a cycle whose
+# period exceeds rauzy.RECONSTRUCT_CAP, too long to lift.  Vertex hits
+# are absorbed per flight, by first_return_map and _verify_reduction,
+# and exhausted crossing budgets per section, by direction_to_two_slope,
+# so neither escapes; any other error is a bug that must reach the
+# caller.
+UNDECIDED_ERRORS = (NotTransverse, NotReducible, BudgetExhausted)
 
 
 def _crossing_angle(theta: float, ux: float, uy: float,
@@ -138,7 +144,8 @@ def _require_finite(theta: float) -> None:
 SECTION_LEG = 5
 # the exit of a leg table's piece on which a ray meets no side: its t is
 # infinite, and its s NaN, which fails the test for a crossing clear of
-# the vertices, so that a leg there raises VertexHit
+# the vertices, so that a leg there raises VertexHit before its partner,
+# None, is read
 _NO_EXIT = (None, None, 1.0, math.nan, 0.0, math.inf, 0.0)
 
 
@@ -163,10 +170,10 @@ class Heading(NamedTuple):
     `legs[SECTION_LEG]` is that of the legs from the section, (cuts,
     pieces).  The piece of sigma is pieces[bisect_right(cuts, sigma)],
     the row (k, partner, factor, S0, S1, T0, T1) of its exit: the exit
-    side k, the side its transport lands on (None for the door) and its
-    factor, and the exit's s and t laws.  A piece where no exit is taken
-    is `_NO_EXIT`.  On every piece of side j the section is met at
-    t = C0 + C1*sigma and s = D0 + D1*sigma.  The section's own table
+    side k, the side its transport lands on and its factor, and the
+    exit's s and t laws.  A piece where no exit is taken is `_NO_EXIT`.
+    On every piece of side j the section is met at t = C0 + C1*sigma
+    and s = D0 + D1*sigma.  The section's own table
     has no section law, since a flight crosses a side before it can
     return.  `Direction.tabulate` builds each (cuts, pieces).
     """
@@ -196,8 +203,11 @@ class Direction:
     theta, the unit direction (ux, uy), `t_base`, the exits, the
     candidate sections and `bases`, the (cuts, pieces) of the legs from
     each side a ray can enter, None for the others.  `heading` builds
-    the heading of a section from them once.  A NaN or infinite theta
-    raises ValueError before any of it is built.
+    the heading of a section from them once.  Before any of it is
+    built, a NaN or infinite theta raises ValueError, and then so does
+    a theta that `Room.is_inward` rejects: one that points out of the
+    surface at the door, or runs along it.  `heading` refuses its
+    sections after that, in its own order.
 
     A section is one of the five pentagon diagonals, oriented from
     vertex i to vertex j and given as the pair (i, j).  All five
@@ -219,8 +229,10 @@ class Direction:
     once per direction.  On the counter-clockwise pentagon the ray
     leaves through a side whose u x e exceeds the side's parallel floor:
     `exits` holds (k, ax, ay, ex, ey, u x e) for those sides k, in the
-    order of the side table.  A ray enters only the partners of the
-    exits, so those are the sides that get a table.
+    order of the side table.  The door is never one of them: for an
+    inward u its u x e is negative, and a gluing keeps the direction,
+    so no flight reaches the door.  A ray enters only the partners of
+    the exits, so those are the sides that get a table.
 
     A leg that starts at sigma on the segment from b along f (a side's
     start and edge vector, sigma its fraction of the edge, or the
@@ -244,6 +256,9 @@ class Direction:
 
     def __init__(self, room: Room, theta: float):
         _require_finite(theta)
+        if not room.is_inward(theta):
+            raise ValueError("direction must point into the surface at the "
+                             "door")
         geom = room.geom
         ux, uy = math.cos(theta), math.sin(theta)
         self.room, self.theta, self.ux, self.uy = room, theta, ux, uy
@@ -341,10 +356,9 @@ class RayTrace(NamedTuple):
     """Itinerary of one ray: the glued sides it crossed, in flight order,
     and where and how it stopped.
 
-    `terminal` says how: "door" (the ray reached the door), "section"
-    (it crossed the heading's section), "budget" (it made MAX_CROSSINGS
-    transports) or "vertex" (it hit a cone point; only the trace a
-    VertexHit carries ends so).
+    `terminal` says how: "section" (it crossed the heading's section),
+    "budget" (it made MAX_CROSSINGS transports) or "vertex" (it hit a
+    cone point; only the trace a VertexHit carries ends so).
 
     `cumulative_factor` is the product of the crossed sides' dilation
     factors, taken in crossing order: the derivative of the flow between
@@ -400,12 +414,12 @@ def trace_ray(heading: Heading, start: float) -> RayTrace:
     `start`, the arc-length coordinate of a point on the heading's
     section, a float in [0, length].
 
-    Stops at the door, at a transverse crossing of the heading's
-    section, or after MAX_CROSSINGS transports.  A hit within
-    VERTEX_TOL of a side endpoint raises VertexHit carrying the
-    itinerary up to the hit, since the flow is undefined through the
-    cone point.  A start that is not finite or lies outside
-    [0, length] raises ValueError before any leg.
+    Stops at a transverse crossing of the heading's section, or after
+    MAX_CROSSINGS transports.  A hit within VERTEX_TOL of a side
+    endpoint raises VertexHit carrying the itinerary up to the hit,
+    since the flow is undefined through the cone point.  A start that
+    is not finite or lies outside [0, length] raises ValueError before
+    any leg.
 
     Every leg starts on a side or on the section, at a coordinate sigma
     of its leg table in `Heading.legs`, which a flight reads and never
@@ -426,10 +440,10 @@ def trace_ray(heading: Heading, start: float) -> RayTrace:
     `cli.main` call).
 
     A flight runs in three parts.  The first leg, from the section,
-    cannot cross it; it ends at the door or in the first transport.
-    The second leg's section test comes next, before the loop's set-up,
-    since most flights return on that leg (about 87% of a scan's and 75%
-    of a classification's).  Each pass of the loop then takes a leg's
+    cannot cross it; it ends in the first transport.  The second leg's
+    section test comes next, before the loop's set-up, since most
+    flights return on that leg (about 87% of a scan's and 75% of a
+    classification's).  Each pass of the loop then takes a leg's
     exit and transport and the next leg's section test.
 
     After the first transport every leg depends on its side and sigma
@@ -451,10 +465,6 @@ def trace_ray(heading: Heading, start: float) -> RayTrace:
     s = s0 + s1 * start
     if not _S_IN_LO <= s <= _S_IN_HI:
         raise _vertex_hit(heading, k, s, [], 1.0, SECTION_LEG, start)
-    if partner is None:
-        ax, ay, ex, ey, *_ = rows[k]
-        return _new_trace(RayTrace, ((), 1.0, "door",
-                                     (ax + ex * s, ay + ey * s)))
 
     # the second leg, after the first transport, on which most flights
     # return: its section test comes before the loop's set-up
@@ -483,11 +493,10 @@ def trace_ray(heading: Heading, start: float) -> RayTrace:
         s = s0 + s1 * sigma
         if not _S_IN_LO <= s <= _S_IN_HI:
             raise _vertex_hit(heading, k, s, crossed, gain, j, sigma)
-        if partner is None or transports_left <= 0:
+        if transports_left <= 0:
             ax, ay, ex, ey, *_ = rows[k]
-            return _new_trace(RayTrace, (
-                tuple(crossed), gain, "door" if partner is None else "budget",
-                (ax + ex * s, ay + ey * s)))
+            return _new_trace(RayTrace, (tuple(crossed), gain, "budget",
+                                         (ax + ex * s, ay + ey * s)))
         transports_left -= 1
         crossed.append(k)
         gain *= factor
@@ -541,17 +550,12 @@ def _flight(heading: Heading, s: float) -> RayTrace:
     It runs one `trace_ray` from s and returns the RayTrace once the
     flight is known to end on the section; `_back` reads where it did.
     Raises BudgetExhausted when the flight takes more than
-    MAX_CROSSINGS transports, NotTransverse when it reaches the
-    door, and VertexHit from the tracer.
+    MAX_CROSSINGS transports, and VertexHit from the tracer.
     """
     tr = trace_ray(heading, s)
     if tr.terminal == "budget":
         raise BudgetExhausted("no return to the section within "
                               f"{MAX_CROSSINGS} crossings")
-    if tr.terminal == "door":
-        raise NotTransverse("trajectory off the section reaches the "
-                            "door; no first-return map in this "
-                            "direction")
     return tr
 
 
@@ -581,18 +585,10 @@ def first_return_map(direction: Direction,
 
     It refuses what `Direction.heading` refuses, in its order: a pair
     that is not a pentagon diagonal, a section theta cannot cross and a
-    section that is not an interior diagonal.  Then it refuses, with
-    ValueError, a direction that points out of the surface at the
-    door.  A direction within DOOR_ANGLE_TOL of the door's, mod pi, is
-    accepted, as `classify_direction` reads it: its flow is tangent to
-    the boundary leaf and never crosses the door transversally.  (A
-    non-finite theta has no `Direction`.)
+    section that is not an interior diagonal.  (A non-finite or
+    non-inward theta has no `Direction`.)
     """
     heading = direction.heading(section)
-    room, theta = direction.room, direction.theta
-    if not (room.is_inward(theta) or angle_dist_mod_pi(
-            theta, room.door_direction()) <= DOOR_ANGLE_TOL):
-        raise ValueError("direction must point into the surface at the door")
     length = heading.frame[4]
 
     def itinerary(s: float) -> Optional[tuple[int, ...]]:
@@ -681,7 +677,7 @@ def _verify_reduction(direction: Direction, sec: tuple[int, int],
             s_back = _back(heading, _flight(heading, s))
         except VertexHit:
             continue
-        except (BudgetExhausted, NotTransverse):
+        except BudgetExhausted:
             raise NotReducible("verification trace did not return to the "
                                "section") from None
         predicted = float(evaluate_two_slope(tsm, x))
@@ -776,7 +772,7 @@ def _collapsed_direction(direction: Direction
         heading = direction.heading(sec)
         try:
             s_back = _back(heading, _flight(heading, fixed))
-        except (NotTransverse, BudgetExhausted):
+        except BudgetExhausted:
             continue
         except VertexHit:
             # The branch law was already verified at two probe points;

@@ -37,8 +37,8 @@ from dilatorus.rauzy import (FLOAT_SLOPE_MAX, FLOAT_SLOPE_MIN, RauzyOutcome,
                              classify_step, induce)
 from dilatorus.surface import (BRANCH_BISECT_TOL, BRANCH_MIN_GAP,
                                BRANCH_VERIFY_TOL, CLEARANCE,
-                               DOOR_ANGLE_TOL, EXACT_DENOMINATOR_CAP,
-                               EXACT_ORBIT_CAP, MAX_CROSSINGS, MIN_STEP,
+                               EXACT_DENOMINATOR_CAP, EXACT_ORBIT_CAP,
+                               MAX_CROSSINGS, MIN_STEP,
                                RETURN_SAMPLES, ROTATION_ANCHOR_RADIUS,
                                ROTATION_CYCLE_TOL, TRANSVERSALITY_FLOOR,
                                VERTEX_TOL, RayTrace)
@@ -182,12 +182,13 @@ def lift_cycle_oracle(tsm: TwoSlopeMap, final: TwoSlopeMap,
     lifts to, through the AffineCharts of the steps: one cycle point is
     sent back by `AffineChart.invert`, and the others follow by one
     `intervalmaps.evaluate` per point, for `period` points.  Refused
-    with NonConvergence as `rauzy` refuses it: a period past
-    `rauzy.RECONSTRUCT_CAP` before any step, and a lift that is not back
-    within `rauzy.CYCLE_CLOSE_TOL` of its first point after its period."""
+    as `rauzy` refuses it: a period past `rauzy.RECONSTRUCT_CAP` with
+    BudgetExhausted before any step, and a lift that is not back within
+    `rauzy.CYCLE_CLOSE_TOL` of its first point after its period with
+    NonConvergence."""
     if period > rauzy.RECONSTRUCT_CAP:
-        raise NonConvergence(f"cycle period {period} exceeds the "
-                             f"reconstruction cap {rauzy.RECONSTRUCT_CAP}")
+        raise BudgetExhausted(f"cycle period {period} exceeds the "
+                              f"reconstruction cap {rauzy.RECONSTRUCT_CAP}")
     seed = attracting_cycle_in_hole(final).points[0]
     for chart in reversed(charts):
         seed = chart.invert(seed)
@@ -453,12 +454,13 @@ def first_return_map_oracle(room: Room, theta: float,
     error with the same message.
 
     `section` is a pentagon diagonal (i, j).  The oracle refuses in the
-    library's order: a non-finite theta, a section theta cannot cross,
-    a section whose chord is not inside the room's exact twin
-    (`exact_shape`), and a direction out of the door: one neither
-    inward nor within DOOR_ANGLE_TOL of the door's direction mod pi."""
+    library's order: a non-finite theta, a theta that `Room.is_inward`
+    rejects, a section theta cannot cross, and a section whose chord is
+    not inside the room's exact twin (`exact_shape`)."""
     if not math.isfinite(theta):
         raise ValueError(f"direction theta must be finite, got {theta!r}")
+    if not room.is_inward(theta):
+        raise ValueError("direction must point into the surface at the door")
     a, b = (room.geom.vertices[k] for k in section)
     length = (b - a).length()
     tangent = (b - a) * (1.0 / length)
@@ -469,10 +471,6 @@ def first_return_map_oracle(room: Room, theta: float,
     if pair not in exact_shape(twin):
         raise ValueError(f"{section} is not an interior diagonal of "
                          "the room")
-    v3, v4 = room.geom.vertices[3:5]
-    if not (room.is_inward(theta) or angle_dist_mod_pi(
-            theta, (v4 - v3).angle()) <= DOOR_ANGLE_TOL):
-        raise ValueError("direction must point into the surface at the door")
 
     def flight(s: float) -> tuple[float, float, tuple[int, ...]]:
         tr = trace_ray_oracle(room, s, theta, max_crossings=MAX_CROSSINGS,

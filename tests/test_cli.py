@@ -484,6 +484,22 @@ REFUSALS_AND_EDGES = {
         ["reach", "--mu1-exact=1e-400,0,0", "--mu2-exact=2e-400,0,0",
          "--target1=1", "--target2=1.3"], 3, "BudgetExhausted", "out",
         "best predicted error inf"),
+    # 1e-7 inside the door the induction halts on a cycle of 4,023,235
+    # points, past rauzy.RECONSTRUCT_CAP: too long to lift, so exhausted
+    "classify-cycle-past-the-reconstruction-cap": (
+        ["classify", "--mu1=1.7126114260768057", "--mu2=0.3150913328409743",
+         "--e1=0.543507842425422,-0.03437734562189465",
+         "--e2=0.4433567169983137,1.4734618297053863",
+         "--theta=3.7212297950128954"], 3, "BudgetExhausted", "out",
+        "exceeds the reconstruction cap 1000000"),
+    # the same room rotated so that its door is horizontal: window
+    # probes near the horizontal lie near the door, where such cycles
+    # are found, and the monitor counts each of them as undecided
+    "flow-counts-a-cycle-past-the-reconstruction-cap-as-undecided": (
+        ["flow", "--mu1=1.7126114260768057", "--mu2=0.3150913328409743",
+         "--e1=-0.43590291927830865,0.32645247990265425",
+         "--e2=-1.1779844525394325,-0.9899533179305178", "--t-max=12",
+         "--steps=1", "--eps=0.2"], 0, None, "out", '"samples":['),
     # the doubling caps stop at 1024, the last that fits in 1500
     "rotnum-names-the-iterations-run": (
         ["rotnum", "--rhoA=2.887559999924621", "--rhoB=0.7176082903346565",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dilatorus import rauzy, surface
+from dilatorus import rauzy
 from dilatorus.errors import (AtDiscontinuity, NonConvergence, NotReducible,
                               NotTransverse, RationalRatio)
 from dilatorus.geometry import (DilationParams, build_room, canonicalize,
@@ -18,7 +18,7 @@ from dilatorus.intervalmaps import (AffineBranch, AffineChart,
                                     evaluate, restrict_to_image)
 from dilatorus.quadratics import QuadraticNumber
 from dilatorus.rauzy import subdivision, survivor_intervals
-from dilatorus.surface import (Direction, RayTrace, first_return_map,
+from dilatorus.surface import (Direction, first_return_map,
                                rotation_number)
 from dilatorus.teichmuller import distortion
 from dilatorus.twists import (ContractionResult, HolonomyClass, ReachReport,
@@ -84,15 +84,16 @@ CASES = [
                      (0, 2)),
                  (NotTransverse, "parallel to the section"),
                  id="heading-section-parallel-to-the-flow"),
-    # a section off the room is refused before an outward direction
+    # an outward direction is refused before a section off the room
     pytest.param(lambda: first_return_map(Direction(REFLEX, OUTWARD),
                                           (0, 3)),
-                 (ValueError, "not an interior diagonal"),
+                 (ValueError, "must point into the surface"),
                  id="return-map-outward-direction-off-the-room"),
-    pytest.param(lambda: first_return_map(Direction(ROOM, 1.0), (0, 1)),
+    pytest.param(lambda: first_return_map(Direction(ROOM, 1.0 + math.pi),
+                                          (0, 1)),
                  (ValueError, "not a pentagon diagonal"),
                  id="cross-section-on-a-side"),
-    pytest.param(lambda: Direction(ROOM, 1.0).heading((2, 3)),
+    pytest.param(lambda: Direction(ROOM, 1.0 + math.pi).heading((2, 3)),
                  (ValueError, r"^\(2, 3\) is not a pentagon diagonal$"),
                  id="heading-section-on-a-side"),
     pytest.param(lambda: rotation_number(2.0, 0.5, max_iter=0),
@@ -358,16 +359,3 @@ def test_edge_path(call, expected):
 def test_floor_rows_start_from_a_wrong_float_floor():
     assert (float(BELOW_ZERO), float(ABOVE_ZERO)) == (2.0, -4.0)
     assert -1 < BELOW_ZERO < 0 < ABOVE_ZERO < 1
-
-
-def test_a_flight_that_reaches_the_door_has_no_return(monkeypatch):
-    # no float input is known to reach the door within DOOR_ANGLE_TOL
-    # of door-parallel, so the tracer is stubbed to end each flight there
-    def to_the_door(heading, start):
-        return RayTrace((), 1.0, "door", (0.0, 0.0))
-
-    monkeypatch.setattr(surface, "trace_ray", to_the_door)
-    theta = sum(ROOM.inward_directions()) / 2
-    with pytest.raises(NotTransverse, match="off the section reaches the "
-                                            "door"):
-        first_return_map(Direction(ROOM, theta), (0, 2))

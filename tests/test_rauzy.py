@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dilatorus import rauzy
-from dilatorus.errors import DilatorusError, NonConvergence, NotRenormalizable
+from dilatorus.errors import (BudgetExhausted, DilatorusError,
+                              NotRenormalizable)
 from dilatorus.geometry import square_room
 from dilatorus.intervalmaps import AffineChart, TwoSlopeMap, evaluate
 from dilatorus.quadratics import QuadraticNumber
@@ -215,7 +216,7 @@ def test_iterate_induction_matches_the_plain_loop_oracle():
                                    3000)
         assert got == want, tsm
         refusals.add(got[0])
-    assert refusals == {NotRenormalizable, NonConvergence}
+    assert refusals == {NotRenormalizable, BudgetExhausted}
 
 
 def _winner_maps(rng: random.Random, count: int, exact: bool) -> list:
@@ -325,13 +326,15 @@ def test_iterate_induction_builds_no_map_or_chart_per_step():
         lambda: oracles.iterate_induction_oracle(rotation, 600)) > 5169
 
 
-def test_cycle_reconstruction_cap_raises_nonconvergence(monkeypatch):
+def test_cycle_reconstruction_cap_raises_budget_exhausted(monkeypatch):
+    # the cap is a budget on the lift, not a failure to converge
     tsm = TwoSlopeMap(HALF, HALF, Fraction(1, 4))   # halts on a 3-cycle
     assert iterate_induction(tsm, budget=10).cycle.period == 3
     monkeypatch.setattr(rauzy, "RECONSTRUCT_CAP", 0)
-    with pytest.raises(NonConvergence) as info:
+    with pytest.raises(BudgetExhausted, match="exceeds the reconstruction "
+                                              "cap 0") as info:
         iterate_induction(tsm, budget=10)
-    assert info.value.bracket is None
+    assert info.value.partial is None
 
 
 def test_counted_period_is_the_least_return_of_the_exact_cycle():
@@ -404,7 +407,7 @@ def test_an_overlong_cycle_is_refused_before_it_is_lifted(monkeypatch):
 
     monkeypatch.setattr(rauzy, "attracting_cycle_in_hole", counted)
     for tsm in _boundary_maps():
-        with pytest.raises((NotRenormalizable, NonConvergence)):
+        with pytest.raises((NotRenormalizable, BudgetExhausted)):
             iterate_induction(tsm, budget=3000)
     assert calls == []
 

@@ -5,7 +5,7 @@ dataclass it replaced did, and validates its fields as that did.
 The repr strings and refusal messages below were captured from the
 dataclass records, so a record built from the same fields must print
 them byte for byte.  As tuples, records also unpack, and compare equal
-to equal tuples (see the README's API note).
+to equal tuples (see the README's API notes).
 """
 
 import math

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import oracles
-from dilatorus import cli, quadratics, surface, teichmuller
+from dilatorus import cli, quadratics, rauzy, surface, teichmuller
 from dilatorus.errors import (BudgetExhausted, NonConvergence, NotReducible,
                               NotTransverse, VertexHit)
 from dilatorus.geometry import (_DIAGONAL_PAIRS, PARALLEL_EPS, SL2Matrix,
@@ -37,18 +37,29 @@ REFLEX = build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0))
 
 # --- ray tracing ---
 
-def test_trace_reaches_door():
-    # straight shot toward the door from (0.3, 0.3) on the diagonal
-    heading = Direction(ROOM, math.atan2(1.0, -0.3)).heading((0, 2))
+def test_the_line_to_the_door_is_traced_inward():
+    # the line from (0.3, 0.3) on the diagonal straight toward the door
+    # is refused as a direction; along it the other way the flight
+    # returns to the section
+    toward = math.atan2(1.0, -0.3)
+    with pytest.raises(ValueError, match="must point into the surface"):
+        Direction(ROOM, toward)
+    heading = Direction(ROOM, toward + math.pi).heading((0, 2))
     trace = trace_ray(heading, 0.3 * math.sqrt(2.0))
-    assert trace.terminal == "door"
+    assert trace.terminal == "section"
     assert trace.crossings == len(trace.crossed_sides)
+
+
+def _inward(room, theta: float) -> float:
+    """theta, turned by pi when it points out of `room` at the door, as
+    `classify_direction` reads a direction."""
+    return theta if room.is_inward(theta) else wrap_2pi(theta + math.pi)
 
 
 def test_trace_transport_factors_are_glue_factors():
     rng = random.Random(SEED)
     for _ in range(40):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        theta = _inward(ROOM, rng.uniform(0.0, 2.0 * math.pi))
         heading = Direction(ROOM, theta).heading((2, 4))
         try:
             trace = trace_ray(heading, 0.29 * heading.frame[4])
@@ -85,7 +96,7 @@ def test_a_section_start_next_to_a_vertex_traces(monkeypatch):
         for i, j in room.geom.interior:
             for section in ((i, j), (j, i)):
                 for k in range(24):
-                    theta = 2.0 * math.pi * (k + 0.37) / 24
+                    theta = _inward(room, 2.0 * math.pi * (k + 0.37) / 24)
                     heading = Direction(room, theta).heading(section)
                     length = heading.frame[4]
                     for s in (1e-12 * length, 1e-9 * length):
@@ -148,13 +159,13 @@ def _start(rng: random.Random, room, section, theta: float,
 
 def _oracle_cases(rng: random.Random, n: int):
     """(room, s, theta, max_crossings, section) cases over six rooms:
-    random directions from random section coordinates, one in ten
-    aimed at a vertex."""
+    random inward directions from random section coordinates, one in
+    ten aimed at a vertex."""
     rooms = _oracle_rooms(rng)
     for k in range(n):
         room = rooms[k % len(rooms)]
         section = rng.choice(room.geom.interior)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        theta = _inward(room, rng.uniform(0.0, 2.0 * math.pi))
         s = _start(rng, room, section, theta, rng.random() < 0.1)
         yield (room, s, theta, rng.choice((3, 12, 64)), section)
 
@@ -179,7 +190,7 @@ def test_trace_ray_matches_vec2_oracle(monkeypatch):
             second_leg_returns += (fast[1].terminal == "section"
                                    and fast[1].crossings == 1)
     assert all(count >= 10 for count in kinds.values()), kinds
-    assert ends == {"door", "section", "budget"}
+    assert ends == {"section", "budget"}
     assert second_leg_returns >= 100, second_leg_returns
 
 
@@ -245,7 +256,7 @@ def test_a_vertex_past_a_transport_traces_as_the_oracle_does(monkeypatch):
     hits = {1: 0, 2: 0, 3: 0}
     for room in _oracle_rooms(rng):
         for k in range(450):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
+            theta = _inward(room, rng.uniform(0.0, 2.0 * math.pi))
             section = rng.choice(room.geom.interior)
             transports = 1 + k % 3
             s = _aimed_past_transports(rng, room, section, theta, transports)
@@ -267,7 +278,9 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
     # of an end: most raise VertexHit on the section on the second leg,
     # where the tracer tests the section before the loop's set-up, and
     # the partial trace (one side, its factor, the end point) must be
-    # the oracle's
+    # the oracle's.  An inward flight's way back from the section end
+    # often meets the door first, so it takes 200 draws a room to aim
+    # 100 such starts
     section_hits = []
     vertex_hit = surface._vertex_hit
 
@@ -280,8 +293,8 @@ def test_a_section_end_past_one_transport_traces_as_the_oracle_does(
     monkeypatch.setattr(surface, "MAX_CROSSINGS", 64)
     rng = random.Random(SEED + 14)
     for room in _oracle_rooms(rng):
-        for _ in range(150):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
+        for _ in range(200):
+            theta = _inward(room, rng.uniform(0.0, 2.0 * math.pi))
             section = rng.choice(room.geom.interior)
             a, b = (room.geom.vertices[k] for k in section)
             ends = [a + (b - a) * f for f in (5e-13, 1.0 - 5e-13)]
@@ -363,7 +376,7 @@ def test_shared_headings_build_the_tables_of_a_fresh_heading():
                     for i, j in room.geom.interior
                     for pair in ((i, j), (j, i))]
         for _ in range(12):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
+            theta = _inward(room, rng.uniform(0.0, 2.0 * math.pi))
             entered = _entered_sides(room, theta)
             direction = Direction(room, theta)
             rng.shuffle(sections)
@@ -411,7 +424,7 @@ def test_one_rule_decides_whether_a_section_can_be_crossed():
             _, _, ex, ey, par = room.geom.diagonals[i, j]
             along = math.atan2(ey, ex)
             for off in (0.0, 5e-10, -5e-10, 1e-8, -1e-8, 1e-3, 0.7):
-                theta = along + off
+                theta = _inward(room, along + off)
                 direction = Direction(room, theta)
                 for section in ((i, j), (j, i)):
                     if (i, j) in direction.candidates:
@@ -496,7 +509,7 @@ def test_a_shared_heading_leaks_nothing_between_flights(monkeypatch):
     kinds = {"trace": 0, "vertex": 0}
     for room in _oracle_rooms(rng):
         for _ in range(2):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
+            theta = _inward(room, rng.uniform(0.0, 2.0 * math.pi))
             for i, j in room.geom.interior:
                 section = (i, j)
                 # one start in six aimed along theta at a vertex
@@ -536,7 +549,7 @@ def test_float_traces_agree_with_exact_traces(monkeypatch):
     compared = 0
     ends = set()
     for _ in range(200):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        theta = _inward(ROOM, rng.uniform(0.0, 2.0 * math.pi))
         i, j = rng.choice(ROOM.geom.interior)
         (ax, ay), (bx, by) = sides[i][0], sides[j][0]
         frac = Fraction(rng.random())
@@ -554,7 +567,7 @@ def test_float_traces_agree_with_exact_traces(monkeypatch):
         compared += 1
         ends.add(terminal)
     assert compared >= 190, compared
-    assert ends == {"door", "section", "budget"}, ends
+    assert ends == {"section", "budget"}, ends
 
 
 def test_cached_room_geometry_is_invisible():
@@ -651,6 +664,111 @@ def test_a_non_finite_direction_is_refused(entry):
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theta must be finite"):
             entry(theta)
+
+
+def _door_rooms() -> list:
+    """The six oracle rooms and each of them scaled by 1e-9 and by 1e3."""
+    rooms = _oracle_rooms(random.Random(SEED + 15))
+    return rooms + [build_room(room.e1 * scale, room.e2 * scale, room.params)
+                    for scale in (1e-9, 1e3) for room in rooms]
+
+
+def _near_door(room, offsets) -> list[float]:
+    """door + k*pi + off for k = 0, 1 and each off in `offsets`."""
+    door = room.door_direction()
+    return [door + k * math.pi + sign * off for k in (0, 1)
+            for off in offsets for sign in (1.0, -1.0)]
+
+
+def test_no_inward_direction_exits_through_the_door():
+    # a gluing keeps the direction, and an inward u has a negative
+    # u x e on the door, so no exit of the direction and no piece of a
+    # leg table is the door: no flight can reach it
+    rng = random.Random(SEED + 16)
+    directions = 0
+    for room in _door_rooms():
+        lo, hi = room.inward_directions()
+        seeded = [lo + (hi - lo) * rng.random() for _ in range(12)]
+        near = [theta for theta in _near_door(room, (2e-12, 1e-9, 1e-6))
+                if room.is_inward(theta)]
+        assert len(near) == 6
+        for theta in seeded + near:
+            direction = Direction(room, theta)
+            assert 3 not in [k for k, *_ in direction.exits], (room, theta)
+            for section in direction.candidates:
+                for table in direction.heading(section).legs:
+                    if table is not None:
+                        assert 3 not in [piece[0] for piece in table[1]]
+            directions += 1
+    assert directions == 18 * 18
+
+
+def test_an_outward_direction_is_refused_before_any_table(monkeypatch):
+    # every theta that is_inward rejects is refused when its Direction
+    # is built, within DOOR_ANGLE_TOL of the door or not, before a
+    # section is asked for or a leg table is built
+    def untouched(*args):
+        raise AssertionError("an outward direction was set up")
+
+    monkeypatch.setattr(Direction, "heading", untouched)
+    monkeypatch.setattr(Direction, "tabulate", untouched)
+    rng = random.Random(SEED + 17)
+    refused = 0
+    for room in _door_rooms():
+        lo, hi = room.inward_directions()
+        seeded = [lo + math.pi + (hi - lo) * rng.random() for _ in range(12)]
+        near = _near_door(room, (0.0, 5e-13, 2e-12, 1e-9, 1e-6))
+        outward = seeded + [th for th in near if not room.is_inward(th)]
+        assert len(outward) >= 12 + 7
+        for theta in outward:
+            with pytest.raises(ValueError,
+                               match="must point into the surface"):
+                Direction(room, theta)
+            refused += 1
+    assert refused >= 18 * 19
+
+
+# the middle of REFLEX's inward half-circle, and the opposite direction
+REFLEX_IN = sum(REFLEX.inward_directions()) / 2
+REFLEX_OUT = REFLEX_IN + math.pi
+
+
+@pytest.mark.parametrize("theta, section, expected", [
+    (math.nan, (2, 3), (ValueError, "theta must be finite")),
+    (REFLEX_OUT, (2, 3), (ValueError, "must point into the surface")),
+    (REFLEX_OUT, (0, 3), (ValueError, "must point into the surface")),
+    (REFLEX_IN, (2, 3), (ValueError, "not a pentagon diagonal")),
+    ((REFLEX.vertices()[3] - REFLEX.vertices()[0]).angle(), (0, 3),
+     (NotTransverse, "parallel to the section")),
+    (REFLEX_IN, (0, 3), (ValueError, "not an interior diagonal")),
+], ids=["non-finite", "outward-on-a-side", "outward-off-the-room",
+        "inward-on-a-side", "inward-along-the-section", "inward-off-the-room"])
+def test_a_direction_is_refused_in_one_order(theta, section, expected):
+    # non-finite, then outward, when the Direction is built; then the
+    # heading's three, whether the section is asked for by itself or by
+    # a return map
+    error, match = expected
+    for entry in (lambda: Direction(REFLEX, theta).heading(section),
+                  lambda: first_return_map(Direction(REFLEX, theta),
+                                           section)):
+        with pytest.raises(error, match=match):
+            entry()
+
+
+def test_no_near_door_direction_is_refused_by_its_classification():
+    # classify_direction turns an outward theta inward before it builds
+    # the Direction, so no theta next to the door, on either side, is
+    # refused as outward; an undecided direction is counted, not refused
+    verdicts = {}
+    for room in _door_rooms():
+        for theta in _near_door(room, (2e-12, 1e-9, 1e-6)):
+            try:
+                kind = classify_direction(room, theta, budget=50).kind
+            except UNDECIDED_ERRORS as exc:
+                kind = type(exc).__name__
+            verdicts[kind] = verdicts.get(kind, 0) + 1
+    assert sum(verdicts.values()) == 18 * 12, verdicts
+    assert "door" not in verdicts, verdicts
 
 
 def test_first_return_map_matches_vec2_oracle():
@@ -968,6 +1086,17 @@ def test_scan_drops_undecided_directions_and_reports_bugs(monkeypatch):
         find_cylinders(ROOM, 0.3, budget=600)
 
 
+def test_a_scan_counts_a_cycle_too_long_to_lift_as_undecided(monkeypatch):
+    # with every induced cycle past the reconstruction cap, the scan
+    # runs to its end and keeps the three cylinders that collapsed
+    # return maps find without induction
+    full = find_cylinders(ROOM, 0.3, budget=600)
+    monkeypatch.setattr(rauzy, "RECONSTRUCT_CAP", 2)
+    scan = find_cylinders(ROOM, 0.3, budget=600)
+    assert [c.word for c in scan.cylinders] == ["", "", ""]
+    assert scan.cylinders == tuple(c for c in full.cylinders if not c.word)
+
+
 def test_a_vertex_hit_from_a_return_map_reaches_the_caller(monkeypatch):
     # first_return_map absorbs every VertexHit of its own flights, so one
     # that escapes it is a bug, and the section loop passes it on rather
@@ -1150,13 +1279,12 @@ def _failing_flight(monkeypatch, error, when):
 @pytest.mark.parametrize("error, refused", [
     (VertexHit("hit"), False),
     (BudgetExhausted("out"), True),
-    (NotTransverse("door"), True),
 ])
 def test_verify_reduction_skips_a_vertex_hit_and_refuses_a_lost_probe(
         monkeypatch, error, refused):
     # a probe that hits a vertex is skipped, even where the normal form
-    # is wrong; one that runs out of crossings or reaches the door
-    # makes the reduction unverifiable
+    # is wrong; one that runs out of crossings makes the reduction
+    # unverifiable
     direction = Direction(ROOM, 4.0055)
     red = surface.direction_to_two_slope(direction)
     tsm = red.two_slope
@@ -1173,7 +1301,6 @@ def test_verify_reduction_skips_a_vertex_hit_and_refuses_a_lost_probe(
 @pytest.mark.parametrize("error, accepted", [
     (VertexHit("hit"), True),
     (BudgetExhausted("out"), False),
-    (NotTransverse("door"), False),
 ])
 def test_collapsed_direction_checks_its_fixed_point_flight(
         monkeypatch, error, accepted):

@@ -41,6 +41,14 @@ def test_sloc_counts_code_lines_per_module_in_name_order(tmp_path):
 
 
 def test_ops_hash_prints_the_op_count_and_a_hash():
-    # the hash itself is not pinned: a change to the benchmark's ops or
-    # outputs moves it
-    assert re.fullmatch(r"888 [0-9a-f]{16}\n", run_tool("ops_hash.py"))
+    # a line per workload, then the total; no hash is pinned: a change
+    # to the benchmark's ops or outputs moves it
+    *per_workload, total = run_tool("ops_hash.py").splitlines()
+    rows = [re.fullmatch(r"([a-z]+) ([0-9]+) [0-9a-f]{16}", line)
+            for line in per_workload]
+    assert all(rows), per_workload
+    counts = [(row[1], int(row[2])) for row in rows]
+    assert counts == [("classify", 480), ("scan", 4), ("flow", 4),
+                      ("exact", 400)]
+    assert sum(n for _, n in counts) == 888
+    assert re.fullmatch(r"888 [0-9a-f]{16}", total)

@@ -1,4 +1,4 @@
-"""Hash of the benchmark ops' outputs: one line, `<op count> <16 hex digits>`.
+"""Hash of the benchmark ops' outputs, per workload and in total.
 
     python3 tools/ops_hash.py [ROOT]
 
@@ -8,8 +8,13 @@ script.  Passes 0 and 1 at seed 0 of each workload
 run in this interpreter through ROOT's `dilatorus.cli.main`, workload by
 workload in the order classify, scan, flow, exact, pass 0 before pass 1.
 Each op feeds sha256 the repr of (argv list, exit code, stdout, stderr).
-Two checkouts whose lines match print the same bytes on every op.  The
-script writes no file.
+
+It prints one line `<workload> <op count> <16 hex digits>` per workload,
+hashing that workload's ops alone, and then the total line `<op count>
+<16 hex digits>`, hashing every op in the order above.  Two checkouts
+whose lines match print the same bytes on every op, and a workload line
+that differs names the workload whose outputs moved.  The script writes
+no file.
 """
 
 from __future__ import annotations
@@ -35,15 +40,21 @@ def main(argv: list[str]) -> int:
     digest = hashlib.sha256()
     count = 0
     for workload in WORKLOADS:
+        own = hashlib.sha256()
+        own_count = 0
         for k in range(PASSES):
             for op in workloads.make_pass(workload, SEED, k):
                 out, err = io.StringIO(), io.StringIO()
                 with (contextlib.redirect_stdout(out),
                       contextlib.redirect_stderr(err)):
                     code = cli.main(list(op.argv))
-                digest.update(repr((list(op.argv), code, out.getvalue(),
-                                    err.getvalue())).encode())
-                count += 1
+                fed = repr((list(op.argv), code, out.getvalue(),
+                            err.getvalue())).encode()
+                digest.update(fed)
+                own.update(fed)
+                own_count += 1
+        print(workload, own_count, own.hexdigest()[:16])
+        count += own_count
     print(count, digest.hexdigest()[:16])
     return 0
 
