@@ -215,11 +215,16 @@ class DilationParams(NamedTuple):
 
 # --- rooms ---
 
-def _pentagon_vertices(e1: Vec2, e2: Vec2, nu1: float,
-                       nu2: float) -> tuple[Vec2, ...]:
-    """V0..V4 of the pentagon model over the basis (e1, e2)."""
-    v2 = e1 + e2
-    return (Vec2(0.0, 0.0), e1, v2, v2 - e1 * (1.0 / nu1), e2 * (1.0 / nu2))
+def _pentagon_vertices(e1: tuple, e2: tuple, nu1: float,
+                       nu2: float) -> tuple[tuple, ...]:
+    """V0..V4 of the pentagon model over the basis (e1, e2), as (x, y)
+    pairs of scalars: each coordinate is the one `Vec2` arithmetic
+    gives, the same operations on the same types in the same order."""
+    (e1x, e1y), (e2x, e2y) = e1, e2
+    s1, s2 = 1.0 / nu1, 1.0 / nu2
+    v2x, v2y = e1x + e2x, e1y + e2y
+    return ((0.0, 0.0), (e1x, e1y), (v2x, v2y),
+            (v2x - e1x * s1, v2y - e1y * s1), (e2x * s2, e2y * s2))
 
 
 _DIAGONAL_PAIRS: tuple[tuple[int, int], ...] = ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
@@ -238,24 +243,38 @@ def _interior_pairs(nu1: float, nu2: float) -> tuple[tuple[int, int], ...]:
     (0, 1/nu2) decides it: V3 lies right of the line x = 0 iff nu1 > 1,
     V4 below y = 1 iff nu2 > 1, and the chord from V1 toward V3 (or V4)
     passes above V4 (right of V3) iff nu1*nu2 > 1, a product taken
-    exactly so that the rule is the exact geometry of the float room.
+    exactly so that the rule is the exact geometry of the float room:
+    n1*n2 > d1*d2 on the integer ratios n/d of the two factors.
     """
-    wide = Fraction(nu1) * Fraction(nu2) > 1
+    (n1, d1), (n2, d2) = nu1.as_integer_ratio(), nu2.as_integer_ratio()
+    wide = n1 * n2 > d1 * d2
     inside = {(0, 2): True, (0, 3): nu1 > 1.0, (1, 3): nu1 > 1.0 or wide,
               (1, 4): nu2 > 1.0 or wide, (2, 4): nu2 > 1.0}
     return tuple(pair for pair in _DIAGONAL_PAIRS if inside[pair])
 
 
-def _basis_det(e1: Vec2, e2: Vec2) -> Fraction:
-    """Determinant of the basis, exact even for heavily sheared bases.
+def _is_oriented(e1: Vec2, e2: Vec2) -> bool:
+    """Whether det(e1, e2) > 0, decided exactly even for heavily sheared
+    bases.
 
     Long twist words drive the entries to 1e8 and beyond while the true
     determinant stays moderate; the float cross product then cancels
-    catastrophically.  Fractions of the coordinates are exact at any
-    scale, floats and ints alike; a coordinate no Fraction can hold, such
-    as a QuadraticNumber, on which no float geometry can be built either,
-    raises TypeError.
+    catastrophically.  With each coordinate read as its integer ratio
+    n/d (d > 0), the sign test x1*y2 > y1*x2 is the integer test
+    n1x*n2y*d1y*d2x > n1y*n2x*d1x*d2y, exact at any scale.  A coordinate
+    that is neither an int nor a float is read through its Fraction, so
+    one no Fraction can hold, such as a QuadraticNumber, on which no
+    float geometry can be built either, raises TypeError.
     """
+    (n1x, d1x), (n1y, d1y), (n2x, d2x), (n2y, d2y) = [
+        (c if isinstance(c, (int, float)) else Fraction(c)).as_integer_ratio()
+        for c in (*e1, *e2)]
+    return n1x * n2y * d1y * d2x > n1y * n2x * d1x * d2y
+
+
+def _basis_det(e1: Vec2, e2: Vec2) -> Fraction:
+    """Determinant of the basis in Fractions, exact at any scale; read
+    only to print a refused one and to canonicalize."""
     return (Fraction(e1.x) * Fraction(e2.y)
             - Fraction(e1.y) * Fraction(e2.x))
 
@@ -296,6 +315,14 @@ class RoomGeometry(NamedTuple):
     in both orientations, to the first five entries of such a row for
     the chord from vertex i to vertex j.  `interior` lists the
     pairs of `_DIAGONAL_PAIRS` whose chord lies inside the pentagon.
+
+    The rows are built from the vertices as (x, y) pairs of scalars, by
+    the operations `Vec2` would apply, on the same types and in the same
+    order: an edge is end - start in the basis' own scalars, rounded to
+    a float once, so every row is that of the `Vec2` forms bit for bit,
+    for int, float and Fraction bases alike.  A reversed diagonal's edge
+    is its own difference, not the forward edge negated, which would
+    turn a zero coordinate into -0.0.
     """
 
     vertices: tuple[Vec2, ...]
@@ -305,11 +332,11 @@ class RoomGeometry(NamedTuple):
     interior: tuple[tuple[int, int], ...]
 
 
-def _chord_row(start: Vec2, end: Vec2) -> tuple[float, ...]:
-    """(ax, ay, ex, ey, parallel_floor) of the chord from start to end."""
-    edge = end - start
-    return (*start.as_floats(), *edge.as_floats(),
-            PARALLEL_EPS * max(edge.length(), 1.0))
+# The chords `Room.geom` tabulates: the five sides in order, then each
+# diagonal in both orientations.
+_CHORDS: tuple[tuple[int, int], ...] = (
+    *((k, (k + 1) % 5) for k in range(5)),
+    *((i, j) for pair in _DIAGONAL_PAIRS for i, j in (pair, pair[::-1])))
 
 
 class _RoomFields(NamedTuple):
@@ -322,9 +349,17 @@ class Room(_RoomFields):
     """Validated pentagon model of a dilation torus with one boundary.
 
     Basis coordinates are ints, floats or Fractions; another type, which
-    `_basis_det` cannot read exactly, raises TypeError, and an int or
+    `_is_oriented` cannot read exactly, raises TypeError, and an int or
     Fraction past the float range, on which no float geometry can be
     built, raises ValueError.
+
+    Two sign tests are exact, on integers: the basis must be positively
+    oriented, n1x*n2y*d1y*d2x > n1y*n2x*d1x*d2y on the coordinates'
+    integer ratios n/d (`_is_oriented`), and the chords from V1 toward
+    V3 and V4 lie inside when nu1*nu2 > 1, read as n1*n2 > d1*d2 on the
+    factors' ratios (`_interior_pairs`).  No Fraction is built for a
+    float room: the determinant's, in `_basis_det`, only for the message
+    of a refused basis and for `canonicalize`.
 
     Float basis coordinates and parameters must be finite: NaN or an
     infinite parameter would pass the other checks and put NaN vertices,
@@ -343,8 +378,8 @@ class Room(_RoomFields):
             raise ValueError(
                 "basis coordinates and parameters must be finite, got "
                 f"e1={(x1, y1)}, e2={(x2, y2)}, mu={params.as_floats()}")
-        det = _basis_det(e1, e2)
-        if det <= 0:
+        if not _is_oriented(e1, e2):
+            det = _basis_det(e1, e2)
             m, k = _quarter_split(det)
             shown = (float(det) if not det or sys.float_info.min <= -det
                      <= sys.float_info.max else f"{m} * 4**{k}")
@@ -356,7 +391,7 @@ class Room(_RoomFields):
         if params.is_zero():
             raise DegenerateDoor("both parameters vanish; the door has length 0")
         nu1, nu2 = params.nu()
-        verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), nu1, nu2)
+        verts = _pentagon_vertices((1.0, 0.0), (0.0, 1.0), nu1, nu2)
         for k in range(5):
             if verts[k] == verts[(k + 1) % 5]:
                 raise ValueError(
@@ -365,7 +400,7 @@ class Room(_RoomFields):
         # with nu1, nu2 <= 1 the door meets the left or the top side
         if not (nu1 > 1.0 or nu2 > 1.0):
             raise NonSimplePentagon(
-                f"vertex chain {[v.as_floats() for v in verts]} "
+                f"vertex chain {list(verts)} "
                 "self-intersects in unit-basis coordinates: neither "
                 f"dilation factor in nu = {(nu1, nu2)} exceeds 1")
         return tuple.__new__(cls, (e1, e2, params))
@@ -390,8 +425,17 @@ class Room(_RoomFields):
         """
         nu1, nu2 = self.params.nu()
         verts = _pentagon_vertices(self.e1, self.e2, nu1, nu2)
-        e1x, e1y = self.e1.as_floats()
-        v3x, v3y = verts[3].as_floats()
+        points = [(float(x), float(y)) for x, y in verts]
+        rows = []
+        for i, j in _CHORDS:
+            (ax, ay), (bx, by) = verts[i], verts[j]
+            ex, ey = float(bx - ax), float(by - ay)
+            # max(h, 1.0) for an h that is never NaN, without a call
+            h = math.hypot(ex, ey)
+            rows.append((*points[i], ex, ey,
+                         PARALLEL_EPS * (h if h > 1.0 else 1.0)))
+        e1x, e1y = points[1]
+        v3x, v3y = points[3]
         # (factor, offset x, offset y) of each transport
         transports = (
             # bottom -> top copy: z maps to z/nu1 + V3
@@ -404,19 +448,17 @@ class Room(_RoomFields):
             # left -> right copy: z maps to nu2*z + e1
             (nu2, e1x, e1y),
         )
-        sides = tuple((*_chord_row(verts[k], verts[(k + 1) % 5]), *transport)
-                      for k, transport in enumerate(transports))
-        diagonals = {(i, j): _chord_row(verts[i], verts[j])
-                     for pair in _DIAGONAL_PAIRS
-                     for i, j in (pair, pair[::-1])}
-        diam = max(v.length() for v in verts)
+        sides = tuple((*row, *transport)
+                      for row, transport in zip(rows, transports))
+        diagonals = dict(zip(_CHORDS[5:], rows[5:]))
+        diam = max(math.hypot(x, y) for x, y in points)
         # the tracer multiplies two coordinates (cross products of points
         # and edge vectors), which must stay in the float range
         if diam * diam == math.inf:
             raise ValueError(f"room diameter {diam!r} is too large: its "
                              "square leaves the float range")
-        return RoomGeometry(verts, diam, sides, diagonals,
-                            _interior_pairs(nu1, nu2))
+        return RoomGeometry(tuple(Vec2(x, y) for x, y in verts), diam, sides,
+                            diagonals, _interior_pairs(nu1, nu2))
 
     def vertices(self) -> list[Vec2]:
         """V0..V4 of the pentagon model."""

@@ -26,8 +26,9 @@ from typing import Callable, Optional, Sequence
 from dilatorus import cli, rauzy
 from dilatorus.errors import (BudgetExhausted, InadmissibleAtStep,
                               NonConvergence, NotTransverse, VertexHit)
-from dilatorus.geometry import (PARALLEL_EPS, DilationParams, Room, SL2Matrix,
-                                Vec2, angle_dist_mod_pi, unit)
+from dilatorus.geometry import (PARALLEL_EPS, DilationParams, Room,
+                                RoomGeometry, SL2Matrix, Vec2,
+                                angle_dist_mod_pi, unit)
 from dilatorus.intervalmaps import (AffineBranch, AffineChart,
                                     PeriodicCycle, PiecewiseAffineMap,
                                     TwoSlopeMap, attracting_cycle_in_hole,
@@ -295,6 +296,43 @@ def induction_step_oracle(ra: Fraction, rb: Fraction, xt: Fraction
     assert x_new == -c_b / rho_b, "the return is not in normal form"
     assert eps < x_new < 1 - eps
     return letter, (rho_a, rho_b, x_new), (scale, offset)
+
+
+# --- room geometry on Vec2, the reference of `Room.geom` ---
+
+def room_geometry_oracle(room: Room) -> RoomGeometry:
+    """`room.geom`'s tables built on `Vec2` and Fractions: the vertices
+    by Vec2 arithmetic, each chord's row from its Vec2 edge end - start,
+    the diameter from Vec2 lengths, and the interior chords' test
+    nu1*nu2 > 1 on the Fractions of the factors.  No refusal is
+    checked."""
+    nu1, nu2 = room.params.nu()
+    e1, e2 = Vec2(*room.e1), Vec2(*room.e2)
+    v2 = e1 + e2
+    verts = (Vec2(0.0, 0.0), e1, v2, v2 - e1 * (1.0 / nu1), e2 * (1.0 / nu2))
+
+    def row(i: int, j: int) -> tuple[float, ...]:
+        edge = verts[j] - verts[i]
+        return (*verts[i].as_floats(), *edge.as_floats(),
+                PARALLEL_EPS * max(edge.length(), 1.0))
+
+    e1x, e1y = e1.as_floats()
+    v3x, v3y = verts[3].as_floats()
+    transports = ((1.0 / nu1, v3x, v3y),
+                  (1.0 / nu2, -e1x * (1.0 / nu2), -e1y * (1.0 / nu2)),
+                  (nu1, v3x * (-nu1), v3y * (-nu1)),
+                  (1.0, 0.0, 0.0),
+                  (nu2, e1x, e1y))
+    sides = tuple((*row(k, (k + 1) % 5), *transport)
+                  for k, transport in enumerate(transports))
+    pairs = ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
+    diagonals = {(i, j): row(i, j) for pair in pairs
+                 for i, j in (pair, pair[::-1])}
+    wide = Fraction(nu1) * Fraction(nu2) > 1
+    inside = {(0, 2): True, (0, 3): nu1 > 1.0, (1, 3): nu1 > 1.0 or wide,
+              (1, 4): nu2 > 1.0 or wide, (2, 4): nu2 > 1.0}
+    return RoomGeometry(verts, max(v.length() for v in verts), sides,
+                        diagonals, tuple(p for p in pairs if inside[p]))
 
 
 # --- ray tracing on Vec2, straight from the room's public sides ---

@@ -1,16 +1,19 @@
 """Room model, SL(2,R) action, and the room document the CLI prints."""
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
+from dilatorus import geometry
 from dilatorus.errors import (DegenerateDoor, NonOrientedBasis,
                               NonSimplePentagon, OutsideQ)
-from dilatorus.geometry import (DilationParams, SL2Matrix, Vec2,
-                                _pentagon_vertices,
+from dilatorus.geometry import (DilationParams, RoomGeometry, SL2Matrix,
+                                Vec2, _interior_pairs, _pentagon_vertices,
                                 apply_sl2, build_room,
                                 canonicalize, geodesic_matrix,
                                 projective_action, square_room, unit,
@@ -21,6 +24,11 @@ from dilatorus.teichmuller import flow
 
 SEED = 20260817
 LN2 = math.log(2.0)
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_rooms",
+    Path(__file__).resolve().parent.parent / "perfbench" / "rooms.py")
+bench_rooms = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_rooms)
 
 
 # --- matrices ---
@@ -121,8 +129,8 @@ def test_vertex_formula_on_the_unit_basis_is_exact():
     # the coincident-vertex test reads these floats: V3 = (1 - 1/nu1, 1)
     # and V4 = (0, 1/nu2) with no rounding from the basis arithmetic
     for nu1, nu2 in ((2.0, 3.0), (math.e, 1.1), (7.3, 0.6)):
-        verts = _pentagon_vertices(Vec2(1.0, 0.0), Vec2(0.0, 1.0), nu1, nu2)
-        assert [v.as_floats() for v in verts] == [
+        verts = _pentagon_vertices((1.0, 0.0), (0.0, 1.0), nu1, nu2)
+        assert list(verts) == [
             (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0 - 1.0 / nu1, 1.0),
             (0.0, 1.0 / nu2)]
 
@@ -136,6 +144,41 @@ def test_room_rejects_bad_input():
         build_room((1.0, 0.0), (2.0, 0.0), (LN2, LN2))
     with pytest.raises(NonOrientedBasis):
         build_room((0.0, 1.0), (1.0, 0.0), (LN2, LN2))
+
+
+# e1 = (1 + 2^-52, 1), e2 = (1, 1 - 2^-53): the float cross product
+# rounds to 0.0, the exact determinant is 2^-53 - 2^-105
+NEAR_E1, NEAR_E2 = (1.0 + 2.0 ** -52, 1.0), (1.0, 1.0 - 2.0 ** -53)
+
+
+def test_orientation_is_the_sign_of_the_exact_determinant():
+    assert build_room(NEAR_E1, NEAR_E2, (LN2, LN2)).e1 == NEAR_E1
+    with pytest.raises(NonOrientedBasis, match=r"^basis determinant "
+                       r"-1\.1102230246251563e-16 must be positive$"):
+        build_room(NEAR_E2, NEAR_E1, (LN2, LN2))
+
+
+@pytest.mark.parametrize("nu, pairs", [
+    ((1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53), [(0, 2), (0, 3), (1, 3), (1, 4)]),
+    ((1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52), [(0, 2), (0, 3), (1, 3)]),
+], ids=["product-rounds-down-to-1", "product-just-below-1"])
+def test_interior_chords_read_the_exact_product_of_the_factors(nu, pairs):
+    # nu1*nu2 is 1 + 2^-53 - 2^-105 and 1 - 2^-104, both 1.0 in floats:
+    # (1, 4) lies inside only when the exact product exceeds 1
+    assert _interior_pairs(*nu) == tuple(pairs)
+
+
+def test_a_float_room_builds_no_fraction(monkeypatch):
+    # the two exact sign tests run on integer ratios; a Fraction is built
+    # only for a refused basis's message and for canonicalize
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built for a float room")
+
+    monkeypatch.setattr(geometry, "Fraction", refuse)
+    room = build_room((1.0, 0.25), (-0.5, 2.0), (0.4, 0.8))
+    assert room.geom.interior
+    room.door_direction()
+    room.is_inward(1.0)
 
 
 @pytest.mark.parametrize("e1, e2, mu", [
@@ -276,6 +319,67 @@ def test_int_parameters_are_written_as_exact_triples():
         [["1", "0", 0], ["2", "0", 0]]
     assert _room_payload(square_room(1, 2)) == \
         _room_payload(square_room(Fraction(1), Fraction(2)))
+
+
+def _bits(value):
+    """value with each float as its float.hex, so that -0.0 and 0.0
+    differ, every other scalar with its type, and a dict as its items in
+    order."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return [(key, _bits(v)) for key, v in value.items()]
+    if isinstance(value, tuple):
+        return type(value).__name__, [_bits(v) for v in value]
+    return type(value).__name__, value
+
+
+def _geometry_rooms() -> list:
+    """The 48 seeded benchmark rooms of seed 7, each also turned by a
+    seeded angle; int, Fraction and mixed bases; the square, sheared and
+    reflex rooms scaled by 1 and by 1e-9, 1e-3, 1e3 and 1e6, each with
+    its images under the flow at t = 4 and t = 14; and rooms with a
+    vertical diagonal or a -0.0 basis coordinate."""
+    rng = random.Random(SEED + 12)
+    rooms = []
+    for mu, e1, e2 in bench_rooms.seeded_rooms(random.Random(7), 48):
+        _, t1, t2 = bench_rooms.rotated((mu, e1, e2),
+                                        rng.uniform(0.0, 2.0 * math.pi))
+        rooms += [build_room(e1, e2, mu), build_room(t1, t2, mu)]
+    rooms += [build_room((1, 0), (0, 1), (LN2, LN2)),
+              build_room((2, 1), (1, 3), (0.4, 0.9)),
+              build_room((3, -1), (-2, 5), (Fraction(1, 2), Fraction(-1, 3))),
+              build_room((Fraction(1, 3), 3.0), (1e8, 9e8 + 1), (1, 1)),
+              build_room((1, 0.5), (0.0, 1), (0.7, -0.2))]
+    while len(rooms) < 121:
+        e1, e2 = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                  for _ in range(2)]
+        if e1[0] * e2[1] - e1[1] * e2[0] > 0:
+            rooms.append(build_room(e1, e2, (rng.uniform(0.1, 1.5),
+                                             rng.uniform(-0.5, 1.5))))
+    named = (square_room(LN2, LN2),
+             build_room((1.0, 0.2), (0.3, 1.1), (0.4, 1.3)),
+             build_room((1.0, 0.2), (0.3, 1.1), (-0.5, 1.0)))
+    for room in named:
+        for scale in (1.0, 1e-9, 1e-3, 1e3, 1e6):
+            scaled = build_room(room.e1 * scale, room.e2 * scale, room.params)
+            rooms += [scaled, flow(scaled, 4.0), flow(scaled, 14.0)]
+    # V0 and V3 share x = 0.0, so the edge of the chord (3, 0) is +0.0,
+    # not the -0.0 that negating the chord (0, 3) gives
+    rooms += [square_room(0.0, 0.5), square_room(0.5, 0.0),
+              build_room((1.0, -0.0), (-0.0, 1.0), (LN2, 0.3))]
+    return rooms
+
+
+def test_geometry_tables_match_the_vec2_oracle_bit_for_bit():
+    rooms = _geometry_rooms()
+    assert len(rooms) == 169
+    for room in rooms:
+        got, want = room.geom, oracles.room_geometry_oracle(room)
+        for name in RoomGeometry._fields:
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (
+                name, room)
 
 
 def test_interior_diagonals_symmetric_room():

@@ -1,5 +1,7 @@
-"""The two scripts under `tools/`: source lines and the ops hash."""
+"""The scripts under `tools/`: source lines, the ops hash and the pairs."""
 
+import json
+import os
 import re
 import subprocess
 import sys
@@ -52,3 +54,105 @@ def test_ops_hash_prints_the_op_count_and_a_hash():
                       ("exact", 400)]
     assert sum(n for _, n in counts) == 888
     assert re.fullmatch(r"888 [0-9a-f]{16}", total)
+
+
+# A stand-in for `perfbench/run.py`: it logs its arguments to $PAIRS_LOG
+# and prints, as its last line, the fixed result document that its
+# checkout's `result.json` holds, so that two checkouts can share one
+# perfbench/ tree and still report different figures.
+STUB_RUN = """\
+import json, os, sys
+root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.environ["PAIRS_LOG"], "a") as log:
+    log.write(json.dumps([os.path.basename(root), sys.argv[1:]]) + "\\n")
+with open(os.path.join(root, "result.json")) as fh:
+    print("a line before the result")
+    print(fh.read().strip())
+"""
+STUB_BENCHMARK = {"end_to_end": [
+    {"name": "wall_gauge", "better": "lower"},
+    {"name": "setup_s", "better": "lower"},
+    {"name": "ops_per_s", "better": "higher"}]}
+
+
+def stub_checkout(root: Path, correct: bool, **metrics: float) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN)
+    (root / "BENCHMARK.json").write_text(json.dumps(STUB_BENCHMARK))
+    (root / "result.json").write_text(json.dumps({
+        "correct": correct, "attempted": 12, "failed": 0,
+        "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}))
+    return root
+
+
+def run_pairs(tmp_path: Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PAIRS_LOG=str(tmp_path / "log"))
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "pairs.py"),
+                           str(tmp_path / "parent"), str(tmp_path / "change"),
+                           *args], capture_output=True, text=True, env=env)
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_pairs_alternates_the_sides_and_applies_the_claim_rule(tmp_path):
+    stub_checkout(tmp_path / "parent", True, wall_gauge=100.0, setup_s=0.04,
+                  ops_per_s=5.0)
+    stub_checkout(tmp_path / "change", True, wall_gauge=90.0, setup_s=0.04,
+                  ops_per_s=4.0)
+    before = {side: files_under(tmp_path / side)
+              for side in ("parent", "change")}
+    done = run_pairs(tmp_path, "--workload", "classify", "--pairs", "4",
+                     "--seconds", "0.5")
+    assert done.returncode == 0 and done.stderr == ""
+    # each pair runs both sides, the first side swapping pair by pair
+    calls = [json.loads(line)
+             for line in (tmp_path / "log").read_text().splitlines()]
+    sides = ["parent", "change", "change", "parent"] * 2
+    assert calls == [[side, ["--workload", "classify", "--trace", "0",
+                             "--seed", str(1 + k // 2), "--seconds", "0.5"]]
+                     for k, side in enumerate(sides)]
+    assert files_under(tmp_path / "parent") == before["parent"]
+    assert files_under(tmp_path / "change") == before["change"]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "classify: 4 pairs, seeds 1-4, 0.5 s runs"
+    assert lines[2] == ("pair 2 (change first): wall_gauge 100 -> 90, "
+                        "setup_s 0.04 -> 0.04, ops_per_s 5 -> 4; "
+                        "failed ops 0/12, 0/12")
+    # a tie counts for neither side, and higher is better for ops_per_s
+    assert lines[5:] == [
+        "wall_gauge (lower is better): parent 100 [100, 100], change 90 "
+        "[90, 90], change won 4/4; median gap 10 vs parent IQR 0: claim "
+        "holds",
+        "setup_s (lower is better): parent 0.04 [0.04, 0.04], change 0.04 "
+        "[0.04, 0.04], change won 0/4; median gap 0 vs parent IQR 0: claim "
+        "does not hold",
+        "ops_per_s (higher is better): parent 5 [5, 5], change 4 [4, 4], "
+        "change won 0/4; median gap -1 vs parent IQR 0: claim does not hold"]
+
+
+def test_pairs_refuses_two_different_benchmarks(tmp_path):
+    for side in ("parent", "change"):
+        stub_checkout(tmp_path / side, True, wall_gauge=1.0, setup_s=1.0,
+                      ops_per_s=1.0)
+    (tmp_path / "change" / "perfbench" / "run.py").write_text(STUB_RUN + "\n")
+    (tmp_path / "change" / "perfbench" / "extra.py").write_text("")
+    done = run_pairs(tmp_path, "--workload", "scan")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("the two perfbench/ trees differ: extra.py, "
+                           "run.py\n")
+    assert not (tmp_path / "log").exists()
+
+
+def test_pairs_stops_at_a_run_that_is_not_correct(tmp_path):
+    stub_checkout(tmp_path / "parent", True, wall_gauge=1.0, setup_s=1.0,
+                  ops_per_s=1.0)
+    stub_checkout(tmp_path / "change", False, wall_gauge=1.0, setup_s=1.0,
+                  ops_per_s=1.0)
+    done = run_pairs(tmp_path, "--workload", "flow", "--pairs", "3")
+    assert done.returncode == 1
+    assert "run failed:" in done.stderr and "seed 1" in done.stderr
+    # the parent ran first in pair 1, then the change failed
+    assert len((tmp_path / "log").read_text().splitlines()) == 2
