@@ -64,9 +64,6 @@ class Vec2(NamedTuple):
     def cross(self, other: "Vec2") -> float:
         return self.x * other.y - self.y * other.x
 
-    def length(self) -> float:
-        return math.hypot(float(self.x), float(self.y))
-
     def angle(self) -> float:
         return math.atan2(float(self.y), float(self.x))
 

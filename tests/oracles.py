@@ -314,7 +314,7 @@ def room_geometry_oracle(room: Room) -> RoomGeometry:
     def row(i: int, j: int) -> tuple[float, ...]:
         edge = verts[j] - verts[i]
         return (*verts[i].as_floats(), *edge.as_floats(),
-                PARALLEL_EPS * max(edge.length(), 1.0))
+                PARALLEL_EPS * max(math.hypot(*edge.as_floats()), 1.0))
 
     e1x, e1y = e1.as_floats()
     v3x, v3y = verts[3].as_floats()
@@ -331,8 +331,9 @@ def room_geometry_oracle(room: Room) -> RoomGeometry:
     wide = Fraction(nu1) * Fraction(nu2) > 1
     inside = {(0, 2): True, (0, 3): nu1 > 1.0, (1, 3): nu1 > 1.0 or wide,
               (1, 4): nu2 > 1.0 or wide, (2, 4): nu2 > 1.0}
-    return RoomGeometry(verts, max(v.length() for v in verts), sides,
-                        diagonals, tuple(p for p in pairs if inside[p]))
+    return RoomGeometry(verts, max(math.hypot(*v.as_floats()) for v in verts),
+                        sides, diagonals,
+                        tuple(p for p in pairs if inside[p]))
 
 
 # --- ray tracing on Vec2, straight from the room's public sides ---
@@ -347,7 +348,7 @@ def _leaves_through(u: Vec2, a: Vec2, b: Vec2) -> bool:
     through its side from a to b: u x (b - a) exceeds the side's
     parallel floor."""
     e = b - a
-    return u.cross(e) > PARALLEL_EPS * max(e.length(), 1.0)
+    return u.cross(e) > PARALLEL_EPS * max(math.hypot(*e.as_floats()), 1.0)
 
 
 def _leg_law(b: Vec2, f: Vec2, u: Vec2, a: Vec2,
@@ -424,7 +425,7 @@ def trace_ray_oracle(room: Room, p: float, theta: float, max_crossings: int,
 
     crossed: list[int] = []
     gain = 1.0
-    length = sec_e.length()
+    length = math.hypot(*sec_e.as_floats())
     if not 0.0 <= p <= length:
         raise ValueError(f"section coordinate {p!r} is not in "
                          f"[0, {length!r}]")
@@ -500,7 +501,7 @@ def first_return_map_oracle(room: Room, theta: float,
     if not room.is_inward(theta):
         raise ValueError("direction must point into the surface at the door")
     a, b = (room.geom.vertices[k] for k in section)
-    length = (b - a).length()
+    length = math.hypot(*(b - a).as_floats())
     tangent = (b - a) * (1.0 / length)
     if angle_dist_mod_pi(theta, (b - a).angle()) < TRANSVERSALITY_FLOOR:
         raise NotTransverse("direction is parallel to the section")

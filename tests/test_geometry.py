@@ -225,7 +225,8 @@ def test_gluing_transports_endpoints_to_partner():
             # transported side equals the partner reversed
             for p, q in ((side.start, mate.end), (side.end, mate.start)):
                 moved = p * side.factor + side.transport_offset
-                assert (moved - q).length() < 1e-9 * room.diameter()
+                assert (math.hypot(*(moved - q).as_floats())
+                        < 1e-9 * room.diameter())
 
 
 def test_transport_factors_multiply_to_one():
@@ -253,7 +254,7 @@ def _door_forms_by_vectors(room):
     v3, v4 = room.vertices()[3:5]
     door = v4 - v3
     n = Vec2(-door.y, door.x)           # turned by +pi/2
-    n = n * (1.0 / n.length())
+    n = n * (1.0 / math.hypot(*n.as_floats()))
     lo = wrap_2pi(n.angle() - math.pi / 2.0)
     return (wrap_pi(door.angle()), (lo, lo + math.pi),
             lambda theta: unit(theta).dot(n) > 0.0)
@@ -285,7 +286,7 @@ def test_apply_sl2_commutes_with_vertices():
         m = oracles.random_sl2(rng, 0.8)
         moved = apply_sl2(m, room)
         for v, w in zip(room.vertices(), moved.vertices()):
-            assert (m.apply(v) - w).length() < 1e-9
+            assert math.hypot(*(m.apply(v) - w).as_floats()) < 1e-9
 
 
 def test_canonicalize_keeps_shape():

@@ -143,7 +143,7 @@ def _start(rng: random.Random, room, section, theta: float,
     has one."""
     a, b = (room.geom.vertices[k] for k in section)
     e = b - a
-    length = e.length()
+    length = math.hypot(*e.as_floats())
     u = unit(theta)
     if aimed and e.cross(u):
         verts = room.vertices()
@@ -238,7 +238,7 @@ def _aimed_past_transports(rng: random.Random, room, section, theta: float,
             key, s = back
             if n == transports:
                 if key is None:
-                    return s * (b - a).length()
+                    return s * math.hypot(*(b - a).as_floats())
                 break
             if key is None or sides[key].is_door:
                 break
@@ -635,7 +635,7 @@ def test_diagonal_rows_are_endpoint_floats():
                 e = b - a
                 assert room.geom.diagonals[i, j] == (
                     float(a.x), float(a.y), float(e.x), float(e.y),
-                    PARALLEL_EPS * max(e.length(), 1.0))
+                    PARALLEL_EPS * max(math.hypot(*e.as_floats()), 1.0))
 
 
 def _return_map(room, theta, section):

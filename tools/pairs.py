@@ -1,25 +1,32 @@
 """Alternating parent/change pairs of one benchmark workload, and the claim rule.
 
-    python3 tools/pairs.py PARENT CHANGE --workload W [--pairs 10] [--seconds 15]
+    python3 tools/pairs.py PARENT CHANGE --workload W [--pairs 10]
 
 PARENT and CHANGE are two checkouts of this repository.  Pair i, for
-i = 1 .. pairs, runs `perfbench/run.py --workload W --trace 0 --seed i
---seconds S` once in each checkout, each in a fresh interpreter started
-in that checkout, one after the other: the parent first in odd pairs,
-the change first in even ones.  The script refuses to start when the two
-`perfbench/` trees differ (their `out/` and `__pycache__/` aside), since
-the two sides must run the same benchmark, and it stops with exit status
-1 at the first run that fails or does not report `correct: true`.
+i = 1 .. pairs, runs `perfbench/run.py --workload W --trace 0 --seed i`
+once in each checkout, at the run length `perfbench/run.py` sets, each
+in a fresh interpreter started in that checkout, one after the other:
+the parent first in odd pairs, the change first in even ones.  The
+script refuses to start when the two `perfbench/` trees differ (their
+`out/` and `__pycache__/` aside), since the two sides must run the same
+benchmark, and it stops with exit status 1 at the first run that fails
+or does not report `correct: true`.
 
 It prints each pair's end-to-end metrics, then, for each metric that
 PARENT's `BENCHMARK.json` lists under `end_to_end`, the median and
 quartiles (statistics.quantiles, inclusive) of each side and the pairs
 the change won, in that metric's `better` direction; a tie counts for
 neither side.  Last comes, per metric, whether a gain may be claimed:
-the change won at least nine tenths of the pairs, and its median is
-better than the parent's by more than the parent's interquartile range.
-The children run with PYTHONDONTWRITEBYTECODE=1, so that neither
-checkout's bytecode cache tilts a pair; the script writes no file.
+at least ten pairs were run, the change won at least nine tenths of
+them, and its median is better than the parent's by more than the
+parent's interquartile range.
+
+Each side's runs keep their bytecode in a directory of their own
+(PYTHONPYCACHEPREFIX), made empty for this script and removed when it
+ends, so that no `__pycache__` a checkout holds is read: both sides
+compile every module in their first run and read their own cache after
+that, whatever state the checkouts were in.  The script writes no file
+that outlives it.
 """
 
 from __future__ import annotations
@@ -31,8 +38,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SKIPPED_DIRS = ("out", "__pycache__")
+MIN_PAIRS = 10
 
 
 def differing(a: str, b: str) -> list[str]:
@@ -54,13 +63,14 @@ def differing(a: str, b: str) -> list[str]:
     return sorted(found)
 
 
-def run(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON document one trace-off run in `root` ends with."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+def run(root: str, workload: str, seed: int, cache: str) -> dict:
+    """The JSON document one trace-off run in `root` ends with, its
+    bytecode read from and written to `cache` alone."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
-         "--workload", workload, "--trace", "0", "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--workload", workload, "--trace", "0", "--seed", str(seed)],
         cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -84,8 +94,7 @@ def main(argv: list[str]) -> int:
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=15.0)
+    p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2, for quartiles")
@@ -104,26 +113,31 @@ def main(argv: list[str]) -> int:
 
     values: dict[str, dict[str, list[float]]] = {
         side: {name: [] for name in better} for side in roots}
-    print(f"{args.workload}: {args.pairs} pairs, seeds 1-{args.pairs}, "
-          f"{args.seconds:g} s runs")
-    for i in range(1, args.pairs + 1):
-        order = ("parent", "change") if i % 2 else ("change", "parent")
-        docs = {}
-        for side in order:
-            try:
-                docs[side] = run(roots[side], args.workload, i, args.seconds)
-            except RuntimeError as exc:
-                print(f"run failed: {exc}", file=sys.stderr)
-                return 1
-        for side, doc in docs.items():
-            for name in better:
-                values[side][name].append(doc["metrics"][name]["value"])
-        shown = ", ".join(
-            f"{name} {values['parent'][name][-1]:.6g} -> "
-            f"{values['change'][name][-1]:.6g}" for name in better)
-        failed = ", ".join(f"{docs[side]['failed']}/{docs[side]['attempted']}"
-                           for side in roots)
-        print(f"pair {i} ({order[0]} first): {shown}; failed ops {failed}")
+    print(f"{args.workload}: {args.pairs} pairs, seeds 1-{args.pairs}")
+    with tempfile.TemporaryDirectory() as parent_cache, \
+            tempfile.TemporaryDirectory() as change_cache:
+        caches = {"parent": parent_cache, "change": change_cache}
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            docs = {}
+            for side in order:
+                try:
+                    docs[side] = run(roots[side], args.workload, i,
+                                     caches[side])
+                except RuntimeError as exc:
+                    print(f"run failed: {exc}", file=sys.stderr)
+                    return 1
+                for name in better:
+                    values[side][name].append(
+                        docs[side]["metrics"][name]["value"])
+            shown = ", ".join(
+                f"{name} {values['parent'][name][-1]:.6g} -> "
+                f"{values['change'][name][-1]:.6g}" for name in better)
+            failed = ", ".join(
+                f"{docs[side]['failed']}/{docs[side]['attempted']}"
+                for side in roots)
+            print(f"pair {i} ({order[0]} first): {shown}; "
+                  f"failed ops {failed}")
 
     for name, direction in better.items():
         parent, change = values["parent"][name], values["change"][name]
@@ -132,11 +146,13 @@ def main(argv: list[str]) -> int:
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         gap = sign * (pm - cm)
         holds = 10 * wins >= 9 * args.pairs and gap > p3 - p1
+        verdict = (f"does not hold (fewer than {MIN_PAIRS} pairs)"
+                   if args.pairs < MIN_PAIRS else
+                   "holds" if holds else "does not hold")
         print(f"{name} ({direction} is better): parent {pm:.6g} "
               f"[{p1:.6g}, {p3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}], "
               f"change won {wins}/{args.pairs}; median gap {gap:.6g} vs "
-              f"parent IQR {p3 - p1:.6g}: claim "
-              f"{'holds' if holds else 'does not hold'}")
+              f"parent IQR {p3 - p1:.6g}: claim {verdict}")
     return 0
 
 
